@@ -45,7 +45,7 @@ EXTRA_TOL  ?= 0.50
 # is a reviewed change, like the benchmark baseline.
 COVER_MIN ?= 70
 
-.PHONY: all build test vet race fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo
+.PHONY: all build test vet race fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc
 
 all: build test
 
@@ -86,6 +86,14 @@ docs-check:
 # per-stage spans from device event to pixels on the wire.
 trace-demo:
 	$(GO) run ./cmd/unibench -trace-demo trace.json
+
+# loc prints the two costs ROADMAP says to track: non-test Go lines (all
+# of them, and without the frozen benchmark driver) and the number of
+# methods a home must implement to be hosted (hub.Host).
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo "non-test Go LOC:"
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^cmd/uniload/' | xargs cat | wc -l | xargs echo "non-test Go LOC outside cmd/uniload:"
+	@sed -n '/^type Host interface {/,/^}/p' internal/hub/host.go | grep -c '^	[A-Z][A-Za-z]*(' | xargs echo "hub.Host methods:"
 
 test:
 	$(GO) test ./...

@@ -203,7 +203,7 @@ func e11(reps int) error {
 		// Wrap is symmetric (shapes both directions), so one wrapped end
 		// simulates the whole link.
 		sc, cc := net.Pipe()
-		go srv.HandleConn(sc)
+		go srv.Attach(sc, nil)
 		proxy, err := core.Dial(netsim.Wrap(cc, link.opts...))
 		if err != nil {
 			return err
@@ -273,7 +273,7 @@ func e12(reps int) error {
 	srv := uniserver.New(display, "input storm")
 	defer srv.Close()
 	sc, cc := net.Pipe()
-	go srv.HandleConn(sc)
+	go srv.Attach(sc, nil)
 	client, err := rfb.Dial(cc)
 	if err != nil {
 		return err

@@ -40,7 +40,7 @@ func traceDemo(path string) error {
 	defer srv.Close()
 
 	sc, cc := net.Pipe()
-	go srv.HandleConn(sc)
+	go srv.Attach(sc, nil)
 	proxy, err := core.Dial(cc)
 	if err != nil {
 		return err

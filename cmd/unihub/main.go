@@ -447,7 +447,7 @@ func runDemo(h *hub.Hub, cfg config) error {
 	fmt.Printf("demo: %d homes × %d devices × %d steps (%d interactions) in %v\n",
 		cfg.homes, cfg.demoDevices, cfg.demoSteps, steps, elapsed.Round(time.Millisecond))
 	fmt.Println("-- metrics --")
-	return metrics.Default().WriteText(os.Stdout) // includes hub/proxy/server counters
+	return metrics.Default().WritePrometheus(os.Stdout) // includes hub/proxy/server counters
 }
 
 // runDevice connects one phone to its home through the hub's routing

@@ -2,6 +2,7 @@ package uniint_test
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"testing"
@@ -17,7 +18,7 @@ import (
 // TestHubThousandIdleEdgeSessions is the acceptance test for the budgeted
 // event runtime: one hub hosting 1000 idle edge sessions across 10 homes
 // on a 4-worker pool, with the process goroutine count independent of the
-// session count. Every session is attached through hub.AttachEdge over a
+// session count. Every session is attached through hub.Route over a
 // goroutine-free event pipe (workload.IdleFleet), so any per-session
 // goroutine anywhere in the stack fails the bounded assertion.
 func TestHubThousandIdleEdgeSessions(t *testing.T) {
@@ -60,7 +61,7 @@ func TestHubThousandIdleEdgeSessions(t *testing.T) {
 	clients, err := workload.IdleFleet(sessions, func(conn net.Conn) error {
 		id := ids[i%homes]
 		i++
-		return h.AttachEdge(id, conn)
+		return h.Route(id, conn)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,25 +92,38 @@ func TestHubThousandIdleEdgeSessions(t *testing.T) {
 	}
 }
 
-// TestHubAttachEdgeUnknownFallbacks exercises the edge attach error paths:
-// a home type without edge support and a non-readiness connection.
+// TestHubAttachEdgeErrors exercises Route's paths around a home that is
+// only a ConnHandler: a blocking conn is served through the adapter and
+// unpinned when the handler returns, and a closed hub refuses the attach
+// and closes the conn.
 func TestHubAttachEdgeErrors(t *testing.T) {
+	home := &plainHome{}
 	h, err := hub.New(hub.Options{
-		Factory: func(string) (hub.Host, error) { return hub.AdaptConnHandler(plainHome{}), nil },
+		Factory: func(string) (hub.Host, error) { return hub.AdaptConnHandler(home), nil },
 		Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
 	a, b := net.Pipe()
 	defer a.Close()
-	if err := h.AttachEdge("x", b); err != hub.ErrNoEdge {
-		t.Fatalf("AttachEdge on non-edge home = %v, want ErrNoEdge", err)
+	if err := h.Route("x", b); err != nil {
+		t.Fatalf("Route to an adapted home = %v", err)
+	}
+	if home.served != 1 || h.Connections() != 0 {
+		t.Fatalf("served %d conns, %d still pinned", home.served, h.Connections())
+	}
+	h.Close()
+	c, d := net.Pipe()
+	if err := h.Route("x", d); err != hub.ErrClosed {
+		t.Fatalf("Route on a closed hub = %v, want ErrClosed", err)
+	}
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("refused conn not closed: read err %v", err)
 	}
 }
 
-type plainHome struct{}
+type plainHome struct{ served int }
 
-func (plainHome) HandleConn(conn net.Conn) error { conn.Close(); return nil }
-func (plainHome) Close()                         {}
+func (p *plainHome) HandleConn(conn net.Conn) error { p.served++; conn.Close(); return nil }
+func (*plainHome) Close()                           {}

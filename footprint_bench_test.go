@@ -30,7 +30,7 @@ func BenchmarkSessionFootprint(b *testing.B) {
 	defer pool.Close()
 	srv := uniserver.New(display, "footprint", uniserver.WithPool(pool), uniserver.WithParkTTL(0))
 	defer srv.Close()
-	attach := func(conn net.Conn) error { return srv.AttachEdge(conn, nil) }
+	attach := func(conn net.Conn) error { return srv.Attach(conn, nil) }
 
 	// Warm the process shape outside the measurement: one attach/detach
 	// cycle starts the shared wheel driver and fills the scratch pools.

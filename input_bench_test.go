@@ -41,7 +41,7 @@ func discardServerClient(b *testing.B) *rfb.ClientConn {
 	b.Helper()
 	sc, cc := net.Pipe()
 	go func() {
-		s, err := rfb.NewServerConn(sc, 640, 480, "discard")
+		s, err := rfb.NewEdgeServerConn(sc, 640, 480, "discard", nil)
 		if err != nil {
 			return
 		}
@@ -185,7 +185,7 @@ func BenchmarkInputFlood(b *testing.B) {
 	srv := uniserver.New(display, "flood")
 	defer srv.Close()
 	sc, cc := net.Pipe()
-	go srv.HandleConn(sc)
+	go srv.Attach(sc, nil)
 	client, err := rfb.Dial(cc)
 	if err != nil {
 		b.Fatal(err)

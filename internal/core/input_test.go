@@ -157,7 +157,7 @@ func wireClient(t *testing.T) (*rfb.ClientConn, *recordingHandler) {
 	sc, cc := net.Pipe()
 	h := &recordingHandler{}
 	go func() {
-		s, err := rfb.NewServerConn(sc, 640, 480, "flush test")
+		s, err := rfb.NewEdgeServerConn(sc, 640, 480, "flush test", nil)
 		if err != nil {
 			return
 		}

@@ -38,7 +38,7 @@ func newSupervisedStack(t *testing.T) *supervisedStack {
 // server and remembers the client side for DropLink.
 func (st *supervisedStack) dial() (net.Conn, error) {
 	sc, cc := net.Pipe()
-	go st.srv.HandleConn(sc)
+	go st.srv.Attach(sc, nil)
 	link := netsim.Wrap(cc)
 	st.mu.Lock()
 	st.link = link
@@ -169,7 +169,7 @@ func TestSupervisorWorksOverShapedLink(t *testing.T) {
 
 	dial := func() (net.Conn, error) {
 		sc, cc := net.Pipe()
-		go st.srv.HandleConn(sc)
+		go st.srv.Attach(sc, nil)
 		return netsim.Wrap(cc, netsim.WithLatency(5*time.Millisecond)), nil
 	}
 	sup, err := core.NewSupervisor(dial)
@@ -259,7 +259,7 @@ func TestSupervisorRestoreSurvivesMidRestoreDeath(t *testing.T) {
 	dial := func() (net.Conn, error) {
 		n := dialCount.Add(1)
 		sc, cc := net.Pipe()
-		go st.srv.HandleConn(sc)
+		go st.srv.Attach(sc, nil)
 		link := netsim.Wrap(cc)
 		if n >= 2 && n <= 4 {
 			link = inj.Wrap(cc)

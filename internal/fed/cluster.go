@@ -343,7 +343,7 @@ func (c *Cluster) Serve(ln net.Listener) error {
 			return err
 		}
 		// goroutine-ok: Serve is the blocking-transport accept loop; routed
-		// conns are served by the member hub's HandleConn for the conn's life.
+		// conns are read on this goroutine by the member home's Attach.
 		go func() { _ = c.ServeConn(conn) }()
 	}
 }

@@ -88,14 +88,11 @@ type stubHost struct {
 	closed bool
 }
 
-func (s *stubHost) HandleConn(conn net.Conn) error {
+func (s *stubHost) Attach(conn net.Conn, onClose func()) error {
+	defer onClose()
 	defer conn.Close()
 	fmt.Fprintf(conn, "%s/%s\n", s.node, s.id)
 	return nil
-}
-func (s *stubHost) AttachEdge(conn net.Conn, onClose func()) error {
-	conn.Close()
-	return hub.ErrNoEdge
 }
 func (s *stubHost) Parked() int {
 	s.mu.Lock()

@@ -17,12 +17,14 @@ import (
 //
 // Exactly when the hub calls each method:
 //
-//   - HandleConn: once per routed blocking-transport connection
-//     (Hub.Route / Hub.ServeConn); blocks for the connection's life.
-//   - AttachEdge: once per routed readiness-driven connection
-//     (Hub.AttachEdge); returns after the handshake, the session then
-//     runs on the home's worker pool and onClose fires once when it
-//     retires. A home without an edge path returns ErrNoEdge.
+//   - Attach: once per routed connection (Hub.Route / Hub.ServeConn),
+//     with the home's entry already pinned. The home handshakes and
+//     serves conn however the transport allows — returning after the
+//     handshake when the session can run on its worker pool, or blocking
+//     for the connection's life when it must read on the caller's
+//     goroutine — and calls onClose exactly once, whatever it returns:
+//     when the session has retired, or on the way out if none started.
+//     onClose is the hub's unpin.
 //   - Parked: on every eviction attempt (idle sweep, explicit Evict) —
 //     a home with sessions waiting in its detach lot is not idle — and
 //     by the federation layer sizing a migration.
@@ -41,12 +43,9 @@ import (
 // uniint.HubSession is the production implementation; plain
 // connection-serving homes wrap themselves with AdaptConnHandler.
 type Host interface {
-	// HandleConn serves one proxy connection until the peer disconnects.
-	HandleConn(conn net.Conn) error
-	// AttachEdge handshakes a readiness-driven connection and returns;
-	// the session runs on the home's pool and onClose fires once when it
-	// retires. Homes without an edge path return ErrNoEdge.
-	AttachEdge(conn net.Conn, onClose func()) error
+	// Attach handshakes and serves one proxy connection; onClose runs
+	// exactly once, after the session retires or the attach fails.
+	Attach(conn net.Conn, onClose func()) error
 	// Parked returns the number of sessions waiting in the detach lot.
 	Parked() int
 	// HasParked reports whether the lot holds a live session for token.
@@ -68,9 +67,6 @@ type Host interface {
 	Close()
 }
 
-// ErrNoEdge reports a home without a readiness-driven edge path.
-var ErrNoEdge = errors.New("hub: home does not support edge attach")
-
 // ErrNoLot reports a migration operation on a home without a detach lot.
 var ErrNoLot = errors.New("hub: home has no detach lot")
 
@@ -82,16 +78,16 @@ type ConnHandler interface {
 }
 
 // AdaptConnHandler lifts a plain connection-serving home to the full
-// Host contract: edge attach reports ErrNoEdge, the detach lot is
+// Host contract: every attach blocks in HandleConn, the detach lot is
 // permanently empty, and migration is unsupported. Use it for simple or
 // legacy homes that only implement HandleConn/Close.
 func AdaptConnHandler(h ConnHandler) Host { return connHandlerHost{h} }
 
 type connHandlerHost struct{ ConnHandler }
 
-func (connHandlerHost) AttachEdge(conn net.Conn, onClose func()) error {
-	conn.Close()
-	return ErrNoEdge
+func (c connHandlerHost) Attach(conn net.Conn, onClose func()) error {
+	defer onClose()
+	return c.HandleConn(conn)
 }
 func (connHandlerHost) Parked() int            { return 0 }
 func (connHandlerHost) HasParked(string) bool  { return false }

@@ -42,8 +42,8 @@ var (
 	ErrDraining    = errors.New("hub: draining")
 )
 
-// Factory builds the Host for a home ID on admission. Homes that only
-// implement HandleConn/Close wrap themselves with AdaptConnHandler.
+// Factory builds the Host for a home ID on admission. Homes that are only
+// a ConnHandler wrap themselves with AdaptConnHandler.
 type Factory func(homeID string) (Host, error)
 
 // Options configures a Hub.
@@ -294,11 +294,15 @@ func (h *Hub) Admit(id string) (Host, error) {
 	return home, nil
 }
 
-// Route admits (if needed) and serves one connection on the home's stack,
-// blocking until the peer disconnects. The home is pinned against
-// eviction while the connection is live: the refcount is incremented
-// first and the eviction flag checked after, the mirror image of Evict's
-// flag-then-refcount order, so one side always observes the other.
+// Route admits (if needed) the home for id and attaches one connection to
+// it. On a blocking transport it blocks until the peer disconnects; on a
+// readiness-driven one it returns as soon as the handshake completes and
+// the session lives on the home's worker pool with no routing goroutine
+// (see Host.Attach). The home is pinned against eviction until the session
+// retires, when the home's completion callback unpins it: the refcount is
+// incremented first and the eviction flag checked after, the mirror image
+// of Evict's flag-then-refcount order, so one side always observes the
+// other.
 func (h *Hub) Route(id string, conn net.Conn) error {
 	start := time.Now()
 	for attempt := 0; attempt < 4; attempt++ {
@@ -329,59 +333,12 @@ func (h *Hub) Route(id string, conn net.Conn) error {
 		}
 		h.mConns.Inc()
 		h.mRouteSeconds.ObserveDuration(time.Since(start))
-		defer func() {
+		return e.home.Attach(conn, func() {
 			e.refs.Add(-1)
 			e.touch()
 			h.mConns.Dec()
 			h.conns.Add(-1)
-		}()
-		return e.home.HandleConn(conn)
-	}
-	conn.Close()
-	return fmt.Errorf("%w: %s (admission/eviction livelock)", ErrUnknownHome, id)
-}
-
-// AttachEdge admits (if needed) the home for id and attaches one
-// readiness-driven connection to it, returning as soon as the handshake
-// completes — the session then lives on the home's worker pool with no
-// routing goroutine. The home entry stays pinned against eviction (the
-// same refs protocol Route uses) until the session retires, at which
-// point the home's completion callback unpins it.
-func (h *Hub) AttachEdge(id string, conn net.Conn) error {
-	start := time.Now()
-	for attempt := 0; attempt < 4; attempt++ {
-		if _, err := h.Admit(id); err != nil {
-			conn.Close()
-			return err
-		}
-		e := h.lookup(id)
-		if e == nil { // evicted between Admit and lookup; re-admit
-			continue
-		}
-		e.refs.Add(1)
-		h.conns.Add(1)
-		if e.evicted.Load() || h.closed.Load() {
-			h.conns.Add(-1)
-			e.refs.Add(-1)
-			if h.closed.Load() {
-				conn.Close()
-				return ErrClosed
-			}
-			continue
-		}
-		h.mConns.Inc()
-		h.mRouteSeconds.ObserveDuration(time.Since(start))
-		unpin := func() {
-			e.refs.Add(-1)
-			e.touch()
-			h.mConns.Dec()
-			h.conns.Add(-1)
-		}
-		if err := e.home.AttachEdge(conn, unpin); err != nil {
-			unpin() // the home closed conn; the session never started
-			return err
-		}
-		return nil
+		})
 	}
 	conn.Close()
 	return fmt.Errorf("%w: %s (admission/eviction livelock)", ErrUnknownHome, id)
@@ -392,7 +349,8 @@ func (h *Hub) AttachEdge(id string, conn net.Conn) error {
 const PreambleTimeout = 10 * time.Second
 
 // ServeConn reads the routing preamble from conn and routes it. It blocks
-// for the life of the connection; Serve runs it per accepted connection.
+// for the life of a blocking connection; Serve runs it per accepted
+// connection.
 // A TokenHome preamble routes by resume token: the hub finds the
 // resident home whose detach lot holds the session.
 func (h *Hub) ServeConn(conn net.Conn) error {
@@ -410,7 +368,7 @@ func (h *Hub) ServeConn(conn net.Conn) error {
 // ServePreamble routes a connection whose preamble was already consumed
 // (and parsed into p) by a front router — the federation layer reads the
 // line once, picks a member node, and hands the still-virgin protocol
-// stream here. It blocks for the life of the connection.
+// stream here. Like Route, it blocks for the life of a blocking connection.
 func (h *Hub) ServePreamble(p Preamble, conn net.Conn) error {
 	return h.servePreamble(p, conn, time.Now())
 }
@@ -459,8 +417,8 @@ func (h *Hub) Serve(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		// goroutine-ok: Serve is the blocking-transport accept loop; routed
-		// conns are served by HandleConn, which blocks for the conn's life.
+		// goroutine-ok: Serve is the blocking-transport accept loop; a routed
+		// conn's Attach reads it on this goroutine for the conn's life.
 		go func() { _ = h.ServeConn(conn) }()
 	}
 }
@@ -620,7 +578,7 @@ func (h *Hub) Close() {
 		}
 	}
 	// Wait for routed connections to unwind (closing the homes above
-	// disconnects their sessions, so HandleConn calls return promptly).
+	// disconnects their sessions, so each retires and unpins promptly).
 	for h.conns.Load() > 0 {
 		time.Sleep(time.Millisecond)
 	}

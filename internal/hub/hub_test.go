@@ -548,9 +548,9 @@ type parkingHome struct {
 	token  atomic.Value // string
 }
 
-func (p *parkingHome) AttachEdge(conn net.Conn, onClose func()) error {
-	conn.Close()
-	return ErrNoEdge
+func (p *parkingHome) Attach(conn net.Conn, onClose func()) error {
+	defer onClose()
+	return p.HandleConn(conn)
 }
 
 func (p *parkingHome) Parked() int { return int(p.parked.Load()) }

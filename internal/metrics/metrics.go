@@ -347,41 +347,9 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// WriteText renders the registry in the plain-text exposition format:
-// one "name value" line per counter/gauge, and the cumulative
-// bucket/sum/count triplet per histogram. Lines are sorted by name so the
-// output is diff-stable.
-func (r *Registry) WriteText(w io.Writer) error {
-	s := r.Snapshot()
-	var err error
-	p := func(format string, args ...any) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, format, args...)
-		}
-	}
-	for _, name := range sortedKeys(s.Counters) {
-		p("%s %d\n", name, s.Counters[name])
-	}
-	for _, name := range sortedKeys(s.Gauges) {
-		p("%s %d\n", name, s.Gauges[name])
-	}
-	for _, name := range sortedKeys(s.Histograms) {
-		h := s.Histograms[name]
-		var cum uint64
-		for i, b := range h.Bounds {
-			cum += h.Counts[i]
-			p("%s_bucket{le=%q} %d\n", name, formatBound(b), cum)
-		}
-		p("%s_bucket{le=\"+Inf\"} %d\n", name, h.Count)
-		p("%s_sum %g\n", name, h.Sum)
-		p("%s_count %d\n", name, h.Count)
-	}
-	return err
-}
-
 // WriteJSON renders the registry snapshot as one JSON object with
 // "counters", "gauges" and "histograms" members — the machine-readable
-// sibling of WriteText, used by tooling that ingests a metrics snapshot
+// sibling of WritePrometheus, used by tooling that ingests a metrics snapshot
 // (benchmark reports, the hub daemon's scrape page). Histograms are
 // summarized as {count, sum, p50, p95, p99}.
 func (r *Registry) WriteJSON(w io.Writer) error {

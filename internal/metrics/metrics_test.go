@@ -109,38 +109,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 }
 
-func TestWriteText(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b_total").Add(2)
-	r.Counter("a_total").Add(1)
-	r.Gauge("homes").Set(64)
-	h := r.Histogram("route_seconds", []float64{0.001, 0.01})
-	h.Observe(0.0005)
-	h.Observe(0.5)
-
-	var sb strings.Builder
-	if err := r.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"a_total 1\n",
-		"b_total 2\n",
-		"homes 64\n",
-		"route_seconds_bucket{le=\"0.001\"} 1\n",
-		"route_seconds_bucket{le=\"0.01\"} 1\n",
-		"route_seconds_bucket{le=\"+Inf\"} 2\n",
-		"route_seconds_count 2\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Index(out, "a_total") > strings.Index(out, "b_total") {
-		t.Fatal("counters not sorted by name")
-	}
-}
-
 func TestSnapshotIsolation(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("x")

@@ -1,75 +1,20 @@
 package rfb
 
 import (
-	"bufio"
 	"fmt"
-	"net"
-	"sync"
 
 	"uniint/internal/gfx"
 )
 
-// Edge connections: the readiness-driven alternative to Serve. A blocking
-// read loop pins one goroutine (and its stack) per session for life; an
-// edge connection instead has bytes pushed into Feed whenever its
-// transport signals readability, so an idle session costs no goroutine
-// and no pinned read buffer — the connection-side half of the budgeted
-// event runtime.
-
-// edgeReaderPool holds the small buffered readers edge handshakes borrow.
-// The reader is returned as soon as the handshake completes (its buffered
-// remainder moves into the connection's feed buffer), so an edge session
-// pins no read buffer afterwards — unlike Serve connections, whose 32 KB
-// reader lives as long as they do.
-var edgeReaderPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(nil, 4<<10) },
-}
-
-// NewEdgeServerConn performs the server handshake for a readiness-driven
-// connection. It blocks on the handshake reads (brief when the client
-// pipelined its half — see ClientHello) but, unlike NewServerConnToken,
-// the returned connection holds no reader: client messages arrive through
-// Feed, pushed by whoever owns the transport's readiness callback. Bytes
-// the client pipelined past the handshake are retained and parsed by the
-// first Feed call.
-func NewEdgeServerConn(conn net.Conn, width, height int, name string, ex TokenExchange) (*ServerConn, error) {
-	s := &ServerConn{
-		conn:   conn,
-		pf:     gfx.PF32(),
-		width:  width,
-		height: height,
-		name:   name,
-	}
-	br := edgeReaderPool.Get().(*bufio.Reader)
-	br.Reset(conn)
-	s.br = br
-	err := s.handshake(ex)
-	if err == nil {
-		if n := br.Buffered(); n > 0 {
-			// The client pipelined protocol messages behind its handshake;
-			// move them into the feed buffer so no byte is stranded in the
-			// reader being returned to the pool.
-			peek, _ := br.Peek(n)
-			s.feed = append(s.feed, peek...)
-		}
-	}
-	s.br = nil
-	br.Reset(nil)
-	edgeReaderPool.Put(br)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// Feed parses the client messages in data — prepended with any partial
-// message retained from earlier feeds — and dispatches each complete one
-// to h, exactly as Serve would. A trailing partial message is retained
-// for the next call. Feed is not safe for concurrent use with itself or
-// Serve; edge sessions call it from their (at-most-once-queued) read turn.
-// A non-nil error means the stream is unrecoverable and the connection
-// should be torn down.
+// Feed is the one client-message decoder: it parses the client messages in
+// data — prepended with any partial message retained from earlier feeds —
+// and dispatches each complete one to h. A trailing partial message is
+// retained for the next call. Bytes are pushed in whenever a transport has
+// some: by a readiness-driven session's (at-most-once-queued) read turn —
+// an idle session then costs no goroutine and no pinned read buffer — or
+// by Serve's blocking read loop. Feed is not safe for concurrent use with
+// itself or Serve. A non-nil error means the stream is unrecoverable and
+// the connection should be torn down.
 func (s *ServerConn) Feed(data []byte, h ServerHandler) error {
 	buf := data
 	if len(s.feed) > 0 {
@@ -89,17 +34,24 @@ func (s *ServerConn) Feed(data []byte, h ServerHandler) error {
 		off += n
 	}
 	rest := buf[off:]
-	if len(s.feed) > 0 {
-		s.feed = s.feed[:copy(s.feed, rest)]
-	} else if len(rest) > 0 {
+	switch {
+	case len(rest) == 0 && cap(s.feed) > readBufSize:
+		// A straddling message (a 1 MB cut text, say) grew the buffer far
+		// past what a read delivers; keeping that capacity would pin it
+		// per idle session until disconnect.
+		s.feed = nil
+	case len(s.feed) > 0:
+		if off > 0 { // nothing parsed: the retained bytes are already in place
+			s.feed = s.feed[:copy(s.feed, rest)]
+		}
+	case len(rest) > 0:
 		s.feed = append(s.feed, rest...)
 	}
 	return nil
 }
 
 // parseClientMessage parses one client message from the front of b,
-// returning the bytes consumed (0: b holds only a partial message). The
-// wire layouts and handler dispatches mirror Serve's switch exactly.
+// returning the bytes consumed (0: b holds only a partial message).
 func (s *ServerConn) parseClientMessage(b []byte, h ServerHandler) (int, error) {
 	switch b[0] {
 	case msgSetPixelFormat: // type + 3 padding + 16 pixel format

@@ -85,8 +85,8 @@ func TestFeedParsesWholeScript(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkFeedResults(t, h)
-	if got := sc.PreferredEncoding(); got != EncRaw {
-		t.Errorf("PreferredEncoding = %d", got)
+	if got := preferredEncoding(sc); got != EncRaw {
+		t.Errorf("preferred encoding = %d", got)
 	}
 }
 
@@ -160,5 +160,40 @@ func TestFeedRejectsUnknownMessage(t *testing.T) {
 	_, sc := edgeHandshake(t, "", nil)
 	if err := sc.Feed([]byte{0xEE}, newTestServerHandler()); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("err = %v, want ErrBadMessage", err)
+	}
+}
+
+func TestFeedReleasesHighWaterBuffer(t *testing.T) {
+	// A maximum-size cut text straddling two feeds grows the retention
+	// buffer to ~1 MB; once drained, that capacity must not stay pinned to
+	// the (idle) session.
+	_, sc := edgeHandshake(t, "", nil)
+	h := newTestServerHandler()
+	const n = 1 << 20
+	msg := append([]byte{msgClientCutText, 0, 0, 0, 0, 0x10, 0, 0}, make([]byte, n)...)
+	if err := sc.Feed(msg[:len(msg)/2], h); err != nil {
+		t.Fatal(err)
+	}
+	if cap(sc.feed) < len(msg)/2 {
+		t.Fatalf("partial message not retained: cap %d", cap(sc.feed))
+	}
+	if err := sc.Feed(msg[len(msg)/2:], h); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.cuts) != 1 || len(h.cuts[0]) != n {
+		t.Fatalf("cut text not delivered: %d calls", len(h.cuts))
+	}
+	if cap(sc.feed) > readBufSize {
+		t.Errorf("drained feed buffer still pins %d bytes (read buffer is %d)", cap(sc.feed), readBufSize)
+	}
+	// The parser keeps working on the released buffer, partials included.
+	if err := sc.Feed(clientMsgs()[:12], h); err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Feed(clientMsgs()[12:], h); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.keys) != 1 || len(h.cuts) != 2 {
+		t.Errorf("after release: keys %d cuts %d", len(h.keys), len(h.cuts))
 	}
 }

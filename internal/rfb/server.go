@@ -40,14 +40,12 @@ const MaxTokenLen = 255
 // ServerConn is the server end of a universal interaction connection. It is
 // created after a successful handshake and serves exactly one proxy.
 //
-// Writes (SendUpdate, Bell, …) may be issued from any goroutine; the read
-// loop (Serve) runs on its own goroutine and invokes the handler.
+// Writes (SendPrepared, SendEmptyUpdate) may be issued from any goroutine.
+// Client messages arrive through Feed — pushed by a readiness-driven
+// transport's read turn, or by Serve's blocking read loop — which invokes
+// the handler; one caller at a time.
 type ServerConn struct {
 	conn net.Conn
-	br   *bufio.Reader
-	rs   [16]byte // read-path scratch (Serve goroutine only): a stack
-	// array passed through io.Reader escapes to the heap per call, which
-	// on the input hot path would mean allocations on every event.
 
 	wmu sync.Mutex  // serializes writes and guards cw
 	cw  countWriter // reusable byte-counting shim over the wire buffer
@@ -65,42 +63,65 @@ type ServerConn struct {
 
 	bytesSent     atomic.Int64
 	bytesReceived atomic.Int64
-	updatesSent   atomic.Int64
 
-	// Pending trace context (Serve goroutine only, like rs): set by a
-	// trace-context extension message, consumed by the next input event's
-	// handler via TakeTraceContext.
+	// Pending trace context (Feed's caller only): set by a trace-context
+	// extension message, consumed by the next input event's handler via
+	// TakeTraceContext.
 	traceID uint64
 	traceAt int64
 
-	// feed retains a partial client message between Feed calls (edge
-	// connections only; read-turn-serialized like rs). Empty in steady
-	// state — it grows only while a message straddles a readiness window.
+	// feed retains a partial client message between Feed calls (Feed's
+	// caller only). Empty in steady state — it grows only while a message
+	// straddles two reads, and Feed drops an oversized backing array once
+	// it drains.
 	feed []byte
 }
 
-// NewServerConn performs the server side of the handshake over conn and
-// returns a ready connection. width/height/name describe the served
-// desktop (the home appliance application's control panel surface). No
-// resume token is issued; session parking needs NewServerConnToken.
-func NewServerConn(conn net.Conn, width, height int, name string) (*ServerConn, error) {
-	return NewServerConnToken(conn, width, height, name, nil)
+// handshakeReaderPool holds the small buffered readers handshakes borrow.
+// The reader is returned as soon as the handshake completes (its buffered
+// remainder moves into the connection's feed buffer), so a session pins no
+// read buffer while idle on a readiness-driven transport.
+var handshakeReaderPool = sync.Pool{
+	New: func() any { return bufio.NewReaderSize(nil, 4<<10) },
 }
 
-// NewServerConnToken is NewServerConn with a resume-token exchange: the
-// token the client presented in ClientInit is resolved through ex, and
-// the issued token plus the resumed verdict travel back in ServerInit. A
-// nil ex issues no token and never resumes.
-func NewServerConnToken(conn net.Conn, width, height int, name string, ex TokenExchange) (*ServerConn, error) {
+// NewEdgeServerConn performs the server side of the handshake over conn
+// and returns a ready connection; it is the one ServerConn constructor,
+// for blocking and readiness-driven transports alike. width/height/name
+// describe the served desktop (the home appliance application's control
+// panel surface). The token the client presented in ClientInit is resolved
+// through ex, and the issued token plus the resumed verdict travel back in
+// ServerInit; a nil ex issues no token and never resumes.
+//
+// It blocks on the handshake reads (brief when the client pipelined its
+// half — see ClientHello). The returned connection holds no reader: client
+// messages arrive through Feed, pushed by whoever owns the transport's
+// readiness callback, or by Serve on a blocking transport. Bytes the
+// client pipelined past the handshake are retained and parsed by the first
+// Feed call.
+func NewEdgeServerConn(conn net.Conn, width, height int, name string, ex TokenExchange) (*ServerConn, error) {
 	s := &ServerConn{
 		conn:   conn,
-		br:     bufio.NewReaderSize(conn, 32<<10),
 		pf:     gfx.PF32(),
 		width:  width,
 		height: height,
 		name:   name,
 	}
-	if err := s.handshake(ex); err != nil {
+	br := handshakeReaderPool.Get().(*bufio.Reader)
+	br.Reset(conn)
+	bw := getWire(conn)
+	err := s.handshake(br, bw, ex)
+	putWire(bw)
+	if n := br.Buffered(); err == nil && n > 0 {
+		// The client pipelined protocol messages behind its handshake;
+		// move them into the feed buffer so no byte is stranded in the
+		// reader being returned to the pool.
+		peek, _ := br.Peek(n)
+		s.feed = append(s.feed, peek...)
+	}
+	br.Reset(nil)
+	handshakeReaderPool.Put(br)
+	if err != nil {
 		conn.Close()
 		return nil, err
 	}
@@ -135,14 +156,7 @@ func putWire(bw *bufio.Writer) {
 	wireBufPool.Put(bw)
 }
 
-func (s *ServerConn) handshake(ex TokenExchange) error {
-	bw := getWire(s.conn)
-	err := s.handshakeWire(bw, ex)
-	putWire(bw)
-	return err
-}
-
-func (s *ServerConn) handshakeWire(bw *bufio.Writer, ex TokenExchange) error {
+func (s *ServerConn) handshake(br *bufio.Reader, bw *bufio.Writer, ex TokenExchange) error {
 	// Version exchange.
 	if err := writeAll(bw, []byte(ProtocolVersion)); err != nil {
 		return fmt.Errorf("send version: %w", err)
@@ -151,7 +165,7 @@ func (s *ServerConn) handshakeWire(bw *bufio.Writer, ex TokenExchange) error {
 		return err
 	}
 	ver := make([]byte, len(ProtocolVersion))
-	if _, err := io.ReadFull(s.br, ver); err != nil {
+	if _, err := io.ReadFull(br, ver); err != nil {
 		return fmt.Errorf("read client version: %w", err)
 	}
 	if string(ver) != ProtocolVersion {
@@ -167,17 +181,17 @@ func (s *ServerConn) handshakeWire(bw *bufio.Writer, ex TokenExchange) error {
 	// ClientInit (shared flag, ignored) plus the resume-token extension:
 	// a length-prefixed token the client carried over from a previous
 	// connection (zero length for a fresh session).
-	if _, err := readU8(s.br); err != nil {
+	if _, err := readU8(br); err != nil {
 		return fmt.Errorf("read client init: %w", err)
 	}
-	tlen, err := readU8(s.br)
+	tlen, err := readU8(br)
 	if err != nil {
 		return fmt.Errorf("read resume token: %w", err)
 	}
 	var presented string
 	if tlen > 0 {
 		tok := make([]byte, tlen)
-		if _, err := io.ReadFull(s.br, tok); err != nil {
+		if _, err := io.ReadFull(br, tok); err != nil {
 			return fmt.Errorf("read resume token: %w", err)
 		}
 		presented = string(tok)
@@ -259,25 +273,8 @@ func (s *ServerConn) pixelFormatGen() (gfx.PixelFormat, uint8) {
 	return s.pf, s.pfGen
 }
 
-// Encodings returns the client's advertised encodings in preference order.
-func (s *ServerConn) Encodings() []int32 {
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	out := make([]int32, len(s.encodings))
-	copy(out, s.encodings)
-	return out
-}
-
-// PreferredEncoding returns the first client-advertised encoding this
-// server can produce, falling back to Raw.
-func (s *ServerConn) PreferredEncoding() int32 {
-	s.smu.Lock()
-	defer s.smu.Unlock()
-	return s.preferredLocked()
-}
-
-// preferredLocked is PreferredEncoding with smu already held (alloc-free,
-// unlike Encodings which copies).
+// preferredLocked returns the first client-advertised encoding this server
+// can produce, falling back to Raw. smu must be held.
 func (s *ServerConn) preferredLocked() int32 {
 	for _, e := range s.encodings {
 		switch e {
@@ -294,123 +291,34 @@ func (s *ServerConn) BytesSent() int64 { return s.bytesSent.Load() }
 // BytesReceived returns the total bytes read from the client so far.
 func (s *ServerConn) BytesReceived() int64 { return s.bytesReceived.Load() }
 
-// UpdatesSent returns the number of FramebufferUpdate messages sent.
-func (s *ServerConn) UpdatesSent() int64 { return s.updatesSent.Load() }
-
 // Close tears down the transport; Serve will return afterwards.
 func (s *ServerConn) Close() error { return s.conn.Close() }
 
-// Serve reads client messages until the connection fails or closes,
-// dispatching each to h. It always returns a non-nil error; io.EOF and
-// closed-connection errors mean an orderly shutdown.
+// readBufSize is the read scratch Serve hands Feed per read (a
+// readiness-driven read turn borrows the same size from its own pool); a
+// feed buffer that outgrew it is released on drain.
+const readBufSize = 8 << 10
+
+var readBufPool = sync.Pool{
+	New: func() any { b := make([]byte, readBufSize); return &b },
+}
+
+// Serve is the blocking-transport adapter over Feed: it reads client
+// bytes until the connection fails or closes, feeding each read to the
+// incremental parser, which dispatches to h. It always returns a non-nil
+// error; io.EOF and closed-connection errors mean an orderly shutdown.
 func (s *ServerConn) Serve(h ServerHandler) error {
-	for {
-		t, err := s.br.ReadByte() // concrete call: no per-message escape
-		if err != nil {
-			return err
-		}
-		s.bytesReceived.Add(1)
-		switch t {
-		case msgSetPixelFormat:
-			if _, err := io.ReadFull(s.br, s.rs[:3]); err != nil {
-				return err
-			}
-			pf, err := readPixelFormat(s.br)
-			if err != nil {
-				return err
-			}
-			s.bytesReceived.Add(19)
-			if !pf.Valid() {
-				return fmt.Errorf("rfb: client sent invalid pixel format: %w", ErrBadMessage)
-			}
-			s.smu.Lock()
-			s.pf = pf
-			s.pfGen++
-			s.smu.Unlock()
-
-		case msgSetEncodings:
-			if _, err := readU8(s.br); err != nil {
-				return err
-			}
-			n, err := readU16(s.br)
-			if err != nil {
-				return err
-			}
-			encs := make([]int32, n)
-			for i := range encs {
-				v, err := readU32(s.br)
-				if err != nil {
-					return err
-				}
-				encs[i] = int32(v)
-			}
-			s.bytesReceived.Add(int64(3 + 4*int(n)))
-			s.smu.Lock()
-			s.encodings = encs
-			s.encMask = encodingMask(encs)
-			s.smu.Unlock()
-
-		case msgFramebufferRequest:
-			b := s.rs[:9] // incremental flag + geometry
-			if _, err := io.ReadFull(s.br, b); err != nil {
-				return err
-			}
-			s.bytesReceived.Add(9)
-			h.UpdateRequest(UpdateRequest{
-				Incremental: b[0] != 0,
-				Region: gfx.R(
-					int(be.Uint16(b[1:])), int(be.Uint16(b[3:])),
-					int(be.Uint16(b[5:])), int(be.Uint16(b[7:])),
-				),
-			})
-
-		case msgKeyEvent:
-			b := s.rs[:7] // down flag + padding + keysym
-			if _, err := io.ReadFull(s.br, b); err != nil {
-				return err
-			}
-			s.bytesReceived.Add(7)
-			h.KeyEvent(KeyEvent{Down: b[0] != 0, Key: be.Uint32(b[3:])})
-
-		case msgPointerEvent:
-			b := s.rs[:5] // button mask + position
-			if _, err := io.ReadFull(s.br, b); err != nil {
-				return err
-			}
-			s.bytesReceived.Add(5)
-			h.PointerEvent(PointerEvent{Buttons: b[0], X: be.Uint16(b[1:]), Y: be.Uint16(b[3:])})
-
-		case msgTraceContext:
-			b := s.rs[:16] // trace id + client send time
-			if _, err := io.ReadFull(s.br, b); err != nil {
-				return err
-			}
-			s.bytesReceived.Add(16)
-			s.traceID = be.Uint64(b[0:])
-			s.traceAt = int64(be.Uint64(b[8:]))
-
-		case msgClientCutText:
-			if _, err := io.ReadFull(s.br, s.rs[:3]); err != nil {
-				return err
-			}
-			n, err := readU32(s.br)
-			if err != nil {
-				return err
-			}
-			if n > 1<<20 {
-				return fmt.Errorf("rfb: cut text of %d bytes: %w", n, ErrBadMessage)
-			}
-			txt := make([]byte, n)
-			if _, err := io.ReadFull(s.br, txt); err != nil {
-				return err
-			}
-			s.bytesReceived.Add(int64(7 + n))
-			h.CutText(string(txt))
-
-		default:
-			return fmt.Errorf("rfb: unknown client message %d: %w", t, ErrBadMessage)
+	bp := readBufPool.Get().(*[]byte)
+	defer readBufPool.Put(bp)
+	buf := *bp
+	err := s.Feed(nil, h) // messages pipelined behind the handshake
+	for err == nil {
+		n, rerr := s.conn.Read(buf)
+		if err = s.Feed(buf[:n], h); err == nil {
+			err = rerr
 		}
 	}
+	return err
 }
 
 // UpdateRect pairs a damage rectangle with the encoding to ship it with.
@@ -419,33 +327,6 @@ type UpdateRect struct {
 	Encoding int32
 	// CopySrcX/CopySrcY are used only when Encoding == EncCopyRect.
 	CopySrcX, CopySrcY int
-}
-
-// SendUpdate ships the given rectangles of fb to the client in one
-// FramebufferUpdate message, choosing the encoding for each rectangle
-// adaptively from its content (falling back to the client's preference
-// when the client advertised too little to adapt). Rectangles are clipped
-// to the framebuffer.
-func (s *ServerConn) SendUpdate(fb *gfx.Framebuffer, rects []gfx.Rect) error {
-	urs := make([]UpdateRect, 0, len(rects))
-	for _, r := range rects {
-		r = r.Intersect(fb.Bounds())
-		if r.Empty() {
-			continue
-		}
-		urs = append(urs, UpdateRect{Rect: r, Encoding: EncAdaptive})
-	}
-	return s.SendUpdateRects(fb, urs)
-}
-
-// SendUpdateRects ships explicitly described rectangles (including
-// CopyRect moves). fb may be nil when every rectangle is a CopyRect.
-func (s *ServerConn) SendUpdateRects(fb *gfx.Framebuffer, rects []UpdateRect) error {
-	prep, err := s.PrepareUpdate(fb, rects)
-	if err != nil {
-		return err
-	}
-	return s.SendPrepared(prep)
 }
 
 // PreparedUpdate is an encoded-but-unsent FramebufferUpdate. Preparing
@@ -487,27 +368,20 @@ func (p *PreparedUpdate) Release() {
 	putScratch(p.sc)
 }
 
-// PrepareUpdate encodes the given rectangles against fb using the client's
-// current pixel format, resolving EncAdaptive per rectangle from its
-// content. fb may be nil when every rectangle is a CopyRect. The returned
-// update is backed by pooled scratch; pass it to SendPrepared or Release
-// it.
-func (s *ServerConn) PrepareUpdate(fb *gfx.Framebuffer, rects []UpdateRect) (*PreparedUpdate, error) {
-	return s.prepareUpdate(fb, rects, nil)
-}
-
-// PrepareUpdateWire is PrepareUpdate with the wire-efficiency tier: ws
-// tracks what this session's client already holds, letting EncAdaptive
-// rectangles resolve to CopyRect moves, tile references/installs and
-// dictionary-zlib in addition to the content-adaptive encodings — always
-// restricted to what the client advertised. Every encoded rectangle is
-// committed into ws, so prepared updates must be sent to the client in
-// preparation order; call ws.Reset after a failed send or prepare.
+// PrepareUpdateWire encodes the given rectangles against fb using the
+// client's current pixel format, resolving EncAdaptive per rectangle from
+// its content. fb may be nil when every rectangle is a CopyRect. The
+// returned update is backed by pooled scratch; pass it to SendPrepared or
+// Release it.
+//
+// A non-nil ws adds the wire-efficiency tier: it tracks what this
+// session's client already holds, letting EncAdaptive rectangles resolve
+// to CopyRect moves, tile references/installs and dictionary-zlib in
+// addition to the content-adaptive encodings — always restricted to what
+// the client advertised. Every encoded rectangle is committed into ws, so
+// prepared updates must be sent to the client in preparation order; call
+// ws.Reset after a failed send or prepare.
 func (s *ServerConn) PrepareUpdateWire(fb *gfx.Framebuffer, rects []UpdateRect, ws *WireState) (*PreparedUpdate, error) {
-	return s.prepareUpdate(fb, rects, ws)
-}
-
-func (s *ServerConn) prepareUpdate(fb *gfx.Framebuffer, rects []UpdateRect, ws *WireState) (*PreparedUpdate, error) {
 	pf, gen := s.pixelFormatGen()
 	s.smu.Lock()
 	mask := s.encMask
@@ -611,7 +485,6 @@ func (s *ServerConn) sendPreparedWire(bw *bufio.Writer, prep *PreparedUpdate) er
 		return err
 	}
 	s.bytesSent.Add(cw.n)
-	s.updatesSent.Add(1)
 	return nil
 }
 
@@ -621,73 +494,13 @@ func (s *ServerConn) sendPreparedWire(bw *bufio.Writer, prep *PreparedUpdate) er
 func (s *ServerConn) SendEmptyUpdate() error {
 	_, gen := s.pixelFormatGen()
 	s.wmu.Lock()
-	bw := getWire(s.conn)
-	err := sendEmptyWire(bw, gen)
-	putWire(bw)
-	if err == nil {
-		s.bytesSent.Add(4)
-		s.updatesSent.Add(1)
-	}
-	s.wmu.Unlock()
-	return err
-}
-
-func sendEmptyWire(bw *bufio.Writer, gen uint8) error {
-	if err := writeU8(bw, msgFramebufferUpdate); err != nil {
+	defer s.wmu.Unlock()
+	// The whole message is its header: type, generation, zero rectangles.
+	if _, err := s.conn.Write([]byte{msgFramebufferUpdate, gen, 0, 0}); err != nil {
 		return err
 	}
-	if err := writeU8(bw, gen); err != nil {
-		return err
-	}
-	if err := writeU16(bw, 0); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// Bell rings the client's bell (used by appliances to signal attention).
-func (s *ServerConn) Bell() error {
-	s.wmu.Lock()
-	bw := getWire(s.conn)
-	err := writeU8(bw, msgBell)
-	if err == nil {
-		err = bw.Flush()
-	}
-	putWire(bw)
-	if err == nil {
-		s.bytesSent.Add(1)
-	}
-	s.wmu.Unlock()
-	return err
-}
-
-// SendCutText ships server-side clipboard text to the client.
-func (s *ServerConn) SendCutText(text string) error {
-	s.wmu.Lock()
-	bw := getWire(s.conn)
-	err := sendCutTextWire(bw, text)
-	putWire(bw)
-	if err == nil {
-		s.bytesSent.Add(int64(8 + len(text)))
-	}
-	s.wmu.Unlock()
-	return err
-}
-
-func sendCutTextWire(bw *bufio.Writer, text string) error {
-	if err := writeU8(bw, msgServerCutText); err != nil {
-		return err
-	}
-	if err := writeAll(bw, []byte{0, 0, 0}); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(len(text))); err != nil {
-		return err
-	}
-	if err := writeAll(bw, []byte(text)); err != nil {
-		return err
-	}
-	return bw.Flush()
+	s.bytesSent.Add(4)
+	return nil
 }
 
 // countWriter counts bytes flowing through it.

@@ -204,10 +204,10 @@ func (q *inputQueue) depth() int {
 // sibling of writerTurn). One turn dispatches one drained batch; events
 // enqueued mid-turn kick the task again and dispatch on the next turn.
 func (c *session) dispatchTurn() {
-	// Events still queued when the session dies are drained by HandleConn
-	// after the task is stopped (Serve has returned by then, so no put
-	// races the final drain): they carry into the detach lot for replay
-	// on resume, or count as abandoned when parking is off.
+	// Events still queued when the session dies are drained by teardown
+	// after the task is stopped (reads are over by then, so no put races
+	// the final drain): they carry into the detach lot for replay on
+	// resume, or count as abandoned when parking is off.
 	batch := c.inq.take()
 	if len(batch) == 0 {
 		return

@@ -210,6 +210,8 @@ func (s *Server) register(sess *session, reclaimed *parkedSession) bool {
 		return false
 	}
 	s.sessions[sess] = struct{}{}
+	// Joined under mu, after the closed check: ordered before Close's Wait.
+	s.wg.Add(1)
 	s.mu.Unlock()
 	if reclaimed != nil {
 		s.lotMu.Lock()
@@ -220,6 +222,7 @@ func (s *Server) register(sess *session, reclaimed *parkedSession) bool {
 			s.mu.Lock()
 			delete(s.sessions, sess)
 			s.mu.Unlock()
+			s.wg.Done()
 			return false
 		}
 		delete(s.lot, reclaimed.token)

@@ -54,7 +54,7 @@ func newLotHarness(t *testing.T, opts ...Option) *lotHarness {
 func (h *lotHarness) connect(token string) (*rfb.ClientConn, *rectRecorder) {
 	h.t.Helper()
 	sc, cc := net.Pipe()
-	go h.srv.HandleConn(sc)
+	go h.srv.Attach(sc, nil)
 	client, err := rfb.DialResume(cc, token)
 	if err != nil {
 		h.t.Fatal(err)

@@ -148,16 +148,27 @@ func (s *Server) Pool() *sched.Pool { return s.pool }
 // Display returns the served display.
 func (s *Server) Display() *toolkit.Display { return s.display }
 
-// HandleConn performs the protocol handshake on conn and serves it until
-// the peer disconnects. It blocks; callers typically run it on its own
-// goroutine (Serve does).
+// Attach performs the protocol handshake on conn and serves the session.
+// The handshake blocks the caller (bounded by HandshakeTimeout; brief when
+// the client pipelined its hello, see rfb.ClientHello). What happens next
+// depends on what the transport can do: a readiness-driven conn
+// (OnReadable/ReadAvailable) has its read task wired and Attach returns
+// nil — the session's life continues on the server's worker pool with no
+// goroutine of its own; any other conn is read on the caller's goroutine
+// and Attach returns the read loop's error once the peer disconnects.
+// Either way onClose (the hub passes its entry unpin; nil for none) runs
+// exactly once: after the session has fully retired, or before Attach
+// returns when the handshake fails and no session starts.
 //
 // A client presenting a live resume token reclaims its parked session
 // during the handshake: the preserved damage, update-request state and
 // input queue carry over, so the resync ships only what changed while the
 // link was down. On disconnect the session parks in the detach lot
 // (unless parking is disabled or the server is closing).
-func (s *Server) HandleConn(conn net.Conn) error {
+func (s *Server) Attach(conn net.Conn, onClose func()) error {
+	if onClose == nil {
+		onClose = func() {}
+	}
 	w, h := s.display.Size()
 	// A hub-routed connection carries its routing span (preamble read +
 	// home resolution); remember it so every traced interaction arriving
@@ -182,7 +193,7 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	// conn deadline: a process full of mid-handshake peers arms O(1) OS
 	// timers, and transports without deadline support work too.
 	hsTimer := sched.Shared().AfterFunc(HandshakeTimeout, func() { conn.Close() })
-	rc, err := rfb.NewServerConnToken(conn, w, h, s.name, ex)
+	rc, err := rfb.NewEdgeServerConn(conn, w, h, s.name, ex)
 	hsTimer.Stop()
 	if err != nil {
 		if reclaimed != nil {
@@ -190,6 +201,7 @@ func (s *Server) HandleConn(conn net.Conn) error {
 			// complete: the session goes back to waiting in the lot.
 			s.releaseClaim(reclaimed)
 		}
+		onClose()
 		return err
 	}
 	sess := &session{
@@ -202,6 +214,7 @@ func (s *Server) HandleConn(conn net.Conn) error {
 		outbox:     gfx.NewDamage(gfx.R(0, 0, w, h), 16),
 		bounds:     gfx.R(0, 0, w, h),
 		ws:         rfb.NewWireState(s.tiles, w, h),
+		onClose:    onClose,
 	}
 	// The tasks exist before the session is visible to the pump, so a
 	// damage kick arriving mid-register always has a target.
@@ -209,14 +222,16 @@ func (s *Server) HandleConn(conn net.Conn) error {
 	sess.dispatchTask = s.pool.NewTask(sess.dispatchTurn)
 	// register atomically swaps a reclaimed lot entry into the live
 	// session set (under the pump mutex, so no damage falls between the
-	// lot and the session) and adopts its state.
+	// lot and the session) and adopts its state. It also joins the session
+	// to the server's wait group, so Close blocks until teardown has fully
+	// retired it.
 	resumed := reclaimed != nil
 	if !s.register(sess, reclaimed) {
 		rc.Close()
+		onClose()
 		return errors.New("uniserver: server closed")
 	}
 	mSessions.Inc()
-
 	if resumed {
 		// Reclaimed state may already have work: a parked request plus
 		// detach-window damage ships the resync without waiting for the
@@ -225,22 +240,42 @@ func (s *Server) HandleConn(conn net.Conn) error {
 		sess.wake()
 		sess.wakeDispatch()
 	}
-	err = rc.Serve(sess)
+	et, ok := conn.(edgeTransport)
+	if !ok {
+		err := rc.Serve(sess)
+		sess.teardown()
+		return err
+	}
+	// Readiness wiring last: the callback fires immediately if bytes (or a
+	// close) already arrived, and the explicit kick covers messages the
+	// client pipelined behind its handshake, which the handshake reader
+	// left in the connection's feed buffer.
+	sess.edge = et
+	sess.readTask = s.pool.NewTask(sess.readTurn)
+	et.OnReadable(sess.readTask.Kick)
+	sess.readTask.Kick()
+	return nil
+}
 
+// teardown retires a session whose reads are over (its read turn, or the
+// goroutine whose blocking read loop just returned): stop the sibling
+// tasks, drain the input queue, and retire — one atomic step that removes
+// the session from the pump set and parks the remaining state for a
+// reconnect (or settles the accounting when parking is off). Damage pumped
+// until that step still lands on the session and carries into the lot with
+// it. An edge session's read task stops itself by flag — a task must never
+// Stop from its own turn — and later kicks land on the dead check.
+func (c *session) teardown() {
 	mSessions.Dec()
-	rc.Close()
-	sess.writeTask.Stop()
-	sess.dispatchTask.Stop()
-	// The session's turns are over: retire it — one atomic step that
-	// removes it from the pump set and parks the remaining state for a
-	// reconnect (or settles the accounting when parking is off). Damage
-	// pumped until that step still lands on the session and carries into
-	// the lot with it.
-	leftovers := sess.inq.take()
-	if !s.retire(sess, leftovers) && len(leftovers) > 0 {
+	c.conn.Close()
+	c.writeTask.Stop()
+	c.dispatchTask.Stop()
+	leftovers := c.inq.take()
+	if !c.srv.retire(c, leftovers) && len(leftovers) > 0 {
 		mInputAbandoned.Add(int64(len(leftovers)))
 	}
-	return err
+	c.onClose()
+	c.srv.wg.Done()
 }
 
 // Serve accepts proxy connections from ln until the listener closes.
@@ -252,11 +287,10 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.wg.Add(1)
 		// goroutine-ok: Serve is the blocking-transport entry point — one
-		// goroutine per accepted conn is its documented cost; goroutine-free
-		// sessions use AttachEdge.
+		// goroutine per accepted conn is Attach's documented cost there.
 		go func() {
 			defer s.wg.Done()
-			_ = s.HandleConn(conn)
+			_ = s.Attach(conn, nil)
 		}()
 	}
 }
@@ -352,14 +386,15 @@ type session struct {
 	writeTask    *sched.Task
 	dispatchTask *sched.Task
 
-	// Edge (readiness-driven) sessions only — nil/zero for HandleConn
-	// sessions: edge is the non-blocking transport, readTask drains it on
-	// readiness kicks, onClose runs once after retirement (the hub's entry
-	// unpin), and dead marks a torn-down session so late kicks no-op.
-	// dead is read-turn-only state; turn serialization orders its accesses.
+	// onClose runs once after retirement (the hub's entry unpin); never nil.
+	onClose func()
+
+	// Readiness-driven sessions only — nil/zero on a blocking transport:
+	// edge is the non-blocking transport, readTask drains it on readiness
+	// kicks, and dead marks a torn-down session so late kicks no-op. dead
+	// is read-turn-only state; turn serialization orders its accesses.
 	edge     edgeTransport
 	readTask *sched.Task
-	onClose  func()
 	dead     bool
 
 	// Input events are dispatched by a dedicated goroutine draining inq

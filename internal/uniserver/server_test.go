@@ -41,7 +41,7 @@ func wire(t *testing.T, opts ...Option) (*toolkit.Display, *Server, *rfb.ClientC
 
 	sc, cc := net.Pipe()
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.HandleConn(sc) }()
+	go func() { serveErr <- srv.Attach(sc, nil) }()
 	client, err := rfb.Dial(cc)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestMultipleSessionsSeeSameDesktop(t *testing.T) {
 	// Second client on the same server.
 	sc, cc := net.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- srv.HandleConn(sc) }()
+	go func() { done <- srv.Attach(sc, nil) }()
 	client2, err := rfb.Dial(cc)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestBackpressureCoalescesUpdates(t *testing.T) {
 
 	sc, cc := net.Pipe()
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.HandleConn(sc) }()
+	go func() { serveErr <- srv.Attach(sc, nil) }()
 	client, err := rfb.Dial(&slowConn{Conn: cc, delay: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -17,7 +17,7 @@ import (
 // nothing else moving.
 
 // IdleFleet attaches n idle edge sessions through attach (typically
-// Server.AttachEdge or Hub.AttachEdge wrapped to pick a home). Each
+// Server.Attach, or Hub.Route wrapped to pick a home). Each
 // session's client half is fully scripted — hello pipelined before the
 // attach, ServerInit drained after — so the fleet adds zero client
 // goroutines. The returned client conns keep the sessions alive; close

@@ -53,7 +53,7 @@ func newResumeStack(t *testing.T) *resumeStack {
 func newResumeStackTuned(t *testing.T, backoff time.Duration, wrap func(inner func()) func()) *resumeStack {
 	t.Helper()
 	st := newResumeDisplay(t, wrap)
-	st.connect(backoff, func(conn net.Conn) { st.srv.HandleConn(conn) }, "")
+	st.connect(backoff, func(conn net.Conn) { st.srv.Attach(conn, nil) }, "")
 	return st
 }
 

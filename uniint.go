@@ -176,7 +176,7 @@ func NewSession(opts Options) (*Session, error) {
 
 	sc, cc := net.Pipe()
 	serverErr := make(chan error, 1)
-	go func() { serverErr <- server.HandleConn(sc) }()
+	go func() { serverErr <- server.Attach(sc, nil) }()
 
 	proxy, err := core.Dial(cc)
 	if err != nil {
@@ -221,10 +221,11 @@ func (s *Session) WaitIdle() { s.Home.Network().WaitIdle() }
 // middleware → application → server stack, but without the in-process
 // proxy pipe — connections arrive from outside, routed by the multi-home
 // hub (internal/hub), which hosts many HubSessions in one process. It
-// implements the full hub.Host contract directly: connection serving
-// (HandleConn/AttachEdge), park-aware idle state (Parked/HasParked),
-// session migration (ParkedTokens/ExportParked/ImportParked), federation
-// drain (DetachSessions), and teardown (Close).
+// implements the full hub.Host contract through the embedded server:
+// connection serving (Attach), park-aware idle state (Parked/HasParked),
+// session migration (ParkedTokens/ExportParked/ImportParked) and
+// federation drain (DetachSessions) are the server's own methods; only
+// teardown (Close) is widened here to take the whole stack down.
 type HubSession struct {
 	// Home is the appliance household (HAVi network + simulators).
 	Home *appliance.Home
@@ -233,14 +234,14 @@ type HubSession struct {
 	// App is the home appliance application (composed control panels).
 	App *homeapp.App
 	// Server is the UniInt server exporting Display to routed proxies.
-	Server *uniserver.Server
+	*uniserver.Server
 
 	closeOnce sync.Once
 }
 
 // NewSessionForHub assembles the server side of the stack for hub
 // hosting: everything NewSession builds except the proxy and its pipe.
-// Proxies connect through the hub's routing path (HandleConn); any number
+// Proxies connect through the hub's routing path (Attach); any number
 // may share the home's display session concurrently.
 func NewSessionForHub(opts Options) (*HubSession, error) {
 	home, display, app, server, err := assemble(opts)
@@ -253,50 +254,6 @@ func NewSessionForHub(opts Options) (*HubSession, error) {
 		App:     app,
 		Server:  server,
 	}, nil
-}
-
-// HandleConn serves one already-routed proxy connection until the peer
-// disconnects (the hub.Host contract).
-func (s *HubSession) HandleConn(conn net.Conn) error {
-	return s.Server.HandleConn(conn)
-}
-
-// AttachEdge implements hub.Host: handshake and serve one
-// readiness-driven connection on this home's worker pool — zero
-// steady-state goroutines per session (see uniserver.Server.AttachEdge).
-func (s *HubSession) AttachEdge(conn net.Conn, onClose func()) error {
-	return s.Server.AttachEdge(conn, onClose)
-}
-
-// Parked implements hub.Host: the number of disconnected sessions
-// waiting in this home's detach lot. The hub's idle eviction consults it
-// so a home is not torn down under a roaming user.
-func (s *HubSession) Parked() int { return s.Server.Parked() }
-
-// HasParked implements hub.Host: whether this home's detach lot holds a
-// live session for token (the hub's token-routing probe).
-func (s *HubSession) HasParked(token string) bool { return s.Server.HasParked(token) }
-
-// ParkedTokens implements hub.Host: the detach lot's resume tokens,
-// enumerated by the federation layer before a migration.
-func (s *HubSession) ParkedTokens() []string { return s.Server.ParkedTokens() }
-
-// ExportParked implements hub.Host: extract one parked session as a
-// portable migration record (see uniserver.Server.ExportParked).
-func (s *HubSession) ExportParked(token string) (*rfb.MigrationRecord, bool) {
-	return s.Server.ExportParked(token)
-}
-
-// ImportParked implements hub.Host: install a shipped migration record
-// into this home's detach lot, making the session resumable here.
-func (s *HubSession) ImportParked(rec *rfb.MigrationRecord) error {
-	return s.Server.ImportParked(rec)
-}
-
-// DetachSessions implements hub.Host: force-park every live session (the
-// federation drain hook; see uniserver.Server.DetachSessions).
-func (s *HubSession) DetachSessions(timeout time.Duration) error {
-	return s.Server.DetachSessions(timeout)
 }
 
 // Close tears the stack down in dependency order. Live connections are

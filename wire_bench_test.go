@@ -98,7 +98,7 @@ func newWireBenchHomes(tb testing.TB, n int, encs []int32, tiles *rfb.TileCache)
 		}
 		srvCh := make(chan res, 1)
 		go func() {
-			conn, err := rfb.NewServerConn(sc, wireBenchW, wireBenchH, "wire bench")
+			conn, err := rfb.NewEdgeServerConn(sc, wireBenchW, wireBenchH, "wire bench", nil)
 			srvCh <- res{conn, err}
 		}()
 		client, err := rfb.Dial(cc)
@@ -172,7 +172,7 @@ func wireBenchRun(tb testing.TB, hs []*wireBenchHome, steps []workload.UIStep) f
 		if cur.ws != nil {
 			prep, err = cur.conn.PrepareUpdateWire(fb, urs, cur.ws)
 		} else {
-			prep, err = cur.conn.PrepareUpdate(fb, urs)
+			prep, err = cur.conn.PrepareUpdateWire(fb, urs, nil)
 		}
 		if err != nil {
 			failed = err
@@ -214,7 +214,7 @@ func wireBenchPrime(tb testing.TB, hs []*wireBenchHome, run func(int) int) {
 			if h.ws != nil {
 				prep, err = h.conn.PrepareUpdateWire(fb, full, h.ws)
 			} else {
-				prep, err = h.conn.PrepareUpdate(fb, full)
+				prep, err = h.conn.PrepareUpdateWire(fb, full, nil)
 			}
 		})
 		if err != nil {
