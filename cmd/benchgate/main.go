@@ -82,7 +82,12 @@ func main() {
 				if merged[i].Extra == nil {
 					merged[i].Extra = make(map[string]float64)
 				}
-				if v > merged[i].Extra[unit] {
+				old, seen := merged[i].Extra[unit]
+				worse := v > old
+				if benchfmt.Benefit(unit) { // the worst benefit is the lowest
+					worse = v < old
+				}
+				if !seen || worse {
 					merged[i].Extra[unit] = v
 				}
 			}

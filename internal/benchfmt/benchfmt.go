@@ -36,10 +36,23 @@ type Result struct {
 	// BytesPerOp is heap bytes per operation (-1 when not reported).
 	BytesPerOp float64 `json:"bytes_per_op"`
 	// Extra holds custom b.ReportMetric units (e.g. "wirebytes/op"),
-	// keyed by unit. Extras are cost metrics: the gate fails when a
-	// measured value exceeds its baselined ceiling, same as ns/op.
+	// keyed by unit. Extras are cost metrics — the gate fails when a
+	// measured value exceeds its baselined ceiling, same as ns/op —
+	// except the benefit units (see Benefit), which are held to a floor.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
+
+// benefitUnits are the custom metrics where more is better: work the
+// system avoided or state it kept. A fixed list, not a naming rule, so a
+// new benefit metric is a reviewed line here beside its baseline entry.
+var benefitUnits = map[string]bool{
+	"coalesced/op": true, // input events folded before they cost a dispatch
+	"resumes/op":   true, // reconnects that reclaimed the parked session
+}
+
+// Benefit reports whether the custom metric unit is gated as a floor
+// (falling below the baseline fails) instead of a ceiling.
+func Benefit(unit string) bool { return benefitUnits[unit] }
 
 // Baseline is the committed snapshot the gate compares against.
 type Baseline struct {
@@ -150,8 +163,12 @@ type Regression struct {
 }
 
 func (r Regression) String() string {
-	return fmt.Sprintf("%s: %s %.6g exceeds limit %.6g (baseline %.6g)",
-		r.Name, r.Metric, r.Cur, r.Limit, r.Base)
+	verb := "exceeds limit"
+	if r.Cur < r.Limit {
+		verb = "falls below floor"
+	}
+	return fmt.Sprintf("%s: %s %.6g %s %.6g (baseline %.6g)",
+		r.Name, r.Metric, r.Cur, verb, r.Limit, r.Base)
 }
 
 // Tolerances configures the comparator.
@@ -169,8 +186,9 @@ type Tolerances struct {
 	// the loop.
 	AllocSlack float64
 	// Extra is the relative headroom on custom per-op metrics (Extra
-	// map). Zero means "use the ns/op headroom". Custom metrics are
-	// treated as costs: bigger than the baselined ceiling fails.
+	// map). Zero means "use the ns/op headroom". Cost metrics fail above
+	// baseline×(1+Extra); benefit metrics (Benefit) fail below
+	// baseline×(1−Extra), so a zero baseline is a floor nothing fails.
 	Extra float64
 }
 
@@ -215,7 +233,13 @@ func Compare(base, cur []Result, tol Tolerances) (regressions []Regression, miss
 				missing = append(missing, b.Name+" "+unit)
 				continue
 			}
-			if limit := bv * (1 + extraTol); cv > limit {
+			limit := bv * (1 + extraTol)
+			worse := cv > limit
+			if Benefit(unit) {
+				limit = bv * (1 - extraTol)
+				worse = cv < limit
+			}
+			if worse {
 				regressions = append(regressions, Regression{
 					Name: b.Name, Metric: unit, Base: bv, Cur: cv, Limit: limit,
 				})

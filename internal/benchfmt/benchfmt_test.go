@@ -106,6 +106,49 @@ func TestCompareZeroAllocBaselineStaysPinned(t *testing.T) {
 	}
 }
 
+// TestCompareExtraDirections pins which way each custom metric is gated:
+// costs against a ceiling, the benefit units against a floor, and a zero
+// baseline in either direction.
+func TestCompareExtraDirections(t *testing.T) {
+	tol := Tolerances{Ns: 0.75, Allocs: 0.2, Extra: 0.5}
+	cases := []struct {
+		unit      string
+		base, cur float64
+		fails     bool
+	}{
+		// Costs: more is worse.
+		{"wirebytes/op", 100, 149, false},
+		{"wirebytes/op", 100, 151, true},
+		{"wirebytes/op", 100, 0, false},
+		{"wirebytes/op", 0, 1, true}, // a zero-cost baseline stays pinned
+		// Benefits: less is worse.
+		{"coalesced/op", 61, 61, false},
+		{"coalesced/op", 61, 500, false},
+		{"coalesced/op", 61, 31, false},
+		{"coalesced/op", 61, 30, true},
+		{"coalesced/op", 61, 0, true},
+		{"coalesced/op", 0, 0, false},
+		{"coalesced/op", 0, 12, false}, // a zero floor passes any gain
+		{"resumes/op", 1, 1, false},
+		{"resumes/op", 1, 0, true},
+		{"resumes/op", 0, 1, false},
+	}
+	for _, c := range cases {
+		base := []Result{{Name: "X", NsPerOp: 1, AllocsPerOp: -1, Extra: map[string]float64{c.unit: c.base}}}
+		cur := []Result{{Name: "X", NsPerOp: 1, AllocsPerOp: -1, Extra: map[string]float64{c.unit: c.cur}}}
+		regs, missing := Compare(base, cur, tol)
+		if len(missing) != 0 {
+			t.Fatalf("%s %g→%g: missing %v", c.unit, c.base, c.cur, missing)
+		}
+		if failed := len(regs) == 1 && regs[0].Metric == c.unit; failed != c.fails || len(regs) > 1 {
+			t.Errorf("%s %g→%g: regressions %v, want failure = %v", c.unit, c.base, c.cur, regs, c.fails)
+		}
+	}
+	if Benefit("wirebytes/op") || !Benefit("coalesced/op") || !Benefit("resumes/op") {
+		t.Error("the benefit units are exactly coalesced/op and resumes/op")
+	}
+}
+
 func TestBaselineRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "base.json")
 	in := &Baseline{

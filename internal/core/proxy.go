@@ -23,6 +23,10 @@ var (
 	mUniSent        = metrics.Default().Counter("proxy_universal_events_total")
 	mFrames         = metrics.Default().Counter("proxy_frames_presented_total")
 	mPresentSeconds = metrics.Default().Histogram("proxy_present_seconds", metrics.LatencyBuckets())
+	// Device pixels the presented frames said changed: the area of each
+	// Frame.Damage, or W·H for a whole frame. Unlike the seconds beside
+	// it, it repeats exactly for a given script.
+	mPresentPixels = metrics.Default().Counter("proxy_present_pixels_total")
 
 	// Input-pipeline instruments (proxy half). Batches are transport
 	// writes: input_batched_events_total / input_batches_total is the
@@ -77,12 +81,14 @@ type Proxy struct {
 
 	// presentMu serializes output presentation so mirror/selection
 	// changes can wait out an in-flight presentation (strict "no frames
-	// after return" semantics for RemoveMirror).
+	// after return" semantics for RemoveMirror). Output plug-ins are
+	// stateful and only ever called under it.
 	presentMu sync.Mutex
 	// Presentation scratch, guarded by presentMu: the present path runs
 	// once per framebuffer update on every session, so its working set
 	// is reused instead of reallocated (the update pipeline's
 	// zero-allocation discipline, proxy side).
+	presentOutputs []*outputBinding
 	presentTargets []*outputBinding
 	presentFrames  []Frame
 
@@ -743,12 +749,12 @@ type proxyHandler struct{ p *Proxy }
 
 var _ rfb.ClientHandler = proxyHandler{}
 
-// Updated implements rfb.ClientHandler: convert the fresh shadow
-// framebuffer for the selected output device, present it, and keep the
-// demand-driven update loop rolling by signalling the re-arm goroutine
-// (classic thin-client viewer behaviour, off the read path).
+// Updated implements rfb.ClientHandler: pass the update's damage to the
+// output plug-ins, convert for the selected output device, present, and
+// keep the demand-driven update loop rolling by signalling the re-arm
+// goroutine (classic thin-client viewer behaviour, off the read path).
 func (h proxyHandler) Updated(rects []gfx.Rect) {
-	h.p.presentCurrent()
+	h.p.present(rects, true)
 	select {
 	case h.p.rearm <- struct{}{}:
 	default: // a re-arm is already pending
@@ -761,14 +767,27 @@ func (proxyHandler) Bell() {}
 // CutText implements rfb.ClientHandler (ignored).
 func (proxyHandler) CutText(string) {}
 
-// presentCurrent converts the shadow framebuffer with the active output
-// plug-in (and each mirror's plug-in) and delivers the frames. Presents
-// are serialized: the target snapshot and the deliveries happen under
+// present converts the shadow framebuffer with the active output plug-in
+// (and each mirror's plug-in) and delivers the frames. Presents are
+// serialized: the target snapshot and the deliveries happen under
 // presentMu so RemoveMirror can use it as a barrier.
-func (p *Proxy) presentCurrent() {
+//
+// When the caller knows what changed (damaged: an update's rectangles,
+// possibly none), every attached output's plug-in hears it first —
+// selected or not, so a device selected later repaints exactly what it
+// missed. Otherwise no plug-in is told anything and the targets convert
+// the whole framebuffer.
+func (p *Proxy) present(rects []gfx.Rect, damaged bool) {
 	p.presentMu.Lock()
 	defer p.presentMu.Unlock()
 	p.mu.Lock()
+	outputs := p.presentOutputs[:0]
+	if damaged {
+		for _, b := range p.outputs {
+			outputs = append(outputs, b)
+		}
+	}
+	p.presentOutputs = outputs
 	targets := p.presentTargets[:0]
 	if b := p.outputs[p.activeOut]; b != nil {
 		targets = append(targets, b)
@@ -783,6 +802,9 @@ func (p *Proxy) presentCurrent() {
 	}
 	p.presentTargets = targets
 	p.mu.Unlock()
+	for _, b := range outputs {
+		b.plugin.Damaged(rects)
+	}
 	if len(targets) == 0 {
 		return
 	}
@@ -799,6 +821,9 @@ func (p *Proxy) presentCurrent() {
 	})
 	for i, b := range targets {
 		frames[i].Seq = b.seq.Add(1)
+		// Counted before the device sees the frame, so whoever waits on
+		// the device reads a total that includes it.
+		mPresentPixels.Add(framePixels(frames[i]))
 		b.dev.Present(frames[i])
 		p.stats.frames.Add(1)
 		mFrames.Inc()
@@ -806,6 +831,18 @@ func (p *Proxy) presentCurrent() {
 	mPresentSeconds.ObserveDuration(time.Since(start))
 }
 
+// framePixels is the device pixels f says changed.
+func framePixels(f Frame) int64 {
+	if f.Damage == nil {
+		return int64(f.W) * int64(f.H)
+	}
+	var n int64
+	for _, r := range f.Damage {
+		n += int64(r.Area())
+	}
+	return n
+}
+
 // RefreshOutput forces a full-frame conversion and presentation without
 // waiting for server damage (used right after attaching a display).
-func (p *Proxy) RefreshOutput() { p.presentCurrent() }
+func (p *Proxy) RefreshOutput() { p.present(nil, false) }

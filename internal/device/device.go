@@ -15,6 +15,7 @@ import (
 	"sync/atomic"
 
 	"uniint/internal/core"
+	"uniint/internal/gfx"
 )
 
 // emitter is the shared event-source half of an input device: a bounded
@@ -67,13 +68,18 @@ func (e *emitter) close() {
 // Dropped reports how many events were lost to backpressure.
 func (e *emitter) Dropped() int64 { return e.dropped.Load() }
 
-// screen is the shared display half of an output device: it keeps the
-// latest presented frame (latest-wins, never blocking the proxy) and lets
-// tests wait for a frame sequence number.
+// screen is the shared display half of an output device: it keeps its own
+// copy of the latest presented frame (latest-wins, never blocking the
+// proxy) and lets tests wait for a frame sequence number. A frame's pixels
+// belong to the plug-in that converted them and change at its next
+// Convert, so present copies what the frame says changed into the panel
+// and readers get a snapshot of the panel.
 type screen struct {
 	mu    sync.Mutex
 	cond  *sync.Cond
-	frame core.Frame
+	frame core.Frame       // latest frame's geometry and Seq; pixels live below
+	panel *gfx.Framebuffer // what an RGB device shows
+	lcd   gfx.Bitmap       // what a 1-bit device shows
 	count int64
 }
 
@@ -83,20 +89,53 @@ func newScreen() *screen {
 	return s
 }
 
-// present implements the device side of core.OutputDevice.Present.
+// present implements the device side of core.OutputDevice.Present: all of
+// the frame when f.Damage is nil (or the panel cannot take a partial
+// update), the rectangles of f.Damage otherwise.
 func (s *screen) present(f core.Frame) {
 	s.mu.Lock()
-	s.frame = f
+	switch {
+	case f.RGB == nil:
+	case s.panel == nil || s.panel.W() != f.RGB.W() || s.panel.H() != f.RGB.H():
+		s.panel = f.RGB.Clone()
+	case f.Damage == nil:
+		copy(s.panel.Pix(), f.RGB.Pix())
+	default:
+		for _, r := range f.Damage {
+			s.panel.Blit(r.X, r.Y, f.RGB, r)
+		}
+	}
+	if f.Bits != nil {
+		bits := append(s.lcd.Bits[:0], f.Bits.Bits...)
+		s.lcd = *f.Bits
+		s.lcd.Bits = bits
+	}
+	s.frame = core.Frame{W: f.W, H: f.H, Seq: f.Seq}
 	s.count++
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// Latest returns the most recent frame (zero Frame if none yet).
+// snapshot returns the latest frame with pixels of its own (mu held).
+func (s *screen) snapshot() core.Frame {
+	f := s.frame
+	if s.panel != nil {
+		f.RGB = s.panel.Clone()
+	}
+	if s.lcd.Bits != nil {
+		lcd := s.lcd
+		lcd.Bits = append([]byte(nil), s.lcd.Bits...)
+		f.Bits = &lcd
+	}
+	return f
+}
+
+// Latest returns a snapshot of the most recent frame (zero Frame if none
+// yet).
 func (s *screen) Latest() core.Frame {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.frame
+	return s.snapshot()
 }
 
 // FrameCount returns how many frames have been presented.
@@ -106,12 +145,13 @@ func (s *screen) FrameCount() int64 {
 	return s.count
 }
 
-// WaitFrames blocks until at least n frames have been presented.
+// WaitFrames blocks until at least n frames have been presented and
+// returns a snapshot of the latest.
 func (s *screen) WaitFrames(n int64) core.Frame {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.count < n {
 		s.cond.Wait()
 	}
-	return s.frame
+	return s.snapshot()
 }

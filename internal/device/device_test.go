@@ -116,10 +116,86 @@ func TestTVDisplayPassthrough(t *testing.T) {
 	if !f.RGB.Equal(fb) {
 		t.Error("TV conversion should be lossless at native size")
 	}
-	// The clone must be independent of the source.
+	if f.Damage != nil {
+		t.Errorf("a first frame is whole, got damage %v", f.Damage)
+	}
+	// The frame is the plug-in's own: independent of the source.
 	fb.Clear(gfx.Black)
 	if f.RGB.At(10, 10) != gfx.Red {
 		t.Error("frame aliases the source framebuffer")
+	}
+}
+
+func TestTVPluginConvertsWhatWasDamaged(t *testing.T) {
+	pl := NewTVDisplay("tv-1").OutputPlugin()
+	fb := gfx.NewFramebuffer(TVWidth, TVHeight)
+	pl.Convert(fb)
+
+	// Told what changed: the frame carries that damage and matches.
+	widget := gfx.R(40, 60, 120, 24)
+	fb.Fill(widget, gfx.Green)
+	pl.Damaged([]gfx.Rect{widget})
+	f := pl.Convert(fb)
+	if len(f.Damage) != 1 || f.Damage[0] != widget {
+		t.Errorf("damage = %v, want [%v]", f.Damage, widget)
+	}
+	if !f.RGB.Equal(fb) {
+		t.Error("frame differs from the source after converting its damage")
+	}
+
+	// Told that nothing changed: an empty, non-nil damage list.
+	pl.Damaged(nil)
+	if f = pl.Convert(fb); f.Damage == nil || len(f.Damage) != 0 {
+		t.Errorf("damage after an empty report = %#v, want empty and non-nil", f.Damage)
+	}
+
+	// Told nothing: the whole framebuffer, whatever changed.
+	fb.Fill(gfx.R(300, 300, 50, 50), gfx.Red)
+	if f = pl.Convert(fb); f.Damage != nil || !f.RGB.Equal(fb) {
+		t.Errorf("an untold Convert must be whole (damage %v)", f.Damage)
+	}
+
+	// Reports pile up across updates the device sat out, bounded.
+	for i := 0; i < 100; i++ {
+		r := gfx.R((i*37)%600, (i*53)%440, 20, 20)
+		fb.Fill(r, gfx.RGB(uint8(i), 0, 0))
+		pl.Damaged([]gfx.Rect{r})
+	}
+	if f = pl.Convert(fb); len(f.Damage) > tvDamageLimit || !f.RGB.Equal(fb) {
+		t.Errorf("after 100 reports: %d damage rects, frame matches = %v", len(f.Damage), f.RGB.Equal(fb))
+	}
+}
+
+func TestScreenKeepsItsOwnPanel(t *testing.T) {
+	s := newScreen()
+	frame := gfx.NewFramebuffer(8, 8) // the plug-in's frame, reused
+	frame.Clear(gfx.Red)
+	s.present(core.Frame{W: 8, H: 8, RGB: frame, Seq: 1})
+	first := s.Latest()
+
+	// The plug-in repaints its frame and says where.
+	frame.Clear(gfx.Green)
+	dmg := []gfx.Rect{gfx.R(2, 2, 3, 3)}
+	s.present(core.Frame{W: 8, H: 8, RGB: frame, Seq: 2, Damage: dmg})
+	second := s.Latest()
+	if first.RGB.At(3, 3) != gfx.Red {
+		t.Error("a snapshot changed under a later present")
+	}
+	if second.RGB.At(3, 3) != gfx.Green || second.RGB.At(0, 0) != gfx.Red {
+		t.Error("the panel must take exactly the damaged rectangles")
+	}
+	if second.Seq != 2 || second.Damage != nil {
+		t.Errorf("snapshot seq=%d damage=%v", second.Seq, second.Damage)
+	}
+
+	// A 1-bit device copies its frame too.
+	lcd := newScreen()
+	bits := gfx.NewBitmap(8, 8)
+	bits.Set(1, 1, true)
+	lcd.present(core.Frame{W: 8, H: 8, Bits: bits, Seq: 1})
+	bits.Set(1, 1, false)
+	if !lcd.Latest().Bits.Get(1, 1) {
+		t.Error("the LCD aliases the plug-in's bitmap")
 	}
 }
 

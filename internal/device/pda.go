@@ -121,6 +121,9 @@ var _ core.OutputPlugin = pdaOutputPlugin{}
 
 func (pdaOutputPlugin) Name() string { return "pda-lcd" }
 
+// Damaged is ignored: the scaled conversion is whole-frame.
+func (pdaOutputPlugin) Damaged([]gfx.Rect) {}
+
 func (pdaOutputPlugin) PixelFormat() gfx.PixelFormat { return gfx.PF16() }
 
 func (pdaOutputPlugin) Convert(fb *gfx.Framebuffer) core.Frame {

@@ -134,6 +134,9 @@ var _ core.OutputPlugin = phoneOutputPlugin{}
 
 func (phoneOutputPlugin) Name() string { return "phone-lcd" }
 
+// Damaged is ignored: the scaled conversion is whole-frame.
+func (phoneOutputPlugin) Damaged([]gfx.Rect) {}
+
 func (phoneOutputPlugin) PixelFormat() gfx.PixelFormat { return gfx.PF8() }
 
 func (phoneOutputPlugin) Convert(fb *gfx.Framebuffer) core.Frame {

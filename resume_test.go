@@ -136,13 +136,18 @@ func (st *resumeStack) dropLink() {
 }
 
 // settle waits for protocol quiescence on the current connection: the
-// byte counter must hold still across several polls (a single quiet poll
-// is not quiescence when the peer is mid-render under -race).
+// client's shadow has converged on the display and the byte counter holds
+// still across several polls. Quiet bytes alone are not quiescence — under
+// -race one render, or one present, outlasts any fixed quiet window — so
+// convergence is the condition and the counter only confirms nothing else
+// is in flight. A connection that cannot converge gets two seconds, then
+// the verdict is left to the caller's own assertions.
 func (st *resumeStack) settle() {
+	deadline := time.Now().Add(2 * time.Second)
 	prev, stable := int64(-1), 0
 	for stable < 3 {
 		cur := st.sup.Proxy().Client().BytesReceived()
-		if cur == prev {
+		if cur == prev && (st.converged() || time.Now().After(deadline)) {
 			stable++
 		} else {
 			stable = 0
@@ -150,6 +155,19 @@ func (st *resumeStack) settle() {
 		}
 		time.Sleep(3 * time.Millisecond)
 	}
+}
+
+// converged reports whether the client's shadow shows exactly what the
+// display has painted, with no repaint owed. It reads the display's pixels
+// as they are: Display.Snapshot would render pending damage itself and so
+// take the rectangles away from the server that has yet to ship them.
+func (st *resumeStack) converged() bool {
+	if st.display.Dirty() {
+		return false
+	}
+	shadow, same := st.shadow(), false
+	st.display.WithFramebuffer(func(fb *gfx.Framebuffer) { same = fb.Equal(shadow) })
+	return same
 }
 
 // awaitTraffic blocks until the current connection has received at least
