@@ -40,12 +40,17 @@ NS_TOL     ?= 0.75
 EXTRA_TOL  ?= 0.50
 
 # Coverage gate: cmd/covgate parses the coverage profile and fails below
-# this committed threshold (current total is ~73.6%; the margin absorbs
+# this committed threshold (current total is ~77.7%; the margin absorbs
 # run-to-run jitter without letting real regressions through). Raising it
 # is a reviewed change, like the benchmark baseline.
-COVER_MIN ?= 70
+COVER_MIN ?= 74
 
-.PHONY: all build test vet race fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc
+# Size ratchet (make loc-gate): the most non-test Go lines the tree may
+# hold outside the frozen cmd/uniload. Raising it is a reviewed change,
+# like COVER_MIN; a PR that shrinks the tree lowers it.
+LOC_MAX ?= 21150
+
+.PHONY: all build test vet race fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc loc-gate
 
 all: build test
 
@@ -76,24 +81,36 @@ obslint:
 # docs-check keeps the documentation honest: the wire-spec coverage test
 # (every msg*/Enc* constant in internal/rfb must be named in
 # docs/WIRE.md), the doc lint (every package and exported constant
-# documented) and the markdown relative-link check.
+# documented) and the reference check (relative markdown links, command
+# directories in code blocks, markdown files named in Go comments).
 docs-check:
 	$(GO) test -run TestWireDocCoversAllConstants -count=1 .
 	$(GO) run ./cmd/obslint -doclint -mdlinks .
 
-# trace-demo records a fully-sampled interaction workload and writes
-# trace.json — drop it into chrome://tracing or ui.perfetto.dev to see
-# per-stage spans from device event to pixels on the wire.
+# trace-demo records a fully-sampled keypad workload against a real hub
+# child and writes trace.json — drop it into chrome://tracing or
+# ui.perfetto.dev to see per-stage spans from device event to pixels on
+# the wire, hub and proxy side merged.
 trace-demo:
-	$(GO) run ./cmd/unibench -trace-demo trace.json
+	$(GO) run ./cmd/uniload -workload keypad -seconds 2 -trace 1 -trace-out trace.json
 
 # loc prints the two costs ROADMAP says to track: non-test Go lines (all
 # of them, and without the frozen benchmark driver) and the number of
 # methods a home must implement to be hosted (hub.Host).
+LOC_OUTSIDE  = git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^cmd/uniload/' | xargs cat | wc -l
+HOST_METHODS = sed -n '/^type Host interface {/,/^}/p' internal/hub/host.go | grep -c '^	[A-Z][A-Za-z]*('
 loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo "non-test Go LOC:"
-	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^cmd/uniload/' | xargs cat | wc -l | xargs echo "non-test Go LOC outside cmd/uniload:"
-	@sed -n '/^type Host interface {/,/^}/p' internal/hub/host.go | grep -c '^	[A-Z][A-Za-z]*(' | xargs echo "hub.Host methods:"
+	@$(LOC_OUTSIDE) | xargs echo "non-test Go LOC outside cmd/uniload:"
+	@$(HOST_METHODS) | xargs echo "hub.Host methods:"
+
+# loc-gate fails (exit 1) when either cost has grown: the line count past
+# LOC_MAX, or hub.Host past its 8 methods. CI runs it in the staticcheck
+# job.
+loc-gate:
+	@loc=$$($(LOC_OUTSIDE)); n=$$($(HOST_METHODS)); \
+	echo "non-test Go LOC outside cmd/uniload: $$loc (max $(LOC_MAX)); hub.Host methods: $$n (max 8)"; \
+	[ $$loc -le $(LOC_MAX) ] && [ $$n -le 8 ]
 
 test:
 	$(GO) test ./...

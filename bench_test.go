@@ -1,20 +1,31 @@
 package uniint
 
-// The experiment suite of DESIGN.md §4. The paper (a short paper) has no
+// The in-process experiment table. The paper (a short paper) has no
 // quantitative tables or figures; these benchmarks generate the numbers
-// its claims imply, recorded in EXPERIMENTS.md. One benchmark family per
-// experiment id:
+// its claims imply. `go test -run NONE -bench . -benchtime 100x .` prints
+// the table, internal/benchfmt parses it and cmd/benchgate compares the
+// gated rows with BENCH_BASELINE.json; the end-to-end numbers (two
+// processes, a real socket) come from cmd/uniload. This header is the
+// experiment index — id, benchmark, and the paper claim it puts a number
+// on:
 //
-//	E1  BenchmarkE1InputLatency      device event → appliance action
-//	E2  BenchmarkE2Encoding          encoding bytes + CPU per content class
-//	E3  BenchmarkE3OutputConvert     output plug-in conversion per device
-//	E4  BenchmarkE4Switch            dynamic input/output switching
-//	E5  BenchmarkE5Compose           composed-GUI generation vs #appliances
-//	E6  BenchmarkE6Havi              middleware primitives
-//	E7  BenchmarkE7HotPlug           bus attach/detach → GUI regeneration
-//	E8  BenchmarkE8SessionBandwidth  scripted session bytes per device
-//	E9  BenchmarkE9Ablation          proxy-side vs server-side conversion
-//	E10 BenchmarkE10Recognition      voice/gesture recognition cost
+//	E1  BenchmarkE1InputLatency      any device drives any appliance: device event → appliance action, per input device
+//	E2  BenchmarkE2Encoding          a stock thin-client protocol suffices: bytes and CPU per encoding and content class
+//	E3  BenchmarkE3OutputConvert     the proxy adapts the bitmap to the device: output plug-in conversion per device
+//	E4  BenchmarkE4Switch            devices switch while the session continues: input/output switching latency
+//	E5  BenchmarkE5Compose           one composed GUI for the whole home: generation cost vs appliance count
+//	E6  BenchmarkE6Havi              appliances stay stock HAVi: middleware primitives
+//	E7  BenchmarkE7HotPlug           appliances come and go: bus attach/detach → GUI regeneration
+//	E8  BenchmarkE8SessionBandwidth  small devices get small streams: bytes per scripted session, per output device
+//	E9  BenchmarkE9Ablation          conversion belongs in the proxy: proxy-side vs server-side conversion, k devices
+//	E10 BenchmarkE10Recognition      voice and gesture are just input plug-ins: recognition cost
+//	E11 BenchmarkE11ShapedLink       usable over era home links: E1 over simulated 802.11b / Bluetooth hops
+//	E12 BenchmarkInputFlood          (input_bench_test.go) a pointer flood coalesces instead of queueing
+//
+// The E2b family and the unnumbered benchmarks in the sibling *_bench_test.go
+// files measure this implementation's own tiers (pooled/adaptive encode,
+// wire tiles, render, input batching, park/resume, hub, federation,
+// footprint); docs/ARCHITECTURE.md describes each tier next to its numbers.
 
 import (
 	"fmt"
@@ -600,7 +611,8 @@ func BenchmarkE8SessionBandwidth(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				start := s.Proxy.Client().BytesReceived()
 				// Settle per step so every interaction's repaint ships
-				// individually — see EXPERIMENTS.md E8 methodology.
+				// individually; coalesced repaints would make bytes/session
+				// depend on timing.
 				for _, st := range script {
 					d.phone.PressKey(st.Arg)
 					settle()
@@ -626,7 +638,7 @@ func BenchmarkE9Ablation(b *testing.B) {
 		b.Run(fmt.Sprintf("proxy-side/%d-devices", k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := rfb.EncodeRectBytes(rfb.EncHextile, frame, frame.Bounds(), pf); err != nil {
+				if _, err := rfb.EncodeRectInto(nil, rfb.EncHextile, frame, frame.Bounds(), pf); err != nil {
 					b.Fatal(err)
 				}
 				for j := 0; j < k; j++ {
@@ -639,7 +651,7 @@ func BenchmarkE9Ablation(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				for j := 0; j < k; j++ {
 					f := pdaPlugin.Convert(frame)
-					if _, err := rfb.EncodeRectBytes(rfb.EncHextile, f.RGB, f.RGB.Bounds(), pf); err != nil {
+					if _, err := rfb.EncodeRectInto(nil, rfb.EncHextile, f.RGB, f.RGB.Bounds(), pf); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -673,7 +685,7 @@ func BenchmarkE11ShapedLink(b *testing.B) {
 			display := toolkit.NewDisplay(640, 480)
 			app := homeapp.New(home.Network(), display)
 			defer app.Close()
-			srv := uniserver.New(display, "shaped")
+			srv := uniserver.New(display, "shaped", uniserver.Config{})
 			defer srv.Close()
 
 			// One shaped wrap covers both directions (Wrap is symmetric);

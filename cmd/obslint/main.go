@@ -13,7 +13,10 @@
 //	            the whole block, so enumerations like keysyms document
 //	            once).
 //	-mdlinks    every relative link in the markdown tree must resolve to
-//	            an existing file (anchors and absolute URLs are skipped).
+//	            an existing file (anchors and absolute URLs are skipped),
+//	            every ./cmd/<x> or ./examples/<x> path in a fenced code
+//	            block must be a directory, and every markdown file a Go
+//	            comment cites by name must exist.
 //
 // Usage:
 //
@@ -292,21 +295,37 @@ func checkMetric(kind, name string) []string {
 // inline links only.
 var mdLinkPattern = regexp.MustCompile(`\]\(([^)\s]+)\)`)
 
-// lintMarkdownTree checks every relative link in the tree's .md files:
-// the target, resolved against the file's directory and stripped of any
-// #fragment, must exist. Absolute URLs and pure-fragment links are
-// skipped (the former are external, the latter need a markdown anchor
-// model this lint deliberately doesn't have).
+// fencedPathPattern matches a command or example directory the way the
+// docs' shell snippets spell it (go run ./cmd/unihub); mdNamePattern a
+// markdown file cited by name in a Go comment (docs/WIRE.md).
+var (
+	fencedPathPattern = regexp.MustCompile(`\./(?:cmd|examples)/[\w-]+`)
+	mdNamePattern     = regexp.MustCompile(`[\w./-]*[\w-]\.md\b`)
+)
+
+// lintMarkdownTree keeps references between prose and tree alive, in both
+// directions. In every .md file a relative link's target — resolved
+// against the file's directory and stripped of any #fragment — must exist
+// (absolute URLs are external and pure-fragment links need a markdown
+// anchor model this lint deliberately doesn't have; both are skipped), and
+// a ./cmd/<x> or ./examples/<x> path inside a fenced code block must be a
+// directory under root: a snippet that no longer runs is a broken link.
+// In every .go file, tests included, a markdown file named in a comment
+// must exist relative to root or to the file's own directory.
 func lintMarkdownTree(root string, bad *int) error {
 	return filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			name := d.Name()
-			if name == "vendor" || name == "testdata" || strings.HasPrefix(name, ".") && path != root {
+			// Dot-directories hold documentation too (the verify skill).
+			if name := d.Name(); name == "vendor" || name == "testdata" || name == ".git" {
 				return filepath.SkipDir
 			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			*bad += lintCommentDocRefs(root, path)
 			return nil
 		}
 		if !strings.HasSuffix(path, ".md") {
@@ -333,8 +352,47 @@ func lintMarkdownTree(root string, bad *int) error {
 				*bad++
 			}
 		}
+		fenced := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if !fenced {
+				continue
+			}
+			for _, dir := range fencedPathPattern.FindAllString(line, -1) {
+				if st, err := os.Stat(filepath.Join(root, dir)); err != nil || !st.IsDir() {
+					fmt.Fprintf(os.Stderr, "%s:%d: code block runs %s, which is not a directory\n", path, i+1, dir)
+					*bad++
+				}
+			}
+		}
 		return nil
 	})
+}
+
+// lintCommentDocRefs reports markdown files that comments in one Go file
+// cite by name but that exist neither under root nor beside the file.
+func lintCommentDocRefs(root, path string) int {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "obslint: %s: %v\n", path, err)
+		return 1
+	}
+	bad := 0
+	for _, cg := range f.Comments {
+		for _, name := range mdNamePattern.FindAllString(cg.Text(), -1) {
+			_, atRoot := os.Stat(filepath.Join(root, name))
+			_, beside := os.Stat(filepath.Join(filepath.Dir(path), name))
+			if atRoot != nil && beside != nil {
+				fmt.Fprintf(os.Stderr, "%s: comment cites %s, which does not exist\n", fset.Position(cg.Pos()), name)
+				bad++
+			}
+		}
+	}
+	return bad
 }
 
 // lintStageNames checks the trace stage vocabulary itself — the span

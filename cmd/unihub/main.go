@@ -8,7 +8,6 @@
 // past -idle are evicted; -max-homes caps residency.
 //
 //	unihub -listen :5900 -homes 64 -appliances tv,lamp
-//	unihub -demo -homes 64 -demo-devices 2        # in-process load proof
 //	unihub -peers alpha,beta,gamma -homes 64      # hub-of-hubs federation
 //
 // With -peers the process runs one hub node per name behind a federation
@@ -31,14 +30,11 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"uniint"
 	"uniint/internal/appliance"
-	"uniint/internal/core"
-	"uniint/internal/device"
 	"uniint/internal/fed"
 	"uniint/internal/hub"
 	"uniint/internal/metrics"
@@ -62,9 +58,6 @@ func main() {
 	pprofBlock := flag.Int("pprof-block", 0, "block profile rate in ns (runtime.SetBlockProfileRate; 0 disables)")
 	traceSample := flag.Int("trace-sample", 0, "trace 1 in N accepted interactions (rounded up to a power of two; 0 disables)")
 	traceSlow := flag.Duration("trace-slow", 0, "log a per-stage breakdown for traced interactions slower than this (0 disables)")
-	demo := flag.Bool("demo", false, "run the multi-home demo workload in process, print metrics, exit")
-	demoDevices := flag.Int("demo-devices", 2, "interaction devices per home in -demo")
-	demoSteps := flag.Int("demo-steps", 30, "scripted interactions per device in -demo")
 	peers := flag.String("peers", "", "comma-separated federation member names: run a hub-of-hubs of in-process nodes behind one router (empty: single hub)")
 	flag.Parse()
 
@@ -75,7 +68,6 @@ func main() {
 		width: *width, height: *height, drainTimeout: *drainTimeout,
 		pprof: *pprofFlag, pprofMutex: *pprofMutex, pprofBlock: *pprofBlock,
 		traceSample: *traceSample, traceSlow: *traceSlow,
-		demo: *demo, demoDevices: *demoDevices, demoSteps: *demoSteps,
 		peers: *peers,
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "unihub:", err)
@@ -96,9 +88,6 @@ type config struct {
 	pprofBlock            int
 	traceSample           int
 	traceSlow             time.Duration
-	demo                  bool
-	demoDevices           int
-	demoSteps             int
 	peers                 string
 }
 
@@ -153,9 +142,6 @@ func run(cfg config) error {
 		runtime.SetBlockProfileRate(cfg.pprofBlock)
 	}
 	if cfg.peers != "" {
-		if cfg.demo {
-			return fmt.Errorf("-demo runs a single hub; drop -peers")
-		}
 		return runFederated(cfg, classes)
 	}
 	h, err := hub.New(hub.Options{
@@ -177,10 +163,6 @@ func run(cfg config) error {
 	}
 	fmt.Printf("hosting %d homes (%s each) after %v\n",
 		h.Homes(), cfg.classes, time.Since(start).Round(time.Millisecond))
-
-	if cfg.demo {
-		return runDemo(h, cfg)
-	}
 
 	if cfg.metricsListen != "" {
 		mln, err := serveMetrics(cfg, func() map[string]any {
@@ -407,91 +389,4 @@ func healthz(homes int, connections int64, start time.Time) map[string]any {
 		out["build"] = build
 	}
 	return out
-}
-
-// runDemo drives the M homes × K devices workload through in-process
-// pipes — the zero-network proof that one process serves the whole load —
-// then prints the metrics the run produced.
-func runDemo(h *hub.Hub, cfg config) error {
-	loads := workload.MultiHome(workload.MultiHomeConfig{
-		Homes:          cfg.homes,
-		DevicesPerHome: cfg.demoDevices,
-		StepsPerDevice: cfg.demoSteps,
-		Seed:           1,
-	})
-	start := time.Now()
-	var wg sync.WaitGroup
-	errs := make(chan error, cfg.homes*cfg.demoDevices)
-	for _, home := range loads {
-		for _, dev := range home.Devices {
-			wg.Add(1)
-			go func(homeID, devID string, script workload.Script) {
-				defer wg.Done()
-				if err := runDevice(h, homeID, devID, script); err != nil {
-					errs <- fmt.Errorf("%s/%s: %w", homeID, devID, err)
-				}
-			}(home.HomeID, dev.DeviceID, dev.Script)
-		}
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		return err
-	}
-	elapsed := time.Since(start)
-
-	steps := 0
-	for _, l := range loads {
-		steps += l.Steps()
-	}
-	fmt.Printf("demo: %d homes × %d devices × %d steps (%d interactions) in %v\n",
-		cfg.homes, cfg.demoDevices, cfg.demoSteps, steps, elapsed.Round(time.Millisecond))
-	fmt.Println("-- metrics --")
-	return metrics.Default().WritePrometheus(os.Stdout) // includes hub/proxy/server counters
-}
-
-// runDevice connects one phone to its home through the hub's routing
-// path and replays its script.
-func runDevice(h *hub.Hub, homeID, devID string, script workload.Script) error {
-	client, server := net.Pipe()
-	routeDone := make(chan error, 1)
-	go func() { routeDone <- h.ServeConn(server) }()
-	// Whatever happens below, tear the transport down and wait for the
-	// routing goroutine — a leaked connection pins the home forever.
-	defer func() {
-		client.Close()
-		<-routeDone
-	}()
-	if err := hub.WritePreamble(client, homeID); err != nil {
-		return err
-	}
-	proxy, err := core.Dial(client)
-	if err != nil {
-		return err
-	}
-	phone := device.NewPhone(devID)
-	defer phone.Close()
-	proxyDone := make(chan error, 1)
-	go func() { proxyDone <- proxy.Run() }()
-	defer func() {
-		proxy.Close()
-		<-proxyDone
-	}()
-	if err := proxy.AttachInput(phone); err != nil {
-		return err
-	}
-	if err := proxy.SelectInput(devID); err != nil {
-		return err
-	}
-	for _, st := range script {
-		phone.PressKey(st.Arg)
-	}
-	// Let the pipeline absorb the tail of the script: each key press is
-	// press+release, i.e. two universal events.
-	want := int64(2 * len(script))
-	deadline := time.Now().Add(10 * time.Second)
-	for proxy.Stats().UniversalSent < want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	return nil
 }

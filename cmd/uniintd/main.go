@@ -20,10 +20,8 @@ import (
 	"syscall"
 	"time"
 
+	"uniint"
 	"uniint/internal/appliance"
-	"uniint/internal/homeapp"
-	"uniint/internal/toolkit"
-	"uniint/internal/uniserver"
 )
 
 func main() {
@@ -42,8 +40,7 @@ func main() {
 }
 
 func run(listen, classes string, tick time.Duration, width, height int) error {
-	home := appliance.NewHome()
-	defer home.Close()
+	var apps []appliance.Appliance
 	counts := map[string]int{}
 	for _, class := range strings.Split(classes, ",") {
 		class = strings.TrimSpace(class)
@@ -56,24 +53,21 @@ func run(listen, classes string, tick time.Duration, width, height int) error {
 		if err != nil {
 			return err
 		}
-		if _, err := home.Add(a); err != nil {
-			return err
-		}
+		apps = append(apps, a)
 		fmt.Printf("attached %-12s (%s)\n", name, class)
 	}
-	home.Network().WaitIdle()
-	if tick > 0 {
-		home.StartTicker(tick)
+	s, err := uniint.NewSessionForHub(uniint.Options{
+		Width: width, Height: height, Name: "uniintd home session", Appliances: apps,
+	})
+	if err != nil {
+		return err
 	}
-
-	display := toolkit.NewDisplay(width, height)
-	app := homeapp.New(home.Network(), display)
-	defer app.Close()
-	home.Network().WaitIdle()
-	fmt.Println("control panels:", app.PanelInventory())
-
-	server := uniserver.New(display, "uniintd home session")
-	defer server.Close()
+	defer s.Close()
+	if tick > 0 {
+		s.Home.StartTicker(tick)
+	}
+	s.WaitIdle()
+	fmt.Println("control panels:", s.App.PanelInventory())
 
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
@@ -85,7 +79,7 @@ func run(listen, classes string, tick time.Duration, width, height int) error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- server.Serve(ln) }()
+	go func() { serveErr <- s.Serve(ln) }()
 	select {
 	case <-sig:
 		fmt.Println("\nshutting down")

@@ -28,7 +28,7 @@ func BenchmarkSessionFootprint(b *testing.B) {
 	display := toolkit.NewDisplay(64, 48)
 	pool := sched.NewPool(4)
 	defer pool.Close()
-	srv := uniserver.New(display, "footprint", uniserver.WithPool(pool), uniserver.WithParkTTL(0))
+	srv := uniserver.New(display, "footprint", uniserver.Config{Pool: pool, ParkTTL: -1})
 	defer srv.Close()
 	attach := func(conn net.Conn) error { return srv.Attach(conn, nil) }
 

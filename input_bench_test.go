@@ -182,7 +182,7 @@ func BenchmarkInputFlood(b *testing.B) {
 	display.SetRoot(root)
 	display.Render()
 
-	srv := uniserver.New(display, "flood")
+	srv := uniserver.New(display, "flood", uniserver.Config{})
 	defer srv.Close()
 	sc, cc := net.Pipe()
 	go srv.Attach(sc, nil)

@@ -1,8 +1,7 @@
 // Package benchfmt defines the benchmark-baseline interchange format
-// shared by the CI regression gate (cmd/benchgate), the experiment
-// harness (cmd/unibench -json) and local runs: a JSON snapshot of
-// benchmark results (ns/op, allocs/op, B/op) plus a parser for `go test
-// -bench -benchmem` output and a tolerance-based comparator.
+// shared by the CI regression gate (cmd/benchgate) and local runs: a JSON
+// snapshot of benchmark results (ns/op, allocs/op, B/op) plus a parser
+// for `go test -bench -benchmem` output and a tolerance-based comparator.
 //
 // The committed BENCH_BASELINE.json at the repository root is an instance
 // of this schema; the gate fails a change whose measured results regress

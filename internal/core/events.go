@@ -8,8 +8,8 @@
 // events of the universal interaction protocol. Conversion in both
 // directions is performed by plug-in modules that the interaction devices
 // hand to the proxy when they attach — the paper ships these as mobile
-// code; here they are Go values implementing the plug-in interfaces (see
-// DESIGN.md's substitution table).
+// code; here they are Go values implementing the plug-in interfaces
+// (docs/ARCHITECTURE.md, "The layer stack", shows where they sit).
 //
 // The proxy also owns device selection: input and output devices are
 // chosen independently (characteristic C1) and can be switched dynamically

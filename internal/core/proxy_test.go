@@ -17,7 +17,7 @@ import (
 func stack(t *testing.T) (*toolkit.Display, *core.Proxy) {
 	t.Helper()
 	display := toolkit.NewDisplay(640, 480)
-	srv := uniserver.New(display, "proxy test")
+	srv := uniserver.New(display, "proxy test", uniserver.Config{})
 	sc, cc := net.Pipe()
 	serverDone := make(chan error, 1)
 	go func() { serverDone <- srv.Attach(sc, nil) }()

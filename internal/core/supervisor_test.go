@@ -29,7 +29,7 @@ func newSupervisedStack(t *testing.T) *supervisedStack {
 	st := &supervisedStack{
 		display: toolkit.NewDisplay(640, 480),
 	}
-	st.srv = uniserver.New(st.display, "supervised")
+	st.srv = uniserver.New(st.display, "supervised", uniserver.Config{})
 	t.Cleanup(st.srv.Close)
 	return st
 }

@@ -7,7 +7,8 @@
 // is a hardware gate for reproduction; these simulators expose the same
 // event vocabularies and display constraints (geometry, color depth,
 // keypad-only navigation), so every proxy conversion path is exercised
-// faithfully. See DESIGN.md's substitution table.
+// faithfully. The package map in docs/ARCHITECTURE.md lists the simulators
+// beside the layers they stand in for.
 package device
 
 import (

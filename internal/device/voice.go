@@ -15,7 +15,7 @@ import (
 //
 // Real speech DSP is a hardware/data gate; the simulator consumes text
 // transcripts, which exercises the same recognition-grammar → universal
-// event pipeline (DESIGN.md substitution table).
+// event pipeline (see the package comment in device.go).
 type VoiceInput struct {
 	id         string
 	em         *emitter

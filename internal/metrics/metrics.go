@@ -326,7 +326,11 @@ type Snapshot struct {
 }
 
 // Snapshot captures every instrument. Instruments are sampled
-// individually, not atomically as a set.
+// individually, not atomically as a set — but in a fixed order: gauges
+// before counters, and gauges by name. Observers wait for a gauge to read
+// "quiet" (server_sessions back at zero) and then trust the rest of the
+// same snapshot, so that gauge must have been sampled before the counters
+// it vouches for — and before session_parked, which name order gives it.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -335,11 +339,11 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:     make(map[string]int64, len(r.gauges)),
 		Histograms: make(map[string]HistogramSnapshot, len(r.hists)),
 	}
+	for _, name := range sortedKeys(r.gauges) {
+		s.Gauges[name] = r.gauges[name].Value()
+	}
 	for name, c := range r.counts {
 		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
 		s.Histograms[name] = h.Snapshot()

@@ -3,12 +3,13 @@
 // latency, bandwidth caps and injected link failures over any net.Conn.
 //
 // The paper's devices talk over early-2000s home links (802.11b, HomeRF,
-// 1394 bridges); the experiments in EXPERIMENTS.md use in-process pipes
-// for determinism, while the failure-injection tests use this package to
-// prove the session-continuity machinery (core.Supervisor and the
-// uniserver detach lot). The Injector turns the same shaping layer into a
-// deterministic chaos source: seeded mid-stream link drops, drops during
-// the handshake window, latency jitter, and byte truncation on kill.
+// 1394 bridges); the experiments indexed in bench_test.go use in-process
+// pipes for determinism (E11 alone shapes its link with this package),
+// while the failure-injection tests use it to prove the session-continuity
+// machinery (core.Supervisor and the uniserver detach lot). The Injector
+// turns the same shaping layer into a deterministic chaos source: seeded
+// mid-stream link drops, drops during the handshake window, latency
+// jitter, and byte truncation on kill.
 package netsim
 
 import (

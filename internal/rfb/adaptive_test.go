@@ -38,13 +38,13 @@ func TestAdaptiveBeatsOrMatchesWorstStaticChoice(t *testing.T) {
 	for name, frame := range frames {
 		r := frame.Bounds()
 		pick := AdaptiveEncoding(frame, r)
-		picked, err := EncodeRectBytes(pick, frame, r, pf)
+		picked, err := EncodeRectInto(nil, pick, frame, r, pf)
 		if err != nil {
 			t.Fatal(err)
 		}
 		best := -1
 		for _, enc := range []int32{EncRaw, EncRRE, EncHextile} {
-			body, err := EncodeRectBytes(enc, frame, r, pf)
+			body, err := EncodeRectInto(nil, enc, frame, r, pf)
 			if err != nil {
 				t.Fatal(err)
 			}

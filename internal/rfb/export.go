@@ -6,26 +6,18 @@ import (
 	"uniint/internal/gfx"
 )
 
-// EncodeRectBytes encodes one rectangle body (without the 12-byte wire
-// header) using the given encoding and pixel format, returning a fresh
-// buffer. It is the convenience entry point for one-off encodes; hot
-// loops should use EncodeRectInto with a reused destination buffer.
-func EncodeRectBytes(enc int32, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat) ([]byte, error) {
-	return EncodeRectInto(nil, enc, fb, r, pf)
-}
-
-// EncodeRectInto encodes one rectangle body like EncodeRectBytes but
-// appends to dst, which may be a reused buffer (pass dst[:0] across
-// calls). The encode runs on pooled scratch; with a warmed-up dst the
-// steady state performs zero allocations for the raw, RRE and hextile
-// encodings.
+// EncodeRectInto encodes one rectangle body (without the 12-byte wire
+// header) using the given encoding and pixel format, appending to dst —
+// nil for a fresh buffer, or a reused one (pass dst[:0] across calls).
+// The encode runs on pooled scratch; with a warmed-up dst the steady
+// state performs zero allocations for the raw, RRE and hextile encodings.
 func EncodeRectInto(dst []byte, enc int32, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat) ([]byte, error) {
 	sc := getScratch()
 	defer putScratch(sc)
 	return encodeRect(dst, enc, fb, r, pf, sc)
 }
 
-// DecodeRectBytes decodes one rectangle body produced by EncodeRectBytes
+// DecodeRectBytes decodes one rectangle body produced by EncodeRectInto
 // into fb at r.
 func DecodeRectBytes(rd io.Reader, enc int32, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat) error {
 	var dsc decodeScratch

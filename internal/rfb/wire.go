@@ -13,8 +13,9 @@
 // One documented deviation: the real Zlib encoding shares a single zlib
 // stream across every rectangle of a connection; this implementation uses an
 // independent stream per rectangle (length-prefixed), which simplifies
-// recovery and testing at a small compression-ratio cost. EXPERIMENTS.md E2
-// quantifies the encodings against each other.
+// recovery and testing at a small compression-ratio cost.
+// BenchmarkE2Encoding (bench_test.go) quantifies the encodings against
+// each other.
 package rfb
 
 import (

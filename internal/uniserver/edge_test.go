@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"uniint/internal/leakcheck"
+	"uniint/internal/metrics"
 	"uniint/internal/netsim"
 	"uniint/internal/rfb"
 	"uniint/internal/sched"
@@ -77,7 +78,7 @@ func TestAttachEdgeServesUpdates(t *testing.T) {
 		t.Run(tr.name, func(t *testing.T) {
 			leakcheck.Check(t, 0)
 			display := toolkit.NewDisplay(160, 120)
-			srv := New(display, "edge test")
+			srv := New(display, "edge test", Config{})
 			defer srv.Close()
 
 			client, closes := attachWire(t, srv, tr.pipe, "")
@@ -105,21 +106,13 @@ func TestAttachEdgeServesUpdates(t *testing.T) {
 	}
 }
 
-// parkImbalance is the park accounting identity (see lot.go) as a signed
-// difference; it must read the same whenever the lot is at rest.
-func parkImbalance() int64 {
-	return counter("session_parked_total") + counter("session_migrated_in_total") -
-		counter("session_resumed_total") - counter("session_expired_total") -
-		counter("session_migrated_out_total") - gauge("session_parked")
-}
-
 func TestEdgeDisconnectParksAndResumes(t *testing.T) {
 	for _, tr := range transports {
 		t.Run(tr.name, func(t *testing.T) {
 			leakcheck.Check(t, 0)
-			imbalance0 := parkImbalance()
+			imbalance0 := parkImbalance(metrics.Default().Snapshot())
 			display := toolkit.NewDisplay(160, 120)
-			srv := New(display, "edge test")
+			srv := New(display, "edge test", Config{})
 			defer srv.Close()
 
 			client, closes := attachWire(t, srv, tr.pipe, "")
@@ -157,7 +150,7 @@ func TestEdgeDisconnectParksAndResumes(t *testing.T) {
 			if closes.Load() != 1 || closes2.Load() != 1 {
 				t.Errorf("onClose counts = %d, %d, want 1, 1", closes.Load(), closes2.Load())
 			}
-			if d := parkImbalance() - imbalance0; d != 0 {
+			if d := parkImbalance(metrics.Default().Snapshot()) - imbalance0; d != 0 {
 				t.Errorf("park accounting identity off by %d", d)
 			}
 		})
@@ -169,7 +162,7 @@ func TestEdgeCloseLeavesNoGoroutines(t *testing.T) {
 		t.Run(tr.name, func(t *testing.T) {
 			leakcheck.Check(t, 0)
 			display := toolkit.NewDisplay(160, 120)
-			srv := New(display, "edge test", WithParkTTL(0))
+			srv := New(display, "edge test", Config{ParkTTL: -1})
 			var clients []net.Conn
 			var closes []*atomic.Int32
 			for i := 0; i < 8; i++ {
@@ -205,7 +198,7 @@ func TestThousandIdleEdgeSessionsBoundedGoroutines(t *testing.T) {
 	display := toolkit.NewDisplay(32, 24)
 	pool := sched.NewPool(workers)
 	defer pool.Close()
-	srv := New(display, "edge fleet", WithPool(pool), WithParkTTL(0))
+	srv := New(display, "edge fleet", Config{Pool: pool, ParkTTL: -1})
 	defer srv.Close()
 
 	base := runtime.NumGoroutine()

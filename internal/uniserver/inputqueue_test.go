@@ -126,7 +126,7 @@ func TestInputQueueHardCapShedsCounted(t *testing.T) {
 // parking disabled the leftovers are counted as abandoned (with parking
 // on they carry into the detach lot instead — lot_test.go).
 func TestTeardownZeroesQueueDepth(t *testing.T) {
-	display, srv, client, _ := wire(t, WithParkTTL(0))
+	display, srv, client, _ := wire(t, Config{ParkTTL: -1})
 	block := make(chan struct{})
 	unblock := sync.OnceFunc(func() { close(block) })
 	defer unblock()
@@ -213,7 +213,7 @@ func TestInputQueueSteadyStateAllocFree(t *testing.T) {
 // pointer floods, key events and framebuffer requests, coalescing moves
 // under the backpressure.
 func TestStalledDispatchDoesNotBlockReadLoop(t *testing.T) {
-	display, _, client, _ := wire(t)
+	display, _, client, _ := wire(t, Config{})
 	block := make(chan struct{})
 	var mu sync.Mutex
 	clicks := 0
@@ -291,7 +291,7 @@ func TestStalledDispatchDoesNotBlockReadLoop(t *testing.T) {
 // TestInputToUpdateLatencyObserved pins the end-to-end histogram: an
 // input-driven repaint must record a sample in input_to_update_seconds.
 func TestInputToUpdateLatencyObserved(t *testing.T) {
-	display, _, client, rec := wire(t)
+	display, _, client, rec := wire(t, Config{})
 	btn := toolkit.NewButton("go", nil)
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(btn)
@@ -322,7 +322,7 @@ func TestInputToUpdateLatencyObserved(t *testing.T) {
 // mixed burst written in one WriteEvents batch lands on the widget tree
 // in wire order.
 func TestDispatchRunsOffReadLoop(t *testing.T) {
-	display, _, client, _ := wire(t)
+	display, _, client, _ := wire(t, Config{})
 	var mu sync.Mutex
 	var order []string
 	mk := func(name string) *toolkit.Button {

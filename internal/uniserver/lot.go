@@ -25,10 +25,12 @@ import (
 // == session_resumed_total + session_expired_total +
 // session_migrated_out_total + session_parked (gauge) whenever no park,
 // claim, or migration is in flight — federation moves a parked entry
-// between lots as one migrated-out/migrated-in pair. Input events carried
-// through a park window are counted (input_dispatched_total /
-// input_abandoned_total) when their session resumes or expires, not at
-// detach time.
+// between lots as one migrated-out/migrated-in pair. A dying session
+// leaves server_sessions only after it has parked (teardown), so that
+// gauge back at its baseline vouches for "no park in flight". Input
+// events carried through a park window are counted
+// (input_dispatched_total / input_abandoned_total) when their session
+// resumes or expires, not at detach time.
 var (
 	mSessParked     = metrics.Default().Counter("session_parked_total")
 	mSessResumed    = metrics.Default().Counter("session_resumed_total")

@@ -3,6 +3,7 @@ package uniserver
 import (
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,10 +42,10 @@ type lotHarness struct {
 	srv     *Server
 }
 
-func newLotHarness(t *testing.T, opts ...Option) *lotHarness {
+func newLotHarness(t *testing.T, cfg Config) *lotHarness {
 	t.Helper()
 	h := &lotHarness{t: t, display: toolkit.NewDisplay(160, 120)}
-	h.srv = New(h.display, "lot test", opts...)
+	h.srv = New(h.display, "lot test", cfg)
 	t.Cleanup(h.srv.Close)
 	return h
 }
@@ -73,7 +74,7 @@ func gauge(name string) int64   { return metrics.Default().Gauge(name).Value() }
 // while it was away — without re-requesting, because the parked
 // update-request state machine survived the disconnect too.
 func TestParkAndResumeShipsOnlyDetachDamage(t *testing.T) {
-	h := newLotHarness(t)
+	h := newLotHarness(t, Config{})
 	lbl := toolkit.NewLabel("steady")
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(lbl)
@@ -140,7 +141,7 @@ func TestParkAndResumeShipsOnlyDetachDamage(t *testing.T) {
 // TestResumeMissFallsBackToFreshSession: an unknown token joins cold and
 // is counted as a miss, and the fresh session still works.
 func TestResumeMissFallsBackToFreshSession(t *testing.T) {
-	h := newLotHarness(t)
+	h := newLotHarness(t, Config{})
 	miss0 := counter("session_resume_miss_total")
 	client, rec := h.connect("no-such-token")
 	defer client.Close()
@@ -160,7 +161,7 @@ func TestResumeMissFallsBackToFreshSession(t *testing.T) {
 // TestParkTTLExpires: a parked session not reclaimed within the TTL is
 // expired by the lot janitor and a late resume misses.
 func TestParkTTLExpires(t *testing.T) {
-	h := newLotHarness(t, WithParkTTL(30*time.Millisecond))
+	h := newLotHarness(t, Config{ParkTTL: 30 * time.Millisecond})
 	expired0 := counter("session_expired_total")
 
 	client, _ := h.connect("")
@@ -182,7 +183,7 @@ func TestParkTTLExpires(t *testing.T) {
 // TestParkCapacityEvictsOldest: the lot is bounded; the oldest parked
 // session is expired to make room.
 func TestParkCapacityEvictsOldest(t *testing.T) {
-	h := newLotHarness(t, WithParkCapacity(2))
+	h := newLotHarness(t, Config{ParkCapacity: 2})
 	expired0 := counter("session_expired_total")
 
 	var tokens []string
@@ -211,7 +212,7 @@ func TestParkCapacityEvictsOldest(t *testing.T) {
 // disconnect ride through the park window and dispatch after resume —
 // zero lost semantic events.
 func TestResumeReplaysQueuedInput(t *testing.T) {
-	h := newLotHarness(t)
+	h := newLotHarness(t, Config{})
 	block := make(chan struct{})
 	unblock := sync.OnceFunc(func() { close(block) })
 	defer unblock()
@@ -272,7 +273,7 @@ func TestResumeReplaysQueuedInput(t *testing.T) {
 // parked session (the client's kept shadow no longer matches) — the
 // reconnect joins cold instead of resuming into the wrong geometry.
 func TestGeometryChangeWhileParkedMisses(t *testing.T) {
-	h := newLotHarness(t)
+	h := newLotHarness(t, Config{})
 	client, _ := h.connect("")
 	token := client.Token()
 	client.Close()
@@ -295,7 +296,7 @@ func TestGeometryChangeWhileParkedMisses(t *testing.T) {
 // TestCloseDrainsLot: server shutdown expires everything parked and
 // zeroes the gauge.
 func TestCloseDrainsLot(t *testing.T) {
-	h := newLotHarness(t)
+	h := newLotHarness(t, Config{})
 	g0 := gauge("session_parked")
 	client, _ := h.connect("")
 	client.Close()
@@ -306,5 +307,137 @@ func TestCloseDrainsLot(t *testing.T) {
 	}
 	if g := gauge("session_parked"); g != g0 {
 		t.Fatalf("session_parked gauge = %d, want %d", g, g0)
+	}
+}
+
+// TestConfigParkPolicy pins the one place the detach-lot knobs are
+// normalised (New): zero keeps the defaults, explicit values pass through,
+// and either knob negative disables parking — uniint.Options hands its
+// fields to Config unchanged, so this is the convention both document.
+func TestConfigParkPolicy(t *testing.T) {
+	cases := []struct {
+		name    string
+		cfg     Config
+		wantTTL time.Duration // 0: parking disabled
+		wantCap int           // checked only while parking is enabled
+	}{
+		{"defaults", Config{}, DefaultParkTTL, DefaultParkCapacity},
+		{"explicit", Config{ParkTTL: 5 * time.Second, ParkCapacity: 7}, 5 * time.Second, 7},
+		{"negative-ttl-disables", Config{ParkTTL: -1}, 0, 0},
+		{"negative-capacity-disables", Config{ParkCapacity: -1}, 0, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := New(toolkit.NewDisplay(64, 48), "park-policy", tc.cfg)
+			defer srv.Close()
+			if srv.parkTTL != tc.wantTTL || (tc.wantTTL > 0 && srv.parkCap != tc.wantCap) {
+				t.Fatalf("New(%+v): parkTTL, parkCap = (%v, %d), want (%v, %d)",
+					tc.cfg, srv.parkTTL, srv.parkCap, tc.wantTTL, tc.wantCap)
+			}
+		})
+	}
+}
+
+// parkImbalance is the lot's accounting identity (see lot.go) over one
+// metrics snapshot: parked + migrated in, minus everything that left the
+// lot, minus what is still in it. Zero when the books balance.
+func parkImbalance(s metrics.Snapshot) int64 {
+	c := s.Counters
+	return c["session_parked_total"] + c["session_migrated_in_total"] -
+		c["session_resumed_total"] - c["session_expired_total"] -
+		c["session_migrated_out_total"] - s.Gauges["session_parked"]
+}
+
+// TestQuietSnapshotBalancesParkAccounting is the observer's contract: a
+// snapshot that reads server_sessions back at its baseline reads balanced
+// park accounting, even one taken while the last teardowns are still
+// running. Each round a burst of clients connects, then drops all at once
+// (the lot is smaller than a burst, so capacity expiry is in play too)
+// while an observer snapshots in a tight loop. Both halves of the contract
+// are needed and the test fails without either: teardown drops
+// server_sessions only after retire has parked, and Snapshot samples
+// gauges before counters.
+func TestQuietSnapshotBalancesParkAccounting(t *testing.T) {
+	srv := New(toolkit.NewDisplay(16, 16), "quiet snapshot", Config{ParkCapacity: 3})
+	defer srv.Close()
+	base := metrics.Default().Snapshot()
+	baseSessions, baseImbalance := base.Gauges["server_sessions"], parkImbalance(base)
+
+	// drops counts drop phases begun plus drop phases ended: odd while a
+	// burst is being dropped and torn down. The observer snapshots only
+	// then, and discards a snapshot the phase changed under — what moves
+	// during a judged snapshot is server-side teardown and nothing else,
+	// exactly what a harness waiting on server_sessions races against.
+	var drops atomic.Int64
+	kick := make(chan struct{}, 1) // a pending wake-up; the sender never blocks
+	observed := make(chan struct{})
+	judged := 0
+	go func() {
+		defer close(observed)
+		for range kick {
+			for {
+				phase := drops.Load()
+				if phase%2 == 0 {
+					break
+				}
+				snap := metrics.Default().Snapshot()
+				if drops.Load() != phase || snap.Gauges["server_sessions"] != baseSessions {
+					continue
+				}
+				judged++
+				if d := parkImbalance(snap) - baseImbalance; d != 0 {
+					t.Errorf("snapshot with server_sessions at baseline has park imbalance %+d", d)
+					return
+				}
+			}
+		}
+	}()
+
+	const rounds, burst = 100, 4
+	for r := 0; r < rounds && !t.Failed(); r++ {
+		clients := make([]*rfb.ClientConn, burst)
+		var wg sync.WaitGroup
+		for i := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sc, cc := net.Pipe()
+				go srv.Attach(sc, nil)
+				client, err := rfb.Dial(cc)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				clients[i] = client
+			}()
+		}
+		wg.Wait()
+		if t.Failed() {
+			break
+		}
+		// A client's handshake can finish before the server counts the
+		// session; drop only once every session is on the gauge, so a
+		// baseline reading can only mean "all torn down", never "not yet up".
+		waitFor(t, "burst connected", func() bool { return gauge("server_sessions") == baseSessions+burst })
+		drops.Add(1)
+		select {
+		case kick <- struct{}{}:
+		default:
+		}
+		for _, client := range clients {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				client.Close()
+			}()
+		}
+		wg.Wait()
+		waitFor(t, "burst torn down", func() bool { return gauge("server_sessions") == baseSessions })
+		drops.Add(1)
+	}
+	close(kick)
+	<-observed
+	if judged == 0 && !t.Failed() {
+		t.Fatal("observer never saw a snapshot with server_sessions at baseline")
 	}
 }

@@ -223,9 +223,3 @@ func (s *Server) DetachSessions(timeout time.Duration) error {
 	}
 	return nil
 }
-
-// ParkPolicy returns the effective detach-lot policy: the park TTL
-// (0: parking disabled) and the lot capacity.
-func (s *Server) ParkPolicy() (ttl time.Duration, capacity int) {
-	return s.parkTTL, s.parkCap
-}

@@ -33,7 +33,7 @@ func lotGauges() (resident, compressed int64) {
 func TestParkedSessionCompresses(t *testing.T) {
 	leakcheck.Check(t, 0)
 	display := toolkit.NewDisplay(160, 120)
-	srv := New(display, "park compress")
+	srv := New(display, "park compress", Config{})
 	defer srv.Close()
 
 	r0, c0 := lotGauges()
@@ -79,7 +79,7 @@ func TestResumeMidCompressionNeverTorn(t *testing.T) {
 	// the claim, many rounds, under -race in CI.
 	leakcheck.Check(t, 0)
 	display := toolkit.NewDisplay(64, 48)
-	srv := New(display, "park race")
+	srv := New(display, "park race", Config{})
 	defer srv.Close()
 
 	for round := 0; round < 25; round++ {

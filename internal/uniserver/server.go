@@ -45,8 +45,8 @@ type Server struct {
 	name    string
 
 	// pool executes all session turns (writer drains, input dispatch,
-	// deferred teardown). Owned by the server unless injected with
-	// WithPool — the hub injects one pool for every home, which is the
+	// deferred teardown). Owned by the server unless injected through
+	// Config.Pool — the hub injects one pool for every home, which is the
 	// point: worker count is a per-process budget, not a per-session cost.
 	pool    *sched.Pool
 	ownPool bool
@@ -83,55 +83,55 @@ type Server struct {
 // entry past reclaim.
 const HandshakeTimeout = 10 * time.Second
 
-// Option configures a Server.
-type Option func(*Server)
-
-// WithParkTTL sets how long a disconnected session stays reclaimable in
-// the detach lot (default DefaultParkTTL; <= 0 disables parking and every
-// disconnect tears the session down, the pre-resilience behaviour).
-func WithParkTTL(d time.Duration) Option {
-	return func(s *Server) { s.parkTTL = d }
-}
-
-// WithParkCapacity bounds the detach lot (default DefaultParkCapacity;
-// at capacity the oldest parked session is expired to make room).
-func WithParkCapacity(n int) Option {
-	return func(s *Server) { s.parkCap = n }
-}
-
-// WithTileCache installs a shared content-addressed tile store: sessions
-// publish freshly encoded tile bodies to it and reuse bodies other
-// sessions already paid to encode. Passing the SAME cache to many servers
-// (the hub does, one per home) extends the sharing across homes — the
-// tentpole of the wire-efficiency tier, since a hub's homes render nearly
-// identical control panels. Nil (the default) disables sharing; tile
-// references within a session still work.
-func WithTileCache(tc *rfb.TileCache) Option {
-	return func(s *Server) { s.tiles = tc }
-}
-
-// WithPool runs the server's session turns on a shared worker pool instead
-// of a private one. The caller keeps ownership: Server.Close will not close
-// an injected pool. The hub passes one pool to every home it hosts, making
-// the worker count a process-wide budget.
-func WithPool(p *sched.Pool) Option {
-	return func(s *Server) { s.pool = p }
+// Config holds a Server's tunables. The zero value selects every default;
+// uniint.Options carries the same fields with the same meaning, so the
+// facade hands them through unchanged.
+type Config struct {
+	// Tiles, when non-nil, is a shared content-addressed tile store:
+	// sessions publish freshly encoded tile bodies to it and reuse bodies
+	// other sessions already paid to encode. Passing the SAME cache to many
+	// servers (the hub does, one per home) extends the sharing across
+	// homes — a hub's homes render nearly identical control panels. Nil
+	// keeps tile reuse within each session.
+	Tiles *rfb.TileCache
+	// Pool, when non-nil, runs the server's session turns on a shared
+	// worker pool the caller keeps ownership of (Server.Close will not
+	// close it). The hub passes one pool to every home it hosts, making
+	// the worker count a process-wide budget. Nil: the server creates and
+	// owns a private pool.
+	Pool *sched.Pool
+	// ParkTTL is how long a disconnected session stays reclaimable in the
+	// detach lot. Zero selects DefaultParkTTL; negative disables parking,
+	// so every disconnect tears its session down.
+	ParkTTL time.Duration
+	// ParkCapacity bounds the detach lot (at capacity the oldest parked
+	// session is expired to make room). Zero selects DefaultParkCapacity;
+	// negative disables parking.
+	ParkCapacity int
 }
 
 // New creates a server for the given display. name is announced to
 // clients during the handshake.
-func New(display *toolkit.Display, name string, opts ...Option) *Server {
+func New(display *toolkit.Display, name string, cfg Config) *Server {
 	s := &Server{
 		display:  display,
 		name:     name,
 		sessions: make(map[*session]struct{}),
-		parkTTL:  DefaultParkTTL,
-		parkCap:  DefaultParkCapacity,
+		pool:     cfg.Pool,
+		tiles:    cfg.Tiles,
+		parkTTL:  cfg.ParkTTL,
+		parkCap:  cfg.ParkCapacity,
 	}
-	for _, o := range opts {
-		o(s)
+	// The one place the park knobs are normalised: zero is the default,
+	// and either knob negative turns parking off (parkTTL <= 0 from here
+	// on; see retire and Attach).
+	if s.parkTTL == 0 {
+		s.parkTTL = DefaultParkTTL
 	}
-	if s.parkCap < 1 {
+	if s.parkCap == 0 {
+		s.parkCap = DefaultParkCapacity
+	}
+	if s.parkTTL < 0 || s.parkCap < 0 {
 		s.parkTTL = 0
 	}
 	if s.pool == nil {
@@ -266,7 +266,6 @@ func (s *Server) Attach(conn net.Conn, onClose func()) error {
 // it. An edge session's read task stops itself by flag — a task must never
 // Stop from its own turn — and later kicks land on the dead check.
 func (c *session) teardown() {
-	mSessions.Dec()
 	c.conn.Close()
 	c.writeTask.Stop()
 	c.dispatchTask.Stop()
@@ -274,6 +273,10 @@ func (c *session) teardown() {
 	if !c.srv.retire(c, leftovers) && len(leftovers) > 0 {
 		mInputAbandoned.Add(int64(len(leftovers)))
 	}
+	// Only now is the session gone for an observer: server_sessions drops
+	// after retire has settled the park accounting, so a scrape that reads
+	// the gauge back at its baseline reads balanced session_* counters.
+	mSessions.Dec()
 	c.onClose()
 	c.srv.wg.Done()
 }

@@ -34,10 +34,10 @@ func (r *recorder) Bell()          {}
 func (r *recorder) CutText(string) {}
 
 // wire builds display+server+connected client.
-func wire(t *testing.T, opts ...Option) (*toolkit.Display, *Server, *rfb.ClientConn, *recorder) {
+func wire(t *testing.T, cfg Config) (*toolkit.Display, *Server, *rfb.ClientConn, *recorder) {
 	t.Helper()
 	display := toolkit.NewDisplay(160, 120)
-	srv := New(display, "test session", opts...)
+	srv := New(display, "test session", cfg)
 
 	sc, cc := net.Pipe()
 	serveErr := make(chan error, 1)
@@ -78,7 +78,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestHandshakeAnnouncesDisplayGeometry(t *testing.T) {
-	_, srv, client, _ := wire(t)
+	_, srv, client, _ := wire(t, Config{})
 	w, h := client.Size()
 	if w != 160 || h != 120 {
 		t.Errorf("size = %dx%d", w, h)
@@ -90,7 +90,7 @@ func TestHandshakeAnnouncesDisplayGeometry(t *testing.T) {
 }
 
 func TestFullUpdateRequest(t *testing.T) {
-	display, _, client, rec := wire(t)
+	display, _, client, rec := wire(t, Config{})
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(toolkit.NewLabel("hello world"))
 	display.SetRoot(root)
@@ -112,7 +112,7 @@ func TestFullUpdateRequest(t *testing.T) {
 }
 
 func TestIncrementalParksUntilDamage(t *testing.T) {
-	display, _, client, rec := wire(t)
+	display, _, client, rec := wire(t, Config{})
 	// Drain initial state with a full update.
 	client.RequestUpdate(false, gfx.R(0, 0, 160, 120))
 	waitFor(t, "initial update", func() bool {
@@ -144,7 +144,7 @@ func TestIncrementalParksUntilDamage(t *testing.T) {
 }
 
 func TestInputEventsReachWidgets(t *testing.T) {
-	display, _, client, _ := wire(t)
+	display, _, client, _ := wire(t, Config{})
 	clicks := 0
 	var mu sync.Mutex
 	btn := toolkit.NewButton("go", func() { mu.Lock(); clicks++; mu.Unlock() })
@@ -181,7 +181,7 @@ func TestInputEventsReachWidgets(t *testing.T) {
 func TestInteractionProducesIncrementalUpdate(t *testing.T) {
 	// The classic thin-client round trip: press a button, the visual
 	// pressed-state change flows back as an update.
-	display, _, client, rec := wire(t)
+	display, _, client, rec := wire(t, Config{})
 	btn := toolkit.NewButton("go", nil)
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(btn)
@@ -206,7 +206,7 @@ func TestInteractionProducesIncrementalUpdate(t *testing.T) {
 }
 
 func TestMultipleSessionsSeeSameDesktop(t *testing.T) {
-	display, srv, client1, rec1 := wire(t)
+	display, srv, client1, rec1 := wire(t, Config{})
 
 	// Second client on the same server.
 	sc, cc := net.Pipe()
@@ -244,7 +244,7 @@ func TestMultipleSessionsSeeSameDesktop(t *testing.T) {
 
 func TestServeAcceptLoop(t *testing.T) {
 	display := toolkit.NewDisplay(64, 64)
-	srv := New(display, "accept test")
+	srv := New(display, "accept test", Config{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +292,7 @@ func (s *slowConn) Read(p []byte) (int, error) {
 // and the final shadow framebuffer must still match the display.
 func TestBackpressureCoalescesUpdates(t *testing.T) {
 	display := toolkit.NewDisplay(160, 120)
-	srv := New(display, "coalesce test")
+	srv := New(display, "coalesce test", Config{})
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(toolkit.NewLabel("backpressure"))
 	display.SetRoot(root)
@@ -344,7 +344,7 @@ func TestBackpressureCoalescesUpdates(t *testing.T) {
 }
 
 func TestEmptyRegionRequestGetsEmptyReply(t *testing.T) {
-	_, _, client, rec := wire(t)
+	_, _, client, rec := wire(t, Config{})
 	// A non-incremental request for a region entirely off-screen must
 	// still be answered (with zero rectangles), keeping request/reply
 	// pairing intact for demand-driven clients.
@@ -366,7 +366,7 @@ func TestEmptyRegionRequestGetsEmptyReply(t *testing.T) {
 // spec-compliant client that polls sub-regions must eventually see every
 // damaged pixel.
 func TestPartialRegionRetainsOutsideDamage(t *testing.T) {
-	display, _, client, rec := wire(t)
+	display, _, client, rec := wire(t, Config{})
 	top := toolkit.NewLabel("top strip")
 	bottom := toolkit.NewLabel("bottom strip")
 	root := toolkit.NewPanel(toolkit.Fixed{})
@@ -414,7 +414,7 @@ func TestPartialRegionRetainsOutsideDamage(t *testing.T) {
 // parked incremental request's region must not unpark it with an empty
 // reply, and must still be collectable by a matching request.
 func TestDamageOutsideParkedRegionStaysParked(t *testing.T) {
-	display, _, client, rec := wire(t)
+	display, _, client, rec := wire(t, Config{})
 	bottom := toolkit.NewLabel("bottom")
 	root := toolkit.NewPanel(toolkit.Fixed{})
 	root.Add(bottom)
@@ -454,7 +454,7 @@ func TestDamageOutsideParkedRegionStaysParked(t *testing.T) {
 // connected must not crash the encoder — updates are clipped to the live
 // framebuffer, and every request still gets a reply.
 func TestResizeUnderLiveSession(t *testing.T) {
-	display, _, client, rec := wire(t)
+	display, _, client, rec := wire(t, Config{})
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(toolkit.NewLabel("before resize"))
 	display.SetRoot(root)

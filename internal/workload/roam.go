@@ -92,3 +92,44 @@ func Roam(cfg RoamConfig) []RoamPlan {
 	}
 	return out
 }
+
+// HomeID formats the canonical hub home ID for index i.
+func HomeID(i int) string { return fmt.Sprintf("home-%04d", i) }
+
+// sessionKeys is the weighted key mix of a realistic control-panel
+// session: mostly focus traversal and activation, with value nudges.
+var sessionKeys = []struct {
+	key    string
+	weight int
+}{
+	{"#", 30},  // focus next
+	{"ok", 25}, // activate
+	{"6", 15},  // value right
+	{"4", 10},  // value left
+	{"2", 10},  // focus up
+	{"8", 10},  // focus down
+}
+
+// RandomSession generates a seeded phone-keypad interaction session of
+// the given length, drawn from the weighted key mix. Every step uses the
+// phone class so scripts replay identically across output devices, like
+// StandardSession.
+func RandomSession(steps int, seed int64) Script {
+	rng := rand.New(rand.NewSource(seed))
+	total := 0
+	for _, k := range sessionKeys {
+		total += k.weight
+	}
+	s := make(Script, 0, steps)
+	for i := 0; i < steps; i++ {
+		n := rng.Intn(total)
+		for _, k := range sessionKeys {
+			if n < k.weight {
+				s = append(s, Step{Device: "phone", Action: "key", Arg: k.key})
+				break
+			}
+			n -= k.weight
+		}
+	}
+	return s
+}

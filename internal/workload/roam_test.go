@@ -43,3 +43,9 @@ func TestRoamSingleHomeDegenerate(t *testing.T) {
 		}
 	}
 }
+
+func TestHomeIDFormat(t *testing.T) {
+	if HomeID(7) != "home-0007" || HomeID(123) != "home-0123" {
+		t.Fatalf("HomeID format: %s %s", HomeID(7), HomeID(123))
+	}
+}

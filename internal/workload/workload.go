@@ -1,8 +1,8 @@
 // Package workload provides the deterministic content generators and
-// scripted interaction sessions behind the experiment suite (DESIGN.md
-// §4): frame classes for encoding benchmarks, damage patterns, and the
-// canonical 30-interaction session replayed against each output device for
-// the bandwidth experiment E8.
+// scripted interaction sessions behind the experiment suite (indexed in
+// bench_test.go): frame classes for encoding benchmarks, damage patterns,
+// and the canonical 30-interaction session replayed against each output
+// device for the bandwidth experiment E8.
 package workload
 
 import (

@@ -50,7 +50,7 @@ func (resumeBenchHandler) CutText(string) {}
 
 func BenchmarkResume(b *testing.B) {
 	display := toolkit.NewDisplay(320, 240)
-	srv := uniserver.New(display, "resume-bench")
+	srv := uniserver.New(display, "resume-bench", uniserver.Config{})
 	defer srv.Close()
 	lbl := toolkit.NewLabel("resume bench")
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 4, Padding: 4})

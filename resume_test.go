@@ -64,7 +64,7 @@ func newResumeStackTuned(t *testing.T, backoff time.Duration, wrap func(inner fu
 func newResumeDisplay(t *testing.T, wrap func(inner func()) func()) *resumeStack {
 	t.Helper()
 	st := &resumeStack{t: t, display: toolkit.NewDisplay(320, 240)}
-	st.srv = uniserver.New(st.display, "resume-e2e")
+	st.srv = uniserver.New(st.display, "resume-e2e", uniserver.Config{})
 	t.Cleanup(st.srv.Close)
 
 	var mu sync.Mutex

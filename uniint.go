@@ -63,12 +63,9 @@ const (
 )
 
 // Options configures a Session. It is the single user-facing
-// configuration surface of the stack: every tunable the underlying
-// subsystems expose is (or will be) a field here, mapped internally onto
-// the right uniserver.Option values. Constructing a uniserver.Server
-// directly with positional arguments and functional options is a
-// lower-level path retained for the internal packages — new code should
-// configure through Options and let assemble do the mapping.
+// configuration surface of the stack: the server tunables below are the
+// fields of uniserver.Config under the same names and the same convention
+// (zero = default, negative = parking off), copied across by assemble.
 type Options struct {
 	// Width, Height set the desktop geometry (defaults 640×480).
 	Width, Height int
@@ -87,12 +84,11 @@ type Options struct {
 	// owns a private pool.
 	Pool *WorkerPool
 	// ParkTTL sets how long a disconnected session stays reclaimable in
-	// the detach lot (maps to uniserver.WithParkTTL). Zero keeps the
-	// default (uniserver.DefaultParkTTL); negative disables parking, so
-	// every disconnect tears its session down.
+	// the detach lot. Zero keeps the default (uniserver.DefaultParkTTL);
+	// negative disables parking, so every disconnect tears its session
+	// down.
 	ParkTTL time.Duration
-	// ParkCapacity bounds the detach lot (maps to
-	// uniserver.WithParkCapacity). Zero keeps the default
+	// ParkCapacity bounds the detach lot. Zero keeps the default
 	// (uniserver.DefaultParkCapacity); negative disables parking.
 	ParkCapacity int
 }
@@ -140,28 +136,10 @@ func assemble(opts Options) (*appliance.Home, *toolkit.Display, *homeapp.App, *u
 
 	display := toolkit.NewDisplay(opts.Width, opts.Height)
 	app := homeapp.New(home.Network(), display)
-	var sopts []uniserver.Option
-	if opts.Tiles != nil {
-		sopts = append(sopts, uniserver.WithTileCache(opts.Tiles))
-	}
-	if opts.Pool != nil {
-		sopts = append(sopts, uniserver.WithPool(opts.Pool))
-	}
-	if opts.ParkTTL != 0 {
-		ttl := opts.ParkTTL
-		if ttl < 0 {
-			ttl = 0 // negative means "disable parking" at this layer
-		}
-		sopts = append(sopts, uniserver.WithParkTTL(ttl))
-	}
-	if opts.ParkCapacity != 0 {
-		capacity := opts.ParkCapacity
-		if capacity < 0 {
-			capacity = 0 // the server treats <1 as parking disabled
-		}
-		sopts = append(sopts, uniserver.WithParkCapacity(capacity))
-	}
-	server := uniserver.New(display, opts.Name, sopts...)
+	server := uniserver.New(display, opts.Name, uniserver.Config{
+		Tiles: opts.Tiles, Pool: opts.Pool,
+		ParkTTL: opts.ParkTTL, ParkCapacity: opts.ParkCapacity,
+	})
 	return home, display, app, server, nil
 }
 

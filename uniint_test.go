@@ -9,7 +9,6 @@ import (
 	"uniint/internal/device"
 	"uniint/internal/havi/fcm"
 	"uniint/internal/situation"
-	"uniint/internal/uniserver"
 )
 
 func newLampSession(t *testing.T) (*Session, *appliance.Lamp) {
@@ -245,38 +244,4 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	s, _ := newLampSession(t)
 	s.Close()
 	s.Close()
-}
-
-// TestOptionsParkPolicyMapping pins the Options→uniserver plumbing for
-// the detach-lot knobs: zero keeps the server defaults, explicit values
-// pass through, and negative values disable parking entirely.
-func TestOptionsParkPolicyMapping(t *testing.T) {
-	cases := []struct {
-		name    string
-		opts    Options
-		wantTTL time.Duration
-		wantCap int
-	}{
-		{"defaults", Options{}, uniserver.DefaultParkTTL, uniserver.DefaultParkCapacity},
-		{"explicit", Options{ParkTTL: 5 * time.Second, ParkCapacity: 7}, 5 * time.Second, 7},
-		{"negative-ttl-disables", Options{ParkTTL: -1}, 0, uniserver.DefaultParkCapacity},
-		// A capacity below one disables the whole lot (the server zeroes
-		// the TTL too: nothing can ever be parked).
-		{"negative-capacity-disables", Options{ParkCapacity: -1}, 0, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			tc.opts.Width, tc.opts.Height, tc.opts.Name = 64, 48, "park-policy"
-			s, err := NewSessionForHub(tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			ttl, capacity := s.Server.ParkPolicy()
-			if ttl != tc.wantTTL || capacity != tc.wantCap {
-				t.Fatalf("ParkPolicy() = (%v, %d), want (%v, %d)",
-					ttl, capacity, tc.wantTTL, tc.wantCap)
-			}
-		})
-	}
 }
