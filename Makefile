@@ -40,7 +40,7 @@ NS_TOL     ?= 0.75
 EXTRA_TOL  ?= 0.50
 
 # Coverage gate: cmd/covgate parses the coverage profile and fails below
-# this committed threshold (current total is ~77.7%; the margin absorbs
+# this committed threshold (current total is ~79.4%; the margin absorbs
 # run-to-run jitter without letting real regressions through). Raising it
 # is a reviewed change, like the benchmark baseline.
 COVER_MIN ?= 74
@@ -48,9 +48,9 @@ COVER_MIN ?= 74
 # Size ratchet (make loc-gate): the most non-test Go lines the tree may
 # hold outside the frozen cmd/uniload. Raising it is a reviewed change,
 # like COVER_MIN; a PR that shrinks the tree lowers it.
-LOC_MAX ?= 21150
+LOC_MAX ?= 20550
 
-.PHONY: all build test vet race fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc loc-gate
+.PHONY: all build test vet race fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc loc-gate examples
 
 all: build test
 
@@ -73,10 +73,18 @@ build:
 	$(GO) build ./...
 
 # obslint enforces the observability naming contract (snake_case metric
-# names, _total counters, _seconds histograms, snake_case trace stages).
-# CI runs it in the staticcheck job.
+# names, _total counters, _seconds histograms, snake_case trace stages)
+# and, with -testonly, that every exported identifier in internal/ and
+# uniint.go has a non-test caller or a line in TESTONLY.allow. CI runs it
+# in the staticcheck job.
 obslint:
-	$(GO) run ./cmd/obslint .
+	$(GO) run ./cmd/obslint -testonly .
+
+# examples runs the four README walk-throughs; each exits 0 on its own.
+# They are callers the -testonly census counts, so CI keeps them running.
+examples:
+	@for e in quickstart livingroom kitchenvoice unmodified; do \
+		echo "== examples/$$e"; $(GO) run ./examples/$$e >/dev/null || exit 1; done
 
 # docs-check keeps the documentation honest: the wire-spec coverage test
 # (every msg*/Enc* constant in internal/rfb must be named in
@@ -94,15 +102,17 @@ docs-check:
 trace-demo:
 	$(GO) run ./cmd/uniload -workload keypad -seconds 2 -trace 1 -trace-out trace.json
 
-# loc prints the two costs ROADMAP says to track: non-test Go lines (all
-# of them, and without the frozen benchmark driver) and the number of
-# methods a home must implement to be hosted (hub.Host).
+# loc prints the costs ROADMAP says to track: non-test Go lines (all of
+# them, and without the frozen benchmark driver), the number of methods a
+# home must implement to be hosted (hub.Host), and how many exceptions the
+# -testonly rule still carries (lines of TESTONLY.allow that are entries).
 LOC_OUTSIDE  = git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^cmd/uniload/' | xargs cat | wc -l
 HOST_METHODS = sed -n '/^type Host interface {/,/^}/p' internal/hub/host.go | grep -c '^	[A-Z][A-Za-z]*('
 loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | xargs cat | wc -l | xargs echo "non-test Go LOC:"
 	@$(LOC_OUTSIDE) | xargs echo "non-test Go LOC outside cmd/uniload:"
 	@$(HOST_METHODS) | xargs echo "hub.Host methods:"
+	@grep -c '^[^#]' TESTONLY.allow | xargs echo "TESTONLY.allow entries:"
 
 # loc-gate fails (exit 1) when either cost has grown: the line count past
 # LOC_MAX, or hub.Host past its 8 methods. CI runs it in the staticcheck

@@ -5,7 +5,8 @@
 // naming conventions the exposition endpoint promises; drift breaks
 // dashboards silently, so CI runs this lint alongside staticcheck.
 //
-// Two opt-in modes extend the contract to documentation:
+// Opt-in modes extend the contract to documentation and to the exported
+// surface:
 //
 //	-doclint    every package must carry a package doc comment, and every
 //	            exported constant must be covered by a doc comment —
@@ -17,10 +18,14 @@
 //	            every ./cmd/<x> or ./examples/<x> path in a fenced code
 //	            block must be a directory, and every markdown file a Go
 //	            comment cites by name must exist.
+//	-testonly   every exported func, method, type or var under internal/
+//	            or in the root package must be referenced by a non-test
+//	            file of the module, or be named in the root's
+//	            TESTONLY.allow (see lintTestOnly for the exact rule).
 //
 // Usage:
 //
-//	obslint [-doclint] [-mdlinks] [dir ...]    # defaults to the current tree
+//	obslint [-doclint] [-mdlinks] [-testonly] [dir ...]    # defaults to the current tree
 //
 // The lint also guards the budgeted event runtime's core invariant: in the
 // session-path packages (internal/uniserver, internal/hub, internal/rfb,
@@ -41,6 +46,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -54,9 +60,13 @@ import (
 var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 
 var (
-	docLint = flag.Bool("doclint", false, "also require package docs and exported-constant docs")
-	mdLinks = flag.Bool("mdlinks", false, "also check that relative markdown links resolve")
+	docLint  = flag.Bool("doclint", false, "also require package docs and exported-constant docs")
+	mdLinks  = flag.Bool("mdlinks", false, "also check that relative markdown links resolve")
+	testOnly = flag.Bool("testonly", false, "also fail exported identifiers that only _test.go files reference")
 )
+
+// stderr receives every finding; the tests swap it for a buffer.
+var stderr io.Writer = os.Stderr
 
 func main() {
 	flag.Parse()
@@ -64,24 +74,45 @@ func main() {
 	if len(roots) == 0 {
 		roots = []string{"."}
 	}
-	bad := 0
+	bad, err := lintRoots(roots)
+	if err != nil {
+		fmt.Fprintln(stderr, "obslint:", err)
+		os.Exit(2)
+	}
+	if bad > 0 {
+		fmt.Fprintf(stderr, "obslint: %d problem(s)\n", bad)
+		os.Exit(1)
+	}
+}
+
+// lintRoots runs every enabled rule over each root and returns the number
+// of findings; an error means a tree could not be read at all.
+func lintRoots(roots []string) (int, error) {
+	bad := lintStageNames()
 	for _, root := range roots {
 		if err := lintTree(root, &bad); err != nil {
-			fmt.Fprintln(os.Stderr, "obslint:", err)
-			os.Exit(2)
+			return bad, err
 		}
 		if *mdLinks {
 			if err := lintMarkdownTree(root, &bad); err != nil {
-				fmt.Fprintln(os.Stderr, "obslint:", err)
-				os.Exit(2)
+				return bad, err
 			}
 		}
+		if *testOnly {
+			n, err := lintTestOnly(root)
+			if err != nil {
+				return bad, err
+			}
+			bad += n
+		}
 	}
-	bad += lintStageNames()
-	if bad > 0 {
-		fmt.Fprintf(os.Stderr, "obslint: %d problem(s)\n", bad)
-		os.Exit(1)
-	}
+	return bad, nil
+}
+
+// skipDir reports the directories no Go rule descends into: vendored and
+// fixture trees, and dot-directories other than the root itself.
+func skipDir(root, path, name string) bool {
+	return name == "vendor" || name == "testdata" || strings.HasPrefix(name, ".") && path != root
 }
 
 func lintTree(root string, bad *int) error {
@@ -94,8 +125,7 @@ func lintTree(root string, bad *int) error {
 			return err
 		}
 		if d.IsDir() {
-			name := d.Name()
-			if name == "vendor" || name == "testdata" || strings.HasPrefix(name, ".") && path != root {
+			if skipDir(root, path, d.Name()) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -112,7 +142,7 @@ func lintTree(root string, bad *int) error {
 	if *docLint {
 		for dir, has := range pkgDocs {
 			if !has {
-				fmt.Fprintf(os.Stderr, "%s: package has no package doc comment in any file\n", dir)
+				fmt.Fprintf(stderr, "%s: package has no package doc comment in any file\n", dir)
 				*bad++
 			}
 		}
@@ -134,7 +164,7 @@ func lintFile(path string, pkgDocs map[string]bool) int {
 	}
 	f, err := parser.ParseFile(fset, path, nil, mode)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "obslint: %s: %v\n", path, err)
+		fmt.Fprintf(stderr, "obslint: %s: %v\n", path, err)
 		return 1
 	}
 	bad := 0
@@ -173,7 +203,7 @@ func lintFile(path string, pkgDocs map[string]bool) int {
 			return true
 		}
 		for _, msg := range checkMetric(kind, name) {
-			fmt.Fprintf(os.Stderr, "%s: %s\n", fset.Position(lit.Pos()), msg)
+			fmt.Fprintf(stderr, "%s: %s\n", fset.Position(lit.Pos()), msg)
 			bad++
 		}
 		return true
@@ -207,7 +237,7 @@ func lintConstDocs(fset *token.FileSet, f *ast.File) int {
 				if !id.IsExported() {
 					continue
 				}
-				fmt.Fprintf(os.Stderr, "%s: exported constant %s has no doc comment (own, line, or const-block)\n",
+				fmt.Fprintf(stderr, "%s: exported constant %s has no doc comment (own, line, or const-block)\n",
 					fset.Position(id.Pos()), id.Name)
 				bad++
 			}
@@ -264,7 +294,7 @@ func lintGoStmts(fset *token.FileSet, f *ast.File, path string) int {
 		if allowed[line] || allowed[line-1] {
 			return true
 		}
-		fmt.Fprintf(os.Stderr, "%s: naked go statement in session-path package %s (run it as a pool turn or wheel timer, or annotate '// goroutine-ok: <reason>')\n",
+		fmt.Fprintf(stderr, "%s: naked go statement in session-path package %s (run it as a pool turn or wheel timer, or annotate '// goroutine-ok: <reason>')\n",
 			fset.Position(gs.Pos()), filepath.Dir(path))
 		bad++
 		return true
@@ -348,7 +378,7 @@ func lintMarkdownTree(root string, bad *int) error {
 			}
 			resolved := filepath.Join(filepath.Dir(path), filepath.FromSlash(target))
 			if _, err := os.Stat(resolved); err != nil {
-				fmt.Fprintf(os.Stderr, "%s: broken relative link %q (%s does not exist)\n", path, m[1], resolved)
+				fmt.Fprintf(stderr, "%s: broken relative link %q (%s does not exist)\n", path, m[1], resolved)
 				*bad++
 			}
 		}
@@ -363,7 +393,7 @@ func lintMarkdownTree(root string, bad *int) error {
 			}
 			for _, dir := range fencedPathPattern.FindAllString(line, -1) {
 				if st, err := os.Stat(filepath.Join(root, dir)); err != nil || !st.IsDir() {
-					fmt.Fprintf(os.Stderr, "%s:%d: code block runs %s, which is not a directory\n", path, i+1, dir)
+					fmt.Fprintf(stderr, "%s:%d: code block runs %s, which is not a directory\n", path, i+1, dir)
 					*bad++
 				}
 			}
@@ -378,7 +408,7 @@ func lintCommentDocRefs(root, path string) int {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "obslint: %s: %v\n", path, err)
+		fmt.Fprintf(stderr, "obslint: %s: %v\n", path, err)
 		return 1
 	}
 	bad := 0
@@ -387,7 +417,7 @@ func lintCommentDocRefs(root, path string) int {
 			_, atRoot := os.Stat(filepath.Join(root, name))
 			_, beside := os.Stat(filepath.Join(filepath.Dir(path), name))
 			if atRoot != nil && beside != nil {
-				fmt.Fprintf(os.Stderr, "%s: comment cites %s, which does not exist\n", fset.Position(cg.Pos()), name)
+				fmt.Fprintf(stderr, "%s: comment cites %s, which does not exist\n", fset.Position(cg.Pos()), name)
 				bad++
 			}
 		}
@@ -402,7 +432,7 @@ func lintStageNames() int {
 	bad := 0
 	for _, name := range trace.StageNames() {
 		if !snakeCase.MatchString(name) {
-			fmt.Fprintf(os.Stderr, "trace stage %q is not snake_case\n", name)
+			fmt.Fprintf(stderr, "trace stage %q is not snake_case\n", name)
 			bad++
 		}
 	}

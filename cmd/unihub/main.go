@@ -15,7 +15,8 @@
 // hash, and SIGTERM evacuates members one at a time, live-migrating
 // their parked sessions to the survivors before shutdown.
 //
-// A plain-text metrics page (internal/metrics) is served on -metrics.
+// -metrics serves /metrics (Prometheus exposition format, or JSON when the
+// request accepts it), /healthz and the trace endpoint.
 package main
 
 import (
@@ -44,7 +45,7 @@ import (
 
 func main() {
 	listen := flag.String("listen", ":5900", "address serving preamble-routed universal interaction connections")
-	metricsListen := flag.String("metrics", ":9190", "plain-text metrics endpoint address (empty disables)")
+	metricsListen := flag.String("metrics", ":9190", "address serving /metrics (Prometheus or JSON) and /healthz (empty disables)")
 	homes := flag.Int("homes", 64, "homes to pre-admit at startup")
 	classes := flag.String("appliances", "tv,lamp", "comma-separated appliance classes per home")
 	shards := flag.Int("shards", 64, "registry shard count (rounded up to a power of two)")
@@ -113,6 +114,17 @@ func homeFactory(classes []string, w, h int) hub.Factory {
 	}
 }
 
+// newHub builds one hub node the way the flags say; the single hub and
+// every federation member are the same thing.
+func newHub(cfg config, factory hub.Factory) (*hub.Hub, error) {
+	return hub.New(hub.Options{
+		Factory:     factory,
+		Shards:      cfg.shards,
+		MaxHomes:    cfg.maxHomes,
+		IdleTimeout: cfg.idle,
+	})
+}
+
 func splitClasses(s string) []string {
 	var out []string
 	for _, c := range strings.Split(s, ",") {
@@ -144,12 +156,7 @@ func run(cfg config) error {
 	if cfg.peers != "" {
 		return runFederated(cfg, classes)
 	}
-	h, err := hub.New(hub.Options{
-		Factory:     homeFactory(classes, cfg.width, cfg.height),
-		Shards:      cfg.shards,
-		MaxHomes:    cfg.maxHomes,
-		IdleTimeout: cfg.idle,
-	})
+	h, err := newHub(cfg, homeFactory(classes, cfg.width, cfg.height))
 	if err != nil {
 		return err
 	}
@@ -213,12 +220,7 @@ func runFederated(cfg config, classes []string) error {
 	factory := homeFactory(classes, cfg.width, cfg.height)
 	hubs := make(map[string]*hub.Hub, len(names))
 	for _, name := range names {
-		h, err := hub.New(hub.Options{
-			Factory:     factory,
-			Shards:      cfg.shards,
-			MaxHomes:    cfg.maxHomes,
-			IdleTimeout: cfg.idle,
-		})
+		h, err := newHub(cfg, factory)
 		if err != nil {
 			return err
 		}
@@ -311,11 +313,10 @@ var mServerGoroutines = metrics.Default().Gauge("server_goroutines")
 
 // serveMetrics starts the observability listener: /metrics with content
 // negotiation (JSON for tooling that asks for it, the Prometheus
-// exposition format — same sample lines as the old plain-text page plus
-// # TYPE headers and exemplars — for everything else), /healthz fed by
-// the caller's probe closure (single-hub and federated mode summarize
-// residency differently), the trace handler, and optionally pprof.
-// The caller closes the returned listener on shutdown.
+// exposition format with # TYPE headers and exemplars for everything
+// else), /healthz fed by the caller's probe closure (single-hub and
+// federated mode summarize residency differently), the trace handler, and
+// optionally pprof. The caller closes the returned listener on shutdown.
 func serveMetrics(cfg config, hz func() map[string]any) (net.Listener, error) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -17,7 +17,7 @@ import (
 
 // TestHubThousandIdleEdgeSessions is the acceptance test for the budgeted
 // event runtime: one hub hosting 1000 idle edge sessions across 10 homes
-// on a 4-worker pool, with the process goroutine count independent of the
+// on the process pool, with the process goroutine count independent of the
 // session count. Every session is attached through hub.Route over a
 // goroutine-free event pipe (workload.IdleFleet), so any per-session
 // goroutine anywhere in the stack fails the bounded assertion.
@@ -26,18 +26,12 @@ func TestHubThousandIdleEdgeSessions(t *testing.T) {
 		t.Skip("1k-session fleet")
 	}
 	leakcheck.Check(t, 0)
-	const homes, sessions, workers = 10, 1000, 4
+	const homes, sessions = 10, 1000
 
-	pool := uniint.NewWorkerPool(workers)
-	defer pool.Close()
 	h, err := hub.New(hub.Options{
 		Factory: func(homeID string) (hub.Host, error) {
-			return uniint.NewSessionForHub(uniint.Options{
-				Width: 64, Height: 48, Name: homeID,
-				Pool: pool,
-			})
+			return uniint.NewSessionForHub(uniint.Options{Width: 64, Height: 48, Name: homeID})
 		},
-		Pool:    pool,
 		Metrics: metrics.NewRegistry(),
 	})
 	if err != nil {

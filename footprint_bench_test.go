@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"uniint/internal/sched"
 	"uniint/internal/toolkit"
 	"uniint/internal/uniserver"
 	"uniint/internal/workload"
@@ -26,9 +25,7 @@ const goroutineFlickerSlack = 8
 func BenchmarkSessionFootprint(b *testing.B) {
 	const fleet = 256
 	display := toolkit.NewDisplay(64, 48)
-	pool := sched.NewPool(4)
-	defer pool.Close()
-	srv := uniserver.New(display, "footprint", uniserver.Config{Pool: pool, ParkTTL: -1})
+	srv := uniserver.New(display, "footprint", uniserver.Config{ParkTTL: -1})
 	defer srv.Close()
 	attach := func(conn net.Conn) error { return srv.Attach(conn, nil) }
 

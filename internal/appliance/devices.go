@@ -48,12 +48,6 @@ func (t *TV) Tick() {}
 // Tuner exposes the tuner FCM (tests and scenario scripts).
 func (t *TV) Tuner() *havi.BaseFCM { return t.tuner }
 
-// Display exposes the display FCM.
-func (t *TV) Display() *havi.BaseFCM { return t.display }
-
-// Speaker exposes the speaker amplifier FCM.
-func (t *TV) Speaker() *havi.BaseFCM { return t.speaker }
-
 // VCR is a video cassette recorder with a transport deck and timer clock.
 type VCR struct {
 	name  string

@@ -79,8 +79,3 @@ func PointerTo(x, y int, buttons uint8) UniEvent {
 		Buttons: buttons, X: uint16(x), Y: uint16(y),
 	}}
 }
-
-// Click builds a press+release pointer pair at (x, y).
-func Click(x, y int) []UniEvent {
-	return []UniEvent{PointerTo(x, y, 1), PointerTo(x, y, 0)}
-}

@@ -59,9 +59,6 @@ func (f *inputFlusher) add(ue UniEvent, tid uint64) {
 	})
 }
 
-// len reports how many events are waiting.
-func (f *inputFlusher) len() int { return len(f.pend) }
-
 // full reports whether the batch has reached the forced-flush threshold.
 func (f *inputFlusher) full() bool { return len(f.pend) >= maxInputBatch }
 

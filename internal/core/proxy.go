@@ -46,7 +46,6 @@ var (
 	ErrNoSuchClass   = errors.New("core: no attached device of class")
 	ErrProxyClosed   = errors.New("core: proxy closed")
 	ErrNilPlugin     = errors.New("core: device supplied no plug-in")
-	ErrNotRunning    = errors.New("core: proxy not running")
 )
 
 // Proxy is the UniInt proxy: one universal-interaction client connection

@@ -514,9 +514,7 @@ func TestDetachOutputAndIDs(t *testing.T) {
 func TestSupervisorOptionsAndClassSelection(t *testing.T) {
 	st := newSupervisedStack(t)
 	buttonPanel(st.display, "x")
-	sup, err := core.NewSupervisor(st.dial,
-		core.WithBackoff(time.Millisecond),
-		core.WithMaxRetries(50))
+	sup, err := core.NewSupervisor(st.dial, core.WithBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}

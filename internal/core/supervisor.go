@@ -32,7 +32,6 @@ type DialFunc func() (net.Conn, error)
 type Supervisor struct {
 	dial    DialFunc
 	backoff time.Duration
-	maxTry  int // 0 = retry forever
 
 	mu      sync.Mutex
 	proxy   *Proxy
@@ -63,12 +62,6 @@ type SupervisorOption func(*Supervisor)
 // values).
 func WithBackoff(d time.Duration) SupervisorOption {
 	return func(s *Supervisor) { s.backoff = d }
-}
-
-// WithMaxRetries bounds consecutive failed redials before the supervisor
-// gives up (0 = forever).
-func WithMaxRetries(n int) SupervisorOption {
-	return func(s *Supervisor) { s.maxTry = n }
 }
 
 // NewSupervisor dials the first connection and starts supervising.
@@ -238,8 +231,7 @@ func (s *Supervisor) supervise() {
 		default:
 		}
 
-		// Redial with backoff.
-		tries := 0
+		// Redial with backoff, until it works or Close says stop.
 		for {
 			select {
 			case <-s.stop:
@@ -260,10 +252,6 @@ func (s *Supervisor) supervise() {
 				break
 			}
 			s.setErr(err)
-			tries++
-			if s.maxTry > 0 && tries >= s.maxTry {
-				return
-			}
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package device
 
 import (
-	"sync/atomic"
-
 	"uniint/internal/core"
 	"uniint/internal/rfb"
 )
@@ -17,10 +15,8 @@ type Point struct{ X, Y int }
 // transmits the stroke names; its plug-in maps strokes onto universal
 // keyboard navigation.
 type GestureInput struct {
-	id         string
-	em         *emitter
-	classified atomic.Int64
-	unknown    atomic.Int64
+	id string
+	em *emitter
 }
 
 var _ core.InputDevice = (*GestureInput)(nil)
@@ -45,22 +41,12 @@ func (g *GestureInput) Events() <-chan core.RawEvent { return g.em.events() }
 // Close shuts the device down.
 func (g *GestureInput) Close() { g.em.close() }
 
-// Classified reports trajectories recognized as a known stroke.
-func (g *GestureInput) Classified() int64 { return g.classified.Load() }
-
-// Unknown reports trajectories that could not be classified.
-func (g *GestureInput) Unknown() int64 { return g.unknown.Load() }
-
 // Stroke feeds a raw trajectory to the on-device classifier; a recognized
-// stroke is emitted as an event.
+// stroke is emitted as an event, anything else is dropped.
 func (g *GestureInput) Stroke(points []Point) {
-	name, ok := ClassifyStroke(points)
-	if !ok {
-		g.unknown.Add(1)
-		return
+	if name, ok := ClassifyStroke(points); ok {
+		g.em.emit(core.RawEvent{Kind: core.EvStroke, Code: name})
 	}
-	g.classified.Add(1)
-	g.em.emit(core.RawEvent{Kind: core.EvStroke, Code: name})
 }
 
 // EmitStroke bypasses classification and emits a named stroke directly

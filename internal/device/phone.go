@@ -54,9 +54,6 @@ func (p *Phone) Present(f core.Frame) { p.sc.present(f) }
 // Latest returns the most recent LCD frame.
 func (p *Phone) Latest() core.Frame { return p.sc.Latest() }
 
-// FrameCount returns the number of frames presented.
-func (p *Phone) FrameCount() int64 { return p.sc.FrameCount() }
-
 // WaitFrames blocks until n frames have been presented.
 func (p *Phone) WaitFrames(n int64) core.Frame { return p.sc.WaitFrames(n) }
 

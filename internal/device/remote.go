@@ -35,24 +35,10 @@ func (r *RemoteControl) Events() <-chan core.RawEvent { return r.em.events() }
 // Close shuts the device down.
 func (r *RemoteControl) Close() { r.em.close() }
 
-// Dropped reports events lost to backpressure.
-func (r *RemoteControl) Dropped() int64 { return r.em.Dropped() }
-
 // Press simulates a full press+release of a named button. Valid names:
 // "up", "down", "left", "right", "ok", "back", plus digits "0".."9".
 func (r *RemoteControl) Press(button string) {
 	r.em.emit(core.RawEvent{Kind: core.EvButton, Code: button, Down: true})
-	r.em.emit(core.RawEvent{Kind: core.EvButton, Code: button, Down: false})
-}
-
-// Hold simulates pressing a button without releasing (auto-repeat is the
-// proxy's concern in real hardware; not modeled).
-func (r *RemoteControl) Hold(button string) {
-	r.em.emit(core.RawEvent{Kind: core.EvButton, Code: button, Down: true})
-}
-
-// Release simulates releasing a held button.
-func (r *RemoteControl) Release(button string) {
 	r.em.emit(core.RawEvent{Kind: core.EvButton, Code: button, Down: false})
 }
 

@@ -47,9 +47,6 @@ func (v *VoiceInput) Events() <-chan core.RawEvent { return v.em.events() }
 // Close shuts the device down.
 func (v *VoiceInput) Close() { v.em.close() }
 
-// Dropped reports events lost to backpressure.
-func (v *VoiceInput) Dropped() int64 { return v.em.Dropped() }
-
 // Recognized reports utterances the grammar accepted.
 func (v *VoiceInput) Recognized() int64 { return v.recognized.Load() }
 

@@ -44,15 +44,14 @@ type Options struct {
 }
 
 // Cluster is the hub-of-hubs front: it owns the rendezvous ring and the
-// membership registry, routes inbound connections to the member node
-// owning the preamble's home, and moves sessions between nodes when the
-// topology changes — rebalance on join, evacuation on drain. Routing
+// member nodes, routes inbound connections to the member owning the
+// preamble's home, and moves sessions between nodes when the topology
+// changes — rebalance on join, evacuation on drain. Routing
 // state swaps atomically (immutable Ring under a mutex), so connections
 // arriving mid-migration land on the new owner and find their parked
 // session already installed or arriving; a resume that outraces its
 // record degrades to a full join, never an error.
 type Cluster struct {
-	reg    *Registry
 	detach time.Duration
 
 	mu    sync.Mutex
@@ -75,7 +74,6 @@ func NewCluster(opts Options) *Cluster {
 		opts.DetachTimeout = DefaultDetachTimeout
 	}
 	return &Cluster{
-		reg:    NewRegistry(),
 		detach: opts.DetachTimeout,
 		nodes:  make(map[string]*Node),
 		ring:   NewRing(),
@@ -86,17 +84,6 @@ func NewCluster(opts Options) *Cluster {
 		mMigrations:     opts.Metrics.Counter("fed_migrations_total"),
 		mMigrationBytes: opts.Metrics.Counter("fed_migration_bytes_total"),
 	}
-}
-
-// Registry returns the cluster's membership registry (subscribe to it
-// for join/leave notifications).
-func (c *Cluster) Registry() *Registry { return c.reg }
-
-// Members returns the current member names (ring order: sorted).
-func (c *Cluster) Members() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.ring.Nodes()...)
 }
 
 // Owner returns the member currently owning homeID.
@@ -139,7 +126,6 @@ func (c *Cluster) AddNode(name string, h *hub.Hub) error {
 		}
 	}
 	c.mu.Unlock()
-	c.reg.Join(name)
 
 	var firstErr error
 	for _, from := range others {
@@ -173,7 +159,6 @@ func (c *Cluster) Drain(name string) error {
 	c.ring = c.ring.Without(name)
 	ring := c.ring
 	c.mu.Unlock()
-	c.reg.Leave(name)
 
 	var firstErr error
 	for _, homeID := range n.Hub.HomeIDs() {

@@ -54,28 +54,6 @@ func TestRingMinimalDisruption(t *testing.T) {
 	}
 }
 
-func TestRegistryNotifies(t *testing.T) {
-	r := NewRegistry("alpha")
-	var got []Event
-	r.Subscribe(func(e Event) { got = append(got, e) })
-	r.Join("alpha") // already present: no event
-	r.Join("beta")
-	r.Leave("alpha")
-	r.Leave("alpha") // already gone: no event
-	want := []Event{{Node: "beta", Join: true}, {Node: "alpha", Join: false}}
-	if len(got) != len(want) {
-		t.Fatalf("events = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event[%d] = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if !r.Contains("beta") || r.Contains("alpha") {
-		t.Fatalf("membership state wrong: %v", r.Members())
-	}
-}
-
 // stubHost is a minimal hub.Host whose detach lot is a map of shipped
 // migration records — enough to exercise the cluster's route and
 // migrate paths without a full session stack.

@@ -1,7 +1,6 @@
 // Package fed is the hub-of-hubs federation tier: a front router
-// spreading home-ids across N member hub nodes by rendezvous hashing, a
-// lightweight membership registry, and live migration of parked sessions
-// between nodes — the detach lot (internal/uniserver) made a parked
+// spreading home-ids across N member hub nodes by rendezvous hashing, and
+// live migration of parked sessions between nodes — the detach lot (internal/uniserver) made a parked
 // session a small serializable object, and this package ships that
 // object so topology change (deploys, rebalances, node loss) is
 // invisible to a reconnecting client: it redials through the router,

@@ -40,17 +40,6 @@ const (
 	Navy      Color = 0x102040
 )
 
-// Blend returns the linear interpolation between c and d: t=0 yields c,
-// t=255 yields d.
-func Blend(c, d Color, t uint8) Color {
-	it := uint32(255 - t)
-	tt := uint32(t)
-	r := (uint32(c.R())*it + uint32(d.R())*tt) / 255
-	g := (uint32(c.G())*it + uint32(d.G())*tt) / 255
-	b := (uint32(c.B())*it + uint32(d.B())*tt) / 255
-	return RGB(uint8(r), uint8(g), uint8(b))
-}
-
 // PixelFormat describes how a device or protocol peer lays out pixels.
 // It mirrors the fields of the RFB SetPixelFormat message, which the
 // universal interaction protocol reuses verbatim.

@@ -1,18 +1,7 @@
 package gfx
 
-// Color-reduction routines used by output plug-ins: grayscale conversion,
-// fixed-threshold and error-diffusion binarization for 1-bit phone screens,
-// ordered dithering, and palette quantization for 8-bit displays.
-
-// ToGray returns a copy of src with every pixel replaced by its luma.
-func ToGray(src *Framebuffer) *Framebuffer {
-	dst := NewFramebuffer(src.w, src.h)
-	for i, c := range src.pix {
-		y := c.Gray()
-		dst.pix[i] = RGB(y, y, y)
-	}
-	return dst
-}
+// The phone output plug-in's colour reduction: the 1-bit Bitmap its screen
+// holds and the error-diffusion binarization that fills it.
 
 // Bitmap is a 1-bit-per-pixel image, the native format of the cellular
 // phone device's display. Rows are packed MSB-first.
@@ -49,8 +38,8 @@ func (b *Bitmap) Set(x, y int, on bool) {
 	}
 }
 
-// Ones counts the number of set pixels (used by tests and by the phone
-// device's screen diffing).
+// Ones counts the number of set pixels; tests use it to tell a rendered
+// phone screen from a blank one.
 func (b *Bitmap) Ones() int {
 	n := 0
 	for _, v := range b.Bits {
@@ -59,20 +48,6 @@ func (b *Bitmap) Ones() int {
 		}
 	}
 	return n
-}
-
-// Threshold binarizes src: pixels with luma >= cut become set.
-func Threshold(src *Framebuffer, cut uint8) *Bitmap {
-	dst := NewBitmap(src.w, src.h)
-	for y := 0; y < src.h; y++ {
-		row := src.pix[y*src.w : (y+1)*src.w]
-		for x, c := range row {
-			if c.Gray() >= cut {
-				dst.Set(x, y, true)
-			}
-		}
-	}
-	return dst
 }
 
 // FloydSteinberg binarizes src with Floyd–Steinberg error diffusion, the
@@ -104,75 +79,6 @@ func FloydSteinberg(src *Framebuffer) *Bitmap {
 			next[x+2] += e * 1 / 16
 		}
 		cur, next = next, cur
-	}
-	return dst
-}
-
-// bayer4 is the 4×4 ordered-dither threshold matrix scaled to 0..255.
-var bayer4 = [4][4]int32{
-	{15, 135, 45, 165},
-	{195, 75, 225, 105},
-	{60, 180, 30, 150},
-	{240, 120, 210, 90},
-}
-
-// OrderedDither binarizes src with a 4×4 Bayer matrix — cheaper than
-// Floyd–Steinberg, used when the phone asks for the fast path.
-func OrderedDither(src *Framebuffer) *Bitmap {
-	dst := NewBitmap(src.w, src.h)
-	for y := 0; y < src.h; y++ {
-		row := src.pix[y*src.w : (y+1)*src.w]
-		for x, c := range row {
-			if int32(c.Gray()) > bayer4[y&3][x&3] {
-				dst.Set(x, y, true)
-			}
-		}
-	}
-	return dst
-}
-
-// BitmapToFramebuffer expands a bitmap back to a framebuffer (white on
-// black), used by tests and by the phone simulator's debug rendering.
-func BitmapToFramebuffer(b *Bitmap) *Framebuffer {
-	f := NewFramebuffer(b.W, b.H)
-	for y := 0; y < b.H; y++ {
-		for x := 0; x < b.W; x++ {
-			if b.Get(x, y) {
-				f.Set(x, y, White)
-			}
-		}
-	}
-	return f
-}
-
-// QuantizeRGB332 reduces src to the 8-bit RGB 3-3-2 palette in place on a
-// copy, returning the copy. Used by the 8-bit display path.
-func QuantizeRGB332(src *Framebuffer) *Framebuffer {
-	dst := NewFramebuffer(src.w, src.h)
-	for i, c := range src.pix {
-		r := c.R() &^ 0x1F
-		g := c.G() &^ 0x1F
-		b := c.B() &^ 0x3F
-		dst.pix[i] = RGB(r|r>>3, g|g>>3, b|b>>2)
-	}
-	return dst
-}
-
-// GrayLevels quantizes src to n evenly spaced gray levels (n >= 2). PDA
-// devices with 4- or 16-level grayscale LCDs use this.
-func GrayLevels(src *Framebuffer, n int) *Framebuffer {
-	if n < 2 {
-		n = 2
-	}
-	dst := NewFramebuffer(src.w, src.h)
-	step := 255 / (n - 1)
-	for i, c := range src.pix {
-		y := int(c.Gray())
-		q := (y + step/2) / step * step
-		if q > 255 {
-			q = 255
-		}
-		dst.pix[i] = RGB(uint8(q), uint8(q), uint8(q))
 	}
 	return dst
 }

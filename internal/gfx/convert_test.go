@@ -38,15 +38,6 @@ func TestGrayWeights(t *testing.T) {
 	}
 }
 
-func TestBlendEndpoints(t *testing.T) {
-	if Blend(Red, Blue, 0) != Red {
-		t.Error("t=0 should return first color")
-	}
-	if Blend(Red, Blue, 255) != Blue {
-		t.Error("t=255 should return second color")
-	}
-}
-
 func TestPixelFormatRoundTrip(t *testing.T) {
 	formats := map[string]PixelFormat{"pf32": PF32(), "pf16": PF16(), "pf8": PF8()}
 	for name, pf := range formats {
@@ -112,21 +103,6 @@ func TestBitmapSetGet(t *testing.T) {
 	}
 }
 
-func TestThreshold(t *testing.T) {
-	f := NewFramebuffer(4, 1)
-	f.Set(0, 0, Black)
-	f.Set(1, 0, RGB(100, 100, 100))
-	f.Set(2, 0, RGB(200, 200, 200))
-	f.Set(3, 0, White)
-	b := Threshold(f, 128)
-	want := []bool{false, false, true, true}
-	for x, w := range want {
-		if b.Get(x, 0) != w {
-			t.Errorf("pixel %d = %v, want %v", x, b.Get(x, 0), w)
-		}
-	}
-}
-
 func TestFloydSteinbergPreservesAverage(t *testing.T) {
 	// A mid-gray region should dither to roughly 50% coverage.
 	f := NewFramebuffer(64, 64)
@@ -145,45 +121,6 @@ func TestFloydSteinbergPreservesAverage(t *testing.T) {
 	f.Clear(White)
 	if FloydSteinberg(f).Ones() != total {
 		t.Error("white image should produce all set pixels")
-	}
-}
-
-func TestOrderedDitherCoverage(t *testing.T) {
-	f := NewFramebuffer(64, 64)
-	f.Clear(RGB(128, 128, 128))
-	ones := OrderedDither(f).Ones()
-	total := 64 * 64
-	if ones < total*35/100 || ones > total*65/100 {
-		t.Errorf("mid-gray ordered coverage = %d/%d", ones, total)
-	}
-}
-
-func TestGrayLevels(t *testing.T) {
-	f := gradient(16, 1)
-	q := GrayLevels(f, 4)
-	seen := map[Color]bool{}
-	for x := 0; x < 16; x++ {
-		seen[q.At(x, 0)] = true
-	}
-	if len(seen) > 4 {
-		t.Errorf("4-level quantization produced %d distinct values", len(seen))
-	}
-}
-
-func TestQuantizeRGB332(t *testing.T) {
-	f := gradient(8, 8)
-	q := QuantizeRGB332(f)
-	seen := map[Color]bool{}
-	for _, c := range q.Pix() {
-		seen[c] = true
-	}
-	if len(seen) > 256 {
-		t.Errorf("RGB332 produced %d distinct colors", len(seen))
-	}
-	// Quantization must be idempotent.
-	q2 := QuantizeRGB332(q)
-	if !q.Equal(q2) {
-		t.Error("quantization is not idempotent")
 	}
 }
 
@@ -208,27 +145,6 @@ func TestScaleBoxDownscaleAverages(t *testing.T) {
 	c := dst.At(0, 0)
 	if c.R() < 100 || c.R() > 155 {
 		t.Errorf("averaged value = %v", c)
-	}
-}
-
-func TestFitScale(t *testing.T) {
-	tests := []struct {
-		name                   string
-		sw, sh, mw, mh, ww, wh int
-	}{
-		{"exact", 640, 480, 640, 480, 640, 480},
-		{"half", 640, 480, 320, 240, 320, 240},
-		{"wide into square", 200, 100, 100, 100, 100, 50},
-		{"tall into square", 100, 200, 100, 100, 50, 100},
-		{"degenerate", 0, 100, 50, 50, 0, 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			w, h := FitScale(tt.sw, tt.sh, tt.mw, tt.mh)
-			if w != tt.ww || h != tt.wh {
-				t.Errorf("FitScale = %dx%d, want %dx%d", w, h, tt.ww, tt.wh)
-			}
-		})
 	}
 }
 
@@ -286,7 +202,7 @@ func TestDamageBasic(t *testing.T) {
 	if d.Empty() {
 		t.Fatal("tracker should have damage")
 	}
-	rects := d.Take()
+	rects := d.TakeInto(nil)
 	if len(rects) == 0 {
 		t.Fatal("take returned nothing")
 	}
@@ -334,8 +250,8 @@ func TestDamageClip(t *testing.T) {
 		t.Error("out-of-bounds damage should be discarded")
 	}
 	d.Add(R(5, 5, 20, 20)) // partially outside
-	if b := d.Bounds(); b != R(5, 5, 5, 5) {
-		t.Errorf("clipped damage = %+v", b)
+	if got := d.Peek(); len(got) != 1 || got[0] != R(5, 5, 5, 5) {
+		t.Errorf("clipped damage = %+v", got)
 	}
 }
 

@@ -127,7 +127,7 @@ func (d *Damage) MarkTrace(id uint64) {
 }
 
 // TakeTrace returns-and-clears the trace id attributed to the pending
-// damage (0 when untraced). Renderers call it alongside Take/TakeInto.
+// damage (0 when untraced). Renderers call it alongside TakeInto.
 func (d *Damage) TakeTrace() uint64 {
 	id := d.trace
 	d.trace = 0
@@ -140,27 +140,10 @@ func (d *Damage) Empty() bool { return len(d.rects) == 0 }
 // ClipBounds returns the clip rectangle damage is limited to.
 func (d *Damage) ClipBounds() Rect { return d.bounds }
 
-// Bounds returns the union of all pending damage (empty Rect when clean).
-func (d *Damage) Bounds() Rect {
-	var u Rect
-	for _, r := range d.rects {
-		u = u.Union(r)
-	}
-	return u
-}
-
-// Take returns the pending rectangles and resets the tracker. The returned
-// slice is owned by the caller.
-func (d *Damage) Take() []Rect {
-	out := d.rects
-	d.rects = nil
-	return out
-}
-
-// TakeInto returns the pending rectangles like Take, but re-arms the
-// tracker with spare's storage (length reset to zero) instead of nil.
-// Callers on a hot path ping-pong two slices through TakeInto so the
-// tracker never reallocates in steady state.
+// TakeInto returns the pending rectangles and re-arms the tracker with
+// spare's storage (length reset to zero). Callers on a hot path ping-pong
+// two slices through TakeInto so the tracker never reallocates in steady
+// state.
 func (d *Damage) TakeInto(spare []Rect) []Rect {
 	out := d.rects
 	d.rects = spare[:0]

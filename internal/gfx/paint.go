@@ -28,9 +28,6 @@ func (p Painter) Clip() Rect { return p.clip }
 // Empty reports whether the clip contains no pixels (every draw is a no-op).
 func (p Painter) Empty() bool { return p.clip.Empty() }
 
-// Framebuffer returns the underlying framebuffer.
-func (p Painter) Framebuffer() *Framebuffer { return p.fb }
-
 // Fill paints every pixel of r inside the clip with c.
 func (p Painter) Fill(r Rect, c Color) {
 	p.fb.Fill(r.Intersect(p.clip), c)

@@ -81,13 +81,6 @@ func (r Rect) Union(s Rect) Rect {
 // Overlaps reports whether r and s share at least one pixel.
 func (r Rect) Overlaps(s Rect) bool { return !r.Intersect(s).Empty() }
 
-// Translate returns r moved by (dx, dy).
-func (r Rect) Translate(dx, dy int) Rect {
-	r.X += dx
-	r.Y += dy
-	return r
-}
-
 // Inset returns r shrunk by n pixels on every side. If the result would be
 // smaller than zero in either dimension, an empty Rect is returned.
 func (r Rect) Inset(n int) Rect {

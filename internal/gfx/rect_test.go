@@ -136,12 +136,6 @@ func TestRectUnionProperties(t *testing.T) {
 	}
 }
 
-func TestRectTranslate(t *testing.T) {
-	if got := R(1, 2, 3, 4).Translate(10, -2); got != R(11, 0, 3, 4) {
-		t.Errorf("Translate = %+v", got)
-	}
-}
-
 // TestSubtractInto checks the rectangle-difference decomposition per-pixel
 // against set semantics: the parts are disjoint and cover exactly r \ s.
 func TestSubtractInto(t *testing.T) {

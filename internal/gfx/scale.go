@@ -61,26 +61,3 @@ func ScaleBox(src *Framebuffer, w, h int) *Framebuffer {
 	}
 	return dst
 }
-
-// FitScale computes the largest (w, h) with the same aspect ratio as
-// (srcW, srcH) that fits inside (maxW, maxH). Degenerate inputs yield (0, 0).
-func FitScale(srcW, srcH, maxW, maxH int) (w, h int) {
-	if srcW <= 0 || srcH <= 0 || maxW <= 0 || maxH <= 0 {
-		return 0, 0
-	}
-	// Compare srcW/srcH with maxW/maxH without floats.
-	if srcW*maxH >= srcH*maxW {
-		w = maxW
-		h = srcH * maxW / srcW
-		if h < 1 {
-			h = 1
-		}
-	} else {
-		h = maxH
-		w = srcW * maxH / srcH
-		if w < 1 {
-			w = 1
-		}
-	}
-	return w, h
-}

@@ -146,13 +146,6 @@ func (b *Bus) Nodes() []Node {
 	return b.snapshotLocked().Nodes
 }
 
-// Generation returns the current bus generation (number of resets so far).
-func (b *Bus) Generation() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.gen
-}
-
 // Connected reports whether guid is currently on the bus.
 func (b *Bus) Connected(guid uint64) bool {
 	b.mu.Lock()

@@ -22,9 +22,6 @@ func NewDCM(name, class string) *DCM {
 	return &DCM{name: name, class: class}
 }
 
-// Name returns the human-readable device name.
-func (d *DCM) Name() string { return d.name }
-
 // Class returns the appliance class.
 func (d *DCM) Class() string { return d.class }
 
@@ -57,18 +54,6 @@ func (d *DCM) FCMs() []*BaseFCM {
 	out := make([]*BaseFCM, len(d.fcms))
 	copy(out, d.fcms)
 	return out
-}
-
-// FCMByKind returns the first FCM of the given kind, if any.
-func (d *DCM) FCMByKind(kind string) (*BaseFCM, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for _, f := range d.fcms {
-		if f.Kind() == kind {
-			return f, true
-		}
-	}
-	return nil, false
 }
 
 // HandleMessage implements Handler for the DCM element itself.

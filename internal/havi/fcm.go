@@ -6,24 +6,6 @@ import (
 	"sync"
 )
 
-// FCM is a functional component module: one controllable function block of
-// an appliance (tuner, VCR transport, amplifier, …). FCMs are addressed by
-// SEID and publish a DDI control surface.
-type FCM interface {
-	// Kind returns the FCM class ("tuner", "vcr", "amplifier", …).
-	Kind() string
-	// SEID returns the element address (assigned when the DCM attaches).
-	SEID() SEID
-	// Controls returns the DDI control surface.
-	Controls() []Control
-	// Get returns the current value of a control.
-	Get(id string) (int, error)
-	// Set changes a settable control (toggle/range/select).
-	Set(id string, v int) error
-	// Do triggers an action control.
-	Do(id string) error
-}
-
 // FCM message operations (the vocabulary the home application speaks).
 const (
 	OpDescribe = "fcm.describe" // reply Data = JSON []Control, Str = kind
@@ -41,9 +23,11 @@ var (
 	ErrRejected       = errors.New("havi: command rejected in current state")
 )
 
-// BaseFCM is the reusable FCM core: a control table, a value store, range
-// validation and change events. Concrete FCMs (internal/havi/fcm) configure
-// it with descriptors and hooks.
+// BaseFCM is a functional component module: one controllable function block
+// of an appliance (tuner, VCR transport, amplifier, …), addressed by SEID
+// and publishing a DDI control surface. It is the reusable core — a control
+// table, a value store, range validation and change events — that concrete
+// FCMs (internal/havi/fcm) configure with descriptors and hooks.
 type BaseFCM struct {
 	kind string
 
@@ -61,8 +45,6 @@ type BaseFCM struct {
 	// actions (the hook mutates values as needed).
 	onDo func(f *BaseFCM, id string) error
 }
-
-var _ FCM = (*BaseFCM)(nil)
 
 // NewBaseFCM builds an FCM with the given kind and control surface.
 // Control Init values seed the value store. Descriptors are validated.
@@ -94,10 +76,10 @@ func (f *BaseFCM) SetHooks(onSet func(*BaseFCM, string, int) error, onDo func(*B
 	f.onDo = onDo
 }
 
-// Kind implements FCM.
+// Kind returns the FCM class ("tuner", "vcr", "amplifier", …).
 func (f *BaseFCM) Kind() string { return f.kind }
 
-// SEID implements FCM.
+// SEID returns the element address (assigned when the DCM attaches).
 func (f *BaseFCM) SEID() SEID {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -112,7 +94,7 @@ func (f *BaseFCM) bind(id SEID, events *EventManager) {
 	f.events = events
 }
 
-// Controls implements FCM.
+// Controls returns the DDI control surface.
 func (f *BaseFCM) Controls() []Control {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -121,18 +103,7 @@ func (f *BaseFCM) Controls() []Control {
 	return out
 }
 
-// Control returns one descriptor by id.
-func (f *BaseFCM) Control(id string) (Control, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	i, ok := f.index[id]
-	if !ok {
-		return Control{}, false
-	}
-	return f.ctls[i], true
-}
-
-// Get implements FCM.
+// Get returns the current value of a control.
 func (f *BaseFCM) Get(id string) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -143,7 +114,7 @@ func (f *BaseFCM) Get(id string) (int, error) {
 	return v, nil
 }
 
-// Set implements FCM.
+// Set changes a settable control (toggle/range/select).
 func (f *BaseFCM) Set(id string, v int) error {
 	f.mu.Lock()
 	i, ok := f.index[id]
@@ -193,7 +164,7 @@ func (f *BaseFCM) Set(id string, v int) error {
 	return nil
 }
 
-// Do implements FCM.
+// Do triggers an action control.
 func (f *BaseFCM) Do(id string) error {
 	f.mu.Lock()
 	i, ok := f.index[id]

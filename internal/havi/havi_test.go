@@ -22,13 +22,6 @@ func TestSEIDString(t *testing.T) {
 	if got := id.String(); got != "00000000000000ab/3" {
 		t.Errorf("String = %q", got)
 	}
-	g, err := ParseGUID(GUID(0xAB).String())
-	if err != nil || g != 0xAB {
-		t.Errorf("ParseGUID round trip: %v %v", g, err)
-	}
-	if _, err := ParseGUID("not-hex"); err == nil {
-		t.Error("ParseGUID should reject garbage")
-	}
 }
 
 func TestDispatcherOrderAndIdle(t *testing.T) {

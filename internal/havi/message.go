@@ -88,13 +88,6 @@ func (ms *MessageSystem) Lookup(id SEID) bool {
 	return ok
 }
 
-// Count returns the number of registered elements.
-func (ms *MessageSystem) Count() int {
-	ms.mu.RLock()
-	defer ms.mu.RUnlock()
-	return len(ms.elements)
-}
-
 // Call delivers m synchronously and returns the element's reply.
 func (ms *MessageSystem) Call(m Message) (Reply, error) {
 	ms.mu.RLock()

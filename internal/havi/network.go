@@ -51,9 +51,6 @@ func (n *Network) Messages() *MessageSystem { return n.ms }
 // Events returns the event manager.
 func (n *Network) Events() *EventManager { return n.em }
 
-// Bus returns the underlying bus simulation.
-func (n *Network) Bus() *bus.Bus { return n.bus }
-
 // Attach introduces an appliance to the network: the device gets a GUID
 // (on first attach), joins the bus, and the resulting bus reset registers
 // its DCM and FCMs. Returns the assigned GUID.

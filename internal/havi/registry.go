@@ -123,17 +123,6 @@ func (r *Registry) Query(match map[string]string) []Entry {
 	return out
 }
 
-// Get returns the entry for id, if present.
-func (r *Registry) Get(id SEID) (Entry, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.entries[id]
-	if !ok {
-		return Entry{}, false
-	}
-	return e.clone(), true
-}
-
 // Count returns the number of registered entries.
 func (r *Registry) Count() int {
 	r.mu.RLock()

@@ -12,25 +12,13 @@
 // internal/havi/bus supplies the hot-pluggable IEEE-1394-like bus.
 package havi
 
-import (
-	"fmt"
-	"strconv"
-)
+import "fmt"
 
 // GUID identifies a device (a bus node) globally, like the 1394 EUI-64.
 type GUID uint64
 
 // String renders the GUID in the conventional hex form.
 func (g GUID) String() string { return fmt.Sprintf("%016x", uint64(g)) }
-
-// ParseGUID parses the hex form produced by String.
-func ParseGUID(s string) (GUID, error) {
-	v, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parse guid %q: %w", s, err)
-	}
-	return GUID(v), nil
-}
 
 // SEID addresses one software element: a device GUID plus a local handle.
 // Handle 1 is the DCM by convention; FCMs use 2 and up.

@@ -18,8 +18,13 @@ import (
 	"sync/atomic"
 
 	"uniint/internal/havi"
+	"uniint/internal/metrics"
 	"uniint/internal/toolkit"
 )
+
+// mSendFailures counts control commands the middleware refused to enqueue
+// (the appliance detached under the panel, or the network is closing).
+var mSendFailures = metrics.Default().Counter("homeapp_send_failures_total")
 
 // App is the home appliance application bound to one display session.
 type App struct {
@@ -33,8 +38,7 @@ type App struct {
 	regWatch int
 	evSub    int
 
-	rebuilds  atomic.Int64
-	sendFails atomic.Int64
+	rebuilds atomic.Int64
 }
 
 // New creates the application, builds the initial composed GUI and
@@ -71,9 +75,6 @@ func (a *App) Close() {
 
 // Rebuilds returns how many times the composed GUI has been regenerated.
 func (a *App) Rebuilds() int64 { return a.rebuilds.Load() }
-
-// SendFailures returns how many control commands failed to enqueue.
-func (a *App) SendFailures() int64 { return a.sendFails.Load() }
 
 // Rebuild regenerates the composed control panel from the current
 // registry contents. It is invoked automatically on device arrival and
@@ -230,7 +231,7 @@ func (a *App) send(m havi.Message) {
 	if err := a.net.Messages().Send(m); err != nil {
 		// The appliance raced away (detached) or the middleware is
 		// shutting down; the GUI will be rebuilt shortly. Degrade quietly.
-		a.sendFails.Add(1)
+		mSendFailures.Inc()
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 //   - Attach: once per routed connection (Hub.Route / Hub.ServeConn),
 //     with the home's entry already pinned. The home handshakes and
 //     serves conn however the transport allows — returning after the
-//     handshake when the session can run on its worker pool, or blocking
+//     handshake when the session can run on the worker pool, or blocking
 //     for the connection's life when it must read on the caller's
 //     goroutine — and calls onClose exactly once, whatever it returns:
 //     when the session has retired, or on the way out if none started.

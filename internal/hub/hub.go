@@ -64,10 +64,6 @@ type Options struct {
 	SweepInterval time.Duration
 	// Metrics receives the hub's instruments (default metrics.Default()).
 	Metrics *metrics.Registry
-	// Pool is the worker pool hosted homes should run their session turns
-	// on (exposed via Hub.Pool for the factory to plumb through). Nil: the
-	// hub creates one sized sched.DefaultWorkers and closes it on Close.
-	Pool *sched.Pool
 }
 
 // entry is one resident home.
@@ -131,9 +127,6 @@ type Hub struct {
 	janitorTimer *sched.Timer
 	sweepTask    *sched.Task
 
-	pool    *sched.Pool
-	ownPool bool
-
 	// Pre-resolved instruments (hot path: no registry lookups).
 	mHomes        *metrics.Gauge
 	mConns        *metrics.Gauge
@@ -179,11 +172,6 @@ func New(opts Options) (*Hub, error) {
 		mReleases:     opts.Metrics.Counter("hub_releases_total"),
 		mRouteSeconds: opts.Metrics.Histogram("hub_route_seconds", metrics.LatencyBuckets()),
 	}
-	h.pool = opts.Pool
-	if h.pool == nil {
-		h.pool = sched.NewPool(0)
-		h.ownPool = true
-	}
 	if opts.IdleTimeout > 0 {
 		sweep := opts.SweepInterval
 		if sweep <= 0 {
@@ -192,15 +180,11 @@ func New(opts Options) (*Hub, error) {
 		if sweep < time.Second {
 			sweep = time.Second
 		}
-		h.sweepTask = h.pool.NewTask(h.sweep)
+		h.sweepTask = sched.SharedPool().NewTask(h.sweep)
 		h.janitorTimer = sched.Shared().Every(sweep, h.sweepTask.Kick)
 	}
 	return h, nil
 }
-
-// Pool returns the worker pool hosted homes share for their session turns.
-// Factories plumb it into the home stacks they build.
-func (h *Hub) Pool() *sched.Pool { return h.pool }
 
 func nextPow2(n int) int {
 	p := 1
@@ -297,7 +281,7 @@ func (h *Hub) Admit(id string) (Host, error) {
 // Route admits (if needed) the home for id and attaches one connection to
 // it. On a blocking transport it blocks until the peer disconnects; on a
 // readiness-driven one it returns as soon as the handshake completes and
-// the session lives on the home's worker pool with no routing goroutine
+// the session lives on the process worker pool with no routing goroutine
 // (see Host.Attach). The home is pinned against eviction until the session
 // retires, when the home's completion callback unpins it: the refcount is
 // incremented first and the eviction flag checked after, the mirror image
@@ -440,21 +424,33 @@ func (h *Hub) Evict(id string) bool {
 		sh.mu.Unlock()
 		return false
 	}
-	// Flag first, then check the pin count (Route pins then checks the
-	// flag): whichever side runs second sees the other and backs off.
-	e.evicted.Store(true)
-	if e.refs.Load() > 0 {
-		e.evicted.Store(false)
+	// refused reports a home that must stay: pinned by a connection, or
+	// (park-aware) holding a detached session that waits for its roaming
+	// owner — the lot's TTL empties it eventually, after which eviction
+	// proceeds.
+	refused := func() bool {
+		if e.refs.Load() > 0 {
+			return true
+		}
+		if e.home.Parked() > 0 {
+			h.mParkSkips.Inc()
+			return true
+		}
+		return false
+	}
+	// Refuse a busy home without raising the flag: a Route that pinned
+	// while a doomed eviction held it up would bounce, and burn one of its
+	// attempts, for an eviction that never happens.
+	if refused() {
 		sh.mu.Unlock()
 		return false
 	}
-	if e.home.Parked() > 0 {
-		// Park-aware: a home with a detached session waiting for its
-		// roaming owner is not idle. The lot's TTL empties it eventually,
-		// after which eviction proceeds.
+	// Flag first, then check the pin count (Route pins then checks the
+	// flag): whichever side runs second sees the other and backs off.
+	e.evicted.Store(true)
+	if refused() {
 		e.evicted.Store(false)
 		sh.mu.Unlock()
-		h.mParkSkips.Inc()
 		return false
 	}
 	sh.publish(id, nil)
@@ -483,8 +479,13 @@ func (h *Hub) Release(id string) (Host, bool) {
 		sh.mu.Unlock()
 		return nil, false
 	}
-	// Same flag-then-refcount protocol as Evict: whichever of
-	// Release/Route runs second sees the other and backs off.
+	// Same protocol as Evict: refuse a pinned home without raising the
+	// flag, then flag-then-refcount so whichever of Release/Route runs
+	// second sees the other and backs off.
+	if e.refs.Load() > 0 {
+		sh.mu.Unlock()
+		return nil, false
+	}
 	e.evicted.Store(true)
 	if e.refs.Load() > 0 {
 		e.evicted.Store(false)
@@ -581,8 +582,5 @@ func (h *Hub) Close() {
 	// disconnects their sessions, so each retires and unpins promptly).
 	for h.conns.Load() > 0 {
 		time.Sleep(time.Millisecond)
-	}
-	if h.ownPool {
-		h.pool.Close()
 	}
 }

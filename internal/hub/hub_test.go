@@ -253,16 +253,16 @@ func TestPreambleRoundTrip(t *testing.T) {
 	if err := WritePreamble(&sb, "kitchen-home"); err != nil {
 		t.Fatal(err)
 	}
-	id, token, err := ReadPreamble(strings.NewReader(sb.String()))
+	p, err := ParsePreamble(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != "kitchen-home" || token != "" {
-		t.Fatalf("round trip = %q token %q", id, token)
+	if p.HomeID != "kitchen-home" || p.Token != "" {
+		t.Fatalf("round trip = %+v", p)
 	}
 	// The reader must not consume past the newline.
 	r := strings.NewReader(sb.String() + "PROTO")
-	if _, _, err := ReadPreamble(r); err != nil {
+	if _, err := ParsePreamble(r); err != nil {
 		t.Fatal(err)
 	}
 	rest := make([]byte, 5)
@@ -282,20 +282,20 @@ func TestPreambleTokenRoundTrip(t *testing.T) {
 	if err := WritePreambleToken(&sb, "home-7", "deadbeef"); err != nil {
 		t.Fatal(err)
 	}
-	id, token, err := ReadPreamble(strings.NewReader(sb.String()))
+	p, err := ParsePreamble(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id != "home-7" || token != "deadbeef" {
-		t.Fatalf("round trip = %q token %q", id, token)
+	if p.HomeID != "home-7" || p.Token != "deadbeef" {
+		t.Fatalf("round trip = %+v", p)
 	}
 	// Token routing wildcard.
 	sb.Reset()
 	if err := WritePreambleToken(&sb, TokenHome, "deadbeef"); err != nil {
 		t.Fatal(err)
 	}
-	if id, token, err = ReadPreamble(strings.NewReader(sb.String())); err != nil || id != TokenHome || token != "deadbeef" {
-		t.Fatalf("token-route round trip = %q %q %v", id, token, err)
+	if p, err = ParsePreamble(strings.NewReader(sb.String())); err != nil || p.HomeID != TokenHome || p.Token != "deadbeef" {
+		t.Fatalf("token-route round trip = %+v %v", p, err)
 	}
 	// Malformed variants.
 	if err := WritePreambleToken(&sb, TokenHome, ""); err == nil {
@@ -304,10 +304,10 @@ func TestPreambleTokenRoundTrip(t *testing.T) {
 	if err := WritePreambleToken(&sb, "home-7", "has space"); err == nil {
 		t.Fatal("token with space must be rejected")
 	}
-	if _, _, err := ReadPreamble(strings.NewReader("UNIHUB/1 home-7 a b\n")); err == nil {
+	if _, err := ParsePreamble(strings.NewReader("UNIHUB/1 home-7 a b\n")); err == nil {
 		t.Fatal("two token fields must be rejected")
 	}
-	if _, _, err := ReadPreamble(strings.NewReader("UNIHUB/1 ~\n")); err == nil {
+	if _, err := ParsePreamble(strings.NewReader("UNIHUB/1 ~\n")); err == nil {
 		t.Fatal("bare token-route wildcard must be rejected")
 	}
 }

@@ -136,17 +136,6 @@ func WritePreambleToken(conn io.Writer, homeID, token string) error {
 	return err
 }
 
-// ReadPreamble consumes the routing line from conn and returns the home
-// ID and the resume token ("" when absent). It is ParsePreamble in the
-// original two-value shape.
-func ReadPreamble(conn io.Reader) (homeID, token string, err error) {
-	p, err := ParsePreamble(conn)
-	if err != nil {
-		return "", "", err
-	}
-	return p.HomeID, p.Token, nil
-}
-
 // DialHome connects to a hub at addr, sends the routing preamble for
 // homeID and returns the connection ready for the protocol handshake
 // (pass it to core.Dial).

@@ -22,8 +22,9 @@ const settleTimeout = 5 * time.Second
 // fails the test if the count has not returned to that baseline (within
 // slack) by the end. Call it before constructing the system under test.
 //
-// slack absorbs goroutines the test legitimately leaves behind — e.g. a
-// process-shared pool that outlives the test. Pass 0 for strict checks.
+// slack absorbs goroutines the test legitimately leaves behind. Pass 0 for
+// strict checks — the process pool (sched.SharedPool) starts at package
+// init, so its workers are already in the baseline.
 func Check(t testing.TB, slack int) {
 	t.Helper()
 	base := settledCount()

@@ -203,14 +203,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.Bounds[len(s.Bounds)-1]
 }
 
-// Mean returns the average observed value.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
-}
-
 // LatencyBuckets returns the default latency bounds in seconds: 10 µs to
 // ~5 s, doubling — wide enough for the in-process fast path and the
 // simulated Bluetooth-class links alike.
@@ -228,15 +220,6 @@ func LatencyBuckets() []float64 {
 func DurationBuckets() []float64 {
 	out := make([]float64, 0, 21)
 	for v := 1e-3; v < 1024; v *= 2 {
-		out = append(out, v)
-	}
-	return out
-}
-
-// SizeBuckets returns byte-size bounds: 64 B to 16 MB, quadrupling.
-func SizeBuckets() []float64 {
-	out := make([]float64, 0, 10)
-	for v := 64.0; v <= 16*1024*1024; v *= 4 {
 		out = append(out, v)
 	}
 	return out

@@ -1,6 +1,6 @@
 // Package netsim provides transport simulation for testing the universal
 // interaction stack under realistic home-network conditions: added
-// latency, bandwidth caps and injected link failures over any net.Conn.
+// latency and injected link failures over any net.Conn.
 //
 // The paper's devices talk over early-2000s home links (802.11b, HomeRF,
 // 1394 bridges); the experiments indexed in bench_test.go use in-process
@@ -20,8 +20,8 @@ import (
 	"time"
 )
 
-// Conn wraps a net.Conn with simulated link properties. The zero
-// Latency/Throughput leave the respective property unshaped.
+// Conn wraps a net.Conn with simulated link properties. Zero latency
+// leaves the link unshaped.
 //
 // A Conn created by Wrap shapes BOTH directions: writes are delayed
 // before reaching the inner transport and reads are delayed before being
@@ -32,9 +32,8 @@ import (
 type Conn struct {
 	inner net.Conn
 
-	latency    time.Duration
-	throughput int  // bytes per second, 0 = unlimited
-	shapeRead  bool // delay delivery of reads (single-wrap symmetric mode)
+	latency   time.Duration
+	shapeRead bool // delay delivery of reads (single-wrap symmetric mode)
 
 	dropped atomic.Bool
 
@@ -56,15 +55,9 @@ func WithLatency(d time.Duration) Option {
 	return func(c *Conn) { c.latency = d }
 }
 
-// WithThroughput caps the link at bytesPerSecond by delaying transfers
-// according to their serialization time.
-func WithThroughput(bytesPerSecond int) Option {
-	return func(c *Conn) { c.throughput = bytesPerSecond }
-}
-
-// Wrap shapes an existing connection symmetrically: latency and
-// serialization delay apply to both writes and reads, so wrapping one end
-// of a transport is enough to simulate the whole link.
+// Wrap shapes an existing connection symmetrically: the delay applies to
+// both writes and reads, so wrapping one end of a transport is enough to
+// simulate the whole link.
 func Wrap(inner net.Conn, opts ...Option) *Conn {
 	c := &Conn{inner: inner, shapeRead: true}
 	c.budget.Store(-1)
@@ -88,22 +81,21 @@ func Pipe(opts ...Option) (*Conn, *Conn) {
 
 var _ net.Conn = (*Conn)(nil)
 
-// delay sleeps out the link's latency, serialization time for n bytes,
-// and (under an injector schedule) deterministic jitter.
-func (c *Conn) delay(n int) {
+// scheduled returns the next transfer's delay: the link's latency plus,
+// under an injector schedule, a seeded jitter draw. It is kept apart from
+// the sleep so a test can compare two schedules without reading a clock.
+func (c *Conn) scheduled() time.Duration {
 	d := c.latency
-	if c.throughput > 0 {
-		d += time.Duration(int64(n) * int64(time.Second) / int64(c.throughput))
-	}
 	if c.jitter > 0 {
 		c.jmu.Lock()
 		d += time.Duration(c.jrng.Int63n(int64(c.jitter)))
 		c.jmu.Unlock()
 	}
-	if d > 0 {
-		time.Sleep(d)
-	}
+	return d
 }
+
+// delay sleeps out one transfer's scheduled delay.
+func (c *Conn) delay() { time.Sleep(c.scheduled()) }
 
 // spend consumes n bytes of the fault budget and reports how many of them
 // may still be transferred before the scheduled drop fires (n when no
@@ -125,15 +117,15 @@ func (c *Conn) spend(n int) int {
 }
 
 // Read implements net.Conn. Under symmetric shaping (Wrap) delivery is
-// delayed by the link's latency and serialization time; under an injector
-// schedule the bytes count against the kill budget.
+// delayed by the link's latency; under an injector schedule the bytes
+// count against the kill budget.
 func (c *Conn) Read(p []byte) (int, error) {
 	if c.dropped.Load() {
 		return 0, net.ErrClosed
 	}
 	n, err := c.inner.Read(p)
 	if n > 0 && c.shapeRead {
-		c.delay(n)
+		c.delay()
 	}
 	if n > 0 {
 		if allowed := c.spend(n); allowed < n {
@@ -146,10 +138,10 @@ func (c *Conn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// Write implements net.Conn, applying latency and serialization delay
-// before forwarding. Under an injector schedule, the write that exhausts
-// the kill budget is truncated (a prefix reaches the peer when the
-// schedule says so) and the link drops.
+// Write implements net.Conn, applying the link's delay before forwarding.
+// Under an injector schedule, the write that exhausts the kill budget is
+// truncated (a prefix reaches the peer when the schedule says so) and the
+// link drops.
 func (c *Conn) Write(p []byte) (int, error) {
 	if c.dropped.Load() {
 		return 0, net.ErrClosed
@@ -158,13 +150,13 @@ func (c *Conn) Write(p []byte) (int, error) {
 	if allowed < len(p) {
 		n := 0
 		if c.truncate && allowed > 0 {
-			c.delay(allowed)
+			c.delay()
 			n, _ = c.inner.Write(p[:allowed])
 		}
 		c.DropLink()
 		return n, net.ErrClosed
 	}
-	c.delay(len(p))
+	c.delay()
 	return c.inner.Write(p)
 }
 

@@ -443,14 +443,4 @@ func TestEncodingNames(t *testing.T) {
 			t.Errorf("EncodingName(%d) = %q, want %q", enc, got, want)
 		}
 	}
-	if !IsPrintable('x') || IsPrintable(KeyReturn) {
-		t.Error("IsPrintable wrong")
-	}
-	for _, k := range []uint32{KeyBackSpace, KeyTab, KeyEscape, KeyLeft, KeyUp,
-		KeyRight, KeyDown, KeyPageUp, KeyPageDown, KeyHome, KeyEnd,
-		KeyShiftL, KeyControlL, 0xFFFE, 0} {
-		if KeyName(k) == "" {
-			t.Errorf("empty name for %#x", k)
-		}
-	}
 }

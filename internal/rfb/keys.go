@@ -23,61 +23,3 @@ const (
 	KeyShiftL    uint32 = 0xFFE1
 	KeyControlL  uint32 = 0xFFE3
 )
-
-// KeyName returns a readable name for a key symbol (used in logs and the
-// device simulators' debug output).
-func KeyName(k uint32) string {
-	switch k {
-	case KeyBackSpace:
-		return "BackSpace"
-	case KeyTab:
-		return "Tab"
-	case KeyReturn:
-		return "Return"
-	case KeyEscape:
-		return "Escape"
-	case KeyLeft:
-		return "Left"
-	case KeyUp:
-		return "Up"
-	case KeyRight:
-		return "Right"
-	case KeyDown:
-		return "Down"
-	case KeyPageUp:
-		return "PageUp"
-	case KeyPageDown:
-		return "PageDown"
-	case KeyHome:
-		return "Home"
-	case KeyEnd:
-		return "End"
-	case KeyShiftL:
-		return "Shift"
-	case KeyControlL:
-		return "Control"
-	}
-	if k >= 0x20 && k < 0x7F {
-		return string(rune(k))
-	}
-	return "key(" + KeyName0x(k) + ")"
-}
-
-// KeyName0x formats a key symbol as hex without pulling in fmt on hot paths.
-func KeyName0x(k uint32) string {
-	const hex = "0123456789abcdef"
-	b := make([]byte, 0, 10)
-	b = append(b, '0', 'x')
-	started := false
-	for i := 28; i >= 0; i -= 4 {
-		d := byte(k >> uint(i) & 0xF)
-		if d != 0 || started || i == 0 {
-			b = append(b, hex[d])
-			started = true
-		}
-	}
-	return string(b)
-}
-
-// IsPrintable reports whether k is a printable ASCII key symbol.
-func IsPrintable(k uint32) bool { return k >= 0x20 && k < 0x7F }

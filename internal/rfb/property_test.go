@@ -129,16 +129,3 @@ func TestPixelSerializationProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// TestKeyNameTotality: KeyName never panics and never returns empty for
-// any 32-bit key symbol.
-func TestKeyNameTotality(t *testing.T) {
-	prop := func(k uint32) bool { return KeyName(k) != "" }
-	if err := quick.Check(prop, nil); err != nil {
-		t.Error(err)
-	}
-	// Spot checks.
-	if KeyName(KeyReturn) != "Return" || KeyName('a') != "a" {
-		t.Errorf("names: %q %q", KeyName(KeyReturn), KeyName('a'))
-	}
-}

@@ -31,11 +31,9 @@ import (
 // RFB's "RFB 003.003\n" 12-byte version string.
 const ProtocolVersion = "UII 001.000\n"
 
-// Security types offered by the server after the version exchange.
-const (
-	secInvalid uint32 = 0
-	secNone    uint32 = 1
-)
+// secNone is the one security type the server offers after the version
+// exchange.
+const secNone uint32 = 1
 
 // Client-to-server message types.
 const (
@@ -121,7 +119,6 @@ var (
 	ErrBadVersion  = errors.New("rfb: unsupported protocol version")
 	ErrBadSecurity = errors.New("rfb: unsupported security type")
 	ErrBadMessage  = errors.New("rfb: malformed message")
-	ErrClosed      = errors.New("rfb: connection closed")
 )
 
 // KeyEvent is a universal input event: a key press or release. Key values

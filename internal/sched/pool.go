@@ -72,6 +72,16 @@ func NewPool(n int) *Pool {
 	return p
 }
 
+// sharedPool starts at package init, not on first use: a pool that first
+// started inside a test would read as that test's goroutine leak.
+var sharedPool = NewPool(0)
+
+// SharedPool returns the process-wide pool, the one every server and hub
+// runs its turns on, as Shared is the one wheel. Its size is
+// DefaultWorkers and nothing closes it, so the worker count is a process
+// constant however many homes and sessions the process hosts.
+func SharedPool() *Pool { return sharedPool }
+
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 

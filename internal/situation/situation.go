@@ -95,7 +95,6 @@ type Engine struct {
 
 	mu      sync.Mutex
 	rules   []Rule // sorted by priority, descending, stable
-	current Situation
 	history []Decision
 }
 
@@ -110,13 +109,6 @@ func NewEngine(sel Selector, rules []Rule) *Engine {
 	return &Engine{sel: sel, rules: sorted}
 }
 
-// Situation returns the engine's current situation.
-func (e *Engine) Situation() Situation {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.current
-}
-
 // History returns all decisions made so far.
 func (e *Engine) History() []Decision {
 	e.mu.Lock()
@@ -126,23 +118,13 @@ func (e *Engine) History() []Decision {
 	return out
 }
 
-// Rules returns the evaluation order.
-func (e *Engine) Rules() []Rule {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Rule, len(e.rules))
-	copy(out, e.rules)
-	return out
-}
-
-// SetSituation installs the new situation, evaluates the rules and
+// SetSituation evaluates the rules against the new situation and
 // switches devices. It returns the decision taken. Selection failures
 // (e.g. no device of the preferred class is attached) are recorded in the
 // decision; the engine then falls through to the next matching rule for
 // that slot, so the user always keeps a working device when one exists.
 func (e *Engine) SetSituation(s Situation) Decision {
 	e.mu.Lock()
-	e.current = s
 	rules := e.rules
 	e.mu.Unlock()
 

@@ -437,14 +437,6 @@ func (d *Display) Focus() Widget {
 	return d.focus
 }
 
-// FocusWidget programmatically moves focus to w (must be in the tree).
-func (d *Display) FocusWidget(w Widget) {
-	d.mu.Lock()
-	d.setFocusLocked(w)
-	d.mu.Unlock()
-	d.notifyDamage()
-}
-
 func (d *Display) setFocusLocked(w Widget) {
 	if d.focus == w {
 		return
@@ -486,23 +478,4 @@ func (d *Display) moveFocusLocked(dir int) {
 	}
 	idx = (idx + dir + len(focusables)) % len(focusables)
 	d.setFocusLocked(focusables[idx])
-}
-
-// RefreshFocus re-validates focus after the tree changed (e.g. the home
-// application regenerated the composed panel).
-func (d *Display) RefreshFocus() {
-	d.mu.Lock()
-	focusables := collectFocusables(d.root, nil)
-	found := false
-	for _, w := range focusables {
-		if w == d.focus {
-			found = true
-			break
-		}
-	}
-	if !found {
-		d.focusFirstLocked()
-	}
-	d.mu.Unlock()
-	d.notifyDamage()
 }

@@ -52,6 +52,3 @@ type KeyEvent struct {
 	Down bool
 	Key  Key
 }
-
-// Printable reports whether the key produces a visible character.
-func (e KeyEvent) Printable() bool { return e.Key >= 0x20 && e.Key < 0x7F }

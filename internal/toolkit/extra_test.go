@@ -42,22 +42,6 @@ func TestDisplayUpdateFiresDamageHooks(t *testing.T) {
 	}
 }
 
-func TestFocusWidgetProgrammatic(t *testing.T) {
-	d := NewDisplay(100, 100)
-	b1 := NewButton("1", nil)
-	b2 := NewButton("2", nil)
-	root := NewPanel(VBox{})
-	root.Add(b1, b2)
-	d.SetRoot(root)
-	d.FocusWidget(b2)
-	if d.Focus() != Widget(b2) {
-		t.Error("programmatic focus failed")
-	}
-	if !b2.Focused() || b1.Focused() {
-		t.Error("focus flags inconsistent")
-	}
-}
-
 func TestTitledPanelRendersTitle(t *testing.T) {
 	d := NewDisplay(200, 100)
 	p := NewPanel(VBox{Padding: 4})
@@ -250,26 +234,6 @@ func TestDisabledWidgetRejectsInput(t *testing.T) {
 	}
 	if b.Focusable() {
 		t.Error("disabled button should not be focusable")
-	}
-}
-
-func TestKeyEventPrintable(t *testing.T) {
-	if !(KeyEvent{Key: 'a'}).Printable() {
-		t.Error("'a' should be printable")
-	}
-	if (KeyEvent{Key: KeyEnter}).Printable() {
-		t.Error("Enter should not be printable")
-	}
-}
-
-func TestPanelRemoveAbsentIsNoop(t *testing.T) {
-	p := NewPanel(VBox{})
-	b := NewButton("x", nil)
-	p.Remove(b) // not present: must not panic
-	p.Add(b)
-	p.Remove(b)
-	if len(p.Children()) != 0 {
-		t.Error("remove failed")
 	}
 }
 

@@ -60,23 +60,6 @@ func (p *Panel) Add(ws ...Widget) {
 	p.Relayout()
 }
 
-// Remove detaches a child (and its subtree) from the panel.
-func (p *Panel) Remove(w Widget) {
-	for i, c := range p.children {
-		if c == w {
-			p.children = append(p.children[:i], p.children[i+1:]...)
-			p.Relayout()
-			return
-		}
-	}
-}
-
-// Clear removes every child.
-func (p *Panel) Clear() {
-	p.children = nil
-	p.Relayout()
-}
-
 // Children implements Widget.
 func (p *Panel) Children() []Widget { return p.children }
 

@@ -236,27 +236,6 @@ func TestLabelRendering(t *testing.T) {
 	}
 }
 
-func TestPanelRemoveAndClear(t *testing.T) {
-	d := newTestDisplay(t)
-	root := NewPanel(VBox{})
-	b1 := NewButton("1", nil)
-	b2 := NewButton("2", nil)
-	root.Add(b1, b2)
-	d.SetRoot(root)
-	root.Remove(b1)
-	if len(root.Children()) != 1 || root.Children()[0] != Widget(b2) {
-		t.Fatalf("children after remove = %v", root.Children())
-	}
-	root.Clear()
-	if len(root.Children()) != 0 {
-		t.Fatal("clear failed")
-	}
-	d.RefreshFocus()
-	if d.Focus() != nil {
-		t.Fatal("focus should drop when tree empties")
-	}
-}
-
 func TestNestedPanelsHitTesting(t *testing.T) {
 	d := newTestDisplay(t)
 	outer := NewPanel(VBox{Gap: 2, Padding: 2})

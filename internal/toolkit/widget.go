@@ -115,9 +115,6 @@ func (b *widgetBase) SetEnabled(v bool) {
 	b.Invalidate()
 }
 
-// Focused reports whether the widget currently holds keyboard focus.
-func (b *widgetBase) Focused() bool { return b.focused }
-
 // Invalidate marks the widget's area as needing repaint. Repeated calls
 // between renders are free: once the widget's bounds are in the pending
 // damage set, further invalidations short-circuit on the dirty flag.

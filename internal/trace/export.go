@@ -58,12 +58,6 @@ type TraceSummary struct {
 // Total returns the interaction's end-to-end wall time in nanoseconds.
 func (t TraceSummary) Total() int64 { return t.End - t.Start }
 
-// Slowest groups the current ring contents by trace id and returns the n
-// interactions with the largest end-to-end wall time, slowest first.
-func Slowest(n int) []TraceSummary {
-	return slowest(Snapshot(), n)
-}
-
 func slowest(spans []Span, n int) []TraceSummary {
 	byID := make(map[uint64]*TraceSummary)
 	order := make([]*TraceSummary, 0, 16)

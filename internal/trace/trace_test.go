@@ -197,16 +197,16 @@ func TestSlowestRanksByWallTime(t *testing.T) {
 	Record(slow, StageQueue, 1000, 2000)
 	Record(slow, StageFlush, 90000, 99000)
 
-	got := Slowest(5)
+	got := slowest(Snapshot(), 5)
 	if len(got) != 2 {
-		t.Fatalf("Slowest(5) = %d traces, want 2", len(got))
+		t.Fatalf("slowest 5 = %d traces, want 2", len(got))
 	}
 	if got[0].Trace != slow || got[0].Total() != 98000 {
 		t.Fatalf("slowest = trace %d total %d, want trace %d total 98000",
 			got[0].Trace, got[0].Total(), slow)
 	}
-	if got := Slowest(1); len(got) != 1 || got[0].Trace != slow {
-		t.Fatalf("Slowest(1) did not truncate to the slowest trace")
+	if got := slowest(Snapshot(), 1); len(got) != 1 || got[0].Trace != slow {
+		t.Fatalf("slowest 1 did not truncate to the slowest trace")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"uniint/internal/metrics"
 	"uniint/internal/netsim"
 	"uniint/internal/rfb"
-	"uniint/internal/sched"
 	"uniint/internal/toolkit"
 	"uniint/internal/workload"
 )
@@ -174,8 +173,8 @@ func TestEdgeCloseLeavesNoGoroutines(t *testing.T) {
 			// sessions it can see.
 			waitFor(t, "sessions registered", func() bool { return srv.Sessions() == 8 })
 			// Close with every session still attached: Close must disconnect
-			// them, wait out every teardown (each onClose has run by the time
-			// it returns) and join its own pool workers.
+			// them and wait out every teardown (each onClose has run by the
+			// time it returns).
 			srv.Close()
 			for i, n := range closes {
 				if n.Load() != 1 {
@@ -194,11 +193,9 @@ func TestThousandIdleEdgeSessionsBoundedGoroutines(t *testing.T) {
 		t.Skip("1k-session fleet")
 	}
 	leakcheck.Check(t, 0)
-	const sessions, workers = 1000, 4
+	const sessions = 1000
 	display := toolkit.NewDisplay(32, 24)
-	pool := sched.NewPool(workers)
-	defer pool.Close()
-	srv := New(display, "edge fleet", Config{Pool: pool, ParkTTL: -1})
+	srv := New(display, "edge fleet", Config{ParkTTL: -1})
 	defer srv.Close()
 
 	base := runtime.NumGoroutine()
@@ -212,9 +209,9 @@ func TestThousandIdleEdgeSessionsBoundedGoroutines(t *testing.T) {
 		t.Fatalf("Sessions() = %d, want %d", got, sessions)
 	}
 	// The core budget claim: goroutine count is independent of session
-	// count. base already includes the pool's workers; the fleet may add
-	// at most transient turns (absorbed by Assert's settle loop) — allow
-	// a small constant, nothing proportional to the 1000 sessions.
+	// count. base already includes the process pool's workers; the fleet
+	// may add at most transient turns (absorbed by Assert's settle loop) —
+	// allow a small constant, nothing proportional to the 1000 sessions.
 	leakcheck.Assert(t, base+8, "1k idle edge sessions")
 
 	for _, c := range clients {

@@ -180,7 +180,7 @@ func (s *Server) releaseClaim(ps *parkedSession) {
 	if repack {
 		// The claim that aborted the first compression turn fell through;
 		// the entry is waiting out its TTL again, so re-freeze it.
-		s.pool.Go(func() { s.compressParked(ps) })
+		sched.SharedPool().Go(func() { s.compressParked(ps) })
 	}
 }
 
@@ -323,9 +323,9 @@ func (s *Server) retire(sess *session, events []inputEvent) bool {
 	mSessParkedNow.Inc()
 	// Freeze the parked state cold off the critical path: a pool turn
 	// deflates the shadow and swaps it in, unless a claim gets there
-	// first. (On a closing pool the turn simply never runs; the raw state
-	// stays resident until the lot drains.)
-	s.pool.Go(func() { s.compressParked(ps) })
+	// first. (A turn that runs after Close finds the lot drained and
+	// returns: compressParked re-validates under lotMu.)
+	sched.SharedPool().Go(func() { s.compressParked(ps) })
 	return true
 }
 

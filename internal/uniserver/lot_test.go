@@ -191,7 +191,7 @@ func TestParkCapacityEvictsOldest(t *testing.T) {
 		client, _ := h.connect("")
 		tokens = append(tokens, client.Token())
 		client.Close()
-		waitFor(t, "session parked", func() bool { return h.srv.Parked() >= min(i+1, 2) })
+		waitFor(t, "session parked", func() bool { return h.srv.HasParked(tokens[i]) })
 		time.Sleep(2 * time.Millisecond) // order parkedAt stamps
 	}
 	if h.srv.Parked() != 2 {

@@ -44,13 +44,6 @@ type Server struct {
 	display *toolkit.Display
 	name    string
 
-	// pool executes all session turns (writer drains, input dispatch,
-	// deferred teardown). Owned by the server unless injected through
-	// Config.Pool — the hub injects one pool for every home, which is the
-	// point: worker count is a per-process budget, not a per-session cost.
-	pool    *sched.Pool
-	ownPool bool
-
 	mu       sync.Mutex
 	sessions map[*session]struct{}
 	closed   bool
@@ -94,12 +87,6 @@ type Config struct {
 	// homes — a hub's homes render nearly identical control panels. Nil
 	// keeps tile reuse within each session.
 	Tiles *rfb.TileCache
-	// Pool, when non-nil, runs the server's session turns on a shared
-	// worker pool the caller keeps ownership of (Server.Close will not
-	// close it). The hub passes one pool to every home it hosts, making
-	// the worker count a process-wide budget. Nil: the server creates and
-	// owns a private pool.
-	Pool *sched.Pool
 	// ParkTTL is how long a disconnected session stays reclaimable in the
 	// detach lot. Zero selects DefaultParkTTL; negative disables parking,
 	// so every disconnect tears its session down.
@@ -117,7 +104,6 @@ func New(display *toolkit.Display, name string, cfg Config) *Server {
 		display:  display,
 		name:     name,
 		sessions: make(map[*session]struct{}),
-		pool:     cfg.Pool,
 		tiles:    cfg.Tiles,
 		parkTTL:  cfg.ParkTTL,
 		parkCap:  cfg.ParkCapacity,
@@ -134,26 +120,16 @@ func New(display *toolkit.Display, name string, cfg Config) *Server {
 	if s.parkTTL < 0 || s.parkCap < 0 {
 		s.parkTTL = 0
 	}
-	if s.pool == nil {
-		s.pool = sched.NewPool(0)
-		s.ownPool = true
-	}
 	display.OnDamage(s.pump)
 	return s
 }
-
-// Pool returns the worker pool executing this server's session turns.
-func (s *Server) Pool() *sched.Pool { return s.pool }
-
-// Display returns the served display.
-func (s *Server) Display() *toolkit.Display { return s.display }
 
 // Attach performs the protocol handshake on conn and serves the session.
 // The handshake blocks the caller (bounded by HandshakeTimeout; brief when
 // the client pipelined its hello, see rfb.ClientHello). What happens next
 // depends on what the transport can do: a readiness-driven conn
 // (OnReadable/ReadAvailable) has its read task wired and Attach returns
-// nil — the session's life continues on the server's worker pool with no
+// nil — the session's life continues on the process worker pool with no
 // goroutine of its own; any other conn is read on the caller's goroutine
 // and Attach returns the read loop's error once the peer disconnects.
 // Either way onClose (the hub passes its entry unpin; nil for none) runs
@@ -218,8 +194,8 @@ func (s *Server) Attach(conn net.Conn, onClose func()) error {
 	}
 	// The tasks exist before the session is visible to the pump, so a
 	// damage kick arriving mid-register always has a target.
-	sess.writeTask = s.pool.NewTask(sess.writerTurn)
-	sess.dispatchTask = s.pool.NewTask(sess.dispatchTurn)
+	sess.writeTask = sched.SharedPool().NewTask(sess.writerTurn)
+	sess.dispatchTask = sched.SharedPool().NewTask(sess.dispatchTurn)
 	// register atomically swaps a reclaimed lot entry into the live
 	// session set (under the pump mutex, so no damage falls between the
 	// lot and the session) and adopts its state. It also joins the session
@@ -251,7 +227,7 @@ func (s *Server) Attach(conn net.Conn, onClose func()) error {
 	// client pipelined behind its handshake, which the handshake reader
 	// left in the connection's feed buffer.
 	sess.edge = et
-	sess.readTask = s.pool.NewTask(sess.readTurn)
+	sess.readTask = sched.SharedPool().NewTask(sess.readTurn)
 	et.OnReadable(sess.readTask.Kick)
 	sess.readTask.Kick()
 	return nil
@@ -312,9 +288,6 @@ func (s *Server) Close() {
 	}
 	s.wg.Wait()
 	s.drainLot()
-	if s.ownPool {
-		s.pool.Close()
-	}
 }
 
 // Sessions returns the number of connected proxies.
@@ -362,7 +335,7 @@ func (s *Server) pump() {
 // demand-driven update state machine of the protocol.
 //
 // Updates are transmitted by the session's writer task — turns on the
-// server's worker pool, never the read loop. This keeps the read loop
+// process worker pool, never the read loop. This keeps the read loop
 // (and the GUI goroutines firing damage hooks) from ever blocking on a
 // slow transport — without it, a synchronous in-process pipe can form a
 // cycle: the read loop blocks writing an update, the peer blocks writing
@@ -381,8 +354,8 @@ type session struct {
 	token  string // resume token; keys the detach lot on disconnect
 	bounds gfx.Rect
 
-	// The session's schedulable work, as run-queue tasks on srv.pool: a
-	// kick (wake/wakeDispatch) marks the task runnable, the pool runs the
+	// The session's schedulable work, as run-queue tasks on the process
+	// pool: a kick (wake/wakeDispatch) marks the task runnable, it runs the
 	// turn, and the task state machine guarantees at-most-once queueing no
 	// matter how many kicks land. An idle session holds no goroutine and
 	// no timer here — just these two structs.

@@ -28,7 +28,6 @@ import (
 	"uniint/internal/core"
 	"uniint/internal/homeapp"
 	"uniint/internal/rfb"
-	"uniint/internal/sched"
 	"uniint/internal/toolkit"
 	"uniint/internal/uniserver"
 )
@@ -44,17 +43,6 @@ type TileCache = rfb.TileCache
 // bodies; budget <= 0 selects the default (rfb.DefaultTileCacheBudget).
 func NewTileCache(budget int64) *TileCache { return rfb.NewTileCache(budget) }
 
-// WorkerPool is the budgeted event runtime's worker pool: a fixed worker
-// set draining the run-queue of session turns. Pass one pool to many
-// sessions (Options.Pool; the hub shares its pool across every hosted
-// home) so worker count is a process budget independent of session count.
-type WorkerPool = sched.Pool
-
-// NewWorkerPool creates a pool with n workers (n <= 0 selects the default,
-// one per processor with a floor of four). Close it after the sessions
-// using it are closed.
-func NewWorkerPool(n int) *WorkerPool { return sched.NewPool(n) }
-
 // DefaultWidth and DefaultHeight are the served desktop geometry used when
 // Options leaves them zero — the 640×480 surface of an era display.
 const (
@@ -66,6 +54,8 @@ const (
 // configuration surface of the stack: the server tunables below are the
 // fields of uniserver.Config under the same names and the same convention
 // (zero = default, negative = parking off), copied across by assemble.
+// The worker pool is not among them: every session in the process runs
+// its turns on sched.SharedPool.
 type Options struct {
 	// Width, Height set the desktop geometry (defaults 640×480).
 	Width, Height int
@@ -78,11 +68,6 @@ type Options struct {
 	// publishes encoded tiles to (see TileCache). Nil keeps tile reuse
 	// within each connection.
 	Tiles *TileCache
-	// Pool, when non-nil, runs the server's session turns on a shared
-	// worker pool the caller owns (the hub passes its pool here so all
-	// hosted homes share one worker budget). Nil: the server creates and
-	// owns a private pool.
-	Pool *WorkerPool
 	// ParkTTL sets how long a disconnected session stays reclaimable in
 	// the detach lot. Zero keeps the default (uniserver.DefaultParkTTL);
 	// negative disables parking, so every disconnect tears its session
@@ -137,8 +122,7 @@ func assemble(opts Options) (*appliance.Home, *toolkit.Display, *homeapp.App, *u
 	display := toolkit.NewDisplay(opts.Width, opts.Height)
 	app := homeapp.New(home.Network(), display)
 	server := uniserver.New(display, opts.Name, uniserver.Config{
-		Tiles: opts.Tiles, Pool: opts.Pool,
-		ParkTTL: opts.ParkTTL, ParkCapacity: opts.ParkCapacity,
+		Tiles: opts.Tiles, ParkTTL: opts.ParkTTL, ParkCapacity: opts.ParkCapacity,
 	})
 	return home, display, app, server, nil
 }
