@@ -2,7 +2,7 @@ package uniint
 
 // Federation end-to-end test (ISSUE 10 acceptance): a seeded run loses
 // its link mid-interaction, the session parks, and — while the client is
-// still inside its redial backoff — the federation drains the hub node
+// still away — the federation drains the hub node
 // that owns the home, live-migrating the parked session (serialized
 // through the UNIMIG/1 wire record) to the surviving node. The client
 // redials through the front router with nothing but the home-id
@@ -14,7 +14,6 @@ import (
 	"math/rand"
 	"net"
 	"testing"
-	"time"
 
 	"uniint/internal/fed"
 	"uniint/internal/gfx"
@@ -35,29 +34,37 @@ type fedFixture struct {
 	homeID  string
 }
 
-func newFedFixture(t *testing.T, homeID string, backoff time.Duration, nodes ...string) *fedFixture {
+func newFedFixture(t *testing.T, homeID string, nodes ...string) *fedFixture {
 	t.Helper()
 	fx := &fedFixture{
 		st:      newResumeDisplay(t, nil),
 		metrics: metrics.NewRegistry(),
 		homeID:  homeID,
 	}
-	fx.cluster = fed.NewCluster(fed.Options{Metrics: fx.metrics})
+	fx.cluster = newFedCluster(t, fx.st.srv, fx.metrics, nodes...)
+	fx.st.connect(func(conn net.Conn) { _ = fx.cluster.ServeConn(conn) }, homeID)
+	return fx
+}
+
+// newFedCluster builds a hub-of-hubs of the given member names whose every
+// home is host, counting into reg.
+func newFedCluster(t *testing.T, host hub.Host, reg *metrics.Registry, nodes ...string) *fed.Cluster {
+	t.Helper()
+	cluster := fed.NewCluster(fed.Options{Metrics: reg})
 	for _, name := range nodes {
 		h, err := hub.New(hub.Options{
-			Factory: func(string) (hub.Host, error) { return fx.st.srv, nil },
-			Metrics: fx.metrics,
+			Factory: func(string) (hub.Host, error) { return host, nil },
+			Metrics: reg,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(h.Close)
-		if err := fx.cluster.AddNode(name, h); err != nil {
+		if err := cluster.AddNode(name, h); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fx.st.connect(backoff, func(conn net.Conn) { _ = fx.cluster.ServeConn(conn) }, homeID)
-	return fx
+	return cluster
 }
 
 func TestFederationLiveMigrationByteIdentical(t *testing.T) {
@@ -71,7 +78,7 @@ func TestFederationLiveMigrationByteIdentical(t *testing.T) {
 
 	// Control run: same interactions, same mid-session label mutation,
 	// routed through a single-node federation, no failure, no migration.
-	ctl := newFedFixture(t, homeID, 50*time.Millisecond, "solo")
+	ctl := newFedFixture(t, homeID, "solo")
 	ctl.st.awaitTraffic()
 	ctl.st.settle()
 	for i := 1; i <= presses; i++ {
@@ -84,9 +91,9 @@ func TestFederationLiveMigrationByteIdentical(t *testing.T) {
 	ctl.st.settle()
 	controlShadow := ctl.st.shadow()
 
-	// Migrated run: two member nodes; the long backoff keeps the client
-	// away while the owner drains.
-	fx := newFedFixture(t, homeID, 300*time.Millisecond, "alpha", "beta")
+	// Migrated run: two member nodes; the client stays away (st.away)
+	// while the owner drains.
+	fx := newFedFixture(t, homeID, "alpha", "beta")
 	st := fx.st
 	st.awaitTraffic()
 	st.settle()
@@ -100,13 +107,14 @@ func TestFederationLiveMigrationByteIdentical(t *testing.T) {
 	if !ok {
 		t.Fatal("no ring owner")
 	}
+	st.away()
 	st.dropLink()
 	// Detach-window damage lands while nobody is connected.
 	st.display.Update(func() { st.lbl.SetText("away message") })
 	waitCond(t, "session parked", func() bool { return st.srv.Parked() >= 1 })
 
 	// Drain-for-deploy: the owner leaves the ring and its parked session
-	// ships to the survivor before the client's backoff expires.
+	// ships to the survivor before the client comes back.
 	if err := fx.cluster.Drain(owner); err != nil {
 		t.Fatalf("Drain(%s): %v", owner, err)
 	}
@@ -120,6 +128,7 @@ func TestFederationLiveMigrationByteIdentical(t *testing.T) {
 		t.Fatalf("home still owned by drained node %s", owner)
 	}
 
+	st.back()
 	waitCond(t, "reconnect", func() bool { return st.sup.Reconnects() == 1 })
 	if got := st.sup.Resumes(); got != 1 {
 		t.Fatalf("Resumes() = %d, want 1", got)

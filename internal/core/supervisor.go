@@ -57,9 +57,10 @@ type errBox struct{ err error }
 // SupervisorOption configures a Supervisor.
 type SupervisorOption func(*Supervisor)
 
-// WithBackoff sets the delay between redial attempts (default 10 ms —
-// in-process transports recover instantly; real deployments pass larger
-// values).
+// WithBackoff sets the delay before the 2nd, 3rd, … redial attempt
+// (default 10 ms — in-process transports recover instantly; real
+// deployments pass larger values). The first redial after a link dies is
+// immediate: back-off is for failure, and a dead link is not one yet.
 func WithBackoff(d time.Duration) SupervisorOption {
 	return func(s *Supervisor) { s.backoff = d }
 }
@@ -231,12 +232,16 @@ func (s *Supervisor) supervise() {
 		default:
 		}
 
-		// Redial with backoff, until it works or Close says stop.
-		for {
-			select {
-			case <-s.stop:
-				return
-			case <-time.After(s.backoff):
+		// Redial until it works or Close says stop: at once the first time,
+		// after the back-off whenever an attempt (dial, handshake or
+		// restore) has just failed.
+		for failed := false; ; failed = true {
+			if failed {
+				select {
+				case <-s.stop:
+					return
+				case <-time.After(s.backoff):
+				}
 			}
 			next, err := s.connect()
 			if err == nil {
@@ -288,13 +293,16 @@ func (s *Supervisor) restore(next *Proxy) error {
 		}
 	}
 	resumed := next.Resumed()
-	if resumed {
-		next.Client().AdoptShadow(s.proxy.Client())
-	}
 	if s.selOut != "" {
 		if err := next.restoreOutput(s.selOut, resumed); err != nil {
 			return err
 		}
+	}
+	if resumed {
+		// Last, once nothing can fail: adoption takes the old connection's
+		// framebuffer, which a retry would need again. (next decodes no
+		// update before the caller runs it.)
+		next.Client().AdoptShadow(s.proxy.Client())
 	}
 	s.proxy = next
 	s.token = next.SessionToken()

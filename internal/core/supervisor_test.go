@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"errors"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -321,5 +323,75 @@ func TestSupervisorRestoreSurvivesMidRestoreDeath(t *testing.T) {
 	}
 	if clicks() == before {
 		t.Fatal("session dead after mid-restore failures")
+	}
+}
+
+// failRestoreConn lets the handshake through and fails the restore: the
+// one 20-byte type-0 message a client ever writes is the SetPixelFormat of
+// the output renegotiation, restore's last step.
+type failRestoreConn struct{ net.Conn }
+
+func (c failRestoreConn) Write(p []byte) (int, error) {
+	if len(p) == 20 && p[0] == 0 {
+		c.Conn.Close()
+		return 0, errors.New("link died mid-restore")
+	}
+	return c.Conn.Write(p)
+}
+
+// TestSupervisorBackoffIsForFailure: the first redial after a link dies is
+// immediate — a dead link is no evidence the server is gone — and the
+// back-off spaces only the attempts that follow a failure, whether the
+// dial, the handshake or the restore failed.
+func TestSupervisorBackoffIsForFailure(t *testing.T) {
+	const backoff = 150 * time.Millisecond
+	st := newSupervisedStack(t)
+	var mu sync.Mutex
+	var dials []time.Time
+	dial := func() (net.Conn, error) {
+		mu.Lock()
+		dials = append(dials, time.Now())
+		n := len(dials)
+		mu.Unlock()
+		switch n {
+		case 2: // first redial: the dial itself fails
+			return nil, errors.New("no route")
+		case 3: // second: connects, resumes, dies in restore
+			conn, err := st.dial()
+			return failRestoreConn{conn}, err
+		}
+		return st.dial()
+	}
+	sup, err := core.NewSupervisor(dial, core.WithBackoff(backoff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	if err := sup.AttachOutput(device.NewTVDisplay("tv-1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := sup.SelectOutput("tv-1"); err != nil {
+		t.Fatal(err)
+	}
+
+	dropped := time.Now()
+	st.dropLink()
+	waitCond(t, "reconnect", func() bool { return sup.Reconnects() == 1 })
+	mu.Lock()
+	defer mu.Unlock()
+	if len(dials) != 4 {
+		t.Fatalf("%d dials, want 4 (connect, failed dial, failed restore, success)", len(dials))
+	}
+	if gap := dials[1].Sub(dropped); gap >= backoff {
+		t.Errorf("first redial came %v after the link died: it waited out the %v back-off", gap, backoff)
+	}
+	if gap := dials[2].Sub(dials[1]); gap < backoff {
+		t.Errorf("redial %v after a failed dial, want >= %v", gap, backoff)
+	}
+	if gap := dials[3].Sub(dials[2]); gap < backoff {
+		t.Errorf("redial %v after a failed restore, want >= %v", gap, backoff)
+	}
+	if err := sup.LastError(); err == nil || !strings.Contains(err.Error(), "mid-restore") {
+		t.Errorf("LastError = %v, want the restore failure of the third dial", err)
 	}
 }

@@ -29,7 +29,9 @@ import (
 //     a home with sessions waiting in its detach lot is not idle — and
 //     by the federation layer sizing a migration.
 //   - HasParked: on token routing (TokenHome preambles) while the hub
-//     scans resident homes for the one parking a session token.
+//     scans resident homes for the one parking a session token. True
+//     means parked now: a home still serving the token's session on a
+//     stale link ends that link and answers once the session has parked.
 //   - ParkedTokens / ExportParked / ImportParked: only on the federation
 //     migration path — enumerate the detach lot, extract one parked
 //     session as a portable record, install a shipped record. A home

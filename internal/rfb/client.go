@@ -186,10 +186,11 @@ func (c *ClientConn) Token() string { return c.token }
 // demanding a full repaint.
 func (c *ClientConn) Resumed() bool { return c.resumed }
 
-// AdoptShadow copies the previous connection's shadow framebuffer into
-// this one, re-establishing the pre-disconnect pixels a resumed session
-// builds its incremental resync on. It reports whether the adoption
-// happened (geometries must match). prev must no longer be running.
+// AdoptShadow takes over the previous connection's shadow framebuffer,
+// re-establishing the pre-disconnect pixels a resumed session builds its
+// incremental resync on. It reports whether the adoption happened
+// (geometries must match). prev must no longer be running: the two
+// connections swap framebuffers, so prev is left with this one's blank.
 func (c *ClientConn) AdoptShadow(prev *ClientConn) bool {
 	if prev == nil || prev == c {
 		return false
@@ -201,7 +202,7 @@ func (c *ClientConn) AdoptShadow(prev *ClientConn) bool {
 	if prev.fb.W() != c.fb.W() || prev.fb.H() != c.fb.H() {
 		return false
 	}
-	copy(c.fb.Pix(), prev.fb.Pix())
+	c.fb, prev.fb = prev.fb, c.fb
 	return true
 }
 

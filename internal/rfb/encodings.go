@@ -3,6 +3,7 @@ package rfb
 import (
 	"bytes"
 	"compress/zlib"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -56,6 +57,12 @@ func decodeRect(rd io.Reader, enc int32, fb *gfx.Framebuffer, r gfx.Rect, pf gfx
 }
 
 // --- Raw ---------------------------------------------------------------
+//
+// Under exactly gfx.PF32() — the server's native format, what a cold
+// join's full frame and its zlib pre-image are in — a wire pixel is the
+// Color's low 24 bits, little-endian: whole rows move as words, without
+// the three integer divides per pixel of PixelFormat.Encode. Every other
+// format goes pixel by pixel through putPixel/getPixel.
 
 func encodeRaw(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat) []byte {
 	bpp := pf.BytesPerPixel()
@@ -63,9 +70,17 @@ func encodeRaw(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat) 
 	start := len(dst)
 	dst = append(dst, make([]byte, need)...) // recognized append-make: grows dst in place
 	out := dst[start:]
+	rows := pf == gfx.PF32()
 	i := 0
 	for y := r.Y; y < r.MaxY(); y++ {
 		row := fb.Pix()[y*fb.W()+r.X : y*fb.W()+r.MaxX()]
+		if rows {
+			for _, c := range row {
+				binary.LittleEndian.PutUint32(out[i:], uint32(c)&0xFFFFFF)
+				i += 4
+			}
+			continue
+		}
 		for _, c := range row {
 			i += putPixel(out[i:], pf, c)
 		}
@@ -82,9 +97,22 @@ func decodeRaw(rd io.Reader, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat
 	} else {
 		buf = make([]byte, r.W*bpp)
 	}
+	// The row path keeps Framebuffer.Set's out-of-bounds behaviour: rows
+	// and columns outside fb are read off the wire and not written.
+	rows := pf == gfx.PF32()
+	x0, x1 := max(r.X, 0), min(r.MaxX(), fb.W())
 	for y := r.Y; y < r.MaxY(); y++ {
 		if _, err := io.ReadFull(rd, buf); err != nil {
 			return err
+		}
+		if rows {
+			if y >= 0 && y < fb.H() && x0 < x1 {
+				row, src := fb.Pix()[y*fb.W()+x0:y*fb.W()+x1], buf[(x0-r.X)*4:]
+				for j := range row {
+					row[j] = gfx.Color(binary.LittleEndian.Uint32(src[j*4:]) & 0xFFFFFF)
+				}
+			}
+			continue
 		}
 		i := 0
 		for x := r.X; x < r.MaxX(); x++ {

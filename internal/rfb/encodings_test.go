@@ -209,3 +209,56 @@ func BenchmarkEncode(b *testing.B) {
 		}
 	}
 }
+
+// TestRawPF32RowPathMatchesGeneric: under exactly gfx.PF32() encodeRaw and
+// decodeRaw move whole rows; the bytes and the painted pixels must equal
+// the per-pixel path's, which a format with the same wire pixels but a
+// different (unused) Depth still takes.
+func TestRawPF32RowPathMatchesGeneric(t *testing.T) {
+	generic := gfx.PF32()
+	generic.Depth = 32
+	if generic == gfx.PF32() {
+		t.Fatal("the reference format must not select the row path")
+	}
+	frame := makeNoiseFrame(160, 120, 7)
+	for i := range frame.Pix() {
+		if i%3 == 0 {
+			frame.Pix()[i] |= 0xAB000000 // bits above the 24 a Color means
+		}
+	}
+	inside := []gfx.Rect{
+		gfx.R(5, 5, 1, 1),       // single pixel
+		gfx.R(7, 9, 101, 53),    // odd offsets, odd size
+		gfx.R(0, 0, 160, 120),   // full frame
+		gfx.R(150, 110, 10, 10), // bottom-right corner
+	}
+	for _, r := range inside {
+		rows := encodeRaw(nil, frame, r, gfx.PF32())
+		if ref := encodeRaw(nil, frame, r, generic); !bytes.Equal(rows, ref) {
+			t.Fatalf("encodeRaw %v: row path differs from the per-pixel path", r)
+		}
+	}
+	// Decode: the same rects, plus rects the framebuffer clips — rows and
+	// columns outside it are consumed and not written, as Framebuffer.Set
+	// has it.
+	clipped := append(inside,
+		gfx.R(150, 110, 20, 20), // runs off the right and bottom edges
+		gfx.R(-3, -2, 10, 10),   // runs off the left and top edges
+		gfx.R(200, 10, 5, 5),    // wholly outside
+	)
+	rng := rand.New(rand.NewSource(11))
+	for _, r := range clipped {
+		body := make([]byte, r.W*r.H*4)
+		rng.Read(body)
+		got, want := frame.Clone(), frame.Clone()
+		if err := decodeRaw(bytes.NewReader(body), got, r, gfx.PF32(), &decodeScratch{}); err != nil {
+			t.Fatalf("decodeRaw %v: %v", r, err)
+		}
+		if err := decodeRaw(bytes.NewReader(body), want, r, generic, nil); err != nil {
+			t.Fatalf("decodeRaw %v (per-pixel): %v", r, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("decodeRaw %v: row path painted different pixels than the per-pixel path", r)
+		}
+	}
+}

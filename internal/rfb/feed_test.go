@@ -34,8 +34,8 @@ func TestEdgeHandshake(t *testing.T) {
 	if presented != "tok-123" {
 		t.Fatalf("presented token %q", presented)
 	}
-	if sc.Token() != "issued-456" || !sc.Resumed() {
-		t.Fatalf("token %q resumed %v", sc.Token(), sc.Resumed())
+	if sc.token != "issued-456" || !sc.Resumed() {
+		t.Fatalf("token %q resumed %v", sc.token, sc.Resumed())
 	}
 	// The client end holds the server's complete handshake output.
 	if client.Buffered() == 0 {

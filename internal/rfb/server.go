@@ -247,10 +247,6 @@ func (s *ServerConn) TakeTraceContext() (id uint64, sentAt int64) {
 	return id, sentAt
 }
 
-// Token returns the session token issued during the handshake ("" when
-// the connection was created without a token exchange).
-func (s *ServerConn) Token() string { return s.token }
-
 // Resumed reports whether the client reclaimed a parked session during
 // the handshake.
 func (s *ServerConn) Resumed() bool { return s.resumed }

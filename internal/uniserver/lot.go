@@ -19,7 +19,8 @@ import (
 // presents the token reclaims the parked state and receives an
 // incremental resync (only the damage accumulated while detached); a
 // token that never returns expires after the park TTL. The lot is
-// bounded: at capacity the oldest parked session is expired to make room.
+// bounded: at capacity the oldest parked session (of those holding no
+// undispatched input, while there are any) is expired to make room.
 //
 // Accounting invariant: session_parked_total + session_migrated_in_total
 // == session_resumed_total + session_expired_total +
@@ -36,17 +37,22 @@ var (
 	mSessResumed    = metrics.Default().Counter("session_resumed_total")
 	mSessResumeMiss = metrics.Default().Counter("session_resume_miss_total")
 	mSessExpired    = metrics.Default().Counter("session_expired_total")
+	mSessTakeover   = metrics.Default().Counter("session_takeover_total")
 	mSessParkedNow  = metrics.Default().Gauge("session_parked")
 	mDetachSeconds  = metrics.Default().Histogram("session_detach_seconds", metrics.DurationBuckets())
 )
 
 // Parked-memory accounting: lot_parked_bytes is the resident size of every
-// parked session's shadow state (raw while freshly parked, deflated once
+// parked session's shadow state (raw through the pack dwell, deflated once
 // the compression turn lands); lot_parked_bytes_compressed is the portion
 // held cold. Both move under lotMu wherever entries enter or leave.
+// lot_packed_total counts the compression turns that landed, so packs per
+// park (lot_packed_total / session_parked_total) says how many parks
+// outlived the dwell.
 var (
 	mLotParkedBytes     = metrics.Default().Gauge("lot_parked_bytes")
 	mLotParkedBytesComp = metrics.Default().Gauge("lot_parked_bytes_compressed")
+	mLotPacked          = metrics.Default().Counter("lot_packed_total")
 )
 
 // Default detach-lot policy: how long a disconnected session waits for
@@ -58,11 +64,25 @@ const (
 	DefaultParkCapacity = 64
 )
 
+// packDwell is how long a parked shadow stays raw before the lot janitor
+// hands it to a compression turn. A roaming client resumes within
+// milliseconds and a supervisor's second attempt comes one back-off later:
+// deflating a shadow that is about to be thawed buys nothing. Past the
+// dwell the owner is really away and the memory is worth the CPU.
+const packDwell = 250 * time.Millisecond
+
+// takeoverWait bounds a takeover's wait for the live session to park. A
+// teardown lands within microseconds of its link closing; the bound is for
+// a dispatcher stalled inside a widget callback, which must not hang a
+// stranger's handshake. (A variable only for the stalled-teardown test.)
+var takeoverWait = 2 * time.Second
+
 // parkedSession is one disconnected session waiting in the lot.
 type parkedSession struct {
 	token   string
-	w, h    int  // session geometry at detach; must still match to resume
-	claimed bool // a resume handshake is in flight (guarded by lotMu)
+	w, h    int      // session geometry at detach; must still match to resume
+	claimed bool     // a resume handshake (or an export) is in flight (guarded by lotMu)
+	claimer *session // whose handshake it is, for takeover; nil for an export
 
 	dirty       *gfx.Damage // damage accumulated before and during detach
 	dirtySpare  []gfx.Rect
@@ -72,11 +92,12 @@ type parkedSession struct {
 	lastPtrMask uint8
 	ws          *rfb.WireState // wire model; Reset (not rebuilt) on resume
 
-	// Cold storage: a pool turn deflates the shadow shortly after parking
-	// (compressParked), replacing ws with packed. compressing is non-nil
-	// while that turn is reading ws off-lock; a claim landing mid-pack
-	// waits on it so the resumed session never races the snapshot read.
-	// All three fields are guarded by lotMu.
+	// Cold storage: once the entry has sat out packDwell the janitor hands
+	// it to a pool turn that deflates the shadow (compressParked),
+	// replacing ws with packed. compressing is non-nil while that turn is
+	// reading ws off-lock; a claim landing mid-pack waits on it so the
+	// resumed session never races the snapshot read. All three fields are
+	// guarded by lotMu.
 	packed      *rfb.PackedShadow
 	compressing chan struct{}
 
@@ -102,6 +123,18 @@ func (ps *parkedSession) residentBytes() (resident, compressed int64) {
 	return 0, 0
 }
 
+// sweepAt is when the janitor next owes ps a visit: the end of the pack
+// dwell while the shadow is raw and no turn is packing it, the park
+// deadline otherwise (or when that comes first). Call with lotMu held.
+func (ps *parkedSession) sweepAt() time.Time {
+	if ps.ws != nil && ps.compressing == nil {
+		if at := ps.parkedAt.Add(packDwell); at.Before(ps.deadline) {
+			return at
+		}
+	}
+	return ps.deadline
+}
+
 // lotBytesAdd moves the parked-memory gauges by sign×ps's current
 // footprint. Call with lotMu held, at every lot insert (+1) and remove
 // (-1).
@@ -122,18 +155,68 @@ func newSessionToken() string {
 	return hex.EncodeToString(b[:])
 }
 
+// takeover makes a presented token's session claimable when it is still
+// live: a client that redials before this server has noticed its old link
+// die (half-open TCP, or simply a fast client) names a session that has
+// not parked yet. Whoever presents the token owns the session, so the
+// stale link is closed and the caller waits — on the session's own retired
+// signal, bounded by takeoverWait — for teardown to park it. A token sits
+// in exactly one of {live index, lot} from the moment the handshake issues
+// it (register and retire each move it under one lotMu hold), so looking
+// here first and in the lot second cannot fall between them. A lot entry
+// claimed by a handshake still in flight is live too — its client resumed
+// and dropped again before the server registered it — and its claimer is
+// what gets taken over. Both lookups start here: HasParked (the hub's
+// token route) and claimParked (a home-named redial's handshake). On
+// timeout the lookup that follows misses: a fresh session, a full repaint.
+func (s *Server) takeover(token string) {
+	s.lotMu.Lock()
+	sess := s.live[token]
+	if ps := s.lot[token]; sess == nil && ps != nil {
+		sess = ps.claimer
+	}
+	s.lotMu.Unlock()
+	if sess == nil {
+		return
+	}
+	sess.link.Close()
+	t := time.NewTimer(takeoverWait)
+	defer t.Stop()
+	select {
+	case <-sess.retired:
+		mSessTakeover.Inc()
+	case <-t.C:
+	}
+}
+
+// unlist ends sess's presence in the live index and signals its waiters.
+// Every session calls it exactly once, last thing: after retire (which
+// already moved the token to the lot, so the index may by now name the
+// session that resumed it — hence the identity check), or when its
+// handshake failed before it ever registered.
+func (s *Server) unlist(sess *session) {
+	s.lotMu.Lock()
+	if s.live[sess.token] == sess {
+		delete(s.live, sess.token)
+	}
+	s.lotMu.Unlock()
+	close(sess.retired)
+}
+
 // claimParked marks the parked session for token as claimed and returns
 // it, or nil when the token is unknown, already claimed, expired, or
 // parked with a different geometry (the display resized while detached —
 // the shadow framebuffer the client kept no longer matches, so the
-// resume must fail into a fresh session and full repaint).
+// resume must fail into a fresh session and full repaint). A token whose
+// session is still live is taken over first (takeover).
 //
 // The entry STAYS in the lot, still accumulating pump damage, until the
 // handshake completes and the new session atomically takes its place
 // (finishClaim) — or the handshake fails and the claim is released
 // (releaseClaim). Nothing is counted resumed here; a claim is not yet a
 // resume.
-func (s *Server) claimParked(token string, w, h int) *parkedSession {
+func (s *Server) claimParked(token string, w, h int, by *session) *parkedSession {
+	s.takeover(token)
 	now := time.Now()
 	s.lotMu.Lock()
 	ps := s.lot[token]
@@ -149,14 +232,15 @@ func (s *Server) claimParked(token string, w, h int) *parkedSession {
 		s.expire(ps, now)
 		return nil
 	}
-	ps.claimed = true
+	ps.claimed, ps.claimer = true, by
 	packing := ps.compressing
 	s.lotMu.Unlock()
 	if packing != nil {
 		// A compression turn is mid-read on the shadow this claim is about
-		// to hand to a live session. Wait it out (it is bounded CPU work);
-		// claimed is already set, so its install check will discard the
-		// snapshot and the resume proceeds on the uncompressed state.
+		// to hand to a live session (the owner came back just as the dwell
+		// ran out). Wait it out (it is bounded CPU work); claimed is already
+		// set, so its install check will discard the snapshot and the resume
+		// proceeds on the uncompressed state.
 		<-packing
 	}
 	return ps
@@ -167,21 +251,14 @@ func (s *Server) claimParked(token string, w, h int) *parkedSession {
 // was drained underneath the claim (server shutdown).
 func (s *Server) releaseClaim(ps *parkedSession) {
 	s.lotMu.Lock()
-	back := s.lot[ps.token] == ps
-	repack := back && ps.packed == nil
-	if back {
-		ps.claimed = false
+	if s.lot[ps.token] == ps {
+		ps.claimed, ps.claimer = false, nil
 		// The janitor skips claimed entries (and may have disarmed while
-		// this one was the only resident): re-arm for its deadline so a
-		// released claim still expires on time.
-		s.scheduleSweepLocked(ps.deadline)
+		// this one was the only resident): re-arm it, so a released claim
+		// still expires on time, and is still frozen once its dwell is over.
+		s.scheduleSweepLocked(ps.sweepAt())
 	}
 	s.lotMu.Unlock()
-	if repack {
-		// The claim that aborted the first compression turn fell through;
-		// the entry is waiting out its TTL again, so re-freeze it.
-		sched.SharedPool().Go(func() { s.compressParked(ps) })
-	}
 }
 
 // expire settles the accounting for a parked session that will never be
@@ -228,6 +305,7 @@ func (s *Server) register(sess *session, reclaimed *parkedSession) bool {
 			return false
 		}
 		delete(s.lot, reclaimed.token)
+		s.live[reclaimed.token] = sess
 		mSessParkedNow.Dec()
 		lotBytesAdd(reclaimed, -1)
 		s.lotMu.Unlock()
@@ -291,28 +369,12 @@ func (s *Server) retire(sess *session, events []inputEvent) bool {
 	sess.dirtySpare = nil
 
 	s.lotMu.Lock()
-	if s.lot == nil {
-		s.lot = make(map[string]*parkedSession)
-	}
-	// Capacity: expire the oldest unclaimed entry. Claimed entries are
-	// mid-handshake and about to leave the lot on their own; evicting
-	// one would strand its resume.
-	var oldest *parkedSession
-	if len(s.lot) >= s.parkCap {
-		for _, e := range s.lot {
-			if !e.claimed && (oldest == nil || e.parkedAt.Before(oldest.parkedAt)) {
-				oldest = e
-			}
-		}
-		if oldest != nil {
-			delete(s.lot, oldest.token)
-			mSessParkedNow.Dec()
-			lotBytesAdd(oldest, -1)
-		}
-	}
+	oldest := s.makeRoomLocked()
 	s.lot[ps.token] = ps
+	// Only now, under the same hold, does the token leave the live index.
+	delete(s.live, ps.token)
 	lotBytesAdd(ps, +1)
-	s.scheduleSweepLocked(ps.deadline)
+	s.scheduleSweepLocked(ps.sweepAt()) // the end of the dwell
 	s.lotMu.Unlock()
 	sess.mu.Unlock()
 
@@ -321,23 +383,53 @@ func (s *Server) retire(sess *session, events []inputEvent) bool {
 	}
 	mSessParked.Inc()
 	mSessParkedNow.Inc()
-	// Freeze the parked state cold off the critical path: a pool turn
-	// deflates the shadow and swaps it in, unless a claim gets there
-	// first. (A turn that runs after Close finds the lot drained and
-	// returns: compressParked re-validates under lotMu.)
-	sched.SharedPool().Go(func() { s.compressParked(ps) })
 	return true
 }
 
+// evictsBefore orders capacity victims: no undispatched input first, then
+// oldest first.
+func (ps *parkedSession) evictsBefore(o *parkedSession) bool {
+	if a, b := len(ps.events) == 0, len(o.events) == 0; a != b {
+		return a
+	}
+	return ps.parkedAt.Before(o.parkedAt)
+}
+
+// makeRoomLocked removes one resident when the lot is at capacity and
+// returns it for the caller to expire outside lotMu (nil: there is room, or
+// every resident is claimed — mid-handshake, about to leave on its own, and
+// evicting it would strand its resume). The victim is the oldest unclaimed
+// entry, those holding no undispatched input first: the bound is there to
+// cap memory, and should not cost a user's key press while any other
+// victim will do. lotMu must be held.
+func (s *Server) makeRoomLocked() *parkedSession {
+	if len(s.lot) < s.parkCap {
+		return nil
+	}
+	var victim *parkedSession
+	for _, e := range s.lot {
+		if !e.claimed && (victim == nil || e.evictsBefore(victim)) {
+			victim = e
+		}
+	}
+	if victim != nil {
+		delete(s.lot, victim.token)
+		mSessParkedNow.Dec()
+		lotBytesAdd(victim, -1)
+	}
+	return victim
+}
+
 // compressParked is the pool turn that moves one parked session's shadow
-// into cold storage. It reads the WireState outside lotMu (packing is
-// bounded but not trivial CPU work), then installs the packed form only
-// if the entry is still parked and unclaimed — a claim that lands mid-
-// pack wins, waits for the read to finish (claimParked), and resumes on
-// the uncompressed state.
+// into cold storage, queued by the janitor once the entry's dwell is over
+// (a turn that runs after Close finds the lot drained and returns). It
+// reads the WireState outside lotMu (packing is bounded but not trivial
+// CPU work), then installs the packed form only if the entry is still
+// parked and unclaimed — a claim that lands mid-pack wins, waits for the
+// read to finish (claimParked), and resumes on the uncompressed state.
 func (s *Server) compressParked(ps *parkedSession) {
 	s.lotMu.Lock()
-	if s.lot[ps.token] != ps || ps.claimed || ps.ws == nil {
+	if s.lot[ps.token] != ps || ps.claimed || ps.ws == nil || ps.compressing != nil {
 		s.lotMu.Unlock()
 		return
 	}
@@ -355,6 +447,7 @@ func (s *Server) compressParked(ps *parkedSession) {
 		ps.ws = nil
 		ps.packed = packed
 		lotBytesAdd(ps, +1)
+		mLotPacked.Inc()
 	}
 	s.lotMu.Unlock()
 	close(done)
@@ -371,14 +464,16 @@ func (c *session) adopt(ps *parkedSession) {
 	c.fedResync = ps.migrated
 	if ps.ws == nil && ps.packed != nil {
 		// The shadow went cold while parked: thaw it. A decode failure
-		// (impossible short of memory corruption) falls back to the fresh
-		// WireState the session was built with — the resync degrades to a
-		// full repaint instead of failing the resume.
+		// (impossible short of memory corruption) falls back to a fresh
+		// WireState below — the resync degrades to a full repaint instead
+		// of failing the resume.
 		if ws, err := ps.packed.Unpack(c.srv.tiles); err == nil {
 			ps.ws = ws
 		}
 	}
-	if ps.ws != nil {
+	if ps.ws == nil {
+		c.ws = rfb.NewWireState(c.srv.tiles, c.bounds.W, c.bounds.H)
+	} else {
 		// Reuse the parked wire model's storage, but distrust its content:
 		// the reconnecting client's tile memory is fresh (tile memory does
 		// not survive a reconnect, only the shadow framebuffer does — and
@@ -422,12 +517,14 @@ func (s *Server) scheduleSweepLocked(deadline time.Time) {
 	}
 }
 
-// sweepLot expires every parked session past its deadline and re-arms the
-// janitor for the earliest remaining one. Claimed entries are skipped —
-// a resume handshake is mid-flight and will remove or release them.
+// sweepLot is the lot janitor: it expires every parked session past its
+// deadline, queues a compression turn for every shadow that has sat out
+// its dwell, and re-arms itself for the earliest visit still owed. Claimed
+// entries are skipped — a resume handshake is mid-flight and will remove
+// or release them.
 func (s *Server) sweepLot() {
 	now := time.Now()
-	var expired []*parkedSession
+	var expired, cold []*parkedSession
 	s.lotMu.Lock()
 	var next time.Time
 	for tok, ps := range s.lot {
@@ -441,8 +538,14 @@ func (s *Server) sweepLot() {
 			expired = append(expired, ps)
 			continue
 		}
-		if next.IsZero() || ps.deadline.Before(next) {
-			next = ps.deadline
+		at := ps.sweepAt()
+		if at.Before(ps.deadline) && !now.Before(at) {
+			// Dwell over, nobody came back: freeze it (the turn re-validates).
+			cold = append(cold, ps)
+			at = ps.deadline
+		}
+		if next.IsZero() || at.Before(next) {
+			next = at
 		}
 	}
 	if next.IsZero() {
@@ -454,6 +557,9 @@ func (s *Server) sweepLot() {
 	s.lotMu.Unlock()
 	for _, ps := range expired {
 		s.expire(ps, now)
+	}
+	for _, ps := range cold {
+		sched.SharedPool().Go(func() { s.compressParked(ps) })
 	}
 }
 
@@ -508,8 +614,10 @@ func (s *Server) Parked() int {
 }
 
 // HasParked reports whether the lot holds a live (unexpired) session for
-// token — the hub's token-routing probe.
+// token — the hub's token-routing probe. True means the entry is in the
+// lot now: a session still connected under the token is taken over first.
 func (s *Server) HasParked(token string) bool {
+	s.takeover(token)
 	s.lotMu.Lock()
 	defer s.lotMu.Unlock()
 	ps := s.lot[token]

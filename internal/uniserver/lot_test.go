@@ -441,3 +441,60 @@ func TestQuietSnapshotBalancesParkAccounting(t *testing.T) {
 		t.Fatal("observer never saw a snapshot with server_sessions at baseline")
 	}
 }
+
+// TestCapacityEvictionSparesUndispatchedInput: the capacity victim is the
+// oldest entry that holds no undispatched input — the bound caps memory,
+// it should not cost a user's key press while another victim will do —
+// and only a lot full of input-holding entries gives one of those up.
+func TestCapacityEvictionSparesUndispatchedInput(t *testing.T) {
+	srv := New(toolkit.NewDisplay(16, 16), "capacity order", Config{ParkCapacity: 3})
+	defer srv.Close()
+	now := time.Now()
+	plant := func(token string, age time.Duration, events int) {
+		ps := &parkedSession{
+			token: token, w: 16, h: 16,
+			dirty:    gfx.NewDamage(gfx.R(0, 0, 16, 16), 16),
+			events:   make([]inputEvent, events),
+			parkedAt: now.Add(-age), deadline: now.Add(time.Minute),
+		}
+		srv.lotMu.Lock()
+		srv.lot[token] = ps
+		srv.lotMu.Unlock()
+		mSessParked.Inc()
+		mSessParkedNow.Inc()
+	}
+	evict := func() string {
+		srv.lotMu.Lock()
+		victim := srv.makeRoomLocked()
+		srv.lotMu.Unlock()
+		if victim == nil {
+			return ""
+		}
+		srv.expire(victim, now)
+		return victim.token
+	}
+	abandoned0 := counter("input_abandoned_total")
+	plant("oldest-holds-a-key-release", 3*time.Second, 1)
+	plant("older", 2*time.Second, 0)
+	plant("newer", time.Second, 0)
+	if got := evict(); got != "older" {
+		t.Fatalf("first victim %q, want the oldest entry without input", got)
+	}
+	if got := evict(); got != "" {
+		t.Fatalf("evicted %q from a lot below capacity", got)
+	}
+	plant("newest-holds-two", 0, 2)
+	if got := evict(); got != "newer" {
+		t.Fatalf("second victim %q, want the last entry without input", got)
+	}
+	if d := counter("input_abandoned_total") - abandoned0; d != 0 {
+		t.Fatalf("input_abandoned_total moved by %d while input-free victims remained", d)
+	}
+	plant("filler-holds-one", time.Second, 1)
+	if got := evict(); got != "oldest-holds-a-key-release" {
+		t.Fatalf("third victim %q, want the oldest once every entry holds input", got)
+	}
+	if d := counter("input_abandoned_total") - abandoned0; d != 1 {
+		t.Fatalf("input_abandoned_total delta = %d, want the one evicted key release", d)
+	}
+}

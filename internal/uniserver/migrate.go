@@ -158,8 +158,7 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 	}
 
 	// Same critical-section shape as retire: pumpMu orders the insert
-	// against drainLot, and the lot insert handles capacity by expiring
-	// the oldest unclaimed resident.
+	// against drainLot, and the lot insert makes room the same way.
 	s.pumpMu.Lock()
 	s.mu.Lock()
 	closed := s.closed
@@ -169,22 +168,7 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 		return errors.New("uniserver: import: server closed")
 	}
 	s.lotMu.Lock()
-	if s.lot == nil {
-		s.lot = make(map[string]*parkedSession)
-	}
-	var oldest *parkedSession
-	if len(s.lot) >= s.parkCap {
-		for _, e := range s.lot {
-			if !e.claimed && (oldest == nil || e.parkedAt.Before(oldest.parkedAt)) {
-				oldest = e
-			}
-		}
-		if oldest != nil {
-			delete(s.lot, oldest.token)
-			mSessParkedNow.Dec()
-			lotBytesAdd(oldest, -1)
-		}
-	}
+	oldest := s.makeRoomLocked()
 	s.lot[ps.token] = ps
 	lotBytesAdd(ps, +1)
 	s.scheduleSweepLocked(ps.deadline)
@@ -214,12 +198,14 @@ func (s *Server) DetachSessions(timeout time.Duration) error {
 	for _, sess := range sessions {
 		sess.conn.Close()
 	}
-	deadline := time.Now().Add(timeout)
-	for s.Sessions() > 0 {
-		if time.Now().After(deadline) {
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	for _, sess := range sessions {
+		select {
+		case <-sess.retired:
+		case <-t.C:
 			return fmt.Errorf("uniserver: detach timeout with %d sessions live", s.Sessions())
 		}
-		time.Sleep(time.Millisecond)
 	}
 	return nil
 }

@@ -95,7 +95,7 @@ func TestResumeMidCompressionNeverTorn(t *testing.T) {
 			defer wg.Done()
 			srv.compressParked(ps) // may double-run against the pool's turn: idempotent
 		}()
-		reclaimed := srv.claimParked(token, 64, 48)
+		reclaimed := srv.claimParked(token, 64, 48, nil)
 		wg.Wait()
 		if reclaimed == nil {
 			t.Fatalf("round %d: claim lost a parked session", round)

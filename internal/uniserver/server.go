@@ -62,11 +62,14 @@ type Server struct {
 	tiles *rfb.TileCache
 
 	// The detach lot (lot.go): disconnected sessions parked under their
-	// resume token, waiting out parkTTL for the owner to return.
+	// resume token, waiting out parkTTL for the owner to return. live is
+	// its other half, the connected sessions by token (for takeover); both
+	// are guarded by lotMu and a token is in exactly one of them.
 	parkTTL    time.Duration
 	parkCap    int
 	lotMu      sync.Mutex
 	lot        map[string]*parkedSession
+	live       map[string]*session
 	lotTimer   *sched.Timer // janitor on the shared wheel, armed on demand
 	lotSweepAt time.Time
 }
@@ -104,6 +107,8 @@ func New(display *toolkit.Display, name string, cfg Config) *Server {
 		display:  display,
 		name:     name,
 		sessions: make(map[*session]struct{}),
+		lot:      make(map[string]*parkedSession),
+		live:     make(map[string]*session),
 		tiles:    cfg.Tiles,
 		parkTTL:  cfg.ParkTTL,
 		parkCap:  cfg.ParkCapacity,
@@ -139,8 +144,10 @@ func New(display *toolkit.Display, name string, cfg Config) *Server {
 // A client presenting a live resume token reclaims its parked session
 // during the handshake: the preserved damage, update-request state and
 // input queue carry over, so the resync ships only what changed while the
-// link was down. On disconnect the session parks in the detach lot
-// (unless parking is disabled or the server is closing).
+// link was down. A token whose session is still connected takes it over:
+// the stale link is closed and parks first (lot.go, takeover). On
+// disconnect the session parks in the detach lot (unless parking is
+// disabled or the server is closing).
 func (s *Server) Attach(conn net.Conn, onClose func()) error {
 	if onClose == nil {
 		onClose = func() {}
@@ -150,16 +157,33 @@ func (s *Server) Attach(conn net.Conn, onClose func()) error {
 	// home resolution); remember it so every traced interaction arriving
 	// on this connection can attach the hub_route stage.
 	routeStart, routeEnd, _ := trace.RouteSpan(conn)
+	// The session exists before the handshake so the token the handshake
+	// issues is findable (live index) the moment a client can know it.
+	sess := &session{
+		srv:        s,
+		link:       conn,
+		retired:    make(chan struct{}),
+		routeStart: routeStart,
+		routeEnd:   routeEnd,
+		bounds:     gfx.R(0, 0, w, h),
+		onClose:    onClose,
+	}
 	var reclaimed *parkedSession
 	ex := func(presented string) (string, bool) {
 		if s.parkTTL > 0 && presented != "" {
-			if ps := s.claimParked(presented, w, h); ps != nil {
-				reclaimed = ps
+			if ps := s.claimParked(presented, w, h, sess); ps != nil {
+				reclaimed, sess.token = ps, presented
 				return presented, true
 			}
 			mSessResumeMiss.Inc()
 		}
-		return newSessionToken(), false
+		sess.token = newSessionToken()
+		if s.parkTTL > 0 && sess.token != "" {
+			s.lotMu.Lock()
+			s.live[sess.token] = sess
+			s.lotMu.Unlock()
+		}
+		return sess.token, false
 	}
 	// The handshake is bounded: a peer that stalls mid-handshake (after
 	// presenting a resume token, say) must fail within the deadline so
@@ -177,20 +201,16 @@ func (s *Server) Attach(conn net.Conn, onClose func()) error {
 			// complete: the session goes back to waiting in the lot.
 			s.releaseClaim(reclaimed)
 		}
+		s.unlist(sess)
 		onClose()
 		return err
 	}
-	sess := &session{
-		srv:        s,
-		conn:       rc,
-		token:      rc.Token(),
-		routeStart: routeStart,
-		routeEnd:   routeEnd,
-		dirty:      gfx.NewDamage(gfx.R(0, 0, w, h), 16),
-		outbox:     gfx.NewDamage(gfx.R(0, 0, w, h), 16),
-		bounds:     gfx.R(0, 0, w, h),
-		ws:         rfb.NewWireState(s.tiles, w, h),
-		onClose:    onClose,
+	sess.conn = rc
+	sess.dirty = gfx.NewDamage(sess.bounds, 16)
+	sess.outbox = gfx.NewDamage(sess.bounds, 16)
+	if reclaimed == nil {
+		// (A resume adopts the parked wire model: register → adopt.)
+		sess.ws = rfb.NewWireState(s.tiles, w, h)
 	}
 	// The tasks exist before the session is visible to the pump, so a
 	// damage kick arriving mid-register always has a target.
@@ -204,6 +224,7 @@ func (s *Server) Attach(conn net.Conn, onClose func()) error {
 	resumed := reclaimed != nil
 	if !s.register(sess, reclaimed) {
 		rc.Close()
+		s.unlist(sess)
 		onClose()
 		return errors.New("uniserver: server closed")
 	}
@@ -254,6 +275,7 @@ func (c *session) teardown() {
 	// the gauge back at its baseline reads balanced session_* counters.
 	mSessions.Dec()
 	c.onClose()
+	c.srv.unlist(c)
 	c.srv.wg.Done()
 }
 
@@ -351,8 +373,15 @@ func (s *Server) pump() {
 type session struct {
 	srv    *Server
 	conn   *rfb.ServerConn
-	token  string // resume token; keys the detach lot on disconnect
+	token  string // resume token; keys the live index, then the detach lot
 	bounds gfx.Rect
+
+	// link is the transport under conn, known before the handshake; closing
+	// it is how a takeover ends the session. retired is closed once the
+	// session is over — parked (or settled) by teardown, or refused before
+	// it began — and is what a takeover and a drain wait on.
+	link    net.Conn
+	retired chan struct{}
 
 	// The session's schedulable work, as run-queue tasks on the process
 	// pool: a kick (wake/wakeDispatch) marks the task runnable, it runs the

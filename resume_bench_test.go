@@ -111,9 +111,10 @@ func BenchmarkResume(b *testing.B) {
 
 // BenchmarkE2bRoam drives the roam workload's hop through the hub: one
 // op retargets the supervisor, kills the live link, and waits for the
-// re-established session (the 1 ms redial backoff gives the server time
-// to park, so the in-place hop reliably resumes). With one home every
-// hop resumes in place; with
+// re-established session (the redial is immediate and usually outruns the
+// park; the presented token takes the still-live session over, so the
+// in-place hop reliably resumes). With one home every hop resumes in
+// place; with
 // 16 homes every hop leaves a parked session behind and joins the next
 // home cold (the parked one waits out its TTL or its owner's return).
 func BenchmarkE2bRoam(b *testing.B) {

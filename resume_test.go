@@ -37,23 +37,23 @@ type resumeStack struct {
 
 	mu   sync.Mutex
 	link *netsim.Conn
+	gate chan struct{} // non-nil while the client is away: dials wait on it
 
 	sup   *core.Supervisor
 	phone *device.Phone
 }
 
 func newResumeStack(t *testing.T) *resumeStack {
-	return newResumeStackTuned(t, 50*time.Millisecond, nil)
+	return newResumeStackWrapped(t, nil)
 }
 
-// newResumeStackTuned exposes the supervisor's redial backoff and a
-// decorator around the button's click handler. The trace park/resume
-// test uses both: the decorator stalls the dispatcher mid-interaction
-// and the wide backoff keeps the park window open while it does.
-func newResumeStackTuned(t *testing.T, backoff time.Duration, wrap func(inner func()) func()) *resumeStack {
+// newResumeStackWrapped exposes a decorator around the button's click
+// handler. The trace park/resume test uses it to stall the dispatcher
+// mid-interaction.
+func newResumeStackWrapped(t *testing.T, wrap func(inner func()) func()) *resumeStack {
 	t.Helper()
 	st := newResumeDisplay(t, wrap)
-	st.connect(backoff, func(conn net.Conn) { st.srv.Attach(conn, nil) }, "")
+	st.connect(func(conn net.Conn) { st.srv.Attach(conn, nil) }, "")
 	return st
 }
 
@@ -87,11 +87,19 @@ func newResumeDisplay(t *testing.T, wrap func(inner func()) func()) *resumeStack
 // connect attaches a supervised device pair dialing through serve (the
 // server side of each connection). A non-empty preamble home-id makes
 // every dial open with the hub routing preamble — the resume token is
-// not the dialer's concern; it rides the protocol handshake.
-func (st *resumeStack) connect(backoff time.Duration, serve func(net.Conn), preambleHome string) {
+// not the dialer's concern; it rides the protocol handshake. The
+// supervisor redials the moment a link dies; a test that needs the client
+// to stay away meanwhile says so (away/back) instead of timing it.
+func (st *resumeStack) connect(serve func(net.Conn), preambleHome string) {
 	t := st.t
 	t.Helper()
 	dial := func() (net.Conn, error) {
+		st.mu.Lock()
+		gate := st.gate
+		st.mu.Unlock()
+		if gate != nil {
+			<-gate
+		}
 		sc, cc := net.Pipe()
 		go serve(sc)
 		if preambleHome != "" {
@@ -106,7 +114,7 @@ func (st *resumeStack) connect(backoff time.Duration, serve func(net.Conn), prea
 		st.mu.Unlock()
 		return link, nil
 	}
-	sup, err := core.NewSupervisor(dial, core.WithBackoff(backoff))
+	sup, err := core.NewSupervisor(dial, core.WithBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +134,39 @@ func (st *resumeStack) connect(backoff time.Duration, serve func(net.Conn), prea
 	if err := sup.SelectOutput("tv-1"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// away opens an away-window: from now until back, every dial the
+// supervisor makes waits — the user has walked out of range. Call it
+// before dropLink; do the window's work (detach-window damage, waiting
+// for the park, a drain); then call back.
+func (st *resumeStack) away() {
+	st.mu.Lock()
+	st.gate = make(chan struct{})
+	st.mu.Unlock()
+	st.t.Cleanup(st.back) // a failed test must not leave the dialer waiting
+}
+
+// back ends the away-window: the waiting redial proceeds.
+func (st *resumeStack) back() {
+	st.mu.Lock()
+	if st.gate != nil {
+		close(st.gate)
+		st.gate = nil
+	}
+	st.mu.Unlock()
+}
+
+// awayUntilParked is the common away-window: the link dies, work runs while
+// nobody is connected, and the client comes back once the session has
+// parked.
+func (st *resumeStack) awayUntilParked(work func()) {
+	st.t.Helper()
+	st.away()
+	st.dropLink()
+	work()
+	waitCond(st.t, "session parked", func() bool { return st.srv.Parked() >= 1 })
+	st.back()
 }
 
 func (st *resumeStack) dropLink() {
@@ -161,11 +202,14 @@ func (st *resumeStack) settle() {
 // display has painted, with no repaint owed. It reads the display's pixels
 // as they are: Display.Snapshot would render pending damage itself and so
 // take the rectangles away from the server that has yet to ship them.
-func (st *resumeStack) converged() bool {
+func (st *resumeStack) converged() bool { return st.shows(st.shadow()) }
+
+// shows is converged for any client's shadow snapshot.
+func (st *resumeStack) shows(shadow *gfx.Framebuffer) bool {
 	if st.display.Dirty() {
 		return false
 	}
-	shadow, same := st.shadow(), false
+	same := false
 	st.display.WithFramebuffer(func(fb *gfx.Framebuffer) { same = fb.Equal(shadow) })
 	return same
 }
@@ -252,10 +296,10 @@ func TestResumeShipsOnlyDetachDamageByteIdentical(t *testing.T) {
 		st.press(i)
 	}
 	st.settle()
-	st.dropLink()
-	// Detach-window damage: the label changes while nobody is connected
-	// (the supervisor is still inside its redial backoff).
-	st.display.Update(func() { st.lbl.SetText("away message") })
+	// Detach-window damage: the label changes while nobody is connected.
+	st.awayUntilParked(func() {
+		st.display.Update(func() { st.lbl.SetText("away message") })
+	})
 	waitCond(t, "reconnect", func() bool { return st.sup.Reconnects() == 1 })
 	if got := st.sup.Resumes(); got != 1 {
 		t.Fatalf("Resumes() = %d, want 1", got)
@@ -334,7 +378,7 @@ func TestTraceSpansSurviveParkResume(t *testing.T) {
 			inner()
 		}
 	}
-	st := newResumeStackTuned(t, 250*time.Millisecond, wrap)
+	st := newResumeStackWrapped(t, wrap)
 	st.awaitTraffic()
 	st.settle()
 
@@ -350,13 +394,14 @@ func TestTraceSpansSurviveParkResume(t *testing.T) {
 		return metrics.Default().Counter("input_queued_total").Value()-queued0 >= 4
 	})
 
-	st.dropLink()
-	// Let the dead link surface in the read loop (closing the session's
-	// quit channel) before opening the gate: the dispatcher must see the
-	// stop before taking another batch, so press B stays queued and
-	// retire parks it. The 250ms redial backoff leaves ample room.
-	time.Sleep(20 * time.Millisecond)
-	close(release)
+	st.awayUntilParked(func() {
+		// Let the dead link surface in the read loop (closing the session's
+		// quit channel) before opening the gate: the dispatcher must see the
+		// stop before taking another batch, so press B stays queued and
+		// retire parks it. The client stays away until it has.
+		time.Sleep(20 * time.Millisecond)
+		close(release)
+	})
 
 	waitCond(t, "reconnect", func() bool { return st.sup.Reconnects() == 1 })
 	if got := st.sup.Resumes(); got != 1 {

@@ -23,8 +23,9 @@ func TestDictionaryEncodingAcrossResume(t *testing.T) {
 	st.press(1)
 	st.settle()
 
-	st.dropLink()
-	st.display.Update(func() { st.lbl.SetText("while away") })
+	st.awayUntilParked(func() {
+		st.display.Update(func() { st.lbl.SetText("while away") })
+	})
 	waitCond(t, "reconnect", func() bool { return st.sup.Reconnects() == 1 })
 	if got := st.sup.Resumes(); got != 1 {
 		t.Fatalf("Resumes() = %d, want 1", got)
