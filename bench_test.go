@@ -691,7 +691,7 @@ func BenchmarkE11ShapedLink(b *testing.B) {
 			// One shaped wrap covers both directions (Wrap is symmetric);
 			// wrapping both pipe ends would shape every byte twice.
 			sc, cc := net.Pipe()
-			go srv.Attach(sc, nil)
+			go srv.Attach(sc)
 			proxy, err := core.Dial(netsim.Wrap(cc, link.opts...))
 			if err != nil {
 				b.Fatal(err)

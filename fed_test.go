@@ -97,11 +97,11 @@ func TestFederationLiveMigrationByteIdentical(t *testing.T) {
 	st := fx.st
 	st.awaitTraffic()
 	st.settle()
-	initialBytes := st.sup.Proxy().Client().BytesReceived() // cold join: full paint
 	for i := 1; i <= dropAt; i++ {
 		st.press(i)
 	}
 	st.settle()
+	raw0 := counters.Counter("rfb_encode_raw_bytes_total").Value()
 
 	owner, ok := fx.cluster.Owner(homeID)
 	if !ok {
@@ -136,12 +136,11 @@ func TestFederationLiveMigrationByteIdentical(t *testing.T) {
 	st.awaitTraffic() // the resync for the detach-window damage
 	st.settle()
 
-	// Incremental resync, not a full repaint: post-migration traffic stays
-	// strictly under the cold join's initial full paint.
-	resyncBytes := st.sup.Proxy().Client().BytesReceived()
-	if resyncBytes >= initialBytes {
-		t.Errorf("resync received %d bytes; cold join full paint was %d — looks like a full repaint",
-			resyncBytes, initialBytes)
+	// The resync was encoded for the connection that received it — no rect
+	// of it Raw to a wire-tier client — although the session it resumed
+	// arrived through a migration record.
+	if d := counters.Counter("rfb_encode_raw_bytes_total").Value() - raw0; d != 0 {
+		t.Errorf("resync shipped %d Raw bytes to a client that negotiated the wire tier", d)
 	}
 
 	for i := dropAt + 1; i <= presses; i++ {

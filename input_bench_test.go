@@ -185,7 +185,7 @@ func BenchmarkInputFlood(b *testing.B) {
 	srv := uniserver.New(display, "flood", uniserver.Config{})
 	defer srv.Close()
 	sc, cc := net.Pipe()
-	go srv.Attach(sc, nil)
+	go srv.Attach(sc)
 	client, err := rfb.Dial(cc)
 	if err != nil {
 		b.Fatal(err)

@@ -20,7 +20,7 @@ func stack(t *testing.T) (*toolkit.Display, *core.Proxy) {
 	srv := uniserver.New(display, "proxy test", uniserver.Config{})
 	sc, cc := net.Pipe()
 	serverDone := make(chan error, 1)
-	go func() { serverDone <- srv.Attach(sc, nil) }()
+	go func() { serverDone <- srv.Attach(sc) }()
 
 	proxy, err := core.Dial(cc)
 	if err != nil {

@@ -40,7 +40,7 @@ func newSupervisedStack(t *testing.T) *supervisedStack {
 // server and remembers the client side for DropLink.
 func (st *supervisedStack) dial() (net.Conn, error) {
 	sc, cc := net.Pipe()
-	go st.srv.Attach(sc, nil)
+	go st.srv.Attach(sc)
 	link := netsim.Wrap(cc)
 	st.mu.Lock()
 	st.link = link
@@ -171,7 +171,7 @@ func TestSupervisorWorksOverShapedLink(t *testing.T) {
 
 	dial := func() (net.Conn, error) {
 		sc, cc := net.Pipe()
-		go st.srv.Attach(sc, nil)
+		go st.srv.Attach(sc)
 		return netsim.Wrap(cc, netsim.WithLatency(5*time.Millisecond)), nil
 	}
 	sup, err := core.NewSupervisor(dial)
@@ -261,7 +261,7 @@ func TestSupervisorRestoreSurvivesMidRestoreDeath(t *testing.T) {
 	dial := func() (net.Conn, error) {
 		n := dialCount.Add(1)
 		sc, cc := net.Pipe()
-		go st.srv.Attach(sc, nil)
+		go st.srv.Attach(sc)
 		link := netsim.Wrap(cc)
 		if n >= 2 && n <= 4 {
 			link = inj.Wrap(cc)

@@ -327,8 +327,8 @@ func (c *Cluster) Serve(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		// goroutine-ok: Serve is the blocking-transport accept loop; routed
-		// conns are read on this goroutine by the member home's Attach.
+		// goroutine-ok: Serve is the accept loop; routed conns are read on
+		// this goroutine by the member home's Attach.
 		go func() { _ = c.ServeConn(conn) }()
 	}
 }

@@ -66,8 +66,7 @@ type stubHost struct {
 	closed bool
 }
 
-func (s *stubHost) Attach(conn net.Conn, onClose func()) error {
-	defer onClose()
+func (s *stubHost) Attach(conn net.Conn) error {
 	defer conn.Close()
 	fmt.Fprintf(conn, "%s/%s\n", s.node, s.id)
 	return nil

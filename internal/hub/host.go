@@ -9,22 +9,17 @@ import (
 )
 
 // Host is the hub's one hosting contract: everything the hub (and the
-// federation layer above it) ever asks of a resident home. It replaces
-// the former trio of Home + optional EdgeHome + optional SessionParker —
-// with one interface there is nothing left for the hub to type-assert,
-// so a home cannot accidentally opt out of a capability by a method
-// signature typo.
+// federation layer above it) ever asks of a resident home. With one
+// interface there is nothing for the hub to type-assert, so a home cannot
+// accidentally opt out of a capability by a method signature typo.
 //
 // Exactly when the hub calls each method:
 //
 //   - Attach: once per routed connection (Hub.Route / Hub.ServeConn),
 //     with the home's entry already pinned. The home handshakes and
-//     serves conn however the transport allows — returning after the
-//     handshake when the session can run on the worker pool, or blocking
-//     for the connection's life when it must read on the caller's
-//     goroutine — and calls onClose exactly once, whatever it returns:
-//     when the session has retired, or on the way out if none started.
-//     onClose is the hub's unpin.
+//     serves conn on the calling goroutine and returns once the session
+//     has retired (or the handshake failed and none started); the hub
+//     unpins the entry when it does.
 //   - Parked: on every eviction attempt (idle sweep, explicit Evict) —
 //     a home with sessions waiting in its detach lot is not idle — and
 //     by the federation layer sizing a migration.
@@ -45,9 +40,9 @@ import (
 // uniint.HubSession is the production implementation; plain
 // connection-serving homes wrap themselves with AdaptConnHandler.
 type Host interface {
-	// Attach handshakes and serves one proxy connection; onClose runs
-	// exactly once, after the session retires or the attach fails.
-	Attach(conn net.Conn, onClose func()) error
+	// Attach handshakes and serves one proxy connection, returning after
+	// the session has retired or the handshake failed.
+	Attach(conn net.Conn) error
 	// Parked returns the number of sessions waiting in the detach lot.
 	Parked() int
 	// HasParked reports whether the lot holds a live session for token.
@@ -72,8 +67,8 @@ type Host interface {
 // ErrNoLot reports a migration operation on a home without a detach lot.
 var ErrNoLot = errors.New("hub: home has no detach lot")
 
-// ConnHandler is the minimal home: it serves blocking connections and
-// shuts down. Wrap one with AdaptConnHandler to host it on a hub.
+// ConnHandler is the minimal home: it serves connections and shuts down.
+// Wrap one with AdaptConnHandler to host it on a hub.
 type ConnHandler interface {
 	HandleConn(conn net.Conn) error
 	Close()
@@ -87,10 +82,8 @@ func AdaptConnHandler(h ConnHandler) Host { return connHandlerHost{h} }
 
 type connHandlerHost struct{ ConnHandler }
 
-func (c connHandlerHost) Attach(conn net.Conn, onClose func()) error {
-	defer onClose()
-	return c.HandleConn(conn)
-}
+func (c connHandlerHost) Attach(conn net.Conn) error { return c.HandleConn(conn) }
+
 func (connHandlerHost) Parked() int            { return 0 }
 func (connHandlerHost) HasParked(string) bool  { return false }
 func (connHandlerHost) ParkedTokens() []string { return nil }

@@ -7,7 +7,9 @@
 // mutex for writes, a lock-free copy-on-write read path for routing),
 // routes inbound proxy connections to the right home by home ID, and
 // manages per-home lifecycle: admission on first use, idle eviction, and
-// graceful drain.
+// graceful drain. Each accepted connection has one goroutine for its life
+// (Serve → ServeConn → Route → Host.Attach, which reads it); when Route
+// returns, the session has retired and the home is unpinned.
 //
 // The hub is deliberately ignorant of what a home is — it hosts anything
 // implementing Host (plain connection handlers lift themselves with
@@ -279,11 +281,10 @@ func (h *Hub) Admit(id string) (Host, error) {
 }
 
 // Route admits (if needed) the home for id and attaches one connection to
-// it. On a blocking transport it blocks until the peer disconnects; on a
-// readiness-driven one it returns as soon as the handshake completes and
-// the session lives on the process worker pool with no routing goroutine
-// (see Host.Attach). The home is pinned against eviction until the session
-// retires, when the home's completion callback unpins it: the refcount is
+// it, blocking on the caller's goroutine until the peer has disconnected
+// and the home has retired the session (see Host.Attach). The home is
+// pinned against eviction for exactly that long — unpinned on the way out,
+// so Connections() has dropped by the time Route returns: the refcount is
 // incremented first and the eviction flag checked after, the mirror image
 // of Evict's flag-then-refcount order, so one side always observes the
 // other.
@@ -317,12 +318,13 @@ func (h *Hub) Route(id string, conn net.Conn) error {
 		}
 		h.mConns.Inc()
 		h.mRouteSeconds.ObserveDuration(time.Since(start))
-		return e.home.Attach(conn, func() {
+		defer func() {
 			e.refs.Add(-1)
 			e.touch()
 			h.mConns.Dec()
 			h.conns.Add(-1)
-		})
+		}()
+		return e.home.Attach(conn)
 	}
 	conn.Close()
 	return fmt.Errorf("%w: %s (admission/eviction livelock)", ErrUnknownHome, id)
@@ -333,8 +335,7 @@ func (h *Hub) Route(id string, conn net.Conn) error {
 const PreambleTimeout = 10 * time.Second
 
 // ServeConn reads the routing preamble from conn and routes it. It blocks
-// for the life of a blocking connection; Serve runs it per accepted
-// connection.
+// for the life of the connection; Serve runs it per accepted connection.
 // A TokenHome preamble routes by resume token: the hub finds the
 // resident home whose detach lot holds the session.
 func (h *Hub) ServeConn(conn net.Conn) error {
@@ -352,7 +353,7 @@ func (h *Hub) ServeConn(conn net.Conn) error {
 // ServePreamble routes a connection whose preamble was already consumed
 // (and parsed into p) by a front router — the federation layer reads the
 // line once, picks a member node, and hands the still-virgin protocol
-// stream here. Like Route, it blocks for the life of a blocking connection.
+// stream here. Like Route, it blocks for the life of the connection.
 func (h *Hub) ServePreamble(p Preamble, conn net.Conn) error {
 	return h.servePreamble(p, conn, time.Now())
 }
@@ -401,8 +402,8 @@ func (h *Hub) Serve(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		// goroutine-ok: Serve is the blocking-transport accept loop; a routed
-		// conn's Attach reads it on this goroutine for the conn's life.
+		// goroutine-ok: Serve is the accept loop; a routed conn's Attach reads
+		// it on this goroutine for the conn's life.
 		go func() { _ = h.ServeConn(conn) }()
 	}
 }

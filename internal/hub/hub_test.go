@@ -548,10 +548,7 @@ type parkingHome struct {
 	token  atomic.Value // string
 }
 
-func (p *parkingHome) Attach(conn net.Conn, onClose func()) error {
-	defer onClose()
-	return p.HandleConn(conn)
-}
+func (p *parkingHome) Attach(conn net.Conn) error { return p.HandleConn(conn) }
 
 func (p *parkingHome) Parked() int { return int(p.parked.Load()) }
 

@@ -9,12 +9,10 @@ import (
 // Feed is the one client-message decoder: it parses the client messages in
 // data — prepended with any partial message retained from earlier feeds —
 // and dispatches each complete one to h. A trailing partial message is
-// retained for the next call. Bytes are pushed in whenever a transport has
-// some: by a readiness-driven session's (at-most-once-queued) read turn —
-// an idle session then costs no goroutine and no pinned read buffer — or
-// by Serve's blocking read loop. Feed is not safe for concurrent use with
-// itself or Serve. A non-nil error means the stream is unrecoverable and
-// the connection should be torn down.
+// retained for the next call. Bytes are pushed in by Serve's blocking read
+// loop (tests and the fuzz target push arbitrary splits directly). Feed is
+// not safe for concurrent use with itself or Serve. A non-nil error means
+// the stream is unrecoverable and the connection should be torn down.
 func (s *ServerConn) Feed(data []byte, h ServerHandler) error {
 	buf := data
 	if len(s.feed) > 0 {
@@ -153,8 +151,8 @@ func (s *ServerConn) parseClientMessage(b []byte, h ServerHandler) (int, error) 
 // pipelined byte string: protocol version, ClientInit (shared) and the
 // resume-token extension (empty token: fresh session). The server's
 // handshake reads never block once these bytes are buffered, which is
-// what lets an edge client complete a handshake with no goroutine of its
-// own — write the hello, attach the other end, read ServerInit at leisure.
+// what lets a scripted client complete a handshake with no goroutine of
+// its own — write the hello, read ServerInit at leisure.
 func ClientHello(token string) []byte {
 	if len(token) > MaxTokenLen {
 		token = token[:MaxTokenLen]

@@ -1,33 +1,53 @@
 package rfb
 
 import (
+	"bytes"
 	"errors"
+	"io"
+	"net"
 	"testing"
 
 	"uniint/internal/gfx"
-
-	"uniint/internal/netsim"
 )
 
-// edgeHandshake runs the server half of an edge handshake against a
-// scripted client hello and returns both ends.
-func edgeHandshake(t *testing.T, token string, ex TokenExchange) (*netsim.EventConn, *ServerConn) {
+// scriptedPipe returns the server end of a net.Pipe whose client end
+// writes script and then drains whatever the server sends. drained closes
+// the pipe and returns those bytes.
+func scriptedPipe(t *testing.T, script []byte) (server net.Conn, drained func() []byte) {
 	t.Helper()
-	client, server := netsim.EventPipe()
-	if _, err := client.Write(ClientHello(token)); err != nil {
-		t.Fatal(err)
+	client, server := net.Pipe()
+	var out bytes.Buffer
+	done := make(chan struct{})
+	go client.Write(script) // a failure surfaces in the server's handshake
+	go func() {
+		defer close(done)
+		io.Copy(&out, client)
+	}()
+	drained = func() []byte {
+		server.Close()
+		client.Close()
+		<-done
+		return out.Bytes()
 	}
+	t.Cleanup(func() { drained() })
+	return server, drained
+}
+
+// edgeHandshake runs the server half of a handshake against a scripted
+// client hello and returns the connection and the client's drain.
+func edgeHandshake(t *testing.T, token string, ex TokenExchange) (func() []byte, *ServerConn) {
+	t.Helper()
+	server, drained := scriptedPipe(t, ClientHello(token))
 	sc, err := NewEdgeServerConn(server, 160, 120, "edge test", ex)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { sc.Close() })
-	return client, sc
+	return drained, sc
 }
 
 func TestEdgeHandshake(t *testing.T) {
 	var presented string
-	client, sc := edgeHandshake(t, "tok-123", func(p string) (string, bool) {
+	drained, sc := edgeHandshake(t, "tok-123", func(p string) (string, bool) {
 		presented = p
 		return "issued-456", true
 	})
@@ -37,9 +57,10 @@ func TestEdgeHandshake(t *testing.T) {
 	if sc.token != "issued-456" || !sc.Resumed() {
 		t.Fatalf("token %q resumed %v", sc.token, sc.Resumed())
 	}
-	// The client end holds the server's complete handshake output.
-	if client.Buffered() == 0 {
-		t.Fatal("no server handshake bytes delivered")
+	// The client end received the server's complete handshake output,
+	// ending in the resumed verdict and the issued token.
+	if out := drained(); !bytes.HasSuffix(out, []byte("\x01\x0aissued-456")) {
+		t.Fatalf("server handshake output %q", out)
 	}
 }
 
@@ -106,11 +127,7 @@ func TestFeedByteByByte(t *testing.T) {
 func TestFeedPipelinedPastHandshake(t *testing.T) {
 	// Messages written before the server handshake even ran are retained
 	// by the handshake reader drain and parsed by the first Feed.
-	client, server := netsim.EventPipe()
-	script := append(ClientHello(""), clientMsgs()...)
-	if _, err := client.Write(script); err != nil {
-		t.Fatal(err)
-	}
+	server, _ := scriptedPipe(t, append(ClientHello(""), clientMsgs()...))
 	sc, err := NewEdgeServerConn(server, 160, 120, "edge test", nil)
 	if err != nil {
 		t.Fatal(err)

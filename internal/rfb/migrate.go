@@ -71,7 +71,10 @@ type MigrationRecord struct {
 	// Dirty is the damage accumulated while parked.
 	Dirty []gfx.Rect
 	// Pending is the update request the client parked with; meaningful
-	// when HasPending.
+	// when HasPending. uniserver exports none (a request is owed on the
+	// connection it arrived on, so a resume ships in answer to the new
+	// connection's own) and ignores one from an older peer; the codec keeps
+	// the field because the UNIMIG/1 layout does.
 	Pending    UpdateRequest
 	HasPending bool
 	// Events is the queued-but-undispatched input.

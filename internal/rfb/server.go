@@ -41,9 +41,8 @@ const MaxTokenLen = 255
 // created after a successful handshake and serves exactly one proxy.
 //
 // Writes (SendPrepared, SendEmptyUpdate) may be issued from any goroutine.
-// Client messages arrive through Feed — pushed by a readiness-driven
-// transport's read turn, or by Serve's blocking read loop — which invokes
-// the handler; one caller at a time.
+// Client messages arrive through Feed, pushed by Serve's blocking read
+// loop, which invokes the handler; one caller at a time.
 type ServerConn struct {
 	conn net.Conn
 
@@ -79,26 +78,25 @@ type ServerConn struct {
 
 // handshakeReaderPool holds the small buffered readers handshakes borrow.
 // The reader is returned as soon as the handshake completes (its buffered
-// remainder moves into the connection's feed buffer), so a session pins no
-// read buffer while idle on a readiness-driven transport.
+// remainder moves into the connection's feed buffer); from then on the
+// session reads through the one pooled buffer Serve holds.
 var handshakeReaderPool = sync.Pool{
 	New: func() any { return bufio.NewReaderSize(nil, 4<<10) },
 }
 
 // NewEdgeServerConn performs the server side of the handshake over conn
-// and returns a ready connection; it is the one ServerConn constructor,
-// for blocking and readiness-driven transports alike. width/height/name
-// describe the served desktop (the home appliance application's control
-// panel surface). The token the client presented in ClientInit is resolved
-// through ex, and the issued token plus the resumed verdict travel back in
-// ServerInit; a nil ex issues no token and never resumes.
+// and returns a ready connection; it is the one ServerConn constructor.
+// width/height/name describe the served desktop (the home appliance
+// application's control panel surface). The token the client presented in
+// ClientInit is resolved through ex, and the issued token plus the resumed
+// verdict travel back in ServerInit; a nil ex issues no token and never
+// resumes.
 //
 // It blocks on the handshake reads (brief when the client pipelined its
 // half — see ClientHello). The returned connection holds no reader: client
-// messages arrive through Feed, pushed by whoever owns the transport's
-// readiness callback, or by Serve on a blocking transport. Bytes the
-// client pipelined past the handshake are retained and parsed by the first
-// Feed call.
+// messages arrive through Feed, pushed by Serve. Bytes the client
+// pipelined past the handshake are retained and parsed by the first Feed
+// call.
 func NewEdgeServerConn(conn net.Conn, width, height int, name string, ex TokenExchange) (*ServerConn, error) {
 	s := &ServerConn{
 		conn:   conn,
@@ -290,18 +288,17 @@ func (s *ServerConn) BytesReceived() int64 { return s.bytesReceived.Load() }
 // Close tears down the transport; Serve will return afterwards.
 func (s *ServerConn) Close() error { return s.conn.Close() }
 
-// readBufSize is the read scratch Serve hands Feed per read (a
-// readiness-driven read turn borrows the same size from its own pool); a
-// feed buffer that outgrew it is released on drain.
+// readBufSize is the read scratch Serve hands Feed per read; a feed buffer
+// that outgrew it is released on drain.
 const readBufSize = 8 << 10
 
 var readBufPool = sync.Pool{
 	New: func() any { b := make([]byte, readBufSize); return &b },
 }
 
-// Serve is the blocking-transport adapter over Feed: it reads client
-// bytes until the connection fails or closes, feeding each read to the
-// incremental parser, which dispatches to h. It always returns a non-nil
+// Serve is the read loop over Feed: it reads client bytes until the
+// connection fails or closes, feeding each read to the incremental parser,
+// which dispatches to h. It always returns a non-nil
 // error; io.EOF and closed-connection errors mean an orderly shutdown.
 func (s *ServerConn) Serve(h ServerHandler) error {
 	bp := readBufPool.Get().(*[]byte)

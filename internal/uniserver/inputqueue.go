@@ -43,7 +43,7 @@ const inputQueueBound = 256
 const inputQueueHardCap = 4096
 
 // inputEvent is one universal input event parked between the protocol
-// read loop and the dispatch goroutine.
+// read loop and the dispatch task.
 type inputEvent struct {
 	enq     int64  // time.Now().UnixNano() at enqueue
 	trace   uint64 // sampled interaction id (0: untraced)

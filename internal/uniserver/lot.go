@@ -13,14 +13,16 @@ import (
 )
 
 // The detach lot is the server half of session resilience: when a proxy's
-// link dies, the session's server-side state — accumulated damage, the
-// parked update request, undispatched input events — is parked under its
-// resume token instead of being torn down. A reconnecting client that
-// presents the token reclaims the parked state and receives an
-// incremental resync (only the damage accumulated while detached); a
-// token that never returns expires after the park TTL. The lot is
-// bounded: at capacity the oldest parked session (of those holding no
-// undispatched input, while there are any) is expired to make room.
+// link dies, the session's server-side state — accumulated damage,
+// undispatched input events, the wire model — is parked under its resume
+// token instead of being torn down. (An update request it had parked is
+// not: a request is owed on the connection it arrived on.) A reconnecting
+// client that presents the token reclaims the parked state and its first
+// request collects an incremental resync (only the damage accumulated
+// while detached); a token that never returns expires after the park TTL.
+// The lot is bounded: at capacity the oldest parked session (of those
+// holding no undispatched input, while there are any) is expired to make
+// room.
 //
 // Accounting invariant: session_parked_total + session_migrated_in_total
 // == session_resumed_total + session_expired_total +
@@ -86,8 +88,6 @@ type parkedSession struct {
 
 	dirty       *gfx.Damage // damage accumulated before and during detach
 	dirtySpare  []gfx.Rect
-	pending     rfb.UpdateRequest // parked incremental request, if any
-	hasPending  bool
 	events      []inputEvent // undispatched input at detach, replayed on resume
 	lastPtrMask uint8
 	ws          *rfb.WireState // wire model; Reset (not rebuilt) on resume
@@ -357,8 +357,6 @@ func (s *Server) retire(sess *session, events []inputEvent) bool {
 		h:           sess.bounds.H,
 		dirty:       sess.dirty,
 		dirtySpare:  sess.dirtySpare,
-		pending:     sess.pending,
-		hasPending:  sess.hasPending,
 		events:      events,
 		lastPtrMask: sess.lastPtrMask,
 		ws:          sess.ws,
@@ -458,8 +456,6 @@ func (s *Server) compressParked(ps *parkedSession) {
 func (c *session) adopt(ps *parkedSession) {
 	c.dirty = ps.dirty
 	c.dirtySpare = ps.dirtySpare
-	c.pending = ps.pending
-	c.hasPending = ps.hasPending
 	c.lastPtrMask = ps.lastPtrMask
 	c.fedResync = ps.migrated
 	if ps.ws == nil && ps.packed != nil {

@@ -55,7 +55,7 @@ func newLotHarness(t *testing.T, cfg Config) *lotHarness {
 func (h *lotHarness) connect(token string) (*rfb.ClientConn, *rectRecorder) {
 	h.t.Helper()
 	sc, cc := net.Pipe()
-	go h.srv.Attach(sc, nil)
+	go h.srv.Attach(sc)
 	client, err := rfb.DialResume(cc, token)
 	if err != nil {
 		h.t.Fatal(err)
@@ -70,9 +70,10 @@ func gauge(name string) int64   { return metrics.Default().Gauge(name).Value() }
 
 // TestParkAndResumeShipsOnlyDetachDamage is the heart of the detach lot:
 // a session that disconnects with an incremental request parked comes
-// back under its token and receives exactly the damage that accumulated
-// while it was away — without re-requesting, because the parked
-// update-request state machine survived the disconnect too.
+// back under its token and its first request collects exactly the damage
+// that accumulated while it was away — and not before it asks: the old
+// connection's request died with it, so the resync is encoded with what
+// the new connection negotiated.
 func TestParkAndResumeShipsOnlyDetachDamage(t *testing.T) {
 	h := newLotHarness(t, Config{})
 	lbl := toolkit.NewLabel("steady")
@@ -107,8 +108,9 @@ func TestParkAndResumeShipsOnlyDetachDamage(t *testing.T) {
 	// Detach-window damage: the label repaints while nobody is connected.
 	h.display.Update(func() { lbl.SetText("while away") })
 
-	// The owner returns. The parked request and the detach damage pair up
-	// during resume: the resync arrives with no new request from us.
+	// The owner returns. Nothing ships until it has negotiated and asked;
+	// then one update carries the detach damage, in a negotiated encoding.
+	raw0 := counter("rfb_encode_raw_bytes_total")
 	client2, rec2 := h.connect(token)
 	defer client2.Close()
 	if !client2.Resumed() {
@@ -117,7 +119,23 @@ func TestParkAndResumeShipsOnlyDetachDamage(t *testing.T) {
 	if client2.Token() != token {
 		t.Fatalf("resumed session re-keyed: %q != %q", client2.Token(), token)
 	}
+	waitFor(t, "resumed session registered", func() bool { return h.srv.Sessions() == 1 })
+	time.Sleep(10 * time.Millisecond)
+	if u, _ := rec2.snapshot(); u != 0 {
+		t.Fatalf("resumed session shipped %d updates before the client asked", u)
+	}
+	client2.SetEncodings([]int32{rfb.EncHextile, rfb.EncRaw})
+	client2.RequestUpdate(true, gfx.R(0, 0, 160, 120))
 	waitFor(t, "resync update", func() bool { u, _ := rec2.snapshot(); return u >= 1 })
+	if d := counter("rfb_encode_raw_bytes_total") - raw0; d != 0 {
+		t.Errorf("resync shipped %d Raw bytes to a client that negotiated Hextile", d)
+	}
+	// One request, one reply: later damage waits for the next request.
+	h.display.Update(func() { lbl.SetText("back again") })
+	time.Sleep(10 * time.Millisecond)
+	if u, _ := rec2.snapshot(); u != 1 {
+		t.Fatalf("%d updates for one request", u)
+	}
 	_, rects := rec2.snapshot()
 	full := gfx.R(0, 0, 160, 120)
 	area := 0
@@ -402,7 +420,7 @@ func TestQuietSnapshotBalancesParkAccounting(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				sc, cc := net.Pipe()
-				go srv.Attach(sc, nil)
+				go srv.Attach(sc)
 				client, err := rfb.Dial(cc)
 				if err != nil {
 					t.Error(err)

@@ -96,8 +96,6 @@ func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 		W:     ps.w, H: ps.h,
 		Shadow:       shadow,
 		Dirty:        ps.dirty.TakeInto(nil),
-		Pending:      ps.pending,
-		HasPending:   ps.hasPending,
 		LastPtrMask:  ps.lastPtrMask,
 		RemainingTTL: ps.deadline.Sub(now),
 		DetachedFor:  now.Sub(ps.parkedAt),
@@ -139,8 +137,6 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 		token: rec.Token,
 		w:     rec.W, h: rec.H,
 		dirty:       gfx.NewDamage(gfx.R(0, 0, rec.W, rec.H), 16),
-		pending:     rec.Pending,
-		hasPending:  rec.HasPending,
 		lastPtrMask: rec.LastPtrMask,
 		packed:      rec.Shadow,
 		migrated:    true,

@@ -37,7 +37,7 @@ func TestParkedSessionCompresses(t *testing.T) {
 	defer srv.Close()
 
 	r0, c0 := lotGauges()
-	client := edgeWire(t, srv, "")
+	client := pipeWire(t, srv, "")
 	_, token := readServerInit(t, client)
 	client.Close()
 	waitFor(t, "session parked", func() bool { return srv.Parked() == 1 })
@@ -59,7 +59,7 @@ func TestParkedSessionCompresses(t *testing.T) {
 
 	// Resume on the cold state: the thawed shadow must serve a working
 	// session, and the gauges must return to their baseline.
-	client2 := edgeWire(t, srv, token)
+	client2 := pipeWire(t, srv, token)
 	defer client2.Close()
 	resumed, _ := readServerInit(t, client2)
 	if !resumed {
@@ -83,7 +83,7 @@ func TestResumeMidCompressionNeverTorn(t *testing.T) {
 	defer srv.Close()
 
 	for round := 0; round < 25; round++ {
-		client := edgeWire(t, srv, "")
+		client := pipeWire(t, srv, "")
 		_, token := readServerInit(t, client)
 		client.Close()
 		waitFor(t, "session parked", func() bool { return srv.Parked() == 1 })
@@ -117,7 +117,7 @@ func TestResumeMidCompressionNeverTorn(t *testing.T) {
 		srv.releaseClaim(reclaimed)
 		// Drain the lot for the next round via the sweep-on-expire path:
 		// claim it again and finish through a real resume.
-		client2 := edgeWire(t, srv, token)
+		client2 := pipeWire(t, srv, token)
 		resumed, _ := readServerInit(t, client2)
 		if !resumed {
 			t.Fatalf("round %d: post-race resume failed", round)

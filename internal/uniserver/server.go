@@ -129,29 +129,23 @@ func New(display *toolkit.Display, name string, cfg Config) *Server {
 	return s
 }
 
-// Attach performs the protocol handshake on conn and serves the session.
-// The handshake blocks the caller (bounded by HandshakeTimeout; brief when
-// the client pipelined its hello, see rfb.ClientHello). What happens next
-// depends on what the transport can do: a readiness-driven conn
-// (OnReadable/ReadAvailable) has its read task wired and Attach returns
-// nil — the session's life continues on the process worker pool with no
-// goroutine of its own; any other conn is read on the caller's goroutine
-// and Attach returns the read loop's error once the peer disconnects.
-// Either way onClose (the hub passes its entry unpin; nil for none) runs
-// exactly once: after the session has fully retired, or before Attach
-// returns when the handshake fails and no session starts.
+// Attach performs the protocol handshake on conn and serves the session on
+// the caller's goroutine: the handshake is bounded by HandshakeTimeout
+// (brief when the client pipelined its hello, see rfb.ClientHello), then
+// the goroutine stays parked in the connection's blocking read loop — the
+// stock thin-client server shape — while updates and input dispatch run as
+// turns on the process worker pool. Attach returns the read loop's error
+// once the peer has disconnected and the session has fully retired (parked
+// in the lot, or settled), or the handshake's error when no session
+// started; either way nothing of the connection outlives the call.
 //
 // A client presenting a live resume token reclaims its parked session
-// during the handshake: the preserved damage, update-request state and
-// input queue carry over, so the resync ships only what changed while the
-// link was down. A token whose session is still connected takes it over:
-// the stale link is closed and parks first (lot.go, takeover). On
-// disconnect the session parks in the detach lot (unless parking is
-// disabled or the server is closing).
-func (s *Server) Attach(conn net.Conn, onClose func()) error {
-	if onClose == nil {
-		onClose = func() {}
-	}
+// during the handshake: the preserved damage and input queue carry over,
+// so the resync ships only what changed while the link was down. A token
+// whose session is still connected takes it over: the stale link is closed
+// and parks first (lot.go, takeover). On disconnect the session parks in
+// the detach lot (unless parking is disabled or the server is closing).
+func (s *Server) Attach(conn net.Conn) error {
 	w, h := s.display.Size()
 	// A hub-routed connection carries its routing span (preamble read +
 	// home resolution); remember it so every traced interaction arriving
@@ -166,7 +160,6 @@ func (s *Server) Attach(conn net.Conn, onClose func()) error {
 		routeStart: routeStart,
 		routeEnd:   routeEnd,
 		bounds:     gfx.R(0, 0, w, h),
-		onClose:    onClose,
 	}
 	var reclaimed *parkedSession
 	ex := func(presented string) (string, bool) {
@@ -202,7 +195,6 @@ func (s *Server) Attach(conn net.Conn, onClose func()) error {
 			s.releaseClaim(reclaimed)
 		}
 		s.unlist(sess)
-		onClose()
 		return err
 	}
 	sess.conn = rc
@@ -221,47 +213,30 @@ func (s *Server) Attach(conn net.Conn, onClose func()) error {
 	// lot and the session) and adopts its state. It also joins the session
 	// to the server's wait group, so Close blocks until teardown has fully
 	// retired it.
-	resumed := reclaimed != nil
 	if !s.register(sess, reclaimed) {
 		rc.Close()
 		s.unlist(sess)
-		onClose()
 		return errors.New("uniserver: server closed")
 	}
 	mSessions.Inc()
-	if resumed {
-		// Reclaimed state may already have work: a parked request plus
-		// detach-window damage ships the resync without waiting for the
-		// client's first request, and replayed input events dispatch now.
-		sess.satisfyParkedRequest()
-		sess.wake()
+	if reclaimed != nil {
+		// Input that sat out the detach window dispatches now. The damage
+		// that did waits for the client's own request — the reconnecting
+		// client sends SetEncodings, then one, on the same ordered stream
+		// — so the resync is encoded with what this connection negotiated.
 		sess.wakeDispatch()
 	}
-	et, ok := conn.(edgeTransport)
-	if !ok {
-		err := rc.Serve(sess)
-		sess.teardown()
-		return err
-	}
-	// Readiness wiring last: the callback fires immediately if bytes (or a
-	// close) already arrived, and the explicit kick covers messages the
-	// client pipelined behind its handshake, which the handshake reader
-	// left in the connection's feed buffer.
-	sess.edge = et
-	sess.readTask = sched.SharedPool().NewTask(sess.readTurn)
-	et.OnReadable(sess.readTask.Kick)
-	sess.readTask.Kick()
-	return nil
+	err = rc.Serve(sess)
+	sess.teardown()
+	return err
 }
 
-// teardown retires a session whose reads are over (its read turn, or the
-// goroutine whose blocking read loop just returned): stop the sibling
-// tasks, drain the input queue, and retire — one atomic step that removes
-// the session from the pump set and parks the remaining state for a
-// reconnect (or settles the accounting when parking is off). Damage pumped
-// until that step still lands on the session and carries into the lot with
-// it. An edge session's read task stops itself by flag — a task must never
-// Stop from its own turn — and later kicks land on the dead check.
+// teardown retires a session whose read loop has returned: stop the write
+// and dispatch tasks, drain the input queue, and retire — one atomic step
+// that removes the session from the pump set and parks the remaining state
+// for a reconnect (or settles the accounting when parking is off). Damage
+// pumped until that step still lands on the session and carries into the
+// lot with it.
 func (c *session) teardown() {
 	c.conn.Close()
 	c.writeTask.Stop()
@@ -274,7 +249,6 @@ func (c *session) teardown() {
 	// after retire has settled the park accounting, so a scrape that reads
 	// the gauge back at its baseline reads balanced session_* counters.
 	mSessions.Dec()
-	c.onClose()
 	c.srv.unlist(c)
 	c.srv.wg.Done()
 }
@@ -287,11 +261,11 @@ func (s *Server) Serve(ln net.Listener) error {
 			return err
 		}
 		s.wg.Add(1)
-		// goroutine-ok: Serve is the blocking-transport entry point — one
-		// goroutine per accepted conn is Attach's documented cost there.
+		// goroutine-ok: one parked reader per accepted conn is Attach's
+		// documented cost.
 		go func() {
 			defer s.wg.Done()
-			_ = s.Attach(conn, nil)
+			_ = s.Attach(conn)
 		}()
 	}
 }
@@ -386,24 +360,14 @@ type session struct {
 	// The session's schedulable work, as run-queue tasks on the process
 	// pool: a kick (wake/wakeDispatch) marks the task runnable, it runs the
 	// turn, and the task state machine guarantees at-most-once queueing no
-	// matter how many kicks land. An idle session holds no goroutine and
-	// no timer here — just these two structs.
+	// matter how many kicks land. An idle session holds these two structs
+	// and the goroutine parked in Attach's read loop — no timer, and no
+	// runnable goroutine.
 	writeTask    *sched.Task
 	dispatchTask *sched.Task
 
-	// onClose runs once after retirement (the hub's entry unpin); never nil.
-	onClose func()
-
-	// Readiness-driven sessions only — nil/zero on a blocking transport:
-	// edge is the non-blocking transport, readTask drains it on readiness
-	// kicks, and dead marks a torn-down session so late kicks no-op. dead
-	// is read-turn-only state; turn serialization orders its accesses.
-	edge     edgeTransport
-	readTask *sched.Task
-	dead     bool
-
-	// Input events are dispatched by a dedicated goroutine draining inq
-	// (see inputqueue.go), the input-side twin of the writer: a home app
+	// Input events are dispatched by the dispatch task draining inq (see
+	// inputqueue.go), the input-side twin of the writer: a home app
 	// stalling inside a widget callback — a synchronous HAVi round trip —
 	// can no longer stop the read loop from draining framebuffer
 	// requests. lastPtrMask is read-loop-only state marking pure moves;
@@ -639,7 +603,7 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) {
 var _ rfb.ServerHandler = (*session)(nil)
 
 // KeyEvent implements rfb.ServerHandler: universal input → input queue →
-// window system. The read loop only enqueues; dispatchLoop injects.
+// window system. The read loop only enqueues; dispatchTurn injects.
 func (c *session) KeyEvent(ev rfb.KeyEvent) {
 	mKeyEvents.Inc()
 	now := time.Now().UnixNano()
@@ -690,7 +654,7 @@ func (c *session) CutText(string) {}
 // UpdateRequest implements rfb.ServerHandler: park the request for the
 // writer and return. The read loop neither blocks on the transport nor
 // takes the display widget lock — both the render pump and the request
-// state machine run on the writer goroutine (processRequest).
+// state machine run on the writer's turn (processRequest).
 func (c *session) UpdateRequest(req rfb.UpdateRequest) {
 	c.mu.Lock()
 	c.reqs = append(c.reqs, req)
@@ -698,7 +662,7 @@ func (c *session) UpdateRequest(req rfb.UpdateRequest) {
 	c.wake()
 }
 
-// processRequest runs the request state machine (writer goroutine).
+// processRequest runs the request state machine (writer turn).
 // Non-incremental requests are answered with the full region; incremental
 // requests are answered when damage exists, otherwise parked until damage
 // arrives. All replies flow through the writer's coalescing outbox.
@@ -779,29 +743,6 @@ func (c *session) recycleDirty(rects []gfx.Rect) {
 		c.dirtySpare = rects
 	}
 	c.mu.Unlock()
-}
-
-// satisfyParkedRequest runs the pending-request satisfaction step for a
-// freshly resumed session: a request parked before the disconnect plus
-// damage accumulated while detached is a pairing addDirty normally
-// resolves on arrival, but here both halves arrive together out of the
-// lot.
-func (c *session) satisfyParkedRequest() {
-	c.mu.Lock()
-	if !c.hasPending || c.dirty.Empty() {
-		c.mu.Unlock()
-		return
-	}
-	out := c.drainDirtyLocked(c.pending.Region)
-	if len(out) == 0 {
-		c.mu.Unlock()
-		c.recycleDirty(out)
-		return
-	}
-	c.hasPending = false
-	c.mu.Unlock()
-	c.enqueue(out)
-	c.recycleDirty(out)
 }
 
 // addDirty accumulates fresh damage and satisfies a parked request.

@@ -41,7 +41,7 @@ func wire(t *testing.T, cfg Config) (*toolkit.Display, *Server, *rfb.ClientConn,
 
 	sc, cc := net.Pipe()
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Attach(sc, nil) }()
+	go func() { serveErr <- srv.Attach(sc) }()
 	client, err := rfb.Dial(cc)
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestMultipleSessionsSeeSameDesktop(t *testing.T) {
 	// Second client on the same server.
 	sc, cc := net.Pipe()
 	done := make(chan error, 1)
-	go func() { done <- srv.Attach(sc, nil) }()
+	go func() { done <- srv.Attach(sc) }()
 	client2, err := rfb.Dial(cc)
 	if err != nil {
 		t.Fatal(err)
@@ -299,7 +299,7 @@ func TestBackpressureCoalescesUpdates(t *testing.T) {
 
 	sc, cc := net.Pipe()
 	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Attach(sc, nil) }()
+	go func() { serveErr <- srv.Attach(sc) }()
 	client, err := rfb.Dial(&slowConn{Conn: cc, delay: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)

@@ -15,10 +15,10 @@ import (
 
 // dialOver connects a full protocol client over one of the transports and
 // runs its read loop; done closes when the loop returns.
-func dialOver(t *testing.T, srv *Server, pipe func() (net.Conn, net.Conn), token string) (*rfb.ClientConn, *recorder, chan struct{}) {
+func dialOver(t *testing.T, srv *Server, pipe func(*testing.T) (net.Conn, net.Conn), token string) (*rfb.ClientConn, *recorder, chan struct{}) {
 	t.Helper()
-	cc, sc := pipe()
-	go srv.Attach(sc, nil)
+	cc, sc := pipe(t)
+	go srv.Attach(sc)
 	client, err := rfb.DialResume(cc, token)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestPackWaitsOutTheDwell(t *testing.T) {
 	_, c0 := lotGauges()
 	packed0 := counter("lot_packed_total")
 
-	client := edgeWire(t, srv, "")
+	client := pipeWire(t, srv, "")
 	_, token := readServerInit(t, client)
 	client.Close()
 	waitFor(t, "session parked", func() bool { return srv.Parked() == 1 })
@@ -219,7 +219,7 @@ func TestPackWaitsOutTheDwell(t *testing.T) {
 func TestCloseInsideTheDwellLeavesNothingArmed(t *testing.T) {
 	leakcheck.Check(t, 0)
 	srv := New(toolkit.NewDisplay(64, 48), "dwell close", Config{})
-	client := edgeWire(t, srv, "")
+	client := pipeWire(t, srv, "")
 	readServerInit(t, client)
 	client.Close()
 	waitFor(t, "session parked", func() bool { return srv.Parked() == 1 })

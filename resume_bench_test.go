@@ -68,7 +68,7 @@ func BenchmarkResume(b *testing.B) {
 
 	// Prime: join, full paint, leave an incremental request parked, park.
 	sc, cc := net.Pipe()
-	go srv.Attach(sc, nil)
+	go srv.Attach(sc)
 	client, err := rfb.Dial(cc)
 	if err != nil {
 		b.Fatal(err)
@@ -90,7 +90,7 @@ func BenchmarkResume(b *testing.B) {
 		display.Update(func() { lbl.SetText(texts[i%2]) })
 
 		sc, cc := net.Pipe()
-		go srv.Attach(sc, nil)
+		go srv.Attach(sc)
 		client, err := rfb.DialResume(cc, token)
 		if err != nil {
 			b.Fatal(err)

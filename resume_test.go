@@ -53,7 +53,7 @@ func newResumeStack(t *testing.T) *resumeStack {
 func newResumeStackWrapped(t *testing.T, wrap func(inner func()) func()) *resumeStack {
 	t.Helper()
 	st := newResumeDisplay(t, wrap)
-	st.connect(func(conn net.Conn) { st.srv.Attach(conn, nil) }, "")
+	st.connect(func(conn net.Conn) { st.srv.Attach(conn) }, "")
 	return st
 }
 
@@ -291,11 +291,11 @@ func TestResumeShipsOnlyDetachDamageByteIdentical(t *testing.T) {
 	st := newResumeStack(t)
 	st.awaitTraffic()
 	st.settle()
-	initialBytes := st.sup.Proxy().Client().BytesReceived() // cold join: full paint
 	for i := 1; i <= dropAt; i++ {
 		st.press(i)
 	}
 	st.settle()
+	raw0 := counters.Counter("rfb_encode_raw_bytes_total").Value()
 	// Detach-window damage: the label changes while nobody is connected.
 	st.awayUntilParked(func() {
 		st.display.Update(func() { st.lbl.SetText("away message") })
@@ -307,17 +307,11 @@ func TestResumeShipsOnlyDetachDamageByteIdentical(t *testing.T) {
 	st.awaitTraffic() // the resync for the detach-window damage
 	st.settle()
 
-	// The resumed connection shipped an incremental resync of the
-	// detach-window damage, not a full repaint: its traffic stays under
-	// the cold join's initial full paint. (The margin is thin by design:
-	// the wire tier's dictionary-zlib compresses the cold join's full
-	// paint to a few hundred bytes, while the resync pays tile-install
-	// bodies for a fresh tile window — so "well under half" no longer
-	// separates the two, but strictly-cheaper still does.)
-	resyncBytes := st.sup.Proxy().Client().BytesReceived()
-	if resyncBytes >= initialBytes {
-		t.Errorf("resync received %d bytes; cold join full paint was %d — looks like a full repaint",
-			resyncBytes, initialBytes)
+	// The resync was encoded for the connection that received it: the
+	// resumed session ships nothing until the new link has negotiated and
+	// asked, so no rect of it goes out Raw to a wire-tier client.
+	if d := counters.Counter("rfb_encode_raw_bytes_total").Value() - raw0; d != 0 {
+		t.Errorf("resync shipped %d Raw bytes to a client that negotiated the wire tier", d)
 	}
 
 	for i := dropAt + 1; i <= presses; i++ {

@@ -138,7 +138,7 @@ func NewSession(opts Options) (*Session, error) {
 
 	sc, cc := net.Pipe()
 	serverErr := make(chan error, 1)
-	go func() { serverErr <- server.Attach(sc, nil) }()
+	go func() { serverErr <- server.Attach(sc) }()
 
 	proxy, err := core.Dial(cc)
 	if err != nil {
