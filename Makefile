@@ -59,7 +59,15 @@ COVER_MIN ?= 74
 # carried through the park), rfb/server.go -3, rfb/feed.go -2 (comments);
 # workload/idlefleet.go +11 (dials and reads ServerInit off a real
 # socket), rfb/migrate.go +3 (comment).
-LOC_MAX ?= 20378
+# Parked sessions keeping no pixels lowered it 20 378 -> 20 188 for
+# -190 lines: uniserver/lot.go -139 (packDwell, the dwell branch of the
+# janitor, compressParked, the compressing wait, the thaw in adopt, the
+# lot_parked_bytes/lot_packed_total accounting), uniserver/migrate.go -31
+# (ExportParked's claim-and-wait and inline Pack), rfb/park.go -13
+# (ShadowBytes and PackedShadow.PixelFormat), sched/pool.go -6 (Pool.Go,
+# whose one caller was the compression turn), uniserver/server.go -2,
+# rfb/wirestate.go -1; rfb/migrate.go +2 (comments).
+LOC_MAX ?= 20188
 
 .PHONY: all build test vet race race-takeover fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc loc-gate examples
 

@@ -9,13 +9,13 @@ import (
 
 // Session migration record. Federation ships a parked session between
 // hub nodes as one self-contained byte blob: everything the detach lot
-// holds for an absent client — the compressed shadow framebuffer, the
-// resume token, accumulated damage, the parked update request, and the
-// queued-but-undispatched input — in a versioned big-endian layout
-// (documented in docs/WIRE.md). The record deliberately reuses the wire
-// protocol's own codecs (the 16-byte pixel-format block, the PackedShadow
-// zlib stream) so migration cannot drift from what the session would have
-// sent a client.
+// holds for an absent client — the resume token, accumulated damage, the
+// pointer mask, and the queued-but-undispatched input — in a versioned
+// big-endian layout (documented in docs/WIRE.md). The layout also has
+// room for a parked update request, a pixel format and a compressed
+// shadow framebuffer; uniserver writes none of them and ignores them on
+// import, and the codec keeps parsing and bounds-checking them because
+// UNIMIG/1 does.
 
 // Migration record framing constants (layout in docs/WIRE.md).
 const (
@@ -65,8 +65,10 @@ type MigrationRecord struct {
 	// PF is the client-negotiated pixel format; meaningful when PFSet.
 	PF    gfx.PixelFormat
 	PFSet bool
-	// Shadow is the compressed shadow framebuffer (nil only for a
-	// session that never painted).
+	// Shadow is a compressed shadow framebuffer stream. uniserver exports
+	// none (a parked session keeps no pixels: its resume repaints onto a
+	// distrusted model) and ignores one from an older peer; the codec keeps
+	// the field because the UNIMIG/1 layout does.
 	Shadow *PackedShadow
 	// Dirty is the damage accumulated while parked.
 	Dirty []gfx.Rect

@@ -9,17 +9,15 @@ import (
 	"uniint/internal/gfx"
 )
 
-// Parked-session compression. A parked session's memory is dominated by
-// its WireState shadow framebuffer (w·h·4 bytes of mostly-flat GUI
-// pixels); a detach lot full of roaming users holds one per absent
-// client. PackedShadow is the cold form: the shadow serialized in PF32
-// wire layout and deflated — against the same preset dictionary the
-// EncZlibDict wire encoding uses when the session's pixel format matches
-// the shadow's native 32-bit layout, so theme fills and glyph rows
-// compress from the first byte. The tile window and validity flag are
-// deliberately NOT preserved: every resume calls WireState.Reset anyway
-// (the reconnecting client's tile memory is fresh), so the shadow pixels
-// are the only state worth freezing.
+// Shadow compression. PackedShadow is a WireState shadow framebuffer
+// serialized in PF32 wire layout and deflated — against the same preset
+// dictionary the EncZlibDict wire encoding uses when the session's pixel
+// format matches the shadow's native 32-bit layout. It is the type of the
+// migration record's optional shadow stream, which the detach lot neither
+// writes nor reads: a parked session keeps no pixels, because every resume
+// distrusts its shadow and the revalidating full repaint overwrites it
+// before anything reads it. The benchmark harness (cmd/uniload) still
+// replays Pack and Unpack.
 
 // PackedShadow is an immutable compressed snapshot of a WireState.
 type PackedShadow struct {
@@ -34,30 +32,20 @@ type PackedShadow struct {
 // RawBytes returns the uncompressed size of the packed shadow.
 func (p *PackedShadow) RawBytes() int { return p.raw }
 
-// PixelFormat returns the client-negotiated pixel format captured at pack
-// time, and whether one was negotiated at all (the migration record
-// carries both so a shipped session resumes with identical wire state).
-func (p *PackedShadow) PixelFormat() (gfx.PixelFormat, bool) { return p.pf, p.pfSet }
-
 // CompressedBytes returns the deflated size actually held.
 func (p *PackedShadow) CompressedBytes() int { return len(p.comp) }
-
-// ShadowBytes returns the resident size of the live shadow framebuffer —
-// what packing would free. (Colors are 4 bytes each.)
-func (ws *WireState) ShadowBytes() int { return ws.shadow.W() * ws.shadow.H() * 4 }
 
 // packScratch bounds the serialization chunk fed to the deflater per
 // write, keeping Pack's transient footprint independent of geometry.
 const packScratch = 32 << 10
 
-// Pack compresses the shadow into its cold form. The WireState is only
-// read — the caller guarantees no writer turn runs concurrently (parked
-// sessions have no writer; the lot serializes pack against claim).
+// Pack compresses the shadow. The WireState is only read — the caller
+// guarantees no writer turn runs concurrently.
 func (ws *WireState) Pack() (*PackedShadow, error) {
 	p := &PackedShadow{
 		w: ws.shadow.W(), h: ws.shadow.H(),
 		pf: ws.pf, pfSet: ws.pfSet,
-		raw: ws.ShadowBytes(),
+		raw: len(ws.shadow.Pix()) * 4, // Colors are 4 bytes each
 	}
 	// The preset dictionary is built in the session's wire pixel layout;
 	// it matches the serialized shadow only when that layout IS the
@@ -105,10 +93,9 @@ func (ws *WireState) Pack() (*PackedShadow, error) {
 	return p, nil
 }
 
-// Unpack rebuilds a live WireState from the cold form: a fresh tile
-// window and a distrusted-but-byte-identical shadow, exactly the state a
-// resumed session needs before its revalidating repaint. cache is the
-// shared tile store for the new state (may be nil).
+// Unpack rebuilds a WireState from the packed form: a fresh tile window
+// and a distrusted-but-byte-identical shadow. cache is the shared tile
+// store for the new state (may be nil).
 func (p *PackedShadow) Unpack(cache *TileCache) (*WireState, error) {
 	var zr io.ReadCloser
 	var err error

@@ -13,11 +13,11 @@ import (
 // prepared updates are sent in order.
 //
 // A WireState belongs to one session and is not safe for concurrent use;
-// the session's writer goroutine owns it. It survives detach/resume with
-// the session (parked alongside the dirty state), but Reset must be called
-// whenever the client's actual state diverges from the model: on resume
-// (the reconnecting client has a fresh tile memory), after an encode error,
-// and after a failed send.
+// the session's writer goroutine owns it. It does not survive a detach: a
+// resumed session starts a fresh one and Resets it (the reconnecting
+// client has a fresh tile memory and pixels the server cannot know). Reset
+// must also be called whenever the client's actual state diverges from
+// the model: after an encode error, and after a failed send.
 type WireState struct {
 	shadow *gfx.Framebuffer
 	valid  bool // shadow == client framebuffer
@@ -41,9 +41,8 @@ func NewWireState(cache *TileCache, w, h int) *WireState {
 // Reset discards every assumption about the client: the tile window is
 // cleared (subsequent tiles re-install) and the shadow is distrusted until
 // a rectangle covering the full framebuffer ships again (no CopyRect until
-// then). The shadow pixels themselves are kept — only their validity flag
-// drops — so a parked session's shadow still seeds the next comparison
-// after the revalidating repaint.
+// then). Nothing reads a distrusted shadow, and the revalidating repaint
+// overwrites every pixel of it.
 func (ws *WireState) Reset() {
 	ws.valid = false
 	ws.win.init()

@@ -100,12 +100,6 @@ func (p *Pool) NewTask(fn func()) *Task {
 	return &Task{pool: p, fn: fn}
 }
 
-// Go runs fn once on the pool — the one-shot convenience for work that is
-// not a recurring session turn (park compression, deferred teardown).
-func (p *Pool) Go(fn func()) {
-	p.NewTask(fn).Kick()
-}
-
 // Close stops the workers after the queue drains and waits for in-flight
 // turns to return. Tasks kicked after Close never run.
 func (p *Pool) Close() {

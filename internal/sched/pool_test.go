@@ -67,7 +67,7 @@ func TestKicksCoalesceWhileQueued(t *testing.T) {
 	gate := make(chan struct{})
 	var blockerIn = make(chan struct{})
 	// Pin the single worker so the task under test stays queued.
-	p.Go(func() { close(blockerIn); <-gate })
+	p.NewTask(func() { close(blockerIn); <-gate }).Kick()
 	<-blockerIn
 
 	var turns atomic.Int32
@@ -139,12 +139,13 @@ func TestStopWaitsForInFlightTurn(t *testing.T) {
 	}
 }
 
+// TestPoolGoRunsEachOnce: one-shot tasks, each kicked once, each run once.
 func TestPoolGoRunsEachOnce(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
 	var ran atomic.Int32
 	for i := 0; i < 64; i++ {
-		p.Go(func() { ran.Add(1) })
+		p.NewTask(func() { ran.Add(1) }).Kick()
 	}
 	waitFor(t, "one-shots", func() bool { return ran.Load() == 64 })
 }
@@ -153,7 +154,7 @@ func TestPoolCloseDrainsQueue(t *testing.T) {
 	p := NewPool(2)
 	var ran atomic.Int32
 	for i := 0; i < 32; i++ {
-		p.Go(func() { ran.Add(1) })
+		p.NewTask(func() { ran.Add(1) }).Kick()
 	}
 	p.Close()
 	if got := ran.Load(); got != 32 {

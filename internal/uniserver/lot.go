@@ -7,19 +7,21 @@ import (
 
 	"uniint/internal/gfx"
 	"uniint/internal/metrics"
-	"uniint/internal/rfb"
 	"uniint/internal/sched"
 	"uniint/internal/trace"
 )
 
 // The detach lot is the server half of session resilience: when a proxy's
 // link dies, the session's server-side state — accumulated damage,
-// undispatched input events, the wire model — is parked under its resume
+// undispatched input events, the pointer mask — is parked under its resume
 // token instead of being torn down. (An update request it had parked is
-// not: a request is owed on the connection it arrived on.) A reconnecting
-// client that presents the token reclaims the parked state and its first
-// request collects an incremental resync (only the damage accumulated
-// while detached); a token that never returns expires after the park TTL.
+// not: a request is owed on the connection it arrived on. Nor is the wire
+// model: a resume distrusts the shadow framebuffer, and a full repaint
+// overwrites a distrusted shadow before anything reads it, so a parked
+// session keeps no pixels.) A reconnecting client that presents the token
+// reclaims the parked state and its first request collects an incremental
+// resync (only the damage accumulated while detached); a token that never
+// returns expires after the park TTL.
 // The lot is bounded: at capacity the oldest parked session (of those
 // holding no undispatched input, while there are any) is expired to make
 // room.
@@ -44,19 +46,6 @@ var (
 	mDetachSeconds  = metrics.Default().Histogram("session_detach_seconds", metrics.DurationBuckets())
 )
 
-// Parked-memory accounting: lot_parked_bytes is the resident size of every
-// parked session's shadow state (raw through the pack dwell, deflated once
-// the compression turn lands); lot_parked_bytes_compressed is the portion
-// held cold. Both move under lotMu wherever entries enter or leave.
-// lot_packed_total counts the compression turns that landed, so packs per
-// park (lot_packed_total / session_parked_total) says how many parks
-// outlived the dwell.
-var (
-	mLotParkedBytes     = metrics.Default().Gauge("lot_parked_bytes")
-	mLotParkedBytesComp = metrics.Default().Gauge("lot_parked_bytes_compressed")
-	mLotPacked          = metrics.Default().Counter("lot_packed_total")
-)
-
 // Default detach-lot policy: how long a disconnected session waits for
 // its owner to return, and how many may wait per server. Both are
 // per-server (per-home under the hub), so a hub hosting M homes parks at
@@ -65,13 +54,6 @@ const (
 	DefaultParkTTL      = 45 * time.Second
 	DefaultParkCapacity = 64
 )
-
-// packDwell is how long a parked shadow stays raw before the lot janitor
-// hands it to a compression turn. A roaming client resumes within
-// milliseconds and a supervisor's second attempt comes one back-off later:
-// deflating a shadow that is about to be thawed buys nothing. Past the
-// dwell the owner is really away and the memory is worth the CPU.
-const packDwell = 250 * time.Millisecond
 
 // takeoverWait bounds a takeover's wait for the live session to park. A
 // teardown lands within microseconds of its link closing; the bound is for
@@ -83,23 +65,13 @@ var takeoverWait = 2 * time.Second
 type parkedSession struct {
 	token   string
 	w, h    int      // session geometry at detach; must still match to resume
-	claimed bool     // a resume handshake (or an export) is in flight (guarded by lotMu)
-	claimer *session // whose handshake it is, for takeover; nil for an export
+	claimed bool     // a resume handshake is in flight (guarded by lotMu)
+	claimer *session // whose handshake it is, for takeover
 
 	dirty       *gfx.Damage // damage accumulated before and during detach
 	dirtySpare  []gfx.Rect
 	events      []inputEvent // undispatched input at detach, replayed on resume
 	lastPtrMask uint8
-	ws          *rfb.WireState // wire model; Reset (not rebuilt) on resume
-
-	// Cold storage: once the entry has sat out packDwell the janitor hands
-	// it to a pool turn that deflates the shadow (compressParked),
-	// replacing ws with packed. compressing is non-nil while that turn is
-	// reading ws off-lock; a claim landing mid-pack waits on it so the
-	// resumed session never races the snapshot read. All three fields are
-	// guarded by lotMu.
-	packed      *rfb.PackedShadow
-	compressing chan struct{}
 
 	// migrated marks an entry installed by ImportParked — its resume's
 	// first shipped update is the federation resync, counted into
@@ -108,40 +80,6 @@ type parkedSession struct {
 
 	parkedAt time.Time
 	deadline time.Time
-}
-
-// residentBytes returns the lot-gauge contribution of ps: resident bytes
-// and the compressed portion. Call with lotMu held.
-func (ps *parkedSession) residentBytes() (resident, compressed int64) {
-	if ps.packed != nil {
-		n := int64(ps.packed.CompressedBytes())
-		return n, n
-	}
-	if ps.ws != nil {
-		return int64(ps.ws.ShadowBytes()), 0
-	}
-	return 0, 0
-}
-
-// sweepAt is when the janitor next owes ps a visit: the end of the pack
-// dwell while the shadow is raw and no turn is packing it, the park
-// deadline otherwise (or when that comes first). Call with lotMu held.
-func (ps *parkedSession) sweepAt() time.Time {
-	if ps.ws != nil && ps.compressing == nil {
-		if at := ps.parkedAt.Add(packDwell); at.Before(ps.deadline) {
-			return at
-		}
-	}
-	return ps.deadline
-}
-
-// lotBytesAdd moves the parked-memory gauges by sign×ps's current
-// footprint. Call with lotMu held, at every lot insert (+1) and remove
-// (-1).
-func lotBytesAdd(ps *parkedSession, sign int64) {
-	r, c := ps.residentBytes()
-	mLotParkedBytes.Add(sign * r)
-	mLotParkedBytesComp.Add(sign * c)
 }
 
 // newSessionToken issues an opaque 96-bit resume token. Token space is
@@ -227,22 +165,12 @@ func (s *Server) claimParked(token string, w, h int, by *session) *parkedSession
 	if now.After(ps.deadline) || ps.w != w || ps.h != h {
 		delete(s.lot, token)
 		mSessParkedNow.Dec()
-		lotBytesAdd(ps, -1)
 		s.lotMu.Unlock()
 		s.expire(ps, now)
 		return nil
 	}
 	ps.claimed, ps.claimer = true, by
-	packing := ps.compressing
 	s.lotMu.Unlock()
-	if packing != nil {
-		// A compression turn is mid-read on the shadow this claim is about
-		// to hand to a live session (the owner came back just as the dwell
-		// ran out). Wait it out (it is bounded CPU work); claimed is already
-		// set, so its install check will discard the snapshot and the resume
-		// proceeds on the uncompressed state.
-		<-packing
-	}
 	return ps
 }
 
@@ -255,8 +183,8 @@ func (s *Server) releaseClaim(ps *parkedSession) {
 		ps.claimed, ps.claimer = false, nil
 		// The janitor skips claimed entries (and may have disarmed while
 		// this one was the only resident): re-arm it, so a released claim
-		// still expires on time, and is still frozen once its dwell is over.
-		s.scheduleSweepLocked(ps.sweepAt())
+		// still expires on time.
+		s.scheduleSweepLocked(ps.deadline)
 	}
 	s.lotMu.Unlock()
 }
@@ -307,7 +235,6 @@ func (s *Server) register(sess *session, reclaimed *parkedSession) bool {
 		delete(s.lot, reclaimed.token)
 		s.live[reclaimed.token] = sess
 		mSessParkedNow.Dec()
-		lotBytesAdd(reclaimed, -1)
 		s.lotMu.Unlock()
 		sess.adopt(reclaimed)
 		mSessResumed.Inc()
@@ -359,7 +286,6 @@ func (s *Server) retire(sess *session, events []inputEvent) bool {
 		dirtySpare:  sess.dirtySpare,
 		events:      events,
 		lastPtrMask: sess.lastPtrMask,
-		ws:          sess.ws,
 		parkedAt:    now,
 		deadline:    now.Add(s.parkTTL),
 	}
@@ -371,8 +297,7 @@ func (s *Server) retire(sess *session, events []inputEvent) bool {
 	s.lot[ps.token] = ps
 	// Only now, under the same hold, does the token leave the live index.
 	delete(s.live, ps.token)
-	lotBytesAdd(ps, +1)
-	s.scheduleSweepLocked(ps.sweepAt()) // the end of the dwell
+	s.scheduleSweepLocked(ps.deadline)
 	s.lotMu.Unlock()
 	sess.mu.Unlock()
 
@@ -398,8 +323,8 @@ func (ps *parkedSession) evictsBefore(o *parkedSession) bool {
 // every resident is claimed — mid-handshake, about to leave on its own, and
 // evicting it would strand its resume). The victim is the oldest unclaimed
 // entry, those holding no undispatched input first: the bound is there to
-// cap memory, and should not cost a user's key press while any other
-// victim will do. lotMu must be held.
+// cap the lot's size, and should not cost a user's key press while any
+// other victim will do. lotMu must be held.
 func (s *Server) makeRoomLocked() *parkedSession {
 	if len(s.lot) < s.parkCap {
 		return nil
@@ -413,42 +338,8 @@ func (s *Server) makeRoomLocked() *parkedSession {
 	if victim != nil {
 		delete(s.lot, victim.token)
 		mSessParkedNow.Dec()
-		lotBytesAdd(victim, -1)
 	}
 	return victim
-}
-
-// compressParked is the pool turn that moves one parked session's shadow
-// into cold storage, queued by the janitor once the entry's dwell is over
-// (a turn that runs after Close finds the lot drained and returns). It
-// reads the WireState outside lotMu (packing is bounded but not trivial
-// CPU work), then installs the packed form only if the entry is still
-// parked and unclaimed — a claim that lands mid-pack wins, waits for the
-// read to finish (claimParked), and resumes on the uncompressed state.
-func (s *Server) compressParked(ps *parkedSession) {
-	s.lotMu.Lock()
-	if s.lot[ps.token] != ps || ps.claimed || ps.ws == nil || ps.compressing != nil {
-		s.lotMu.Unlock()
-		return
-	}
-	done := make(chan struct{})
-	ps.compressing = done
-	ws := ps.ws
-	s.lotMu.Unlock()
-
-	packed, err := ws.Pack()
-
-	s.lotMu.Lock()
-	ps.compressing = nil
-	if err == nil && s.lot[ps.token] == ps && !ps.claimed {
-		lotBytesAdd(ps, -1)
-		ps.ws = nil
-		ps.packed = packed
-		lotBytesAdd(ps, +1)
-		mLotPacked.Inc()
-	}
-	s.lotMu.Unlock()
-	close(done)
 }
 
 // adopt seeds a fresh session with reclaimed parked state. It runs before
@@ -458,27 +349,13 @@ func (c *session) adopt(ps *parkedSession) {
 	c.dirtySpare = ps.dirtySpare
 	c.lastPtrMask = ps.lastPtrMask
 	c.fedResync = ps.migrated
-	if ps.ws == nil && ps.packed != nil {
-		// The shadow went cold while parked: thaw it. A decode failure
-		// (impossible short of memory corruption) falls back to a fresh
-		// WireState below — the resync degrades to a full repaint instead
-		// of failing the resume.
-		if ws, err := ps.packed.Unpack(c.srv.tiles); err == nil {
-			ps.ws = ws
-		}
-	}
-	if ps.ws == nil {
-		c.ws = rfb.NewWireState(c.srv.tiles, c.bounds.W, c.bounds.H)
-	} else {
-		// Reuse the parked wire model's storage, but distrust its content:
-		// the reconnecting client's tile memory is fresh (tile memory does
-		// not survive a reconnect, only the shadow framebuffer does — and
-		// whether the client actually adopted its old shadow is unknowable
-		// here), so the tile window clears and CopyRect stays off until a
-		// full repaint revalidates the shadow.
-		c.ws = ps.ws
-		c.ws.Reset()
-	}
+	// The session's fresh wire model starts distrusted: the reconnecting
+	// client's tile memory is empty, and which pixels it holds — whether
+	// it adopted its old shadow at all — is unknowable here, so CopyRect
+	// stays off until a full repaint revalidates the shadow. That repaint
+	// overwrites every shadow pixel before any is read, which is why the
+	// lot never kept them.
+	c.ws.Reset()
 	// Traced events that sat out the detach window get a park span —
 	// detach to reclaim — under their own id, so the gap between their
 	// queue enqueue and eventual dispatch is explained in the export.
@@ -514,13 +391,12 @@ func (s *Server) scheduleSweepLocked(deadline time.Time) {
 }
 
 // sweepLot is the lot janitor: it expires every parked session past its
-// deadline, queues a compression turn for every shadow that has sat out
-// its dwell, and re-arms itself for the earliest visit still owed. Claimed
-// entries are skipped — a resume handshake is mid-flight and will remove
-// or release them.
+// deadline and re-arms itself for the earliest deadline still owed.
+// Claimed entries are skipped — a resume handshake is mid-flight and will
+// remove or release them.
 func (s *Server) sweepLot() {
 	now := time.Now()
-	var expired, cold []*parkedSession
+	var expired []*parkedSession
 	s.lotMu.Lock()
 	var next time.Time
 	for tok, ps := range s.lot {
@@ -530,18 +406,11 @@ func (s *Server) sweepLot() {
 		if now.After(ps.deadline) {
 			delete(s.lot, tok)
 			mSessParkedNow.Dec()
-			lotBytesAdd(ps, -1)
 			expired = append(expired, ps)
 			continue
 		}
-		at := ps.sweepAt()
-		if at.Before(ps.deadline) && !now.Before(at) {
-			// Dwell over, nobody came back: freeze it (the turn re-validates).
-			cold = append(cold, ps)
-			at = ps.deadline
-		}
-		if next.IsZero() || at.Before(next) {
-			next = at
+		if next.IsZero() || ps.deadline.Before(next) {
+			next = ps.deadline
 		}
 	}
 	if next.IsZero() {
@@ -553,9 +422,6 @@ func (s *Server) sweepLot() {
 	s.lotMu.Unlock()
 	for _, ps := range expired {
 		s.expire(ps, now)
-	}
-	for _, ps := range cold {
-		sched.SharedPool().Go(func() { s.compressParked(ps) })
 	}
 }
 
@@ -575,12 +441,7 @@ func (s *Server) drainLot() {
 	}
 	lot := s.lot
 	s.lot = nil
-	if n := len(lot); n > 0 {
-		mSessParkedNow.Add(int64(-n))
-		for _, ps := range lot {
-			lotBytesAdd(ps, -1)
-		}
-	}
+	mSessParkedNow.Add(int64(-len(lot)))
 	s.lotMu.Unlock()
 	for _, ps := range lot {
 		s.expire(ps, now)

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"uniint/internal/gfx"
+	"uniint/internal/leakcheck"
 	"uniint/internal/metrics"
 	"uniint/internal/rfb"
 	"uniint/internal/toolkit"
@@ -177,7 +178,9 @@ func TestResumeMissFallsBackToFreshSession(t *testing.T) {
 }
 
 // TestParkTTLExpires: a parked session not reclaimed within the TTL is
-// expired by the lot janitor and a late resume misses.
+// expired by the lot janitor and a late resume misses — also when a claim
+// whose handshake failed held it past its deadline (the janitor skips a
+// claimed entry, so the release re-arms it).
 func TestParkTTLExpires(t *testing.T) {
 	h := newLotHarness(t, Config{ParkTTL: 30 * time.Millisecond})
 	expired0 := counter("session_expired_total")
@@ -186,6 +189,21 @@ func TestParkTTLExpires(t *testing.T) {
 	token := client.Token()
 	client.Close()
 	waitFor(t, "session parked", func() bool { return h.srv.Parked() == 1 })
+	ps := h.srv.claimParked(token, 160, 120, nil)
+	if ps == nil {
+		t.Fatal("claim of the parked session missed")
+	}
+	// The janitor's deadline visit skips the claimed entry and, with nothing
+	// else parked, disarms.
+	waitFor(t, "janitor disarmed past the claimed entry", func() bool {
+		h.srv.lotMu.Lock()
+		defer h.srv.lotMu.Unlock()
+		return h.srv.lotTimer == nil
+	})
+	if h.srv.Parked() != 1 {
+		t.Fatal("janitor expired a claimed entry")
+	}
+	h.srv.releaseClaim(ps)
 	waitFor(t, "session expired", func() bool { return h.srv.Parked() == 0 })
 	if d := counter("session_expired_total") - expired0; d != 1 {
 		t.Fatalf("session_expired_total delta = %d, want 1", d)
@@ -311,17 +329,33 @@ func TestGeometryChangeWhileParkedMisses(t *testing.T) {
 	}
 }
 
-// TestCloseDrainsLot: server shutdown expires everything parked and
-// zeroes the gauge.
+// TestCloseDrainsLot: server shutdown expires everything parked, zeroes
+// the gauge, and disarms the janitor a park armed for the entry's deadline
+// (the strict leakcheck is the oracle: a stray timer or turn would outlive
+// Close).
 func TestCloseDrainsLot(t *testing.T) {
+	leakcheck.Check(t, 0)
 	h := newLotHarness(t, Config{})
 	g0 := gauge("session_parked")
 	client, _ := h.connect("")
 	client.Close()
 	waitFor(t, "session parked", func() bool { return h.srv.Parked() == 1 })
+	h.srv.lotMu.Lock()
+	armed, at := h.srv.lotTimer != nil, h.srv.lotSweepAt
+	var deadline time.Time
+	for _, ps := range h.srv.lot {
+		deadline = ps.deadline
+	}
+	h.srv.lotMu.Unlock()
+	if !armed || !at.Equal(deadline) {
+		t.Fatalf("janitor armed=%v for %v, want the park deadline %v", armed, at, deadline)
+	}
 	h.srv.Close()
-	if h.srv.Parked() != 0 {
-		t.Fatal("lot not drained on close")
+	h.srv.lotMu.Lock()
+	armed = h.srv.lotTimer != nil
+	h.srv.lotMu.Unlock()
+	if armed || h.srv.Parked() != 0 {
+		t.Fatalf("after Close: janitor armed=%v, parked=%d", armed, h.srv.Parked())
 	}
 	if g := gauge("session_parked"); g != g0 {
 		t.Fatalf("session_parked gauge = %d, want %d", g, g0)

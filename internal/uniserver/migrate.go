@@ -11,8 +11,8 @@ import (
 )
 
 // Session migration is the lot's federation surface: a parked session is
-// already a small self-contained object (compressed shadow + resume token
-// + queued input + parked request), so moving a home between hub nodes is
+// already a small self-contained object (resume token + damage + queued
+// input + pointer mask, no pixels), so moving a home between hub nodes is
 // export here, a byte blob on the wire, import there. The exported entry
 // leaves this lot permanently — it is counted migrated-out, the target
 // counts it migrated-in, and the pair keeps the process-wide lot
@@ -54,54 +54,24 @@ func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 		s.lotMu.Unlock()
 		return nil, false
 	}
+	delete(s.lot, token)
+	mSessParkedNow.Dec()
+	s.lotMu.Unlock()
 	if now.After(ps.deadline) {
-		delete(s.lot, token)
-		mSessParkedNow.Dec()
-		lotBytesAdd(ps, -1)
-		s.lotMu.Unlock()
 		s.expire(ps, now)
 		return nil, false
 	}
-	// Claim-style extraction: mark the entry so no resume handshake or
-	// janitor touches it, then wait out a compression turn mid-read on
-	// the shadow (same protocol as claimParked).
-	ps.claimed = true
-	packing := ps.compressing
-	s.lotMu.Unlock()
-	if packing != nil {
-		<-packing
-	}
-	s.lotMu.Lock()
-	if s.lot[token] != ps {
-		// Drained underneath the claim (server shutdown): the lot already
-		// settled the entry.
-		s.lotMu.Unlock()
-		return nil, false
-	}
-	delete(s.lot, token)
-	mSessParkedNow.Dec()
-	lotBytesAdd(ps, -1)
-	s.lotMu.Unlock()
 
-	// The record ships the shadow in its cold form; a freshly parked
-	// entry whose compression turn has not landed yet packs here.
-	shadow := ps.packed
-	if shadow == nil && ps.ws != nil {
-		if p, err := ps.ws.Pack(); err == nil {
-			shadow = p
-		}
-	}
+	// The record carries no shadow stream: the lot holds no pixels, and the
+	// importing node resumes onto a distrusted model exactly as this one
+	// would have.
 	rec := &rfb.MigrationRecord{
 		Token: ps.token,
 		W:     ps.w, H: ps.h,
-		Shadow:       shadow,
 		Dirty:        ps.dirty.TakeInto(nil),
 		LastPtrMask:  ps.lastPtrMask,
 		RemainingTTL: ps.deadline.Sub(now),
 		DetachedFor:  now.Sub(ps.parkedAt),
-	}
-	if shadow != nil {
-		rec.PF, rec.PFSet = shadow.PixelFormat()
 	}
 	for _, ev := range ps.events {
 		// Enqueue timestamps and trace ids are node-local; the target
@@ -117,7 +87,8 @@ func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 // ImportParked installs a migration record into this server's detach
 // lot, making the shipped session resumable here. The entry keeps the
 // remaining TTL it left the source with (migration never extends a
-// session's life) and its shadow stays cold until a resume thaws it.
+// session's life). A shadow stream from an older peer is ignored: the
+// resume distrusts its model either way.
 func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 	if rec == nil || rec.Token == "" {
 		return errors.New("uniserver: import: empty migration record")
@@ -138,7 +109,6 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 		w:     rec.W, h: rec.H,
 		dirty:       gfx.NewDamage(gfx.R(0, 0, rec.W, rec.H), 16),
 		lastPtrMask: rec.LastPtrMask,
-		packed:      rec.Shadow,
 		migrated:    true,
 		parkedAt:    now.Add(-rec.DetachedFor),
 		deadline:    now.Add(ttl),
@@ -166,7 +136,6 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 	s.lotMu.Lock()
 	oldest := s.makeRoomLocked()
 	s.lot[ps.token] = ps
-	lotBytesAdd(ps, +1)
 	s.scheduleSweepLocked(ps.deadline)
 	s.lotMu.Unlock()
 	s.pumpMu.Unlock()

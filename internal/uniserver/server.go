@@ -200,10 +200,7 @@ func (s *Server) Attach(conn net.Conn) error {
 	sess.conn = rc
 	sess.dirty = gfx.NewDamage(sess.bounds, 16)
 	sess.outbox = gfx.NewDamage(sess.bounds, 16)
-	if reclaimed == nil {
-		// (A resume adopts the parked wire model: register → adopt.)
-		sess.ws = rfb.NewWireState(s.tiles, w, h)
-	}
+	sess.ws = rfb.NewWireState(s.tiles, w, h) // a resume distrusts it (adopt)
 	// The tasks exist before the session is visible to the pump, so a
 	// damage kick arriving mid-register always has a target.
 	sess.writeTask = sched.SharedPool().NewTask(sess.writerTurn)
@@ -409,9 +406,10 @@ type session struct {
 
 	// ws is the wire tier's model of the client (shadow framebuffer +
 	// tile window); writer-turn-only. Unlike turn scratch it is client
-	// STATE, not scratch — it parks with the session and is Reset
-	// whenever the model can no longer be trusted (resume, encode error,
-	// failed send). Drain and encode scratch is NOT pinned here: writer
+	// STATE, not scratch — but not state the lot keeps: a resumed session
+	// starts a fresh one, distrusted (adopt), and it is Reset whenever the
+	// model can no longer be trusted (encode error, failed send). Drain and
+	// encode scratch is NOT pinned here: writer
 	// turns check a turnScratch out of the central pool, so that memory
 	// scales with concurrent turns, not sessions.
 	ws *rfb.WireState

@@ -151,90 +151,3 @@ func TestTakeoverStalledTeardownMissesCleanly(t *testing.T) {
 	unblock()
 	waitFor(t, "stalled session parked", func() bool { return h.srv.HasParked(a.Token()) })
 }
-
-// rawAndIdle reports whether the single parked entry still holds its raw
-// shadow with no compression turn on it.
-func rawAndIdle(t *testing.T, s *Server) bool {
-	t.Helper()
-	ps := parkedEntry(t, s)
-	s.lotMu.Lock()
-	defer s.lotMu.Unlock()
-	return ps.ws != nil && ps.packed == nil && ps.compressing == nil
-}
-
-// TestPackWaitsOutTheDwell: a parked shadow stays raw until packDwell has
-// passed, a claim inside the dwell meets no compression turn, and an entry
-// nobody claims is frozen once the dwell is over.
-func TestPackWaitsOutTheDwell(t *testing.T) {
-	leakcheck.Check(t, 0)
-	srv := New(toolkit.NewDisplay(160, 120), "dwell test", Config{})
-	defer srv.Close()
-	_, c0 := lotGauges()
-	packed0 := counter("lot_packed_total")
-
-	client := pipeWire(t, srv, "")
-	_, token := readServerInit(t, client)
-	client.Close()
-	waitFor(t, "session parked", func() bool { return srv.Parked() == 1 })
-	parkedAt := parkedEntry(t, srv).parkedAt
-
-	// Inside the dwell: raw, idle, nothing compressed, and a claim takes the
-	// raw shadow and waits on nobody.
-	_, c1 := lotGauges()
-	idle := rawAndIdle(t, srv)
-	ps := srv.claimParked(token, 160, 120, nil)
-	if ps == nil {
-		t.Fatal("claim inside the dwell missed")
-	}
-	srv.lotMu.Lock()
-	ws, packing := ps.ws, ps.compressing
-	srv.lotMu.Unlock()
-	if since := time.Since(parkedAt); since >= packDwell {
-		t.Skipf("host too slow to look inside the dwell: %v since the park", since)
-	}
-	if c1 != c0 || !idle {
-		t.Fatalf("entry left the raw state inside its %v dwell (compressed bytes %d)", packDwell, c1-c0)
-	}
-	if ws == nil || packing != nil {
-		t.Fatalf("claim inside the dwell: raw shadow %v, compression turn %v", ws != nil, packing != nil)
-	}
-	// The handshake "fails": the released entry is still owed its freeze.
-	srv.releaseClaim(ps)
-
-	waitFor(t, "entry frozen after the dwell", func() bool {
-		_, c := lotGauges()
-		return c > c0
-	})
-	if since := time.Since(parkedAt); since < packDwell {
-		t.Errorf("entry frozen %v after parking, before the %v dwell was over", since, packDwell)
-	}
-	if d := counter("lot_packed_total") - packed0; d != 1 {
-		t.Errorf("lot_packed_total delta = %d, want 1", d)
-	}
-}
-
-// TestCloseInsideTheDwellLeavesNothingArmed: the janitor's dwell visit is
-// the only thing a fresh park arms, and Close disarms it (the strict
-// leakcheck is the oracle: a stray timer or turn would outlive Close).
-func TestCloseInsideTheDwellLeavesNothingArmed(t *testing.T) {
-	leakcheck.Check(t, 0)
-	srv := New(toolkit.NewDisplay(64, 48), "dwell close", Config{})
-	client := pipeWire(t, srv, "")
-	readServerInit(t, client)
-	client.Close()
-	waitFor(t, "session parked", func() bool { return srv.Parked() == 1 })
-	want := parkedEntry(t, srv).parkedAt.Add(packDwell)
-	srv.lotMu.Lock()
-	armed, at := srv.lotTimer != nil, srv.lotSweepAt
-	srv.lotMu.Unlock()
-	if !armed || !at.Equal(want) {
-		t.Fatalf("janitor armed=%v for %v, want the end of the dwell %v", armed, at, want)
-	}
-	srv.Close()
-	srv.lotMu.Lock()
-	armed = srv.lotTimer != nil
-	srv.lotMu.Unlock()
-	if armed || srv.Parked() != 0 {
-		t.Fatalf("after Close inside the dwell: janitor armed=%v, parked=%d", armed, srv.Parked())
-	}
-}
