@@ -25,11 +25,7 @@ import (
 // The dictionary depends only on the pixel format, so one copy per format
 // is built lazily and shared by every connection in the process.
 
-var (
-	mDictBuilds = metrics.Default().Counter("rfb_dict_builds_total")
-	mDictRects  = metrics.Default().Counter("rfb_dict_rects_total")
-	mDictBytes  = metrics.Default().Counter("rfb_dict_bytes_total")
-)
+var mDictBuilds = metrics.Default().Counter("rfb_dict_builds_total")
 
 // dictThemeColors are the fill colors seeded as runs, most common last so
 // they sit closest to the compressed data.

@@ -460,10 +460,7 @@ func encodeZlibDict(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFor
 	var hdr [4]byte
 	be.PutUint32(hdr[:], uint32(sc.zbuf.Len()))
 	dst = append(dst, hdr[:]...)
-	dst = append(dst, sc.zbuf.Bytes()...)
-	mDictRects.Inc()
-	mDictBytes.Add(int64(4 + sc.zbuf.Len()))
-	return dst, nil
+	return append(dst, sc.zbuf.Bytes()...), nil
 }
 
 func decodeZlibDict(rd io.Reader, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat, dsc *decodeScratch) error {

@@ -10,7 +10,7 @@ import (
 func testShadow(t *testing.T, w, h int) *PackedShadow {
 	t.Helper()
 	ws := NewWireState(nil, w, h)
-	pix := ws.shadow.Pix()
+	pix := ws.ensureShadow().Pix()
 	for i := range pix {
 		pix[i] = gfx.Color(uint32(i)*2654435761 + 7)
 	}

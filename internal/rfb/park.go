@@ -42,10 +42,11 @@ const packScratch = 32 << 10
 // Pack compresses the shadow. The WireState is only read — the caller
 // guarantees no writer turn runs concurrently.
 func (ws *WireState) Pack() (*PackedShadow, error) {
+	shadow := ws.ensureShadow()
 	p := &PackedShadow{
-		w: ws.shadow.W(), h: ws.shadow.H(),
+		w: ws.w, h: ws.h,
 		pf: ws.pf, pfSet: ws.pfSet,
-		raw: len(ws.shadow.Pix()) * 4, // Colors are 4 bytes each
+		raw: len(shadow.Pix()) * 4, // Colors are 4 bytes each
 	}
 	// The preset dictionary is built in the session's wire pixel layout;
 	// it matches the serialized shadow only when that layout IS the
@@ -66,7 +67,7 @@ func (ws *WireState) Pack() (*PackedShadow, error) {
 	}
 	var scratch [packScratch]byte
 	n := 0
-	for _, c := range ws.shadow.Pix() {
+	for _, c := range shadow.Pix() {
 		// PF32 wire layout: little-endian, identity component mapping —
 		// a byte-lossless serialization of the Color value.
 		scratch[n] = byte(c)
@@ -109,7 +110,7 @@ func (p *PackedShadow) Unpack(cache *TileCache) (*WireState, error) {
 	}
 	defer zr.Close()
 	ws := NewWireState(cache, p.w, p.h)
-	pix := ws.shadow.Pix()
+	pix := ws.ensureShadow().Pix()
 	var scratch [packScratch]byte
 	i := 0
 	for i < len(pix) {

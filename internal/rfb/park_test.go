@@ -11,7 +11,7 @@ import (
 // round-trip must be byte-lossless, not merely 24-bit-lossless.
 func fillShadow(ws *WireState, seed uint32) {
 	x := seed | 1
-	pix := ws.shadow.Pix()
+	pix := ws.ensureShadow().Pix()
 	for i := range pix {
 		x ^= x << 13
 		x ^= x >> 17
@@ -73,7 +73,7 @@ func TestPackCompressionRatio(t *testing.T) {
 	// GUI-like content — theme fills plus glyph-row text — must shrink at
 	// least 3x; this is the acceptance floor for cold parked sessions.
 	ws := NewWireState(nil, 160, 120)
-	pix := ws.shadow.Pix()
+	pix := ws.ensureShadow().Pix()
 	for i := range pix {
 		pix[i] = gfx.LightGray
 	}

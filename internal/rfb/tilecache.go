@@ -18,7 +18,9 @@ import (
 //   - TileCache (process-wide, shared across sessions): content hash →
 //     encoded tile body, so the Nth session emitting an EncTileInstall for
 //     a tile some other session already encoded reuses the bytes without
-//     re-running the encoder. Bounded by a byte budget with LRU eviction.
+//     re-running the encoder. Dictionary-zlib bodies of larger rectangles
+//     (a cold join's full frame) share it under their own key kind.
+//     Bounded by a byte budget with LRU eviction.
 //
 //   - tileWindow (per session, inside WireState) mirrored by clientTiles
 //     (per connection, inside decodeScratch): a fixed-capacity LRU over
@@ -36,8 +38,10 @@ import (
 const tileWindowCap = 2048
 
 // Tile eligibility bounds: rectangles beyond these are full-screen-ish
-// repaints whose pixel memory would evict many small widget tiles for one
-// unlikely-to-repeat hash.
+// repaints, whose decoded pixels would evict many small widget tiles from
+// the client's fixed window. They repeat often across sessions (every cold
+// join at one display state ships the same frame), so their dictionary-zlib
+// bodies are memoised in the TileCache instead (WireState.encodeDict).
 const (
 	tileMaxArea   = 16384
 	tileMaxHeight = 128
@@ -59,12 +63,15 @@ var (
 	mTileInstallsSent = metrics.Default().Counter("rfb_tilecache_installs_sent_total")
 )
 
-// tileKey addresses an encoded tile body: the content hash plus the pixel
-// format the body was encoded under (the same pixels serialize differently
-// per format).
+// tileKey addresses an encoded body: the content hash, the pixel format
+// the body was encoded under (the same pixels serialize differently per
+// format), and the wire form the body serves — EncTileInstall for a tile's
+// inner body, EncZlibDict for a memoised dictionary-zlib body — so one
+// content never answers for the other form.
 type tileKey struct {
 	hash uint64
 	pf   gfx.PixelFormat
+	kind int32
 }
 
 // tileEntry is one cached encoded body on the cache's intrusive LRU list.

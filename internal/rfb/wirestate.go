@@ -19,7 +19,8 @@ import (
 // must also be called whenever the client's actual state diverges from
 // the model: after an encode error, and after a failed send.
 type WireState struct {
-	shadow *gfx.Framebuffer
+	shadow *gfx.Framebuffer // allocated on first use (ensureShadow)
+	w, h   int
 	valid  bool // shadow == client framebuffer
 	win    tileWindow
 	cache  *TileCache // shared across sessions; may be nil
@@ -33,9 +34,19 @@ type WireState struct {
 // shared across sessions). A fresh client framebuffer is zero-filled
 // (black), exactly like the fresh shadow, so the model starts valid.
 func NewWireState(cache *TileCache, w, h int) *WireState {
-	ws := &WireState{shadow: gfx.NewFramebuffer(w, h), valid: true, cache: cache}
+	ws := &WireState{w: w, h: h, valid: true, cache: cache}
 	ws.win.init()
 	return ws
+}
+
+// ensureShadow returns the shadow, allocating it (black) on first use. A
+// resumed session Resets its fresh state before any commit, so it pays
+// for the shadow only at the full-bounds repaint that revalidates it.
+func (ws *WireState) ensureShadow() *gfx.Framebuffer {
+	if ws.shadow == nil {
+		ws.shadow = gfx.NewFramebuffer(ws.w, ws.h)
+	}
+	return ws.shadow
 }
 
 // Reset discards every assumption about the client: the tile window is
@@ -63,6 +74,7 @@ var (
 	mCopyHits        = metrics.Default().Counter("rfb_copyrect_hits_total")
 	mCopyProbePixels = metrics.Default().Counter("rfb_copyrect_probe_pixels_total")
 	mDictPicks       = metrics.Default().Counter("rfb_dict_picks_total")
+	mDictMemoHits    = metrics.Default().Counter("rfb_dict_memo_hits_total")
 )
 
 // zlibDictMinArea gates the hextile→zlib-dict upgrade: below it the zlib
@@ -86,9 +98,10 @@ func (ws *WireState) selectAndEncode(dst []byte, fb *gfx.Framebuffer, ur *Update
 	}
 	r := ur.Rect
 	inShadow := !r.Empty() && r.X >= 0 && r.Y >= 0 &&
-		r.MaxX() <= ws.shadow.W() && r.MaxY() <= ws.shadow.H()
+		r.MaxX() <= ws.w && r.MaxY() <= ws.h
 
 	if mask&encBitCopyRect != 0 && ws.valid && inShadow && r.Area() >= copyMinArea {
+		ws.ensureShadow()
 		if sx, sy, ok := ws.findCopy(fb, r); ok {
 			ur.CopySrcX, ur.CopySrcY = sx, sy
 			var b [4]byte
@@ -121,11 +134,34 @@ func (ws *WireState) selectAndEncode(dst []byte, fb *gfx.Framebuffer, ur *Update
 	enc := chooseEncoding(fb, r, mask, fallback, sc)
 	if mask&encBitZlibDict != 0 && r.Area() >= zlibDictMinArea &&
 		(enc == EncHextile || enc == EncZlib) {
-		enc = EncZlibDict
 		mDictPicks.Inc()
+		dst, err := ws.encodeDict(dst, fb, r, pf, sc)
+		return dst, EncZlibDict, err
 	}
 	dst, err := encodeRect(dst, enc, fb, r, pf, sc)
 	return dst, enc, err
+}
+
+// encodeDict appends an EncZlibDict body, deflating each distinct content
+// once per shared cache: a cold join ships the same full frame as every
+// earlier join at the same display state, and compress/flate is
+// deterministic in its input, level and dictionary, so the memoised body
+// is byte-identical to a fresh encode.
+func (ws *WireState) encodeDict(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat, sc *encodeScratch) ([]byte, error) {
+	if ws.cache == nil {
+		return encodeZlibDict(dst, fb, r, pf, sc)
+	}
+	key := tileKey{hash: hashTile(fb, r), pf: pf, kind: EncZlibDict}
+	if _, body, ok := ws.cache.Get(key); ok {
+		mDictMemoHits.Inc()
+		return append(dst, body...), nil
+	}
+	start := len(dst)
+	dst, err := encodeZlibDict(dst, fb, r, pf, sc)
+	if err == nil {
+		ws.cache.Put(key, EncZlibDict, dst[start:])
+	}
+	return dst, err
 }
 
 // encodeInstall appends an EncTileInstall body: the content hash, the
@@ -133,16 +169,13 @@ func (ws *WireState) selectAndEncode(dst []byte, fb *gfx.Framebuffer, ur *Update
 // another session (or an earlier window generation) already encoded this
 // tile, freshly encoded and published to the cache otherwise.
 func (ws *WireState) encodeInstall(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, h uint64, pf gfx.PixelFormat, mask uint8, sc *encodeScratch) ([]byte, error) {
-	var hb [8]byte
-	be.PutUint64(hb[:], h)
-	key := tileKey{hash: h, pf: pf}
+	var hdr [12]byte // content hash, inner encoding id
+	be.PutUint64(hdr[:], h)
+	key := tileKey{hash: h, pf: pf, kind: EncTileInstall}
 	if ws.cache != nil {
 		if enc, body, ok := ws.cache.Get(key); ok {
-			dst = append(dst, hb[:]...)
-			var eb [4]byte
-			be.PutUint32(eb[:], uint32(enc))
-			dst = append(dst, eb[:]...)
-			return append(dst, body...), nil
+			be.PutUint32(hdr[8:], uint32(enc))
+			return append(append(dst, hdr[:]...), body...), nil
 		}
 	}
 	// Inner bodies stick to the unconditionally-decodable encodings so a
@@ -154,10 +187,8 @@ func (ws *WireState) encodeInstall(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, 
 	default:
 		inner = EncRaw
 	}
-	dst = append(dst, hb[:]...)
-	var eb [4]byte
-	be.PutUint32(eb[:], uint32(inner))
-	dst = append(dst, eb[:]...)
+	be.PutUint32(hdr[8:], uint32(inner))
+	dst = append(dst, hdr[:]...)
 	bodyStart := len(dst)
 	dst, err := encodeRect(dst, inner, fb, r, pf, sc)
 	if err != nil {
@@ -231,21 +262,24 @@ func (ws *WireState) rowsEqual(fb *gfx.Framebuffer, r gfx.Rect, sx, sy, y, w int
 
 // commit applies one encoded rectangle to the shadow, mirroring what the
 // client's decode will do: CopyRect moves shadow pixels, everything else
-// blits the freshly-encoded framebuffer content. A rectangle covering the
-// full framebuffer revalidates a distrusted shadow — after it, the client
-// provably holds exactly the shadow again.
+// blits the freshly-encoded framebuffer content. A distrusted shadow is
+// never read, so commits skip it until a rectangle covering the full
+// framebuffer revalidates it — after that one, the client provably holds
+// exactly the shadow again.
 func (ws *WireState) commit(fb *gfx.Framebuffer, ur *UpdateRect) {
 	r := ur.Rect
-	if ur.Encoding == EncCopyRect {
-		ws.shadow.CopyRect(r.X, r.Y, gfx.R(ur.CopySrcX, ur.CopySrcY, r.W, r.H))
-		return
-	}
-	if fb == nil {
-		return
-	}
-	ws.shadow.Blit(r.X, r.Y, fb, r)
-	if !ws.valid && r.X <= 0 && r.Y <= 0 &&
-		r.MaxX() >= ws.shadow.W() && r.MaxY() >= ws.shadow.H() {
+	if !ws.valid {
+		if fb == nil || ur.Encoding == EncCopyRect ||
+			r.X > 0 || r.Y > 0 || r.MaxX() < ws.w || r.MaxY() < ws.h {
+			return
+		}
 		ws.valid = true
+	}
+	if ur.Encoding == EncCopyRect {
+		ws.ensureShadow().CopyRect(r.X, r.Y, gfx.R(ur.CopySrcX, ur.CopySrcY, r.W, r.H))
+		return
+	}
+	if fb != nil {
+		ws.ensureShadow().Blit(r.X, r.Y, fb, r)
 	}
 }

@@ -183,7 +183,7 @@ func TestTileCacheEvictionUnderPressure(t *testing.T) {
 	if got := tc.Bytes(); got > 1<<10 {
 		t.Fatalf("cache holds %d bytes, budget is %d", got, 1<<10)
 	}
-	if _, _, ok := tc.Get(tileKey{hash: hashTile(fb, r), pf: pf}); ok {
+	if _, _, ok := tc.Get(tileKey{hash: hashTile(fb, r), pf: pf, kind: EncTileInstall}); ok {
 		t.Fatal("original tile survived 32 filler installs in a ~3-body budget")
 	}
 
@@ -326,5 +326,92 @@ func TestTileRefUnknownHashRejected(t *testing.T) {
 	err := decodeRect(bytes.NewReader(ref), EncTileRef, fb, gfx.R(0, 0, 8, 8), gfx.PF32(), &decodeScratch{})
 	if err == nil {
 		t.Fatal("unknown tile ref decoded without error")
+	}
+}
+
+// panelFrame paints GUI-like content — a light fill with rows of text —
+// that the adaptive probe hands to hextile, so a large enough rectangle
+// of it upgrades to dictionary zlib.
+func panelFrame(w, h int) *gfx.Framebuffer {
+	f := gfx.NewFramebuffer(w, h)
+	f.Clear(gfx.LightGray)
+	for y := 2; y+gfx.GlyphH < h; y += gfx.GlyphH + 3 {
+		gfx.DrawText(f, 2, y, "Lamp ON  Volume 12  Channel 7", gfx.Black)
+	}
+	return f
+}
+
+// TestDictMemoHitMatchesFreshEncode: a second session shipping the same
+// full frame over the same cache takes the memoised body, and that body
+// is byte-identical to a fresh encodeZlibDict of the frame.
+func TestDictMemoHitMatchesFreshEncode(t *testing.T) {
+	const w, h = 160, 120
+	fb := panelFrame(w, h)
+	cache := NewTileCache(0)
+	sc := getScratch()
+	defer putScratch(sc)
+	for _, pf := range []gfx.PixelFormat{gfx.PF32(), gfx.PF16()} {
+		fresh, err := EncodeRectInto(nil, EncZlibDict, fb, fb.Bounds(), pf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for join, wantHits := range []int64{0, 1} {
+			hits0 := mDictMemoHits.Value()
+			ur := &UpdateRect{Rect: fb.Bounds(), Encoding: EncAdaptive}
+			body, enc, err := NewWireState(cache, w, h).selectAndEncode(nil, fb, ur, pf, allEncBits, EncRaw, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if enc != EncZlibDict {
+				t.Fatalf("%d-bit join %d: encoded as %s, want ZlibDict", pf.BitsPerPixel, join, EncodingName(enc))
+			}
+			if !bytes.Equal(body, fresh) {
+				t.Fatalf("%d-bit join %d: body differs from a fresh encode (%d vs %d bytes)", pf.BitsPerPixel, join, len(body), len(fresh))
+			}
+			if d := mDictMemoHits.Value() - hits0; d != wantHits {
+				t.Fatalf("%d-bit join %d: %d memo hits, want %d", pf.BitsPerPixel, join, d, wantHits)
+			}
+		}
+	}
+}
+
+// TestDictMemoAndTileInstallKeepSeparateKeys: tile-sized content memoised
+// as a dictionary-zlib body for a client without tile support must not
+// answer a tile install for a client with it — the install's inner body
+// stays one every tile-capable client decodes.
+func TestDictMemoAndTileInstallKeepSeparateKeys(t *testing.T) {
+	const w, h = 128, 64 // within tile bounds, above the dictionary threshold
+	pf := gfx.PF32()
+	fb := panelFrame(w, h)
+	cache := NewTileCache(0)
+	sc := getScratch()
+	defer putScratch(sc)
+
+	encode := func(mask uint8) ([]byte, int32) {
+		ur := &UpdateRect{Rect: fb.Bounds(), Encoding: EncAdaptive}
+		body, enc, err := NewWireState(cache, w, h).selectAndEncode(nil, fb, ur, pf, mask, EncRaw, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body, enc
+	}
+	if _, enc := encode(allEncBits &^ (encBitTileRef | encBitTileInstall)); enc != EncZlibDict {
+		t.Fatalf("tileless client: encoded as %s, want ZlibDict", EncodingName(enc))
+	}
+	body, enc := encode(allEncBits)
+	if enc != EncTileInstall {
+		t.Fatalf("tile client: encoded as %s, want TileInstall", EncodingName(enc))
+	}
+	switch inner := int32(be.Uint32(body[8:12])); inner {
+	case EncRaw, EncRRE, EncHextile:
+	default:
+		t.Fatalf("tile install carries a %s inner body", EncodingName(inner))
+	}
+	got := gfx.NewFramebuffer(w, h)
+	if err := decodeRect(bytes.NewReader(body), EncTileInstall, got, fb.Bounds(), pf, &decodeScratch{}); err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(fb) {
+		t.Fatal("tile install decoded to different pixels")
 	}
 }

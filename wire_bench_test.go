@@ -87,48 +87,55 @@ func newWireBenchHomes(tb testing.TB, n int, encs []int32, tiles *rfb.TileCache)
 		h := &wireBenchHome{
 			d:     toolkit.NewDisplay(wireBenchW, wireBenchH),
 			scene: workload.NewUIScene(wireBenchWidgets),
+			conn:  wireServerConn(tb, wireBenchW, wireBenchH, encs),
 		}
 		h.d.SetRoot(h.scene.Root)
 		h.d.Render()
-
-		sc, cc := net.Pipe()
-		type res struct {
-			conn *rfb.ServerConn
-			err  error
-		}
-		srvCh := make(chan res, 1)
-		go func() {
-			conn, err := rfb.NewEdgeServerConn(sc, wireBenchW, wireBenchH, "wire bench", nil)
-			srvCh <- res{conn, err}
-		}()
-		client, err := rfb.Dial(cc)
-		if err != nil {
-			tb.Fatalf("client handshake: %v", err)
-		}
-		sr := <-srvCh
-		if sr.err != nil {
-			tb.Fatalf("server handshake: %v", sr.err)
-		}
-		h.conn = sr.conn
-		sig := &wireBenchSignal{ch: make(chan struct{}, 1)}
-		go h.conn.Serve(sig)
-		if err := client.SetEncodings(encs); err != nil {
-			tb.Fatalf("set encodings: %v", err)
-		}
-		if err := client.RequestUpdate(false, gfx.R(0, 0, wireBenchW, wireBenchH)); err != nil {
-			tb.Fatalf("request update: %v", err)
-		}
-		<-sig.ch // encoding mask is now negotiated server-side
 		if tiles != nil {
 			h.ws = rfb.NewWireState(tiles, wireBenchW, wireBenchH)
 		}
-		tb.Cleanup(func() {
-			client.Close()
-			h.conn.Close()
-		})
 		hs[i] = h
 	}
 	return hs
+}
+
+// wireServerConn handshakes a real client with a w×h server end over
+// net.Pipe and returns the server end once the client's advertised encs
+// are negotiated server-side. Both ends close at cleanup.
+func wireServerConn(tb testing.TB, w, h int, encs []int32) *rfb.ServerConn {
+	tb.Helper()
+	sc, cc := net.Pipe()
+	type res struct {
+		conn *rfb.ServerConn
+		err  error
+	}
+	srvCh := make(chan res, 1)
+	go func() {
+		conn, err := rfb.NewEdgeServerConn(sc, w, h, "wire bench", nil)
+		srvCh <- res{conn, err}
+	}()
+	client, err := rfb.Dial(cc)
+	if err != nil {
+		tb.Fatalf("client handshake: %v", err)
+	}
+	sr := <-srvCh
+	if sr.err != nil {
+		tb.Fatalf("server handshake: %v", sr.err)
+	}
+	sig := &wireBenchSignal{ch: make(chan struct{}, 1)}
+	go sr.conn.Serve(sig)
+	if err := client.SetEncodings(encs); err != nil {
+		tb.Fatalf("set encodings: %v", err)
+	}
+	if err := client.RequestUpdate(false, gfx.R(0, 0, w, h)); err != nil {
+		tb.Fatalf("request update: %v", err)
+	}
+	<-sig.ch // encoding mask is now negotiated server-side
+	tb.Cleanup(func() {
+		client.Close()
+		sr.conn.Close()
+	})
+	return sr.conn
 }
 
 // wireBenchSteps pre-generates the deterministic non-echo step cycle both

@@ -36,7 +36,7 @@ func TestDictionaryEncodingAcrossResume(t *testing.T) {
 	// Post-resume full-screen repaint: 320×240 is far above the
 	// dictionary threshold and too tall for a tile, so it exercises
 	// EncZlibDict against the adopted-but-Reset wire state.
-	dict0 := counters.Counter("rfb_dict_rects_total").Value()
+	dict0 := counters.Counter("rfb_dict_picks_total").Value()
 	before := st.sup.Proxy().Client().BytesReceived()
 	st.display.InvalidateAll()
 	waitCond(t, "repaint traffic", func() bool {
@@ -47,8 +47,8 @@ func TestDictionaryEncodingAcrossResume(t *testing.T) {
 	// Convergence, not timing: a quiet spell can come before the repaint
 	// has started (under -race the render alone outlasts it).
 	waitCond(t, "the post-resume dictionary repaint to match the display", st.converged)
-	if d := counters.Counter("rfb_dict_rects_total").Value() - dict0; d < 1 {
-		t.Errorf("rfb_dict_rects_total delta = %d after a full-screen repaint, want >= 1 (dictionary path never taken)", d)
+	if d := counters.Counter("rfb_dict_picks_total").Value() - dict0; d < 1 {
+		t.Errorf("rfb_dict_picks_total delta = %d after a full-screen repaint, want >= 1 (dictionary path never taken)", d)
 	}
 
 	// The session keeps working after the repaint (the revalidated wire
