@@ -7,7 +7,7 @@ package uniint
 //
 // One op is a full round trip of the deploy story: the node owning a
 // parked session drains (the session ships to the survivor through the
-// UNIMIG/1 record), the node rejoins (the rebalance ships it back), and
+// UNIMIG/2 record), the node rejoins (the rebalance ships it back), and
 // the client redials through the router, resuming with an incremental
 // resync. migbytes/op is the serialized session state that crossed
 // between nodes.

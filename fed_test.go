@@ -4,7 +4,7 @@ package uniint
 // its link mid-interaction, the session parks, and — while the client is
 // still away — the federation drains the hub node
 // that owns the home, live-migrating the parked session (serialized
-// through the UNIMIG/1 wire record) to the surviving node. The client
+// through the UNIMIG/2 record) to the surviving node. The client
 // redials through the front router with nothing but the home-id
 // preamble, lands on the survivor, resumes with an incremental resync
 // strictly smaller than its cold join, and finishes byte-identical to an

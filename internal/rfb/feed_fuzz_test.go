@@ -2,10 +2,7 @@ package rfb
 
 import (
 	"bytes"
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -97,7 +94,7 @@ func pixelFormatMsg(pf gfx.PixelFormat) []byte {
 // feedSeeds builds the committed FuzzFeedSplit corpus: the clientMsgs
 // script whole, every message of it (plus the two it lacks) truncated at
 // every length, and the hostile inputs the parser must reject.
-func feedSeeds() map[string][2][]byte {
+func feedSeeds() map[string][][]byte {
 	script := clientMsgs()
 	traceCtx := append([]byte{msgTraceContext}, make([]byte, 16)...)
 	traceCtx[8], traceCtx[16] = 42, 7
@@ -111,7 +108,7 @@ func feedSeeds() map[string][2][]byte {
 		"pixfmt":    pixelFormatMsg(gfx.PF16()),
 	}
 	byteByByte := []byte{1}
-	seeds := map[string][2][]byte{
+	seeds := map[string][][]byte{
 		"script":       {script, byteByByte},
 		"script-3-0-5": {script, {3, 0, 5}},
 		"unknown-type": {append(script[8:16:16], 0xEE, 1, 2, 3), byteByByte},
@@ -123,33 +120,8 @@ func feedSeeds() map[string][2][]byte {
 		for n := 1; n < len(m); n++ {
 			// The truncated message trails a complete key event, so the
 			// retained partial follows real dispatch.
-			seeds[fmt.Sprintf("%s-trunc-%02d", name, n)] = [2][]byte{append(script[8:16:16], m[:n]...), byteByByte}
+			seeds[fmt.Sprintf("%s-trunc-%02d", name, n)] = [][]byte{append(script[8:16:16], m[:n]...), byteByByte}
 		}
 	}
 	return seeds
-}
-
-var updateSeeds = flag.Bool("update", false, "rewrite testdata/fuzz/FuzzFeedSplit from feedSeeds")
-
-// TestFuzzSeedCorpus keeps the committed seed corpus in step with
-// feedSeeds (run with -update to regenerate it).
-func TestFuzzSeedCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzFeedSplit")
-	seeds := feedSeeds()
-	for name, s := range seeds {
-		want := fmt.Sprintf("go test fuzz v1\n[]byte(%+q)\n[]byte(%+q)\n", s[0], s[1])
-		path := filepath.Join(dir, name)
-		if *updateSeeds {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, []byte(want), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			continue
-		}
-		if got, err := os.ReadFile(path); err != nil || string(got) != want {
-			t.Errorf("seed %s is stale (err %v); run go test ./internal/rfb -run TestFuzzSeedCorpus -update", name, err)
-		}
-	}
 }

@@ -11,27 +11,12 @@ import (
 // hub nodes as one self-contained byte blob: everything the detach lot
 // holds for an absent client — the resume token, accumulated damage, the
 // pointer mask, and the queued-but-undispatched input — in a versioned
-// big-endian layout (documented in docs/WIRE.md). The layout also has
-// room for a parked update request, a pixel format and a compressed
-// shadow framebuffer; uniserver writes none of them and ignores them on
-// import, and the codec keeps parsing and bounds-checking them because
-// UNIMIG/1 does.
+// big-endian layout (documented in docs/WIRE.md) and nothing else.
 
 // Migration record framing constants (layout in docs/WIRE.md).
 const (
 	// MigMagic opens every migration record: version bumps change the magic.
-	MigMagic = "UNIMIG/1"
-	// MigFlagPending marks a parked update request present in the record.
-	MigFlagPending = 1 << 0
-	// MigFlagPF marks a client-negotiated pixel format (PFSet).
-	MigFlagPF = 1 << 1
-	// MigFlagIncremental carries the parked request's incremental bit.
-	MigFlagIncremental = 1 << 2
-	// MigFlagDict marks the shadow stream as compressed against the PF32
-	// preset dictionary (PackedShadow's dict bit).
-	MigFlagDict = 1 << 3
-	// MigFlagShadow marks a shadow framebuffer stream present.
-	MigFlagShadow = 1 << 4
+	MigMagic = "UNIMIG/2"
 	// MigEventKey tags a queued key event (payload: down u8, keysym u32).
 	MigEventKey = 1
 	// MigEventPointer tags a queued pointer click/press event
@@ -41,6 +26,10 @@ const (
 	// MigEventPointer; moves are coalescable, clicks are not).
 	MigEventMove = 3
 )
+
+// migEventLen is the encoded size of every event kind: kind, payload
+// byte, then a keysym u32 or an x, y u16 pair.
+const migEventLen = 6
 
 // MigEvent is one queued input event inside a migration record — the
 // session-independent core of the lot's input queue (enqueue timestamps
@@ -62,23 +51,8 @@ type MigrationRecord struct {
 	Token string
 	// W, H are the session geometry (resume requires a geometry match).
 	W, H int
-	// PF is the client-negotiated pixel format; meaningful when PFSet.
-	PF    gfx.PixelFormat
-	PFSet bool
-	// Shadow is a compressed shadow framebuffer stream. uniserver exports
-	// none (a parked session keeps no pixels: its resume repaints onto a
-	// distrusted model) and ignores one from an older peer; the codec keeps
-	// the field because the UNIMIG/1 layout does.
-	Shadow *PackedShadow
 	// Dirty is the damage accumulated while parked.
 	Dirty []gfx.Rect
-	// Pending is the update request the client parked with; meaningful
-	// when HasPending. uniserver exports none (a request is owed on the
-	// connection it arrived on, so a resume ships in answer to the new
-	// connection's own) and ignores one from an older peer; the codec keeps
-	// the field because the UNIMIG/1 layout does.
-	Pending    UpdateRequest
-	HasPending bool
 	// Events is the queued-but-undispatched input.
 	Events []MigEvent
 	// LastPtrMask is the last dispatched pointer button mask (move
@@ -91,11 +65,6 @@ type MigrationRecord struct {
 	// DetachedFor is how long the session had already been parked, so
 	// the target's detach-duration accounting stays truthful.
 	DetachedFor time.Duration
-}
-
-func appendU16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
 }
 
 // clampMS converts a duration to whole milliseconds clamped to u32 —
@@ -123,62 +92,22 @@ func (m *MigrationRecord) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("rfb: migration record: too much parked state (%d rects, %d events)",
 			len(m.Dirty), len(m.Events))
 	}
-	var flags byte
-	if m.HasPending {
-		flags |= MigFlagPending
-	}
-	if m.PFSet {
-		flags |= MigFlagPF
-	}
-	if m.HasPending && m.Pending.Incremental {
-		flags |= MigFlagIncremental
-	}
-	if m.Shadow != nil {
-		flags |= MigFlagShadow
-		if m.Shadow.dict {
-			flags |= MigFlagDict
-		}
-	}
-	size := len(MigMagic) + 3 + len(m.Token) + 4 + 16 + 8 + 8 +
-		2 + 8*len(m.Dirty) + 2 + 6*len(m.Events)
-	if m.Shadow != nil {
-		size += 8 + len(m.Shadow.comp)
-	}
-	b := make([]byte, 0, size)
+	b := make([]byte, 0, len(MigMagic)+2+len(m.Token)+14+8*len(m.Dirty)+2+migEventLen*len(m.Events))
 	b = append(b, MigMagic...)
-	b = append(b, flags, m.LastPtrMask, byte(len(m.Token)))
+	b = append(b, m.LastPtrMask, byte(len(m.Token)))
 	b = append(b, m.Token...)
-	b = appendU16(b, uint16(m.W))
-	b = appendU16(b, uint16(m.H))
-	var pfb [16]byte
-	pfb[0] = m.PF.BitsPerPixel
-	pfb[1] = m.PF.Depth
-	if m.PF.BigEndian {
-		pfb[2] = 1
-	}
-	if m.PF.TrueColor {
-		pfb[3] = 1
-	}
-	be.PutUint16(pfb[4:], m.PF.RedMax)
-	be.PutUint16(pfb[6:], m.PF.GreenMax)
-	be.PutUint16(pfb[8:], m.PF.BlueMax)
-	pfb[10], pfb[11], pfb[12] = m.PF.RedShift, m.PF.GreenShift, m.PF.BlueShift
-	b = append(b, pfb[:]...)
-	b = appendU32(b, clampMS(m.RemainingTTL))
-	b = appendU32(b, clampMS(m.DetachedFor))
-	r := m.Pending.Region
-	b = appendU16(b, uint16(r.X))
-	b = appendU16(b, uint16(r.Y))
-	b = appendU16(b, uint16(r.W))
-	b = appendU16(b, uint16(r.H))
-	b = appendU16(b, uint16(len(m.Dirty)))
+	b = be.AppendUint16(b, uint16(m.W))
+	b = be.AppendUint16(b, uint16(m.H))
+	b = be.AppendUint32(b, clampMS(m.RemainingTTL))
+	b = be.AppendUint32(b, clampMS(m.DetachedFor))
+	b = be.AppendUint16(b, uint16(len(m.Dirty)))
 	for _, d := range m.Dirty {
-		b = appendU16(b, uint16(d.X))
-		b = appendU16(b, uint16(d.Y))
-		b = appendU16(b, uint16(d.W))
-		b = appendU16(b, uint16(d.H))
+		b = be.AppendUint16(b, uint16(d.X))
+		b = be.AppendUint16(b, uint16(d.Y))
+		b = be.AppendUint16(b, uint16(d.W))
+		b = be.AppendUint16(b, uint16(d.H))
 	}
-	b = appendU16(b, uint16(len(m.Events)))
+	b = be.AppendUint16(b, uint16(len(m.Events)))
 	for _, ev := range m.Events {
 		if ev.Pointer {
 			kind := byte(MigEventPointer)
@@ -186,21 +115,16 @@ func (m *MigrationRecord) Encode() ([]byte, error) {
 				kind = MigEventMove
 			}
 			b = append(b, kind, ev.Ptr.Buttons)
-			b = appendU16(b, ev.Ptr.X)
-			b = appendU16(b, ev.Ptr.Y)
+			b = be.AppendUint16(b, ev.Ptr.X)
+			b = be.AppendUint16(b, ev.Ptr.Y)
 		} else {
 			down := byte(0)
 			if ev.Key.Down {
 				down = 1
 			}
 			b = append(b, MigEventKey, down)
-			b = appendU32(b, ev.Key.Key)
+			b = be.AppendUint32(b, ev.Key.Key)
 		}
-	}
-	if m.Shadow != nil {
-		b = appendU32(b, uint32(m.Shadow.raw))
-		b = appendU32(b, uint32(len(m.Shadow.comp)))
-		b = append(b, m.Shadow.comp...)
 	}
 	return b, nil
 }
@@ -220,38 +144,20 @@ func (d *migDecoder) need(n int) ([]byte, error) {
 	return s, nil
 }
 
-func (d *migDecoder) u16() (uint16, error) {
-	s, err := d.need(2)
-	if err != nil {
-		return 0, err
-	}
-	return be.Uint16(s), nil
-}
-
-func (d *migDecoder) u32() (uint32, error) {
-	s, err := d.need(4)
-	if err != nil {
-		return 0, err
-	}
-	return be.Uint32(s), nil
-}
-
 // DecodeMigration parses an encoded migration record, validating framing
-// and rejecting trailing bytes.
+// and rejecting trailing bytes. Every record it accepts re-encodes to
+// exactly the bytes it was given.
 func DecodeMigration(b []byte) (*MigrationRecord, error) {
 	d := &migDecoder{b: b}
-	magic, err := d.need(len(MigMagic))
+	hdr, err := d.need(len(MigMagic) + 2)
 	if err != nil {
 		return nil, err
 	}
-	if string(magic) != MigMagic {
+	if magic := hdr[:len(MigMagic)]; string(magic) != MigMagic {
 		return nil, fmt.Errorf("rfb: migration record: bad magic %q", magic)
 	}
-	hdr, err := d.need(3)
-	if err != nil {
-		return nil, err
-	}
-	flags, lastMask, tokenLen := hdr[0], hdr[1], int(hdr[2])
+	m := &MigrationRecord{LastPtrMask: hdr[len(MigMagic)]}
+	tokenLen := int(hdr[len(MigMagic)+1])
 	if tokenLen == 0 {
 		return nil, fmt.Errorf("rfb: migration record: empty token")
 	}
@@ -259,114 +165,48 @@ func DecodeMigration(b []byte) (*MigrationRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &MigrationRecord{
-		Token:       string(tok),
-		LastPtrMask: lastMask,
-		PFSet:       flags&MigFlagPF != 0,
-		HasPending:  flags&MigFlagPending != 0,
-	}
-	w, err := d.u16()
+	m.Token = string(tok)
+	// width, height, remaining-ttl-ms, detached-for-ms, dirty-count
+	fixed, err := d.need(14)
 	if err != nil {
 		return nil, err
 	}
-	h, err := d.u16()
+	m.W, m.H = int(be.Uint16(fixed)), int(be.Uint16(fixed[2:]))
+	m.RemainingTTL = time.Duration(be.Uint32(fixed[4:])) * time.Millisecond
+	m.DetachedFor = time.Duration(be.Uint32(fixed[8:])) * time.Millisecond
+	// Counts are checked against the bytes present before anything is
+	// allocated, so a hostile count costs nothing.
+	rects, err := d.need(8 * int(be.Uint16(fixed[12:])))
 	if err != nil {
 		return nil, err
 	}
-	m.W, m.H = int(w), int(h)
-	pfb, err := d.need(16)
+	for r := rects; len(r) > 0; r = r[8:] {
+		m.Dirty = append(m.Dirty, gfx.R(int(be.Uint16(r)), int(be.Uint16(r[2:])),
+			int(be.Uint16(r[4:])), int(be.Uint16(r[6:]))))
+	}
+	count, err := d.need(2)
 	if err != nil {
 		return nil, err
 	}
-	m.PF = pixelFormatFrom(pfb)
-	ttl, err := d.u32()
+	events, err := d.need(migEventLen * int(be.Uint16(count)))
 	if err != nil {
 		return nil, err
 	}
-	det, err := d.u32()
-	if err != nil {
-		return nil, err
-	}
-	m.RemainingTTL = time.Duration(ttl) * time.Millisecond
-	m.DetachedFor = time.Duration(det) * time.Millisecond
-	var pr [4]uint16
-	for i := range pr {
-		if pr[i], err = d.u16(); err != nil {
-			return nil, err
-		}
-	}
-	if m.HasPending {
-		m.Pending = UpdateRequest{
-			Incremental: flags&MigFlagIncremental != 0,
-			Region:      gfx.R(int(pr[0]), int(pr[1]), int(pr[2]), int(pr[3])),
-		}
-	}
-	nDirty, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(nDirty); i++ {
-		var rr [4]uint16
-		for j := range rr {
-			if rr[j], err = d.u16(); err != nil {
-				return nil, err
-			}
-		}
-		m.Dirty = append(m.Dirty, gfx.R(int(rr[0]), int(rr[1]), int(rr[2]), int(rr[3])))
-	}
-	nEvents, err := d.u16()
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < int(nEvents); i++ {
-		eh, err := d.need(2)
-		if err != nil {
-			return nil, err
-		}
-		switch eh[0] {
+	for e := events; len(e) > 0; e = e[migEventLen:] {
+		switch e[0] {
 		case MigEventKey:
-			key, err := d.u32()
-			if err != nil {
-				return nil, err
+			if e[1] > 1 {
+				return nil, fmt.Errorf("rfb: migration record: key down byte %d", e[1])
 			}
-			m.Events = append(m.Events, MigEvent{Key: KeyEvent{Down: eh[1] != 0, Key: key}})
+			m.Events = append(m.Events, MigEvent{Key: KeyEvent{Down: e[1] == 1, Key: be.Uint32(e[2:])}})
 		case MigEventPointer, MigEventMove:
-			x, err := d.u16()
-			if err != nil {
-				return nil, err
-			}
-			y, err := d.u16()
-			if err != nil {
-				return nil, err
-			}
 			m.Events = append(m.Events, MigEvent{
 				Pointer: true,
-				Move:    eh[0] == MigEventMove,
-				Ptr:     PointerEvent{Buttons: eh[1], X: x, Y: y},
+				Move:    e[0] == MigEventMove,
+				Ptr:     PointerEvent{Buttons: e[1], X: be.Uint16(e[2:]), Y: be.Uint16(e[4:])},
 			})
 		default:
-			return nil, fmt.Errorf("rfb: migration record: unknown event kind %d", eh[0])
-		}
-	}
-	if flags&MigFlagShadow != 0 {
-		raw, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		compLen, err := d.u32()
-		if err != nil {
-			return nil, err
-		}
-		comp, err := d.need(int(compLen))
-		if err != nil {
-			return nil, err
-		}
-		m.Shadow = &PackedShadow{
-			w: m.W, h: m.H,
-			pf: m.PF, pfSet: m.PFSet,
-			dict: flags&MigFlagDict != 0,
-			comp: append([]byte(nil), comp...),
-			raw:  int(raw),
+			return nil, fmt.Errorf("rfb: migration record: unknown event kind %d", e[0])
 		}
 	}
 	if d.off != len(b) {

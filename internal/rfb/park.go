@@ -12,12 +12,10 @@ import (
 // Shadow compression. PackedShadow is a WireState shadow framebuffer
 // serialized in PF32 wire layout and deflated — against the same preset
 // dictionary the EncZlibDict wire encoding uses when the session's pixel
-// format matches the shadow's native 32-bit layout. It is the type of the
-// migration record's optional shadow stream, which the detach lot neither
-// writes nor reads: a parked session keeps no pixels, because every resume
-// distrusts its shadow and the revalidating full repaint overwrites it
-// before anything reads it. The benchmark harness (cmd/uniload) still
-// replays Pack and Unpack.
+// format matches the shadow's native 32-bit layout. Nothing in the server
+// or the hub packs a shadow (a parked session keeps no pixels, and the
+// migration record carries none); the type lives on only for the
+// benchmark harness (cmd/uniload), which replays Pack and Unpack.
 
 // PackedShadow is an immutable compressed snapshot of a WireState.
 type PackedShadow struct {

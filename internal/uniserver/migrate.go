@@ -23,7 +23,7 @@ var (
 	// fed_resync_bytes_total sums the first update shipped to each client
 	// that resumed a MIGRATED session — the wire cost of catching a
 	// shipped session up, which stays incremental (far below a full
-	// repaint) when migration preserved the shadow correctly.
+	// repaint) when the record carried the detach damage correctly.
 	mFedResyncBytes = metrics.Default().Counter("fed_resync_bytes_total")
 )
 
@@ -62,9 +62,8 @@ func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 		return nil, false
 	}
 
-	// The record carries no shadow stream: the lot holds no pixels, and the
-	// importing node resumes onto a distrusted model exactly as this one
-	// would have.
+	// The lot holds no pixels, so the record carries none: the importing
+	// node resumes onto a distrusted model exactly as this one would have.
 	rec := &rfb.MigrationRecord{
 		Token: ps.token,
 		W:     ps.w, H: ps.h,
@@ -87,8 +86,7 @@ func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 // ImportParked installs a migration record into this server's detach
 // lot, making the shipped session resumable here. The entry keeps the
 // remaining TTL it left the source with (migration never extends a
-// session's life). A shadow stream from an older peer is ignored: the
-// resume distrusts its model either way.
+// session's life).
 func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 	if rec == nil || rec.Token == "" {
 		return errors.New("uniserver: import: empty migration record")

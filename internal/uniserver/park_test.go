@@ -100,12 +100,11 @@ func TestParkedSessionHoldsNoPixels(t *testing.T) {
 	}
 }
 
-// TestShadowlessImportResumesDistrusted: a migration record without a
-// shadow stream (what ExportParked writes) resumes onto a client whose
-// pixels the server has never seen. The resumed model must distrust its
-// shadow: a black one that CopyRect believed would let a region turning
-// black ship as a 4-byte self-copy, leaving the client's old pixels on
-// screen.
+// TestShadowlessImportResumesDistrusted: a migration record carries no
+// pixels, so it resumes onto a client whose pixels the server has never
+// seen. The resumed model must distrust its shadow: a black one that
+// CopyRect believed would let a region turning black ship as a 4-byte
+// self-copy, leaving the client's old pixels on screen.
 func TestShadowlessImportResumesDistrusted(t *testing.T) {
 	h := newLotHarness(t, Config{})
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
@@ -117,7 +116,6 @@ func TestShadowlessImportResumesDistrusted(t *testing.T) {
 	if !ok {
 		t.Fatal("export of the parked session failed")
 	}
-	rec.Shadow = nil // whatever the exporter wrote: the shadowless record
 	wire, err := rec.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -138,9 +136,8 @@ func TestShadowlessImportResumesDistrusted(t *testing.T) {
 	}
 }
 
-// TestMigrationRecordCarriesNoPixels: ExportParked writes no shadow stream,
-// and ImportParked ignores one an older peer sent — the resume still ships
-// only the detach damage, byte-identical.
+// TestMigrationRecordCarriesNoPixels: a session shipped as a migration
+// record resumes with only the detach damage, byte-identical.
 func TestMigrationRecordCarriesNoPixels(t *testing.T) {
 	h := newLotHarness(t, Config{})
 	lbl := toolkit.NewLabel("steady")
@@ -154,19 +151,12 @@ func TestMigrationRecordCarriesNoPixels(t *testing.T) {
 	if !ok {
 		t.Fatal("export of the parked session failed")
 	}
-	if rec.Shadow != nil || rec.PFSet {
-		t.Fatalf("export wrote a shadow stream (%v) or pixel format (%v)", rec.Shadow != nil, rec.PFSet)
-	}
-	// An older peer's record: a shadow stream the importer must not keep.
-	if rec.Shadow, _ = rfb.NewWireState(nil, 160, 120).Pack(); rec.Shadow == nil {
-		t.Fatal("pack failed")
-	}
 	wire, err := rec.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, err = rfb.DecodeMigration(wire); err != nil || rec.Shadow == nil {
-		t.Fatalf("decode of an older peer's record: shadow %v, %v", rec != nil && rec.Shadow != nil, err)
+	if rec, err = rfb.DecodeMigration(wire); err != nil {
+		t.Fatal(err)
 	}
 	if err := h.srv.ImportParked(rec); err != nil {
 		t.Fatal(err)
