@@ -10,6 +10,7 @@ package gfx
 type Framebuffer struct {
 	w, h int
 	pix  []Color // len == w*h, row-major
+	gen  uint64  // advanced by every write; see Gen
 }
 
 // NewFramebuffer allocates a w×h framebuffer filled with black.
@@ -33,8 +34,17 @@ func (f *Framebuffer) H() int { return f.h }
 func (f *Framebuffer) Bounds() Rect { return Rect{W: f.w, H: f.h} }
 
 // Pix exposes the raw pixel slice (row-major, length W*H). Callers must not
-// resize it; it is exposed for zero-copy encoders.
+// resize it; it is exposed for zero-copy encoders. A write through it does
+// not advance Gen, so only a framebuffer nobody has taken a generation of
+// (a frame being built, a client's decode target) may be written through
+// it.
 func (f *Framebuffer) Pix() []Color { return f.pix }
+
+// Gen returns the content generation: it advances on every write through a
+// Framebuffer method, so two reads of one framebuffer returning the same
+// generation saw the same pixels. The server's wire model uses it to answer
+// "nothing changed since the client caught up" without comparing pixels.
+func (f *Framebuffer) Gen() uint64 { return f.gen }
 
 // At returns the color at (x, y); out-of-bounds reads return Black.
 func (f *Framebuffer) At(x, y int) Color {
@@ -50,6 +60,7 @@ func (f *Framebuffer) Set(x, y int, c Color) {
 		return
 	}
 	f.pix[y*f.w+x] = c
+	f.gen++
 }
 
 // Fill paints every pixel inside r (clipped to the framebuffer) with c.
@@ -61,6 +72,7 @@ func (f *Framebuffer) Fill(r Rect, c Color) {
 	if r.Empty() {
 		return
 	}
+	f.gen++
 	row0 := f.pix[r.Y*f.w+r.X : r.Y*f.w+r.MaxX()]
 	row0[0] = c
 	for n := 1; n < len(row0); n *= 2 {
@@ -123,6 +135,7 @@ func (f *Framebuffer) Blit(dx, dy int, src *Framebuffer, sr Rect) {
 	// Re-derive the source origin after destination clipping.
 	sx := sr.X + (dr.X - dx)
 	sy := sr.Y + (dr.Y - dy)
+	f.gen++
 	for y := 0; y < dr.H; y++ {
 		srow := src.pix[(sy+y)*src.w+sx : (sy+y)*src.w+sx+dr.W]
 		drow := f.pix[(dr.Y+y)*f.w+dr.X : (dr.Y+y)*f.w+dr.X+dr.W]
@@ -144,6 +157,7 @@ func (f *Framebuffer) CopyRect(dx, dy int, sr Rect) {
 	}
 	sx := sr.X + (dr.X - dx)
 	sy := sr.Y + (dr.Y - dy)
+	f.gen++
 	if dr.Y > sy || (dr.Y == sy && dr.X > sx) {
 		// Copy bottom-up / right-to-left to avoid clobbering the source.
 		for y := dr.H - 1; y >= 0; y-- {

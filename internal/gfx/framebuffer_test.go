@@ -134,6 +134,48 @@ func TestBevelAndBorder(t *testing.T) {
 	}
 }
 
+// TestGenAdvancesOnEveryWrite: each pixel-writing method moves the content
+// generation, and reading does not — the wire model trusts an unchanged
+// generation to mean unchanged pixels.
+func TestGenAdvancesOnEveryWrite(t *testing.T) {
+	src := NewFramebuffer(8, 8)
+	writes := map[string]func(f *Framebuffer){
+		"Set":      func(f *Framebuffer) { f.Set(1, 1, Red) },
+		"Fill":     func(f *Framebuffer) { f.Fill(R(1, 1, 3, 3), Red) },
+		"Clear":    func(f *Framebuffer) { f.Clear(Red) },
+		"HLine":    func(f *Framebuffer) { f.HLine(0, 2, 5, Red) },
+		"VLine":    func(f *Framebuffer) { f.VLine(2, 0, 5, Red) },
+		"Border":   func(f *Framebuffer) { f.Border(R(0, 0, 6, 6), Red) },
+		"Bevel":    func(f *Framebuffer) { f.Bevel(R(0, 0, 6, 6), true) },
+		"Blit":     func(f *Framebuffer) { f.Blit(2, 2, src, R(0, 0, 4, 4)) },
+		"CopyRect": func(f *Framebuffer) { f.CopyRect(1, 0, R(0, 0, 4, 4)) },
+		"DrawText": func(f *Framebuffer) { DrawText(f, 0, 0, "A", Red) },
+		"Painter":  func(f *Framebuffer) { NewPainter(f).In(R(0, 0, 4, 4)).DrawText(1, 0, "B", Red) },
+	}
+	for name, write := range writes {
+		f := NewFramebuffer(16, 16)
+		g0 := f.Gen()
+		write(f)
+		if f.Gen() == g0 {
+			t.Errorf("%s left the generation at %d", name, g0)
+		}
+	}
+
+	f := NewFramebuffer(16, 16)
+	f.Fill(R(0, 0, 4, 4), Red)
+	g := f.Gen()
+	_ = f.At(1, 1)
+	_ = f.Pix()
+	_ = f.SubImage(R(0, 0, 4, 4))
+	_ = f.Clone()
+	_ = f.Equal(src)
+	_ = f.DiffRect(src)
+	src.Blit(0, 0, f, f.Bounds())
+	if f.Gen() != g {
+		t.Errorf("reads moved the generation %d -> %d", g, f.Gen())
+	}
+}
+
 func BenchmarkFramebufferFill(b *testing.B) {
 	f := NewFramebuffer(640, 480)
 	b.ReportAllocs()

@@ -241,10 +241,15 @@ type tileWindow struct {
 	free  int32 // head of the free slot list (linked through next)
 }
 
+// init empties the window. A window nothing was installed in since the last
+// init is already empty (installs only ever take slots), so a device switch
+// that ships no tiles re-inits for free.
 func (w *tileWindow) init() {
 	if w.slots == nil {
 		w.slots = make([]twSlot, tileWindowCap)
 		w.index = make(map[uint64]int32, tileWindowCap)
+	} else if w.head < 0 {
+		return
 	}
 	clear(w.index)
 	w.head, w.tail = -1, -1

@@ -6,8 +6,10 @@ import (
 )
 
 // WireState is the server's per-session model of what the client currently
-// holds: a shadow of the client's framebuffer (for CopyRect detection) and
-// a mirror of the client's tile memory (for EncTileRef). PrepareUpdateWire
+// holds: a shadow of the client's framebuffer (for CopyRect detection), the
+// generation of the frame the shadow last caught up with (so a repaint of
+// an unchanged frame, a device switch's, reads no pixels) and a mirror of
+// the client's tile memory (for EncTileRef). PrepareUpdateWire
 // consults it to pick the cheapest wire form of each rectangle and commits
 // every encoded rectangle into it, keeping the model exact as long as the
 // prepared updates are sent in order.
@@ -22,10 +24,16 @@ type WireState struct {
 	shadow *gfx.Framebuffer // allocated on first use (ensureShadow)
 	w, h   int
 	valid  bool // shadow == client framebuffer
-	win    tileWindow
-	cache  *TileCache // shared across sessions; may be nil
-	pf     gfx.PixelFormat
-	pfSet  bool
+	// The shadow equals synced, inside w×h, as it stood at generation
+	// syncGen (nil: no such frame). While synced has not been written
+	// since, nothing changed under the client, and any rectangle of it is
+	// a self-copy without a compare.
+	synced  *gfx.Framebuffer
+	syncGen uint64
+	win     tileWindow
+	cache   *TileCache // shared across sessions; may be nil
+	pf      gfx.PixelFormat
+	pfSet   bool
 }
 
 // NewWireState creates the wire model for a session whose client
@@ -70,11 +78,16 @@ const (
 	copyProbeWidth = 32 // pixels compared per probe row before full verify
 )
 
+// A self-copy ships content the client already holds in place (damage
+// whose pixels did not change); a displaced copy ships content that moved.
+// rfb_copyrect_unchanged_total counts the self-copies answered from the
+// frame's generation, which read no pixels.
 var (
-	mCopyHits        = metrics.Default().Counter("rfb_copyrect_hits_total")
-	mCopyProbePixels = metrics.Default().Counter("rfb_copyrect_probe_pixels_total")
-	mDictPicks       = metrics.Default().Counter("rfb_dict_picks_total")
-	mDictMemoHits    = metrics.Default().Counter("rfb_dict_memo_hits_total")
+	mCopySelf      = metrics.Default().Counter("rfb_copyrect_self_total")
+	mCopyDisplaced = metrics.Default().Counter("rfb_copyrect_displaced_total")
+	mCopyUnchanged = metrics.Default().Counter("rfb_copyrect_unchanged_total")
+	mDictPicks     = metrics.Default().Counter("rfb_dict_picks_total")
+	mDictMemoHits  = metrics.Default().Counter("rfb_dict_memo_hits_total")
 )
 
 // zlibDictMinArea gates the hextile→zlib-dict upgrade: below it the zlib
@@ -101,13 +114,16 @@ func (ws *WireState) selectAndEncode(dst []byte, fb *gfx.Framebuffer, ur *Update
 		r.MaxX() <= ws.w && r.MaxY() <= ws.h
 
 	if mask&encBitCopyRect != 0 && ws.valid && inShadow && r.Area() >= copyMinArea {
-		ws.ensureShadow()
 		if sx, sy, ok := ws.findCopy(fb, r); ok {
 			ur.CopySrcX, ur.CopySrcY = sx, sy
 			var b [4]byte
 			be.PutUint16(b[0:], uint16(sx))
 			be.PutUint16(b[2:], uint16(sy))
-			mCopyHits.Inc()
+			if sx == r.X && sy == r.Y {
+				mCopySelf.Inc()
+			} else {
+				mCopyDisplaced.Inc()
+			}
 			return append(dst, b[:]...), EncCopyRect, nil
 		}
 	}
@@ -203,11 +219,21 @@ func (ws *WireState) encodeInstall(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, 
 // findCopy searches the shadow for existing client pixels equal to the new
 // content of r, returning the source origin on a hit. Offset (0,0) is
 // tried first — content that did not actually change (over-wide damage
-// coalescing) degenerates to a 4-byte self-copy. The source rectangle must
-// lie fully inside the shadow: partially-visible source pixels are
-// unknowable client state and are never referenced.
+// coalescing, a device switch's full repaint) degenerates to a 4-byte
+// self-copy, answered from fb's generation when fb has not been written
+// since the shadow last equalled it. The source rectangle must lie fully
+// inside the shadow: partially-visible source pixels are unknowable client
+// state and are never referenced.
 func (ws *WireState) findCopy(fb *gfx.Framebuffer, r gfx.Rect) (sx, sy int, ok bool) {
+	if ws.synced == fb && ws.syncGen == fb.Gen() {
+		mCopyUnchanged.Inc()
+		return r.X, r.Y, true
+	}
+	ws.ensureShadow()
 	if ws.matchesShadow(fb, r, r.X, r.Y) {
+		if ws.full(r) {
+			ws.synced, ws.syncGen = fb, fb.Gen()
+		}
 		return r.X, r.Y, true
 	}
 	for d := 1; d <= copySearchSpan; d++ {
@@ -229,16 +255,11 @@ func (ws *WireState) findCopy(fb *gfx.Framebuffer, r gfx.Rect) (sx, sy int, ok b
 // free; only candidates passing the probe pay a full verify.
 func (ws *WireState) matchesShadow(fb *gfx.Framebuffer, r gfx.Rect, sx, sy int) bool {
 	pw := min(r.W, copyProbeWidth)
-	probeRows := [3]int{0, r.H / 2, r.H - 1}
-	probed := 0
-	for _, py := range probeRows {
+	for _, py := range [3]int{0, r.H / 2, r.H - 1} {
 		if !ws.rowsEqual(fb, r, sx, sy, py, pw) {
-			mCopyProbePixels.Add(int64(probed + pw))
 			return false
 		}
-		probed += pw
 	}
-	mCopyProbePixels.Add(int64(probed))
 	for y := 0; y < r.H; y++ {
 		if !ws.rowsEqual(fb, r, sx, sy, y, r.W) {
 			return false
@@ -260,26 +281,41 @@ func (ws *WireState) rowsEqual(fb *gfx.Framebuffer, r gfx.Rect, sx, sy, y, w int
 	return true
 }
 
+// full reports whether r covers the client's whole framebuffer.
+func (ws *WireState) full(r gfx.Rect) bool {
+	return r.X <= 0 && r.Y <= 0 && r.MaxX() >= ws.w && r.MaxY() >= ws.h
+}
+
 // commit applies one encoded rectangle to the shadow, mirroring what the
 // client's decode will do: CopyRect moves shadow pixels, everything else
 // blits the freshly-encoded framebuffer content. A distrusted shadow is
 // never read, so commits skip it until a rectangle covering the full
 // framebuffer revalidates it — after that one, the client provably holds
-// exactly the shadow again.
+// exactly the shadow again. A full-bounds blit also leaves the shadow equal
+// to fb at its current generation. A partial blit from another frame ends
+// that equality, and so does a displaced copy, which moves shadow pixels
+// while the frame stands still.
 func (ws *WireState) commit(fb *gfx.Framebuffer, ur *UpdateRect) {
 	r := ur.Rect
 	if !ws.valid {
-		if fb == nil || ur.Encoding == EncCopyRect ||
-			r.X > 0 || r.Y > 0 || r.MaxX() < ws.w || r.MaxY() < ws.h {
+		if fb == nil || ur.Encoding == EncCopyRect || !ws.full(r) {
 			return
 		}
 		ws.valid = true
 	}
 	if ur.Encoding == EncCopyRect {
-		ws.ensureShadow().CopyRect(r.X, r.Y, gfx.R(ur.CopySrcX, ur.CopySrcY, r.W, r.H))
+		if ur.CopySrcX != r.X || ur.CopySrcY != r.Y {
+			ws.synced = nil
+			ws.ensureShadow().CopyRect(r.X, r.Y, gfx.R(ur.CopySrcX, ur.CopySrcY, r.W, r.H))
+		}
 		return
 	}
 	if fb != nil {
 		ws.ensureShadow().Blit(r.X, r.Y, fb, r)
+		if ws.full(r) {
+			ws.synced, ws.syncGen = fb, fb.Gen()
+		} else if fb != ws.synced {
+			ws.synced = nil
+		}
 	}
 }

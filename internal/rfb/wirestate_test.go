@@ -415,3 +415,172 @@ func TestDictMemoAndTileInstallKeepSeparateKeys(t *testing.T) {
 		t.Fatal("tile install decoded to different pixels")
 	}
 }
+
+// TestUnchangedFrameSelfCopiesByGeneration: once a full-bounds rectangle
+// has shipped, a repaint of a frame nobody wrote since is a self-copy
+// answered from the frame's generation, reading no pixels. The next write
+// ends that: the repaint compares again, and only a compare that finds the
+// whole frame unchanged (or a full repaint) restores the shortcut.
+func TestUnchangedFrameSelfCopiesByGeneration(t *testing.T) {
+	const w, h = 96, 64
+	pf := gfx.PF32()
+	fb := gradientFrame(w, h)
+	ws := NewWireState(nil, w, h)
+	sc := getScratch()
+	defer putScratch(sc)
+	full := fb.Bounds()
+	prepare := func(r gfx.Rect) (enc int32, byGen bool) {
+		t.Helper()
+		n0 := mCopyUnchanged.Value()
+		ur := &UpdateRect{Rect: r, Encoding: EncAdaptive}
+		_, enc, err := ws.selectAndEncode(nil, fb, ur, pf, allEncBits, EncRaw, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if enc == EncCopyRect && (ur.CopySrcX != r.X || ur.CopySrcY != r.Y) {
+			t.Fatalf("%v: displaced copy from (%d,%d)", r, ur.CopySrcX, ur.CopySrcY)
+		}
+		ur.Encoding = enc
+		ws.commit(fb, ur)
+		return enc, mCopyUnchanged.Value() != n0
+	}
+
+	if enc, _ := prepare(full); enc == EncCopyRect {
+		t.Fatal("first paint self-copied over a black client")
+	}
+	// Flip a pixel behind the generation's back: a self-copy now can only
+	// mean the answer came from the generation, not from the pixels.
+	fb.Pix()[0] ^= 0xFFFFFF
+	for _, r := range []gfx.Rect{full, gfx.R(0, 0, 64, 32)} {
+		if enc, byGen := prepare(r); enc != EncCopyRect || !byGen {
+			t.Fatalf("%v on an unwritten frame: %s (by generation: %v), want a self-copy by generation", r, EncodingName(enc), byGen)
+		}
+	}
+	fb.Pix()[0] ^= 0xFFFFFF
+
+	fb.Set(5, 5, gfx.Red)
+	if enc, _ := prepare(full); enc == EncCopyRect {
+		t.Fatal("a changed frame self-copied")
+	}
+	if enc, byGen := prepare(full); enc != EncCopyRect || !byGen {
+		t.Fatalf("after the full repaint: %s (by generation: %v), want a self-copy by generation", EncodingName(enc), byGen)
+	}
+
+	fb.Set(5, 5, gfx.Red) // a write that changes nothing
+	if enc, byGen := prepare(full); enc != EncCopyRect || byGen {
+		t.Fatalf("rewritten but equal frame: %s (by generation: %v), want a self-copy by compare", EncodingName(enc), byGen)
+	}
+	if _, byGen := prepare(full); !byGen {
+		t.Fatal("a full-bounds compare that matched did not restore the shortcut")
+	}
+
+	// Part of another frame lands in the shadow: it no longer equals fb
+	// there, though fb has not been written.
+	other := gradientFrame(w, h)
+	other.Fill(gfx.R(0, 0, 40, 40), gfx.Blue)
+	ws.commit(other, &UpdateRect{Rect: gfx.R(0, 0, 40, 40), Encoding: EncRaw})
+	if enc, _ := prepare(full); enc == EncCopyRect {
+		t.Fatal("self-copied a frame the shadow no longer holds")
+	}
+	// So does a caller's displaced copy, which moves client pixels while
+	// fb's generation stands still.
+	ws.commit(fb, &UpdateRect{Rect: gfx.R(0, 0, 40, 40), Encoding: EncCopyRect, CopySrcX: 8})
+	if enc, _ := prepare(full); enc == EncCopyRect {
+		t.Fatal("self-copied after a displaced copy moved the client's pixels")
+	}
+
+	ws.Reset()
+	if enc, _ := prepare(full); enc == EncCopyRect {
+		t.Fatal("CopyRect chosen against a distrusted shadow")
+	}
+}
+
+// TestGenerationShortcutMatchesCompare: over random paint, scroll, text,
+// device-switch and Reset sequences, a wire model answering "unchanged"
+// from the frame's generation prepares byte for byte what a twin model
+// forced through the pixel compare prepares, and a client decoding the
+// stream holds exactly the frame after every flush.
+func TestGenerationShortcutMatchesCompare(t *testing.T) {
+	const w, h = 80, 64
+	// Two lossless formats, so a switch changes the format (and drops the
+	// tile window) while the client's pixels stay comparable with fb's.
+	bgr := gfx.PF32()
+	bgr.RedShift, bgr.BlueShift = bgr.BlueShift, bgr.RedShift
+	formats := []gfx.PixelFormat{gfx.PF32(), bgr}
+	palette := []gfx.Color{gfx.Black, gfx.White, gfx.Gray, gfx.Blue}
+	sc := getScratch()
+	defer putScratch(sc)
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		randRect := func(minW, minH int) gfx.Rect {
+			rw, rh := minW+rng.Intn(w-minW+1), minH+rng.Intn(h-minH+1)
+			return gfx.R(rng.Intn(w-rw+1), rng.Intn(h-rh+1), rw, rh)
+		}
+		fb := randomFrame(rng, w, h)
+		fast, slow := NewWireState(nil, w, h), NewWireState(nil, w, h)
+		client := gfx.NewFramebuffer(w, h)
+		dsc := &decodeScratch{}
+		pf := formats[0]
+		var damage []gfx.Rect
+		ship := func(step int, rects []gfx.Rect) {
+			for _, r := range rects {
+				fu := &UpdateRect{Rect: r, Encoding: EncAdaptive}
+				su := *fu
+				slow.synced = nil // the twin always compares
+				fbody, fenc, ferr := fast.selectAndEncode(nil, fb, fu, pf, allEncBits, EncRaw, sc)
+				fbody = append([]byte(nil), fbody...)
+				sbody, senc, serr := slow.selectAndEncode(nil, fb, &su, pf, allEncBits, EncRaw, sc)
+				if ferr != nil || serr != nil {
+					t.Fatalf("seed %d step %d: %v / %v", seed, step, ferr, serr)
+				}
+				if fenc != senc || !bytes.Equal(fbody, sbody) || fu.CopySrcX != su.CopySrcX || fu.CopySrcY != su.CopySrcY {
+					t.Fatalf("seed %d step %d %v: generation path %s (%d B), compare %s (%d B)",
+						seed, step, r, EncodingName(fenc), len(fbody), EncodingName(senc), len(sbody))
+				}
+				fu.Encoding, su.Encoding = fenc, senc
+				fast.commit(fb, fu)
+				slow.commit(fb, &su)
+				if fenc == EncCopyRect {
+					client.CopyRect(r.X, r.Y, gfx.R(fu.CopySrcX, fu.CopySrcY, r.W, r.H))
+				} else if err := decodeRect(bytes.NewReader(fbody), fenc, client, r, pf, dsc); err != nil {
+					t.Fatalf("seed %d step %d: decode %s: %v", seed, step, EncodingName(fenc), err)
+				}
+			}
+		}
+		ship(-1, []gfx.Rect{fb.Bounds()})
+		for step := 0; step < 60; step++ {
+			switch op := rng.Intn(8); op {
+			case 0, 1: // a widget repaint, possibly to the colour it had
+				r := randRect(1, 1)
+				fb.Fill(r, palette[rng.Intn(len(palette))])
+				damage = append(damage, r)
+			case 2: // content moving a few pixels
+				r := randRect(8, 8)
+				dx, dy := rng.Intn(9)-4, rng.Intn(9)-4
+				fb.CopyRect(r.X+dx, r.Y+dy, r)
+				damage = append(damage, gfx.R(r.X+dx, r.Y+dy, r.W, r.H).Intersect(fb.Bounds()))
+			case 3: // a label
+				x, y := rng.Intn(w-8), rng.Intn(h-8)
+				gfx.DrawText(fb, x, y, "ok", palette[rng.Intn(len(palette))])
+				damage = append(damage, gfx.R(x, y, 2*gfx.GlyphW, gfx.GlyphH).Intersect(fb.Bounds()))
+			case 4: // a device switch: a new format and a full repaint
+				pf = formats[rng.Intn(len(formats))]
+				ship(step, []gfx.Rect{fb.Bounds()})
+				damage = damage[:0]
+			case 5: // a flush of the accumulated damage
+				ship(step, damage)
+				damage = damage[:0]
+			case 6: // an over-wide repaint of whatever is there
+				ship(step, []gfx.Rect{randRect(32, 32)})
+			case 7:
+				if rng.Intn(4) == 0 { // the client's state became unknown
+					fast.Reset()
+					slow.Reset()
+				}
+			}
+			if len(damage) == 0 && !client.Equal(fb) {
+				t.Fatalf("seed %d step %d: client differs from the frame in %v", seed, step, client.DiffRect(fb))
+			}
+		}
+	}
+}
