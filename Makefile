@@ -87,7 +87,18 @@ COVER_MIN ?= 74
 # counter), gfx/framebuffer.go +14 (Framebuffer.Gen and the writes that
 # advance it), rfb/tilecache.go +5 (an empty tile window re-inits for
 # free), gfx/font.go +1.
-LOC_MAX ?= 20115
+# Live sessions keeping no pixels lowered it 20 115 -> 20 021 for -94
+# lines: rfb/wirestate.go -108 (the shadow field and ensureShadow, the
+# valid flag, the +-32 px displaced search, matchesShadow, rowsEqual,
+# copySearchSpan, copyProbeWidth, the self/displaced CopyRect counters,
+# commit's shadow writes), rfb/park.go -43 (Pack packs the synced frame in
+# one write; Unpack returns the frame, one zlib reader and one read; the
+# dict flag and pixel format PackedShadow no longer needs),
+# uniserver/lot.go -7 (adopt's Reset of an already fresh model);
+# cmd/obslint/main.go +63 (a test read
+# of a default-registry metric no non-test file registers fails the
+# lint), cmd/obslint/testdata/bad/internal/uniserver/bad.go +1.
+LOC_MAX ?= 20021
 
 .PHONY: all build test vet race race-takeover fuzz-smoke fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc loc-gate examples
 
@@ -179,12 +190,14 @@ race-takeover:
 	$(GO) test -race -count=5 -run 'Takeover|TestResumeHammer|TestColdJoinSharedMemo' . ./internal/uniserver
 
 # fuzz-smoke mutates every peer-facing parser's seeds for 10 s each: the
-# client-message parser, the migration record and the routing preamble.
+# client-message parser, the client's rectangle decoders, the migration
+# record and the routing preamble.
 # -fuzz takes one target per invocation, so this is the one list of them.
 # The committed seeds already run as plain tests under `make test`. CI
 # runs it in the test job.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFeedSplit$$' -fuzztime 10s ./internal/rfb
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRect$$' -fuzztime 10s ./internal/rfb
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMigration$$' -fuzztime 10s ./internal/rfb
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePreamble$$' -fuzztime 10s ./internal/hub
 

@@ -36,8 +36,12 @@
 // path) is annotated with a `goroutine-ok:` comment naming its reason, on
 // the go statement's line or the line above.
 //
-// Test files are exempt (they register throwaway names on private
-// registries); generated and vendored trees are skipped.
+// Test files are exempt from the naming rules (they register throwaway
+// names on private registries), but a test that reads a metric from the
+// default registry must read one a non-test file registers: the registry
+// creates a zero metric for any name, so a read of a deleted or misspelt
+// one passes while testing nothing. Generated and vendored trees are
+// skipped.
 package main
 
 import (
@@ -46,6 +50,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io"
 	"io/fs"
 	"os"
@@ -120,6 +125,8 @@ func lintTree(root string, bad *int) error {
 	// package doc comment — the doc may live in any file of the package,
 	// so the verdict is per directory, not per file.
 	pkgDocs := map[string]bool{}
+	registered := map[string]bool{} // "Kind name", by non-test files
+	var reads []metricRead          // by test files, from the default registry
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -130,14 +137,24 @@ func lintTree(root string, bad *int) error {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
-		*bad += lintFile(path, pkgDocs)
+		if strings.HasSuffix(path, "_test.go") {
+			reads = append(reads, defaultRegistryReads(path)...)
+		} else {
+			*bad += lintFile(path, pkgDocs, registered)
+		}
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	for _, rd := range reads {
+		if !registered[rd.key] {
+			fmt.Fprintf(stderr, "%s: test reads %s, which no non-test file registers\n", rd.pos, rd.key)
+			*bad++
+		}
 	}
 	if *docLint {
 		for dir, has := range pkgDocs {
@@ -152,10 +169,10 @@ func lintTree(root string, bad *int) error {
 
 // lintFile reports naming violations in one source file: any call of the
 // form <expr>.Counter("name")/Gauge("name")/Histogram("name", ...) with a
-// literal name is checked against the contract. With -doclint it also
-// records whether the file carries the package doc and checks exported
-// constant documentation.
-func lintFile(path string, pkgDocs map[string]bool) int {
+// literal name is checked against the contract and recorded in registered.
+// With -doclint it also records whether the file carries the package doc
+// and checks exported constant documentation.
+func lintFile(path string, pkgDocs, registered map[string]bool) int {
 	fset := token.NewFileSet()
 	mode := parser.Mode(0)
 	sessionPath := isSessionPath(path)
@@ -181,34 +198,80 @@ func lintFile(path string, pkgDocs map[string]bool) int {
 		}
 		bad += lintConstDocs(fset, f)
 	}
+	metricCalls(f, func(kind, name string, recv ast.Expr, lit *ast.BasicLit) {
+		if recv == nil {
+			return
+		}
+		registered[kind+" "+name] = true
+		for _, msg := range checkMetric(kind, name) {
+			fmt.Fprintf(stderr, "%s: %s\n", fset.Position(lit.Pos()), msg)
+			bad++
+		}
+	})
+	return bad
+}
+
+// metricCalls calls fn for each call in f that names a metric with a
+// string literal: recv.Counter("x"), recv.Gauge("x") or
+// recv.Histogram("x", …), and the counter("x") and gauge("x") helpers
+// tests define over the default registry, which pass a nil recv.
+func metricCalls(f *ast.File, fn func(kind, name string, recv ast.Expr, lit *ast.BasicLit)) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return true
 		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		kind := sel.Sel.Name
-		if kind != "Counter" && kind != "Gauge" && kind != "Histogram" {
-			return true
+		var kind string
+		var recv ast.Expr
+		switch fun := call.Fun.(type) {
+		case *ast.SelectorExpr:
+			kind, recv = fun.Sel.Name, fun.X
+		case *ast.Ident:
+			kind = map[string]string{"counter": "Counter", "gauge": "Gauge"}[fun.Name]
 		}
 		lit, ok := call.Args[0].(*ast.BasicLit)
-		if !ok || lit.Kind != token.STRING {
+		if kind != "Counter" && kind != "Gauge" && kind != "Histogram" || !ok || lit.Kind != token.STRING {
 			return true
 		}
-		name, err := strconv.Unquote(lit.Value)
-		if err != nil {
-			return true
-		}
-		for _, msg := range checkMetric(kind, name) {
-			fmt.Fprintf(stderr, "%s: %s\n", fset.Position(lit.Pos()), msg)
-			bad++
+		if name, err := strconv.Unquote(lit.Value); err == nil {
+			fn(kind, name, recv, lit)
 		}
 		return true
 	})
-	return bad
+}
+
+// metricRead is one test-file read of a default-registry metric, keyed
+// like the registrations it must match.
+type metricRead struct {
+	pos token.Position
+	key string // "Kind name"
+}
+
+// defaultRegistryReads returns the default-registry metric reads in one
+// test file: metrics.Default().Counter("x") (or Gauge, Histogram), the
+// same call on a variable assigned metrics.Default() in the file, and the
+// counter("x") / gauge("x") helpers. A file that does not parse is the
+// compiler's finding, not this one.
+func defaultRegistryReads(path string) (reads []metricRead) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, path, nil, 0)
+	if err != nil {
+		return nil
+	}
+	const def = "metrics.Default()"
+	isDefault := map[string]bool{def: true} // receivers that are the default registry
+	ast.Inspect(f, func(n ast.Node) bool {
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Rhs) == 1 && types.ExprString(as.Rhs[0]) == def {
+			isDefault[types.ExprString(as.Lhs[0])] = true
+		}
+		return true
+	})
+	metricCalls(f, func(kind, name string, recv ast.Expr, lit *ast.BasicLit) {
+		if recv == nil || isDefault[types.ExprString(recv)] {
+			reads = append(reads, metricRead{fset.Position(lit.Pos()), kind + " " + name})
+		}
+	})
+	return reads
 }
 
 // lintConstDocs requires every exported top-level constant to be covered

@@ -2,6 +2,9 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -22,7 +25,8 @@ func lint(t *testing.T, tree string, doc, md, only bool) (int, string) {
 }
 
 // TestGoodTreePasses is the negative case of every rule at once: snake_case
-// metrics with their suffixes, an annotated go statement, package and
+// metrics with their suffixes, a test reading a metric the tree registers,
+// an annotated go statement, package and
 // constant docs, resolving links and paths — and under -testonly a method
 // reached only through an embedded type's interface, an identifier only
 // examples/ calls, a whole-package and a single-identifier allow entry.
@@ -40,6 +44,9 @@ func TestBadTreeFindings(t *testing.T) {
 		`counter "BadName" must end in _total`,
 		`histogram "encode_latency" must end in _seconds`,
 		`naked go statement in session-path package`,
+		// park_test.go, shaped like a test whose counters were deleted.
+		`test reads Counter deleted_self_copies_total, which no non-test file registers`,
+		`test reads Counter deleted_displaced_copies_total, which no non-test file registers`,
 	}
 	cases := []struct {
 		name          string
@@ -75,5 +82,35 @@ func TestBadTreeFindings(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDefaultRegistryReads: every spelling of a default-registry read is
+// found with its kind, and a call on another registry or with a computed
+// name is not.
+func TestDefaultRegistryReads(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x_test.go")
+	src := `package x
+
+func TestX(t *testing.T) {
+	counters := metrics.Default()
+	_ = counters.Counter("a_total")
+	_ = metrics.Default().Gauge("b")
+	_ = metrics.Default().Histogram("c_seconds", nil)
+	_ = counter("d_total") + gauge("e")
+	_ = private.Counter("f_total")
+	_ = counter(name)
+}
+`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, rd := range defaultRegistryReads(path) {
+		got = append(got, rd.key)
+	}
+	want := []string{"Counter a_total", "Gauge b", "Histogram c_seconds", "Counter d_total", "Gauge e"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("reads %q, want %q", got, want)
 	}
 }

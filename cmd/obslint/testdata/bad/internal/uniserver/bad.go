@@ -12,6 +12,7 @@ func (registry) Histogram(string, []float64) {}
 func Live() {
 	var reg registry
 	reg.Counter("BadName")
+	reg.Counter("rfb_copyrect_unchanged_total")
 	reg.Histogram("encode_latency", nil)
 	go Live()
 }

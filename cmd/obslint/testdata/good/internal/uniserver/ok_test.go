@@ -2,4 +2,6 @@ package uniserver
 
 import "testing"
 
-func TestAllowed(t *testing.T) { Allowed() }
+func counter(name string) int64 { registry{}.Counter(name); return 0 }
+
+func TestAllowed(t *testing.T) { Allowed(); _ = counter("sessions_total") }

@@ -1,11 +1,15 @@
 package uniint_test
 
 import (
+	"encoding/binary"
+	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"testing"
 	"time"
 
+	"uniint/internal/rfb"
 	"uniint/internal/toolkit"
 	"uniint/internal/uniserver"
 	"uniint/internal/workload"
@@ -14,19 +18,31 @@ import (
 // BenchmarkSessionFootprint measures what one idle session COSTS on the
 // path production runs: the heap bytes and goroutines a fleet of
 // handshaked-and-silent loopback TCP sessions, accepted by Server.Serve,
-// adds, divided per session. bytes/session is dominated by the wire model's
-// shadow framebuffer (w·h·4) — both ends of each socket live in this
-// process, so it also counts the client's file descriptor — and
-// goroutines/session is the parked reader: exactly 1 in the CI baseline,
-// so a second per-session goroutine anywhere in the attach path (2.0)
-// fails the gate.
+// adds, divided per session. bytes/session is everything the session keeps
+// — connection buffers, damage, input queue, wire model — and, since both
+// ends of each socket live in this process, the client's file descriptor
+// too. goroutines/session is the parked reader: exactly 1 in the CI
+// baseline, so a second per-session goroutine anywhere in the attach path
+// (2.0) fails the gate.
+func BenchmarkSessionFootprint(b *testing.B) { sessionFootprint(b, 64, 48, 256, false) }
+
+// BenchmarkSessionFootprintPainted is the same measurement at 640×480 with
+// every session of the fleet having requested and shipped one full-frame
+// update before the heap sample: a silent session never touches its wire
+// model, so only this row shows what the model keeps once it has painted.
+func BenchmarkSessionFootprintPainted(b *testing.B) { sessionFootprint(b, 640, 480, 64, true) }
+
 // goroutineFlickerSlack is the absolute goroutine-count noise one sample
 // may carry (see the delta computation below).
 const goroutineFlickerSlack = 8
 
-func BenchmarkSessionFootprint(b *testing.B) {
-	const fleet = 256
-	display := toolkit.NewDisplay(64, 48)
+func sessionFootprint(b *testing.B, w, h, fleet int, paint bool) {
+	display := toolkit.NewDisplay(w, h)
+	if paint {
+		root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
+		root.Add(toolkit.NewLabel("Lamp ON  Volume 12"))
+		display.SetRoot(root)
+	}
 	srv := uniserver.New(display, "footprint", uniserver.Config{ParkTTL: -1})
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -43,6 +59,11 @@ func BenchmarkSessionFootprint(b *testing.B) {
 			b.Fatal(err)
 		}
 		waitSessions(b, srv, n)
+		for i := 0; paint && i < n; i++ {
+			if err := paintOnce(clients[i], w, h); err != nil {
+				b.Fatal(err)
+			}
+		}
 		return clients
 	}
 
@@ -60,7 +81,7 @@ func BenchmarkSessionFootprint(b *testing.B) {
 		clients := connect(fleet)
 		g1 := settledGoroutines()
 		h1 := heapInUse()
-		bytesPer += float64(int64(h1)-int64(h0)) / fleet
+		bytesPer += float64(int64(h1)-int64(h0)) / float64(fleet)
 		// A couple of transient goroutines (a runtime timer mid-exit, GC
 		// background work waking) can flicker into either sample. That
 		// noise is absolute, not per-session, so the delta forgives a fixed
@@ -71,7 +92,7 @@ func BenchmarkSessionFootprint(b *testing.B) {
 		if gd >= fleet-goroutineFlickerSlack && gd <= fleet+goroutineFlickerSlack {
 			gd = fleet
 		}
-		goroutinesPer += float64(gd) / fleet
+		goroutinesPer += float64(gd) / float64(fleet)
 		for _, c := range clients {
 			c.Close()
 		}
@@ -79,6 +100,38 @@ func BenchmarkSessionFootprint(b *testing.B) {
 	}
 	b.ReportMetric(bytesPer/float64(b.N), "bytes/session")
 	b.ReportMetric(goroutinesPer/float64(b.N), "goroutines/session")
+}
+
+// paintOnce has an idle-fleet client ask for its whole w×h framebuffer as
+// RRE and read the update to its last byte, so the session has shipped a
+// full frame and nothing is left unread in the socket.
+func paintOnce(c net.Conn, w, h int) error {
+	const bpp = 4 // the server's native 32-bit format, which the client keeps
+	msg := []byte{
+		2, 0, 0, 1, 0, 0, 0, byte(rfb.EncRRE), // SetEncodings: RRE
+		3, 0, 0, 0, 0, 0, byte(w >> 8), byte(w), byte(h >> 8), byte(h), // a full request
+	}
+	if _, err := c.Write(msg); err != nil {
+		return err
+	}
+	var hdr [4]byte
+	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+		return err
+	}
+	for n := binary.BigEndian.Uint16(hdr[2:]); n > 0; n-- {
+		var rect [16]byte // rectangle header, then RRE's subrectangle count
+		if _, err := io.ReadFull(c, rect[:]); err != nil {
+			return err
+		}
+		if enc := int32(binary.BigEndian.Uint32(rect[8:])); enc != rfb.EncRRE {
+			return fmt.Errorf("full-frame update carries a %s rectangle", rfb.EncodingName(enc))
+		}
+		subs := int64(binary.BigEndian.Uint32(rect[12:]))
+		if _, err := io.CopyN(io.Discard, c, bpp+subs*(bpp+8)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // heapInUse returns live heap bytes after a full collection, so fleet

@@ -16,7 +16,7 @@ var fuzzCorpora = map[string]func() map[string][][]byte{
 	"FuzzDecodeMigration": migrationSeeds,
 }
 
-var updateSeeds = flag.Bool("update", false, "rewrite testdata/fuzz from feedSeeds and migrationSeeds")
+var updateSeeds = flag.Bool("update", false, "rewrite testdata/fuzz from the fuzzCorpora builders")
 
 // TestFuzzSeedCorpus keeps every committed seed corpus in step with the
 // function that builds it (run with -update to regenerate them).

@@ -3,132 +3,89 @@ package rfb
 import (
 	"bytes"
 	"compress/zlib"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
 	"uniint/internal/gfx"
 )
 
-// Shadow compression. PackedShadow is a WireState shadow framebuffer
+// Frame compression. PackedShadow is the frame a WireState is synced to,
 // serialized in PF32 wire layout and deflated — against the same preset
 // dictionary the EncZlibDict wire encoding uses when the session's pixel
-// format matches the shadow's native 32-bit layout. Nothing in the server
-// or the hub packs a shadow (a parked session keeps no pixels, and the
-// migration record carries none); the type lives on only for the
-// benchmark harness (cmd/uniload), which replays Pack and Unpack.
+// format matches that native 32-bit layout. Nothing in the server or the
+// hub packs a frame (a parked session keeps no pixels, and the migration
+// record carries none); the type lives on only for the benchmark harness
+// (cmd/uniload), which replays Pack and Unpack.
 
-// PackedShadow is an immutable compressed snapshot of a WireState.
+// PackedShadow is an immutable compressed snapshot of a frame.
 type PackedShadow struct {
-	w, h  int
-	pf    gfx.PixelFormat
-	pfSet bool
-	dict  bool // compressed against the PF32 preset dictionary
-	comp  []byte
-	raw   int // serialized size before compression (w*h*4)
+	w, h int
+	comp []byte // a zlib stream, its header flagging a preset dictionary
 }
 
-// RawBytes returns the uncompressed size of the packed shadow.
-func (p *PackedShadow) RawBytes() int { return p.raw }
+// RawBytes returns the uncompressed size of the packed frame.
+func (p *PackedShadow) RawBytes() int { return p.w * p.h * 4 }
 
 // CompressedBytes returns the deflated size actually held.
 func (p *PackedShadow) CompressedBytes() int { return len(p.comp) }
 
-// packScratch bounds the serialization chunk fed to the deflater per
-// write, keeping Pack's transient footprint independent of geometry.
-const packScratch = 32 << 10
-
-// Pack compresses the shadow. The WireState is only read — the caller
+// Pack compresses the frame the model is synced to, and fails when it is
+// synced to none. The WireState and its frame are only read — the caller
 // guarantees no writer turn runs concurrently.
 func (ws *WireState) Pack() (*PackedShadow, error) {
-	shadow := ws.ensureShadow()
-	p := &PackedShadow{
-		w: ws.w, h: ws.h,
-		pf: ws.pf, pfSet: ws.pfSet,
-		raw: len(shadow.Pix()) * 4, // Colors are 4 bytes each
+	fb := ws.synced
+	if fb == nil {
+		return nil, errors.New("rfb: pack: the wire model is synced to no frame")
 	}
 	// The preset dictionary is built in the session's wire pixel layout;
-	// it matches the serialized shadow only when that layout IS the
-	// shadow's native little-endian 32-bit form. Other formats (a 16bpp
+	// it matches the serialized frame only when that layout IS the
+	// frame's native little-endian 32-bit form. Other formats (a 16bpp
 	// PDA client) compress cold rather than against a mismatched dict.
-	pf32 := gfx.PF32()
-	p.dict = !ws.pfSet || ws.pf == pf32
-	var buf bytes.Buffer
-	var zw *zlib.Writer
-	var err error
-	if p.dict {
-		zw, err = zlib.NewWriterLevelDict(&buf, zlib.DefaultCompression, dictFor(pf32))
-	} else {
-		zw, err = zlib.NewWriterLevel(&buf, zlib.DefaultCompression)
+	var dict []byte
+	if !ws.pfSet || ws.pf == gfx.PF32() {
+		dict = dictFor(gfx.PF32())
 	}
+	var buf bytes.Buffer
+	zw, err := zlib.NewWriterLevelDict(&buf, zlib.DefaultCompression, dict)
 	if err != nil {
 		return nil, err
 	}
-	var scratch [packScratch]byte
-	n := 0
-	for _, c := range shadow.Pix() {
+	raw := make([]byte, len(fb.Pix())*4)
+	for i, c := range fb.Pix() {
 		// PF32 wire layout: little-endian, identity component mapping —
 		// a byte-lossless serialization of the Color value.
-		scratch[n] = byte(c)
-		scratch[n+1] = byte(c >> 8)
-		scratch[n+2] = byte(c >> 16)
-		scratch[n+3] = byte(c >> 24)
-		n += 4
-		if n == packScratch {
-			if _, err := zw.Write(scratch[:n]); err != nil {
-				return nil, err
-			}
-			n = 0
-		}
+		binary.LittleEndian.PutUint32(raw[4*i:], uint32(c))
 	}
-	if n > 0 {
-		if _, err := zw.Write(scratch[:n]); err != nil {
-			return nil, err
-		}
+	if _, err := zw.Write(raw); err != nil {
+		return nil, err
 	}
 	if err := zw.Close(); err != nil {
 		return nil, err
 	}
-	p.comp = buf.Bytes()
-	return p, nil
+	return &PackedShadow{w: fb.W(), h: fb.H(), comp: buf.Bytes()}, nil
 }
 
-// Unpack rebuilds a WireState from the packed form: a fresh tile window
-// and a distrusted-but-byte-identical shadow. cache is the shared tile
-// store for the new state (may be nil).
-func (p *PackedShadow) Unpack(cache *TileCache) (*WireState, error) {
-	var zr io.ReadCloser
-	var err error
-	if p.dict {
-		zr, err = zlib.NewReaderDict(bytes.NewReader(p.comp), dictFor(gfx.PF32()))
-	} else {
-		zr, err = zlib.NewReader(bytes.NewReader(p.comp))
-	}
+// Unpack decodes the packed frame. Its argument is unused; it stays so
+// cmd/uniload's replay, which passes nil, compiles unchanged.
+func (p *PackedShadow) Unpack(_ *TileCache) (*gfx.Framebuffer, error) {
+	// The dictionary is consulted only by a stream whose header asks for it.
+	zr, err := zlib.NewReaderDict(bytes.NewReader(p.comp), dictFor(gfx.PF32()))
 	if err != nil {
-		return nil, fmt.Errorf("rfb: unpack shadow: %w", err)
+		return nil, fmt.Errorf("rfb: unpack frame: %w", err)
 	}
 	defer zr.Close()
-	ws := NewWireState(cache, p.w, p.h)
-	pix := ws.ensureShadow().Pix()
-	var scratch [packScratch]byte
-	i := 0
-	for i < len(pix) {
-		want := (len(pix) - i) * 4
-		if want > packScratch {
-			want = packScratch
-		}
-		if _, err := io.ReadFull(zr, scratch[:want]); err != nil {
-			return nil, fmt.Errorf("rfb: unpack shadow: %w", err)
-		}
-		for o := 0; o < want; o += 4 {
-			pix[i] = gfx.Color(uint32(scratch[o]) | uint32(scratch[o+1])<<8 |
-				uint32(scratch[o+2])<<16 | uint32(scratch[o+3])<<24)
-			i++
-		}
+	fb := gfx.NewFramebuffer(p.w, p.h)
+	pix := fb.Pix()
+	// One spare byte: a stream of exactly the frame's bytes ends short of
+	// it (io.ErrUnexpectedEOF); a longer, shorter or corrupt one does not.
+	raw := make([]byte, len(pix)*4+1)
+	if n, err := io.ReadFull(zr, raw); n != len(pix)*4 || err != io.ErrUnexpectedEOF {
+		return nil, fmt.Errorf("rfb: unpack frame: %d bytes for %d pixels (%v)", n, len(pix), err)
 	}
-	if n, _ := zr.Read(scratch[:1]); n != 0 {
-		return nil, fmt.Errorf("rfb: unpack shadow: trailing bytes")
+	for i := range pix {
+		pix[i] = gfx.Color(binary.LittleEndian.Uint32(raw[4*i:]))
 	}
-	ws.pf, ws.pfSet = p.pf, p.pfSet
-	ws.valid = false // the client's adoption of its old shadow is unknowable
-	return ws, nil
+	return fb, nil
 }

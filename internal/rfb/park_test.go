@@ -6,17 +6,40 @@ import (
 	"uniint/internal/gfx"
 )
 
-// fillShadow writes a deterministic pseudo-random pattern (xorshift) into
-// every shadow pixel, including values with the unused top byte set, so a
-// round-trip must be byte-lossless, not merely 24-bit-lossless.
-func fillShadow(ws *WireState, seed uint32) {
+// syncedTo returns a w×h wire model synced, through a full-bounds commit,
+// to a frame filled with a deterministic pseudo-random pattern (xorshift)
+// that includes values with the unused top byte set, so a round-trip must
+// be byte-lossless, not merely 24-bit-lossless. It returns the frame too.
+func syncedTo(w, h int, seed uint32) (*WireState, *gfx.Framebuffer) {
+	fb := gfx.NewFramebuffer(w, h)
 	x := seed | 1
-	pix := ws.ensureShadow().Pix()
+	pix := fb.Pix()
 	for i := range pix {
 		x ^= x << 13
 		x ^= x >> 17
 		x ^= x << 5
 		pix[i] = gfx.Color(x)
+	}
+	ws := NewWireState(nil, w, h)
+	ws.commit(fb, &UpdateRect{Rect: fb.Bounds(), Encoding: EncRaw})
+	return ws, fb
+}
+
+// TestPackNeedsASyncedFrame: a model synced to no frame — fresh, Reset, or
+// left by a partial blit of another frame — has nothing to pack.
+func TestPackNeedsASyncedFrame(t *testing.T) {
+	ws, _ := syncedTo(32, 32, 3)
+	ws.Reset()
+	if _, err := ws.Pack(); err == nil {
+		t.Fatal("a Reset model packed")
+	}
+	if _, err := NewWireState(nil, 32, 32).Pack(); err == nil {
+		t.Fatal("a fresh model packed")
+	}
+	ws, _ = syncedTo(32, 32, 3)
+	ws.commit(gfx.NewFramebuffer(32, 32), &UpdateRect{Rect: gfx.R(0, 0, 8, 8), Encoding: EncRaw})
+	if _, err := ws.Pack(); err == nil {
+		t.Fatal("a model holding part of another frame packed")
 	}
 }
 
@@ -34,17 +57,15 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ws := NewWireState(nil, 64, 48)
-			fillShadow(ws, 0xDECAF)
+			ws, fb := syncedTo(64, 48, 0xDECAF)
 			ws.pf, ws.pfSet = tc.pf, tc.pfSet
-			want := append([]gfx.Color(nil), ws.shadow.Pix()...)
 
 			p, err := ws.Pack()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if p.dict != tc.wantDict {
-				t.Errorf("dict = %v, want %v", p.dict, tc.wantDict)
+			if dict := p.comp[1]&0x20 != 0; dict != tc.wantDict { // zlib's FDICT flag
+				t.Errorf("dict = %v, want %v", dict, tc.wantDict)
 			}
 			if p.RawBytes() != 64*48*4 {
 				t.Errorf("RawBytes = %d", p.RawBytes())
@@ -54,16 +75,10 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, c := range got.shadow.Pix() {
-				if c != want[i] {
-					t.Fatalf("pixel %d: %08x, want %08x", i, uint32(c), uint32(want[i]))
+			for i, c := range got.Pix() {
+				if c != fb.Pix()[i] {
+					t.Fatalf("pixel %d: %08x, want %08x", i, uint32(c), uint32(fb.Pix()[i]))
 				}
-			}
-			if got.valid {
-				t.Error("unpacked shadow claims validity")
-			}
-			if got.pf != tc.pf || got.pfSet != tc.pfSet {
-				t.Errorf("pf round-trip: %+v set=%v", got.pf, got.pfSet)
 			}
 		})
 	}
@@ -72,18 +87,15 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 func TestPackCompressionRatio(t *testing.T) {
 	// GUI-like content — theme fills plus glyph-row text — must shrink at
 	// least 3x; this is the acceptance floor for cold parked sessions.
-	ws := NewWireState(nil, 160, 120)
-	pix := ws.ensureShadow().Pix()
-	for i := range pix {
-		pix[i] = gfx.LightGray
-	}
+	fb := gfx.NewFramebuffer(160, 120)
+	fb.Clear(gfx.LightGray)
 	for y := 20; y < 27; y++ { // a band of text-ish alternation
-		for x := 0; x < 160; x++ {
-			if x%3 == 0 {
-				pix[y*160+x] = gfx.Black
-			}
+		for x := 0; x < 160; x += 3 {
+			fb.Set(x, y, gfx.Black)
 		}
 	}
+	ws := NewWireState(nil, 160, 120)
+	ws.commit(fb, &UpdateRect{Rect: fb.Bounds(), Encoding: EncRaw})
 	p, err := ws.Pack()
 	if err != nil {
 		t.Fatal(err)
@@ -94,20 +106,24 @@ func TestPackCompressionRatio(t *testing.T) {
 }
 
 func TestUnpackRejectsCorruptStream(t *testing.T) {
-	ws := NewWireState(nil, 32, 32)
-	fillShadow(ws, 7)
+	ws, _ := syncedTo(32, 32, 7)
 	p, err := ws.Pack()
 	if err != nil {
 		t.Fatal(err)
 	}
-	trunc := &PackedShadow{w: p.w, h: p.h, dict: p.dict, comp: p.comp[:len(p.comp)/2], raw: p.raw}
+	trunc := &PackedShadow{w: p.w, h: p.h, comp: p.comp[:len(p.comp)/2]}
 	if _, err := trunc.Unpack(nil); err == nil {
 		t.Fatal("truncated stream unpacked cleanly")
 	}
 	// A geometry lie (more pixels in the stream than the header claims)
 	// must be caught, not silently dropped.
-	lying := &PackedShadow{w: 16, h: 16, dict: p.dict, comp: p.comp, raw: 16 * 16 * 4}
+	lying := &PackedShadow{w: 16, h: 16, comp: p.comp}
 	if _, err := lying.Unpack(nil); err == nil {
 		t.Fatal("oversized stream unpacked cleanly")
+	}
+	flipped := &PackedShadow{w: p.w, h: p.h, comp: append([]byte(nil), p.comp...)}
+	flipped.comp[len(flipped.comp)/2] ^= 0x55
+	if _, err := flipped.Unpack(nil); err == nil {
+		t.Fatal("corrupted stream unpacked cleanly")
 	}
 }

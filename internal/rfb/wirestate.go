@@ -6,10 +6,10 @@ import (
 )
 
 // WireState is the server's per-session model of what the client currently
-// holds: a shadow of the client's framebuffer (for CopyRect detection), the
-// generation of the frame the shadow last caught up with (so a repaint of
-// an unchanged frame, a device switch's, reads no pixels) and a mirror of
-// the client's tile memory (for EncTileRef). PrepareUpdateWire
+// holds: the frame and generation the client last received in full (so a
+// repaint of an unchanged frame, a device switch's, ships as a self-copy
+// without reading pixels) and a mirror of the client's tile memory (for
+// EncTileRef). It keeps no copy of the client's pixels. PrepareUpdateWire
 // consults it to pick the cheapest wire form of each rectangle and commits
 // every encoded rectangle into it, keeping the model exact as long as the
 // prepared updates are sent in order.
@@ -21,13 +21,11 @@ import (
 // must also be called whenever the client's actual state diverges from
 // the model: after an encode error, and after a failed send.
 type WireState struct {
-	shadow *gfx.Framebuffer // allocated on first use (ensureShadow)
-	w, h   int
-	valid  bool // shadow == client framebuffer
-	// The shadow equals synced, inside w×h, as it stood at generation
-	// syncGen (nil: no such frame). While synced has not been written
-	// since, nothing changed under the client, and any rectangle of it is
-	// a self-copy without a compare.
+	w, h int
+	// The client holds synced, inside w×h, as it stood at generation
+	// syncGen (nil: no frame the model knows of). While synced has not
+	// been written since, nothing changed under the client, and any
+	// rectangle of it is a self-copy.
 	synced  *gfx.Framebuffer
 	syncGen uint64
 	win     tileWindow
@@ -39,52 +37,31 @@ type WireState struct {
 // NewWireState creates the wire model for a session whose client
 // framebuffer is w×h. cache is the hub-wide shared tile store (nil for a
 // standalone session: tile encodings still work, bodies are just never
-// shared across sessions). A fresh client framebuffer is zero-filled
-// (black), exactly like the fresh shadow, so the model starts valid.
+// shared across sessions). The model starts synced to no frame, so no
+// CopyRect ships before the first full-bounds rectangle.
 func NewWireState(cache *TileCache, w, h int) *WireState {
-	ws := &WireState{w: w, h: h, valid: true, cache: cache}
+	ws := &WireState{w: w, h: h, cache: cache}
 	ws.win.init()
 	return ws
 }
 
-// ensureShadow returns the shadow, allocating it (black) on first use. A
-// resumed session Resets its fresh state before any commit, so it pays
-// for the shadow only at the full-bounds repaint that revalidates it.
-func (ws *WireState) ensureShadow() *gfx.Framebuffer {
-	if ws.shadow == nil {
-		ws.shadow = gfx.NewFramebuffer(ws.w, ws.h)
-	}
-	return ws.shadow
-}
-
 // Reset discards every assumption about the client: the tile window is
-// cleared (subsequent tiles re-install) and the shadow is distrusted until
-// a rectangle covering the full framebuffer ships again (no CopyRect until
-// then). Nothing reads a distrusted shadow, and the revalidating repaint
-// overwrites every pixel of it.
+// cleared (subsequent tiles re-install) and the model is synced to no
+// frame until a rectangle covering the full framebuffer ships again (no
+// CopyRect until then).
 func (ws *WireState) Reset() {
-	ws.valid = false
+	ws.synced = nil
 	ws.win.init()
 	ws.pfSet = false
 }
 
-// CopyRect detection constants. The search covers small displacements on
-// one axis at a time — the scroll/move patterns a widget toolkit actually
-// produces — and only for rectangles big enough that the 4-byte CopyRect
-// body beats re-encoding by a useful margin.
-const (
-	copyMinArea    = 1024
-	copySearchSpan = 32 // max |offset| tried per axis, in pixels
-	copyProbeWidth = 32 // pixels compared per probe row before full verify
-)
+// copyMinArea is the smallest rectangle shipped as a self-copy: below it
+// the 4-byte CopyRect body beats re-encoding by too little to matter.
+const copyMinArea = 1024
 
-// A self-copy ships content the client already holds in place (damage
-// whose pixels did not change); a displaced copy ships content that moved.
-// rfb_copyrect_unchanged_total counts the self-copies answered from the
-// frame's generation, which read no pixels.
+// rfb_copyrect_unchanged_total counts the self-copies: rectangles of a
+// frame nobody wrote since the client last received it in full.
 var (
-	mCopySelf      = metrics.Default().Counter("rfb_copyrect_self_total")
-	mCopyDisplaced = metrics.Default().Counter("rfb_copyrect_displaced_total")
 	mCopyUnchanged = metrics.Default().Counter("rfb_copyrect_unchanged_total")
 	mDictPicks     = metrics.Default().Counter("rfb_dict_picks_total")
 	mDictMemoHits  = metrics.Default().Counter("rfb_dict_memo_hits_total")
@@ -96,8 +73,8 @@ const zlibDictMinArea = 4096
 
 // selectAndEncode resolves one EncAdaptive rectangle against the wire
 // model and appends its encoded body to dst, returning the chosen
-// encoding. It tries, in order of bytes saved: CopyRect off the shadow
-// (4-byte body), a tile reference (8-byte body), a tile install (shared
+// encoding. It tries, in order of bytes saved: a self-copy of an unchanged
+// frame (4-byte body), a tile reference (8-byte body), a tile install (shared
 // encoded body reused across sessions), then the content-adaptive
 // encodings with a dictionary-zlib upgrade for large GUI-like rects. ur's
 // CopySrc fields are filled when EncCopyRect is chosen. The caller commits
@@ -110,26 +87,21 @@ func (ws *WireState) selectAndEncode(dst []byte, fb *gfx.Framebuffer, ur *Update
 		ws.pf, ws.pfSet = pf, true
 	}
 	r := ur.Rect
-	inShadow := !r.Empty() && r.X >= 0 && r.Y >= 0 &&
+	inside := !r.Empty() && r.X >= 0 && r.Y >= 0 &&
 		r.MaxX() <= ws.w && r.MaxY() <= ws.h
 
-	if mask&encBitCopyRect != 0 && ws.valid && inShadow && r.Area() >= copyMinArea {
-		if sx, sy, ok := ws.findCopy(fb, r); ok {
-			ur.CopySrcX, ur.CopySrcY = sx, sy
-			var b [4]byte
-			be.PutUint16(b[0:], uint16(sx))
-			be.PutUint16(b[2:], uint16(sy))
-			if sx == r.X && sy == r.Y {
-				mCopySelf.Inc()
-			} else {
-				mCopyDisplaced.Inc()
-			}
-			return append(dst, b[:]...), EncCopyRect, nil
-		}
+	if mask&encBitCopyRect != 0 && inside && r.Area() >= copyMinArea &&
+		ws.synced == fb && ws.syncGen == fb.Gen() {
+		mCopyUnchanged.Inc()
+		ur.CopySrcX, ur.CopySrcY = r.X, r.Y
+		var b [4]byte
+		be.PutUint16(b[0:], uint16(r.X))
+		be.PutUint16(b[2:], uint16(r.Y))
+		return append(dst, b[:]...), EncCopyRect, nil
 	}
 
 	const tileBits = encBitTileRef | encBitTileInstall
-	if mask&tileBits == tileBits && inShadow &&
+	if mask&tileBits == tileBits && inside &&
 		r.Area() <= tileMaxArea && r.H <= tileMaxHeight {
 		h := hashTile(fb, r)
 		if ws.win.touch(h) {
@@ -216,106 +188,26 @@ func (ws *WireState) encodeInstall(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, 
 	return dst, nil
 }
 
-// findCopy searches the shadow for existing client pixels equal to the new
-// content of r, returning the source origin on a hit. Offset (0,0) is
-// tried first — content that did not actually change (over-wide damage
-// coalescing, a device switch's full repaint) degenerates to a 4-byte
-// self-copy, answered from fb's generation when fb has not been written
-// since the shadow last equalled it. The source rectangle must lie fully
-// inside the shadow: partially-visible source pixels are unknowable client
-// state and are never referenced.
-func (ws *WireState) findCopy(fb *gfx.Framebuffer, r gfx.Rect) (sx, sy int, ok bool) {
-	if ws.synced == fb && ws.syncGen == fb.Gen() {
-		mCopyUnchanged.Inc()
-		return r.X, r.Y, true
-	}
-	ws.ensureShadow()
-	if ws.matchesShadow(fb, r, r.X, r.Y) {
-		if ws.full(r) {
-			ws.synced, ws.syncGen = fb, fb.Gen()
-		}
-		return r.X, r.Y, true
-	}
-	for d := 1; d <= copySearchSpan; d++ {
-		for _, off := range [4][2]int{{0, -d}, {0, d}, {-d, 0}, {d, 0}} {
-			sx, sy := r.X+off[0], r.Y+off[1]
-			if sx < 0 || sy < 0 || sx+r.W > ws.shadow.W() || sy+r.H > ws.shadow.H() {
-				continue
-			}
-			if ws.matchesShadow(fb, r, sx, sy) {
-				return sx, sy, true
-			}
-		}
-	}
-	return 0, 0, false
-}
-
-// matchesShadow reports whether the shadow pixels at (sx,sy) equal fb's
-// pixels inside r. Three bounded probe rows reject non-matches almost
-// free; only candidates passing the probe pay a full verify.
-func (ws *WireState) matchesShadow(fb *gfx.Framebuffer, r gfx.Rect, sx, sy int) bool {
-	pw := min(r.W, copyProbeWidth)
-	for _, py := range [3]int{0, r.H / 2, r.H - 1} {
-		if !ws.rowsEqual(fb, r, sx, sy, py, pw) {
-			return false
-		}
-	}
-	for y := 0; y < r.H; y++ {
-		if !ws.rowsEqual(fb, r, sx, sy, y, r.W) {
-			return false
-		}
-	}
-	return true
-}
-
-// rowsEqual compares the first w pixels of row y (rect-local) of fb's r
-// against the shadow row at (sx, sy+y).
-func (ws *WireState) rowsEqual(fb *gfx.Framebuffer, r gfx.Rect, sx, sy, y, w int) bool {
-	frow := fb.Pix()[(r.Y+y)*fb.W()+r.X : (r.Y+y)*fb.W()+r.X+w]
-	srow := ws.shadow.Pix()[(sy+y)*ws.shadow.W()+sx : (sy+y)*ws.shadow.W()+sx+w]
-	for i, c := range frow {
-		if srow[i] != c {
-			return false
-		}
-	}
-	return true
-}
-
 // full reports whether r covers the client's whole framebuffer.
 func (ws *WireState) full(r gfx.Rect) bool {
 	return r.X <= 0 && r.Y <= 0 && r.MaxX() >= ws.w && r.MaxY() >= ws.h
 }
 
-// commit applies one encoded rectangle to the shadow, mirroring what the
-// client's decode will do: CopyRect moves shadow pixels, everything else
-// blits the freshly-encoded framebuffer content. A distrusted shadow is
-// never read, so commits skip it until a rectangle covering the full
-// framebuffer revalidates it — after that one, the client provably holds
-// exactly the shadow again. A full-bounds blit also leaves the shadow equal
-// to fb at its current generation. A partial blit from another frame ends
-// that equality, and so does a displaced copy, which moves shadow pixels
-// while the frame stands still.
+// commit applies one encoded rectangle to the model, mirroring what the
+// client's decode does to its pixels. A full-bounds blit leaves the client
+// holding fb at its current generation. A partial blit from another frame
+// ends that, and so does a displaced copy, which moves the client's pixels
+// while the frame stands still. A self-copy changes nothing.
 func (ws *WireState) commit(fb *gfx.Framebuffer, ur *UpdateRect) {
 	r := ur.Rect
-	if !ws.valid {
-		if fb == nil || ur.Encoding == EncCopyRect || !ws.full(r) {
-			return
-		}
-		ws.valid = true
-	}
-	if ur.Encoding == EncCopyRect {
+	switch {
+	case ur.Encoding == EncCopyRect:
 		if ur.CopySrcX != r.X || ur.CopySrcY != r.Y {
 			ws.synced = nil
-			ws.ensureShadow().CopyRect(r.X, r.Y, gfx.R(ur.CopySrcX, ur.CopySrcY, r.W, r.H))
 		}
-		return
-	}
-	if fb != nil {
-		ws.ensureShadow().Blit(r.X, r.Y, fb, r)
-		if ws.full(r) {
-			ws.synced, ws.syncGen = fb, fb.Gen()
-		} else if fb != ws.synced {
-			ws.synced = nil
-		}
+	case fb != nil && ws.full(r):
+		ws.synced, ws.syncGen = fb, fb.Gen()
+	case fb != ws.synced:
+		ws.synced = nil
 	}
 }

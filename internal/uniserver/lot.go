@@ -16,12 +16,12 @@ import (
 // undispatched input events, the pointer mask — is parked under its resume
 // token instead of being torn down. (An update request it had parked is
 // not: a request is owed on the connection it arrived on. Nor is the wire
-// model: a resume distrusts the shadow framebuffer, and a full repaint
-// overwrites a distrusted shadow before anything reads it, so a parked
-// session keeps no pixels.) A reconnecting client that presents the token
-// reclaims the parked state and its first request collects an incremental
-// resync (only the damage accumulated while detached); a token that never
-// returns expires after the park TTL.
+// model: a resumed session starts a fresh one, synced to no frame, which
+// ships no CopyRect before a full repaint, so a parked session keeps no
+// pixels.) A reconnecting client that presents the token reclaims the
+// parked state and its first request collects an incremental resync (only
+// the damage accumulated while detached); a token that never returns
+// expires after the park TTL.
 // The lot is bounded: at capacity the oldest parked session (of those
 // holding no undispatched input, while there are any) is expired to make
 // room.
@@ -144,9 +144,9 @@ func (s *Server) unlist(sess *session) {
 // claimParked marks the parked session for token as claimed and returns
 // it, or nil when the token is unknown, already claimed, expired, or
 // parked with a different geometry (the display resized while detached —
-// the shadow framebuffer the client kept no longer matches, so the
-// resume must fail into a fresh session and full repaint). A token whose
-// session is still live is taken over first (takeover).
+// the framebuffer the client kept no longer matches, so the resume must
+// fail into a fresh session and full repaint). A token whose session is
+// still live is taken over first (takeover).
 //
 // The entry STAYS in the lot, still accumulating pump damage, until the
 // handshake completes and the new session atomically takes its place
@@ -349,13 +349,6 @@ func (c *session) adopt(ps *parkedSession) {
 	c.dirtySpare = ps.dirtySpare
 	c.lastPtrMask = ps.lastPtrMask
 	c.fedResync = ps.migrated
-	// The session's fresh wire model starts distrusted: the reconnecting
-	// client's tile memory is empty, and which pixels it holds — whether
-	// it adopted its old shadow at all — is unknowable here, so CopyRect
-	// stays off until a full repaint revalidates the shadow. That repaint
-	// overwrites every shadow pixel before any is read, which is why the
-	// lot never kept them.
-	c.ws.Reset()
 	// Traced events that sat out the detach window get a park span —
 	// detach to reclaim — under their own id, so the gap between their
 	// queue enqueue and eventual dispatch is explained in the export.

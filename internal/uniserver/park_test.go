@@ -33,9 +33,9 @@ func (h *lotHarness) paintAndPark(full gfx.Rect) *rfb.ClientConn {
 }
 
 // resume reconnects under away's token, adopts the pixels away's client
-// kept, and asks for what it missed. It returns the area the resync
-// covered once the client shows exactly the display.
-func (h *lotHarness) resume(away *rfb.ClientConn, full gfx.Rect) int {
+// kept, and asks for what it missed. It returns the resumed client and the
+// area the resync covered once the client shows exactly the display.
+func (h *lotHarness) resume(away *rfb.ClientConn, full gfx.Rect) (*rfb.ClientConn, int) {
 	h.t.Helper()
 	back, rec := h.connect(away.Token())
 	h.t.Cleanup(func() { back.Close() })
@@ -51,7 +51,7 @@ func (h *lotHarness) resume(away *rfb.ClientConn, full gfx.Rect) int {
 	for _, r := range rects {
 		area += r.Area()
 	}
-	return area
+	return back, area
 }
 
 // TestParkedSessionHoldsNoPixels: a parked session keeps its damage, input
@@ -95,16 +95,16 @@ func TestParkedSessionHoldsNoPixels(t *testing.T) {
 		time.Sleep(d)
 	}
 	display.Update(func() { lbl.SetText("while away") })
-	if area := h.resume(away, full); area == 0 || area >= full.Area()/4 {
+	if _, area := h.resume(away, full); area == 0 || area >= full.Area()/4 {
 		t.Fatalf("resync covered %d px of %d: want only the detach damage", area, full.Area())
 	}
 }
 
 // TestShadowlessImportResumesDistrusted: a migration record carries no
 // pixels, so it resumes onto a client whose pixels the server has never
-// seen. The resumed model must distrust its shadow: a black one that
-// CopyRect believed would let a region turning black ship as a 4-byte
-// self-copy, leaving the client's old pixels on screen.
+// seen. The resumed model must be synced to no frame: one that believed
+// the client held the (black) display would ship the panel turning black
+// as a 4-byte self-copy, leaving the client's old pixels on screen.
 func TestShadowlessImportResumesDistrusted(t *testing.T) {
 	h := newLotHarness(t, Config{})
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
@@ -129,11 +129,16 @@ func TestShadowlessImportResumesDistrusted(t *testing.T) {
 
 	// The whole (light gray) panel turns black while the client is away.
 	h.display.Update(func() { root.SetBackground(gfx.Black) })
-	copies := func() int64 { return counter("rfb_copyrect_self_total") + counter("rfb_copyrect_displaced_total") }
-	hits0 := copies()
-	h.resume(away, full)
-	if d := copies() - hits0; d != 0 {
-		t.Fatalf("%d CopyRect hits before a full repaint revalidated the shadow", d)
+	copies0 := counter("rfb_copyrect_unchanged_total")
+	back, _ := h.resume(away, full)
+	if d := counter("rfb_copyrect_unchanged_total") - copies0; d != 0 {
+		t.Fatalf("%d self-copies before a full repaint synced the model", d)
+	}
+	if !shadowMatches(h.display, back) {
+		t.Fatal("the resumed client does not show the display")
+	}
+	if c := back.Snapshot(full).At(80, 60); c != gfx.Black {
+		t.Fatalf("the resumed client shows %06x mid-panel, want the black panel", uint32(c))
 	}
 }
 
@@ -164,7 +169,7 @@ func TestMigrationRecordCarriesNoPixels(t *testing.T) {
 	}
 
 	h.display.Update(func() { lbl.SetText("while away") })
-	if area := h.resume(away, full); area == 0 || area >= full.Area()/2 {
+	if _, area := h.resume(away, full); area == 0 || area >= full.Area()/2 {
 		t.Fatalf("resync covered %d px of %d: want only the detach damage", area, full.Area())
 	}
 }

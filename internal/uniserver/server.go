@@ -200,7 +200,7 @@ func (s *Server) Attach(conn net.Conn) error {
 	sess.conn = rc
 	sess.dirty = gfx.NewDamage(sess.bounds, 16)
 	sess.outbox = gfx.NewDamage(sess.bounds, 16)
-	sess.ws = rfb.NewWireState(s.tiles, w, h) // a resume distrusts it (adopt)
+	sess.ws = rfb.NewWireState(s.tiles, w, h) // synced to no frame, also on a resume
 	// The tasks exist before the session is visible to the pump, so a
 	// damage kick arriving mid-register always has a target.
 	sess.writeTask = sched.SharedPool().NewTask(sess.writerTurn)
@@ -404,14 +404,14 @@ type session struct {
 	// fed_resync_bytes_total. Writer-turn-only after adopt seeds it.
 	fedResync bool
 
-	// ws is the wire tier's model of the client (shadow framebuffer +
-	// tile window); writer-turn-only. Unlike turn scratch it is client
-	// STATE, not scratch — but not state the lot keeps: a resumed session
-	// starts a fresh one, distrusted (adopt), and it is Reset whenever the
-	// model can no longer be trusted (encode error, failed send). Drain and
-	// encode scratch is NOT pinned here: writer
-	// turns check a turnScratch out of the central pool, so that memory
-	// scales with concurrent turns, not sessions.
+	// ws is the wire tier's model of the client (the frame it last
+	// received in full + tile window); writer-turn-only. Unlike turn
+	// scratch it is client STATE, not scratch — but not state the lot
+	// keeps: a resumed session starts a fresh one, synced to no frame, and
+	// it is Reset whenever the model can no longer be trusted (encode
+	// error, failed send). Drain and encode scratch is NOT pinned here:
+	// writer turns check a turnScratch out of the central pool, so that
+	// memory scales with concurrent turns, not sessions.
 	ws *rfb.WireState
 }
 
@@ -561,7 +561,7 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) {
 		// parks in the detach lot is complete and the resync after a
 		// resume re-covers them instead of leaving the client stale.
 		// The wire model assumed the client applied this update (the
-		// shadow and tile window were committed during prepare); the
+		// synced frame and tile window were committed during prepare); the
 		// client's true state is now unknown, so distrust the model.
 		mUpdateDrops.Inc()
 		c.ws.Reset()

@@ -1,7 +1,7 @@
 package uniint
 
-// Wire-efficiency benchmarks gating the bytes-on-wire tier (CopyRect
-// detection, dictionary zlib, shared tile cache — internal/rfb WireState):
+// Wire-efficiency benchmarks gating the bytes-on-wire tier (self-copy
+// CopyRect, dictionary zlib, shared tile cache — internal/rfb WireState):
 //
 //	BenchmarkE2bWire/adaptive  UI churn across 16 homes, content-adaptive
 //	                           encodings only (the pre-tier cost model)
@@ -206,7 +206,7 @@ func wireBenchRun(tb testing.TB, hs []*wireBenchHome, steps []workload.UIStep) f
 }
 
 // wireBenchPrime replays the cold join (one full-bounds paint per home,
-// validating the shadow) and then two full step cycles, leaving every
+// syncing the wire model to its frame) and then two full step cycles, leaving every
 // content hash the measured loop will produce resident in the tile
 // windows — the steady state of a session that has been live a while.
 func wireBenchPrime(tb testing.TB, hs []*wireBenchHome, run func(int) int) {
@@ -238,7 +238,7 @@ func wireBenchPrime(tb testing.TB, hs []*wireBenchHome, run func(int) int) {
 // acceptance number: steady-state UI churn across 16 hub homes, encoded
 // once adaptive-only and once through the full tier. Compare the
 // wirebytes/op metrics — ns/op additionally shows the CPU cost of the
-// shadow bookkeeping.
+// wire model's bookkeeping.
 func BenchmarkE2bWire(b *testing.B) {
 	steps := wireBenchSteps(wireBenchCycle)
 	variants := []struct {
