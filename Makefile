@@ -98,7 +98,16 @@ COVER_MIN ?= 74
 # cmd/obslint/main.go +63 (a test read
 # of a default-registry metric no non-test file registers fails the
 # lint), cmd/obslint/testdata/bad/internal/uniserver/bad.go +1.
-LOC_MAX ?= 20021
+# A device switch costing the client O(1) raised it 20 021 -> 20 061 for
+# +40 lines: device/device.go +48 (scaledOutput, the one stateful plug-in
+# of the PDA and the phone: its owned panel, bitmap and dither rows, and
+# the "nothing changed" answer), gfx/scale.go +15 (ScaleBoxInto, which
+# ScaleBox wraps, and scaleNearestInto, which ScaleNearest wraps),
+# rfb/client.go +4 (a self-CopyRect is neither applied nor reported),
+# core/plugin.go +1 (comments), gfx/convert.go 0 (FloydSteinbergInto
+# replaces FloydSteinberg); device/pda.go -14 and device/phone.go -14
+# (pdaOutputPlugin and phoneOutputPlugin, replaced by scaledOutput).
+LOC_MAX ?= 20061
 
 .PHONY: all build test vet race race-takeover fuzz-smoke fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc loc-gate examples
 

@@ -37,8 +37,9 @@ type Frame struct {
 	Seq uint64
 	// Damage lists, in device coordinates, where this frame differs from
 	// the plug-in's previous one; it may over-cover, never under-cover.
-	// nil means all of it (the first frame, and every frame of a plug-in
-	// that converts whole); empty and non-nil means nothing changed.
+	// nil means all of it (a plug-in's first frame, and every frame it
+	// converted whole); empty and non-nil means nothing changed, the
+	// previous frame handed back.
 	Damage []gfx.Rect
 }
 
@@ -63,8 +64,8 @@ type OutputPlugin interface {
 	// every update — selected or not — so a plug-in that keeps its frame
 	// may accumulate them (bounded; over-coverage is allowed) and repaint
 	// exactly what it missed when it is next converted. A call with no
-	// rectangles still counts: "nothing changed". Plug-ins that convert
-	// whole ignore it. rects is only valid during the call.
+	// rectangles still counts: "nothing changed" (how the client reports
+	// a device switch's self-copy). rects is only valid during the call.
 	Damaged(rects []gfx.Rect)
 	// Convert renders the server framebuffer into a device frame: the
 	// damage reported since the previous Convert when there was any
@@ -103,9 +104,9 @@ type OutputDevice interface {
 	// Class names the device category: "pda", "phone", "tv".
 	Class() string
 	// OutputPlugin returns the conversion module the device transmits to
-	// the proxy: a fresh, stateless-so-far plug-in per call, so every
+	// the proxy: a fresh plug-in per call, with no frame yet, so every
 	// attachment (including a supervisor's re-attach after a redial)
-	// starts with a whole frame.
+	// starts with a whole frame. Every bundled plug-in keeps its frame.
 	OutputPlugin() OutputPlugin
 	// Present delivers a converted frame. Implementations must not block:
 	// slow devices drop to latest-wins. The frame's pixels are the

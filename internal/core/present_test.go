@@ -128,7 +128,7 @@ func (r *presentRig) shadow() *gfx.Framebuffer {
 
 // watchedOutput wraps a display simulator and checks every frame on its
 // way in: Frame.Damage must cover whatever the frame changed on the
-// device's panel.
+// device's panel, colour or 1-bit.
 type watchedOutput struct {
 	core.OutputDevice
 	latest func() core.Frame
@@ -144,13 +144,17 @@ func (w *watchedOutput) Present(f core.Frame) {
 	w.OutputDevice.Present(f)
 	after := w.latest()
 	if f.Damage != nil {
+		var differs func(x, y int) bool
 		switch {
-		case before.RGB == nil || after.RGB == nil:
+		case f.RGB != nil && before.RGB != nil:
+			differs = func(x, y int) bool { return before.RGB.At(x, y) != after.RGB.At(x, y) }
+		case f.Bits != nil && before.Bits != nil:
+			differs = func(x, y int) bool { return before.Bits.Get(x, y) != after.Bits.Get(x, y) }
+		}
+		if differs == nil {
 			w.t.Errorf("%s: a partial frame (damage %v) reached an empty panel", w.ID(), f.Damage)
-		default:
-			if x, y, ok := firstUncovered(before.RGB, after.RGB, f.Damage); ok {
-				w.t.Errorf("%s: pixel (%d,%d) changed outside Frame.Damage %v", w.ID(), x, y, f.Damage)
-			}
+		} else if x, y, ok := firstUncovered(f.W, f.H, differs, f.Damage); ok {
+			w.t.Errorf("%s: pixel (%d,%d) changed outside Frame.Damage %v", w.ID(), x, y, f.Damage)
 		}
 	}
 	px := int64(f.W) * int64(f.H)
@@ -169,21 +173,21 @@ func (w *watchedOutput) counts() (frames, pixels int64) {
 	return w.frames, w.pixels
 }
 
-// firstUncovered finds a pixel that differs between a and b and lies in
+// firstUncovered finds a pixel of a w×h panel that differs and lies in
 // none of the rects.
-func firstUncovered(a, b *gfx.Framebuffer, rects []gfx.Rect) (x, y int, found bool) {
-	ap, bp := a.Pix(), b.Pix()
-	for i := range ap {
-		if ap[i] == bp[i] {
-			continue
-		}
-		x, y = i%a.W(), i/a.W()
-		covered := false
-		for _, r := range rects {
-			covered = covered || r.Contains(x, y)
-		}
-		if !covered {
-			return x, y, true
+func firstUncovered(w, h int, differs func(x, y int) bool, rects []gfx.Rect) (x, y int, found bool) {
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if !differs(x, y) {
+				continue
+			}
+			covered := false
+			for _, r := range rects {
+				covered = covered || r.Contains(x, y)
+			}
+			if !covered {
+				return x, y, true
+			}
 		}
 	}
 	return 0, 0, false
@@ -513,27 +517,44 @@ func TestMirrorAddedLaterRepaintsWhatItMissed(t *testing.T) {
 	}
 }
 
-// TestPresentAllocatesNothing pins the pass-through output path at zero
-// allocations per frame: widget-sized damage, through the proxy, the TV
-// plug-in's frame and the TV's panel.
+// TestPresentAllocatesNothing pins the output path at zero allocations
+// per frame on every bundled device, through the proxy, the plug-in's frame
+// and the device's panel: widget-sized damage (the TV copies it, the PDA
+// and the phone convert whole into storage of their own) and an update
+// with no rectangles (nothing changed).
 func TestPresentAllocatesNothing(t *testing.T) {
-	rig := newPresentRig(t)
-	tv := device.NewTVDisplay("tv")
-	if err := rig.proxy.AttachOutput(tv); err != nil {
-		t.Fatal(err)
-	}
-	if err := rig.proxy.SelectOutput("tv"); err != nil {
-		t.Fatal(err)
-	}
-	rig.send([]gfx.Rect{gfx.R(0, 0, device.TVWidth, device.TVHeight)})
-	waitCond(t, "the first, whole frame", func() bool { return tv.FrameCount() == 1 })
-	rig.proxy.RemoveMirror("nobody") // barrier: the read loop is out of present
+	for _, dev := range []interface {
+		core.OutputDevice
+		Latest() core.Frame
+	}{device.NewTVDisplay("tv"), device.NewPDA("pda"), device.NewPhone("phone")} {
+		t.Run(dev.ID(), func(t *testing.T) {
+			rig := newPresentRig(t)
+			if err := rig.proxy.AttachOutput(dev); err != nil {
+				t.Fatal(err)
+			}
+			if err := rig.proxy.SelectOutput(dev.ID()); err != nil {
+				t.Fatal(err)
+			}
+			rig.send([]gfx.Rect{gfx.R(0, 0, device.TVWidth, device.TVHeight)})
+			waitCond(t, "the first, whole frame", func() bool { return dev.Latest().Seq == 1 })
+			rig.proxy.RemoveMirror("nobody") // barrier: the read loop is out of present
 
-	widget := []gfx.Rect{rig.toggles[0].Bounds()}
-	if allocs := testing.AllocsPerRun(200, func() { rig.proxy.PresentUpdate(widget) }); allocs != 0 {
-		t.Errorf("presenting widget damage to the TV allocates %.1f times per frame, want 0", allocs)
-	}
-	if got := tv.FrameCount(); got != 202 { // AllocsPerRun warms up once
-		t.Errorf("the TV saw %d frames, want 202", got)
+			pixels := metrics.Default().Counter("proxy_present_pixels_total")
+			for _, c := range []struct {
+				name  string
+				rects []gfx.Rect
+			}{{"widget damage", []gfx.Rect{rig.toggles[0].Bounds()}}, {"no rectangles", nil}} {
+				px0 := pixels.Value()
+				if allocs := testing.AllocsPerRun(200, func() { rig.proxy.PresentUpdate(c.rects) }); allocs != 0 {
+					t.Errorf("presenting %s allocates %.1f times per frame, want 0", c.name, allocs)
+				}
+				if px := pixels.Value() - px0; c.rects == nil && px != 0 {
+					t.Errorf("presenting %s changed %d px, want 0", c.name, px)
+				}
+			}
+			if got := dev.Latest().Seq; got != 1+2*201 { // AllocsPerRun warms up once
+				t.Errorf("the device saw %d frames, want %d", got, 1+2*201)
+			}
+		})
 	}
 }

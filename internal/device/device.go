@@ -156,3 +156,51 @@ func (s *screen) WaitFrames(n int64) core.Frame {
 	}
 	return s.snapshot()
 }
+
+// scaledOutput is the PDA's and the phone's output plug-in: a box
+// downscale onto the panel, Floyd–Steinberg dithered when the panel is
+// 1-bit (bits is set). It converts whole, into storage of its own,
+// whenever anything changed; told only "nothing changed" since its
+// previous Convert, it hands that frame back.
+type scaledOutput struct {
+	name          string
+	pf            gfx.PixelFormat
+	w, h          int
+	scaled        *gfx.Framebuffer // the colour panel; nil until the first Convert
+	bits          *gfx.Bitmap      // the dithered panel of a 1-bit device
+	scratch       []int32          // Floyd–Steinberg's error rows
+	src           gfx.Rect         // the desktop bounds scaled was converted from
+	told, changed bool             // since the last Convert: Damaged ran; with a rectangle
+}
+
+func (p *scaledOutput) Name() string { return p.name }
+
+func (p *scaledOutput) PixelFormat() gfx.PixelFormat { return p.pf }
+
+func (p *scaledOutput) Damaged(rects []gfx.Rect) {
+	p.told = true
+	p.changed = p.changed || len(rects) > 0
+}
+
+func (p *scaledOutput) Convert(fb *gfx.Framebuffer) core.Frame {
+	f := core.Frame{W: p.w, H: p.h}
+	if p.told && !p.changed && p.scaled != nil && fb.Bounds() == p.src {
+		f.Damage = []gfx.Rect{} // nothing changed: the previous frame
+	} else {
+		if p.scaled == nil {
+			p.scaled = gfx.NewFramebuffer(p.w, p.h)
+		}
+		gfx.ScaleBoxInto(p.scaled, fb)
+		p.src = fb.Bounds()
+		if p.bits != nil {
+			p.scratch = gfx.FloydSteinbergInto(p.bits, p.scaled, p.scratch)
+		}
+	}
+	p.told, p.changed = false, false
+	if p.bits != nil {
+		f.Bits = p.bits
+	} else {
+		f.RGB = p.scaled
+	}
+	return f
+}

@@ -41,8 +41,12 @@ func (p *PDA) InputPlugin() core.InputPlugin {
 	return &pdaInputPlugin{devW: PDAWidth, devH: PDAHeight}
 }
 
-// OutputPlugin implements core.OutputDevice.
-func (p *PDA) OutputPlugin() core.OutputPlugin { return pdaOutputPlugin{} }
+// OutputPlugin implements core.OutputDevice. The PDA downscales the
+// desktop to its panel with box filtering (keeping text legible) and asks
+// for 16-bit wire pixels.
+func (p *PDA) OutputPlugin() core.OutputPlugin {
+	return &scaledOutput{name: "pda-lcd", pf: gfx.PF16(), w: PDAWidth, h: PDAHeight}
+}
 
 // Events implements core.InputDevice.
 func (p *PDA) Events() <-chan core.RawEvent { return p.em.events() }
@@ -111,22 +115,4 @@ func (pl *pdaInputPlugin) Translate(ev core.RawEvent) []core.UniEvent {
 		buttons = 1
 	}
 	return []core.UniEvent{core.PointerTo(x, y, buttons)}
-}
-
-// pdaOutputPlugin downscales the desktop to the PDA panel with box
-// filtering (keeping text legible) and asks for 16-bit wire pixels.
-type pdaOutputPlugin struct{}
-
-var _ core.OutputPlugin = pdaOutputPlugin{}
-
-func (pdaOutputPlugin) Name() string { return "pda-lcd" }
-
-// Damaged is ignored: the scaled conversion is whole-frame.
-func (pdaOutputPlugin) Damaged([]gfx.Rect) {}
-
-func (pdaOutputPlugin) PixelFormat() gfx.PixelFormat { return gfx.PF16() }
-
-func (pdaOutputPlugin) Convert(fb *gfx.Framebuffer) core.Frame {
-	scaled := gfx.ScaleBox(fb, PDAWidth, PDAHeight)
-	return core.Frame{W: PDAWidth, H: PDAHeight, RGB: scaled}
 }

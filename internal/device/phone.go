@@ -42,8 +42,15 @@ func (p *Phone) Class() string { return "phone" }
 // InputPlugin implements core.InputDevice.
 func (p *Phone) InputPlugin() core.InputPlugin { return &phoneInputPlugin{} }
 
-// OutputPlugin implements core.OutputDevice.
-func (p *Phone) OutputPlugin() core.OutputPlugin { return phoneOutputPlugin{} }
+// OutputPlugin implements core.OutputDevice. The phone crushes the
+// desktop onto its 96×64 1-bit LCD (box-downscale, then Floyd–Steinberg
+// dithering) and requests 8-bit wire pixels, the cheapest true-color
+// format, since the LCD discards color anyway (bandwidth effect measured
+// in E8).
+func (p *Phone) OutputPlugin() core.OutputPlugin {
+	return &scaledOutput{name: "phone-lcd", pf: gfx.PF8(), w: PhoneWidth, h: PhoneHeight,
+		bits: gfx.NewBitmap(PhoneWidth, PhoneHeight)}
+}
 
 // Events implements core.InputDevice.
 func (p *Phone) Events() <-chan core.RawEvent { return p.em.events() }
@@ -119,25 +126,4 @@ func (phoneInputPlugin) Translate(ev core.RawEvent) []core.UniEvent {
 		return []core.UniEvent{core.KeyPress(key)}
 	}
 	return []core.UniEvent{core.KeyRelease(key)}
-}
-
-// phoneOutputPlugin crushes the desktop onto the 96×64 1-bit LCD:
-// box-downscale, then Floyd–Steinberg dithering. It requests 8-bit wire
-// pixels — the cheapest true-color format — since the LCD discards color
-// anyway (bandwidth effect measured in E8).
-type phoneOutputPlugin struct{}
-
-var _ core.OutputPlugin = phoneOutputPlugin{}
-
-func (phoneOutputPlugin) Name() string { return "phone-lcd" }
-
-// Damaged is ignored: the scaled conversion is whole-frame.
-func (phoneOutputPlugin) Damaged([]gfx.Rect) {}
-
-func (phoneOutputPlugin) PixelFormat() gfx.PixelFormat { return gfx.PF8() }
-
-func (phoneOutputPlugin) Convert(fb *gfx.Framebuffer) core.Frame {
-	scaled := gfx.ScaleBox(fb, PhoneWidth, PhoneHeight)
-	bits := gfx.FloydSteinberg(scaled)
-	return core.Frame{W: PhoneWidth, H: PhoneHeight, Bits: bits}
 }

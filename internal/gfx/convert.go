@@ -50,21 +50,21 @@ func (b *Bitmap) Ones() int {
 	return n
 }
 
-// FloydSteinberg binarizes src with Floyd–Steinberg error diffusion, the
-// quality path of the phone output plug-in. Error weights are the classic
-// 7/16, 3/16, 5/16, 1/16 distribution.
-func FloydSteinberg(src *Framebuffer) *Bitmap {
-	dst := NewBitmap(src.w, src.h)
-	if src.w == 0 || src.h == 0 {
-		return dst
+// FloydSteinbergInto binarizes src into dst (src's size, every pixel
+// overwritten) with Floyd–Steinberg error diffusion, the quality path of
+// the phone output plug-in; error weights are the classic 7/16, 3/16,
+// 5/16, 1/16. scratch holds the two error rows: grown when shorter than
+// 2×(src.W()+2) and returned, so a caller that keeps it allocates nothing.
+func FloydSteinbergInto(dst *Bitmap, src *Framebuffer, scratch []int32) []int32 {
+	clear(dst.Bits)
+	if n := 2 * (src.w + 2); len(scratch) < n {
+		scratch = make([]int32, n)
 	}
-	cur := make([]int32, src.w+2)
-	next := make([]int32, src.w+2)
+	cur, next := scratch[:src.w+2], scratch[src.w+2:2*(src.w+2)]
+	clear(cur)
 	for y := 0; y < src.h; y++ {
 		row := src.pix[y*src.w : (y+1)*src.w]
-		for i := range next {
-			next[i] = 0
-		}
+		clear(next)
 		for x := 0; x < src.w; x++ {
 			v := int32(row[x].Gray()) + cur[x+1]
 			var out int32
@@ -80,5 +80,5 @@ func FloydSteinberg(src *Framebuffer) *Bitmap {
 		}
 		cur, next = next, cur
 	}
-	return dst
+	return scratch
 }

@@ -1,6 +1,9 @@
 package gfx
 
 import (
+	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -107,7 +110,8 @@ func TestFloydSteinbergPreservesAverage(t *testing.T) {
 	// A mid-gray region should dither to roughly 50% coverage.
 	f := NewFramebuffer(64, 64)
 	f.Clear(RGB(128, 128, 128))
-	b := FloydSteinberg(f)
+	b := NewBitmap(64, 64)
+	scratch := FloydSteinbergInto(b, f, nil)
 	ones := b.Ones()
 	total := 64 * 64
 	if ones < total*40/100 || ones > total*60/100 {
@@ -115,11 +119,11 @@ func TestFloydSteinbergPreservesAverage(t *testing.T) {
 	}
 	// Pure black and white must be exact.
 	f.Clear(Black)
-	if FloydSteinberg(f).Ones() != 0 {
+	if FloydSteinbergInto(b, f, scratch); b.Ones() != 0 {
 		t.Error("black image should produce no set pixels")
 	}
 	f.Clear(White)
-	if FloydSteinberg(f).Ones() != total {
+	if FloydSteinbergInto(b, f, scratch); b.Ones() != total {
 		t.Error("white image should produce all set pixels")
 	}
 }
@@ -145,6 +149,105 @@ func TestScaleBoxDownscaleAverages(t *testing.T) {
 	c := dst.At(0, 0)
 	if c.R() < 100 || c.R() > 155 {
 		t.Errorf("averaged value = %v", c)
+	}
+}
+
+// scaleBoxRef and floydSteinbergRef are the allocating conversions as
+// they stood before the Into forms: the byte-for-byte oracle of
+// TestIntoFormsMatchReference.
+func scaleBoxRef(src *Framebuffer, w, h int) *Framebuffer {
+	dst := NewFramebuffer(w, h)
+	if src.w == 0 || src.h == 0 || w == 0 || h == 0 {
+		return dst
+	}
+	if w >= src.w && h >= src.h {
+		for y := 0; y < h; y++ {
+			for x := 0; x < w; x++ {
+				dst.pix[y*w+x] = src.pix[(y*src.h/h)*src.w+x*src.w/w]
+			}
+		}
+		return dst
+	}
+	for y := 0; y < h; y++ {
+		sy0, sy1 := y*src.h/h, (y+1)*src.h/h
+		sy1 = max(sy1, sy0+1)
+		for x := 0; x < w; x++ {
+			sx0, sx1 := x*src.w/w, (x+1)*src.w/w
+			sx1 = max(sx1, sx0+1)
+			var rs, gs, bs, n uint32
+			for sy := sy0; sy < sy1; sy++ {
+				for sx := sx0; sx < sx1; sx++ {
+					c := src.pix[sy*src.w+sx]
+					rs, gs, bs, n = rs+uint32(c.R()), gs+uint32(c.G()), bs+uint32(c.B()), n+1
+				}
+			}
+			dst.pix[y*w+x] = RGB(uint8(rs/n), uint8(gs/n), uint8(bs/n))
+		}
+	}
+	return dst
+}
+
+func floydSteinbergRef(src *Framebuffer) *Bitmap {
+	dst := NewBitmap(src.w, src.h)
+	cur, next := make([]int32, src.w+2), make([]int32, src.w+2)
+	for y := 0; y < src.h; y++ {
+		clear(next)
+		for x := 0; x < src.w; x++ {
+			v := int32(src.pix[y*src.w+x].Gray()) + cur[x+1]
+			var out int32
+			if v >= 128 {
+				out = 255
+				dst.Set(x, y, true)
+			}
+			e := v - out
+			cur[x+2] += e * 7 / 16
+			next[x] += e * 3 / 16
+			next[x+1] += e * 5 / 16
+			next[x+2] += e * 1 / 16
+		}
+		cur, next = next, cur
+	}
+	return dst
+}
+
+// TestIntoFormsMatchReference: ScaleBox, ScaleBoxInto and
+// FloydSteinbergInto produce exactly the reference conversions across
+// downscale, upscale, mixed and odd ratios, 1×1 and empty frames, into
+// fresh storage and into reused storage still dirty from other content.
+func TestIntoFormsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	noise := func(w, h int) *Framebuffer {
+		f := NewFramebuffer(w, h)
+		for i := range f.pix {
+			f.pix[i] = Color(rng.Uint32() & 0xffffff)
+		}
+		return f
+	}
+	var scratch []int32
+	for _, c := range []struct{ sw, sh, w, h int }{
+		{640, 480, 320, 240}, {640, 480, 96, 64}, {7, 5, 3, 2}, {3, 3, 7, 5},
+		{10, 4, 4, 9}, {13, 11, 13, 11}, {1, 1, 1, 1}, {5, 1, 1, 1}, {1, 1, 4, 3}, {0, 0, 3, 3},
+	} {
+		t.Run(fmt.Sprintf("%dx%d-to-%dx%d", c.sw, c.sh, c.w, c.h), func(t *testing.T) {
+			for _, src := range []*Framebuffer{noise(c.sw, c.sh), gradient(c.sw, c.sh)} {
+				want := scaleBoxRef(src, c.w, c.h)
+				dirty := noise(c.w, c.h)
+				ScaleBoxInto(dirty, src)
+				if !ScaleBox(src, c.w, c.h).Equal(want) || !dirty.Equal(want) {
+					t.Fatal("box scaling differs from the reference")
+				}
+				wantBits := floydSteinbergRef(want)
+				for _, b := range []*Bitmap{NewBitmap(c.w, c.h), floydSteinbergRef(noise(c.w, c.h))} {
+					scratch = FloydSteinbergInto(b, want, scratch)
+					for i := range scratch {
+						scratch[i] = rng.Int31() // reused scratch arrives dirty
+					}
+					if !bytes.Equal(b.Bits, wantBits.Bits) {
+						t.Fatal("dithering differs from the reference")
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -284,9 +387,10 @@ func TestDamageCoversAllAdds(t *testing.T) {
 
 func BenchmarkFloydSteinberg(b *testing.B) {
 	f := gradient(320, 240)
+	dst, scratch := NewBitmap(320, 240), []int32(nil)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		FloydSteinberg(f)
+		scratch = FloydSteinbergInto(dst, f, scratch)
 	}
 }
 

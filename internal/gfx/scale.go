@@ -5,9 +5,15 @@ package gfx
 // speed over quality.
 func ScaleNearest(src *Framebuffer, w, h int) *Framebuffer {
 	dst := NewFramebuffer(w, h)
-	if src.w == 0 || src.h == 0 || w == 0 || h == 0 {
-		return dst
+	if src.w != 0 && src.h != 0 {
+		scaleNearestInto(dst, src)
 	}
+	return dst
+}
+
+// scaleNearestInto fills dst from a non-empty src.
+func scaleNearestInto(dst, src *Framebuffer) {
+	w, h := dst.w, dst.h
 	for y := 0; y < h; y++ {
 		sy := y * src.h / h
 		srow := src.pix[sy*src.w : (sy+1)*src.w]
@@ -16,7 +22,6 @@ func ScaleNearest(src *Framebuffer, w, h int) *Framebuffer {
 			drow[x] = srow[x*src.w/w]
 		}
 	}
-	return dst
 }
 
 // ScaleBox resizes src to w×h using box averaging. When downscaling (the
@@ -25,12 +30,23 @@ func ScaleNearest(src *Framebuffer, w, h int) *Framebuffer {
 // where nearest-neighbour would drop strokes.
 func ScaleBox(src *Framebuffer, w, h int) *Framebuffer {
 	dst := NewFramebuffer(w, h)
-	if src.w == 0 || src.h == 0 || w == 0 || h == 0 {
-		return dst
+	ScaleBoxInto(dst, src)
+	return dst
+}
+
+// ScaleBoxInto is ScaleBox onto dst's own size, overwriting every pixel of
+// dst and allocating nothing: an output plug-in keeps one panel.
+func ScaleBoxInto(dst, src *Framebuffer) {
+	w, h := dst.w, dst.h
+	dst.gen++
+	if src.w == 0 || src.h == 0 {
+		clear(dst.pix)
+		return
 	}
 	if w >= src.w && h >= src.h {
 		// Upscale: box degenerates to nearest.
-		return ScaleNearest(src, w, h)
+		scaleNearestInto(dst, src)
+		return
 	}
 	for y := 0; y < h; y++ {
 		sy0 := y * src.h / h
@@ -59,5 +75,4 @@ func ScaleBox(src *Framebuffer, w, h int) *Framebuffer {
 			drow[x] = RGB(uint8(rs/n), uint8(gs/n), uint8(bs/n))
 		}
 	}
-	return dst
 }

@@ -17,9 +17,10 @@ import (
 // feed its output-conversion pipeline. Methods run on the Run goroutine.
 type ClientHandler interface {
 	// Updated is called after rects have been painted into the shadow
-	// framebuffer. Use ClientConn.WithFramebuffer to read pixels. The
-	// rects slice is reused for the next update; handlers that need the
-	// rectangles past the call must copy them.
+	// framebuffer; a self-CopyRect paints nothing and is not among them.
+	// Use ClientConn.WithFramebuffer to read pixels. The rects slice is
+	// reused for the next update; handlers that need the rectangles past
+	// the call must copy them.
 	Updated(rects []gfx.Rect)
 	// Bell is called when the server rings the bell.
 	Bell()
@@ -506,8 +507,11 @@ func (c *ClientConn) Run(h ClientHandler) error {
 						return err
 					}
 					c.bytesReceived.Add(4)
-					c.fb.CopyRect(r.X, r.Y, gfx.R(
-						int(be.Uint16(src[0:])), int(be.Uint16(src[2:])), r.W, r.H))
+					sx, sy := int(be.Uint16(src[0:])), int(be.Uint16(src[2:]))
+					if sx == r.X && sy == r.Y {
+						continue // a self-copy changes nothing: not applied, not reported
+					}
+					c.fb.CopyRect(r.X, r.Y, gfx.R(sx, sy, r.W, r.H))
 				} else {
 					c.cr.r, c.cr.n = c.br, 0
 					if err := decodeRect(&c.cr, enc, c.fb, r, pf, &c.dsc); err != nil {

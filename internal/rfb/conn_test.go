@@ -297,6 +297,53 @@ func TestCopyRectMessage(t *testing.T) {
 	}
 }
 
+// TestSelfCopyIsNotDamage pins the client's rule for a self-CopyRect, the
+// server's "this changed nothing" (a device switch's answer): it is neither
+// applied nor reported. An update of only self-copies leaves the shadow's
+// generation alone and reports no rectangles; a displaced copy in the same
+// update as self-copies is applied and reported as before.
+func TestSelfCopyIsNotDamage(t *testing.T) {
+	server, client, _, ch := pipePair(t, 32, 32)
+	fb := gfx.NewFramebuffer(32, 32)
+	fb.Fill(gfx.R(0, 0, 8, 8), gfx.Red)
+	if err := sendUpdate(server, fb, fb.Bounds()); err != nil {
+		t.Fatal(err)
+	}
+	waitSig(t, ch.gotUpd, "initial update")
+	gen := func() (g uint64) {
+		client.WithFramebuffer(func(fb *gfx.Framebuffer) { g = fb.Gen() })
+		return g
+	}
+	gen0 := gen()
+
+	full := UpdateRect{Rect: fb.Bounds(), Encoding: EncCopyRect}
+	part := UpdateRect{Rect: gfx.R(4, 4, 8, 8), Encoding: EncCopyRect, CopySrcX: 4, CopySrcY: 4}
+	moved := UpdateRect{Rect: gfx.R(16, 16, 8, 8), Encoding: EncCopyRect}
+	var gens []uint64
+	for _, urs := range [][]UpdateRect{{full}, {full, moved, part}} {
+		if err := sendRects(server, nil, urs); err != nil {
+			t.Fatal(err)
+		}
+		waitSig(t, ch.gotUpd, "copyrect update")
+		gens = append(gens, gen())
+	}
+	if gens[0] != gen0 || gens[1] == gen0 {
+		t.Errorf("shadow generation %d, then %d after self-copies and %d after a displaced one: want it to move only on the last", gen0, gens[0], gens[1])
+	}
+	ch.mu.Lock()
+	switchAnswer, mixed := ch.updates[1], ch.updates[2]
+	ch.mu.Unlock()
+	if len(switchAnswer) != 0 {
+		t.Errorf("a full-bounds self-copy reported %v, want no rectangles", switchAnswer)
+	}
+	if len(mixed) != 1 || mixed[0] != moved.Rect {
+		t.Errorf("self-copies around a displaced copy reported %v, want only %v", mixed, moved.Rect)
+	}
+	if got := client.Snapshot(gfx.R(16, 16, 1, 1)).At(0, 0); got != gfx.Red {
+		t.Errorf("displaced copy target = %06x, want red", got)
+	}
+}
+
 func TestBellAndCutText(t *testing.T) {
 	server, client, sh, ch := pipePair(t, 16, 16)
 	// The server never rings; the client's decoder faces a peer that may.

@@ -24,26 +24,38 @@ func (o framedOutput) Present(f core.Frame) {
 
 // BenchmarkPresent measures the proxy's output path per update: the read
 // loop decodes one rectangle into the shadow, the plug-ins hear the damage,
-// the selected one converts and the device takes the frame. The update is
-// a self-CopyRect (what a device switch ships): it encodes to 4 bytes and
-// decodes to a row-wise copy of the rectangle onto itself, so the op is the
-// present path plus one net.Pipe hop, whatever the pixels are. px/op is
+// the selected one converts and the device takes the frame. A damaged
+// case ships a CopyRect displaced by one row: it encodes to 4 bytes and
+// decodes to a row-wise copy, so the op is the present path plus one
+// net.Pipe hop, whatever the pixels are. A switch case ships what the hub
+// answers a device switch of an unchanged panel with, one full-bounds
+// self-copy, which the client neither applies nor reports. px/op is
 // proxy_present_pixels_total per update — the damage on the TV's
-// pass-through path, the whole panel on the PDA's scaled one. allocs/op
-// counts the whole process, so the TV rows show what the scripted server's
-// send costs (rfb.sendPreparedWire); the proxy's share of them is pinned at
+// pass-through path, the whole panel on the PDA's and the phone's scaled
+// ones, nothing on a switch — and the benchmark fails when a damaged case
+// presents nothing or a switch case presents anything. allocs/op counts
+// the whole process, so the TV rows show what the scripted server's send
+// costs (rfb.sendPreparedWire); the proxy's share of them is pinned at
 // zero by internal/core's TestPresentAllocatesNothing.
 func BenchmarkPresent(b *testing.B) {
 	widget := gfx.R(16, 40, 608, 20) // a toggle row of the 640×480 panel
 	full := gfx.R(0, 0, device.TVWidth, device.TVHeight)
+	tv := func() core.OutputDevice { return device.NewTVDisplay("out") }
+	pda := func() core.OutputDevice { return device.NewPDA("out") }
+	phone := func() core.OutputDevice { return device.NewPhone("out") }
 	cases := []struct {
-		name string
-		out  func() core.OutputDevice
-		rect gfx.Rect
+		name    string
+		out     func() core.OutputDevice
+		rect    gfx.Rect
+		damaged bool // a displaced copy; a self-copy otherwise
 	}{
-		{"tv-widget", func() core.OutputDevice { return device.NewTVDisplay("out") }, widget},
-		{"tv-full", func() core.OutputDevice { return device.NewTVDisplay("out") }, full},
-		{"pda-widget", func() core.OutputDevice { return device.NewPDA("out") }, widget},
+		{"tv-widget", tv, widget, true},
+		{"tv-full", tv, full, true},
+		{"pda-widget", pda, widget, true},
+		{"phone-widget", phone, widget, true},
+		{"tv-switch", tv, full, false},
+		{"pda-switch", pda, full, false},
+		{"phone-switch", phone, full, false},
 	}
 	pixels := metrics.Default().Counter("proxy_present_pixels_total")
 	for _, c := range cases {
@@ -78,8 +90,11 @@ func BenchmarkPresent(b *testing.B) {
 			if err := proxy.SelectOutput("out"); err != nil {
 				b.Fatal(err)
 			}
-			update := func(r gfx.Rect) {
+			update := func(r gfx.Rect, damaged bool) {
 				urs := [1]rfb.UpdateRect{{Rect: r, Encoding: rfb.EncCopyRect, CopySrcX: r.X, CopySrcY: r.Y}}
+				if damaged {
+					urs[0].CopySrcY++
+				}
 				prep, err := srv.PrepareUpdateWire(nil, urs[:], nil)
 				if err == nil {
 					err = srv.SendPrepared(prep)
@@ -89,16 +104,20 @@ func BenchmarkPresent(b *testing.B) {
 				}
 				<-out.framed
 			}
-			update(full) // the first frame is whole, and warms the pools
+			update(full, true) // the first frame is whole, and warms the pools
 
 			b.ReportAllocs()
 			b.ResetTimer()
 			px0 := pixels.Value()
 			for i := 0; i < b.N; i++ {
-				update(c.rect)
+				update(c.rect, c.damaged)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(pixels.Value()-px0)/float64(b.N), "px/op")
+			px := float64(pixels.Value()-px0) / float64(b.N)
+			if (px == 0) == c.damaged {
+				b.Fatalf("%s presented %.0f px/op", c.name, px)
+			}
+			b.ReportMetric(px, "px/op")
 		})
 	}
 }
