@@ -21,8 +21,7 @@ import (
 //     has retired (or the handshake failed and none started); the hub
 //     unpins the entry when it does.
 //   - Parked: on every eviction attempt (idle sweep, explicit Evict) —
-//     a home with sessions waiting in its detach lot is not idle — and
-//     by the federation layer sizing a migration.
+//     a home with sessions waiting in its detach lot is not idle.
 //   - HasParked: on token routing (TokenHome preambles) while the hub
 //     scans resident homes for the one parking a session token. True
 //     means parked now: a home still serving the token's session on a

@@ -412,11 +412,12 @@ func (h *Hub) Serve(ln net.Listener) error {
 // and parks no disconnected sessions. It reports whether an eviction
 // happened. The home's Close runs outside the shard lock.
 //
-// The parked check is race-free against a resume claim: a session's
-// parked count only drops during a routed connection's handshake, and
-// Route pins the refcount before the handshake starts — so an eviction
-// observing refs == 0 sees every completed park, and any in-flight
-// resume still shows up as either a pin or a parked session.
+// The parked check is race-free against a resume claim. The parked count
+// drops at TTL expiry, capacity eviction and export, which leave nothing
+// here to resume, and when a resume goes live: inside a routed handshake
+// that Route pinned first, the claimed session counting as parked until
+// then. So an eviction observing refs == 0 sees every completed park, and
+// any in-flight resume shows up as either a pin or a parked session.
 func (h *Hub) Evict(id string) bool {
 	sh := h.shardFor(id)
 	sh.mu.Lock()

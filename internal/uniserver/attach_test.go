@@ -201,12 +201,8 @@ func TestAttachReturnsAfterRetire(t *testing.T) {
 		if d := gauge("server_sessions") - sessions0; d != 0 {
 			t.Fatalf("round %d: server_sessions still up by %d when Attach returned", round, d)
 		}
-		srv.lotMu.Lock()
-		_, parked := srv.lot[token]
-		_, live := srv.live[token]
-		srv.lotMu.Unlock()
-		if !parked || live {
-			t.Fatalf("round %d: token parked=%v live=%v when Attach returned", round, parked, live)
+		if st := stateOf(srv, token); st != parked {
+			t.Fatalf("round %d: token in state %d, not parked, when Attach returned", round, st)
 		}
 	}
 }

@@ -24,18 +24,20 @@ import (
 // expires after the park TTL.
 // The lot is bounded: at capacity the oldest parked session (of those
 // holding no undispatched input, while there are any) is expired to make
-// room.
+// room. The lot is the parked and claimed rows of the session table.
 //
 // Accounting invariant: session_parked_total + session_migrated_in_total
 // == session_resumed_total + session_expired_total +
 // session_migrated_out_total + session_parked (gauge) whenever no park,
 // claim, or migration is in flight — federation moves a parked entry
-// between lots as one migrated-out/migrated-in pair. A dying session
-// leaves server_sessions only after it has parked (teardown), so that
-// gauge back at its baseline vouches for "no park in flight". Input
-// events carried through a park window are counted
-// (input_dispatched_total / input_abandoned_total) when their session
-// resumes or expires, not at detach time.
+// between lots as one migrated-out/migrated-in pair. transition is the one
+// place these counters, session_parked and server_sessions move, in the
+// hold of the state change they count. On a teardown server_sessions
+// moves last, after any capacity eviction and the park counters; as a
+// snapshot samples gauges before counters, a scrape that reads
+// server_sessions back at its baseline reads the identity balanced. Input
+// carried through a park window is counted dispatched or abandoned when
+// its session resumes or expires, not at detach time.
 var (
 	mSessParked     = metrics.Default().Counter("session_parked_total")
 	mSessResumed    = metrics.Default().Counter("session_resumed_total")
@@ -61,12 +63,122 @@ const (
 // stranger's handshake. (A variable only for the stalled-teardown test.)
 var takeoverWait = 2 * time.Second
 
+// state is where a token's session is in its life: the session table
+// holds one row per token handshaking, live, parked or claimed, and a
+// token with no row is gone. expired and exported are gone too, named for
+// the count the departure settles.
+type state uint8
+
+const (
+	gone        state = iota
+	expired           // by TTL, capacity, geometry or shutdown
+	exported          // to another server's lot
+	handshaking       // the handshake issued the token; not yet served
+	live              // served, offered every pump's damage
+	parked            // in the lot (this and above), waiting for its owner
+	claimed           // parked, with a resume handshake in flight
+)
+
+// edge is one change of state.
+type edge struct{ from, to state }
+
+// lifecycle is every legal edge; transition panics on any other.
+var lifecycle = map[edge]bool{
+	{gone, handshaking}: true, // a fresh handshake keys its token
+	{handshaking, gone}: true, // ... and fails
+	{handshaking, live}: true, // ... and registers
+	{live, parked}:      true, // teardown
+	{live, gone}:        true, // teardown, parking off or server closing
+	{parked, claimed}:   true, // a resume handshake claims
+	{claimed, parked}:   true, // ... and fails
+	{claimed, live}:     true, // ... and registers: resumed
+	{claimed, expired}:  true, // ... on a closing server
+	{parked, expired}:   true, // TTL, capacity, geometry, shutdown
+	{parked, exported}:  true, // ExportParked
+	{gone, parked}:      true, // ImportParked
+}
+
+// entry is one token's row: sess is the session while handshaking or live
+// and the claimer while claimed; ps is the parked state in the lot.
+type entry struct {
+	state state
+	sess  *session
+	ps    *parkedSession
+}
+
+// transition moves tok from state from to state to and, in the same hold,
+// settles that edge's counters and gauges. It returns the row, or nil —
+// nothing moved — when tok is not in from, or when a closing server would
+// gain a live or parked session. sess is the session the row names after
+// the change (nil when none). An edge into the lot from outside it carries the parked
+// state ps and first makes room at capacity. s.mu must be held.
+func (s *Server) transition(tok string, from, to state, sess *session, ps *parkedSession) *entry {
+	if !lifecycle[edge{from, to}] {
+		panic("uniserver: illegal session transition")
+	}
+	e := s.table[tok]
+	switch {
+	case from == gone && e == nil:
+		e = &entry{}
+	case e == nil || e.state != from:
+		return nil
+	}
+	if s.closed && (to == live || to == parked) {
+		return nil
+	}
+	if to == parked && from != claimed {
+		s.makeRoomLocked()
+	}
+	s.taken[from][to]++
+	s.count[from]--
+	s.count[to]++
+	e.state, e.sess = to, sess
+	if ps != nil {
+		e.ps = ps
+	}
+	if to <= exported {
+		delete(s.table, tok)
+	} else {
+		s.table[tok] = e
+	}
+
+	switch {
+	case to == live:
+		if from == claimed {
+			mSessResumed.Inc()
+			mSessParkedNow.Dec()
+			mDetachSeconds.ObserveDuration(time.Since(e.ps.parkedAt))
+		}
+		mSessions.Inc()
+	case from == live:
+		if to == parked {
+			mSessParked.Inc()
+			mSessParkedNow.Inc()
+		}
+		mSessions.Dec() // last: see the accounting invariant
+	case from == gone && to == parked:
+		mSessMigratedIn.Inc()
+		mSessParkedNow.Inc()
+	case to == expired:
+		mSessExpired.Inc()
+		mSessParkedNow.Dec()
+		mDetachSeconds.ObserveDuration(time.Since(e.ps.parkedAt))
+		if n := len(e.ps.events); n > 0 {
+			mInputAbandoned.Add(int64(n))
+		}
+	case to == exported:
+		mSessMigratedOut.Inc()
+		mSessParkedNow.Dec()
+	}
+	if to == parked {
+		s.scheduleSweepLocked(e.ps.deadline)
+	}
+	return e
+}
+
 // parkedSession is one disconnected session waiting in the lot.
 type parkedSession struct {
-	token   string
-	w, h    int      // session geometry at detach; must still match to resume
-	claimed bool     // a resume handshake is in flight (guarded by lotMu)
-	claimer *session // whose handshake it is, for takeover
+	w, h int // session geometry at detach; must still match to resume
 
 	dirty       *gfx.Damage // damage accumulated before and during detach
 	dirtySpare  []gfx.Rect
@@ -83,8 +195,9 @@ type parkedSession struct {
 }
 
 // newSessionToken issues an opaque 96-bit resume token. Token space is
-// per-server, so collisions are astronomically unlikely; a failure of the
-// system randomness source degrades to a session without resume.
+// per-server, so collisions are astronomically unlikely. A failure of the
+// system randomness source returns "", which keys no table row: Attach
+// refuses that handshake like any failed one (and a token already held).
 func newSessionToken() string {
 	var b [12]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -98,22 +211,22 @@ func newSessionToken() string {
 // die (half-open TCP, or simply a fast client) names a session that has
 // not parked yet. Whoever presents the token owns the session, so the
 // stale link is closed and the caller waits — on the session's own retired
-// signal, bounded by takeoverWait — for teardown to park it. A token sits
-// in exactly one of {live index, lot} from the moment the handshake issues
-// it (register and retire each move it under one lotMu hold), so looking
-// here first and in the lot second cannot fall between them. A lot entry
-// claimed by a handshake still in flight is live too — its client resumed
-// and dropped again before the server registered it — and its claimer is
-// what gets taken over. Both lookups start here: HasParked (the hub's
+// signal, bounded by takeoverWait — for teardown to park it. The row names
+// that session from the handshake on; a claimed row names its claimer (a
+// client that resumed and dropped again before registering), which is
+// taken over the same way. Both lookups start here: HasParked (the hub's
 // token route) and claimParked (a home-named redial's handshake). On
 // timeout the lookup that follows misses: a fresh session, a full repaint.
 func (s *Server) takeover(token string) {
-	s.lotMu.Lock()
-	sess := s.live[token]
-	if ps := s.lot[token]; sess == nil && ps != nil {
-		sess = ps.claimer
+	if s.parkTTL <= 0 {
+		return // nothing would park: a presented token never resumes
 	}
-	s.lotMu.Unlock()
+	var sess *session
+	s.mu.Lock()
+	if e := s.table[token]; e != nil {
+		sess = e.sess
+	}
+	s.mu.Unlock()
 	if sess == nil {
 		return
 	}
@@ -127,186 +240,114 @@ func (s *Server) takeover(token string) {
 	}
 }
 
-// unlist ends sess's presence in the live index and signals its waiters.
-// Every session calls it exactly once, last thing: after retire (which
-// already moved the token to the lot, so the index may by now name the
-// session that resumed it — hence the identity check), or when its
-// handshake failed before it ever registered.
-func (s *Server) unlist(sess *session) {
-	s.lotMu.Lock()
-	if s.live[sess.token] == sess {
-		delete(s.live, sess.token)
+// claimParked claims the parked session for token on behalf of by's
+// handshake (parked → claimed). It reports false, counted as a resume
+// miss, when the token is unknown, already claimed, expired, or parked with
+// a different geometry (the display resized while detached: the client's
+// framebuffer no longer matches, so it joins fresh with a full repaint). A
+// token whose session is still live is taken over first. The claimed row
+// keeps accumulating pump damage until register moves it to live or refuse
+// puts it back; a claim is not yet a resume.
+func (s *Server) claimParked(token string, w, h int, by *session) bool {
+	s.takeover(token)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.table[token]; e != nil && e.state == parked &&
+		(time.Now().After(e.ps.deadline) || e.ps.w != w || e.ps.h != h) {
+		s.transition(token, parked, expired, nil, nil)
 	}
-	s.lotMu.Unlock()
+	if s.transition(token, parked, claimed, by, nil) != nil {
+		return true
+	}
+	mSessResumeMiss.Inc()
+	return false
+}
+
+// refuse ends a session that will not be served — its handshake failed,
+// or the server closed under it — and signals its waiters. A fresh token
+// is gone again; a claimed session goes back to waiting out its TTL, or
+// expires when the server is closing (a claim already drained moves
+// nothing).
+func (s *Server) refuse(sess *session, from state) {
+	s.mu.Lock()
+	if from == handshaking {
+		s.transition(sess.token, handshaking, gone, nil, nil)
+	} else if s.transition(sess.token, claimed, parked, nil, nil) == nil {
+		s.transition(sess.token, claimed, expired, nil, nil)
+	}
+	s.mu.Unlock()
 	close(sess.retired)
 }
 
-// claimParked marks the parked session for token as claimed and returns
-// it, or nil when the token is unknown, already claimed, expired, or
-// parked with a different geometry (the display resized while detached —
-// the framebuffer the client kept no longer matches, so the resume must
-// fail into a fresh session and full repaint). A token whose session is
-// still live is taken over first (takeover).
-//
-// The entry STAYS in the lot, still accumulating pump damage, until the
-// handshake completes and the new session atomically takes its place
-// (finishClaim) — or the handshake fails and the claim is released
-// (releaseClaim). Nothing is counted resumed here; a claim is not yet a
-// resume.
-func (s *Server) claimParked(token string, w, h int, by *session) *parkedSession {
-	s.takeover(token)
-	now := time.Now()
-	s.lotMu.Lock()
-	ps := s.lot[token]
-	if ps == nil || ps.claimed {
-		s.lotMu.Unlock()
-		return nil
-	}
-	if now.After(ps.deadline) || ps.w != w || ps.h != h {
-		delete(s.lot, token)
-		mSessParkedNow.Dec()
-		s.lotMu.Unlock()
-		s.expire(ps, now)
-		return nil
-	}
-	ps.claimed, ps.claimer = true, by
-	s.lotMu.Unlock()
-	return ps
-}
-
-// releaseClaim undoes a claim whose handshake failed: the session goes
-// back to waiting out its TTL (no counters move). Safe when the entry
-// was drained underneath the claim (server shutdown).
-func (s *Server) releaseClaim(ps *parkedSession) {
-	s.lotMu.Lock()
-	if s.lot[ps.token] == ps {
-		ps.claimed, ps.claimer = false, nil
-		// The janitor skips claimed entries (and may have disarmed while
-		// this one was the only resident): re-arm it, so a released claim
-		// still expires on time.
-		s.scheduleSweepLocked(ps.deadline)
-	}
-	s.lotMu.Unlock()
-}
-
-// expire settles the accounting for a parked session that will never be
-// claimed. Call without lotMu held.
-func (s *Server) expire(ps *parkedSession, now time.Time) {
-	mSessExpired.Inc()
-	mDetachSeconds.ObserveDuration(now.Sub(ps.parkedAt))
-	if len(ps.events) > 0 {
-		mInputAbandoned.Add(int64(len(ps.events)))
-	}
-}
-
-// register installs a freshly handshaked session into the live set and,
-// for a resume, atomically swaps the claimed lot entry's state into it.
-// It reports false when the server is closing (the caller tears the
-// connection down). The whole swap runs under s.pumpMu, so no render
-// pump can fire between "entry leaves the lot" and "session receives
-// damage" — the window in which rects would otherwise vanish.
-func (s *Server) register(sess *session, reclaimed *parkedSession) bool {
+// register moves a freshly handshaked session to live and, for a resume,
+// swaps the claimed lot entry's state into it. It reports false when the
+// server is closing. The swap runs under s.pumpMu, so no render pump can
+// fire between "entry leaves the lot" and "session receives damage".
+func (s *Server) register(sess *session, from state) bool {
 	s.pumpMu.Lock()
 	defer s.pumpMu.Unlock()
 	s.mu.Lock()
-	if s.closed {
+	e := s.transition(sess.token, from, live, sess, nil)
+	if e == nil {
 		s.mu.Unlock()
-		if reclaimed != nil {
-			s.releaseClaim(reclaimed) // drainLot settles (or settled) it
-		}
 		return false
 	}
-	s.sessions[sess] = struct{}{}
-	// Joined under mu, after the closed check: ordered before Close's Wait.
+	// Joined under mu, before Close can set closed: ordered before its Wait.
 	s.wg.Add(1)
+	ps := e.ps
+	e.ps = nil
 	s.mu.Unlock()
-	if reclaimed != nil {
-		s.lotMu.Lock()
-		if s.lot[reclaimed.token] != reclaimed {
-			// Drained underneath the claim (only shutdown does this —
-			// and closed above catches that first); bail defensively.
-			s.lotMu.Unlock()
-			s.mu.Lock()
-			delete(s.sessions, sess)
-			s.mu.Unlock()
-			s.wg.Done()
-			return false
-		}
-		delete(s.lot, reclaimed.token)
-		s.live[reclaimed.token] = sess
-		mSessParkedNow.Dec()
-		s.lotMu.Unlock()
-		sess.adopt(reclaimed)
-		mSessResumed.Inc()
-		mDetachSeconds.ObserveDuration(time.Since(reclaimed.parkedAt))
+	if ps != nil {
+		sess.adopt(ps)
 		// A resume is itself a traceable session-lifecycle interaction:
 		// its span covers the whole detach window, under a fresh id.
 		if tid := trace.Start(); tid != 0 {
 			trace.Record(tid, trace.StageResume,
-				reclaimed.parkedAt.UnixNano(), time.Now().UnixNano())
+				ps.parkedAt.UnixNano(), time.Now().UnixNano())
 		}
 	}
 	return true
 }
 
-// retire removes a dead connection's session from the live set and
-// parks its state in the lot. It reports whether the state was parked
-// (false: parking disabled, server closed, or the session never got a
-// token — the caller settles the input-event leftovers). events are the
-// undispatched input events drained after the dispatcher exited.
-//
-// Removal and parking are one pumpMu critical section: a pump either
-// runs before (offering damage to the still-registered session) or
-// after (offering it to the lot entry) — no rect falls between the two
-// structures.
-func (s *Server) retire(sess *session, events []inputEvent) bool {
+// retire moves a dead connection's session out of live: it parks its
+// state and events (the input left undispatched) in the lot or, parking
+// disabled or the server closing, ends it with that input abandoned. It
+// runs under pumpMu: a pump offers its damage to the still-live session
+// or to the lot entry, and no rect falls between the two.
+func (s *Server) retire(sess *session, events []inputEvent) {
 	s.pumpMu.Lock()
 	defer s.pumpMu.Unlock()
+	var ps *parkedSession
+	if s.parkTTL > 0 {
+		// The outbox holds damage a request already claimed but the writer
+		// never shipped (or shipped into a dying transport): fold it back
+		// into the dirty set so the resync re-covers it.
+		sess.mu.Lock()
+		for _, r := range sess.outbox.TakeInto(nil) {
+			sess.dirty.Add(r)
+		}
+		now := time.Now()
+		ps = &parkedSession{
+			w:           sess.bounds.W,
+			h:           sess.bounds.H,
+			dirty:       sess.dirty,
+			dirtySpare:  sess.dirtySpare,
+			events:      events,
+			lastPtrMask: sess.lastPtrMask,
+			parkedAt:    now,
+			deadline:    now.Add(s.parkTTL),
+		}
+		sess.dirty, sess.dirtySpare = nil, nil // state moved; the session object is dead
+		sess.mu.Unlock()
+	}
 	s.mu.Lock()
-	delete(s.sessions, sess)
-	closed := s.closed
-	s.mu.Unlock()
-	if s.parkTTL <= 0 || sess.token == "" || closed {
-		return false
+	defer s.mu.Unlock()
+	if ps == nil || s.transition(sess.token, live, parked, nil, ps) == nil {
+		if len(events) > 0 {
+			mInputAbandoned.Add(int64(len(events)))
+		}
+		s.transition(sess.token, live, gone, nil, nil)
 	}
-
-	// The outbox holds damage a request already claimed but the writer
-	// never shipped (or shipped into a dying transport): fold it back
-	// into the dirty set so the resync re-covers it.
-	sess.mu.Lock()
-	for _, r := range sess.outbox.TakeInto(nil) {
-		sess.dirty.Add(r)
-	}
-	now := time.Now()
-	ps := &parkedSession{
-		token:       sess.token,
-		w:           sess.bounds.W,
-		h:           sess.bounds.H,
-		dirty:       sess.dirty,
-		dirtySpare:  sess.dirtySpare,
-		events:      events,
-		lastPtrMask: sess.lastPtrMask,
-		parkedAt:    now,
-		deadline:    now.Add(s.parkTTL),
-	}
-	sess.dirty = nil // state moved; the session object is dead
-	sess.dirtySpare = nil
-
-	s.lotMu.Lock()
-	oldest := s.makeRoomLocked()
-	s.lot[ps.token] = ps
-	// Only now, under the same hold, does the token leave the live index.
-	delete(s.live, ps.token)
-	s.scheduleSweepLocked(ps.deadline)
-	s.lotMu.Unlock()
-	sess.mu.Unlock()
-
-	if oldest != nil {
-		s.expire(oldest, now)
-	}
-	mSessParked.Inc()
-	mSessParkedNow.Inc()
-	return true
 }
 
 // evictsBefore orders capacity victims: no undispatched input first, then
@@ -318,28 +359,26 @@ func (ps *parkedSession) evictsBefore(o *parkedSession) bool {
 	return ps.parkedAt.Before(o.parkedAt)
 }
 
-// makeRoomLocked removes one resident when the lot is at capacity and
-// returns it for the caller to expire outside lotMu (nil: there is room, or
-// every resident is claimed — mid-handshake, about to leave on its own, and
-// evicting it would strand its resume). The victim is the oldest unclaimed
-// entry, those holding no undispatched input first: the bound is there to
-// cap the lot's size, and should not cost a user's key press while any
-// other victim will do. lotMu must be held.
-func (s *Server) makeRoomLocked() *parkedSession {
-	if len(s.lot) < s.parkCap {
-		return nil
+// makeRoomLocked expires one resident when the lot is at capacity (none
+// when there is room, or when every resident is claimed — mid-handshake,
+// about to leave on its own, and evicting it would strand its resume). The
+// victim is the oldest parked entry, those holding no undispatched input
+// first: the bound is there to cap the lot's size, and should not cost a
+// user's key press while any other victim will do. s.mu must be held.
+func (s *Server) makeRoomLocked() {
+	if s.count[parked]+s.count[claimed] < s.parkCap {
+		return
 	}
-	var victim *parkedSession
-	for _, e := range s.lot {
-		if !e.claimed && (victim == nil || e.evictsBefore(victim)) {
-			victim = e
+	var victim string
+	var vps *parkedSession
+	for tok, e := range s.table {
+		if e.state == parked && (vps == nil || e.ps.evictsBefore(vps)) {
+			victim, vps = tok, e.ps
 		}
 	}
-	if victim != nil {
-		delete(s.lot, victim.token)
-		mSessParkedNow.Dec()
+	if vps != nil {
+		s.transition(victim, parked, expired, nil, nil)
 	}
-	return victim
 }
 
 // adopt seeds a fresh session with reclaimed parked state. It runs before
@@ -366,7 +405,7 @@ func (c *session) adopt(ps *parkedSession) {
 // scheduleSweepLocked arms the lot janitor for the given deadline if no
 // earlier sweep is already scheduled. The janitor is a timer on the shared
 // wheel, so a process full of detach lots holds O(1) runtime timers.
-// lotMu must be held.
+// s.mu must be held.
 func (s *Server) scheduleSweepLocked(deadline time.Time) {
 	d := time.Until(deadline) + time.Millisecond
 	if d < time.Millisecond {
@@ -386,24 +425,22 @@ func (s *Server) scheduleSweepLocked(deadline time.Time) {
 // sweepLot is the lot janitor: it expires every parked session past its
 // deadline and re-arms itself for the earliest deadline still owed.
 // Claimed entries are skipped — a resume handshake is mid-flight and will
-// remove or release them.
+// move them on (refuse re-arms the janitor if it puts one back).
 func (s *Server) sweepLot() {
 	now := time.Now()
-	var expired []*parkedSession
-	s.lotMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var next time.Time
-	for tok, ps := range s.lot {
-		if ps.claimed {
+	for tok, e := range s.table {
+		if e.state != parked {
 			continue
 		}
-		if now.After(ps.deadline) {
-			delete(s.lot, tok)
-			mSessParkedNow.Dec()
-			expired = append(expired, ps)
+		if now.After(e.ps.deadline) {
+			s.transition(tok, parked, expired, nil, nil)
 			continue
 		}
-		if next.IsZero() || ps.deadline.Before(next) {
-			next = ps.deadline
+		if next.IsZero() || e.ps.deadline.Before(next) {
+			next = e.ps.deadline
 		}
 	}
 	if next.IsZero() {
@@ -412,45 +449,24 @@ func (s *Server) sweepLot() {
 		s.lotSweepAt = next
 		s.lotTimer.Reset(time.Until(next) + time.Millisecond)
 	}
-	s.lotMu.Unlock()
-	for _, ps := range expired {
-		s.expire(ps, now)
-	}
 }
 
-// drainLot expires everything parked (server shutdown). It takes pumpMu
-// so it serializes with retire: a retire that read closed == false has
-// finished inserting before the drain snapshots the lot, and one that
-// runs after the drain reads closed == true and parks nothing — no
-// entry or armed janitor timer can leak into a drained lot.
+// drainLot expires everything parked or claimed (server shutdown). Close
+// set closed first, so nothing enters the lot after the drain: a retire
+// ends its session instead, and a claim whose handshake is still in flight
+// finds its row gone and moves nothing.
 func (s *Server) drainLot() {
-	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
-	now := time.Now()
-	s.lotMu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.lotTimer != nil {
 		s.lotTimer.Stop()
 		s.lotTimer = nil
 	}
-	lot := s.lot
-	s.lot = nil
-	mSessParkedNow.Add(int64(-len(lot)))
-	s.lotMu.Unlock()
-	for _, ps := range lot {
-		s.expire(ps, now)
-	}
-}
-
-// addParkedDamage offers freshly rendered damage to every parked session.
-// Runs under s.pumpMu (from pump), keeping it ordered against park.
-func (s *Server) addParkedDamage(rects []gfx.Rect) {
-	s.lotMu.Lock()
-	for _, ps := range s.lot {
-		for _, r := range rects {
-			ps.dirty.Add(r)
+	for tok, e := range s.table {
+		if e.state >= parked {
+			s.transition(tok, e.state, expired, nil, nil)
 		}
 	}
-	s.lotMu.Unlock()
 }
 
 // Parked returns the number of sessions currently waiting in the detach
@@ -458,9 +474,9 @@ func (s *Server) addParkedDamage(rects []gfx.Rect) {
 // home with a parked session is not evicted out from under a roaming
 // user.
 func (s *Server) Parked() int {
-	s.lotMu.Lock()
-	defer s.lotMu.Unlock()
-	return len(s.lot)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.count[parked] + s.count[claimed]
 }
 
 // HasParked reports whether the lot holds a live (unexpired) session for
@@ -468,8 +484,8 @@ func (s *Server) Parked() int {
 // lot now: a session still connected under the token is taken over first.
 func (s *Server) HasParked(token string) bool {
 	s.takeover(token)
-	s.lotMu.Lock()
-	defer s.lotMu.Unlock()
-	ps := s.lot[token]
-	return ps != nil && !time.Now().After(ps.deadline)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.table[token]
+	return e != nil && e.state >= parked && !time.Now().After(e.ps.deadline)
 }

@@ -189,21 +189,21 @@ func TestParkTTLExpires(t *testing.T) {
 	token := client.Token()
 	client.Close()
 	waitFor(t, "session parked", func() bool { return h.srv.Parked() == 1 })
-	ps := h.srv.claimParked(token, 160, 120, nil)
-	if ps == nil {
+	claimer := &session{token: token, retired: make(chan struct{})}
+	if !h.srv.claimParked(token, 160, 120, claimer) {
 		t.Fatal("claim of the parked session missed")
 	}
 	// The janitor's deadline visit skips the claimed entry and, with nothing
 	// else parked, disarms.
 	waitFor(t, "janitor disarmed past the claimed entry", func() bool {
-		h.srv.lotMu.Lock()
-		defer h.srv.lotMu.Unlock()
+		h.srv.mu.Lock()
+		defer h.srv.mu.Unlock()
 		return h.srv.lotTimer == nil
 	})
 	if h.srv.Parked() != 1 {
 		t.Fatal("janitor expired a claimed entry")
 	}
-	h.srv.releaseClaim(ps)
+	h.srv.refuse(claimer, claimed) // the claimer's handshake failed
 	waitFor(t, "session expired", func() bool { return h.srv.Parked() == 0 })
 	if d := counter("session_expired_total") - expired0; d != 1 {
 		t.Fatalf("session_expired_total delta = %d, want 1", d)
@@ -340,20 +340,20 @@ func TestCloseDrainsLot(t *testing.T) {
 	client, _ := h.connect("")
 	client.Close()
 	waitFor(t, "session parked", func() bool { return h.srv.Parked() == 1 })
-	h.srv.lotMu.Lock()
+	h.srv.mu.Lock()
 	armed, at := h.srv.lotTimer != nil, h.srv.lotSweepAt
 	var deadline time.Time
-	for _, ps := range h.srv.lot {
-		deadline = ps.deadline
+	for _, e := range h.srv.table {
+		deadline = e.ps.deadline
 	}
-	h.srv.lotMu.Unlock()
+	h.srv.mu.Unlock()
 	if !armed || !at.Equal(deadline) {
 		t.Fatalf("janitor armed=%v for %v, want the park deadline %v", armed, at, deadline)
 	}
 	h.srv.Close()
-	h.srv.lotMu.Lock()
+	h.srv.mu.Lock()
 	armed = h.srv.lotTimer != nil
-	h.srv.lotMu.Unlock()
+	h.srv.mu.Unlock()
 	if armed || h.srv.Parked() != 0 {
 		t.Fatalf("after Close: janitor armed=%v, parked=%d", armed, h.srv.Parked())
 	}
@@ -504,26 +504,33 @@ func TestCapacityEvictionSparesUndispatchedInput(t *testing.T) {
 	now := time.Now()
 	plant := func(token string, age time.Duration, events int) {
 		ps := &parkedSession{
-			token: token, w: 16, h: 16,
+			w: 16, h: 16,
 			dirty:    gfx.NewDamage(gfx.R(0, 0, 16, 16), 16),
 			events:   make([]inputEvent, events),
 			parkedAt: now.Add(-age), deadline: now.Add(time.Minute),
 		}
-		srv.lotMu.Lock()
-		srv.lot[token] = ps
-		srv.lotMu.Unlock()
-		mSessParked.Inc()
-		mSessParkedNow.Inc()
-	}
-	evict := func() string {
-		srv.lotMu.Lock()
-		victim := srv.makeRoomLocked()
-		srv.lotMu.Unlock()
-		if victim == nil {
-			return ""
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		if srv.transition(token, gone, parked, nil, ps) == nil {
+			t.Fatalf("planting %q refused", token)
 		}
-		srv.expire(victim, now)
-		return victim.token
+	}
+	// evict runs one capacity check and names the row it expired ("" for
+	// none).
+	evict := func() string {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		before := make(map[string]bool, len(srv.table))
+		for tok := range srv.table {
+			before[tok] = true
+		}
+		srv.makeRoomLocked()
+		for tok := range before {
+			if srv.table[tok] == nil {
+				return tok
+			}
+		}
+		return ""
 	}
 	abandoned0 := counter("input_abandoned_total")
 	plant("oldest-holds-a-key-release", 3*time.Second, 1)

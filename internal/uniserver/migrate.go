@@ -31,11 +31,13 @@ var (
 // lot (order unspecified). The federation layer enumerates a home's
 // parked sessions with it before migrating them.
 func (s *Server) ParkedTokens() []string {
-	s.lotMu.Lock()
-	defer s.lotMu.Unlock()
-	out := make([]string, 0, len(s.lot))
-	for tok := range s.lot {
-		out = append(out, tok)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]string, 0, s.count[parked]+s.count[claimed])
+	for tok, e := range s.table {
+		if e.state >= parked {
+			out = append(out, tok)
+		}
 	}
 	return out
 }
@@ -48,24 +50,21 @@ func (s *Server) ParkedTokens() []string {
 // would have.
 func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 	now := time.Now()
-	s.lotMu.Lock()
-	ps := s.lot[token]
-	if ps == nil || ps.claimed {
-		s.lotMu.Unlock()
-		return nil, false
+	s.mu.Lock()
+	if e := s.table[token]; e != nil && e.state == parked && now.After(e.ps.deadline) {
+		s.transition(token, parked, expired, nil, nil)
 	}
-	delete(s.lot, token)
-	mSessParkedNow.Dec()
-	s.lotMu.Unlock()
-	if now.After(ps.deadline) {
-		s.expire(ps, now)
+	e := s.transition(token, parked, exported, nil, nil)
+	s.mu.Unlock()
+	if e == nil {
 		return nil, false
 	}
 
 	// The lot holds no pixels, so the record carries none: the importing
 	// node resumes onto a distrusted model exactly as this one would have.
+	ps := e.ps
 	rec := &rfb.MigrationRecord{
-		Token: ps.token,
+		Token: token,
 		W:     ps.w, H: ps.h,
 		Dirty:        ps.dirty.TakeInto(nil),
 		LastPtrMask:  ps.lastPtrMask,
@@ -79,14 +78,14 @@ func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 			Pointer: ev.pointer, Move: ev.move, Key: ev.key, Ptr: ev.ptr,
 		})
 	}
-	mSessMigratedOut.Inc()
 	return rec, true
 }
 
 // ImportParked installs a migration record into this server's detach
 // lot, making the shipped session resumable here. The entry keeps the
 // remaining TTL it left the source with (migration never extends a
-// session's life).
+// session's life). A token this server already holds, in any state, is
+// refused: a token is in exactly one place.
 func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 	if rec == nil || rec.Token == "" {
 		return errors.New("uniserver: import: empty migration record")
@@ -103,8 +102,7 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 		ttl = time.Millisecond
 	}
 	ps := &parkedSession{
-		token: rec.Token,
-		w:     rec.W, h: rec.H,
+		w: rec.W, h: rec.H,
 		dirty:       gfx.NewDamage(gfx.R(0, 0, rec.W, rec.H), 16),
 		lastPtrMask: rec.LastPtrMask,
 		migrated:    true,
@@ -121,28 +119,11 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 		})
 	}
 
-	// Same critical-section shape as retire: pumpMu orders the insert
-	// against drainLot, and the lot insert makes room the same way.
-	s.pumpMu.Lock()
 	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		s.pumpMu.Unlock()
-		return errors.New("uniserver: import: server closed")
+	defer s.mu.Unlock()
+	if s.transition(rec.Token, gone, parked, nil, ps) == nil {
+		return fmt.Errorf("uniserver: import: token %q already held, or server closed", rec.Token)
 	}
-	s.lotMu.Lock()
-	oldest := s.makeRoomLocked()
-	s.lot[ps.token] = ps
-	s.scheduleSweepLocked(ps.deadline)
-	s.lotMu.Unlock()
-	s.pumpMu.Unlock()
-
-	if oldest != nil {
-		s.expire(oldest, now)
-	}
-	mSessMigratedIn.Inc()
-	mSessParkedNow.Inc()
 	return nil
 }
 
@@ -152,12 +133,7 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 // federation drain hook: after it returns nil, every session this home
 // holds is a parked (exportable) entry.
 func (s *Server) DetachSessions(timeout time.Duration) error {
-	s.mu.Lock()
-	sessions := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
-	s.mu.Unlock()
+	sessions := s.liveSessions()
 	for _, sess := range sessions {
 		sess.conn.Close()
 	}

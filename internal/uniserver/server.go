@@ -44,14 +44,19 @@ type Server struct {
 	display *toolkit.Display
 	name    string
 
-	mu       sync.Mutex
-	sessions map[*session]struct{}
-	closed   bool
-	wg       sync.WaitGroup
+	// mu guards the session table (lot.go), one row per token moved only
+	// by transition, and what moves with it: closed, counts, the janitor.
+	mu     sync.Mutex
+	table  map[string]*entry
+	count  [claimed + 1]int              // rows per state (gone ones unused)
+	taken  [claimed + 1][claimed + 1]int // transitions taken, by edge
+	closed bool
+	wg     sync.WaitGroup
 
-	// pumpMu serializes render pumps; pumpBuf/pumpSess recycle the rect
-	// and session-snapshot storage so the damage→render→distribute path
-	// allocates nothing in steady state.
+	// pumpMu serializes render pumps and orders register and retire
+	// against them; pumpBuf/pumpSess recycle the rect and session-snapshot
+	// storage so the damage→render→distribute path allocates nothing in
+	// steady state.
 	pumpMu   sync.Mutex
 	pumpBuf  []gfx.Rect
 	pumpSess []*session
@@ -61,15 +66,10 @@ type Server struct {
 	// each session still runs its own tile window).
 	tiles *rfb.TileCache
 
-	// The detach lot (lot.go): disconnected sessions parked under their
-	// resume token, waiting out parkTTL for the owner to return. live is
-	// its other half, the connected sessions by token (for takeover); both
-	// are guarded by lotMu and a token is in exactly one of them.
+	// The detach lot's policy and janitor (lot.go); the lot itself is the
+	// table's parked and claimed rows.
 	parkTTL    time.Duration
 	parkCap    int
-	lotMu      sync.Mutex
-	lot        map[string]*parkedSession
-	live       map[string]*session
 	lotTimer   *sched.Timer // janitor on the shared wheel, armed on demand
 	lotSweepAt time.Time
 }
@@ -104,14 +104,12 @@ type Config struct {
 // clients during the handshake.
 func New(display *toolkit.Display, name string, cfg Config) *Server {
 	s := &Server{
-		display:  display,
-		name:     name,
-		sessions: make(map[*session]struct{}),
-		lot:      make(map[string]*parkedSession),
-		live:     make(map[string]*session),
-		tiles:    cfg.Tiles,
-		parkTTL:  cfg.ParkTTL,
-		parkCap:  cfg.ParkCapacity,
+		display: display,
+		name:    name,
+		table:   make(map[string]*entry),
+		tiles:   cfg.Tiles,
+		parkTTL: cfg.ParkTTL,
+		parkCap: cfg.ParkCapacity,
 	}
 	// The one place the park knobs are normalised: zero is the default,
 	// and either knob negative turns parking off (parkTTL <= 0 from here
@@ -152,7 +150,7 @@ func (s *Server) Attach(conn net.Conn) error {
 	// on this connection can attach the hub_route stage.
 	routeStart, routeEnd, _ := trace.RouteSpan(conn)
 	// The session exists before the handshake so the token the handshake
-	// issues is findable (live index) the moment a client can know it.
+	// issues is keyed (handshaking) the moment a client can know it.
 	sess := &session{
 		srv:        s,
 		link:       conn,
@@ -161,22 +159,22 @@ func (s *Server) Attach(conn net.Conn) error {
 		routeEnd:   routeEnd,
 		bounds:     gfx.R(0, 0, w, h),
 	}
-	var reclaimed *parkedSession
+	from := handshaking // the row register moves to live: claimed for a resume
 	ex := func(presented string) (string, bool) {
-		if s.parkTTL > 0 && presented != "" {
-			if ps := s.claimParked(presented, w, h, sess); ps != nil {
-				reclaimed, sess.token = ps, presented
-				return presented, true
-			}
-			mSessResumeMiss.Inc()
+		if s.parkTTL > 0 && presented != "" && s.claimParked(presented, w, h, sess) {
+			sess.token, from = presented, claimed
+			return presented, true
 		}
-		sess.token = newSessionToken()
-		if s.parkTTL > 0 && sess.token != "" {
-			s.lotMu.Lock()
-			s.live[sess.token] = sess
-			s.lotMu.Unlock()
+		tok := newSessionToken()
+		s.mu.Lock()
+		keyed := tok != "" && s.transition(tok, gone, handshaking, sess, nil) != nil
+		s.mu.Unlock()
+		if !keyed {
+			conn.Close() // no row, no session: fail the handshake's ServerInit write
+			return "", false
 		}
-		return sess.token, false
+		sess.token = tok
+		return tok, false
 	}
 	// The handshake is bounded: a peer that stalls mid-handshake (after
 	// presenting a resume token, say) must fail within the deadline so
@@ -189,12 +187,7 @@ func (s *Server) Attach(conn net.Conn) error {
 	rc, err := rfb.NewEdgeServerConn(conn, w, h, s.name, ex)
 	hsTimer.Stop()
 	if err != nil {
-		if reclaimed != nil {
-			// Claimed during the handshake, but the handshake failed to
-			// complete: the session goes back to waiting in the lot.
-			s.releaseClaim(reclaimed)
-		}
-		s.unlist(sess)
+		s.refuse(sess, from)
 		return err
 	}
 	sess.conn = rc
@@ -205,18 +198,17 @@ func (s *Server) Attach(conn net.Conn) error {
 	// damage kick arriving mid-register always has a target.
 	sess.writeTask = sched.SharedPool().NewTask(sess.writerTurn)
 	sess.dispatchTask = sched.SharedPool().NewTask(sess.dispatchTurn)
-	// register atomically swaps a reclaimed lot entry into the live
-	// session set (under the pump mutex, so no damage falls between the
-	// lot and the session) and adopts its state. It also joins the session
-	// to the server's wait group, so Close blocks until teardown has fully
+	// register moves the session to live — for a resume, atomically with
+	// the claimed lot entry's state (under the pump mutex, so no damage
+	// falls between the lot and the session). It also joins the session to
+	// the server's wait group, so Close blocks until teardown has fully
 	// retired it.
-	if !s.register(sess, reclaimed) {
+	if !s.register(sess, from) {
 		rc.Close()
-		s.unlist(sess)
+		s.refuse(sess, from)
 		return errors.New("uniserver: server closed")
 	}
-	mSessions.Inc()
-	if reclaimed != nil {
+	if from == claimed {
 		// Input that sat out the detach window dispatches now. The damage
 		// that did waits for the client's own request — the reconnecting
 		// client sends SetEncodings, then one, on the same ordered stream
@@ -230,23 +222,16 @@ func (s *Server) Attach(conn net.Conn) error {
 
 // teardown retires a session whose read loop has returned: stop the write
 // and dispatch tasks, drain the input queue, and retire — one atomic step
-// that removes the session from the pump set and parks the remaining state
-// for a reconnect (or settles the accounting when parking is off). Damage
-// pumped until that step still lands on the session and carries into the
-// lot with it.
+// that moves the session out of live and parks the remaining state for a
+// reconnect (or settles the accounting when parking is off). Damage pumped
+// until that step still lands on the session and carries into the lot
+// with it.
 func (c *session) teardown() {
 	c.conn.Close()
 	c.writeTask.Stop()
 	c.dispatchTask.Stop()
-	leftovers := c.inq.take()
-	if !c.srv.retire(c, leftovers) && len(leftovers) > 0 {
-		mInputAbandoned.Add(int64(len(leftovers)))
-	}
-	// Only now is the session gone for an observer: server_sessions drops
-	// after retire has settled the park accounting, so a scrape that reads
-	// the gauge back at its baseline reads balanced session_* counters.
-	mSessions.Dec()
-	c.srv.unlist(c)
+	c.srv.retire(c, c.inq.take())
+	close(c.retired)
 	c.srv.wg.Done()
 }
 
@@ -271,23 +256,32 @@ func (s *Server) Serve(ln net.Listener) error {
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
-	sessions := make([]*session, 0, len(s.sessions))
-	for sess := range s.sessions {
-		sessions = append(sessions, sess)
-	}
 	s.mu.Unlock()
-	for _, sess := range sessions {
+	for _, sess := range s.liveSessions() {
 		sess.conn.Close()
 	}
 	s.wg.Wait()
 	s.drainLot()
 }
 
+// liveSessions snapshots the live rows' sessions.
+func (s *Server) liveSessions() []*session {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*session, 0, s.count[live])
+	for _, e := range s.table {
+		if e.state == live {
+			out = append(out, e.sess)
+		}
+	}
+	return out
+}
+
 // Sessions returns the number of connected proxies.
 func (s *Server) Sessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.sessions)
+	return s.count[live]
 }
 
 // pump runs after the display accumulated new damage: render once, then
@@ -301,12 +295,20 @@ func (s *Server) pump() {
 	if len(rects) == 0 {
 		return
 	}
-	// Snapshot the session set so s.mu is not held across the per-session
-	// coalescing work (connection setup/teardown stays unblocked).
+	// One walk of the table: live sessions are snapshotted so s.mu is not
+	// held across their coalescing work; sessions in the lot take the same
+	// damage in place, which is what their owner's resync will ship.
 	s.mu.Lock()
 	sessions := s.pumpSess[:0]
-	for sess := range s.sessions {
-		sessions = append(sessions, sess)
+	for _, e := range s.table {
+		switch e.state {
+		case live:
+			sessions = append(sessions, e.sess)
+		case parked, claimed:
+			for _, r := range rects {
+				e.ps.dirty.Add(r)
+			}
+		}
 	}
 	s.mu.Unlock()
 	for _, sess := range sessions {
@@ -319,9 +321,6 @@ func (s *Server) pump() {
 		}
 	}
 	s.pumpSess = sessions
-	// Parked sessions accumulate the same damage: it is exactly what the
-	// incremental resync ships when their owner reconnects.
-	s.addParkedDamage(rects)
 }
 
 // session is one proxy connection: per-client dirty tracking plus the
@@ -344,7 +343,7 @@ func (s *Server) pump() {
 type session struct {
 	srv    *Server
 	conn   *rfb.ServerConn
-	token  string // resume token; keys the live index, then the detach lot
+	token  string // resume token; keys the session's table row
 	bounds gfx.Rect
 
 	// link is the transport under conn, known before the handshake; closing
