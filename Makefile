@@ -117,7 +117,14 @@ COVER_MIN ?= 74
 # entry, transition and refuse, replacing unlist, releaseClaim, expire,
 # addParkedDamage, register's defensive bail and 8 counter sites),
 # hub/hub.go +1 (comment).
-LOC_MAX ?= 20052
+# Full-bounds repaints as memoised 64-row bands raised it 20 052 -> 20 131
+# for +79 lines: rfb/server.go +54 (PreparedUpdate.encodeBands, the banded
+# case in PrepareUpdateWire's loop, the refusal of an update whose
+# rectangle count overflows the wire's u16 and maxUpdateRects, doc
+# comments), rfb/wirestate.go +25 (bandRows, banded, unchanged, the
+# self-copy condition banded shares with selectAndEncode, and the
+# dictionary counters' doc comment).
+LOC_MAX ?= 20131
 
 .PHONY: all build test vet race race-takeover fuzz-smoke fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc loc-gate examples
 

@@ -1,14 +1,21 @@
 package uniint
 
 // The cold-join frame on the wire tier: every session that joins a home
-// at one display state ships the same full frame as dictionary zlib, and
-// the shared TileCache memoises that body so it deflates once per state,
-// not once per connection (internal/rfb WireState.encodeDict).
+// ships its full frame as 64-row dictionary-zlib bands, and the shared
+// TileCache memoises each band's body, so a band deflates once per
+// distinct content, not once per connection (internal/rfb
+// WireState.encodeDict, PreparedUpdate.encodeBands).
 //
-//	BenchmarkColdJoinEncode/hit   the cache already holds the frame's body
-//	BenchmarkColdJoinEncode/miss  a cache that has never seen it
+//	BenchmarkColdJoinEncode/hit          the cache already holds every band
+//	BenchmarkColdJoinEncode/miss         a cache that has never seen one
+//	BenchmarkColdJoinEncode/focus-moved  the cache holds the panel before
+//	                                     one Tab; the join ships it after
 //
-// Their ns/op ratio is the encode layer's share of the cold-join gain.
+// Their ns/op ratio is the encode layer's share of the cold-join gain;
+// wirebytes/op is the update's size and deflates/op the bands deflated.
+// focus-moved fails when a Tab deflates more than the bands it changed
+// or the memo answers none of the others, which catches a fall back to
+// whole-frame deflate.
 // TestColdJoinSharedMemo is the race-detector check that concurrent joins
 // over one cache paint exactly what an uncached session paints.
 
@@ -46,33 +53,68 @@ func standardHomeDisplay(tb testing.TB) *toolkit.Display {
 }
 
 func BenchmarkColdJoinEncode(b *testing.B) {
-	frame := standardHomeDisplay(b).Snapshot(gfx.R(0, 0, coldJoinW, coldJoinH))
+	d := standardHomeDisplay(b)
+	bounds := gfx.R(0, 0, coldJoinW, coldJoinH)
+	before := d.Snapshot(bounds)
+	d.InjectKey(true, toolkit.KeyTab)
+	d.InjectKey(false, toolkit.KeyTab)
+	d.Render()
+	after := d.Snapshot(bounds)
 	conn := wireServerConn(b, coldJoinW, coldJoinH, wireBenchEncodings)
-	full := []rfb.UpdateRect{{Rect: frame.Bounds(), Encoding: rfb.EncAdaptive}}
-	join := func(tiles *rfb.TileCache) {
+	full := []rfb.UpdateRect{{Rect: bounds, Encoding: rfb.EncAdaptive}}
+	join := func(tiles *rfb.TileCache, frame *gfx.Framebuffer) int {
 		prep, err := conn.PrepareUpdateWire(frame, full, rfb.NewWireState(tiles, coldJoinW, coldJoinH))
 		if err != nil {
 			b.Fatal(err)
 		}
-		prep.Release()
+		defer prep.Release()
+		return prep.Size()
 	}
-	for _, hit := range []bool{true, false} {
-		name := "miss"
-		if hit {
-			name = "hit"
-		}
-		b.Run(name, func(b *testing.B) {
-			shared := rfb.NewTileCache(0)
-			join(shared) // the first join at this display state pays the deflate
+	picks := metrics.Default().Counter("rfb_dict_picks_total")
+	hits := metrics.Default().Counter("rfb_dict_memo_hits_total")
+	for _, bc := range []struct {
+		name        string
+		warm        *gfx.Framebuffer // what the cache shipped before the join
+		fresh       bool             // each join gets a new cache, warmed again
+		maxDeflates int64            // per join
+		minHits     int64            // per join
+	}{
+		{"hit", after, false, 0, 1},
+		{"miss", nil, true, (coldJoinH + 63) / 64, 0},
+		// One Tab moves the focus ring off one widget and onto the next,
+		// changing at most three of the eight bands; the memo answers the
+		// rest. A whole-frame deflate is one miss and no hit.
+		{"focus-moved", before, true, 3, 1},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			tiles := rfb.NewTileCache(0)
+			if bc.warm != nil {
+				join(tiles, bc.warm)
+			}
+			var wire, deflates int64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if hit {
-					join(shared)
-				} else {
-					join(rfb.NewTileCache(0))
+				if bc.fresh {
+					b.StopTimer()
+					tiles = rfb.NewTileCache(0)
+					if bc.warm != nil {
+						join(tiles, bc.warm)
+					}
+					b.StartTimer()
 				}
+				p0, h0 := picks.Value(), hits.Value()
+				wire += int64(join(tiles, after))
+				h := hits.Value() - h0
+				d := picks.Value() - p0 - h
+				if d > bc.maxDeflates || h < bc.minHits {
+					b.Fatalf("the join deflated %d bands and took %d from the memo, want at most %d and at least %d",
+						d, h, bc.maxDeflates, bc.minHits)
+				}
+				deflates += d
 			}
+			b.ReportMetric(float64(wire)/float64(b.N), "wirebytes/op")
+			b.ReportMetric(float64(deflates)/float64(b.N), "deflates/op")
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -371,9 +372,13 @@ func (p *PreparedUpdate) Release() {
 // session's client already holds, letting EncAdaptive rectangles resolve
 // to CopyRect moves, tile references/installs and dictionary-zlib in
 // addition to the content-adaptive encodings — always restricted to what
-// the client advertised. Every encoded rectangle is committed into ws, so
-// prepared updates must be sent to the client in preparation order; call
-// ws.Reset after a failed send or prepare.
+// the client advertised. When ws has a shared TileCache, a full-bounds
+// EncAdaptive rectangle that is not a self-copy ships as bandRows-row
+// bands, so the cache's dictionary memo answers per band. Every encoded
+// rectangle is committed into ws (the bands as the one full-bounds
+// rectangle they cover), so prepared updates must be sent to the client
+// in preparation order; call ws.Reset after a failed send or prepare. An
+// update of more rectangles than the wire's u16 count holds is refused.
 func (s *ServerConn) PrepareUpdateWire(fb *gfx.Framebuffer, rects []UpdateRect, ws *WireState) (*PreparedUpdate, error) {
 	pf, gen := s.pixelFormatGen()
 	s.smu.Lock()
@@ -388,7 +393,7 @@ func (s *ServerConn) PrepareUpdateWire(fb *gfx.Framebuffer, rects []UpdateRect, 
 	prep.rects = append(prep.rects[:0], rects...)
 	prep.spans = prep.spans[:0]
 	prep.buf = prep.buf[:0]
-	for i := range prep.rects {
+	for i := 0; i < len(prep.rects); i++ {
 		ur := &prep.rects[i]
 		start := len(prep.buf)
 		switch {
@@ -397,6 +402,16 @@ func (s *ServerConn) PrepareUpdateWire(fb *gfx.Framebuffer, rects []UpdateRect, 
 			be.PutUint16(b[0:], uint16(ur.CopySrcX))
 			be.PutUint16(b[2:], uint16(ur.CopySrcY))
 			prep.buf = append(prep.buf, b[:]...)
+
+		case ur.Encoding == EncAdaptive && ws.banded(fb, ur.Rect, mask):
+			n, err := prep.encodeBands(i, fb, ws, pf, mask, fallback, sc)
+			if err != nil {
+				prep.Release()
+				ws.Reset()
+				return nil, err
+			}
+			i += n - 1
+			continue
 
 		case ur.Encoding == EncAdaptive && ws != nil && fb != nil:
 			buf, enc, err := ws.selectAndEncode(prep.buf, fb, ur, pf, mask, fallback, sc)
@@ -428,7 +443,46 @@ func (s *ServerConn) PrepareUpdateWire(fb *gfx.Framebuffer, rects []UpdateRect, 
 			ws.commit(fb, ur)
 		}
 	}
+	if len(prep.rects) > maxUpdateRects {
+		prep.Release()
+		if ws != nil {
+			ws.Reset() // the model committed rectangles that never ship
+		}
+		return nil, fmt.Errorf("rfb: update of %d rectangles exceeds the wire's %d", len(prep.rects), maxUpdateRects)
+	}
 	return prep, nil
+}
+
+// maxUpdateRects is the most rectangles one FramebufferUpdate carries: the
+// count is a u16 on the wire.
+const maxUpdateRects = 1<<16 - 1
+
+// encodeBands replaces the full-bounds rectangle p.rects[i] with its
+// bandRows-row bands, encodes each through ws, so the dictionary memo
+// answers per band, and commits them to ws as the one full-bounds
+// rectangle they cover. It returns the number of bands.
+func (p *PreparedUpdate) encodeBands(i int, fb *gfx.Framebuffer, ws *WireState, pf gfx.PixelFormat, mask uint8, fallback int32, sc *encodeScratch) (int, error) {
+	full := p.rects[i]
+	r := full.Rect
+	n := (r.H + bandRows - 1) / bandRows
+	tail := len(p.rects)
+	p.rects = slices.Grow(p.rects, n-1)[:tail+n-1]
+	copy(p.rects[i+n:], p.rects[i+1:tail])
+	for j := 0; j < n; j++ {
+		y := r.Y + j*bandRows
+		ur := &p.rects[i+j]
+		*ur = UpdateRect{Rect: gfx.R(r.X, y, r.W, min(bandRows, r.MaxY()-y)), Encoding: EncAdaptive}
+		start := len(p.buf)
+		buf, enc, err := ws.selectAndEncode(p.buf, fb, ur, pf, mask, fallback, sc)
+		if err != nil {
+			return 0, err
+		}
+		p.buf, ur.Encoding = buf, enc
+		p.spans = append(p.spans, [2]int{start, len(p.buf)})
+		countEncodedBytes(enc, len(p.buf)-start)
+	}
+	ws.commit(fb, &full)
+	return n, nil
 }
 
 // SendPrepared transmits a previously prepared update and releases its

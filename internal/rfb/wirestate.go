@@ -61,6 +61,10 @@ const copyMinArea = 1024
 
 // rfb_copyrect_unchanged_total counts the self-copies: rectangles of a
 // frame nobody wrote since the client last received it in full.
+// rfb_dict_picks_total counts the rectangles upgraded to dictionary zlib,
+// and rfb_dict_memo_hits_total those whose body the shared memo answered.
+// A banded full-bounds repaint counts each band, so picks minus hits is
+// the number of bands deflated.
 var (
 	mCopyUnchanged = metrics.Default().Counter("rfb_copyrect_unchanged_total")
 	mDictPicks     = metrics.Default().Counter("rfb_dict_picks_total")
@@ -90,8 +94,7 @@ func (ws *WireState) selectAndEncode(dst []byte, fb *gfx.Framebuffer, ur *Update
 	inside := !r.Empty() && r.X >= 0 && r.Y >= 0 &&
 		r.MaxX() <= ws.w && r.MaxY() <= ws.h
 
-	if mask&encBitCopyRect != 0 && inside && r.Area() >= copyMinArea &&
-		ws.synced == fb && ws.syncGen == fb.Gen() {
+	if mask&encBitCopyRect != 0 && inside && r.Area() >= copyMinArea && ws.unchanged(fb) {
 		mCopyUnchanged.Inc()
 		ur.CopySrcX, ur.CopySrcY = r.X, r.Y
 		var b [4]byte
@@ -131,10 +134,10 @@ func (ws *WireState) selectAndEncode(dst []byte, fb *gfx.Framebuffer, ur *Update
 }
 
 // encodeDict appends an EncZlibDict body, deflating each distinct content
-// once per shared cache: a cold join ships the same full frame as every
-// earlier join at the same display state, and compress/flate is
-// deterministic in its input, level and dictionary, so the memoised body
-// is byte-identical to a fresh encode.
+// once per shared cache: a cold join ships the bands of an earlier join at
+// the same display state, or at one a focus move away, and compress/flate
+// is deterministic in its input, level and dictionary, so the memoised
+// body is byte-identical to a fresh encode.
 func (ws *WireState) encodeDict(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat, sc *encodeScratch) ([]byte, error) {
 	if ws.cache == nil {
 		return encodeZlibDict(dst, fb, r, pf, sc)
@@ -186,6 +189,28 @@ func (ws *WireState) encodeInstall(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, 
 		ws.cache.Put(key, inner, dst[bodyStart:])
 	}
 	return dst, nil
+}
+
+// unchanged reports whether the client holds fb as it stands: nobody wrote
+// it since it last shipped in full.
+func (ws *WireState) unchanged(fb *gfx.Framebuffer) bool {
+	return ws.synced == fb && ws.syncGen == fb.Gen()
+}
+
+// bandRows is the height of the bands a full-bounds repaint ships as. A
+// focus move changes one to three of a 640×480 panel's eight bands, so a
+// new display state deflates those and the shared memo answers the rest.
+// Each band is its own zlib stream, so thinner bands cost bytes
+// (docs/PERF.md).
+const bandRows = 64
+
+// banded reports whether the EncAdaptive rectangle r of fb ships as
+// bandRows-row bands (PreparedUpdate.encodeBands): a full-bounds repaint
+// taller than one band that is not a self-copy, on a session with a
+// shared memo. Without the memo bands gain nothing. Safe on a nil ws.
+func (ws *WireState) banded(fb *gfx.Framebuffer, r gfx.Rect, mask uint8) bool {
+	return ws != nil && fb != nil && ws.cache != nil && r.H > bandRows && ws.full(r) &&
+		!(mask&encBitCopyRect != 0 && ws.unchanged(fb))
 }
 
 // full reports whether r covers the client's whole framebuffer.

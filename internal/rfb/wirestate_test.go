@@ -288,7 +288,8 @@ func panelFrame(w, h int) *gfx.Framebuffer {
 
 // TestDictMemoHitMatchesFreshEncode: a second session shipping the same
 // full frame over the same cache takes the memoised body, and that body
-// is byte-identical to a fresh encodeZlibDict of the frame.
+// is byte-identical to a fresh encodeZlibDict of the frame; a banded full
+// repaint does the same for every band.
 func TestDictMemoHitMatchesFreshEncode(t *testing.T) {
 	const w, h = 160, 120
 	fb := panelFrame(w, h)
@@ -317,6 +318,177 @@ func TestDictMemoHitMatchesFreshEncode(t *testing.T) {
 				t.Fatalf("%d-bit join %d: %d memo hits, want %d", pf.BitsPerPixel, join, d, wantHits)
 			}
 		}
+	}
+
+	for _, pf := range []gfx.PixelFormat{gfx.PF32(), gfx.PF16(), gfx.PF8()} {
+		s := &ServerConn{pf: pf, encMask: allEncBits}
+		for _, h := range bandTestHeights {
+			fb := panelFrame(640, h)
+			full := []UpdateRect{{Rect: fb.Bounds(), Encoding: EncAdaptive}}
+			cache := NewTileCache(0) // the taller frames share bands
+			for join := 0; join < 2; join++ {
+				hits0 := mDictMemoHits.Value()
+				prep, err := s.PrepareUpdateWire(fb, full, NewWireState(cache, 640, h))
+				if err != nil {
+					t.Fatal(err)
+				}
+				bands := 0
+				for i, ur := range prep.rects {
+					if ur.Encoding != EncZlibDict {
+						t.Fatalf("%d-bit h=%d join %d: band %v encoded as %s, want ZlibDict", pf.BitsPerPixel, h, join, ur.Rect, EncodingName(ur.Encoding))
+					}
+					bands++
+					fresh, err := EncodeRectInto(nil, EncZlibDict, fb, ur.Rect, pf)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if body := prep.buf[prep.spans[i][0]:prep.spans[i][1]]; !bytes.Equal(body, fresh) {
+						t.Fatalf("%d-bit h=%d join %d: band %v differs from a fresh encode", pf.BitsPerPixel, h, join, ur.Rect)
+					}
+				}
+				prep.Release()
+				if d, want := mDictMemoHits.Value()-hits0, int64(join*bands); d != want {
+					t.Fatalf("%d-bit h=%d join %d: %d memo hits, want %d", pf.BitsPerPixel, h, join, d, want)
+				}
+			}
+		}
+	}
+}
+
+// bandTestHeights are frame heights spanning several bands, a part band
+// and less than one band.
+var bandTestHeights = []int{480, 240, 100, 40}
+
+// TestBandedRepaintDecodesToFrame: under every pixel format and frame
+// height, a client decoding a banded full repaint holds exactly the
+// server's frame, received as ⌈H/bandRows⌉ rectangles.
+func TestBandedRepaintDecodesToFrame(t *testing.T) {
+	const w = 640
+	encs := []int32{EncZlibDict, EncTileInstall, EncTileRef, EncCopyRect, EncHextile, EncRRE, EncZlib, EncRaw}
+	cache := NewTileCache(0)
+	for _, h := range bandTestHeights {
+		server, client, sh, ch := pipePair(t, w, h)
+		fb := panelFrame(w, h)
+		// Rows of distinct colours send the first band down the raw path.
+		for y := 16; y < 40; y++ {
+			for x := 0; x < w; x++ {
+				fb.Set(x, y, gfx.RGB(uint8(x), uint8(y), uint8(x>>8)))
+			}
+		}
+		if err := client.SetEncodings(encs); err != nil {
+			t.Fatal(err)
+		}
+		for _, pf := range []gfx.PixelFormat{gfx.PF32(), gfx.PF16(), gfx.PF8()} {
+			if err := client.SetPixelFormat(pf); err != nil {
+				t.Fatal(err)
+			}
+			if err := client.RequestUpdate(false, fb.Bounds()); err != nil {
+				t.Fatal(err)
+			}
+			waitSig(t, sh.gotReq, "request")
+			prep, err := server.PrepareUpdateWire(fb, []UpdateRect{{Rect: fb.Bounds(), Encoding: EncAdaptive}}, NewWireState(cache, w, h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := server.SendPrepared(prep); err != nil {
+				t.Fatal(err)
+			}
+			waitSig(t, ch.gotUpd, "update")
+			ch.mu.Lock()
+			got := len(ch.updates[len(ch.updates)-1])
+			ch.mu.Unlock()
+			if want := (h + bandRows - 1) / bandRows; got != want {
+				t.Fatalf("%d-bit h=%d: %d rectangles, want %d", pf.BitsPerPixel, h, got, want)
+			}
+			if !client.Snapshot(fb.Bounds()).Equal(quantize(fb, pf)) {
+				t.Fatalf("%d-bit h=%d: the client's frame differs from the server's", pf.BitsPerPixel, h)
+			}
+		}
+	}
+}
+
+// TestBandedRepaintKeepsSwitchContract: the bands of a full repaint commit
+// as the one full-bounds rectangle they cover, so a repaint of the
+// unchanged frame, a device switch's, still prepares one 4-byte
+// self-copy. A pixel write or a Reset ships bands again. A session with
+// no shared memo ships one rectangle.
+func TestBandedRepaintKeepsSwitchContract(t *testing.T) {
+	const w, h = 640, 480
+	fb := panelFrame(w, h)
+	s := &ServerConn{pf: gfx.PF32(), encMask: allEncBits}
+	full := []UpdateRect{{Rect: fb.Bounds(), Encoding: EncAdaptive}}
+	prepare := func(ws *WireState) (rects []UpdateRect, body int) {
+		t.Helper()
+		prep, err := s.PrepareUpdateWire(fb, full, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer prep.Release()
+		return append([]UpdateRect(nil), prep.rects...), len(prep.buf)
+	}
+	ws := NewWireState(NewTileCache(0), w, h)
+	for _, step := range []struct {
+		name  string
+		write func()
+	}{
+		{"first paint", func() {}},
+		{"pixel write", func() { fb.Set(5, 5, gfx.Red) }},
+		{"Reset", ws.Reset},
+	} {
+		step.write()
+		if rects, _ := prepare(ws); len(rects) != (h+bandRows-1)/bandRows {
+			t.Fatalf("%s: %d rectangles, want %d bands", step.name, len(rects), (h+bandRows-1)/bandRows)
+		}
+		rects, body := prepare(ws)
+		if len(rects) != 1 || rects[0].Encoding != EncCopyRect || body != 4 ||
+			rects[0].CopySrcX != 0 || rects[0].CopySrcY != 0 {
+			t.Fatalf("%s, then the unchanged frame: %d rectangles (first %s, %d body bytes), want one 4-byte self-copy",
+				step.name, len(rects), EncodingName(rects[0].Encoding), body)
+		}
+	}
+	if rects, _ := prepare(NewWireState(nil, w, h)); len(rects) != 1 {
+		t.Fatalf("a session with no shared memo shipped %d rectangles, want 1", len(rects))
+	}
+}
+
+// TestPrepareRefusesUncountableUpdate: a FramebufferUpdate counts its
+// rectangles in a u16, so preparing more than 65 535 is an error, not a
+// count that wraps into a corrupt stream, and the wire model that
+// committed them is distrusted.
+func TestPrepareRefusesUncountableUpdate(t *testing.T) {
+	const w, h = 64, 64
+	fb := panelFrame(w, h)
+	s := &ServerConn{pf: gfx.PF32(), encMask: allEncBits}
+	ws := NewWireState(nil, w, h)
+	rects := make([]UpdateRect, 1<<16)
+	for i := range rects {
+		r := gfx.R(i%w, 0, 1, 1)
+		rects[i] = UpdateRect{Rect: r, Encoding: EncCopyRect, CopySrcX: r.X, CopySrcY: r.Y}
+	}
+	sync := func() {
+		t.Helper()
+		prep, err := s.PrepareUpdateWire(fb, []UpdateRect{{Rect: fb.Bounds(), Encoding: EncRaw}}, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep.Release()
+	}
+
+	sync()
+	prep, err := s.PrepareUpdateWire(fb, rects[:len(rects)-1], ws)
+	if err != nil {
+		t.Fatalf("65 535 rectangles: %v", err)
+	}
+	prep.Release()
+	if ws.synced != fb {
+		t.Fatal("65 535 self-copies unsynced the model")
+	}
+	prep, err = s.PrepareUpdateWire(fb, rects, ws)
+	if err == nil {
+		t.Fatalf("65 536 rectangles prepared (%d bytes); the u16 count would wrap", prep.Size())
+	}
+	if ws.synced != nil {
+		t.Fatal("the model still trusts a client that was sent nothing")
 	}
 }
 
