@@ -124,7 +124,19 @@ COVER_MIN ?= 74
 # comments), rfb/wirestate.go +25 (bandRows, banded, unchanged, the
 # self-copy condition banded shares with selectAndEncode, and the
 # dictionary counters' doc comment).
-LOC_MAX ?= 20131
+# Homes as turns, with a write budget, lowered it 20 131 -> 20 089 for -42
+# lines: rfb/server.go -43 (countWriter and ServerConn.cw; the update and
+# ServerInit headers appended into the pooled writer's free space),
+# rfb/client.go -36 and rfb/wire.go -18 (writeU8, writeU16 and writeU32,
+# and writePixelFormat as appendPixelFormat: the client's messages are
+# appended the same way), havi/event.go -9 (Post's insertion sort);
+# uniserver/server.go +43 (WriteBudget, armWrite, sent, the work-arrival
+# stamp in wake), havi/dispatch.go +8 (the queue drained by a pool task,
+# replacing the dispatcher goroutine), havi/network.go +4 and
+# sched/pool.go +3 (comments), havi/registry.go +1 (watchers notified in
+# registration order), cmd/obslint/testdata/bad/internal/havi/dispatch.go
+# +5 (a per-home goroutine the lint refuses).
+LOC_MAX ?= 20089
 
 .PHONY: all build test vet race race-takeover fuzz-smoke fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc loc-gate examples
 

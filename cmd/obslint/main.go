@@ -310,11 +310,11 @@ func lintConstDocs(fset *token.FileSet, f *ast.File) int {
 }
 
 // sessionPathDirs are the packages living under the budgeted event
-// runtime's goroutine discipline: session work runs as pool turns and
-// wheel timers, never as per-session goroutines.
+// runtime's goroutine discipline: session and home work runs as pool
+// turns and wheel timers, never as per-session or per-home goroutines.
 var sessionPathDirs = []string{
 	"internal/uniserver", "internal/hub", "internal/rfb", "internal/netsim",
-	"internal/fed",
+	"internal/fed", "internal/havi", "internal/appliance", "internal/homeapp",
 }
 
 func isSessionPath(path string) bool {

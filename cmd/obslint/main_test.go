@@ -43,7 +43,8 @@ func TestBadTreeFindings(t *testing.T) {
 		`metric "BadName" is not snake_case`,
 		`counter "BadName" must end in _total`,
 		`histogram "encode_latency" must end in _seconds`,
-		`naked go statement in session-path package`,
+		`naked go statement in session-path package testdata/bad/internal/uniserver`,
+		`naked go statement in session-path package testdata/bad/internal/havi`,
 		// park_test.go, shaped like a test whose counters were deleted.
 		`test reads Counter deleted_self_copies_total, which no non-test file registers`,
 		`test reads Counter deleted_displaced_copies_total, which no non-test file registers`,

@@ -1,18 +1,23 @@
 package main
 
 import (
+	"runtime"
 	"testing"
 
+	"uniint/internal/leakcheck"
 	"uniint/internal/metrics"
 	"uniint/internal/sched"
 	"uniint/internal/workload"
 )
 
 // TestHomesShareTheWorkerBudget is the oracle for docs/ARCHITECTURE.md's
-// "worker count is a process budget": a hub assembled the way the daemon
-// assembles it, with real homes admitted, runs exactly DefaultWorkers pool
-// workers — what /healthz reports as sched.workers. When every home built
-// a private pool this read 4 + 4 per home.
+// "worker count is a process budget" and "a resident home costs a struct":
+// a hub assembled the way the daemon assembles it, with real homes
+// admitted, runs exactly DefaultWorkers pool workers — what /healthz
+// reports as sched.workers — and admitting 48 more homes adds no
+// goroutine. When every home built a private pool the first read 4 + 4
+// per home; when every home ran its own HAVi dispatcher the second read
+// +48.
 func TestHomesShareTheWorkerBudget(t *testing.T) {
 	cfg := config{shards: 4, width: 64, height: 48}
 	h, err := newHub(cfg, homeFactory([]string{"tv", "lamp"}, cfg.width, cfg.height))
@@ -20,16 +25,22 @@ func TestHomesShareTheWorkerBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	for i := 0; i < 16; i++ {
-		if _, err := h.Admit(workload.HomeID(i)); err != nil {
-			t.Fatal(err)
+	admit := func(from, to int) {
+		for i := from; i < to; i++ {
+			if _, err := h.Admit(workload.HomeID(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if h.Homes() != to {
+			t.Fatalf("Homes() = %d, want %d", h.Homes(), to)
 		}
 	}
-	if h.Homes() != 16 {
-		t.Fatalf("Homes() = %d, want 16", h.Homes())
-	}
+	admit(0, 16)
 	got := metrics.Default().Snapshot().Gauges["sched_workers"]
 	if want := int64(sched.DefaultWorkers()); got != want {
 		t.Errorf("sched_workers = %d with 16 homes resident, want the process budget %d", got, want)
 	}
+	at16 := runtime.NumGoroutine()
+	admit(16, 64)
+	leakcheck.Assert(t, at16, "64 homes resident, as many goroutines as at 16")
 }

@@ -1,61 +1,68 @@
 package havi
 
-import "sync"
+import (
+	"sync"
 
-// dispatcher is a single-worker FIFO executor shared by the asynchronous
-// paths of the message system, registry watches and event manager. A single
-// ordered queue gives the whole middleware a deterministic delivery order,
-// and WaitIdle gives tests and benchmarks a quiescence point.
+	"uniint/internal/sched"
+)
+
+// dispatcher is the FIFO executor behind the message system, registry
+// watches and event manager: a mutex-guarded queue of functions that one
+// task drains on the process pool, so a home costs this struct and no
+// goroutine. One ordered queue gives the middleware a deterministic
+// delivery order. The pool's few workers serve every home and session, so
+// a posted function (a HAVi handler) must not block on a peer, and
+// waitIdle must not run on a pool turn; stop may (see Network.Close).
 type dispatcher struct {
+	task *sched.Task
+
 	mu      sync.Mutex
-	cond    *sync.Cond
+	idle    sync.Cond // broadcast when a drain ends
 	queue   []func()
-	pending int // queued + currently executing
+	spare   []func() // the last drained batch's storage (ping-pong)
+	running bool     // a batch is executing
 	closed  bool
-	done    chan struct{}
 }
 
 func newDispatcher() *dispatcher {
-	d := &dispatcher{done: make(chan struct{})}
-	d.cond = sync.NewCond(&d.mu)
-	go d.run()
+	d := &dispatcher{}
+	d.idle.L = &d.mu
+	d.task = sched.SharedPool().NewTask(d.drain)
 	return d
 }
 
-func (d *dispatcher) run() {
-	defer close(d.done)
-	for {
-		d.mu.Lock()
-		for len(d.queue) == 0 && !d.closed {
-			d.cond.Wait()
-		}
-		if d.closed && len(d.queue) == 0 {
-			d.mu.Unlock()
-			return
-		}
-		fn := d.queue[0]
-		d.queue = d.queue[1:]
+// drain is the task's turn: it runs queued functions in order until the
+// queue is empty, so what a handler posts (the FCM change event a Send
+// causes) runs in the same turn.
+func (d *dispatcher) drain() {
+	d.mu.Lock()
+	for len(d.queue) > 0 {
+		batch := d.queue
+		d.queue, d.spare = d.spare[:0], nil
+		d.running = true
 		d.mu.Unlock()
-
-		fn()
-
+		for i, fn := range batch {
+			batch[i] = nil
+			fn()
+		}
 		d.mu.Lock()
-		d.pending--
-		d.cond.Broadcast()
-		d.mu.Unlock()
+		d.spare = batch[:0]
 	}
+	d.running = false
+	d.idle.Broadcast()
+	d.mu.Unlock()
 }
 
 // post enqueues fn; returns false when the dispatcher is closed.
 func (d *dispatcher) post(fn func()) bool {
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.closed {
+		d.mu.Unlock()
 		return false
 	}
 	d.queue = append(d.queue, fn)
-	d.pending++
-	d.cond.Broadcast()
+	d.mu.Unlock()
+	d.task.Kick()
 	return true
 }
 
@@ -63,22 +70,23 @@ func (d *dispatcher) post(fn func()) bool {
 // Functions posted while waiting are also waited for.
 func (d *dispatcher) waitIdle() {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	for d.pending > 0 {
-		d.cond.Wait()
+	for len(d.queue) > 0 || d.running {
+		d.idle.Wait()
 	}
+	d.mu.Unlock()
 }
 
-// stop drains the queue and terminates the worker.
+// stop refuses further posts and runs what is queued: the task stops
+// (waiting out an in-flight turn), then the caller drains the rest, so
+// stop never waits for a free worker.
 func (d *dispatcher) stop() {
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		<-d.done
+	closed := d.closed
+	d.closed = true
+	d.mu.Unlock()
+	if closed {
 		return
 	}
-	d.closed = true
-	d.cond.Broadcast()
-	d.mu.Unlock()
-	<-d.done
+	d.task.Stop()
+	d.drain()
 }

@@ -1,6 +1,10 @@
 package havi
 
-import "sync"
+import (
+	"maps"
+	"slices"
+	"sync"
+)
 
 // Event is a middleware notification. Type uses dotted names; well-known
 // types are declared below. Key/Value/Str carry the payload.
@@ -68,27 +72,14 @@ func (em *EventManager) Unsubscribe(id int) {
 // after shutdown are dropped.
 func (em *EventManager) Post(ev Event) {
 	em.mu.RLock()
-	// Collect in id order for deterministic delivery.
-	ids := make([]int, 0, len(em.subs))
-	for id := range em.subs {
-		ids = append(ids, id)
-	}
-	// Insertion sort: subscriber counts are small.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
-	fns := make([]func(Event), 0, len(ids))
-	for _, id := range ids {
-		s := em.subs[id]
-		if s.typ == "" || s.typ == ev.Type {
+	var fns []func(Event)
+	for _, id := range slices.Sorted(maps.Keys(em.subs)) { // subscription order
+		if s := em.subs[id]; s.typ == "" || s.typ == ev.Type {
 			fns = append(fns, s.fn)
 		}
 	}
 	em.mu.RUnlock()
 	for _, fn := range fns {
-		fn := fn
 		em.disp.post(func() { fn(ev) })
 	}
 }

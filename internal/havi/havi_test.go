@@ -4,6 +4,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"uniint/internal/sched"
 )
 
 func testControls() []Control {
@@ -57,6 +59,57 @@ func TestDispatcherStopRejectsPosts(t *testing.T) {
 		t.Error("post after stop should fail")
 	}
 	d.stop() // double-stop must be safe
+}
+
+// TestDispatcherHandlerPostsRunAfterIt: work a handler posts (an FCM
+// change's event, posted from inside a Send) runs after that handler and
+// behind what was already queued, and waitIdle covers the whole chain.
+func TestDispatcherHandlerPostsRunAfterIt(t *testing.T) {
+	d := newDispatcher()
+	defer d.stop()
+	var got []string // written by handlers only, which never overlap
+	var chain func(depth int) func()
+	chain = func(depth int) func() {
+		return func() {
+			got = append(got, "chain")
+			if depth > 0 {
+				d.post(chain(depth - 1))
+			}
+		}
+	}
+	d.post(func() {
+		got = append(got, "send")
+		d.post(func() { got = append(got, "event") })
+	})
+	d.post(func() { got = append(got, "queued") })
+	d.post(chain(20))
+	d.waitIdle()
+	if len(got) != 24 || got[0] != "send" || got[1] != "queued" || got[2] != "chain" || got[3] != "event" {
+		t.Fatalf("order = %q", got)
+	}
+}
+
+// TestDispatcherStopNeedsNoWorker: with every pool worker held, stop still
+// runs what is queued, on its caller — the hub's eviction sweep closes
+// homes from a pool turn and must not wait for a free worker.
+func TestDispatcherStopNeedsNoWorker(t *testing.T) {
+	pool := sched.SharedPool()
+	release := make(chan struct{})
+	var held sync.WaitGroup
+	held.Add(pool.Workers())
+	for i := 0; i < pool.Workers(); i++ {
+		pool.NewTask(func() { held.Done(); <-release }).Kick()
+	}
+	held.Wait()
+	defer close(release)
+
+	d := newDispatcher()
+	ran := false
+	d.post(func() { ran = true })
+	d.stop()
+	if !ran {
+		t.Fatal("stop returned before the queued work ran")
+	}
 }
 
 func TestBaseFCMValidation(t *testing.T) {
@@ -395,6 +448,29 @@ func TestRegistryWatch(t *testing.T) {
 		t.Error("unwatched watcher still fired")
 	}
 	mu.Unlock()
+}
+
+// TestRegistryWatchersInRegistrationOrder: every change reaches the
+// watchers in the order they registered, as Watch documents.
+func TestRegistryWatchersInRegistrationOrder(t *testing.T) {
+	n := NewNetwork()
+	defer n.Close()
+	var got []int // written by watchers only, which never overlap
+	for i := 0; i < 8; i++ {
+		n.Registry().Watch(func(Change) { got = append(got, i) })
+	}
+	d := NewDCM("Lamp", "lamp")
+	guid, _ := n.Attach(d)
+	n.Detach(guid)
+	n.WaitIdle()
+	if len(got) != 16 {
+		t.Fatalf("%d notifications, want 16", len(got))
+	}
+	for j, i := range got {
+		if i != j%8 {
+			t.Fatalf("notification order %v", got)
+		}
+	}
 }
 
 func TestEventSubscribeByType(t *testing.T) {

@@ -132,11 +132,15 @@ func (n *Network) handleReset(r bus.Reset) {
 
 // WaitIdle blocks until all queued asynchronous work (events, watches,
 // async sends) has been delivered. Tests and benchmarks use it as a
-// deterministic quiescence point.
+// deterministic quiescence point. That work runs as turns on the process
+// pool, so WaitIdle must never be called from a pool turn (nor from a
+// HAVi handler): it would hold a worker while waiting for one.
 func (n *Network) WaitIdle() { n.disp.waitIdle() }
 
-// Close shuts the middleware down: remaining devices are unregistered and
-// the dispatcher drains and stops.
+// Close shuts the middleware down: remaining devices are unregistered, the
+// dispatcher refuses further work and what is still queued runs on the
+// caller. Close waits for an in-flight turn but never for a free pool
+// worker, so a pool turn may call it; a HAVi handler must not.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {

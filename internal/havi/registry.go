@@ -1,6 +1,8 @@
 package havi
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -85,12 +87,11 @@ func (r *Registry) Unregister(id SEID) {
 func (r *Registry) notify(c Change) {
 	r.mu.RLock()
 	fns := make([]func(Change), 0, len(r.watchers))
-	for _, fn := range r.watchers {
-		fns = append(fns, fn)
+	for _, id := range slices.Sorted(maps.Keys(r.watchers)) { // registration order
+		fns = append(fns, r.watchers[id])
 	}
 	r.mu.RUnlock()
 	for _, fn := range fns {
-		fn := fn
 		r.disp.post(func() { fn(c) })
 	}
 }

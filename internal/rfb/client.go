@@ -97,9 +97,8 @@ func (c *ClientConn) handshake() error {
 	if string(ver) != ProtocolVersion {
 		return ErrBadVersion
 	}
-	if err := writeAll(c.bw, []byte(ProtocolVersion)); err != nil {
-		return err
-	}
+	// c.bw's error is sticky: each Flush reports any failed write before it.
+	c.bw.WriteString(ProtocolVersion)
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
@@ -112,15 +111,7 @@ func (c *ClientConn) handshake() error {
 	}
 	// ClientInit: request shared session, then the resume-token
 	// extension (length-prefixed; zero length for a fresh session).
-	if err := writeU8(c.bw, 1); err != nil {
-		return err
-	}
-	if err := writeU8(c.bw, uint8(len(c.presented))); err != nil {
-		return err
-	}
-	if err := writeAll(c.bw, []byte(c.presented)); err != nil {
-		return err
-	}
+	c.bw.Write(append(append(c.bw.AvailableBuffer(), 1, uint8(len(c.presented))), c.presented...))
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
@@ -265,15 +256,7 @@ func (c *ClientConn) SetPixelFormat(pf gfx.PixelFormat) error {
 
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := writeU8(c.bw, msgSetPixelFormat); err != nil {
-		return err
-	}
-	if err := writeAll(c.bw, []byte{0, 0, 0}); err != nil {
-		return err
-	}
-	if err := writePixelFormat(c.bw, pf); err != nil {
-		return err
-	}
+	c.bw.Write(appendPixelFormat(append(c.bw.AvailableBuffer(), msgSetPixelFormat, 0, 0, 0), pf))
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
@@ -298,20 +281,11 @@ func (c *ClientConn) formatFor(gen uint8) gfx.PixelFormat {
 func (c *ClientConn) SetEncodings(encs []int32) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := writeU8(c.bw, msgSetEncodings); err != nil {
-		return err
-	}
-	if err := writeU8(c.bw, 0); err != nil {
-		return err
-	}
-	if err := writeU16(c.bw, uint16(len(encs))); err != nil {
-		return err
-	}
+	b := be.AppendUint16(append(c.bw.AvailableBuffer(), msgSetEncodings, 0), uint16(len(encs)))
 	for _, e := range encs {
-		if err := writeU32(c.bw, uint32(e)); err != nil {
-			return err
-		}
+		b = be.AppendUint32(b, uint32(e))
 	}
+	c.bw.Write(b)
 	c.bytesSent.Add(int64(4 + 4*len(encs)))
 	return c.bw.Flush()
 }
@@ -451,18 +425,8 @@ func (c *ClientConn) SendPointer(ev PointerEvent) error {
 func (c *ClientConn) SendCutText(text string) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	if err := writeU8(c.bw, msgClientCutText); err != nil {
-		return err
-	}
-	if err := writeAll(c.bw, []byte{0, 0, 0}); err != nil {
-		return err
-	}
-	if err := writeU32(c.bw, uint32(len(text))); err != nil {
-		return err
-	}
-	if err := writeAll(c.bw, []byte(text)); err != nil {
-		return err
-	}
+	b := be.AppendUint32(append(c.bw.AvailableBuffer(), msgClientCutText, 0, 0, 0), uint32(len(text)))
+	c.bw.Write(append(b, text...))
 	c.bytesSent.Add(int64(8 + len(text)))
 	return c.bw.Flush()
 }

@@ -157,6 +157,48 @@ func sendRects(s *ServerConn, fb *gfx.Framebuffer, urs []UpdateRect) error {
 	return s.SendPrepared(prep)
 }
 
+// sinkConn is a transport that takes and counts every byte written to it.
+type sinkConn struct {
+	net.Conn
+	n int64
+}
+
+func (c *sinkConn) Write(p []byte) (int, error) {
+	c.n += int64(len(p))
+	return len(p), nil
+}
+
+// TestSendPreparedAllocatesNothing pins every hub session's flush at zero
+// allocations: the message and rectangle headers are appended into the
+// pooled write buffer, the byte count comes from the prepared size, and
+// the empty reply needs no heap literal. BytesSent matches what reached
+// the transport.
+func TestSendPreparedAllocatesNothing(t *testing.T) {
+	sink := &sinkConn{}
+	s := &ServerConn{conn: sink, pf: gfx.PF32(), width: 64, height: 48}
+	fb := gfx.NewFramebuffer(64, 48)
+	fb.Fill(gfx.R(8, 8, 16, 16), gfx.RGB(200, 40, 40))
+	urs := []UpdateRect{
+		{Rect: gfx.R(0, 0, 64, 16), Encoding: EncRaw},
+		{Rect: gfx.R(8, 8, 16, 16), Encoding: EncRaw},
+	}
+	send := func() {
+		if err := sendRects(s, fb, urs); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SendEmptyUpdate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	if got := s.BytesSent(); got != sink.n {
+		t.Fatalf("BytesSent = %d, transport took %d", got, sink.n)
+	}
+	if allocs := testing.AllocsPerRun(200, send); allocs != 0 {
+		t.Errorf("SendPrepared + SendEmptyUpdate = %.1f allocs/op, want 0", allocs)
+	}
+}
+
 func waitSig(t *testing.T, ch chan struct{}, what string) {
 	t.Helper()
 	select {

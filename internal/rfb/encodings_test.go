@@ -167,10 +167,9 @@ func TestHextileNeverBlowsUpOnNoise(t *testing.T) {
 
 func TestDecodeRREBadCount(t *testing.T) {
 	// A subrect count far beyond the rect area must be rejected.
-	var buf bytes.Buffer
-	writeU32(&buf, 1<<30)
+	buf := bytes.NewReader(be.AppendUint32(nil, 1<<30))
 	dst := gfx.NewFramebuffer(8, 8)
-	err := decodeRect(&buf, EncRRE, dst, gfx.R(0, 0, 8, 8), gfx.PF32(), nil)
+	err := decodeRect(buf, EncRRE, dst, gfx.R(0, 0, 8, 8), gfx.PF32(), nil)
 	if err == nil {
 		t.Fatal("expected error on absurd RRE subrect count")
 	}

@@ -1,7 +1,6 @@
 package rfb
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -85,10 +84,7 @@ func FuzzFeedSplit(f *testing.F) {
 
 // pixelFormatMsg is a SetPixelFormat message carrying pf.
 func pixelFormatMsg(pf gfx.PixelFormat) []byte {
-	var b bytes.Buffer
-	b.Write([]byte{msgSetPixelFormat, 0, 0, 0})
-	writePixelFormat(&b, pf)
-	return b.Bytes()
+	return appendPixelFormat([]byte{msgSetPixelFormat, 0, 0, 0}, pf)
 }
 
 // feedSeeds builds the committed FuzzFeedSplit corpus: the clientMsgs

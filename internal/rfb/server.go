@@ -47,8 +47,7 @@ const MaxTokenLen = 255
 type ServerConn struct {
 	conn net.Conn
 
-	wmu sync.Mutex  // serializes writes and guards cw
-	cw  countWriter // reusable byte-counting shim over the wire buffer
+	wmu sync.Mutex // serializes writes
 
 	smu       sync.Mutex // guards negotiated state
 	pf        gfx.PixelFormat
@@ -156,12 +155,11 @@ func putWire(bw *bufio.Writer) {
 }
 
 func (s *ServerConn) handshake(br *bufio.Reader, bw *bufio.Writer, ex TokenExchange) error {
-	// Version exchange.
-	if err := writeAll(bw, []byte(ProtocolVersion)); err != nil {
-		return fmt.Errorf("send version: %w", err)
-	}
+	// Version exchange. bw's error is sticky: each Flush reports any
+	// failed write before it.
+	bw.WriteString(ProtocolVersion)
 	if err := bw.Flush(); err != nil {
-		return err
+		return fmt.Errorf("send version: %w", err)
 	}
 	ver := make([]byte, len(ProtocolVersion))
 	if _, err := io.ReadFull(br, ver); err != nil {
@@ -171,9 +169,7 @@ func (s *ServerConn) handshake(br *bufio.Reader, bw *bufio.Writer, ex TokenExcha
 		return ErrBadVersion
 	}
 	// Security: none.
-	if err := writeU32(bw, secNone); err != nil {
-		return err
-	}
+	bw.Write(be.AppendUint32(bw.AvailableBuffer(), secNone))
 	if err := bw.Flush(); err != nil {
 		return err
 	}
@@ -201,37 +197,16 @@ func (s *ServerConn) handshake(br *bufio.Reader, bw *bufio.Writer, ex TokenExcha
 			return fmt.Errorf("rfb: issued token of %d bytes: %w", len(s.token), ErrBadMessage)
 		}
 	}
-	// ServerInit.
-	if err := writeU16(bw, uint16(s.width)); err != nil {
-		return err
-	}
-	if err := writeU16(bw, uint16(s.height)); err != nil {
-		return err
-	}
-	if err := writePixelFormat(bw, s.pf); err != nil {
-		return err
-	}
-	if err := writeU32(bw, uint32(len(s.name))); err != nil {
-		return err
-	}
-	if err := writeAll(bw, []byte(s.name)); err != nil {
-		return err
-	}
-	// ServerInit resume extension: the resumed verdict plus the issued
-	// session token (zero length when no exchange is installed).
+	// ServerInit, then its resume extension: the resumed verdict plus the
+	// issued session token (zero length when no exchange is installed).
 	var resumed uint8
 	if s.resumed {
 		resumed = 1
 	}
-	if err := writeU8(bw, resumed); err != nil {
-		return err
-	}
-	if err := writeU8(bw, uint8(len(s.token))); err != nil {
-		return err
-	}
-	if err := writeAll(bw, []byte(s.token)); err != nil {
-		return err
-	}
+	b := be.AppendUint16(bw.AvailableBuffer(), uint16(s.width))
+	b = appendPixelFormat(be.AppendUint16(b, uint16(s.height)), s.pf)
+	b = append(be.AppendUint32(b, uint32(len(s.name))), s.name...)
+	bw.Write(append(append(b, resumed, uint8(len(s.token))), s.token...))
 	return bw.Flush()
 }
 
@@ -500,38 +475,29 @@ func (s *ServerConn) SendPrepared(prep *PreparedUpdate) error {
 	return err
 }
 
+// sendPreparedWire appends the message header and each rectangle header
+// into bw's free space, so the send allocates nothing. bw's error is
+// sticky: the final Flush reports the first failed write.
 func (s *ServerConn) sendPreparedWire(bw *bufio.Writer, prep *PreparedUpdate) error {
-	cw := &s.cw
-	cw.w, cw.n = bw, 0
-	if err := writeU8(cw, msgFramebufferUpdate); err != nil {
-		return err
-	}
 	// The padding byte of RFB carries the pixel-format generation here.
-	if err := writeU8(cw, prep.pfGen); err != nil {
-		return err
-	}
-	if err := writeU16(cw, uint16(len(prep.rects))); err != nil {
-		return err
-	}
+	hdr := append(bw.AvailableBuffer(), msgFramebufferUpdate, prep.pfGen)
+	bw.Write(be.AppendUint16(hdr, uint16(len(prep.rects))))
 	for i, ur := range prep.rects {
-		var hdr [12]byte
-		be.PutUint16(hdr[0:], uint16(ur.Rect.X))
-		be.PutUint16(hdr[2:], uint16(ur.Rect.Y))
-		be.PutUint16(hdr[4:], uint16(ur.Rect.W))
-		be.PutUint16(hdr[6:], uint16(ur.Rect.H))
-		be.PutUint32(hdr[8:], uint32(ur.Encoding))
-		if err := writeAll(cw, hdr[:]); err != nil {
-			return err
+		if bw.Available() < 12 {
+			bw.Flush()
 		}
+		hdr = be.AppendUint16(bw.AvailableBuffer(), uint16(ur.Rect.X))
+		hdr = be.AppendUint16(hdr, uint16(ur.Rect.Y))
+		hdr = be.AppendUint16(hdr, uint16(ur.Rect.W))
+		hdr = be.AppendUint16(hdr, uint16(ur.Rect.H))
+		bw.Write(be.AppendUint32(hdr, uint32(ur.Encoding)))
 		span := prep.spans[i]
-		if err := writeAll(cw, prep.buf[span[0]:span[1]]); err != nil {
-			return err
-		}
+		bw.Write(prep.buf[span[0]:span[1]])
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	s.bytesSent.Add(cw.n)
+	s.bytesSent.Add(int64(prep.Size()))
 	return nil
 }
 
@@ -542,22 +508,13 @@ func (s *ServerConn) SendEmptyUpdate() error {
 	_, gen := s.pixelFormatGen()
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
+	bw := getWire(s.conn)
+	defer putWire(bw)
 	// The whole message is its header: type, generation, zero rectangles.
-	if _, err := s.conn.Write([]byte{msgFramebufferUpdate, gen, 0, 0}); err != nil {
+	bw.Write(append(bw.AvailableBuffer(), msgFramebufferUpdate, gen, 0, 0))
+	if err := bw.Flush(); err != nil {
 		return err
 	}
 	s.bytesSent.Add(4)
 	return nil
-}
-
-// countWriter counts bytes flowing through it.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
 }

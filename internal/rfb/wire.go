@@ -152,18 +152,6 @@ func writeAll(w io.Writer, b []byte) error {
 	return err
 }
 
-func writeU8(w io.Writer, v uint8) error { return writeAll(w, []byte{v}) }
-func writeU16(w io.Writer, v uint16) error {
-	var b [2]byte
-	be.PutUint16(b[:], v)
-	return writeAll(w, b[:])
-}
-func writeU32(w io.Writer, v uint32) error {
-	var b [4]byte
-	be.PutUint32(b[:], v)
-	return writeAll(w, b[:])
-}
-
 func readU8(r io.Reader) (uint8, error) {
 	var b [1]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
@@ -199,25 +187,19 @@ func readU64(r io.Reader) (uint64, error) {
 // be is the wire byte order for message headers (network order, as in RFB).
 var be = binary.BigEndian
 
-// pixelFormat wire layout is RFB's exact 16-byte SetPixelFormat payload.
-func writePixelFormat(w io.Writer, pf gfx.PixelFormat) error {
-	b := make([]byte, 16)
-	b[0] = pf.BitsPerPixel
-	b[1] = pf.Depth
+// appendPixelFormat appends pf in RFB's exact 16-byte SetPixelFormat
+// payload layout.
+func appendPixelFormat(b []byte, pf gfx.PixelFormat) []byte {
+	var big, trueColor uint8
 	if pf.BigEndian {
-		b[2] = 1
+		big = 1
 	}
 	if pf.TrueColor {
-		b[3] = 1
+		trueColor = 1
 	}
-	be.PutUint16(b[4:], pf.RedMax)
-	be.PutUint16(b[6:], pf.GreenMax)
-	be.PutUint16(b[8:], pf.BlueMax)
-	b[10] = pf.RedShift
-	b[11] = pf.GreenShift
-	b[12] = pf.BlueShift
-	// b[13:16] padding
-	return writeAll(w, b)
+	b = append(b, pf.BitsPerPixel, pf.Depth, big, trueColor)
+	b = be.AppendUint16(be.AppendUint16(be.AppendUint16(b, pf.RedMax), pf.GreenMax), pf.BlueMax)
+	return append(b, pf.RedShift, pf.GreenShift, pf.BlueShift, 0, 0, 0) // 3 bytes padding
 }
 
 func readPixelFormat(r io.Reader) (gfx.PixelFormat, error) {

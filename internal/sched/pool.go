@@ -47,8 +47,11 @@ type Pool struct {
 }
 
 // DefaultWorkers is the worker count used when NewPool is given n <= 0:
-// one turn executor per P, floored so small containers still overlap a
-// blocked turn (a slow transport write) with runnable ones.
+// one turn executor per P, floored at 4 so a small container still runs a
+// few turns side by side. The floor is no defence against a blocked turn:
+// DefaultWorkers turns waiting on peers stop every session and home of the
+// process, so no turn may wait on one (a session's writes run under
+// uniserver.WriteBudget, and a HAVi handler never waits).
 func DefaultWorkers() int {
 	n := runtime.GOMAXPROCS(0)
 	if n < 4 {

@@ -79,6 +79,18 @@ type Server struct {
 // entry past reclaim.
 const HandshakeTimeout = 10 * time.Second
 
+// WriteBudget bounds every write a session makes on the shared pool, so a
+// peer that stops reading (a sleeping PDA keeps its socket open against a
+// zero window) holds a pool worker for one budget instead of for good.
+// It runs from when the update's work arrived (armWrite): a write not done
+// by then fails and closes the link, the read loop returns, and teardown
+// parks the session, whose resume repaints what was lost. A write starts
+// with at least half the budget left, less its wait for a worker: 2 s,
+// seven times the slowest update write seen across the test suite, its
+// race run and the chaos soak (273 ms for 10 KB to a loaded loopback
+// client on 2 vCPUs).
+const WriteBudget = 4 * time.Second
+
 // Config holds a Server's tunables. The zero value selects every default;
 // uniint.Options carries the same fields with the same meaning, so the
 // facade hands them through unchanged.
@@ -403,6 +415,12 @@ type session struct {
 	// fed_resync_bytes_total. Writer-turn-only after adopt seeds it.
 	fedResync bool
 
+	// dueAt is when the writer's pending work arrived, stamped by the first
+	// wake after a turn took it; writeBy is the link's write deadline
+	// (armWrite, writer-turn-only). Both UnixNano.
+	dueAt   atomic.Int64
+	writeBy int64
+
 	// ws is the wire tier's model of the client (the frame it last
 	// received in full + tile window); writer-turn-only. Unlike turn
 	// scratch it is client STATE, not scratch — but not state the lot
@@ -447,7 +465,12 @@ func (c *session) enqueue(rects []gfx.Rect) {
 	c.wake()
 }
 
-func (c *session) wake() { c.writeTask.Kick() }
+func (c *session) wake() {
+	if c.dueAt.Load() == 0 {
+		c.dueAt.CompareAndSwap(0, time.Now().UnixNano())
+	}
+	c.writeTask.Kick()
+}
 
 // writerTurn is the writer task's turn: it owns all update transmission
 // for the session. One turn processes the parked protocol requests, drains
@@ -456,6 +479,7 @@ func (c *session) wake() { c.writeTask.Kick() }
 // kicks the task again, so the pool re-queues it — nothing is lost and
 // nothing busy-waits.
 func (c *session) writerTurn() {
+	due := c.dueAt.Swap(0)
 	ts := turnScratchPool.Get().(*turnScratch)
 	// Process parked protocol requests first: render pending damage on
 	// the writer's time, never the read loop's — the pump takes the
@@ -486,12 +510,11 @@ func (c *session) writerTurn() {
 	empties := c.owedEmpty
 	c.owedEmpty = 0
 	c.mu.Unlock()
+	if empties > 0 || len(rects) > 0 {
+		c.armWrite(due)
+	}
 	for i := 0; i < empties; i++ {
-		if err := c.conn.SendEmptyUpdate(); err != nil {
-			mUpdateDrops.Inc()
-		} else {
-			mUpdatesSent.Inc()
-		}
+		c.sent(c.conn.SendEmptyUpdate())
 	}
 	if len(rects) > 0 {
 		c.flush(rects, ts)
@@ -538,11 +561,7 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) {
 	if prep == nil && err == nil {
 		// Everything clipped away (display shrunk under the session):
 		// answer with an empty update to keep request/reply pairing.
-		if c.conn.SendEmptyUpdate() != nil {
-			mUpdateDrops.Inc()
-		} else {
-			mUpdatesSent.Inc()
-		}
+		c.sent(c.conn.SendEmptyUpdate())
 		return
 	}
 	if err != nil {
@@ -553,16 +572,14 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) {
 	if tid != 0 {
 		sendT0 = time.Now().UnixNano()
 	}
-	if err := c.conn.SendPrepared(prep); err != nil {
-		// Transport failure: the read loop will observe it and tear the
-		// session down. The pixels were consumed from the dirty set but
-		// never reached the client — put them back, so the state that
-		// parks in the detach lot is complete and the resync after a
-		// resume re-covers them instead of leaving the client stale.
-		// The wire model assumed the client applied this update (the
-		// synced frame and tile window were committed during prepare); the
-		// client's true state is now unknown, so distrust the model.
-		mUpdateDrops.Inc()
+	if !c.sent(c.conn.SendPrepared(prep)) {
+		// The pixels were consumed from the dirty set but never reached
+		// the client — put them back, so the state that parks in the
+		// detach lot is complete and the resync after a resume re-covers
+		// them instead of leaving the client stale. The wire model
+		// assumed the client applied this update (the synced frame and
+		// tile window were committed during prepare); the client's true
+		// state is now unknown, so distrust the model.
 		c.ws.Reset()
 		c.mu.Lock()
 		for _, r := range rects {
@@ -571,7 +588,6 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) {
 		c.mu.Unlock()
 		return
 	}
-	mUpdatesSent.Inc()
 	mUpdateBytes.Add(int64(size))
 	if c.fedResync {
 		c.fedResync = false
@@ -595,6 +611,33 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) {
 		trace.Record(tid, trace.StageFlush, sendT0, time.Now().UnixNano())
 		c.traceMark.Store(0)
 	}
+}
+
+// armWrite bounds this turn's writes to WriteBudget from due, when their
+// work arrived (now when unstamped), so the budget also covers a turn
+// queued behind stalled writers. The deadline is re-armed only once less
+// than half the budget is left, not on every flush.
+func (c *session) armWrite(due int64) {
+	if due == 0 {
+		due = time.Now().UnixNano()
+	}
+	if c.writeBy-due < int64(WriteBudget/2) {
+		c.writeBy = due + int64(WriteBudget)
+		_ = c.link.SetWriteDeadline(time.Unix(0, c.writeBy)) // a transport without deadlines keeps unbounded writes
+	}
+}
+
+// sent counts one update's outcome and reports whether it reached the
+// transport. A failed write may have stopped mid-message, so it closes
+// the link: the read loop returns and teardown parks the session.
+func (c *session) sent(err error) bool {
+	if err != nil {
+		mUpdateDrops.Inc()
+		c.link.Close()
+		return false
+	}
+	mUpdatesSent.Inc()
+	return true
 }
 
 var _ rfb.ServerHandler = (*session)(nil)

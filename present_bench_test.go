@@ -34,9 +34,10 @@ func (o framedOutput) Present(f core.Frame) {
 // pass-through path, the whole panel on the PDA's and the phone's scaled
 // ones, nothing on a switch — and the benchmark fails when a damaged case
 // presents nothing or a switch case presents anything. allocs/op counts
-// the whole process, so the TV rows show what the scripted server's send
-// costs (rfb.sendPreparedWire); the proxy's share of them is pinned at
-// zero by internal/core's TestPresentAllocatesNothing.
+// the whole process, the scripted server's send included, and reads 0 on
+// every row: the send is every hub session's flush, pinned at zero by
+// internal/rfb's TestSendPreparedAllocatesNothing, and the proxy's share
+// by internal/core's TestPresentAllocatesNothing.
 func BenchmarkPresent(b *testing.B) {
 	widget := gfx.R(16, 40, 608, 20) // a toggle row of the 640×480 panel
 	full := gfx.R(0, 0, device.TVWidth, device.TVHeight)

@@ -1,0 +1,199 @@
+package uniint_test
+
+import (
+	"net"
+	"sync"
+	"testing"
+	"time"
+
+	"uniint"
+	"uniint/internal/appliance"
+	"uniint/internal/gfx"
+	"uniint/internal/havi"
+	"uniint/internal/havi/fcm"
+	"uniint/internal/hub"
+	"uniint/internal/leakcheck"
+	"uniint/internal/metrics"
+	"uniint/internal/rfb"
+	"uniint/internal/sched"
+	"uniint/internal/uniserver"
+)
+
+// updateSignal is a client handler that signals every update it paints.
+type updateSignal chan struct{}
+
+func (u updateSignal) Updated([]gfx.Rect) {
+	select {
+	case u <- struct{}{}:
+	default:
+	}
+}
+func (updateSignal) Bell()          {}
+func (updateSignal) CutText(string) {}
+
+// TestStalledReadersCostOnlyThemselves: twice as many clients as the pool
+// has workers complete the handshake over loopback TCP, ask for full raw
+// frames every 5 ms and never read. Without a write budget their blocked
+// writes hold every worker for good and the hub answers nobody. With it:
+// every stalled session parks within WriteBudget plus slack; then a client
+// on another home gets its first update as fast as one did before the
+// stall (plus 100 ms), and its key toggles that home's lamp — two HAVi
+// turns on the same pool — and the toggle reaches its frame.
+func TestStalledReadersCostOnlyThemselves(t *testing.T) {
+	leakcheck.Check(t, 0)
+	var homes sync.Map
+	h, err := hub.New(hub.Options{
+		Factory: func(id string) (hub.Host, error) {
+			s, err := uniint.NewSessionForHub(uniint.Options{
+				Name: id, Appliances: []appliance.Appliance{appliance.NewLamp(id + " lamp")},
+			})
+			if err == nil {
+				homes.Store(id, s)
+			}
+			return s, err
+		},
+		Metrics: metrics.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go h.Serve(ln)
+	for _, id := range []string{"before", "after", "stalled"} {
+		if _, err := h.Admit(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	full := gfx.R(0, 0, uniint.DefaultWidth, uniint.DefaultHeight)
+
+	// join routes a client into home id and returns it once its first
+	// full frame has arrived, with the time that took from the dial.
+	var runs sync.WaitGroup
+	defer runs.Wait()
+	join := func(id string) (*rfb.ClientConn, updateSignal, time.Duration) {
+		t.Helper()
+		t0 := time.Now()
+		conn, err := hub.DialHome(ln.Addr().String(), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := rfb.Dial(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		updated := make(updateSignal, 1)
+		runs.Add(1)
+		go func() { defer runs.Done(); c.Run(updated) }()
+		if err := c.RequestUpdate(false, full); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-updated:
+		case <-time.After(2 * uniserver.WriteBudget):
+			c.Close()
+			t.Fatalf("home %s: no first update", id)
+		}
+		return c, updated, time.Since(t0)
+	}
+	before, _, baseline := join("before")
+	before.Close()
+
+	stallers := 2 * sched.DefaultWorkers()
+	stalled := make([]*rfb.ClientConn, stallers)
+	for i := range stalled {
+		conn, err := hub.DialHome(ln.Addr().String(), "stalled")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stalled[i], err = rfb.Dial(conn); err != nil {
+			t.Fatal(err)
+		}
+		defer stalled[i].Close()
+		if err := stalled[i].SetEncodings([]int32{rfb.EncRaw}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stallStart := time.Now()
+	stop := make(chan struct{})
+	var asking sync.WaitGroup
+	asking.Add(1)
+	go func() {
+		defer asking.Done()
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			for _, c := range stalled {
+				_ = c.RequestUpdate(false, full) // fails once the hub has closed the link
+			}
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+			}
+		}
+	}()
+	defer asking.Wait()
+	defer close(stop)
+
+	host, err := h.Get("stalled")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slack = time.Second
+	for host.Parked() < stallers {
+		if time.Since(stallStart) > uniserver.WriteBudget+slack {
+			t.Fatalf("%d of %d stalled sessions parked %v after the stall began (budget %v)",
+				host.Parked(), stallers, time.Since(stallStart), uniserver.WriteBudget)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	after, updated, took := join("after")
+	defer after.Close()
+	if took > baseline+100*time.Millisecond {
+		t.Errorf("first update %v after the stall, %v before it", took, baseline)
+	}
+
+	// A key on the home's lamp toggle: the dispatch turn sends the power
+	// change over HAVi, the lamp's FCM handler runs and posts the change,
+	// and the GUI's subscriber repaints the toggle — all pool turns.
+	v, _ := homes.Load("after")
+	power := make(chan int, 1)
+	v.(*uniint.HubSession).Home.Network().Events().Subscribe(havi.EventFCMChanged, func(ev havi.Event) {
+		if ev.Key == fcm.CtlPower {
+			select {
+			case power <- ev.Value:
+			default:
+			}
+		}
+	})
+	was := after.Snapshot(full)
+	for _, down := range []bool{true, false} {
+		if err := after.SendKey(rfb.KeyEvent{Down: down, Key: rfb.KeyReturn}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-power:
+	case <-time.After(uniserver.WriteBudget):
+		t.Fatal("the lamp never heard the key")
+	}
+	deadline := time.After(uniserver.WriteBudget)
+	for same := true; same; {
+		if err := after.RequestUpdate(true, full); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-updated:
+		case <-deadline:
+			t.Fatal("the toggle never reached the client's frame")
+		}
+		now := after.Snapshot(full)
+		same = now.Equal(was)
+	}
+}
