@@ -36,6 +36,11 @@
 // path) is annotated with a `goroutine-ok:` comment naming its reason, on
 // the go statement's line or the line above.
 //
+// Outside internal/gfx and internal/rfb's decode functions, a non-test
+// `copy(<x>.Pix(), …)` or `<x>.Pix()[…] = …` is an error: such a write
+// neither advances the frame's generation nor stamps its memoised row
+// keys, so an encoded frame would ship stale pixels as current.
+//
 // Test files are exempt from the naming rules (they register throwaway
 // names on private registries), but a test that reads a metric from the
 // default registry must read one a non-test file registers: the registry
@@ -56,6 +61,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -184,7 +190,7 @@ func lintFile(path string, pkgDocs, registered map[string]bool) int {
 		fmt.Fprintf(stderr, "obslint: %s: %v\n", path, err)
 		return 1
 	}
-	bad := 0
+	bad := lintPixWrites(fset, f, path)
 	if sessionPath {
 		bad += lintGoStmts(fset, f, path)
 	}
@@ -318,13 +324,13 @@ var sessionPathDirs = []string{
 }
 
 func isSessionPath(path string) bool {
+	return slices.ContainsFunc(sessionPathDirs, func(d string) bool { return inDir(path, d) })
+}
+
+// inDir reports whether path's directory is d, under any root.
+func inDir(path, d string) bool {
 	dir := filepath.ToSlash(filepath.Dir(path))
-	for _, d := range sessionPathDirs {
-		if dir == d || strings.HasSuffix(dir, "/"+d) {
-			return true
-		}
-	}
-	return false
+	return dir == d || strings.HasSuffix(dir, "/"+d)
 }
 
 // goroutineOK marks a deliberate goroutine spawn in a session-path
@@ -363,6 +369,57 @@ func lintGoStmts(fset *token.FileSet, f *ast.File, path string) int {
 		return true
 	})
 	return bad
+}
+
+// lintPixWrites flags writes through a Framebuffer's raw pixel slice:
+// copy(<x>.Pix(), …) and <x>.Pix()[…] = …, either also through a slice of
+// it. internal/gfx owns the pixels, and internal/rfb's decode… functions
+// write a client's decode target, which nothing keys.
+func lintPixWrites(fset *token.FileSet, f *ast.File, path string) int {
+	if inDir(path, "internal/gfx") {
+		return 0
+	}
+	bad := 0
+	for _, decl := range f.Decls {
+		if fd, ok := decl.(*ast.FuncDecl); ok && inDir(path, "internal/rfb") && strings.HasPrefix(fd.Name.Name, "decode") {
+			continue
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			var dst ast.Expr
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "copy" && len(n.Args) == 2 && isPixCall(n.Args[0]) {
+					dst = n.Args[0]
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if ix, ok := lhs.(*ast.IndexExpr); ok && isPixCall(ix.X) {
+						dst = lhs
+					}
+				}
+			}
+			if dst != nil {
+				fmt.Fprintf(stderr, "%s: write through %s outside internal/gfx: it neither advances Gen nor stamps the rows Key memoises (use a Framebuffer method such as Blit)\n",
+					fset.Position(dst.Pos()), types.ExprString(dst))
+				bad++
+			}
+			return true
+		})
+	}
+	return bad
+}
+
+// isPixCall reports whether e is <x>.Pix() or a slice of it.
+func isPixCall(e ast.Expr) bool {
+	if se, ok := e.(*ast.SliceExpr); ok {
+		e = se.X
+	}
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	return ok && sel.Sel.Name == "Pix"
 }
 
 func checkMetric(kind, name string) []string {

@@ -45,6 +45,9 @@ func TestBadTreeFindings(t *testing.T) {
 		`histogram "encode_latency" must end in _seconds`,
 		`naked go statement in session-path package testdata/bad/internal/uniserver`,
 		`naked go statement in session-path package testdata/bad/internal/havi`,
+		`write through out.Pix() outside internal/gfx`,
+		`write through panel.Pix()[i] outside internal/gfx`,
+		`write through frame.Pix()[:n] outside internal/gfx`,
 		// park_test.go, shaped like a test whose counters were deleted.
 		`test reads Counter deleted_self_copies_total, which no non-test file registers`,
 		`test reads Counter deleted_displaced_copies_total, which no non-test file registers`,

@@ -10,12 +10,16 @@ package uniint
 //	BenchmarkColdJoinEncode/miss         a cache that has never seen one
 //	BenchmarkColdJoinEncode/focus-moved  the cache holds the panel before
 //	                                     one Tab; the join ships it after
+//	BenchmarkColdJoinEncode/tab-between  one Tab rendered into the live
+//	                                     display frame between two joins
 //
 // Their ns/op ratio is the encode layer's share of the cold-join gain;
 // wirebytes/op is the update's size and deflates/op the bands deflated.
 // focus-moved fails when a Tab deflates more than the bands it changed
 // or the memo answers none of the others, which catches a fall back to
-// whole-frame deflate.
+// whole-frame deflate. tab-between reports rowskeyed/op, the frame rows
+// the join's content keys read, and fails when that exceeds the rows the
+// Tab damaged: a join keys only what changed since the last one.
 // TestColdJoinSharedMemo is the race-detector check that concurrent joins
 // over one cache paint exactly what an uncached session paints.
 
@@ -117,6 +121,39 @@ func BenchmarkColdJoinEncode(b *testing.B) {
 			b.ReportMetric(float64(deflates)/float64(b.N), "deflates/op")
 		})
 	}
+	b.Run("tab-between", func(b *testing.B) {
+		keyed := metrics.Default().Counter("gfx_rows_keyed_total")
+		tiles := rfb.NewTileCache(0)
+		d.WithFramebuffer(func(fb *gfx.Framebuffer) { join(tiles, fb) })
+		var wire, rows int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			d.InjectKey(true, toolkit.KeyTab)
+			d.InjectKey(false, toolkit.KeyTab)
+			var hit [coldJoinH]bool
+			damaged := int64(0)
+			for _, r := range d.Render() {
+				for y := max(r.Y, 0); y < min(r.MaxY(), coldJoinH); y++ {
+					if !hit[y] {
+						hit[y] = true
+						damaged++
+					}
+				}
+			}
+			b.StartTimer()
+			k0 := keyed.Value()
+			d.WithFramebuffer(func(fb *gfx.Framebuffer) { wire += int64(join(tiles, fb)) })
+			k := keyed.Value() - k0
+			if k > damaged {
+				b.Fatalf("the join keyed %d rows, the Tab damaged %d", k, damaged)
+			}
+			rows += k
+		}
+		b.ReportMetric(float64(wire)/float64(b.N), "wirebytes/op")
+		b.ReportMetric(float64(rows)/float64(b.N), "rowskeyed/op")
+	})
 }
 
 func TestColdJoinSharedMemo(t *testing.T) {

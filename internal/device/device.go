@@ -100,7 +100,7 @@ func (s *screen) present(f core.Frame) {
 	case s.panel == nil || s.panel.W() != f.RGB.W() || s.panel.H() != f.RGB.H():
 		s.panel = f.RGB.Clone()
 	case f.Damage == nil:
-		copy(s.panel.Pix(), f.RGB.Pix())
+		s.panel.Blit(0, 0, f.RGB, f.RGB.Bounds())
 	default:
 		for _, r := range f.Damage {
 			s.panel.Blit(r.X, r.Y, f.RGB, r)

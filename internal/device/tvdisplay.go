@@ -99,7 +99,7 @@ func (p *tvOutputPlugin) Convert(fb *gfx.Framebuffer) core.Frame {
 		if p.frame == nil {
 			p.frame = gfx.NewFramebuffer(TVWidth, TVHeight)
 		}
-		copy(p.frame.Pix(), fb.Pix())
+		p.frame.Blit(0, 0, fb, fb.Bounds())
 		return core.Frame{W: TVWidth, H: TVHeight, RGB: p.frame}
 	}
 	for _, r := range p.rects {

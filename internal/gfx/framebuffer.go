@@ -11,6 +11,11 @@ type Framebuffer struct {
 	w, h int
 	pix  []Color // len == w*h, row-major
 	gen  uint64  // advanced by every write; see Gen
+	// Per-row content keys, made by the first whole-width Key. stale[y] is
+	// nonzero while keys[y] does not cover row y: the generation of the
+	// latest write to it since it was keyed, or ^0 if it never was.
+	keys  []Key
+	stale []uint64
 }
 
 // NewFramebuffer allocates a w×h framebuffer filled with black.
@@ -34,10 +39,11 @@ func (f *Framebuffer) H() int { return f.h }
 func (f *Framebuffer) Bounds() Rect { return Rect{W: f.w, H: f.h} }
 
 // Pix exposes the raw pixel slice (row-major, length W*H). Callers must not
-// resize it; it is exposed for zero-copy encoders. A write through it does
-// not advance Gen, so only a framebuffer nobody has taken a generation of
-// (a frame being built, a client's decode target) may be written through
-// it.
+// resize it; it is exposed for zero-copy encoders. A write through it
+// neither advances Gen nor stamps the rows Key memoises, so only a
+// framebuffer nobody has taken a generation or a key of (a frame being
+// built, a client's decode target) may be written through it; obslint
+// refuses the other production writes.
 func (f *Framebuffer) Pix() []Color { return f.pix }
 
 // Gen returns the content generation: it advances on every write through a
@@ -60,7 +66,7 @@ func (f *Framebuffer) Set(x, y int, c Color) {
 		return
 	}
 	f.pix[y*f.w+x] = c
-	f.gen++
+	f.wrote(y, y+1)
 }
 
 // Fill paints every pixel inside r (clipped to the framebuffer) with c.
@@ -72,7 +78,7 @@ func (f *Framebuffer) Fill(r Rect, c Color) {
 	if r.Empty() {
 		return
 	}
-	f.gen++
+	f.wrote(r.Y, r.MaxY())
 	row0 := f.pix[r.Y*f.w+r.X : r.Y*f.w+r.MaxX()]
 	row0[0] = c
 	for n := 1; n < len(row0); n *= 2 {
@@ -135,7 +141,7 @@ func (f *Framebuffer) Blit(dx, dy int, src *Framebuffer, sr Rect) {
 	// Re-derive the source origin after destination clipping.
 	sx := sr.X + (dr.X - dx)
 	sy := sr.Y + (dr.Y - dy)
-	f.gen++
+	f.wrote(dr.Y, dr.MaxY())
 	for y := 0; y < dr.H; y++ {
 		srow := src.pix[(sy+y)*src.w+sx : (sy+y)*src.w+sx+dr.W]
 		drow := f.pix[(dr.Y+y)*f.w+dr.X : (dr.Y+y)*f.w+dr.X+dr.W]
@@ -157,7 +163,7 @@ func (f *Framebuffer) CopyRect(dx, dy int, sr Rect) {
 	}
 	sx := sr.X + (dr.X - dx)
 	sy := sr.Y + (dr.Y - dy)
-	f.gen++
+	f.wrote(dr.Y, dr.MaxY())
 	if dr.Y > sy || (dr.Y == sy && dr.X > sx) {
 		// Copy bottom-up / right-to-left to avoid clobbering the source.
 		for y := dr.H - 1; y >= 0; y-- {

@@ -38,7 +38,7 @@ func ScaleBox(src *Framebuffer, w, h int) *Framebuffer {
 // dst and allocating nothing: an output plug-in keeps one panel.
 func ScaleBoxInto(dst, src *Framebuffer) {
 	w, h := dst.w, dst.h
-	dst.gen++
+	dst.wrote(0, h)
 	if src.w == 0 || src.h == 0 {
 		clear(dst.pix)
 		return

@@ -469,15 +469,15 @@ func decodeZlibDict(rd io.Reader, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelF
 
 // --- Tile install / ref --------------------------------------------------
 //
-// EncTileInstall: u64 content hash + s32 inner encoding + inner body. The
+// EncTileInstall: u64 tile id + s32 inner encoding + inner body. The
 // inner body paints the rectangle like any update, and the decoded pixels
 // are additionally retained in the connection's tile memory under the
-// hash. EncTileRef: u64 hash alone; the remembered pixels are replayed.
+// id. EncTileRef: u64 id alone; the remembered pixels are replayed.
 // Both ends run the same fixed-capacity LRU over the install/ref stream
 // (tilecache.go), so a ref only ever names a tile still remembered.
 
 func decodeTileInstall(rd io.Reader, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat, dsc *decodeScratch) error {
-	hash, err := readU64(rd)
+	id, err := readU64(rd)
 	if err != nil {
 		return err
 	}
@@ -498,21 +498,21 @@ func decodeTileInstall(rd io.Reader, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.Pix
 		return err
 	}
 	if dsc != nil {
-		dsc.tiles.install(hash, fb, r)
+		dsc.tiles.install(id, fb, r)
 	}
 	return nil
 }
 
 func decodeTileRef(rd io.Reader, fb *gfx.Framebuffer, r gfx.Rect, dsc *decodeScratch) error {
-	hash, err := readU64(rd)
+	id, err := readU64(rd)
 	if err != nil {
 		return err
 	}
 	if !rectInside(r, fb) {
 		return fmt.Errorf("rfb: tile ref outside framebuffer: %w", ErrBadMessage)
 	}
-	if dsc == nil || !dsc.tiles.replay(hash, fb, r) {
-		return fmt.Errorf("rfb: tile ref to unknown tile %016x: %w", hash, ErrBadMessage)
+	if dsc == nil || !dsc.tiles.replay(id, fb, r) {
+		return fmt.Errorf("rfb: tile ref to unknown tile %016x: %w", id, ErrBadMessage)
 	}
 	return nil
 }

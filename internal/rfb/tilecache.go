@@ -10,12 +10,13 @@ import (
 // The tile tier turns cross-session redundancy into wire savings: a hub
 // serving many near-identical homes renders the same button bodies and
 // ticker labels over and over, and after the first session has paid the
-// encode cost, every other session can ship an 8-byte content-hash
-// reference instead of pixels.
+// encode cost, every other session can ship an 8-byte tile id reference
+// instead of pixels.
 //
-// Two structures cooperate:
+// Two structures cooperate, both addressed by gfx.Framebuffer.Key, the
+// 128-bit content key:
 //
-//   - TileCache (process-wide, shared across sessions): content hash →
+//   - TileCache (process-wide, shared across sessions): content key →
 //     encoded tile body, so the Nth session emitting an EncTileInstall for
 //     a tile some other session already encoded reuses the bytes without
 //     re-running the encoder. Dictionary-zlib bodies of larger rectangles
@@ -23,13 +24,14 @@ import (
 //     Bounded by a byte budget with LRU eviction.
 //
 //   - tileWindow (per session, inside WireState) mirrored by clientTiles
-//     (per connection, inside decodeScratch): a fixed-capacity LRU over
-//     tile hashes that both ends maintain with identical operations driven
-//     by the in-order update stream. The server emits EncTileRef only for
-//     hashes still in its window; because the client applies the same
-//     insert/touch/evict sequence, such hashes are guaranteed to still be
-//     in the client's memory. The capacity is therefore a protocol
-//     constant: changing it is a wire-protocol change.
+//     (per connection, inside decodeScratch): a bounded LRU over u64 tile
+//     ids, taken from the keys, that both ends maintain with identical
+//     operations driven by the in-order update stream. The server emits
+//     EncTileRef only for an id its window holds under the same full key;
+//     because the client applies the same insert/touch/evict sequence,
+//     such an id is guaranteed to still be in the client's memory, holding
+//     those pixels. The capacity is therefore a protocol constant:
+//     changing it is a wire-protocol change.
 
 // tileWindowCap is the mirrored per-session tile LRU capacity (in tiles).
 // Protocol constant — see docs/WIRE.md. Sized above the distinct-tile
@@ -63,13 +65,13 @@ var (
 	mTileInstallsSent = metrics.Default().Counter("rfb_tilecache_installs_sent_total")
 )
 
-// tileKey addresses an encoded body: the content hash, the pixel format
-// the body was encoded under (the same pixels serialize differently per
-// format), and the wire form the body serves — EncTileInstall for a tile's
-// inner body, EncZlibDict for a memoised dictionary-zlib body — so one
-// content never answers for the other form.
+// tileKey addresses an encoded body: the 128-bit content key, the pixel
+// format the body was encoded under (the same pixels serialize differently
+// per format), and the wire form the body serves — EncTileInstall for a
+// tile's inner body, EncZlibDict for a memoised dictionary-zlib body — so
+// one content never answers for the other form.
 type tileKey struct {
-	hash uint64
+	key  gfx.Key
 	pf   gfx.PixelFormat
 	kind int32
 }
@@ -196,100 +198,82 @@ func (tc *TileCache) moveToFront(e *tileEntry) {
 	tc.pushFront(e)
 }
 
-// hashTile content-addresses the pixels of fb inside r with FNV-1a 64,
-// mixing in the geometry so equal pixel sequences of different shapes
-// collide no more than chance. At 64 bits the birthday collision odds for
-// a hub-sized tile population (~10^5 tiles) are ~1e-9 — accepted and
-// documented in docs/WIRE.md; a collision paints one stale widget body
-// until its next content change.
-func hashTile(fb *gfx.Framebuffer, r gfx.Rect) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h = (h ^ uint64(r.W)) * prime64
-	h = (h ^ uint64(r.H)) * prime64
-	w := fb.W()
-	pix := fb.Pix()
-	for y := r.Y; y < r.MaxY(); y++ {
-		row := pix[y*w+r.X : y*w+r.MaxX()]
-		for _, c := range row {
-			h = (h ^ uint64(c)) * prime64
-		}
-	}
-	return h
-}
+// tileIDMask takes a tile's u64 wire id from its 128-bit content key. The
+// id is opaque to the client; a test narrows the mask to force different
+// contents onto one id.
+var tileIDMask = ^uint64(0)
 
-// --- Server-side session window (hashes only) ---------------------------
+func tileID(k gfx.Key) uint64 { return k[0] & tileIDMask }
 
-// twSlot is one node of the server window's intrusive LRU (index-linked so
-// the whole window is two allocations, made once per session).
+// --- Server-side session window (keys only) -----------------------------
+
+// twSlot is one node of the server window's intrusive LRU (index-linked,
+// so the window is two allocations that grow with it).
 type twSlot struct {
-	hash       uint64
+	key        gfx.Key
 	prev, next int32 // slot indices; -1 terminates
 }
 
-// tileWindow is the server's model of the client's tile memory: a
-// fixed-capacity LRU over hashes, mutated only by operations that are also
-// encoded on the wire (install, ref) so both ends stay in lockstep.
+// tileWindow is the server's model of the client's tile memory: an LRU of
+// at most tileWindowCap tiles, mutated only by operations that are also
+// encoded on the wire (install, ref) so both ends stay in lockstep. It
+// indexes tiles by wire id and keeps each one's full content key, so an id
+// held for other content is never referenced, only re-installed.
 type tileWindow struct {
-	slots []twSlot
-	index map[uint64]int32
+	slots []twSlot         // appended by install up to tileWindowCap
+	index map[uint64]int32 // wire id → slot
 	head  int32
 	tail  int32
-	free  int32 // head of the free slot list (linked through next)
 }
 
-// init empties the window. A window nothing was installed in since the last
-// init is already empty (installs only ever take slots), so a device switch
-// that ships no tiles re-inits for free.
+// init empties the window, keeping its storage. A window nothing was
+// installed in since the last init costs nothing to re-init, so neither a
+// new session nor a device switch that ships no tiles allocates.
 func (w *tileWindow) init() {
-	if w.slots == nil {
-		w.slots = make([]twSlot, tileWindowCap)
-		w.index = make(map[uint64]int32, tileWindowCap)
-	} else if w.head < 0 {
-		return
-	}
-	clear(w.index)
 	w.head, w.tail = -1, -1
-	for i := range w.slots {
-		w.slots[i].next = int32(i + 1)
+	if len(w.slots) > 0 {
+		clear(w.index)
+		w.slots = w.slots[:0]
 	}
-	w.slots[len(w.slots)-1].next = -1
-	w.free = 0
 }
 
-// touch reports whether h is in the window, marking it most recently used.
-// A true return licenses an EncTileRef for h.
-func (w *tileWindow) touch(h uint64) bool {
-	i, ok := w.index[h]
-	if !ok {
+// touch reports whether the tile keyed k is in the window, marking it most
+// recently used. A true return licenses an EncTileRef of its id: the id is
+// held under this very key, not merely under the same id.
+func (w *tileWindow) touch(k gfx.Key) bool {
+	i, ok := w.index[tileID(k)]
+	if !ok || w.slots[i].key != k {
 		return false
 	}
 	w.moveToFront(i)
 	return true
 }
 
-// install records h as most recently used, evicting the least recently
-// used hash when the window is full. Mirrors the client's handling of
-// EncTileInstall.
-func (w *tileWindow) install(h uint64) {
-	if i, ok := w.index[h]; ok {
+// install records the tile keyed k as most recently used, evicting the
+// least recently used tile when the window is full. An id already held is
+// overwritten in place and moved to the front. Mirrors the client's
+// handling of EncTileInstall.
+func (w *tileWindow) install(k gfx.Key) {
+	id := tileID(k)
+	i, ok := w.index[id]
+	switch {
+	case ok:
+		w.slots[i].key = k
 		w.moveToFront(i)
 		return
-	}
-	var i int32
-	if w.free >= 0 {
-		i = w.free
-		w.free = w.slots[i].next
-	} else {
+	case len(w.slots) < tileWindowCap:
+		if w.index == nil {
+			w.index = map[uint64]int32{}
+		}
+		i = int32(len(w.slots))
+		w.slots = append(w.slots, twSlot{})
+	default:
 		i = w.tail
 		w.unlink(i)
-		delete(w.index, w.slots[i].hash)
+		delete(w.index, tileID(w.slots[i].key))
 	}
-	w.slots[i].hash = h
-	w.index[h] = i
+	w.slots[i].key = k
+	w.index[id] = i
 	w.pushFront(i)
 }
 
@@ -332,7 +316,7 @@ func (w *tileWindow) moveToFront(i int32) {
 
 // ctEntry is one remembered tile: the decoded pixels plus geometry.
 type ctEntry struct {
-	hash       uint64
+	id         uint64
 	w, h       int
 	pix        []gfx.Color // reused across evictions via grow-style resize
 	prev, next *ctEntry
@@ -348,25 +332,26 @@ type clientTiles struct {
 	tail    *ctEntry
 }
 
-// install remembers the pixels of fb inside r under hash. Re-installing an
-// existing hash overwrites the remembered pixels (the server re-installs
-// after its window state was reset).
-func (ct *clientTiles) install(hash uint64, fb *gfx.Framebuffer, r gfx.Rect) {
+// install remembers the pixels of fb inside r under id. Re-installing an
+// existing id overwrites the remembered pixels and moves it to the front
+// (the server re-installs after its window state was reset, or when the id
+// is now another content's).
+func (ct *clientTiles) install(id uint64, fb *gfx.Framebuffer, r gfx.Rect) {
 	if ct.entries == nil {
 		ct.entries = make(map[uint64]*ctEntry, tileWindowCap)
 	}
-	e := ct.entries[hash]
+	e := ct.entries[id]
 	if e == nil {
 		if len(ct.entries) >= tileWindowCap {
 			// Evict LRU, reusing its node and pixel buffer.
 			e = ct.tail
 			ct.unlink(e)
-			delete(ct.entries, e.hash)
+			delete(ct.entries, e.id)
 		} else {
 			e = &ctEntry{}
 		}
-		e.hash = hash
-		ct.entries[hash] = e
+		e.id = id
+		ct.entries[id] = e
 		ct.pushFront(e)
 	} else {
 		ct.moveToFront(e)
@@ -384,11 +369,11 @@ func (ct *clientTiles) install(hash uint64, fb *gfx.Framebuffer, r gfx.Rect) {
 	}
 }
 
-// replay paints the remembered tile for hash into fb at r, marking it
-// recently used. False means the hash is unknown or the geometry differs —
+// replay paints the remembered tile for id into fb at r, marking it
+// recently used. False means the id is unknown or the geometry differs —
 // a protocol violation by the server.
-func (ct *clientTiles) replay(hash uint64, fb *gfx.Framebuffer, r gfx.Rect) bool {
-	e := ct.entries[hash]
+func (ct *clientTiles) replay(id uint64, fb *gfx.Framebuffer, r gfx.Rect) bool {
+	e := ct.entries[id]
 	if e == nil || e.w != r.W || e.h != r.H {
 		return false
 	}

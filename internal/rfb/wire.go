@@ -80,13 +80,13 @@ const (
 	// and widget chrome match the dictionary on the very first update,
 	// before any history exists.
 	EncZlibDict int32 = 100
-	// EncTileInstall carries a content-addressed tile: u64 FNV-1a hash of
-	// the tile pixels, an s32 inner encoding, and the inner body. The
+	// EncTileInstall carries a content-addressed tile: a u64 tile id (an
+	// opaque content id), an s32 inner encoding, and the inner body. The
 	// client decodes the inner body AND retains the decoded pixels in its
-	// tile window under the hash, so a later EncTileRef can replay them.
+	// tile window under the id, so a later EncTileRef can replay them.
 	EncTileInstall int32 = 101
 	// EncTileRef replays a previously installed tile: the body is just the
-	// u64 hash. Rect geometry must match the installed tile's geometry.
+	// u64 id. Rect geometry must match the installed tile's geometry.
 	EncTileRef int32 = 102
 )
 

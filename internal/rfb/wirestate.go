@@ -106,18 +106,18 @@ func (ws *WireState) selectAndEncode(dst []byte, fb *gfx.Framebuffer, ur *Update
 	const tileBits = encBitTileRef | encBitTileInstall
 	if mask&tileBits == tileBits && inside &&
 		r.Area() <= tileMaxArea && r.H <= tileMaxHeight {
-		h := hashTile(fb, r)
-		if ws.win.touch(h) {
+		k := fb.Key(r)
+		if ws.win.touch(k) {
 			var b [8]byte
-			be.PutUint64(b[:], h)
+			be.PutUint64(b[:], tileID(k))
 			mTileRefsSent.Inc()
 			return append(dst, b[:]...), EncTileRef, nil
 		}
-		dst, err := ws.encodeInstall(dst, fb, r, h, pf, mask, sc)
+		dst, err := ws.encodeInstall(dst, fb, r, k, pf, mask, sc)
 		if err != nil {
 			return nil, 0, err
 		}
-		ws.win.install(h)
+		ws.win.install(k)
 		mTileInstallsSent.Inc()
 		return dst, EncTileInstall, nil
 	}
@@ -142,7 +142,7 @@ func (ws *WireState) encodeDict(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, pf 
 	if ws.cache == nil {
 		return encodeZlibDict(dst, fb, r, pf, sc)
 	}
-	key := tileKey{hash: hashTile(fb, r), pf: pf, kind: EncZlibDict}
+	key := tileKey{key: fb.Key(r), pf: pf, kind: EncZlibDict}
 	if _, body, ok := ws.cache.Get(key); ok {
 		mDictMemoHits.Inc()
 		return append(dst, body...), nil
@@ -155,14 +155,14 @@ func (ws *WireState) encodeDict(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, pf 
 	return dst, err
 }
 
-// encodeInstall appends an EncTileInstall body: the content hash, the
+// encodeInstall appends an EncTileInstall body: the tile id of key k, the
 // inner encoding id, and the inner body — taken from the shared cache when
 // another session (or an earlier window generation) already encoded this
 // tile, freshly encoded and published to the cache otherwise.
-func (ws *WireState) encodeInstall(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, h uint64, pf gfx.PixelFormat, mask uint8, sc *encodeScratch) ([]byte, error) {
-	var hdr [12]byte // content hash, inner encoding id
-	be.PutUint64(hdr[:], h)
-	key := tileKey{hash: h, pf: pf, kind: EncTileInstall}
+func (ws *WireState) encodeInstall(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, k gfx.Key, pf gfx.PixelFormat, mask uint8, sc *encodeScratch) ([]byte, error) {
+	var hdr [12]byte // tile id, inner encoding id
+	be.PutUint64(hdr[:], tileID(k))
+	key := tileKey{key: k, pf: pf, kind: EncTileInstall}
 	if ws.cache != nil {
 		if enc, body, ok := ws.cache.Get(key); ok {
 			be.PutUint32(hdr[8:], uint32(enc))

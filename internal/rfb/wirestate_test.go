@@ -3,6 +3,7 @@ package rfb
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"uniint/internal/gfx"
@@ -123,12 +124,12 @@ func TestTileCacheEvictionUnderPressure(t *testing.T) {
 		filler[i] = byte(i)
 	}
 	for i := 0; i < 32; i++ {
-		tc.Put(tileKey{hash: uint64(i) + 1e6, pf: pf}, EncRaw, filler)
+		tc.Put(tileKey{key: gfx.Key{uint64(i) + 1e6}, pf: pf}, EncRaw, filler)
 	}
 	if got := tc.Bytes(); got > 1<<10 {
 		t.Fatalf("cache holds %d bytes, budget is %d", got, 1<<10)
 	}
-	if _, _, ok := tc.Get(tileKey{hash: hashTile(fb, r), pf: pf, kind: EncTileInstall}); ok {
+	if _, _, ok := tc.Get(tileKey{key: fb.Key(r), pf: pf, kind: EncTileInstall}); ok {
 		t.Fatal("original tile survived 32 filler installs in a ~3-body budget")
 	}
 
@@ -141,10 +142,12 @@ func TestTileCacheEvictionUnderPressure(t *testing.T) {
 }
 
 // TestTileWindowClientLockstep: drive a random install/ref stream through
-// the server's hash window and the client's pixel memory, past eviction
-// churn several times the window capacity. The protocol invariant under
-// test: every hash the server window still holds (every EncTileRef it
-// would emit) is replayable from the client memory.
+// the server's key window and the client's pixel memory, past eviction
+// churn several times the window capacity. The protocol invariants under
+// test: every id the server window still holds (every EncTileRef it would
+// emit) is replayable from the client memory, and both ends hold the same
+// ids in the same LRU order. The window allocates nothing until a tile is
+// installed, and never grows past its capacity.
 func TestTileWindowClientLockstep(t *testing.T) {
 	const w, h = 16, 16
 	fb := gradientFrame(w, h)
@@ -152,31 +155,88 @@ func TestTileWindowClientLockstep(t *testing.T) {
 
 	var win tileWindow
 	win.init()
+	if win.slots != nil || win.index != nil {
+		t.Fatal("an empty window allocated")
+	}
 	var ct clientTiles
 
 	rng := rand.New(rand.NewSource(11))
-	hashes := make([]uint64, 3*tileWindowCap)
-	for i := range hashes {
-		hashes[i] = uint64(i) + 7
+	keys := make([]gfx.Key, 3*tileWindowCap)
+	for i := range keys {
+		keys[i] = gfx.Key{uint64(i) + 7, uint64(i)}
 	}
 	refs := 0
 	for i := 0; i < 8*tileWindowCap; i++ {
-		hh := hashes[rng.Intn(len(hashes))]
-		if win.touch(hh) {
+		k := keys[rng.Intn(len(keys))]
+		if win.touch(k) {
 			refs++
-			if !ct.replay(hh, fb, r) {
-				t.Fatalf("op %d: server window holds %x but client memory does not", i, hh)
+			if !ct.replay(tileID(k), fb, r) {
+				t.Fatalf("op %d: server window holds %x but client memory does not", i, k)
 			}
 		} else {
-			win.install(hh)
-			ct.install(hh, fb, r)
+			win.install(k)
+			ct.install(tileID(k), fb, r)
 		}
 	}
 	if refs == 0 {
 		t.Fatal("stream produced no refs — the test exercised nothing")
 	}
-	if len(ct.entries) > tileWindowCap {
-		t.Fatalf("client memory grew to %d entries, cap is %d", len(ct.entries), tileWindowCap)
+	var server, client []uint64
+	for i := win.head; i >= 0; i = win.slots[i].next {
+		server = append(server, tileID(win.slots[i].key))
+	}
+	for e := ct.head; e != nil; e = e.next {
+		client = append(client, e.id)
+	}
+	if len(win.slots) != tileWindowCap || !slices.Equal(server, client) {
+		t.Fatalf("server window holds %d of %d slots in an LRU order the client's %d entries do not match",
+			len(server), len(win.slots), len(client))
+	}
+}
+
+// TestTileIDCollisionRepaintsExactly forces every tile onto one wire id
+// and alternates two contents in one rectangle: an id the window holds
+// under another key re-installs, so after every flush the client's frame
+// equals the server's. Referencing the id instead would paint the other
+// content.
+func TestTileIDCollisionRepaintsExactly(t *testing.T) {
+	defer func(m uint64) { tileIDMask = m }(tileIDMask)
+	tileIDMask = 0
+	const w, h = 320, 64 // larger than a tile, so the first, full repaint is none
+	server, client, sh, ch := pipePair(t, w, h)
+	if err := client.SetEncodings([]int32{EncTileInstall, EncTileRef, EncRaw}); err != nil {
+		t.Fatal(err)
+	}
+	fb := gradientFrame(w, h)
+	ws := NewWireState(NewTileCache(0), w, h)
+	r := gfx.R(8, 8, 32, 16)
+	flush := func(rect gfx.Rect) {
+		t.Helper()
+		if err := client.RequestUpdate(false, fb.Bounds()); err != nil {
+			t.Fatal(err)
+		}
+		waitSig(t, sh.gotReq, "request")
+		prep, err := server.PrepareUpdateWire(fb, []UpdateRect{{Rect: rect, Encoding: EncAdaptive}}, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := server.SendPrepared(prep); err != nil {
+			t.Fatal(err)
+		}
+		waitSig(t, ch.gotUpd, "update")
+	}
+	flush(fb.Bounds())
+	for i := 0; i < 6; i++ {
+		if i%2 == 0 {
+			fb.Fill(r, gfx.Red)
+			gfx.DrawText(fb, r.X+2, r.Y+4, "ON", gfx.White)
+		} else {
+			fb.Fill(r, gfx.Blue)
+		}
+		flush(r)
+		if !client.Snapshot(fb.Bounds()).Equal(fb) {
+			t.Fatalf("flush %d: the client's frame differs from the server's", i)
+		}
 	}
 }
 
@@ -252,7 +312,7 @@ func TestWireEncodingsDecodeIdenticalToRaw(t *testing.T) {
 			check("tileinstall", got)
 
 			ref := make([]byte, 8)
-			be.PutUint64(ref, hashTile(frame, r))
+			be.PutUint64(ref, tileID(frame.Key(r)))
 			got = gfx.NewFramebuffer(w, h)
 			if err := decodeRect(bytes.NewReader(ref), EncTileRef, got, r, pf, dsc); err != nil {
 				t.Fatal(err)
