@@ -270,12 +270,13 @@ func (c *Cluster) migrate(homeID string, from, to *Node) error {
 // of the connection.
 func (c *Cluster) ServeConn(conn net.Conn) error {
 	_ = conn.SetReadDeadline(time.Now().Add(hub.PreambleTimeout))
-	p, err := hub.ParsePreamble(conn)
+	p, rc, err := hub.ReadPreamble(conn)
 	if err != nil {
 		conn.Close()
 		return err
 	}
 	_ = conn.SetReadDeadline(time.Time{})
+	conn = rc
 
 	var n *Node
 	if p.HomeID == hub.TokenHome {

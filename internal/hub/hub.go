@@ -341,13 +341,13 @@ const PreambleTimeout = 10 * time.Second
 func (h *Hub) ServeConn(conn net.Conn) error {
 	t0 := time.Now()
 	_ = conn.SetReadDeadline(t0.Add(PreambleTimeout))
-	p, err := ParsePreamble(conn)
+	p, rc, err := ReadPreamble(conn)
 	if err != nil {
 		conn.Close()
 		return err
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	return h.servePreamble(p, conn, t0)
+	return h.servePreamble(p, rc, t0)
 }
 
 // ServePreamble routes a connection whose preamble was already consumed

@@ -1,6 +1,7 @@
 package hub
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -91,37 +92,84 @@ func (p Preamble) WriteTo(w io.Writer) (int64, error) {
 
 // ParsePreamble consumes the routing line from r. It reads byte-at-a-time
 // up to MaxPreambleLen so no protocol bytes beyond the newline are
-// buffered away from the home's server.
+// buffered away from the home's server. A router reading a connection uses
+// ReadPreamble, which needs no read per byte.
 func ParsePreamble(r io.Reader) (Preamble, error) {
-	var line []byte
-	var b [1]byte
-	for len(line) < MaxPreambleLen {
-		if _, err := io.ReadFull(r, b[:]); err != nil {
-			return Preamble{}, fmt.Errorf("%w: %v", ErrBadPreamble, err)
-		}
-		if b[0] == '\n' {
-			s := string(line)
-			if !strings.HasPrefix(s, preambleMagic) {
-				return Preamble{}, fmt.Errorf("%w: missing magic", ErrBadPreamble)
-			}
-			p := Preamble{HomeID: s[len(preambleMagic):]}
-			if sp := strings.IndexByte(p.HomeID, ' '); sp >= 0 {
-				p.HomeID, p.Token = p.HomeID[:sp], p.HomeID[sp+1:]
-				if p.Token == "" || strings.ContainsRune(p.Token, ' ') {
-					return Preamble{}, fmt.Errorf("%w: malformed token field", ErrBadPreamble)
-				}
-			}
-			if p.HomeID == "" {
-				return Preamble{}, fmt.Errorf("%w: empty home id", ErrBadPreamble)
-			}
-			if p.HomeID == TokenHome && p.Token == "" {
-				return Preamble{}, fmt.Errorf("%w: token routing needs a token", ErrBadPreamble)
-			}
-			return p, nil
-		}
-		line = append(line, b[0])
+	p, _, err := readPreamble(r, 1)
+	return p, err
+}
+
+// ReadPreamble consumes the routing line from conn, reading up to
+// MaxPreambleLen bytes at a time until the newline, and returns the
+// connection the protocol continues on: conn itself, or, when the peer's
+// writes carried bytes past the newline, conn behind a reader that yields
+// those bytes first. It accepts and refuses exactly what ParsePreamble
+// does.
+func ReadPreamble(conn net.Conn) (Preamble, net.Conn, error) {
+	p, rest, err := readPreamble(conn, MaxPreambleLen)
+	switch {
+	case err != nil:
+		return Preamble{}, nil, err
+	case len(rest) > 0:
+		return p, &replayConn{Conn: conn, rest: rest}, nil
 	}
-	return Preamble{}, fmt.Errorf("%w: line too long", ErrBadPreamble)
+	return p, conn, nil
+}
+
+// readPreamble reads r, at most chunk bytes per read, until the newline
+// and parses the line. It also returns what the last read carried past it.
+func readPreamble(r io.Reader, chunk int) (Preamble, []byte, error) {
+	var line [MaxPreambleLen]byte
+	for n := 0; n < MaxPreambleLen; {
+		m, err := r.Read(line[n:min(n+chunk, MaxPreambleLen)])
+		if nl := bytes.IndexByte(line[n:n+m], '\n'); nl >= 0 {
+			p, err := parseLine(line[:n+nl])
+			return p, line[n+nl+1 : n+m], err
+		}
+		n += m
+		if err != nil {
+			return Preamble{}, nil, fmt.Errorf("%w: %v", ErrBadPreamble, err)
+		}
+	}
+	return Preamble{}, nil, fmt.Errorf("%w: line too long", ErrBadPreamble)
+}
+
+// replayConn is a connection whose first reads yield rest, the protocol
+// bytes ReadPreamble read past the routing line.
+type replayConn struct {
+	net.Conn
+	rest []byte
+}
+
+func (c *replayConn) Read(p []byte) (int, error) {
+	if len(c.rest) == 0 {
+		return c.Conn.Read(p)
+	}
+	n := copy(p, c.rest)
+	c.rest = c.rest[n:]
+	return n, nil
+}
+
+// parseLine parses the routing line without its newline.
+func parseLine(line []byte) (Preamble, error) {
+	s, ok := strings.CutPrefix(string(line), preambleMagic)
+	if !ok {
+		return Preamble{}, fmt.Errorf("%w: missing magic", ErrBadPreamble)
+	}
+	p := Preamble{HomeID: s}
+	if sp := strings.IndexByte(s, ' '); sp >= 0 {
+		p.HomeID, p.Token = s[:sp], s[sp+1:]
+		if p.Token == "" || strings.ContainsRune(p.Token, ' ') {
+			return Preamble{}, fmt.Errorf("%w: malformed token field", ErrBadPreamble)
+		}
+	}
+	if p.HomeID == "" {
+		return Preamble{}, fmt.Errorf("%w: empty home id", ErrBadPreamble)
+	}
+	if p.HomeID == TokenHome && p.Token == "" {
+		return Preamble{}, fmt.Errorf("%w: token routing needs a token", ErrBadPreamble)
+	}
+	return p, nil
 }
 
 // WritePreamble sends the routing line for homeID on conn.

@@ -2,6 +2,11 @@ package hub
 
 import (
 	"bytes"
+	"hash/fnv"
+	"io"
+	"math/rand"
+	"net"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -9,7 +14,10 @@ import (
 // FuzzParsePreamble is the safety net for the first line a hub reads from
 // an untrusted connection: ParsePreamble never reads past the newline or
 // more than MaxPreambleLen bytes, and a line it accepts, written back with
-// Preamble.WriteTo, reproduces exactly the bytes it consumed.
+// Preamble.WriteTo, reproduces exactly the bytes it consumed. ReadPreamble,
+// fed the same bytes and a protocol hello in segments of random sizes,
+// returns the same Preamble or error, and a connection that yields exactly
+// the bytes after the line.
 func FuzzParsePreamble(f *testing.F) {
 	// What the dial helpers write, followed by protocol bytes the parser
 	// must leave unread.
@@ -33,6 +41,7 @@ func FuzzParsePreamble(f *testing.F) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReadPreamble(t, data)
 		r := bytes.NewReader(data)
 		p, err := ParsePreamble(r)
 		consumed := data[:len(data)-r.Len()]
@@ -53,4 +62,54 @@ func FuzzParsePreamble(f *testing.F) {
 			t.Fatalf("write-back diverged\n  in: %q\n out: %q", consumed, out.Bytes())
 		}
 	})
+}
+
+// checkReadPreamble asserts that ReadPreamble, reading data followed by a
+// protocol hello in random segments, agrees with ParsePreamble's verdict on
+// data and hands on exactly the bytes after the line.
+func checkReadPreamble(t *testing.T, data []byte) {
+	stream := append(slices.Clone(data), "RFB 003.008\n"...)
+	r := bytes.NewReader(stream)
+	want, wantErr := ParsePreamble(r)
+	trailing := stream[len(stream)-r.Len():]
+
+	seed := fnv.New64a()
+	seed.Write(data)
+	rng := rand.New(rand.NewSource(int64(seed.Sum64())))
+	c := &segmentConn{}
+	for rest := stream; len(rest) > 0; {
+		n := min(1+rng.Intn(MaxPreambleLen/4), len(rest))
+		c.segs = append(c.segs, rest[:n])
+		rest = rest[n:]
+	}
+	got, conn, err := ReadPreamble(c)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("ReadPreamble error %v, ParsePreamble error %v", err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	if got != want {
+		t.Fatalf("ReadPreamble %+v, ParsePreamble %+v", got, want)
+	}
+	if rest, _ := io.ReadAll(conn); !bytes.Equal(rest, trailing) {
+		t.Fatalf("the connection yields %q after the line, want %q", rest, trailing)
+	}
+}
+
+// segmentConn is a connection whose reads return segs one at a time.
+type segmentConn struct {
+	net.Conn
+	segs [][]byte
+}
+
+func (c *segmentConn) Read(p []byte) (int, error) {
+	if len(c.segs) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, c.segs[0])
+	if c.segs[0] = c.segs[0][n:]; len(c.segs[0]) == 0 {
+		c.segs = c.segs[1:]
+	}
+	return n, nil
 }

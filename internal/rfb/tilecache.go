@@ -69,11 +69,13 @@ var (
 // format the body was encoded under (the same pixels serialize differently
 // per format), and the wire form the body serves — EncTileInstall for a
 // tile's inner body, EncZlibDict for a memoised dictionary-zlib body — so
-// one content never answers for the other form.
+// one content never answers for the other form. A dictionary body's key
+// also holds the client's encoding choice (dictKey).
 type tileKey struct {
-	key  gfx.Key
-	pf   gfx.PixelFormat
-	kind int32
+	key    gfx.Key
+	pf     gfx.PixelFormat
+	kind   int32
+	choice uint8
 }
 
 // tileEntry is one cached encoded body on the cache's intrusive LRU list.

@@ -122,30 +122,66 @@ func (ws *WireState) selectAndEncode(dst []byte, fb *gfx.Framebuffer, ur *Update
 		return dst, EncTileInstall, nil
 	}
 
+	dictable := mask&encBitZlibDict != 0 && r.Area() >= zlibDictMinArea
+	var key tileKey
+	if dictable && ws.cache != nil && fb != nil && r.X == 0 && r.W == fb.W() {
+		// A full-width band is keyed from the frame's row memo, far cheaper
+		// than the probe, so the memo is asked first; a narrower rectangle
+		// is keyed only once the probe picked the dictionary.
+		key = dictKey(fb, r, pf, mask, fallback)
+		if body, ok := ws.memo(key); ok {
+			mDictPicks.Inc()
+			return append(dst, body...), EncZlibDict, nil
+		}
+	}
 	enc := chooseEncoding(fb, r, mask, fallback, sc)
-	if mask&encBitZlibDict != 0 && r.Area() >= zlibDictMinArea &&
-		(enc == EncHextile || enc == EncZlib) {
+	if dictable && (enc == EncHextile || enc == EncZlib) {
 		mDictPicks.Inc()
-		dst, err := ws.encodeDict(dst, fb, r, pf, sc)
+		dst, err := ws.encodeDict(dst, fb, r, pf, key, mask, fallback, sc)
 		return dst, EncZlibDict, err
 	}
 	dst, err := encodeRect(dst, enc, fb, r, pf, sc)
 	return dst, enc, err
 }
 
+// dictKey is the memo key of r's dictionary-zlib body. Besides the content
+// and the pixel format it holds what chooseEncoding reads other than the
+// pixels: the client's raw, RRE and hextile bits, and whether its fallback
+// is one the dictionary upgrades. The same content under the same choice
+// probes to the same pick, so a memo hit is a body the probe would also
+// have sent to the dictionary.
+func dictKey(fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat, mask uint8, fallback int32) tileKey {
+	choice := mask & (encBitRaw | encBitRRE | encBitHextile)
+	if fallback == EncHextile || fallback == EncZlib {
+		choice |= encBitZlibDict
+	}
+	return tileKey{key: fb.Key(r), pf: pf, kind: EncZlibDict, choice: choice}
+}
+
+// memo returns the memoised dictionary-zlib body for key, counting a hit.
+func (ws *WireState) memo(key tileKey) ([]byte, bool) {
+	_, body, ok := ws.cache.Get(key)
+	if ok {
+		mDictMemoHits.Inc()
+	}
+	return body, ok
+}
+
 // encodeDict appends an EncZlibDict body, deflating each distinct content
 // once per shared cache: a cold join ships the bands of an earlier join at
 // the same display state, or at one a focus move away, and compress/flate
 // is deterministic in its input, level and dictionary, so the memoised
-// body is byte-identical to a fresh encode.
-func (ws *WireState) encodeDict(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat, sc *encodeScratch) ([]byte, error) {
+// body is byte-identical to a fresh encode. key is r's memo key when
+// selectAndEncode already asked the memo (and missed), zero otherwise.
+func (ws *WireState) encodeDict(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat, key tileKey, mask uint8, fallback int32, sc *encodeScratch) ([]byte, error) {
 	if ws.cache == nil {
 		return encodeZlibDict(dst, fb, r, pf, sc)
 	}
-	key := tileKey{key: fb.Key(r), pf: pf, kind: EncZlibDict}
-	if _, body, ok := ws.cache.Get(key); ok {
-		mDictMemoHits.Inc()
-		return append(dst, body...), nil
+	if key.kind == 0 {
+		key = dictKey(fb, r, pf, mask, fallback)
+		if body, ok := ws.memo(key); ok {
+			return append(dst, body...), nil
+		}
 	}
 	start := len(dst)
 	dst, err := encodeZlibDict(dst, fb, r, pf, sc)

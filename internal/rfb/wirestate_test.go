@@ -419,6 +419,59 @@ func TestDictMemoHitMatchesFreshEncode(t *testing.T) {
 // and less than one band.
 var bandTestHeights = []int{480, 240, 100, 40}
 
+// TestDictMemoAnswersOnlyItsChoice: a full-width band asks the memo before
+// the probe, so a hit must ship what the probe would have picked. For every
+// client choice of raw, RRE and hextile, with either fallback, a session
+// whose memo was first filled by every other choice ships exactly what a
+// session without a memo ships, on GUI content and on a flat frame, and so
+// does its second join, which the memo answers.
+func TestDictMemoAnswersOnlyItsChoice(t *testing.T) {
+	sc := getScratch()
+	defer putScratch(sc)
+	flat := gfx.NewFramebuffer(640, 64)
+	flat.Fill(flat.Bounds(), gfx.RGB(40, 40, 40))
+	type choice struct {
+		mask     uint8
+		fallback int32
+	}
+	var choices []choice
+	for bits := uint8(1); bits < 8; bits++ { // non-empty subsets of raw, RRE, hextile
+		for _, fb := range []int32{EncRaw, EncHextile} {
+			choices = append(choices, choice{bits | encBitZlibDict, fb})
+		}
+	}
+	hits0 := mDictMemoHits.Value()
+	for _, fb := range []*gfx.Framebuffer{panelFrame(640, 64), flat} {
+		ship := func(cache *TileCache, c choice) ([]byte, int32) {
+			ur := &UpdateRect{Rect: fb.Bounds(), Encoding: EncAdaptive}
+			body, enc, err := NewWireState(cache, 640, 64).selectAndEncode(nil, fb, ur, gfx.PF32(), c.mask, c.fallback, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return body, enc
+		}
+		for i, c := range choices {
+			cache := NewTileCache(0)
+			for j, other := range choices {
+				if j != i {
+					ship(cache, other)
+				}
+			}
+			want, wantEnc := ship(nil, c)
+			for join := 0; join < 2; join++ { // the second join can hit its own body
+				got, enc := ship(cache, c)
+				if enc != wantEnc || !bytes.Equal(got, want) {
+					t.Fatalf("mask %08b fallback %s join %d: memo session shipped %s (%d B), probe alone %s (%d B)",
+						c.mask, EncodingName(c.fallback), join, EncodingName(enc), len(got), EncodingName(wantEnc), len(want))
+				}
+			}
+		}
+	}
+	if mDictMemoHits.Value() == hits0 {
+		t.Fatal("no session took a memoised body")
+	}
+}
+
 // TestBandedRepaintDecodesToFrame: under every pixel format and frame
 // height, a client decoding a banded full repaint holds exactly the
 // server's frame, received as ⌈H/bandRows⌉ rectangles.

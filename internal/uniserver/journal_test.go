@@ -1,0 +1,213 @@
+package uniserver
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+	"time"
+
+	"uniint/internal/gfx"
+	"uniint/internal/toolkit"
+)
+
+// journalRects returns n rects in and around bounds: most inside, some
+// crossing its edges, a few wholly outside (the parked damage clips them).
+func journalRects(rng *rand.Rand, bounds gfx.Rect, n int) []gfx.Rect {
+	out := make([]gfx.Rect, n)
+	for i := range out {
+		out[i] = gfx.R(rng.Intn(bounds.W+40)-20, rng.Intn(bounds.H+40)-20, 1+rng.Intn(bounds.W/2), 1+rng.Intn(bounds.H/2))
+	}
+	return out
+}
+
+// offerRenders hands rects to srv as renders of one to five rects, the
+// way pumps do.
+func offerRenders(srv *Server, rng *rand.Rand, rects []gfx.Rect) {
+	for len(rects) > 0 {
+		n := min(1+rng.Intn(5), len(rects))
+		srv.pumpMu.Lock()
+		srv.offer(rects[:n], 0)
+		srv.pumpMu.Unlock()
+		rects = rects[n:]
+	}
+}
+
+// reference is the damage a parked row held when every render was added to
+// it in place: the rects in order, or the whole of bounds when there are
+// more than the journal keeps.
+func reference(bounds gfx.Rect, rects []gfx.Rect) []gfx.Rect {
+	d := gfx.NewDamage(bounds, 16)
+	if len(rects) > journalCap {
+		d.AddAll()
+		return d.Peek()
+	}
+	for _, r := range rects {
+		d.Add(r)
+	}
+	return d.Peek()
+}
+
+// parkClean parks a painted session and checks it parked with no damage,
+// so the reference starts from an empty set.
+func (h *lotHarness) parkClean(full gfx.Rect) string {
+	h.t.Helper()
+	tok := h.paintAndPark(full).Token()
+	h.srv.mu.Lock()
+	defer h.srv.mu.Unlock()
+	if d := h.srv.table[tok].ps.dirty; !d.Empty() {
+		h.t.Fatalf("session parked with damage %v", d.Peek())
+	}
+	return tok
+}
+
+// resumedDirty resumes tok on a client that asks for nothing and returns
+// the damage its live session holds: what the resync will ship.
+func (h *lotHarness) resumedDirty(tok string) []gfx.Rect {
+	h.t.Helper()
+	back, _ := h.connect(tok)
+	h.t.Cleanup(func() { back.Close() })
+	if !back.Resumed() {
+		h.t.Fatal("resume of the parked session missed")
+	}
+	waitFor(h.t, "resumed session live", func() bool { return stateOf(h.srv, tok) == live })
+	h.srv.pumpMu.Lock() // register adopts the parked damage under pumpMu
+	defer h.srv.pumpMu.Unlock()
+	h.srv.mu.Lock()
+	sess := h.srv.table[tok].sess
+	h.srv.mu.Unlock()
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	return sess.dirty.Peek()
+}
+
+func newJournalHarness(t *testing.T) (*lotHarness, gfx.Rect) {
+	h := newLotHarness(t, Config{})
+	h.display.SetRoot(toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2}))
+	return h, gfx.R(0, 0, 160, 120)
+}
+
+// TestJournalResyncMatchesInPlaceDamage: a session parks and K rects are
+// rendered while it waits. For K up to journalCap its resumed dirty set is
+// exactly the damage set that took each render in place; past it, the
+// whole frame.
+func TestJournalResyncMatchesInPlaceDamage(t *testing.T) {
+	for _, k := range []int{0, 1, 40, journalCap, journalCap + 1, 3 * journalCap} {
+		t.Run(fmt.Sprint(k), func(t *testing.T) {
+			h, full := newJournalHarness(t)
+			rng := rand.New(rand.NewSource(int64(k) + 1))
+			tok := h.parkClean(full)
+			rects := journalRects(rng, full, k)
+			offerRenders(h.srv, rng, rects)
+			if got, want := h.resumedDirty(tok), reference(full, rects); !slices.Equal(got, want) {
+				t.Fatalf("resumed dirty set after %d rects\n got %v\nwant %v", k, got, want)
+			}
+		})
+	}
+}
+
+// TestJournalStampsEachRow: rows parked at different times replay from
+// their own positions, ExportParked's record carries the replayed damage,
+// a claim refused mid-journal resumes later with every render, and a lot
+// that emptied journals nothing until the next park.
+func TestJournalStampsEachRow(t *testing.T) {
+	h, full := newJournalHarness(t)
+	rng := rand.New(rand.NewSource(7))
+	r1, r2, r3 := journalRects(rng, full, 30), journalRects(rng, full, 30), journalRects(rng, full, 30)
+
+	a := h.parkClean(full)
+	offerRenders(h.srv, rng, r1)
+	b := h.parkClean(full)
+	offerRenders(h.srv, rng, r2)
+	rec, ok := h.srv.ExportParked(a)
+	if !ok {
+		t.Fatal("export of the parked session failed")
+	}
+	if want := reference(full, append(slices.Clone(r1), r2...)); !slices.Equal(rec.Dirty, want) {
+		t.Fatalf("exported Dirty\n got %v\nwant %v", rec.Dirty, want)
+	}
+
+	// b is claimed, renders land, the claim is refused, more renders land.
+	by := &session{token: b, retired: make(chan struct{})}
+	if !h.srv.claimParked(b, full.W, full.H, by) {
+		t.Fatal("claim of the parked session failed")
+	}
+	offerRenders(h.srv, rng, r3)
+	h.srv.refuse(by, claimed)
+	offerRenders(h.srv, rng, r1)
+	want := reference(full, slices.Concat(r2, r3, r1))
+	if got := h.resumedDirty(b); !slices.Equal(got, want) {
+		t.Fatalf("resume after a refused claim\n got %v\nwant %v", got, want)
+	}
+
+	// The lot is empty: nothing is journaled until c parks.
+	seq := h.srv.jseq
+	offerRenders(h.srv, rng, r2)
+	if h.srv.jseq != seq {
+		t.Fatalf("an empty lot journaled %d rects", h.srv.jseq-seq)
+	}
+	c := h.parkClean(full)
+	offerRenders(h.srv, rng, r3)
+	if got, want := h.resumedDirty(c), reference(full, r3); !slices.Equal(got, want) {
+		t.Fatalf("park after an empty lot\n got %v\nwant %v", got, want)
+	}
+}
+
+// pumpScene builds a 640×480 display of toggles under a server with n
+// parked rows, and returns a flip that damages one toggle.
+func pumpScene(tb testing.TB, n int) func() {
+	display := toolkit.NewDisplay(640, 480)
+	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
+	toggles := make([]*toolkit.Toggle, 8)
+	for i := range toggles {
+		toggles[i] = toolkit.NewToggle(fmt.Sprintf("toggle %d", i), false, nil)
+		root.Add(toggles[i])
+	}
+	display.SetRoot(root)
+	srv := New(display, "pump", Config{})
+	tb.Cleanup(srv.Close)
+	now := time.Now()
+	srv.pumpMu.Lock()
+	srv.mu.Lock()
+	for i := 0; i < n; i++ {
+		ps := &parkedSession{w: 640, h: 480, dirty: gfx.NewDamage(gfx.R(0, 0, 640, 480), 16), parkedAt: now, deadline: now.Add(time.Hour)}
+		if srv.transition(fmt.Sprintf("parked-%d", i), gone, parked, nil, ps) == nil {
+			tb.Fatal("planting a parked row refused")
+		}
+	}
+	srv.mu.Unlock()
+	srv.pumpMu.Unlock()
+	display.Render()
+	i := 0
+	return func() {
+		tg := toggles[i%len(toggles)]
+		i++
+		display.Update(func() { tg.SetOn(!tg.On()) })
+	}
+}
+
+// BenchmarkPump is one toggle flip rendered and offered by the server's
+// pump, with no parked rows and with a full lot: the two must cost the
+// same, with no allocation.
+func BenchmarkPump(b *testing.B) {
+	for _, n := range []int{0, DefaultParkCapacity} {
+		b.Run(fmt.Sprintf("parked-%d", n), func(b *testing.B) {
+			flip := pumpScene(b, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				flip()
+			}
+		})
+	}
+}
+
+// TestPumpWithFullLotAllocatesNothing: the journal is made at the first
+// park, so a pump over a full lot allocates nothing.
+func TestPumpWithFullLotAllocatesNothing(t *testing.T) {
+	flip := pumpScene(t, DefaultParkCapacity)
+	flip()
+	if allocs := testing.AllocsPerRun(100, flip); allocs != 0 {
+		t.Fatalf("pump over a full lot = %.1f allocs/op, want 0", allocs)
+	}
+}

@@ -22,6 +22,11 @@ import (
 // parked state and its first request collects an incremental resync (only
 // the damage accumulated while detached); a token that never returns
 // expires after the park TTL.
+// A parked row keeps the damage it parked with and a position in the
+// server's journal, the ring of every rectangle rendered while the lot
+// held a row; its readers (a resume's register, ExportParked) replay the
+// journal from that position in render order, or mark the whole frame
+// once the ring has moved more than journalCap rects past it.
 // The lot is bounded: at capacity the oldest parked session (of those
 // holding no undispatched input, while there are any) is expired to make
 // room. The lot is the parked and claimed rows of the session table.
@@ -56,6 +61,11 @@ const (
 	DefaultParkTTL      = 45 * time.Second
 	DefaultParkCapacity = 64
 )
+
+// journalCap is how many rendered rects the lot's journal keeps: a row
+// that falls further behind resyncs with full bounds, which ships as
+// memoised bands.
+const journalCap = 256
 
 // takeoverWait bounds a takeover's wait for the live session to park. A
 // teardown lands within microseconds of its link closing; the bound is for
@@ -110,8 +120,9 @@ type entry struct {
 // settles that edge's counters and gauges. It returns the row, or nil —
 // nothing moved — when tok is not in from, or when a closing server would
 // gain a live or parked session. sess is the session the row names after
-// the change (nil when none). An edge into the lot from outside it carries the parked
-// state ps and first makes room at capacity. s.mu must be held.
+// the change (nil when none). An edge into the lot from outside it carries
+// the parked state ps, first makes room at capacity, and stamps ps with the
+// journal's position, so its caller also holds s.pumpMu. s.mu must be held.
 func (s *Server) transition(tok string, from, to state, sess *session, ps *parkedSession) *entry {
 	if !lifecycle[edge{from, to}] {
 		panic("uniserver: illegal session transition")
@@ -128,10 +139,18 @@ func (s *Server) transition(tok string, from, to state, sess *session, ps *parke
 	}
 	if to == parked && from != claimed {
 		s.makeRoomLocked()
+		s.stamp(ps)
 	}
 	s.taken[from][to]++
 	s.count[from]--
 	s.count[to]++
+	if from == live {
+		s.unlist(e.sess)
+	}
+	if to == live {
+		sess.liveIdx = len(s.liveSess)
+		s.liveSess = append(s.liveSess, sess)
+	}
 	e.state, e.sess = to, sess
 	if ps != nil {
 		e.ps = ps
@@ -176,11 +195,23 @@ func (s *Server) transition(tok string, from, to state, sess *session, ps *parke
 	return e
 }
 
+// unlist drops a session leaving live from s.liveSess. s.mu must be held.
+func (s *Server) unlist(sess *session) {
+	last := len(s.liveSess) - 1
+	moved := s.liveSess[last]
+	s.liveSess[sess.liveIdx], moved.liveIdx = moved, sess.liveIdx
+	s.liveSess[last] = nil
+	s.liveSess = s.liveSess[:last]
+}
+
 // parkedSession is one disconnected session waiting in the lot.
 type parkedSession struct {
 	w, h int // session geometry at detach; must still match to resume
 
-	dirty       *gfx.Damage // damage accumulated before and during detach
+	// dirty is the damage accumulated before detach and during it up to
+	// journal position seq (catchUp brings it to the present).
+	dirty       *gfx.Damage
+	seq         uint64
 	dirtySpare  []gfx.Rect
 	events      []inputEvent // undispatched input at detach, replayed on resume
 	lastPtrMask uint8
@@ -245,9 +276,8 @@ func (s *Server) takeover(token string) {
 // miss, when the token is unknown, already claimed, expired, or parked with
 // a different geometry (the display resized while detached: the client's
 // framebuffer no longer matches, so it joins fresh with a full repaint). A
-// token whose session is still live is taken over first. The claimed row
-// keeps accumulating pump damage until register moves it to live or refuse
-// puts it back; a claim is not yet a resume.
+// token whose session is still live is taken over first. A claim is not
+// yet a resume: register moves the row to live, or refuse puts it back.
 func (s *Server) claimParked(token string, w, h int, by *session) bool {
 	s.takeover(token)
 	s.mu.Lock()
@@ -298,6 +328,7 @@ func (s *Server) register(sess *session, from state) bool {
 	e.ps = nil
 	s.mu.Unlock()
 	if ps != nil {
+		s.catchUp(ps)
 		sess.adopt(ps)
 		// A resume is itself a traceable session-lifecycle interaction:
 		// its span covers the whole detach window, under a fresh id.
@@ -348,6 +379,38 @@ func (s *Server) retire(sess *session, events []inputEvent) {
 		}
 		s.transition(sess.token, live, gone, nil, nil)
 	}
+}
+
+// stamp gives a row entering the lot the journal's present position,
+// making the journal on the first park. s.pumpMu and s.mu must be held.
+func (s *Server) stamp(ps *parkedSession) {
+	if s.journal == nil {
+		s.journal = new([journalCap]gfx.Rect)
+	}
+	ps.seq = s.jseq
+}
+
+// record appends a render's rects to the journal. s.pumpMu must be held.
+func (s *Server) record(rects []gfx.Rect) {
+	for _, r := range rects {
+		s.journal[s.jseq%journalCap] = r
+		s.jseq++
+	}
+}
+
+// catchUp adds to ps.dirty the journal's rects since its position, in
+// render order: the same adds a pump once made to every row in the lot,
+// so the resync ships the same rects. A row more than journalCap rects
+// behind takes its full bounds. s.pumpMu must be held.
+func (s *Server) catchUp(ps *parkedSession) {
+	if s.jseq-ps.seq > journalCap {
+		ps.dirty.AddAll()
+	} else {
+		for i := ps.seq; i < s.jseq; i++ {
+			ps.dirty.Add(s.journal[i%journalCap])
+		}
+	}
+	ps.seq = s.jseq
 }
 
 // evictsBefore orders capacity victims: no undispatched input first, then

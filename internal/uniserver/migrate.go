@@ -50,6 +50,8 @@ func (s *Server) ParkedTokens() []string {
 // would have.
 func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 	now := time.Now()
+	s.pumpMu.Lock()
+	defer s.pumpMu.Unlock()
 	s.mu.Lock()
 	if e := s.table[token]; e != nil && e.state == parked && now.After(e.ps.deadline) {
 		s.transition(token, parked, expired, nil, nil)
@@ -63,6 +65,7 @@ func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 	// The lot holds no pixels, so the record carries none: the importing
 	// node resumes onto a distrusted model exactly as this one would have.
 	ps := e.ps
+	s.catchUp(ps)
 	rec := &rfb.MigrationRecord{
 		Token: token,
 		W:     ps.w, H: ps.h,
@@ -119,6 +122,8 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 		})
 	}
 
+	s.pumpMu.Lock()
+	defer s.pumpMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.transition(rec.Token, gone, parked, nil, ps) == nil {

@@ -45,21 +45,26 @@ type Server struct {
 	name    string
 
 	// mu guards the session table (lot.go), one row per token moved only
-	// by transition, and what moves with it: closed, counts, the janitor.
-	mu     sync.Mutex
-	table  map[string]*entry
-	count  [claimed + 1]int              // rows per state (gone ones unused)
-	taken  [claimed + 1][claimed + 1]int // transitions taken, by edge
-	closed bool
-	wg     sync.WaitGroup
+	// by transition, and what moves with it: closed, counts, the live
+	// rows' sessions (in no order), the janitor.
+	mu       sync.Mutex
+	table    map[string]*entry
+	count    [claimed + 1]int              // rows per state (gone ones unused)
+	taken    [claimed + 1][claimed + 1]int // transitions taken, by edge
+	liveSess []*session
+	closed   bool
+	wg       sync.WaitGroup
 
-	// pumpMu serializes render pumps and orders register and retire
-	// against them; pumpBuf/pumpSess recycle the rect and session-snapshot
-	// storage so the damage→render→distribute path allocates nothing in
-	// steady state.
+	// pumpMu serializes render pumps and orders register, retire and the
+	// lot's migration edges against them; pumpBuf/pumpSess recycle the rect
+	// and session-snapshot storage so the damage→render→distribute path
+	// allocates nothing in steady state. journal and jseq are the lot's
+	// damage (lot.go), also under pumpMu.
 	pumpMu   sync.Mutex
 	pumpBuf  []gfx.Rect
 	pumpSess []*session
+	journal  *[journalCap]gfx.Rect
+	jseq     uint64
 
 	// tiles is the shared content-addressed tile store the wire tier
 	// publishes encoded tile bodies to (nil: no cross-session sharing;
@@ -280,13 +285,7 @@ func (s *Server) Close() {
 func (s *Server) liveSessions() []*session {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]*session, 0, s.count[live])
-	for _, e := range s.table {
-		if e.state == live {
-			out = append(out, e.sess)
-		}
-	}
-	return out
+	return append([]*session(nil), s.liveSess...)
 }
 
 // Sessions returns the number of connected proxies.
@@ -297,32 +296,32 @@ func (s *Server) Sessions() int {
 }
 
 // pump runs after the display accumulated new damage: render once, then
-// offer the fresh rectangles to every session. Pumps are serialized so the
-// recycled rect buffer is never handed out twice concurrently.
+// offer the fresh rectangles to every live session. Pumps are serialized so
+// the recycled rect buffer is never handed out twice concurrently.
 func (s *Server) pump() {
 	s.pumpMu.Lock()
 	defer s.pumpMu.Unlock()
 	rects, tid := s.display.RenderTraceInto(s.pumpBuf)
 	s.pumpBuf = rects
+	s.offer(rects, tid)
+}
+
+// offer hands one render's rects, traced as tid, to every live session and
+// to the lot. s.pumpMu must be held.
+func (s *Server) offer(rects []gfx.Rect, tid uint64) {
 	if len(rects) == 0 {
 		return
 	}
-	// One walk of the table: live sessions are snapshotted so s.mu is not
-	// held across their coalescing work; sessions in the lot take the same
-	// damage in place, which is what their owner's resync will ship.
+	// Live sessions are snapshotted so s.mu is not held across their
+	// coalescing work. The lot's rows take this render from the journal
+	// when they are next read, so a parked row costs the pump nothing.
 	s.mu.Lock()
-	sessions := s.pumpSess[:0]
-	for _, e := range s.table {
-		switch e.state {
-		case live:
-			sessions = append(sessions, e.sess)
-		case parked, claimed:
-			for _, r := range rects {
-				e.ps.dirty.Add(r)
-			}
-		}
-	}
+	sessions := append(s.pumpSess[:0], s.liveSess...)
+	inLot := s.count[parked]+s.count[claimed] > 0
 	s.mu.Unlock()
+	if inLot {
+		s.record(rects)
+	}
 	for _, sess := range sessions {
 		sess.addDirty(rects)
 		if tid != 0 {
@@ -353,10 +352,11 @@ func (s *Server) pump() {
 // are encoded at most once per flush no matter how many damage events
 // landed on them.
 type session struct {
-	srv    *Server
-	conn   *rfb.ServerConn
-	token  string // resume token; keys the session's table row
-	bounds gfx.Rect
+	srv     *Server
+	conn    *rfb.ServerConn
+	token   string // resume token; keys the session's table row
+	bounds  gfx.Rect
+	liveIdx int // index in srv.liveSess while live (srv.mu)
 
 	// link is the transport under conn, known before the handshake; closing
 	// it is how a takeover ends the session. retired is closed once the

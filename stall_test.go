@@ -31,10 +31,25 @@ func (u updateSignal) Updated([]gfx.Rect) {
 func (updateSignal) Bell()          {}
 func (updateSignal) CutText(string) {}
 
+// smallSendBuffers hands the hub connections with a 64 KB send buffer, so
+// a frame to a client that does not read fills the link at once instead
+// of a few frames later (loopback's autotuned buffers hold several 1.2 MB
+// frames).
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		err = c.(*net.TCPConn).SetWriteBuffer(64 << 10)
+	}
+	return c, err
+}
+
 // TestStalledReadersCostOnlyThemselves: twice as many clients as the pool
-// has workers complete the handshake over loopback TCP, ask for full raw
-// frames every 5 ms and never read. Without a write budget their blocked
-// writes hold every worker for good and the hub answers nobody. With it:
+// has workers complete the handshake over loopback TCP with small socket
+// buffers, ask for full raw frames every 5 ms and never read. Without a
+// write budget their blocked writes hold every worker for good and the hub
+// answers nobody. With it:
 // every stalled session parks within WriteBudget plus slack; then a client
 // on another home gets its first update as fast as one did before the
 // stall (plus 100 ms), and its key toggles that home's lamp — two HAVi
@@ -63,7 +78,7 @@ func TestStalledReadersCostOnlyThemselves(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	go h.Serve(ln)
+	go h.Serve(smallSendBuffers{ln})
 	for _, id := range []string{"before", "after", "stalled"} {
 		if _, err := h.Admit(id); err != nil {
 			t.Fatal(err)
@@ -103,11 +118,21 @@ func TestStalledReadersCostOnlyThemselves(t *testing.T) {
 	before, _, baseline := join("before")
 	before.Close()
 
+	// Each stalled client's receive buffer is small, as is the hub's send
+	// buffer, so the hub's first frame to it blocks: the clock below starts
+	// when the links block, as WriteBudget's does, not while frames still
+	// fit in the socket buffers.
 	stallers := 2 * sched.DefaultWorkers()
 	stalled := make([]*rfb.ClientConn, stallers)
 	for i := range stalled {
-		conn, err := hub.DialHome(ln.Addr().String(), "stalled")
+		conn, err := net.Dial("tcp", ln.Addr().String())
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.(*net.TCPConn).SetReadBuffer(4 << 10); err != nil {
+			t.Fatal(err)
+		}
+		if err := hub.WritePreamble(conn, "stalled"); err != nil {
 			t.Fatal(err)
 		}
 		if stalled[i], err = rfb.Dial(conn); err != nil {
