@@ -59,8 +59,7 @@ func TestChaosSoak(t *testing.T) {
 	t.Logf("chaos soak: seed=%d homes=%d devices=%d hops=%d steps=%d (repro: SOAK_SEED=%d go test -race -run TestChaosSoak -v .)",
 		seed, cfg.Homes, cfg.Devices, cfg.Hops, cfg.StepsPerVisit, seed)
 
-	parked0 := metrics.Default().Counter("session_parked_total").Value()
-	resumed0 := metrics.Default().Counter("session_resumed_total").Value()
+	before := readSoakCounts()
 
 	h, err := hub.New(hub.Options{
 		Factory: func(homeID string) (hub.Host, error) {
@@ -103,18 +102,41 @@ func TestChaosSoak(t *testing.T) {
 
 	// The failure path was actually exercised, and the lot accounting
 	// balances: parked ≥ resumed (every resume claims a park).
-	parked := metrics.Default().Counter("session_parked_total").Value() - parked0
-	resumed := metrics.Default().Counter("session_resumed_total").Value() - resumed0
-	if parked == 0 {
+	d := readSoakCounts().since(before)
+	if d.parked == 0 {
 		t.Error("soak never parked a session — the storm did not exercise the failure path")
 	}
-	if resumed == 0 {
-		t.Error("soak never resumed a session — injected mid-visit drops should reconnect in place")
+	counts := fmt.Sprintf("%d parked, %d resumed, %d resume misses, %d expired, %d takeovers, %d hub token-route misses",
+		d.parked, d.resumed, d.missed, d.expired, d.takeovers, d.tokenMisses)
+	if d.resumed == 0 {
+		t.Errorf("soak never resumed a session — injected mid-visit drops should reconnect in place (%s)", counts)
 	}
-	if resumed > parked {
-		t.Errorf("lot accounting broken: resumed %d > parked %d", resumed, parked)
+	if d.resumed > d.parked {
+		t.Errorf("lot accounting broken: resumed %d > parked %d", d.resumed, d.parked)
 	}
-	t.Logf("soak: %d parked, %d resumed", parked, resumed)
+	t.Logf("soak: %s", counts)
+}
+
+// soakCounts are the lot and token-route counters of the default
+// registry. Their deltas across a soak say whether it parked and resumed
+// sessions, and which way the reconnects that did not resume went.
+type soakCounts struct{ parked, resumed, missed, expired, takeovers, tokenMisses int64 }
+
+func readSoakCounts() soakCounts {
+	counter := func(name string) int64 { return metrics.Default().Counter(name).Value() }
+	return soakCounts{
+		parked:      counter("session_parked_total"),
+		resumed:     counter("session_resumed_total"),
+		missed:      counter("session_resume_miss_total"),
+		expired:     counter("session_expired_total"),
+		takeovers:   counter("session_takeover_total"),
+		tokenMisses: counter("hub_token_route_misses_total"),
+	}
+}
+
+func (s soakCounts) since(b soakCounts) soakCounts {
+	return soakCounts{s.parked - b.parked, s.resumed - b.resumed, s.missed - b.missed,
+		s.expired - b.expired, s.takeovers - b.takeovers, s.tokenMisses - b.tokenMisses}
 }
 
 // soakDevice walks one roam itinerary: connect to the visit's home
@@ -206,9 +228,18 @@ func soakDevice(h *hub.Hub, seed int64, di int, plan workload.RoamPlan) error {
 				time.Sleep(time.Millisecond)
 			}
 		}
+		inPlace := sup.Reconnects()
 		for _, step := range visit.Script {
 			phone.PressKey(step.Arg)
 			time.Sleep(2 * time.Millisecond)
+		}
+		// Stay until a byte-budget kill has landed inside the visit: its
+		// redial returns to this home with the token, the in-place resume
+		// the soak asserts. A visit of the script's length alone (~8 ms)
+		// left that to the host's speed: under CPU contention no link in
+		// a run reached its budget before the next hop killed it.
+		for deadline := time.Now().Add(2 * time.Second); sup.Reconnects() == inPlace && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
 		}
 	}
 	return nil

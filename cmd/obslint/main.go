@@ -30,11 +30,12 @@
 // The lint also guards the budgeted event runtime's core invariant: in the
 // session-path packages (internal/uniserver, internal/hub, internal/rfb,
 // internal/netsim) a naked `go` statement is an error — per-session
-// concurrency belongs on the sched runtime (pool turns and wheel timers),
+// concurrency belongs on pool turns and runtime timers (time.AfterFunc),
 // where worker count is a process budget instead of scaling with sessions.
 // A deliberate spawn (e.g. the one-goroutine-per-connection legacy Serve
 // path) is annotated with a `goroutine-ok:` comment naming its reason, on
-// the go statement's line or the line above.
+// the go statement's line or the line above. time.NewTicker and time.Tick
+// are refused there, with no annotation to excuse them.
 //
 // Outside internal/gfx and internal/rfb's decode functions, a non-test
 // `copy(<x>.Pix(), …)` or `<x>.Pix()[…] = …` is an error: such a write
@@ -192,7 +193,7 @@ func lintFile(path string, pkgDocs, registered map[string]bool) int {
 	}
 	bad := lintPixWrites(fset, f, path)
 	if sessionPath {
-		bad += lintGoStmts(fset, f, path)
+		bad += lintGoStmts(fset, f, path) + lintTickers(fset, f, path)
 	}
 	if *docLint {
 		dir := filepath.Dir(path)
@@ -317,7 +318,7 @@ func lintConstDocs(fset *token.FileSet, f *ast.File) int {
 
 // sessionPathDirs are the packages living under the budgeted event
 // runtime's goroutine discipline: session and home work runs as pool
-// turns and wheel timers, never as per-session or per-home goroutines.
+// turns and runtime timers, never as per-session or per-home goroutines.
 var sessionPathDirs = []string{
 	"internal/uniserver", "internal/hub", "internal/rfb", "internal/netsim",
 	"internal/fed", "internal/havi", "internal/appliance", "internal/homeapp",
@@ -340,7 +341,7 @@ const goroutineOK = "goroutine-ok:"
 // lintGoStmts flags naked `go` statements in session-path packages. A
 // spawn annotated with a goroutine-ok: comment (same line or the line
 // above) passes; everything else is a budget leak — it scales goroutines
-// with sessions instead of riding the shared pool or wheel.
+// with sessions instead of riding the shared pool or a runtime timer.
 func lintGoStmts(fset *token.FileSet, f *ast.File, path string) int {
 	allowed := map[int]bool{}
 	for _, cg := range f.Comments {
@@ -363,9 +364,27 @@ func lintGoStmts(fset *token.FileSet, f *ast.File, path string) int {
 		if allowed[line] || allowed[line-1] {
 			return true
 		}
-		fmt.Fprintf(stderr, "%s: naked go statement in session-path package %s (run it as a pool turn or wheel timer, or annotate '// goroutine-ok: <reason>')\n",
+		fmt.Fprintf(stderr, "%s: naked go statement in session-path package %s (run it as a pool turn or time.AfterFunc, or annotate '// goroutine-ok: <reason>')\n",
 			fset.Position(gs.Pos()), filepath.Dir(path))
 		bad++
+		return true
+	})
+	return bad
+}
+
+// lintTickers flags time.NewTicker and time.Tick in session-path packages:
+// a ticker needs a goroutine to drain its channel, where a time.AfterFunc
+// that re-arms itself holds none while armed.
+func lintTickers(fset *token.FileSet, f *ast.File, path string) int {
+	bad := 0
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "NewTicker" || sel.Sel.Name == "Tick") {
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" {
+				fmt.Fprintf(stderr, "%s: time.%s in session-path package %s (a ticker needs a goroutine to drain it; re-arm a time.AfterFunc instead)\n",
+					fset.Position(sel.Pos()), sel.Sel.Name, filepath.Dir(path))
+				bad++
+			}
+		}
 		return true
 	})
 	return bad

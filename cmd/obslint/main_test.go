@@ -45,6 +45,7 @@ func TestBadTreeFindings(t *testing.T) {
 		`histogram "encode_latency" must end in _seconds`,
 		`naked go statement in session-path package testdata/bad/internal/uniserver`,
 		`naked go statement in session-path package testdata/bad/internal/havi`,
+		`time.NewTicker in session-path package testdata/bad/internal/havi`,
 		`write through out.Pix() outside internal/gfx`,
 		`write through panel.Pix()[i] outside internal/gfx`,
 		`write through frame.Pix()[:n] outside internal/gfx`,

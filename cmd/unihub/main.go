@@ -371,10 +371,9 @@ func healthz(homes int, connections int64, start time.Time) map[string]any {
 		"queue_depth":    snap.Gauges["input_queue_depth"],
 		"goroutines":     snap.Gauges["server_goroutines"],
 		"sched": map[string]any{
-			"workers":      snap.Gauges["sched_workers"],
-			"run_queue":    snap.Gauges["sched_queue_depth"],
-			"turns":        snap.Counters["sched_turns_total"],
-			"wheel_timers": snap.Gauges["sched_wheel_timers"],
+			"workers":   snap.Gauges["sched_workers"],
+			"run_queue": snap.Gauges["sched_queue_depth"],
+			"turns":     snap.Counters["sched_turns_total"],
 		},
 		"go_version":     runtime.Version(),
 		"trace_sampling": trace.Sampling(),

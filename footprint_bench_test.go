@@ -68,7 +68,7 @@ func sessionFootprint(b *testing.B, w, h, fleet int, paint bool) {
 	}
 
 	// Warm the process shape outside the measurement: one attach/detach
-	// cycle starts the shared wheel driver and fills the scratch pools.
+	// cycle fills the scratch pools.
 	connect(1)[0].Close()
 	waitSessions(b, srv, 0)
 
@@ -144,8 +144,8 @@ func heapInUse() uint64 {
 }
 
 // settledGoroutines samples the goroutine count once transient goroutines
-// (pool turns handing off, a wheel driver noticing an empty wheel) have
-// finished exiting.
+// (pool turns handing off, a timer callback returning) have finished
+// exiting.
 func settledGoroutines() int {
 	prev := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {

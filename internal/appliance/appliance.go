@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"uniint/internal/havi"
-	"uniint/internal/sched"
 )
 
 // Appliance is one simulated device.
@@ -40,8 +39,8 @@ type Home struct {
 	guids      map[Appliance]havi.GUID
 
 	tickMu    sync.Mutex
-	tickRun   sync.Mutex // held across each wheel-fired advance; StopTicker's barrier
-	tickTimer *sched.Timer
+	tickRun   sync.Mutex // held across each timer-fired advance; StopTicker's barrier
+	tickTimer *time.Timer
 }
 
 // NewHome creates a household with a fresh middleware network.
@@ -111,9 +110,9 @@ func (h *Home) Advance(n int) {
 // StartTicker begins advancing the simulation in real time, once per
 // interval. Stop with StopTicker or Close.
 //
-// The tick is a periodic timer on the shared wheel rather than a dedicated
-// ticker goroutine: a process hosting 10k ticking homes (or one home with
-// 10k appliances) holds O(1) runtime timers and zero ticker goroutines.
+// The tick is a runtime timer that re-arms itself after each advance: no
+// goroutine waits between ticks, and a slow advance delays the next tick
+// instead of stacking fires.
 func (h *Home) StartTicker(interval time.Duration) {
 	h.tickMu.Lock()
 	defer h.tickMu.Unlock()
@@ -121,16 +120,17 @@ func (h *Home) StartTicker(interval time.Duration) {
 		return // already running
 	}
 	h.tickRun.Lock() // tickTimer is read under tickRun by tickOnce
-	h.tickTimer = sched.Shared().Every(interval, h.tickOnce)
+	h.tickTimer = time.AfterFunc(interval, func() { h.tickOnce(interval) })
 	h.tickRun.Unlock()
 }
 
-func (h *Home) tickOnce() {
+func (h *Home) tickOnce(interval time.Duration) {
 	h.tickRun.Lock()
 	// Re-check under tickRun: a fire dispatched just as StopTicker ran
-	// must not advance after StopTicker returned.
+	// must neither advance nor re-arm after StopTicker returned.
 	if h.tickTimer != nil {
 		h.Advance(1)
+		h.tickTimer.Reset(interval)
 	}
 	h.tickRun.Unlock()
 }

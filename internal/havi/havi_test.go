@@ -90,8 +90,9 @@ func TestDispatcherHandlerPostsRunAfterIt(t *testing.T) {
 }
 
 // TestDispatcherStopNeedsNoWorker: with every pool worker held, stop still
-// runs what is queued, on its caller — the hub's eviction sweep closes
-// homes from a pool turn and must not wait for a free worker.
+// runs what is queued, on its caller — a home closed from a pool turn, or
+// from a timer's callback while the pool is busy, must not wait for a free
+// worker.
 func TestDispatcherStopNeedsNoWorker(t *testing.T) {
 	pool := sched.SharedPool()
 	release := make(chan struct{})

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"uniint/internal/metrics"
-	"uniint/internal/sched"
 	"uniint/internal/trace"
 )
 
@@ -59,11 +58,9 @@ type Options struct {
 	// the cap fail with ErrFull.
 	MaxHomes int
 	// IdleTimeout evicts homes with no connections and no activity for
-	// this long; 0 disables eviction.
+	// this long; 0 disables eviction. The janitor sweeps every
+	// IdleTimeout/4, and at most once a second.
 	IdleTimeout time.Duration
-	// SweepInterval is the eviction janitor period (default
-	// IdleTimeout/4, minimum 1s). Ignored when IdleTimeout is 0.
-	SweepInterval time.Duration
 	// Metrics receives the hub's instruments (default metrics.Default()).
 	Metrics *metrics.Registry
 }
@@ -122,12 +119,11 @@ type Hub struct {
 	closed   atomic.Bool
 	draining atomic.Bool
 
-	// The eviction janitor is a periodic timer on the shared wheel that
-	// kicks a pool task: N hubs (or thousands of idle homes) cost O(1)
-	// runtime timers and zero dedicated goroutines. The task state machine
-	// keeps sweeps from ever overlapping.
-	janitorTimer *sched.Timer
-	sweepTask    *sched.Task
+	// The eviction janitor: a runtime timer that re-arms itself after
+	// each sweep, so sweeps never overlap. Close stops and clears it under
+	// janitorMu, which each fire holds across its sweep.
+	janitorMu sync.Mutex
+	janitor   *time.Timer
 
 	// Pre-resolved instruments (hot path: no registry lookups).
 	mHomes        *metrics.Gauge
@@ -175,15 +171,9 @@ func New(opts Options) (*Hub, error) {
 		mRouteSeconds: opts.Metrics.Histogram("hub_route_seconds", metrics.LatencyBuckets()),
 	}
 	if opts.IdleTimeout > 0 {
-		sweep := opts.SweepInterval
-		if sweep <= 0 {
-			sweep = opts.IdleTimeout / 4
-		}
-		if sweep < time.Second {
-			sweep = time.Second
-		}
-		h.sweepTask = sched.SharedPool().NewTask(h.sweep)
-		h.janitorTimer = sched.Shared().Every(sweep, h.sweepTask.Kick)
+		h.janitorMu.Lock()
+		h.janitor = time.AfterFunc(h.sweepEvery(), h.janitorFire)
+		h.janitorMu.Unlock()
 	}
 	return h, nil
 }
@@ -503,8 +493,22 @@ func (h *Hub) Release(id string) (Host, bool) {
 	return e.home, true
 }
 
+// sweepEvery is the eviction janitor's period.
+func (h *Hub) sweepEvery() time.Duration { return max(h.opts.IdleTimeout/4, time.Second) }
+
+// janitorFire sweeps and re-arms, unless it lost the race with Close
+// and finds the janitor cleared.
+func (h *Hub) janitorFire() {
+	h.janitorMu.Lock()
+	defer h.janitorMu.Unlock()
+	if h.janitor == nil {
+		return
+	}
+	h.sweep()
+	h.janitor.Reset(h.sweepEvery())
+}
+
 // sweep evicts every home idle beyond IdleTimeout with no connections.
-// It runs as a pool turn, kicked by the janitor's wheel timer.
 func (h *Hub) sweep() {
 	cutoff := time.Now().Add(-h.opts.IdleTimeout).UnixNano()
 	for i := range h.shards {
@@ -558,10 +562,12 @@ func (h *Hub) Close() {
 	if h.closed.Swap(true) {
 		return
 	}
-	if h.janitorTimer != nil {
-		h.janitorTimer.Stop()
-		h.sweepTask.Stop()
+	h.janitorMu.Lock() // waits out a sweep in flight
+	if h.janitor != nil {
+		h.janitor.Stop()
+		h.janitor = nil
 	}
+	h.janitorMu.Unlock()
 	for i := range h.shards {
 		sh := &h.shards[i]
 		sh.mu.Lock()

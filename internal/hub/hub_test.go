@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"uniint/internal/leakcheck"
 	"uniint/internal/metrics"
 	"uniint/internal/rfb"
 )
@@ -360,6 +361,81 @@ func TestIdleSweep(t *testing.T) {
 	}
 	if got := f.creations("sleepy"); got != 2 {
 		t.Fatalf("creations = %d, want 2", got)
+	}
+}
+
+// gatedHome is a home whose Close signals closing and then waits for
+// release, so the sweep evicting it is held mid-eviction.
+type gatedHome struct{ closing, release chan struct{} }
+
+func (g gatedHome) HandleConn(conn net.Conn) error { return conn.Close() }
+
+func (g gatedHome) Close() {
+	close(g.closing)
+	<-g.release
+}
+
+// TestJanitorEvictsWithoutManualSweep: the janitor's timer alone evicts an
+// idle home, and evicts its second admission too, which only a re-armed
+// timer can. A Close racing a sweep waits it out and stops the timer that
+// sweep re-armed, so nothing sweeps after Close returns.
+func TestJanitorEvictsWithoutManualSweep(t *testing.T) {
+	leakcheck.Check(t, 0)
+	f := newStubFactory()
+	gated := gatedHome{closing: make(chan struct{}), release: make(chan struct{})}
+	reg := metrics.NewRegistry()
+	h, _ := newTestHub(t, Options{
+		IdleTimeout: 10 * time.Millisecond, // swept every second, the floor
+		Metrics:     reg,
+		Factory: func(id string) (Host, error) {
+			if id == "gated" {
+				return AdaptConnHandler(gated), nil
+			}
+			return f.factory(id)
+		},
+	})
+	evictions := reg.Counter("hub_evictions_total")
+	for want := int64(1); want <= 2; want++ {
+		if _, err := h.Admit("sleepy"); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for evictions.Value() < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("janitor evicted %d times in 5s, want %d", evictions.Value(), want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+
+	h.janitorMu.Lock()
+	timer := h.janitor
+	h.janitorMu.Unlock()
+	if _, err := h.Admit("gated"); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-gated.closing:
+	case <-time.After(5 * time.Second):
+		t.Fatal("janitor never swept the gated home")
+	}
+	closed := make(chan struct{})
+	go func() {
+		h.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a sweep was in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gated.release)
+	<-closed
+	if timer.Stop() {
+		t.Fatal("janitor still armed after Close returned")
+	}
+	if got := evictions.Value(); got != 3 {
+		t.Fatalf("evictions = %d, want 3", got)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 )
 
 // settleTimeout bounds how long the cleanup waits for goroutines that are
-// legitimately mid-exit (pool workers joining, a wheel driver noticing an
-// empty wheel) before declaring a leak.
+// legitimately mid-exit (pool workers joining, a timer callback returning)
+// before declaring a leak.
 const settleTimeout = 5 * time.Second
 
 // Check records the current goroutine count and registers a cleanup that

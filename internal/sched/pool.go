@@ -1,16 +1,15 @@
 // Package sched is the budgeted event runtime behind the connection path:
-// a shared worker pool draining a run-queue of session "turns", and a
-// hierarchical timer wheel absorbing the process's periodic work.
+// a shared worker pool draining a run-queue of session "turns".
 //
 // The goroutines-per-session model the paper's scale assumes (a handful of
-// sessions per home) breaks down at 100k+ sessions per process: stacks,
-// per-session timers and pinned scratch dominate memory while almost every
-// session is idle. sched inverts the model — sessions become Tasks whose
-// state machine (idle → queued → running → re-queued) guarantees a task is
-// on the run-queue at most once, a fixed-size worker set executes turns,
-// and all timers in the process collapse onto O(1) OS timers via Wheel.
+// sessions per home) breaks down at 100k+ sessions per process: stacks
+// and pinned scratch dominate memory while almost every session is idle.
+// sched inverts the model — sessions become Tasks whose state machine
+// (idle → queued → running → re-queued) guarantees a task is on the
+// run-queue at most once, and a fixed-size worker set executes turns.
 // Idle cost per session drops to the task struct; CPU cost stays where the
-// work is.
+// work is. Timers need nothing here: time.AfterFunc holds no goroutine
+// while armed.
 package sched
 
 import (
@@ -80,9 +79,9 @@ func NewPool(n int) *Pool {
 var sharedPool = NewPool(0)
 
 // SharedPool returns the process-wide pool, the one every server and hub
-// runs its turns on, as Shared is the one wheel. Its size is
-// DefaultWorkers and nothing closes it, so the worker count is a process
-// constant however many homes and sessions the process hosts.
+// runs its turns on. Its size is DefaultWorkers and nothing closes it, so
+// the worker count is a process constant however many homes and sessions
+// the process hosts.
 func SharedPool() *Pool { return sharedPool }
 
 // Workers returns the pool's worker count.

@@ -7,7 +7,6 @@ import (
 
 	"uniint/internal/gfx"
 	"uniint/internal/metrics"
-	"uniint/internal/sched"
 	"uniint/internal/trace"
 )
 
@@ -466,16 +465,15 @@ func (c *session) adopt(ps *parkedSession) {
 }
 
 // scheduleSweepLocked arms the lot janitor for the given deadline if no
-// earlier sweep is already scheduled. The janitor is a timer on the shared
-// wheel, so a process full of detach lots holds O(1) runtime timers.
-// s.mu must be held.
+// earlier sweep is already scheduled. s.mu must be held: the janitor
+// reads lotTimer under it.
 func (s *Server) scheduleSweepLocked(deadline time.Time) {
 	d := time.Until(deadline) + time.Millisecond
 	if d < time.Millisecond {
 		d = time.Millisecond
 	}
 	if s.lotTimer == nil {
-		s.lotTimer = sched.Shared().AfterFunc(d, s.sweepLot)
+		s.lotTimer = time.AfterFunc(d, s.sweepLot)
 		s.lotSweepAt = deadline
 		return
 	}

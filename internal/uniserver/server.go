@@ -75,7 +75,7 @@ type Server struct {
 	// table's parked and claimed rows.
 	parkTTL    time.Duration
 	parkCap    int
-	lotTimer   *sched.Timer // janitor on the shared wheel, armed on demand
+	lotTimer   *time.Timer // the lot janitor, armed on demand; under mu
 	lotSweepAt time.Time
 }
 
@@ -197,10 +197,9 @@ func (s *Server) Attach(conn net.Conn) error {
 	// presenting a resume token, say) must fail within the deadline so
 	// its claim releases and the parked session stays reclaimable —
 	// unbounded, a half-open link would hold the claim forever (the lot
-	// janitor skips claimed entries). The bound is a wheel timer, not a
-	// conn deadline: a process full of mid-handshake peers arms O(1) OS
-	// timers, and transports without deadline support work too.
-	hsTimer := sched.Shared().AfterFunc(HandshakeTimeout, func() { conn.Close() })
+	// janitor skips claimed entries). The bound is a runtime timer, not a
+	// conn deadline, so transports without deadline support work too.
+	hsTimer := time.AfterFunc(HandshakeTimeout, func() { conn.Close() })
 	rc, err := rfb.NewEdgeServerConn(conn, w, h, s.name, ex)
 	hsTimer.Stop()
 	if err != nil {
