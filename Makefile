@@ -166,7 +166,20 @@ COVER_MIN ?= 74
 # and sweepEvery, replacing SweepInterval and the sweep task),
 # cmd/obslint/testdata/bad/internal/havi/dispatch.go +4 (a ticker the
 # lint refuses), appliance/appliance.go 0 (tickOnce re-arms itself).
-LOC_MAX ?= 20029
+# Production as the only configuration lowered it 20 029 -> 19 969 for
+# -60 lines: rfb/client.go -34 (SendKey, SendPointer, SendCutText),
+# uniserver/server.go -19 (Config, New's park normalisation, Attach's
+# parking-off guard; +6 for the slow link's no-fresh-budget rule),
+# toolkit/display.go -17 (RenderInto, Click), hub/hub.go -14 (Shards,
+# nextPow2 and the rounding, servePreamble folded into ServeConn;
+# ServePreamble takes the router's home and start time), uniint.go -11
+# (ParkTTL, ParkCapacity), fed/cluster.go -6 (DetachTimeout; findToken
+# returns the home), uniserver/lot.go -6 (takeover's and retire's
+# parking-off branches), core/proxy.go -4 (RefreshOutput, now a test
+# shim), uniserver/migrate.go -3, cmd/unihub/main.go -2 (-shards);
+# cmd/obslint/testonly.go +38 and cmd/obslint/main.go +2 (the knob rule),
+# its fixtures +16.
+LOC_MAX ?= 19969
 
 .PHONY: all build test vet race race-takeover fuzz-smoke fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc loc-gate examples
 
@@ -253,10 +266,11 @@ race:
 # presented while its session is still live, 500 zero-delay redials over
 # loopback TCP, concurrent cold joins sharing one memoised frame body, and
 # the session table's seeded model (every lifecycle edge, including stalled
-# handshakes taken over and Close mid-claim) — so a window that opens one
-# run in a hundred still fails the PR. CI runs it in the test job.
+# handshakes taken over and Close mid-claim), and a traced interaction
+# carried across a park window to its post-resume flush — so a window that
+# opens one run in a hundred still fails the PR. CI runs it in the test job.
 race-takeover:
-	$(GO) test -race -count=5 -run 'Takeover|TestResumeHammer|TestColdJoinSharedMemo|TestSessionTableModel' . ./internal/uniserver
+	$(GO) test -race -count=5 -run 'Takeover|TestResumeHammer|TestColdJoinSharedMemo|TestSessionTableModel|TestTraceSpansSurviveParkResume' . ./internal/uniserver
 
 # fuzz-smoke mutates every peer-facing parser's seeds for 10 s each: the
 # client-message parser, the client's rectangle decoders, the migration

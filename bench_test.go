@@ -685,7 +685,7 @@ func BenchmarkE11ShapedLink(b *testing.B) {
 			display := toolkit.NewDisplay(640, 480)
 			app := homeapp.New(home.Network(), display)
 			defer app.Close()
-			srv := uniserver.New(display, "shaped", uniserver.Config{})
+			srv := uniserver.New(display, "shaped", nil)
 			defer srv.Close()
 
 			// One shaped wrap covers both directions (Wrap is symmetric);

@@ -21,7 +21,9 @@
 //	-testonly   every exported func, method, type or var under internal/
 //	            or in the root package must be referenced by a non-test
 //	            file of the module, or be named in the root's
-//	            TESTONLY.allow (see lintTestOnly for the exact rule).
+//	            TESTONLY.allow; and every exported field of an *Options or
+//	            *Config struct there must be named by a non-test file
+//	            outside its package (see lintTestOnly for the exact rule).
 //
 // Usage:
 //
@@ -74,7 +76,7 @@ var snakeCase = regexp.MustCompile(`^[a-z][a-z0-9]*(_[a-z0-9]+)*$`)
 var (
 	docLint  = flag.Bool("doclint", false, "also require package docs and exported-constant docs")
 	mdLinks  = flag.Bool("mdlinks", false, "also check that relative markdown links resolve")
-	testOnly = flag.Bool("testonly", false, "also fail exported identifiers that only _test.go files reference")
+	testOnly = flag.Bool("testonly", false, "also fail exported identifiers that only _test.go files reference, and Options/Config fields no caller sets")
 )
 
 // stderr receives every finding; the tests swap it for a buffer.

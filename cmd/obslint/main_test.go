@@ -29,7 +29,8 @@ func lint(t *testing.T, tree string, doc, md, only bool) (int, string) {
 // an annotated go statement, package and
 // constant docs, resolving links and paths — and under -testonly a method
 // reached only through an embedded type's interface, an identifier only
-// examples/ calls, a whole-package and a single-identifier allow entry.
+// examples/ calls, a whole-package and a single-identifier allow entry, a
+// knob cmd/ sets and a test-support package's knob no one sets.
 func TestGoodTreePasses(t *testing.T) {
 	if bad, out := lint(t, "good", true, true, true); bad != 0 {
 		t.Fatalf("good tree: %d findings\n%s", bad, out)
@@ -72,6 +73,7 @@ func TestBadTreeFindings(t *testing.T) {
 			`fixture/internal/uniserver.OnlyTests has no reference outside _test.go files`,
 			`fixture/internal/uniserver.Live has a non-test reference now`,
 			`fixture/internal/uniserver.Gone names nothing the lint checks`,
+			`fixture/internal/uniserver.Options.Unset is a knob no non-test file outside its package sets`,
 		}},
 	}
 	for _, tc := range cases {

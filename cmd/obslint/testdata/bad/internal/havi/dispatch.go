@@ -1,8 +1,12 @@
 // Package havi starts a dispatcher goroutine per home, and a ticker that
-// needs one to drain it, which the session-path rules refuse.
+// needs one to drain it, which the session-path rules refuse. It sets one
+// of uniserver's knobs.
 package havi
 
 import "time"
+import "fixture/internal/uniserver"
+
+var serverOptions = uniserver.Options{Set: 1}
 
 func newDispatcher(run func()) { go run() }
 

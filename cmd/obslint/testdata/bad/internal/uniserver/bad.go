@@ -15,7 +15,11 @@ func Live() {
 	reg.Counter("rfb_copyrect_unchanged_total")
 	reg.Histogram("encode_latency", nil)
 	go Live()
+	_ = Options{Unset: 1}
 }
 
 // OnlyTests is called by bad_test.go alone.
 func OnlyTests() {}
+
+// Options holds two knobs: havi sets Set, only this package names Unset.
+type Options struct{ Set, Unset int }

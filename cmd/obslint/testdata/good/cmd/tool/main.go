@@ -6,4 +6,5 @@ import "fixture/internal/uniserver"
 func main() {
 	uniserver.Used()
 	uniserver.Measure(uniserver.Box{})
+	_ = uniserver.Options{Depth: 1}
 }

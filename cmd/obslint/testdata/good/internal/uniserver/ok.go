@@ -19,6 +19,9 @@ func Used() {
 	go Used()
 }
 
+// Options' knob is set by cmd/tool.
+type Options struct{ Depth int }
+
 // FromExample is called by name only from examples/demo.
 func FromExample() {}
 

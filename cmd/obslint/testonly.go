@@ -80,7 +80,14 @@ var methodKey = strings.NewReplacer("(*", "", "(", "", ")", "")
 // or promoted through embedding, implements an interface that names it: one
 // written anywhere in the module, one exported by ifacePkgs, or error.
 //
-// What it cannot see: struct fields, methods declared by interfaces,
+// Struct fields get one rule of their own: an exported field of an
+// exported struct whose name ends in Options or Config is a knob, and a
+// knob no non-test file outside its declaring package names is one no
+// caller sets — its default is the only configuration in use, so it
+// should be a constant. A whole-package TESTONLY.allow entry exempts a
+// test-support package's knobs.
+//
+// What it cannot see: other struct fields, methods declared by interfaces,
 // constants (they name a vocabulary; -doclint covers them), and an
 // identifier kept alive only by other dead code — a type referenced by
 // nothing but its own methods, an interface by one conformance assertion.
@@ -167,10 +174,22 @@ func lintTestOnly(root string) (int, error) {
 		}
 	}
 
+	// setOutside: the struct fields a non-test file outside the declaring
+	// package (directory) names.
+	setOutside := map[types.Object]bool{}
+	for id, obj := range m.info.Uses {
+		if v, ok := obj.(*types.Var); ok && v.IsField() &&
+			filepath.Dir(m.fset.Position(id.Pos()).Filename) != filepath.Dir(m.fset.Position(v.Pos()).Filename) {
+			setOutside[v] = true
+		}
+	}
+
 	// known: every declaration the rule covers, by allow-list key. dead:
-	// the ones nothing keeps alive; deadIn: the packages that hold one,
-	// which is what a whole-package entry must still name.
+	// the ones nothing keeps alive; deadIn: the packages that hold one (or
+	// a knob), which is what a whole-package entry must still name. knobs:
+	// the covered *Options and *Config fields that are not setOutside.
 	known, dead, deadIn := map[string]bool{}, map[string]types.Object{}, map[string]bool{}
+	knobs := map[string]types.Object{}
 	for id, obj := range m.info.Defs {
 		if obj == nil || !obj.Exported() {
 			continue
@@ -191,6 +210,15 @@ func lintTestOnly(root string) (int, error) {
 		case *types.Var, *types.TypeName:
 			if o.Parent() != o.Pkg().Scope() { // a field, a local
 				continue
+			}
+			st, _ := o.Type().Underlying().(*types.Struct)
+			if _, isType := o.(*types.TypeName); !isType || !strings.HasSuffix(key, "Options") && !strings.HasSuffix(key, "Config") {
+				st = nil
+			}
+			for i := 0; st != nil && i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !setOutside[f] {
+					knobs[key+"."+f.Name()], deadIn[o.Pkg().Path()] = f, true
+				}
 			}
 		default:
 			continue
@@ -232,10 +260,20 @@ func lintTestOnly(root string) (int, error) {
 			keys = append(keys, key)
 		}
 	}
+	for key, f := range knobs {
+		if !allowed[f.Pkg().Path()] {
+			keys = append(keys, key)
+		}
+	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		fmt.Fprintf(stderr, "%s: %s has no reference outside _test.go files (delete it, or name it in %s)\n",
-			m.fset.Position(dead[key].Pos()), key, allowFile)
+		if f := knobs[key]; f != nil {
+			fmt.Fprintf(stderr, "%s: %s is a knob no non-test file outside its package sets (make its default a constant)\n",
+				m.fset.Position(f.Pos()), key)
+		} else {
+			fmt.Fprintf(stderr, "%s: %s has no reference outside _test.go files (delete it, or name it in %s)\n",
+				m.fset.Position(dead[key].Pos()), key, allowFile)
+		}
 	}
 	return bad + len(keys), nil
 }

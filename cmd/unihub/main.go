@@ -48,7 +48,6 @@ func main() {
 	metricsListen := flag.String("metrics", ":9190", "address serving /metrics (Prometheus or JSON) and /healthz (empty disables)")
 	homes := flag.Int("homes", 64, "homes to pre-admit at startup")
 	classes := flag.String("appliances", "tv,lamp", "comma-separated appliance classes per home")
-	shards := flag.Int("shards", 64, "registry shard count (rounded up to a power of two)")
 	maxHomes := flag.Int("max-homes", 0, "resident home cap (0 = unlimited)")
 	idle := flag.Duration("idle", 10*time.Minute, "evict homes idle this long (0 disables)")
 	width := flag.Int("width", 320, "per-home desktop width")
@@ -64,7 +63,7 @@ func main() {
 
 	if err := run(config{
 		listen: *listen, metricsListen: *metricsListen,
-		homes: *homes, classes: *classes, shards: *shards,
+		homes: *homes, classes: *classes,
 		maxHomes: *maxHomes, idle: *idle,
 		width: *width, height: *height, drainTimeout: *drainTimeout,
 		pprof: *pprofFlag, pprofMutex: *pprofMutex, pprofBlock: *pprofBlock,
@@ -78,7 +77,7 @@ func main() {
 
 type config struct {
 	listen, metricsListen string
-	homes, shards         int
+	homes                 int
 	classes               string
 	maxHomes              int
 	idle                  time.Duration
@@ -119,7 +118,6 @@ func homeFactory(classes []string, w, h int) hub.Factory {
 func newHub(cfg config, factory hub.Factory) (*hub.Hub, error) {
 	return hub.New(hub.Options{
 		Factory:     factory,
-		Shards:      cfg.shards,
 		MaxHomes:    cfg.maxHomes,
 		IdleTimeout: cfg.idle,
 	})

@@ -19,7 +19,7 @@ import (
 // per home; when every home ran its own HAVi dispatcher the second read
 // +48.
 func TestHomesShareTheWorkerBudget(t *testing.T) {
-	cfg := config{shards: 4, width: 64, height: 48}
+	cfg := config{width: 64, height: 48}
 	h, err := newHub(cfg, homeFactory([]string{"tv", "lamp"}, cfg.width, cfg.height))
 	if err != nil {
 		t.Fatal(err)

@@ -162,9 +162,9 @@ func TestColdJoinSharedMemo(t *testing.T) {
 	full := gfx.R(0, 0, coldJoinW, coldJoinH)
 	want := d.Snapshot(full)
 
-	plain := uniserver.New(d, "uncached", uniserver.Config{})
+	plain := uniserver.New(d, "uncached", nil)
 	t.Cleanup(plain.Close)
-	memo := uniserver.New(d, "memo", uniserver.Config{Tiles: rfb.NewTileCache(0)})
+	memo := uniserver.New(d, "memo", rfb.NewTileCache(0))
 	t.Cleanup(memo.Close)
 
 	// join connects a client the way the proxy does and asks for the full

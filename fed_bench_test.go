@@ -29,7 +29,7 @@ import (
 func BenchmarkE2bMigrate(b *testing.B) {
 	const homeID = "migrate-home"
 	display := toolkit.NewDisplay(320, 240)
-	srv := uniserver.New(display, "migrate-bench", uniserver.Config{})
+	srv := uniserver.New(display, "migrate-bench", nil)
 	defer srv.Close()
 	lbl := toolkit.NewLabel("migrate bench")
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 4, Padding: 4})

@@ -43,7 +43,7 @@ func sessionFootprint(b *testing.B, w, h, fleet int, paint bool) {
 		root.Add(toolkit.NewLabel("Lamp ON  Volume 12"))
 		display.SetRoot(root)
 	}
-	srv := uniserver.New(display, "footprint", uniserver.Config{ParkTTL: -1})
+	srv := uniserver.New(display, "footprint", nil)
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -49,7 +49,6 @@ func BenchmarkHubRoute(b *testing.B) {
 		b.Run(fmt.Sprintf("%d-homes", homes), func(b *testing.B) {
 			h, err := hub.New(hub.Options{
 				Factory: func(string) (hub.Host, error) { return hub.AdaptConnHandler(stubHome{}), nil },
-				Shards:  64,
 				Metrics: metrics.NewRegistry(),
 			})
 			if err != nil {
@@ -192,7 +191,6 @@ func BenchmarkHubSession(b *testing.B) {
 			var sessions sync.Map
 			h, err := hub.New(hub.Options{
 				Factory: benchHomeFactory(&sessions),
-				Shards:  64,
 				Metrics: metrics.NewRegistry(),
 			})
 			if err != nil {

@@ -104,7 +104,7 @@ func TestHubThousandIdleSessions(t *testing.T) {
 // already in the lot. (TestHubAttachEdgeErrors has the closed-hub exit.)
 func TestHubRouteUnpinsBeforeReturning(t *testing.T) {
 	leakcheck.Check(t, 0)
-	srv := uniserver.New(toolkit.NewDisplay(64, 48), "route-exits", uniserver.Config{})
+	srv := uniserver.New(toolkit.NewDisplay(64, 48), "route-exits", nil)
 	h, err := hub.New(hub.Options{
 		Factory: func(string) (hub.Host, error) { return srv, nil },
 		Metrics: metrics.NewRegistry(),

@@ -62,10 +62,11 @@ func BenchmarkInputBatch(b *testing.B) {
 	ev := rfb.InputEvent{IsPointer: true, Pointer: rfb.PointerEvent{Buttons: 1, X: 10, Y: 20}}
 	b.Run("single", func(b *testing.B) {
 		client := discardServerClient(b)
+		one := []rfb.InputEvent{ev}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := client.SendPointer(ev.Pointer); err != nil {
+			if err := client.WriteEvents(one); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -182,7 +183,7 @@ func BenchmarkInputFlood(b *testing.B) {
 	display.SetRoot(root)
 	display.Render()
 
-	srv := uniserver.New(display, "flood", uniserver.Config{})
+	srv := uniserver.New(display, "flood", nil)
 	defer srv.Close()
 	sc, cc := net.Pipe()
 	go srv.Attach(sc)

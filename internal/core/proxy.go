@@ -841,7 +841,3 @@ func framePixels(f Frame) int64 {
 	}
 	return n
 }
-
-// RefreshOutput forces a full-frame conversion and presentation without
-// waiting for server damage (used right after attaching a display).
-func (p *Proxy) RefreshOutput() { p.present(nil, false) }

@@ -31,7 +31,7 @@ func newSupervisedStack(t *testing.T) *supervisedStack {
 	st := &supervisedStack{
 		display: toolkit.NewDisplay(640, 480),
 	}
-	st.srv = uniserver.New(st.display, "supervised", uniserver.Config{})
+	st.srv = uniserver.New(st.display, "supervised", nil)
 	t.Cleanup(st.srv.Close)
 	return st
 }

@@ -21,9 +21,9 @@ var (
 	ErrNotEvacuated = errors.New("fed: home still has pinned connections")
 )
 
-// DefaultDetachTimeout bounds how long a migration waits for a home's
-// live sessions to force-park before giving up on the move.
-const DefaultDetachTimeout = 5 * time.Second
+// detachTimeout bounds how long a migration waits for a home's live
+// sessions to force-park before giving up on the move.
+const detachTimeout = 5 * time.Second
 
 // Node is one federation member: a named hub process (in this repo's
 // in-process form, a *hub.Hub; a remote transport slots in behind the
@@ -38,9 +38,6 @@ type Options struct {
 	// Metrics receives the federation instruments (default
 	// metrics.Default()).
 	Metrics *metrics.Registry
-	// DetachTimeout bounds the force-park wait per migrated home
-	// (default DefaultDetachTimeout).
-	DetachTimeout time.Duration
 }
 
 // Cluster is the hub-of-hubs front: it owns the rendezvous ring and the
@@ -52,8 +49,6 @@ type Options struct {
 // session already installed or arriving; a resume that outraces its
 // record degrades to a full join, never an error.
 type Cluster struct {
-	detach time.Duration
-
 	mu    sync.Mutex
 	nodes map[string]*Node
 	ring  *Ring
@@ -70,13 +65,9 @@ func NewCluster(opts Options) *Cluster {
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.Default()
 	}
-	if opts.DetachTimeout <= 0 {
-		opts.DetachTimeout = DefaultDetachTimeout
-	}
 	return &Cluster{
-		detach: opts.DetachTimeout,
-		nodes:  make(map[string]*Node),
-		ring:   NewRing(),
+		nodes: make(map[string]*Node),
+		ring:  NewRing(),
 
 		mRoutes:         opts.Metrics.Counter("fed_routes_total"),
 		mTokenRoutes:    opts.Metrics.Counter("fed_token_routes_total"),
@@ -211,7 +202,7 @@ func (c *Cluster) migrate(homeID string, from, to *Node) error {
 		return nil // not resident: nothing to move
 	}
 	t0 := time.Now()
-	if err := host.DetachSessions(c.detach); err != nil {
+	if err := host.DetachSessions(detachTimeout); err != nil {
 		return fmt.Errorf("fed: migrate %s: %w", homeID, err)
 	}
 	dst, err := to.Hub.Admit(homeID)
@@ -241,7 +232,7 @@ func (c *Cluster) migrate(homeID string, from, to *Node) error {
 	// because its transport was just closed, so retry briefly.
 	released := false
 	var src hub.Host
-	for deadline := time.Now().Add(c.detach); ; {
+	for deadline := time.Now().Add(detachTimeout); ; {
 		if src, released = from.Hub.Release(homeID); released {
 			break
 		}
@@ -265,11 +256,13 @@ func (c *Cluster) migrate(homeID string, from, to *Node) error {
 
 // ServeConn reads the routing preamble from conn, picks the owning
 // member, and hands the still-virgin protocol stream to that node's hub
-// (which skips its own preamble read). TokenHome preambles scan members
-// for the node whose detach lot holds the session. Blocks for the life
-// of the connection.
+// (which skips its own preamble read) with the home to serve and when the
+// read began. TokenHome preambles scan members for the node and home
+// whose detach lot holds the session. Blocks for the life of the
+// connection.
 func (c *Cluster) ServeConn(conn net.Conn) error {
-	_ = conn.SetReadDeadline(time.Now().Add(hub.PreambleTimeout))
+	t0 := time.Now()
+	_ = conn.SetReadDeadline(t0.Add(hub.PreambleTimeout))
 	p, rc, err := hub.ReadPreamble(conn)
 	if err != nil {
 		conn.Close()
@@ -279,8 +272,9 @@ func (c *Cluster) ServeConn(conn net.Conn) error {
 	conn = rc
 
 	var n *Node
-	if p.HomeID == hub.TokenHome {
-		n = c.findToken(p.Token)
+	home := p.HomeID
+	if home == hub.TokenHome {
+		n, home = c.findToken(p.Token)
 		if n == nil {
 			c.mRouteMisses.Inc()
 			conn.Close()
@@ -289,7 +283,7 @@ func (c *Cluster) ServeConn(conn net.Conn) error {
 		c.mTokenRoutes.Inc()
 	} else {
 		c.mu.Lock()
-		owner, ok := c.ring.Owner(p.HomeID)
+		owner, ok := c.ring.Owner(home)
 		if ok {
 			n = c.nodes[owner]
 		}
@@ -297,16 +291,16 @@ func (c *Cluster) ServeConn(conn net.Conn) error {
 		if n == nil {
 			c.mRouteMisses.Inc()
 			conn.Close()
-			return fmt.Errorf("%w: cannot route %s", ErrNoNodes, p.HomeID)
+			return fmt.Errorf("%w: cannot route %s", ErrNoNodes, home)
 		}
 		c.mRoutes.Inc()
 	}
-	return n.Hub.ServePreamble(p, conn)
+	return n.Hub.ServePreamble(p, home, conn, t0)
 }
 
-// findToken scans members for the node parking the session token —
-// O(nodes × resident homes), roam-back path only.
-func (c *Cluster) findToken(token string) *Node {
+// findToken scans members for the node, and its home, parking the session
+// token — O(nodes × resident homes), roam-back path only.
+func (c *Cluster) findToken(token string) (*Node, string) {
 	c.mu.Lock()
 	nodes := make([]*Node, 0, len(c.nodes))
 	for _, n := range c.nodes {
@@ -314,11 +308,11 @@ func (c *Cluster) findToken(token string) *Node {
 	}
 	c.mu.Unlock()
 	for _, n := range nodes {
-		if _, ok := n.Hub.FindToken(token); ok {
-			return n
+		if home, ok := n.Hub.FindToken(token); ok {
+			return n, home
 		}
 	}
-	return nil
+	return nil, ""
 }
 
 // Serve accepts connections from ln until the listener closes.

@@ -64,6 +64,7 @@ type stubHost struct {
 	mu     sync.Mutex
 	parked map[string]*rfb.MigrationRecord
 	closed bool
+	probes int // HasParked calls
 }
 
 func (s *stubHost) Attach(conn net.Conn) error {
@@ -79,6 +80,7 @@ func (s *stubHost) Parked() int {
 func (s *stubHost) HasParked(token string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.probes++
 	_, ok := s.parked[token]
 	return ok
 }
@@ -171,6 +173,69 @@ func TestClusterRoutesByRing(t *testing.T) {
 	}
 }
 
+// TestTokenRouteProbesEachHomeOnce: a roam-back through the front router
+// asks each resident home at most once whether it parks the token — a
+// probe may take a live session over, so the member the router picked
+// serves the home it found instead of scanning its homes again — and the
+// member still counts the token route.
+func TestTokenRouteProbesEachHomeOnce(t *testing.T) {
+	mreg := metrics.NewRegistry()
+	c := NewCluster(Options{Metrics: mreg})
+	for _, n := range []string{"alpha", "beta"} {
+		h := stubHub(t, n, mreg)
+		defer h.Close()
+		if err := c.AddNode(n, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	hosts := map[string]*stubHost{}
+	for i := 0; i < 8; i++ {
+		id := fmt.Sprintf("home-%d", i)
+		owner, _ := c.Owner(id)
+		host, err := c.node(owner).Hub.Admit(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts[id] = host.(*stubHost)
+	}
+	const token, home = "feedface00000000deadbeef", "home-5"
+	if err := hosts[home].ImportParked(&rfb.MigrationRecord{Token: token, W: 64, H: 48,
+		RemainingTTL: time.Minute}); err != nil {
+		t.Fatal(err)
+	}
+
+	client, server := net.Pipe()
+	done := make(chan error, 1)
+	go func() { done <- c.ServeConn(server) }()
+	if _, err := (hub.Preamble{HomeID: hub.TokenHome, Token: token}).WriteTo(client); err != nil {
+		t.Fatalf("preamble: %v", err)
+	}
+	line, err := bufio.NewReader(client).ReadString('\n')
+	if err != nil {
+		t.Fatalf("read reply: %v", err)
+	}
+	client.Close()
+	if err := <-done; err != nil {
+		t.Fatalf("ServeConn: %v", err)
+	}
+	if owner, _ := c.Owner(home); line != owner+"/"+home+"\n" {
+		t.Fatalf("token route served by %q, want %s/%s", line, owner, home)
+	}
+	for id, host := range hosts {
+		host.mu.Lock()
+		probes := host.probes
+		host.mu.Unlock()
+		if probes > 1 || (id == home && probes != 1) {
+			t.Errorf("%s probed %d times for one token route", id, probes)
+		}
+	}
+	for _, name := range []string{"fed_token_routes_total", "hub_token_routes_total"} {
+		if got := mreg.Counter(name).Value(); got != 1 {
+			t.Errorf("%s = %d, want 1", name, got)
+		}
+	}
+}
+
 func TestClusterDrainMigratesParked(t *testing.T) {
 	mreg := metrics.NewRegistry()
 	c := NewCluster(Options{Metrics: mreg})
@@ -231,8 +296,8 @@ func TestClusterDrainMigratesParked(t *testing.T) {
 		t.Fatalf("fed_migration_bytes_total = %d", got)
 	}
 	// Token routing finds the migrated session through the front router.
-	if n := c.findToken(rec.Token); n == nil || n.Name != "beta" {
-		t.Fatalf("findToken routed to %v", n)
+	if n, home := c.findToken(rec.Token); n == nil || n.Name != "beta" || home != homeID {
+		t.Fatalf("findToken routed to %v, home %q", n, home)
 	}
 }
 

@@ -113,7 +113,7 @@ func TestToggleDrivesApplianceThroughGUI(t *testing.T) {
 		t.Fatal("power toggle not found")
 	}
 	b := tog.Bounds()
-	h.display.Click(b.X+2, b.Y+2)
+	h.click(b.X+2, b.Y+2)
 	h.home.Network().WaitIdle()
 
 	if v, _ := lamp.Bulb().Get(fcm.CtlPower); v != 1 {
@@ -187,7 +187,7 @@ func TestSelectCyclesThroughOptions(t *testing.T) {
 		t.Fatalf("initial select label = %q", bb.Label())
 	}
 	r := bb.Bounds()
-	h.display.Click(r.X+2, r.Y+2)
+	h.click(r.X+2, r.Y+2)
 	h.home.Network().WaitIdle()
 	if v, _ := amp.Amp().Get(fcm.AmpInput); v != 1 {
 		t.Fatalf("input after click = %d", v)
@@ -213,7 +213,7 @@ func TestActionButtonsDriveStateMachine(t *testing.T) {
 		t.Fatal("play button not found")
 	}
 	r := play.Bounds()
-	h.display.Click(r.X+2, r.Y+2)
+	h.click(r.X+2, r.Y+2)
 	h.home.Network().WaitIdle()
 	if s, _ := vcr.Deck().Get(fcm.VCRTransport); s != fcm.TransportPlay {
 		t.Fatalf("transport = %d", s)
@@ -234,7 +234,7 @@ func TestRejectedCommandDoesNotDesyncGUI(t *testing.T) {
 		return ok && b.Label() == "Play"
 	})
 	r := play.Bounds()
-	h.display.Click(r.X+2, r.Y+2)
+	h.click(r.X+2, r.Y+2)
 	h.home.Network().WaitIdle()
 	if s, _ := vcr.Deck().Get(fcm.VCRTransport); s != fcm.TransportStop {
 		t.Fatalf("transport = %d, want stop", s)
@@ -299,4 +299,11 @@ func TestManyAppliancesCompose(t *testing.T) {
 	if err := havi.Control.Validate(havi.Control{ID: "x", Kind: havi.ControlToggle}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// click presses and releases the pointer at (x, y), as a pointing device
+// does through InjectPointer.
+func (h *harness) click(x, y int) {
+	h.display.InjectPointer(x, y, 1)
+	h.display.InjectPointer(x, y, 0)
 }

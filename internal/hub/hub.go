@@ -51,9 +51,6 @@ type Factory func(homeID string) (Host, error)
 type Options struct {
 	// Factory builds homes on admission (required).
 	Factory Factory
-	// Shards is the registry shard count, rounded up to a power of two
-	// (default 16). More shards spread admission contention.
-	Shards int
 	// MaxHomes caps resident homes; 0 means unlimited. Admissions beyond
 	// the cap fail with ErrFull.
 	MaxHomes int
@@ -108,11 +105,14 @@ func (sh *shard) publish(id string, e *entry) {
 	sh.homes.Store(&next)
 }
 
+// shardCount is the registry's partition count, a power of two: more
+// shards spread admission contention.
+const shardCount = 64
+
 // Hub hosts many homes in one process.
 type Hub struct {
 	opts   Options
-	shards []shard
-	mask   uint64
+	shards [shardCount]shard
 
 	resident atomic.Int64 // homes currently resident (admission control)
 	conns    atomic.Int64 // live routed connections (hub-local; the gauge may be shared)
@@ -145,17 +145,11 @@ func New(opts Options) (*Hub, error) {
 	if opts.Factory == nil {
 		return nil, errors.New("hub: Options.Factory is required")
 	}
-	if opts.Shards <= 0 {
-		opts.Shards = 16
-	}
-	shards := nextPow2(opts.Shards)
 	if opts.Metrics == nil {
 		opts.Metrics = metrics.Default()
 	}
 	h := &Hub{
-		opts:   opts,
-		shards: make([]shard, shards),
-		mask:   uint64(shards - 1),
+		opts: opts,
 
 		mHomes:        opts.Metrics.Gauge("hub_homes"),
 		mConns:        opts.Metrics.Gauge("hub_connections"),
@@ -178,14 +172,6 @@ func New(opts Options) (*Hub, error) {
 	return h, nil
 }
 
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
 // hashID is FNV-1a over the home ID: allocation-free and well mixed for
 // the short string keys homes use.
 func hashID(id string) uint64 {
@@ -201,7 +187,7 @@ func hashID(id string) uint64 {
 	return h
 }
 
-func (h *Hub) shardFor(id string) *shard { return &h.shards[hashID(id)&h.mask] }
+func (h *Hub) shardFor(id string) *shard { return &h.shards[hashID(id)&(shardCount-1)] }
 
 // lookup is the lock-free read path: an atomic map-pointer load plus a
 // map read. No mutex is ever taken for a resident home.
@@ -337,29 +323,29 @@ func (h *Hub) ServeConn(conn net.Conn) error {
 		return err
 	}
 	_ = conn.SetReadDeadline(time.Time{})
-	return h.servePreamble(p, rc, t0)
-}
-
-// ServePreamble routes a connection whose preamble was already consumed
-// (and parsed into p) by a front router — the federation layer reads the
-// line once, picks a member node, and hands the still-virgin protocol
-// stream here. Like Route, it blocks for the life of the connection.
-func (h *Hub) ServePreamble(p Preamble, conn net.Conn) error {
-	return h.servePreamble(p, conn, time.Now())
-}
-
-func (h *Hub) servePreamble(p Preamble, conn net.Conn, t0 time.Time) error {
-	id := p.HomeID
-	if id == TokenHome {
+	home := p.HomeID
+	if home == TokenHome {
 		owner, ok := h.FindToken(p.Token)
 		if !ok {
 			h.mTokenMisses.Inc()
 			h.mRejects.Inc()
-			conn.Close()
+			rc.Close()
 			return fmt.Errorf("%w: no home holds session token", ErrUnknownHome)
 		}
+		home = owner
+	}
+	return h.ServePreamble(p, home, rc, t0)
+}
+
+// ServePreamble routes a connection whose preamble ServeConn or a front
+// router read, from t0 on, and resolved to home: the home p names or, for
+// a TokenHome preamble, the one FindToken found holding p.Token. A router
+// passes what it found, so no home is probed twice for one route, and its
+// own t0, so the hub_route span covers its read. Like Route, it blocks for
+// the life of the connection.
+func (h *Hub) ServePreamble(p Preamble, home string, conn net.Conn, t0 time.Time) error {
+	if p.HomeID == TokenHome {
 		h.mTokenRoutes.Inc()
-		id = owner
 	}
 	// The hub routes connections, not events: annotate the connection
 	// with its preamble-to-handoff window so the server can attach a
@@ -367,7 +353,7 @@ func (h *Hub) servePreamble(p Preamble, conn net.Conn, t0 time.Time) error {
 	if trace.Enabled() {
 		conn = trace.WithRoute(conn, t0.UnixNano(), time.Now().UnixNano())
 	}
-	return h.Route(id, conn)
+	return h.Route(home, conn)
 }
 
 // FindToken scans resident homes for the one parking the session

@@ -86,7 +86,7 @@ func newTestHub(t *testing.T, opts Options) (*Hub, *stubFactory) {
 }
 
 func TestAdmitOnce(t *testing.T) {
-	h, f := newTestHub(t, Options{Shards: 4})
+	h, f := newTestHub(t, Options{})
 	a, err := h.Admit("home-1")
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestAdmitOnce(t *testing.T) {
 }
 
 func TestAdmitConcurrentSingleCreation(t *testing.T) {
-	h, f := newTestHub(t, Options{Shards: 8})
+	h, f := newTestHub(t, Options{})
 	const workers, homes = 32, 16
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*homes)
@@ -478,25 +478,8 @@ func TestCloseShutsHomesAndRejects(t *testing.T) {
 	h.Close() // idempotent
 }
 
-func TestShardCountRounding(t *testing.T) {
-	for _, tc := range []struct{ in, want int }{
-		{0, 16}, {1, 1}, {3, 4}, {16, 16}, {17, 32}, {100, 128},
-	} {
-		opts := Options{Factory: func(string) (Host, error) { return AdaptConnHandler(&stubHome{}), nil },
-			Shards: tc.in, Metrics: metrics.NewRegistry()}
-		h, err := New(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := len(h.shards); got != tc.want {
-			t.Fatalf("Shards %d → %d shards, want %d", tc.in, got, tc.want)
-		}
-		h.Close()
-	}
-}
-
 func TestConcurrentRouteAndEvict(t *testing.T) {
-	h, _ := newTestHub(t, Options{Shards: 4})
+	h, _ := newTestHub(t, Options{})
 	const homes = 8
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

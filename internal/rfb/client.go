@@ -313,17 +313,6 @@ func (c *ClientConn) RequestUpdate(incremental bool, r gfx.Rect) error {
 	return c.bw.Flush()
 }
 
-// SendKey forwards a universal keyboard event to the server.
-func (c *ClientConn) SendKey(ev KeyEvent) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.putKeyLocked(ev); err != nil {
-		return err
-	}
-	c.bytesSent.Add(8)
-	return c.bw.Flush()
-}
-
 // InputEvent is one universal input event in batch form: exactly one of
 // the pointer/key halves is meaningful, selected by IsPointer. It exists
 // so a burst of translated events can cross the write path together (see
@@ -347,9 +336,7 @@ func (c *ClientConn) WriteEvents(evs []InputEvent) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	var n int64
-	// Count what was actually buffered even on a mid-batch error, so the
-	// byte accounting matches the single-event senders (which count
-	// before flushing).
+	// Count what was actually buffered, even on a mid-batch error.
 	defer func() { c.bytesSent.Add(n) }()
 	for i := range evs {
 		ev := &evs[i]
@@ -408,27 +395,6 @@ func (c *ClientConn) putPointerLocked(ev PointerEvent) error {
 	be.PutUint16(b[2:], ev.X)
 	be.PutUint16(b[4:], ev.Y)
 	return writeAll(c.bw, b)
-}
-
-// SendPointer forwards a universal pointer event to the server.
-func (c *ClientConn) SendPointer(ev PointerEvent) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := c.putPointerLocked(ev); err != nil {
-		return err
-	}
-	c.bytesSent.Add(6)
-	return c.bw.Flush()
-}
-
-// SendCutText ships clipboard text to the server.
-func (c *ClientConn) SendCutText(text string) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	b := be.AppendUint32(append(c.bw.AvailableBuffer(), msgClientCutText, 0, 0, 0), uint32(len(text)))
-	c.bw.Write(append(b, text...))
-	c.bytesSent.Add(int64(8 + len(text)))
-	return c.bw.Flush()
 }
 
 // Run reads server messages until the connection fails, applying updates

@@ -186,7 +186,7 @@ func (d *Display) InvalidateAll() {
 
 // Render repaints the damaged parts of the widget tree and returns a copy
 // of the refreshed rectangles (nil when nothing changed). Hot paths that
-// must not allocate use RenderInto instead.
+// must not allocate use RenderTraceInto instead.
 func (d *Display) Render() []gfx.Rect {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -199,24 +199,14 @@ func (d *Display) Render() []gfx.Rect {
 	return out
 }
 
-// RenderInto is Render with caller-owned result storage: the refreshed
-// rectangles are appended to dst[:0] and returned. With a recycled dst the
-// steady-state render path performs zero allocations.
-func (d *Display) RenderInto(dst []gfx.Rect) []gfx.Rect {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	rects := d.renderLocked()
-	if len(rects) == 0 {
-		return dst[:0]
-	}
-	return append(dst[:0], rects...)
-}
-
-// RenderTraceInto is RenderInto additionally returning-and-clearing the
-// trace id of the traced interaction whose damage this render (or a
-// recent one whose rects are still undistributed) repainted — 0 when the
-// repainted damage was untraced. One lock acquisition covers both, so
-// the traced path costs the update pump nothing extra.
+// RenderTraceInto is Render with caller-owned result storage: the
+// refreshed rectangles are appended to dst[:0] and returned, so with a
+// recycled dst the steady-state render path performs zero allocations. It
+// also returns-and-clears the trace id of the traced interaction whose
+// damage this render (or a recent one whose rects are still
+// undistributed) repainted — 0 when the repainted damage was untraced.
+// One lock acquisition covers both, so the traced path costs the update
+// pump nothing extra.
 func (d *Display) RenderTraceInto(dst []gfx.Rect) ([]gfx.Rect, uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -384,13 +374,6 @@ func (d *Display) InjectPointerTraced(x, y int, buttons uint8, tid uint64) {
 	d.injectTrace = 0
 	d.mu.Unlock()
 	d.notifyDamage()
-}
-
-// Click is a convenience for tests and input plug-ins that synthesize a
-// full press+release at (x, y).
-func (d *Display) Click(x, y int) {
-	d.InjectPointer(x, y, 1)
-	d.InjectPointer(x, y, 0)
 }
 
 // InjectKey delivers a universal keyboard event. Tab (and Down) move focus

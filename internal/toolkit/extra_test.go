@@ -227,7 +227,7 @@ func TestDisabledWidgetRejectsInput(t *testing.T) {
 	d.Render()
 	b.SetEnabled(false)
 	bb := b.Bounds()
-	d.Click(bb.X+2, bb.Y+2)
+	click(d, bb.X+2, bb.Y+2)
 	d.InjectKey(true, KeyEnter)
 	if clicks != 0 {
 		t.Errorf("disabled button fired %d times", clicks)

@@ -324,7 +324,7 @@ func TestEncodeDoesNotBlockInput(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		b := tg.Bounds()
-		d.Click(b.X+2, b.Y+2)
+		click(d, b.X+2, b.Y+2)
 		d.InjectKey(true, KeyTab)
 		d.Update(func() { tg.SetLabel("still responsive") })
 		close(done)
@@ -394,7 +394,7 @@ func TestRenderIntoReusesStorage(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		on = !on
 		d.Update(func() { tg.SetOn(on) })
-		buf = d.RenderInto(buf)
+		buf, _ = d.RenderTraceInto(buf)
 		if len(buf) == 0 {
 			t.Fatal("no damage")
 		}

@@ -38,7 +38,7 @@ func TestButtonClickByPointer(t *testing.T) {
 	if b.Empty() {
 		t.Fatal("button was not laid out")
 	}
-	d.Click(b.X+b.W/2, b.Y+b.H/2)
+	click(d, b.X+b.W/2, b.Y+b.H/2)
 	if clicks != 1 {
 		t.Fatalf("clicks = %d, want 1", clicks)
 	}
@@ -130,7 +130,7 @@ func TestToggleFlip(t *testing.T) {
 	d.Render()
 
 	b := tg.Bounds()
-	d.Click(b.X+2, b.Y+2)
+	click(d, b.X+2, b.Y+2)
 	if !tg.On() || !last || fired != 1 {
 		t.Fatalf("after click: on=%v last=%v fired=%d", tg.On(), last, fired)
 	}
@@ -173,11 +173,11 @@ func TestSliderKeyboardAndPointer(t *testing.T) {
 	}
 	// Pointer: click at the far right of the track.
 	tr := s.track()
-	d.Click(tr.MaxX()-1, tr.Y+1)
+	click(d, tr.MaxX()-1, tr.Y+1)
 	if s.Value() != 10 {
 		t.Fatalf("pointer at track end should keep max, got %d", s.Value())
 	}
-	d.Click(tr.X, tr.Y+1)
+	click(d, tr.X, tr.Y+1)
 	if s.Value() != 0 {
 		t.Fatalf("pointer at track start should give min, got %d", s.Value())
 	}
@@ -251,7 +251,7 @@ func TestNestedPanelsHitTesting(t *testing.T) {
 	if b.Empty() {
 		t.Fatal("nested button not laid out")
 	}
-	d.Click(b.X+1, b.Y+1)
+	click(d, b.X+1, b.Y+1)
 	if clicks != 1 {
 		t.Fatalf("nested click = %d", clicks)
 	}
@@ -297,7 +297,7 @@ func TestDamageHookFires(t *testing.T) {
 
 	fired := 0
 	d.OnDamage(func() { fired++ })
-	d.Click(btn.Bounds().X+1, btn.Bounds().Y+1)
+	click(d, btn.Bounds().X+1, btn.Bounds().Y+1)
 	if fired == 0 {
 		t.Fatal("damage hook should fire on interaction")
 	}
@@ -313,7 +313,7 @@ func TestHiddenWidgetNotHit(t *testing.T) {
 	d.Render()
 	b := btn.Bounds()
 	btn.SetVisible(false)
-	d.Click(b.X+1, b.Y+1)
+	click(d, b.X+1, b.Y+1)
 	if clicks != 0 {
 		t.Fatal("hidden widget should not receive clicks")
 	}
@@ -338,4 +338,11 @@ func BenchmarkRenderControlPanel(b *testing.B) {
 		// Re-damage everything each iteration.
 		d.SetRoot(root)
 	}
+}
+
+// click presses and releases the pointer at (x, y), as a pointing device
+// does through InjectPointer.
+func click(d *Display, x, y int) {
+	d.InjectPointer(x, y, 1)
+	d.InjectPointer(x, y, 0)
 }

@@ -102,7 +102,7 @@ func TestAttachEdgeServesUpdates(t *testing.T) {
 		t.Run(tr.name, func(t *testing.T) {
 			leakcheck.Check(t, 0)
 			display := toolkit.NewDisplay(160, 120)
-			srv := New(display, "attach test", Config{})
+			srv := New(display, "attach test", nil)
 			defer srv.Close()
 
 			client, done := attachWire(t, srv, tr.pipe, "")
@@ -138,7 +138,7 @@ func TestEdgeDisconnectParksAndResumes(t *testing.T) {
 			leakcheck.Check(t, 0)
 			imbalance0 := parkImbalance(metrics.Default().Snapshot())
 			display := toolkit.NewDisplay(160, 120)
-			srv := New(display, "attach test", Config{})
+			srv := New(display, "attach test", nil)
 			defer srv.Close()
 
 			client, done := attachWire(t, srv, tr.pipe, "")
@@ -189,7 +189,7 @@ func TestEdgeDisconnectParksAndResumes(t *testing.T) {
 // unpin) never observes a session that is neither live nor parked.
 func TestAttachReturnsAfterRetire(t *testing.T) {
 	leakcheck.Check(t, 0)
-	srv := New(toolkit.NewDisplay(64, 48), "retire order", Config{})
+	srv := New(toolkit.NewDisplay(64, 48), "retire order", nil)
 	defer srv.Close()
 	for round := 0; round < 20; round++ {
 		sessions0 := gauge("server_sessions")
@@ -212,7 +212,7 @@ func TestEdgeCloseLeavesNoGoroutines(t *testing.T) {
 		t.Run(tr.name, func(t *testing.T) {
 			leakcheck.Check(t, 0)
 			display := toolkit.NewDisplay(160, 120)
-			srv := New(display, "attach test", Config{ParkTTL: -1})
+			srv := New(display, "attach test", nil)
 			var clients []net.Conn
 			var dones []<-chan error
 			for i := 0; i < 8; i++ {
@@ -244,7 +244,7 @@ func TestThousandIdleEdgeSessionsBoundedGoroutines(t *testing.T) {
 	leakcheck.Check(t, 0)
 	const sessions = 1000
 	display := toolkit.NewDisplay(32, 24)
-	srv := New(display, "idle fleet", Config{ParkTTL: -1})
+	srv := New(display, "idle fleet", nil)
 	defer srv.Close()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

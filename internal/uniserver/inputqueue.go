@@ -207,7 +207,7 @@ func (c *session) dispatchTurn() {
 	// Events still queued when the session dies are drained by teardown
 	// after the task is stopped (reads are over by then, so no put races
 	// the final drain): they carry into the detach lot for replay on
-	// resume, or count as abandoned when parking is off.
+	// resume, or count as abandoned when the server is closing.
 	batch := c.inq.take()
 	if len(batch) == 0 {
 		return

@@ -122,11 +122,11 @@ func TestInputQueueHardCapShedsCounted(t *testing.T) {
 }
 
 // TestTeardownZeroesQueueDepth: a session dying with events still queued
-// must not leave a permanent residue in the input_queue_depth gauge; with
-// parking disabled the leftovers are counted as abandoned (with parking
-// on they carry into the detach lot instead — lot_test.go).
+// must not leave a permanent residue in the input_queue_depth gauge; on a
+// closing server the leftovers are counted as abandoned (a link that
+// merely drops carries them into the detach lot instead — lot_test.go).
 func TestTeardownZeroesQueueDepth(t *testing.T) {
-	display, srv, client, _ := wire(t, Config{ParkTTL: -1})
+	display, srv, client, _ := wire(t)
 	block := make(chan struct{})
 	unblock := sync.OnceFunc(func() { close(block) })
 	defer unblock()
@@ -155,24 +155,33 @@ func TestTeardownZeroesQueueDepth(t *testing.T) {
 	// Stall the dispatcher inside the click, then pile up key events the
 	// session will never dispatch.
 	b := btn.Bounds()
-	client.SendPointer(rfb.PointerEvent{Buttons: 1, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
-	client.SendPointer(rfb.PointerEvent{Buttons: 0, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
+	sendPointer(client, rfb.PointerEvent{Buttons: 1, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
+	sendPointer(client, rfb.PointerEvent{Buttons: 0, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
 	<-entered
 	for i := 0; i < 50; i++ {
-		if err := client.SendKey(rfb.KeyEvent{Down: i%2 == 0, Key: uint32('a' + i%20)}); err != nil {
+		if err := sendKey(client, rfb.KeyEvent{Down: i%2 == 0, Key: uint32('a' + i%20)}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	waitFor(t, "events queued", func() bool { return depth.Value() > depth0 })
 
-	// Tear the connection down with the queue still loaded, then let the
-	// stalled callback return: the dispatcher sees quit, the session
-	// retires (it stays in the session set until its goroutines unwind),
-	// whatever the dispatcher did not reach is abandoned, and the depth
-	// gauge returns to baseline.
-	client.Close()
+	// Close the server with the queue still loaded, then let the stalled
+	// callback return: the dispatcher sees quit, the session retires (it
+	// stays in the session set until its goroutines unwind), whatever the
+	// dispatcher did not reach is abandoned, and the depth gauge returns
+	// to baseline. Close waits out the stalled turn, so it runs aside.
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }()
+	waitFor(t, "server closing", func() bool {
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		return srv.closed
+	})
 	unblock()
-	waitFor(t, "session gone", func() bool { return srv.Sessions() == 0 })
+	<-closed
+	if srv.Sessions() != 0 {
+		t.Fatal("session outlived Close")
+	}
 	waitFor(t, "depth gauge restored", func() bool { return depth.Value() == depth0 })
 	// The accounting identity at depth == 0: every queued event ended in
 	// exactly one bucket — dispatched before quit won the race, or
@@ -213,7 +222,7 @@ func TestInputQueueSteadyStateAllocFree(t *testing.T) {
 // pointer floods, key events and framebuffer requests, coalescing moves
 // under the backpressure.
 func TestStalledDispatchDoesNotBlockReadLoop(t *testing.T) {
-	display, _, client, _ := wire(t, Config{})
+	display, _, client, _ := wire(t)
 	block := make(chan struct{})
 	var mu sync.Mutex
 	clicks := 0
@@ -237,10 +246,10 @@ func TestStalledDispatchDoesNotBlockReadLoop(t *testing.T) {
 	b := btn.Bounds()
 	x, y := uint16(b.X+2), uint16(b.Y+2)
 	// Click: the release dispatch enters the callback and stalls.
-	if err := client.SendPointer(rfb.PointerEvent{Buttons: 1, X: x, Y: y}); err != nil {
+	if err := sendPointer(client, rfb.PointerEvent{Buttons: 1, X: x, Y: y}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SendPointer(rfb.PointerEvent{Buttons: 0, X: x, Y: y}); err != nil {
+	if err := sendPointer(client, rfb.PointerEvent{Buttons: 0, X: x, Y: y}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "callback entered", func() bool {
@@ -253,11 +262,11 @@ func TestStalledDispatchDoesNotBlockReadLoop(t *testing.T) {
 	// while dispatch is frozen.
 	const moves = 200
 	for i := 0; i < moves; i++ {
-		if err := client.SendPointer(rfb.PointerEvent{Buttons: 0, X: uint16(i), Y: y}); err != nil {
+		if err := sendPointer(client, rfb.PointerEvent{Buttons: 0, X: uint16(i), Y: y}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := client.SendKey(rfb.KeyEvent{Down: true, Key: rfb.KeyTab}); err != nil {
+	if err := sendKey(client, rfb.KeyEvent{Down: true, Key: rfb.KeyTab}); err != nil {
 		t.Fatal(err)
 	}
 	// Framebuffer requests are read and parked without blocking either.
@@ -291,7 +300,7 @@ func TestStalledDispatchDoesNotBlockReadLoop(t *testing.T) {
 // TestInputToUpdateLatencyObserved pins the end-to-end histogram: an
 // input-driven repaint must record a sample in input_to_update_seconds.
 func TestInputToUpdateLatencyObserved(t *testing.T) {
-	display, _, client, rec := wire(t, Config{})
+	display, _, client, rec := wire(t)
 	btn := toolkit.NewButton("go", nil)
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(btn)
@@ -309,7 +318,7 @@ func TestInputToUpdateLatencyObserved(t *testing.T) {
 	})
 	client.RequestUpdate(true, gfx.R(0, 0, 160, 120))
 	b := btn.Bounds()
-	client.SendPointer(rfb.PointerEvent{Buttons: 1, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
+	sendPointer(client, rfb.PointerEvent{Buttons: 1, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
 	waitFor(t, "input-driven update", func() bool {
 		rec.mu.Lock()
 		defer rec.mu.Unlock()
@@ -322,7 +331,7 @@ func TestInputToUpdateLatencyObserved(t *testing.T) {
 // mixed burst written in one WriteEvents batch lands on the widget tree
 // in wire order.
 func TestDispatchRunsOffReadLoop(t *testing.T) {
-	display, _, client, _ := wire(t, Config{})
+	display, _, client, _ := wire(t)
 	var mu sync.Mutex
 	var order []string
 	mk := func(name string) *toolkit.Button {

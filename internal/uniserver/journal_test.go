@@ -82,7 +82,7 @@ func (h *lotHarness) resumedDirty(tok string) []gfx.Rect {
 }
 
 func newJournalHarness(t *testing.T) (*lotHarness, gfx.Rect) {
-	h := newLotHarness(t, Config{})
+	h := newLotHarness(t)
 	h.display.SetRoot(toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2}))
 	return h, gfx.R(0, 0, 160, 120)
 }
@@ -164,7 +164,7 @@ func pumpScene(tb testing.TB, n int) func() {
 		root.Add(toggles[i])
 	}
 	display.SetRoot(root)
-	srv := New(display, "pump", Config{})
+	srv := New(display, "pump", nil)
 	tb.Cleanup(srv.Close)
 	now := time.Now()
 	srv.pumpMu.Lock()

@@ -97,7 +97,7 @@ var lifecycle = map[edge]bool{
 	{handshaking, gone}: true, // ... and fails
 	{handshaking, live}: true, // ... and registers
 	{live, parked}:      true, // teardown
-	{live, gone}:        true, // teardown, parking off or server closing
+	{live, gone}:        true, // teardown on a closing server
 	{parked, claimed}:   true, // a resume handshake claims
 	{claimed, parked}:   true, // ... and fails
 	{claimed, live}:     true, // ... and registers: resumed
@@ -248,9 +248,6 @@ func newSessionToken() string {
 // token route) and claimParked (a home-named redial's handshake). On
 // timeout the lookup that follows misses: a fresh session, a full repaint.
 func (s *Server) takeover(token string) {
-	if s.parkTTL <= 0 {
-		return // nothing would park: a presented token never resumes
-	}
 	var sess *session
 	s.mu.Lock()
 	if e := s.table[token]; e != nil {
@@ -340,39 +337,36 @@ func (s *Server) register(sess *session, from state) bool {
 }
 
 // retire moves a dead connection's session out of live: it parks its
-// state and events (the input left undispatched) in the lot or, parking
-// disabled or the server closing, ends it with that input abandoned. It
-// runs under pumpMu: a pump offers its damage to the still-live session
-// or to the lot entry, and no rect falls between the two.
+// state and events (the input left undispatched) in the lot or, the server
+// closing, ends it with that input abandoned. It runs under pumpMu: a pump
+// offers its damage to the still-live session or to the lot entry, and no
+// rect falls between the two.
 func (s *Server) retire(sess *session, events []inputEvent) {
 	s.pumpMu.Lock()
 	defer s.pumpMu.Unlock()
-	var ps *parkedSession
-	if s.parkTTL > 0 {
-		// The outbox holds damage a request already claimed but the writer
-		// never shipped (or shipped into a dying transport): fold it back
-		// into the dirty set so the resync re-covers it.
-		sess.mu.Lock()
-		for _, r := range sess.outbox.TakeInto(nil) {
-			sess.dirty.Add(r)
-		}
-		now := time.Now()
-		ps = &parkedSession{
-			w:           sess.bounds.W,
-			h:           sess.bounds.H,
-			dirty:       sess.dirty,
-			dirtySpare:  sess.dirtySpare,
-			events:      events,
-			lastPtrMask: sess.lastPtrMask,
-			parkedAt:    now,
-			deadline:    now.Add(s.parkTTL),
-		}
-		sess.dirty, sess.dirtySpare = nil, nil // state moved; the session object is dead
-		sess.mu.Unlock()
+	// The outbox holds damage a request already claimed but the writer
+	// never shipped (or shipped into a dying transport): fold it back into
+	// the dirty set so the resync re-covers it.
+	sess.mu.Lock()
+	for _, r := range sess.outbox.TakeInto(nil) {
+		sess.dirty.Add(r)
 	}
+	now := time.Now()
+	ps := &parkedSession{
+		w:           sess.bounds.W,
+		h:           sess.bounds.H,
+		dirty:       sess.dirty,
+		dirtySpare:  sess.dirtySpare,
+		events:      events,
+		lastPtrMask: sess.lastPtrMask,
+		parkedAt:    now,
+		deadline:    now.Add(s.parkTTL),
+	}
+	sess.dirty, sess.dirtySpare = nil, nil // state moved; the session object is dead
+	sess.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ps == nil || s.transition(sess.token, live, parked, nil, ps) == nil {
+	if s.transition(sess.token, live, parked, nil, ps) == nil {
 		if len(events) > 0 {
 			mInputAbandoned.Add(int64(len(events)))
 		}

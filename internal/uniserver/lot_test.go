@@ -43,10 +43,10 @@ type lotHarness struct {
 	srv     *Server
 }
 
-func newLotHarness(t *testing.T, cfg Config) *lotHarness {
+func newLotHarness(t *testing.T) *lotHarness {
 	t.Helper()
 	h := &lotHarness{t: t, display: toolkit.NewDisplay(160, 120)}
-	h.srv = New(h.display, "lot test", cfg)
+	h.srv = New(h.display, "lot test", nil)
 	t.Cleanup(h.srv.Close)
 	return h
 }
@@ -76,7 +76,7 @@ func gauge(name string) int64   { return metrics.Default().Gauge(name).Value() }
 // connection's request died with it, so the resync is encoded with what
 // the new connection negotiated.
 func TestParkAndResumeShipsOnlyDetachDamage(t *testing.T) {
-	h := newLotHarness(t, Config{})
+	h := newLotHarness(t)
 	lbl := toolkit.NewLabel("steady")
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(lbl)
@@ -160,7 +160,7 @@ func TestParkAndResumeShipsOnlyDetachDamage(t *testing.T) {
 // TestResumeMissFallsBackToFreshSession: an unknown token joins cold and
 // is counted as a miss, and the fresh session still works.
 func TestResumeMissFallsBackToFreshSession(t *testing.T) {
-	h := newLotHarness(t, Config{})
+	h := newLotHarness(t)
 	miss0 := counter("session_resume_miss_total")
 	client, rec := h.connect("no-such-token")
 	defer client.Close()
@@ -182,7 +182,8 @@ func TestResumeMissFallsBackToFreshSession(t *testing.T) {
 // whose handshake failed held it past its deadline (the janitor skips a
 // claimed entry, so the release re-arms it).
 func TestParkTTLExpires(t *testing.T) {
-	h := newLotHarness(t, Config{ParkTTL: 30 * time.Millisecond})
+	h := newLotHarness(t)
+	h.srv.parkTTL = 30 * time.Millisecond
 	expired0 := counter("session_expired_total")
 
 	client, _ := h.connect("")
@@ -219,7 +220,8 @@ func TestParkTTLExpires(t *testing.T) {
 // TestParkCapacityEvictsOldest: the lot is bounded; the oldest parked
 // session is expired to make room.
 func TestParkCapacityEvictsOldest(t *testing.T) {
-	h := newLotHarness(t, Config{ParkCapacity: 2})
+	h := newLotHarness(t)
+	h.srv.parkCap = 2
 	expired0 := counter("session_expired_total")
 
 	var tokens []string
@@ -248,7 +250,7 @@ func TestParkCapacityEvictsOldest(t *testing.T) {
 // disconnect ride through the park window and dispatch after resume —
 // zero lost semantic events.
 func TestResumeReplaysQueuedInput(t *testing.T) {
-	h := newLotHarness(t, Config{})
+	h := newLotHarness(t)
 	block := make(chan struct{})
 	unblock := sync.OnceFunc(func() { close(block) })
 	defer unblock()
@@ -276,12 +278,12 @@ func TestResumeReplaysQueuedInput(t *testing.T) {
 	// First click stalls the dispatcher; the following presses sit in the
 	// queue when the link dies.
 	b := btn.Bounds()
-	client.SendPointer(rfb.PointerEvent{Buttons: 1, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
-	client.SendPointer(rfb.PointerEvent{Buttons: 0, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
+	sendPointer(client, rfb.PointerEvent{Buttons: 1, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
+	sendPointer(client, rfb.PointerEvent{Buttons: 0, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
 	<-entered
 	for i := 0; i < 3; i++ {
-		client.SendPointer(rfb.PointerEvent{Buttons: 1, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
-		client.SendPointer(rfb.PointerEvent{Buttons: 0, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
+		sendPointer(client, rfb.PointerEvent{Buttons: 1, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
+		sendPointer(client, rfb.PointerEvent{Buttons: 0, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
 	}
 	waitFor(t, "events queued", func() bool { return gauge("input_queue_depth") > 0 })
 
@@ -309,7 +311,7 @@ func TestResumeReplaysQueuedInput(t *testing.T) {
 // parked session (the client's kept shadow no longer matches) — the
 // reconnect joins cold instead of resuming into the wrong geometry.
 func TestGeometryChangeWhileParkedMisses(t *testing.T) {
-	h := newLotHarness(t, Config{})
+	h := newLotHarness(t)
 	client, _ := h.connect("")
 	token := client.Token()
 	client.Close()
@@ -335,7 +337,7 @@ func TestGeometryChangeWhileParkedMisses(t *testing.T) {
 // Close).
 func TestCloseDrainsLot(t *testing.T) {
 	leakcheck.Check(t, 0)
-	h := newLotHarness(t, Config{})
+	h := newLotHarness(t)
 	g0 := gauge("session_parked")
 	client, _ := h.connect("")
 	client.Close()
@@ -362,34 +364,6 @@ func TestCloseDrainsLot(t *testing.T) {
 	}
 }
 
-// TestConfigParkPolicy pins the one place the detach-lot knobs are
-// normalised (New): zero keeps the defaults, explicit values pass through,
-// and either knob negative disables parking — uniint.Options hands its
-// fields to Config unchanged, so this is the convention both document.
-func TestConfigParkPolicy(t *testing.T) {
-	cases := []struct {
-		name    string
-		cfg     Config
-		wantTTL time.Duration // 0: parking disabled
-		wantCap int           // checked only while parking is enabled
-	}{
-		{"defaults", Config{}, DefaultParkTTL, DefaultParkCapacity},
-		{"explicit", Config{ParkTTL: 5 * time.Second, ParkCapacity: 7}, 5 * time.Second, 7},
-		{"negative-ttl-disables", Config{ParkTTL: -1}, 0, 0},
-		{"negative-capacity-disables", Config{ParkCapacity: -1}, 0, 0},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			srv := New(toolkit.NewDisplay(64, 48), "park-policy", tc.cfg)
-			defer srv.Close()
-			if srv.parkTTL != tc.wantTTL || (tc.wantTTL > 0 && srv.parkCap != tc.wantCap) {
-				t.Fatalf("New(%+v): parkTTL, parkCap = (%v, %d), want (%v, %d)",
-					tc.cfg, srv.parkTTL, srv.parkCap, tc.wantTTL, tc.wantCap)
-			}
-		})
-	}
-}
-
 // parkImbalance is the lot's accounting identity (see lot.go) over one
 // metrics snapshot: parked + migrated in, minus everything that left the
 // lot, minus what is still in it. Zero when the books balance.
@@ -410,7 +384,8 @@ func parkImbalance(s metrics.Snapshot) int64 {
 // server_sessions only after retire has parked, and Snapshot samples
 // gauges before counters.
 func TestQuietSnapshotBalancesParkAccounting(t *testing.T) {
-	srv := New(toolkit.NewDisplay(16, 16), "quiet snapshot", Config{ParkCapacity: 3})
+	srv := New(toolkit.NewDisplay(16, 16), "quiet snapshot", nil)
+	srv.parkCap = 3
 	defer srv.Close()
 	base := metrics.Default().Snapshot()
 	baseSessions, baseImbalance := base.Gauges["server_sessions"], parkImbalance(base)
@@ -499,7 +474,8 @@ func TestQuietSnapshotBalancesParkAccounting(t *testing.T) {
 // it should not cost a user's key press while another victim will do —
 // and only a lot full of input-holding entries gives one of those up.
 func TestCapacityEvictionSparesUndispatchedInput(t *testing.T) {
-	srv := New(toolkit.NewDisplay(16, 16), "capacity order", Config{ParkCapacity: 3})
+	srv := New(toolkit.NewDisplay(16, 16), "capacity order", nil)
+	srv.parkCap = 3
 	defer srv.Close()
 	now := time.Now()
 	plant := func(token string, age time.Duration, events int) {

@@ -93,9 +93,6 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 	if rec == nil || rec.Token == "" {
 		return errors.New("uniserver: import: empty migration record")
 	}
-	if s.parkTTL <= 0 {
-		return errors.New("uniserver: import: parking disabled on this server")
-	}
 	now := time.Now()
 	ttl := rec.RemainingTTL
 	if ttl < time.Millisecond {

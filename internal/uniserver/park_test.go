@@ -67,7 +67,7 @@ func TestParkedSessionHoldsNoPixels(t *testing.T) {
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(lbl)
 	display.SetRoot(root)
-	h := &lotHarness{t: t, display: display, srv: New(display, "lot footprint", Config{})}
+	h := &lotHarness{t: t, display: display, srv: New(display, "lot footprint", nil)}
 	t.Cleanup(h.srv.Close)
 	full := gfx.R(0, 0, 640, 480)
 
@@ -106,7 +106,7 @@ func TestParkedSessionHoldsNoPixels(t *testing.T) {
 // the client held the (black) display would ship the panel turning black
 // as a 4-byte self-copy, leaving the client's old pixels on screen.
 func TestShadowlessImportResumesDistrusted(t *testing.T) {
-	h := newLotHarness(t, Config{})
+	h := newLotHarness(t)
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	h.display.SetRoot(root)
 	full := gfx.R(0, 0, 160, 120)
@@ -145,7 +145,7 @@ func TestShadowlessImportResumesDistrusted(t *testing.T) {
 // TestMigrationRecordCarriesNoPixels: a session shipped as a migration
 // record resumes with only the detach damage, byte-identical.
 func TestMigrationRecordCarriesNoPixels(t *testing.T) {
-	h := newLotHarness(t, Config{})
+	h := newLotHarness(t)
 	lbl := toolkit.NewLabel("steady")
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(lbl)

@@ -71,8 +71,9 @@ type Server struct {
 	// each session still runs its own tile window).
 	tiles *rfb.TileCache
 
-	// The detach lot's policy and janitor (lot.go); the lot itself is the
-	// table's parked and claimed rows.
+	// The detach lot's policy (DefaultParkTTL and DefaultParkCapacity,
+	// fields only for the lot's tests) and janitor (lot.go); the lot itself
+	// is the table's parked and claimed rows.
 	parkTTL    time.Duration
 	parkCap    int
 	lotTimer   *time.Timer // the lot janitor, armed on demand; under mu
@@ -93,52 +94,23 @@ const HandshakeTimeout = 10 * time.Second
 // with at least half the budget left, less its wait for a worker: 2 s,
 // seven times the slowest update write seen across the test suite, its
 // race run and the chaos soak (273 ms for 10 KB to a loaded loopback
-// client on 2 vCPUs).
+// client on 2 vCPUs) — unless its link took over half a budget to take
+// the last update, when it gets only what that budget has left.
 const WriteBudget = 4 * time.Second
 
-// Config holds a Server's tunables. The zero value selects every default;
-// uniint.Options carries the same fields with the same meaning, so the
-// facade hands them through unchanged.
-type Config struct {
-	// Tiles, when non-nil, is a shared content-addressed tile store:
-	// sessions publish freshly encoded tile bodies to it and reuse bodies
-	// other sessions already paid to encode. Passing the SAME cache to many
-	// servers (the hub does, one per home) extends the sharing across
-	// homes — a hub's homes render nearly identical control panels. Nil
-	// keeps tile reuse within each session.
-	Tiles *rfb.TileCache
-	// ParkTTL is how long a disconnected session stays reclaimable in the
-	// detach lot. Zero selects DefaultParkTTL; negative disables parking,
-	// so every disconnect tears its session down.
-	ParkTTL time.Duration
-	// ParkCapacity bounds the detach lot (at capacity the oldest parked
-	// session is expired to make room). Zero selects DefaultParkCapacity;
-	// negative disables parking.
-	ParkCapacity int
-}
-
 // New creates a server for the given display. name is announced to
-// clients during the handshake.
-func New(display *toolkit.Display, name string, cfg Config) *Server {
+// clients during the handshake. tiles, when non-nil, is a tile store
+// shared with other servers (the hub passes one to every home, whose
+// control panels look alike); nil keeps tile reuse within each session.
+// Disconnected sessions park under DefaultParkTTL and DefaultParkCapacity.
+func New(display *toolkit.Display, name string, tiles *rfb.TileCache) *Server {
 	s := &Server{
 		display: display,
 		name:    name,
 		table:   make(map[string]*entry),
-		tiles:   cfg.Tiles,
-		parkTTL: cfg.ParkTTL,
-		parkCap: cfg.ParkCapacity,
-	}
-	// The one place the park knobs are normalised: zero is the default,
-	// and either knob negative turns parking off (parkTTL <= 0 from here
-	// on; see retire and Attach).
-	if s.parkTTL == 0 {
-		s.parkTTL = DefaultParkTTL
-	}
-	if s.parkCap == 0 {
-		s.parkCap = DefaultParkCapacity
-	}
-	if s.parkTTL < 0 || s.parkCap < 0 {
-		s.parkTTL = 0
+		tiles:   tiles,
+		parkTTL: DefaultParkTTL,
+		parkCap: DefaultParkCapacity,
 	}
 	display.OnDamage(s.pump)
 	return s
@@ -159,7 +131,7 @@ func New(display *toolkit.Display, name string, cfg Config) *Server {
 // so the resync ships only what changed while the link was down. A token
 // whose session is still connected takes it over: the stale link is closed
 // and parks first (lot.go, takeover). On disconnect the session parks in
-// the detach lot (unless parking is disabled or the server is closing).
+// the detach lot (unless the server is closing).
 func (s *Server) Attach(conn net.Conn) error {
 	w, h := s.display.Size()
 	// A hub-routed connection carries its routing span (preamble read +
@@ -178,7 +150,7 @@ func (s *Server) Attach(conn net.Conn) error {
 	}
 	from := handshaking // the row register moves to live: claimed for a resume
 	ex := func(presented string) (string, bool) {
-		if s.parkTTL > 0 && presented != "" && s.claimParked(presented, w, h, sess) {
+		if presented != "" && s.claimParked(presented, w, h, sess) {
 			sess.token, from = presented, claimed
 			return presented, true
 		}
@@ -239,9 +211,9 @@ func (s *Server) Attach(conn net.Conn) error {
 // teardown retires a session whose read loop has returned: stop the write
 // and dispatch tasks, drain the input queue, and retire — one atomic step
 // that moves the session out of live and parks the remaining state for a
-// reconnect (or settles the accounting when parking is off). Damage pumped
-// until that step still lands on the session and carries into the lot
-// with it.
+// reconnect (or settles the accounting when the server is closing).
+// Damage pumped until that step still lands on the session and carries
+// into the lot with it.
 func (c *session) teardown() {
 	c.conn.Close()
 	c.writeTask.Stop()
@@ -416,9 +388,11 @@ type session struct {
 
 	// dueAt is when the writer's pending work arrived, stamped by the first
 	// wake after a turn took it; writeBy is the link's write deadline
-	// (armWrite, writer-turn-only). Both UnixNano.
-	dueAt   atomic.Int64
-	writeBy int64
+	// (armWrite, writer-turn-only). Both UnixNano. slowLink marks a last
+	// update that took the link over half a budget (writer-turn-only).
+	dueAt    atomic.Int64
+	writeBy  int64
+	slowLink bool
 
 	// ws is the wire tier's model of the client (the frame it last
 	// received in full + tile window); writer-turn-only. Unlike turn
@@ -511,12 +485,14 @@ func (c *session) writerTurn() {
 	c.mu.Unlock()
 	if empties > 0 || len(rects) > 0 {
 		c.armWrite(due)
-	}
-	for i := 0; i < empties; i++ {
-		c.sent(c.conn.SendEmptyUpdate())
-	}
-	if len(rects) > 0 {
-		c.flush(rects, ts)
+		t0 := time.Now()
+		for i := 0; i < empties; i++ {
+			c.sent(c.conn.SendEmptyUpdate())
+		}
+		if len(rects) > 0 {
+			c.flush(rects, ts)
+		}
+		c.slowLink = time.Since(t0) > WriteBudget/2
 	}
 	ts.rects = rects
 	turnScratchPool.Put(ts)
@@ -615,8 +591,13 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) {
 // armWrite bounds this turn's writes to WriteBudget from due, when their
 // work arrived (now when unstamped), so the budget also covers a turn
 // queued behind stalled writers. The deadline is re-armed only once less
-// than half the budget is left, not on every flush.
+// than half the budget is left, and never after a slow link's turn: a peer
+// whose socket takes each update just before its deadline would otherwise
+// never park, and would hold a worker for most of every budget.
 func (c *session) armWrite(due int64) {
+	if c.slowLink {
+		return
+	}
 	if due == 0 {
 		due = time.Now().UnixNano()
 	}

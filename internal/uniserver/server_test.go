@@ -34,10 +34,10 @@ func (r *recorder) Bell()          {}
 func (r *recorder) CutText(string) {}
 
 // wire builds display+server+connected client.
-func wire(t *testing.T, cfg Config) (*toolkit.Display, *Server, *rfb.ClientConn, *recorder) {
+func wire(t *testing.T) (*toolkit.Display, *Server, *rfb.ClientConn, *recorder) {
 	t.Helper()
 	display := toolkit.NewDisplay(160, 120)
-	srv := New(display, "test session", cfg)
+	srv := New(display, "test session", nil)
 
 	sc, cc := net.Pipe()
 	serveErr := make(chan error, 1)
@@ -66,6 +66,16 @@ func wire(t *testing.T, cfg Config) (*toolkit.Display, *Server, *rfb.ClientConn,
 	return display, srv, client, rec
 }
 
+// sendKey and sendPointer write one event through WriteEvents, the
+// client's one input writer (the proxy's batches go the same way).
+func sendKey(c *rfb.ClientConn, ev rfb.KeyEvent) error {
+	return c.WriteEvents([]rfb.InputEvent{{Key: ev}})
+}
+
+func sendPointer(c *rfb.ClientConn, ev rfb.PointerEvent) error {
+	return c.WriteEvents([]rfb.InputEvent{{IsPointer: true, Pointer: ev}})
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -78,7 +88,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 func TestHandshakeAnnouncesDisplayGeometry(t *testing.T) {
-	_, srv, client, _ := wire(t, Config{})
+	_, srv, client, _ := wire(t)
 	w, h := client.Size()
 	if w != 160 || h != 120 {
 		t.Errorf("size = %dx%d", w, h)
@@ -90,7 +100,7 @@ func TestHandshakeAnnouncesDisplayGeometry(t *testing.T) {
 }
 
 func TestFullUpdateRequest(t *testing.T) {
-	display, _, client, rec := wire(t, Config{})
+	display, _, client, rec := wire(t)
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(toolkit.NewLabel("hello world"))
 	display.SetRoot(root)
@@ -112,7 +122,7 @@ func TestFullUpdateRequest(t *testing.T) {
 }
 
 func TestIncrementalParksUntilDamage(t *testing.T) {
-	display, _, client, rec := wire(t, Config{})
+	display, _, client, rec := wire(t)
 	// Drain initial state with a full update.
 	client.RequestUpdate(false, gfx.R(0, 0, 160, 120))
 	waitFor(t, "initial update", func() bool {
@@ -144,7 +154,7 @@ func TestIncrementalParksUntilDamage(t *testing.T) {
 }
 
 func TestInputEventsReachWidgets(t *testing.T) {
-	display, _, client, _ := wire(t, Config{})
+	display, _, client, _ := wire(t)
 	clicks := 0
 	var mu sync.Mutex
 	btn := toolkit.NewButton("go", func() { mu.Lock(); clicks++; mu.Unlock() })
@@ -155,10 +165,10 @@ func TestInputEventsReachWidgets(t *testing.T) {
 
 	b := btn.Bounds()
 	x, y := uint16(b.X+2), uint16(b.Y+2)
-	if err := client.SendPointer(rfb.PointerEvent{Buttons: 1, X: x, Y: y}); err != nil {
+	if err := sendPointer(client, rfb.PointerEvent{Buttons: 1, X: x, Y: y}); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SendPointer(rfb.PointerEvent{Buttons: 0, X: x, Y: y}); err != nil {
+	if err := sendPointer(client, rfb.PointerEvent{Buttons: 0, X: x, Y: y}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "pointer click", func() bool {
@@ -168,7 +178,7 @@ func TestInputEventsReachWidgets(t *testing.T) {
 	})
 
 	// Keyboard path: Enter activates the focused button.
-	if err := client.SendKey(rfb.KeyEvent{Down: true, Key: rfb.KeyReturn}); err != nil {
+	if err := sendKey(client, rfb.KeyEvent{Down: true, Key: rfb.KeyReturn}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "key click", func() bool {
@@ -181,7 +191,7 @@ func TestInputEventsReachWidgets(t *testing.T) {
 func TestInteractionProducesIncrementalUpdate(t *testing.T) {
 	// The classic thin-client round trip: press a button, the visual
 	// pressed-state change flows back as an update.
-	display, _, client, rec := wire(t, Config{})
+	display, _, client, rec := wire(t)
 	btn := toolkit.NewButton("go", nil)
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(btn)
@@ -197,7 +207,7 @@ func TestInteractionProducesIncrementalUpdate(t *testing.T) {
 	client.RequestUpdate(true, gfx.R(0, 0, 160, 120))
 
 	b := btn.Bounds()
-	client.SendPointer(rfb.PointerEvent{Buttons: 1, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
+	sendPointer(client, rfb.PointerEvent{Buttons: 1, X: uint16(b.X + 2), Y: uint16(b.Y + 2)})
 	waitFor(t, "press repaint", func() bool {
 		rec.mu.Lock()
 		defer rec.mu.Unlock()
@@ -206,7 +216,7 @@ func TestInteractionProducesIncrementalUpdate(t *testing.T) {
 }
 
 func TestMultipleSessionsSeeSameDesktop(t *testing.T) {
-	display, srv, client1, rec1 := wire(t, Config{})
+	display, srv, client1, rec1 := wire(t)
 
 	// Second client on the same server.
 	sc, cc := net.Pipe()
@@ -244,7 +254,7 @@ func TestMultipleSessionsSeeSameDesktop(t *testing.T) {
 
 func TestServeAcceptLoop(t *testing.T) {
 	display := toolkit.NewDisplay(64, 64)
-	srv := New(display, "accept test", Config{})
+	srv := New(display, "accept test", nil)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +302,7 @@ func (s *slowConn) Read(p []byte) (int, error) {
 // and the final shadow framebuffer must still match the display.
 func TestBackpressureCoalescesUpdates(t *testing.T) {
 	display := toolkit.NewDisplay(160, 120)
-	srv := New(display, "coalesce test", Config{})
+	srv := New(display, "coalesce test", nil)
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(toolkit.NewLabel("backpressure"))
 	display.SetRoot(root)
@@ -344,7 +354,7 @@ func TestBackpressureCoalescesUpdates(t *testing.T) {
 }
 
 func TestEmptyRegionRequestGetsEmptyReply(t *testing.T) {
-	_, _, client, rec := wire(t, Config{})
+	_, _, client, rec := wire(t)
 	// A non-incremental request for a region entirely off-screen must
 	// still be answered (with zero rectangles), keeping request/reply
 	// pairing intact for demand-driven clients.
@@ -366,7 +376,7 @@ func TestEmptyRegionRequestGetsEmptyReply(t *testing.T) {
 // spec-compliant client that polls sub-regions must eventually see every
 // damaged pixel.
 func TestPartialRegionRetainsOutsideDamage(t *testing.T) {
-	display, _, client, rec := wire(t, Config{})
+	display, _, client, rec := wire(t)
 	top := toolkit.NewLabel("top strip")
 	bottom := toolkit.NewLabel("bottom strip")
 	root := toolkit.NewPanel(toolkit.Fixed{})
@@ -414,7 +424,7 @@ func TestPartialRegionRetainsOutsideDamage(t *testing.T) {
 // parked incremental request's region must not unpark it with an empty
 // reply, and must still be collectable by a matching request.
 func TestDamageOutsideParkedRegionStaysParked(t *testing.T) {
-	display, _, client, rec := wire(t, Config{})
+	display, _, client, rec := wire(t)
 	bottom := toolkit.NewLabel("bottom")
 	root := toolkit.NewPanel(toolkit.Fixed{})
 	root.Add(bottom)
@@ -454,7 +464,7 @@ func TestDamageOutsideParkedRegionStaysParked(t *testing.T) {
 // connected must not crash the encoder — updates are clipped to the live
 // framebuffer, and every request still gets a reply.
 func TestResizeUnderLiveSession(t *testing.T) {
-	display, _, client, rec := wire(t, Config{})
+	display, _, client, rec := wire(t)
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	root.Add(toolkit.NewLabel("before resize"))
 	display.SetRoot(root)

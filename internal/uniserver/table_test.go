@@ -30,7 +30,7 @@ func stateOf(srv *Server, token string) state {
 // import of the same record, or live — is refused and moves no counter,
 // so Close leaves the session_parked gauge at its baseline.
 func TestImportRefusesHeldToken(t *testing.T) {
-	h := newLotHarness(t, Config{})
+	h := newLotHarness(t)
 	g0, in0 := gauge("session_parked"), counter("session_migrated_in_total")
 	imbalance0 := parkImbalance(metrics.Default().Snapshot())
 	rec := &rfb.MigrationRecord{Token: "00112233445566778899aabb", W: 160, H: 120, RemainingTTL: time.Minute}
@@ -92,8 +92,10 @@ type modelServer struct {
 const modelLotCap = 3
 
 func newModelServer() *modelServer {
+	srv := New(toolkit.NewDisplay(32, 24), "model", nil)
+	srv.parkCap = modelLotCap
 	return &modelServer{
-		srv:      New(toolkit.NewDisplay(32, 24), "model", Config{ParkCapacity: modelLotCap}),
+		srv:      srv,
 		state:    map[string]state{},
 		parkedAt: map[string]time.Time{},
 		conns:    map[string]*modelConn{},

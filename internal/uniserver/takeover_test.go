@@ -57,7 +57,7 @@ func TestTakeoverOfLiveSession(t *testing.T) {
 			root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 			root.Add(lbl)
 			display.SetRoot(root)
-			srv := New(display, "takeover test", Config{})
+			srv := New(display, "takeover test", nil)
 			defer srv.Close()
 			full := gfx.R(0, 0, 160, 120)
 
@@ -114,7 +114,7 @@ func TestTakeoverStalledTeardownMissesCleanly(t *testing.T) {
 	defer func(d time.Duration) { takeoverWait = d }(takeoverWait)
 	takeoverWait = 30 * time.Millisecond
 
-	h := newLotHarness(t, Config{})
+	h := newLotHarness(t)
 	takeovers0, misses0 := counter("session_takeover_total"), counter("session_resume_miss_total")
 	block, entered := make(chan struct{}), make(chan struct{}, 1)
 	unblock := sync.OnceFunc(func() { close(block) })
@@ -133,8 +133,8 @@ func TestTakeoverStalledTeardownMissesCleanly(t *testing.T) {
 
 	a, _ := h.connect("")
 	bb := btn.Bounds()
-	a.SendPointer(rfb.PointerEvent{Buttons: 1, X: uint16(bb.X + 2), Y: uint16(bb.Y + 2)})
-	a.SendPointer(rfb.PointerEvent{Buttons: 0, X: uint16(bb.X + 2), Y: uint16(bb.Y + 2)})
+	sendPointer(a, rfb.PointerEvent{Buttons: 1, X: uint16(bb.X + 2), Y: uint16(bb.Y + 2)})
+	sendPointer(a, rfb.PointerEvent{Buttons: 0, X: uint16(bb.X + 2), Y: uint16(bb.Y + 2)})
 	<-entered
 
 	b, _ := h.connect(a.Token())

@@ -43,7 +43,7 @@ func BenchmarkRenderFull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.InvalidateAll()
-		buf = d.RenderInto(buf)
+		buf, _ = d.RenderTraceInto(buf)
 		if len(buf) == 0 {
 			b.Fatal("full invalidation produced no damage")
 		}
@@ -66,7 +66,7 @@ func BenchmarkRenderWidget(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.Update(flip)
-		buf = d.RenderInto(buf)
+		buf, _ = d.RenderTraceInto(buf)
 		if len(buf) == 0 {
 			b.Fatal("toggle flip produced no damage")
 		}
@@ -89,7 +89,7 @@ func BenchmarkRenderText(b *testing.B) {
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		d.Update(step)
-		buf = d.RenderInto(buf)
+		buf, _ = d.RenderTraceInto(buf)
 		if len(buf) == 0 {
 			b.Fatal("text change produced no damage")
 		}
@@ -129,7 +129,7 @@ func BenchmarkE2bRender(b *testing.B) {
 				}
 				d := displays[st.Home]
 				d.Update(func() { churn.Apply(scenes[st.Home], st) })
-				buf = d.RenderInto(buf)
+				buf, _ = d.RenderTraceInto(buf)
 				body = body[:0]
 				d.WithFramebuffer(func(fb *gfx.Framebuffer) {
 					for _, r := range buf {

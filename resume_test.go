@@ -64,7 +64,7 @@ func newResumeStackWrapped(t *testing.T, wrap func(inner func()) func()) *resume
 func newResumeDisplay(t *testing.T, wrap func(inner func()) func()) *resumeStack {
 	t.Helper()
 	st := &resumeStack{t: t, display: toolkit.NewDisplay(320, 240)}
-	st.srv = uniserver.New(st.display, "resume-e2e", uniserver.Config{})
+	st.srv = uniserver.New(st.display, "resume-e2e", nil)
 	t.Cleanup(st.srv.Close)
 
 	var mu sync.Mutex
@@ -383,6 +383,13 @@ func TestTraceSpansSurviveParkResume(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("dispatcher never reached the gated click handler")
 	}
+	// Press A's release must leave the proxy before press B: a batch is
+	// traced by its head event, so a release still buffered when B's events
+	// arrive heads their batch and carries the trace B's press was meant to
+	// have — a key-up that repaints nothing, so that trace never flushes.
+	waitCond(t, "press A released server-side", func() bool {
+		return metrics.Default().Counter("input_queued_total").Value()-queued0 >= 2
+	})
 	st.phone.PressKey("ok") // press B: queues behind the stalled dispatcher
 	waitCond(t, "press B queued server-side", func() bool {
 		return metrics.Default().Counter("input_queued_total").Value()-queued0 >= 4

@@ -1,6 +1,9 @@
 package uniint_test
 
 import (
+	"encoding/binary"
+	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -16,7 +19,9 @@ import (
 	"uniint/internal/metrics"
 	"uniint/internal/rfb"
 	"uniint/internal/sched"
+	"uniint/internal/toolkit"
 	"uniint/internal/uniserver"
+	"uniint/internal/workload"
 )
 
 // updateSignal is a client handler that signals every update it paints.
@@ -199,7 +204,7 @@ func TestStalledReadersCostOnlyThemselves(t *testing.T) {
 	})
 	was := after.Snapshot(full)
 	for _, down := range []bool{true, false} {
-		if err := after.SendKey(rfb.KeyEvent{Down: down, Key: rfb.KeyReturn}); err != nil {
+		if err := after.WriteEvents([]rfb.InputEvent{{Key: rfb.KeyEvent{Down: down, Key: rfb.KeyReturn}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -221,4 +226,114 @@ func TestStalledReadersCostOnlyThemselves(t *testing.T) {
 		now := after.Snapshot(full)
 		same = now.Equal(was)
 	}
+}
+
+// TestTricklingReaderParks: a peer whose socket takes each update just
+// before its write budget runs out parks, and a peer that takes each well
+// inside half a budget never does. Both ask for a full 640×480 Raw frame
+// (1.2 MB, far past the small loopback buffers, so every write blocks
+// until the peer reads) the moment the previous one has arrived, then
+// pause before reading it: 3.5 s for the trickler, 300 ms for the steady
+// peer. Were every update given a fresh budget, each of the trickler's
+// writes would finish with half a second to spare, and it would hold a
+// pool worker for most of every budget without ever parking.
+func TestTricklingReaderParks(t *testing.T) {
+	const w, h = uniint.DefaultWidth, uniint.DefaultHeight
+	srv := uniserver.New(toolkit.NewDisplay(w, h), "trickle", nil)
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go srv.Serve(smallSendBuffers{ln})
+	peers, err := workload.IdleFleet(2, func(int) (net.Conn, error) {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err == nil {
+			err = c.(*net.TCPConn).SetReadBuffer(256 << 10)
+		}
+		return c, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trickler, steady := peers[0], peers[1]
+
+	limit := 2*uniserver.WriteBudget + time.Second
+	start := time.Now()
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer trickler.Close()
+	defer steady.Close()
+	steadyErr := make(chan error, 1)
+	for _, p := range []struct {
+		c     net.Conn
+		pause time.Duration
+		errs  chan error
+	}{
+		{trickler, 3500 * time.Millisecond, nil},
+		{steady, 300 * time.Millisecond, steadyErr},
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			for err == nil && time.Since(start) < limit {
+				if err = askFullRaw(p.c, w, h); err == nil {
+					time.Sleep(p.pause)
+					err = readRawUpdate(p.c)
+				}
+			}
+			if p.errs != nil {
+				p.errs <- err
+			}
+		}()
+	}
+
+	for srv.Parked() == 0 {
+		if time.Since(start) > limit {
+			t.Fatalf("the trickling peer was still served %v after its first request (bound %v)",
+				time.Since(start), limit)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Logf("the trickling peer parked %v after its first request", time.Since(start).Round(time.Millisecond))
+	if err := <-steadyErr; err != nil {
+		t.Fatalf("the steady peer's link failed: %v", err)
+	}
+	if n := srv.Sessions(); n != 1 {
+		t.Fatalf("%d sessions live after %v, want the steady peer's", n, limit)
+	}
+}
+
+// askFullRaw asks for the whole w×h framebuffer in Raw only.
+func askFullRaw(c net.Conn, w, h int) error {
+	_, err := c.Write([]byte{
+		2, 0, 0, 1, 0, 0, 0, byte(rfb.EncRaw), // SetEncodings: Raw
+		3, 0, 0, 0, 0, 0, byte(w >> 8), byte(w), byte(h >> 8), byte(h), // a full request
+	})
+	return err
+}
+
+// readRawUpdate reads one FramebufferUpdate of Raw rectangles in the
+// server's native 32-bit format to its last byte.
+func readRawUpdate(c net.Conn) error {
+	var hdr [4]byte
+	if _, err := io.ReadFull(c, hdr[:]); err != nil {
+		return err
+	}
+	for n := binary.BigEndian.Uint16(hdr[2:]); n > 0; n-- {
+		var rect [12]byte
+		if _, err := io.ReadFull(c, rect[:]); err != nil {
+			return err
+		}
+		if enc := int32(binary.BigEndian.Uint32(rect[8:])); enc != rfb.EncRaw {
+			return fmt.Errorf("a %s rectangle in a Raw-only update", rfb.EncodingName(enc))
+		}
+		rw, rh := int64(binary.BigEndian.Uint16(rect[4:])), int64(binary.BigEndian.Uint16(rect[6:]))
+		if _, err := io.CopyN(io.Discard, c, rw*rh*4); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -124,7 +124,7 @@ func TestTakeoverThroughRouters(t *testing.T) {
 // (Before takeover the token route refused most of these outright.)
 func TestResumeHammerZeroDelayRedial(t *testing.T) {
 	const cycles = 500
-	srv := uniserver.New(toolkit.NewDisplay(64, 48), "hammer-home", uniserver.Config{})
+	srv := uniserver.New(toolkit.NewDisplay(64, 48), "hammer-home", nil)
 	reg := metrics.NewRegistry()
 	cluster := newFedCluster(t, srv, reg, "alpha", "beta")
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

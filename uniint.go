@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"uniint/internal/appliance"
 	"uniint/internal/core"
@@ -51,11 +50,11 @@ const (
 )
 
 // Options configures a Session. It is the single user-facing
-// configuration surface of the stack: the server tunables below are the
-// fields of uniserver.Config under the same names and the same convention
-// (zero = default, negative = parking off), copied across by assemble.
-// The worker pool is not among them: every session in the process runs
-// its turns on sched.SharedPool.
+// configuration surface of the stack. The session lifecycle is not among
+// it: a disconnected session always parks for resume under
+// uniserver.DefaultParkTTL and uniserver.DefaultParkCapacity. Nor is the
+// worker pool: every session in the process runs its turns on
+// sched.SharedPool.
 type Options struct {
 	// Width, Height set the desktop geometry (defaults 640×480).
 	Width, Height int
@@ -68,14 +67,6 @@ type Options struct {
 	// publishes encoded tiles to (see TileCache). Nil keeps tile reuse
 	// within each connection.
 	Tiles *TileCache
-	// ParkTTL sets how long a disconnected session stays reclaimable in
-	// the detach lot. Zero keeps the default (uniserver.DefaultParkTTL);
-	// negative disables parking, so every disconnect tears its session
-	// down.
-	ParkTTL time.Duration
-	// ParkCapacity bounds the detach lot. Zero keeps the default
-	// (uniserver.DefaultParkCapacity); negative disables parking.
-	ParkCapacity int
 }
 
 // Session is a fully wired universal-interaction stack.
@@ -121,9 +112,7 @@ func assemble(opts Options) (*appliance.Home, *toolkit.Display, *homeapp.App, *u
 
 	display := toolkit.NewDisplay(opts.Width, opts.Height)
 	app := homeapp.New(home.Network(), display)
-	server := uniserver.New(display, opts.Name, uniserver.Config{
-		Tiles: opts.Tiles, ParkTTL: opts.ParkTTL, ParkCapacity: opts.ParkCapacity,
-	})
+	server := uniserver.New(display, opts.Name, opts.Tiles)
 	return home, display, app, server, nil
 }
 

@@ -193,7 +193,7 @@ func wireBenchRun(tb testing.TB, hs []*wireBenchHome, steps []workload.UIStep) f
 		cur = hs[st.Home]
 		size = 0
 		cur.d.Update(apply)
-		damage = cur.d.RenderInto(damage[:0])
+		damage, _ = cur.d.RenderTraceInto(damage[:0])
 		if len(damage) == 0 {
 			return 0
 		}
