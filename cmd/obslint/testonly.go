@@ -185,11 +185,10 @@ func lintTestOnly(root string) (int, error) {
 	}
 
 	// known: every declaration the rule covers, by allow-list key. dead:
-	// the ones nothing keeps alive; deadIn: the packages that hold one (or
-	// a knob), which is what a whole-package entry must still name. knobs:
-	// the covered *Options and *Config fields that are not setOutside.
+	// the ones nothing keeps alive, and the knobs (the covered *Options and
+	// *Config fields that are not setOutside); deadIn: the packages that
+	// hold one, which is what a whole-package entry must still name.
 	known, dead, deadIn := map[string]bool{}, map[string]types.Object{}, map[string]bool{}
-	knobs := map[string]types.Object{}
 	for id, obj := range m.info.Defs {
 		if obj == nil || !obj.Exported() {
 			continue
@@ -217,7 +216,7 @@ func lintTestOnly(root string) (int, error) {
 			}
 			for i := 0; st != nil && i < st.NumFields(); i++ {
 				if f := st.Field(i); f.Exported() && !setOutside[f] {
-					knobs[key+"."+f.Name()], deadIn[o.Pkg().Path()] = f, true
+					dead[key+"."+f.Name()], deadIn[o.Pkg().Path()] = f, true
 				}
 			}
 		default:
@@ -260,20 +259,13 @@ func lintTestOnly(root string) (int, error) {
 			keys = append(keys, key)
 		}
 	}
-	for key, f := range knobs {
-		if !allowed[f.Pkg().Path()] {
-			keys = append(keys, key)
-		}
-	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		if f := knobs[key]; f != nil {
-			fmt.Fprintf(stderr, "%s: %s is a knob no non-test file outside its package sets (make its default a constant)\n",
-				m.fset.Position(f.Pos()), key)
-		} else {
-			fmt.Fprintf(stderr, "%s: %s has no reference outside _test.go files (delete it, or name it in %s)\n",
-				m.fset.Position(dead[key].Pos()), key, allowFile)
+		what := "has no reference outside _test.go files (delete it, or name it in " + allowFile + ")"
+		if v, ok := dead[key].(*types.Var); ok && v.IsField() {
+			what = "is a knob no non-test file outside its package sets (make its default a constant)"
 		}
+		fmt.Fprintf(stderr, "%s: %s %s\n", m.fset.Position(dead[key].Pos()), key, what)
 	}
 	return bad + len(keys), nil
 }

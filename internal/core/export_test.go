@@ -5,8 +5,4 @@ import "uniint/internal/gfx"
 // PresentUpdate runs the present path exactly as the read loop's Updated
 // does for an update that painted rects, so a test can count what one
 // frame allocates with nothing else running.
-func (p *Proxy) PresentUpdate(rects []gfx.Rect) { p.present(rects, true) }
-
-// RefreshOutput presents without waiting for server damage: no plug-in is
-// told what changed, so every target converts the whole framebuffer.
-func (p *Proxy) RefreshOutput() { p.present(nil, false) }
+func (p *Proxy) PresentUpdate(rects []gfx.Rect) { p.present(rects) }

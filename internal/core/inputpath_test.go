@@ -78,9 +78,9 @@ func TestPumpStopsOnForwardError(t *testing.T) {
 		t.Errorf("pump still draining after fatal error: rawEvents %d -> %d", raw, got)
 	}
 
-	// Inject surfaces the failure to its caller too.
-	if err := proxy.Inject("ph-1", core.RawEvent{Kind: core.EvKeypad, Code: "ok", Down: true}); err == nil {
-		t.Error("Inject after connection death returned nil error")
+	// InjectBatch surfaces the failure to its caller too.
+	if err := proxy.InjectBatch("ph-1", []core.RawEvent{{Kind: core.EvKeypad, Code: "ok", Down: true}}); err == nil {
+		t.Error("InjectBatch after connection death returned nil error")
 	}
 	if proxy.Stats().UniversalSent != 2 {
 		t.Errorf("events counted as sent after connection death: %d", proxy.Stats().UniversalSent)

@@ -456,9 +456,9 @@ func TestPresentFollowsDamage(t *testing.T) {
 					m.current[id] = false
 					m.attach(id)
 				default:
-					step, isUpdate = "refresh", false
-					m.rig.proxy.RefreshOutput()
-					m.presented()
+					step = "full update"
+					sent = []gfx.Rect{gfx.R(0, 0, device.TVWidth, device.TVHeight)}
+					m.update(sent)
 				}
 				step = fmt.Sprintf("step %d (%s)", i, step)
 				m.check(step)

@@ -676,44 +676,21 @@ func (p *Proxy) flushLocked() error {
 	return nil
 }
 
-// Inject translates and forwards one event as if it came from the named
-// attached device; used by scripted scenarios and benchmarks to bypass the
-// device channel (the pump path is exercised by the device simulators).
-func (p *Proxy) Inject(deviceID string, ev RawEvent) error {
-	return p.inject(deviceID, 1, func(b *inputBinding, tid uint64) {
-		for _, ue := range b.plugin.Translate(ev) {
-			p.flusher.add(ue, tid)
-		}
-	})
-}
-
-// InjectBatch translates and forwards a burst of events from the named
-// attached device as one coalescing batch: consecutive pointer moves
-// collapse to their final position and the whole burst ships with a
-// single transport write.
+// InjectBatch translates and forwards a burst of events as if it came from
+// the named attached device, bypassing its channel, as one coalescing
+// batch: consecutive pointer moves collapse to their final position and
+// the whole burst ships with a single transport write. It resolves the
+// device and translates under the selection barrier, so drop accounting
+// matches the pump's per-event counting.
 func (p *Proxy) InjectBatch(deviceID string, evs []RawEvent) error {
-	return p.inject(deviceID, int64(len(evs)), func(b *inputBinding, tid uint64) {
-		for _, ev := range evs {
-			for _, ue := range b.plugin.Translate(ev) {
-				p.flusher.add(ue, tid)
-				tid = 0 // only the head event of a batch carries the trace
-			}
-		}
-	})
-}
-
-// inject resolves the device, applies the selection barrier and runs
-// translate (which feeds the flusher) under it, then flushes once. n is
-// the raw-event count the call carries, so drop accounting matches the
-// selected path's per-event counting.
-func (p *Proxy) inject(deviceID string, n int64, translate func(b *inputBinding, tid uint64)) error {
 	p.mu.Lock()
 	b, ok := p.inputs[deviceID]
 	p.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: input %s", ErrUnknownDevice, deviceID)
 	}
-	if n <= 0 {
+	n := int64(len(evs))
+	if n == 0 {
 		return nil
 	}
 	if p.activeInput.Load() != b {
@@ -737,7 +714,13 @@ func (p *Proxy) inject(deviceID string, n int64, translate func(b *inputBinding,
 	if tid != 0 {
 		t0 = trace.Now()
 	}
-	translate(b, tid)
+	head := tid // only the head event of a batch carries the trace
+	for _, ev := range evs {
+		for _, ue := range b.plugin.Translate(ev) {
+			p.flusher.add(ue, head)
+			head = 0
+		}
+	}
 	return p.finishFlush(tid, t0)
 }
 
@@ -753,7 +736,7 @@ var _ rfb.ClientHandler = proxyHandler{}
 // keep the demand-driven update loop rolling by signalling the re-arm
 // goroutine (classic thin-client viewer behaviour, off the read path).
 func (h proxyHandler) Updated(rects []gfx.Rect) {
-	h.p.present(rects, true)
+	h.p.present(rects)
 	select {
 	case h.p.rearm <- struct{}{}:
 	default: // a re-arm is already pending
@@ -771,20 +754,16 @@ func (proxyHandler) CutText(string) {}
 // serialized: the target snapshot and the deliveries happen under
 // presentMu so RemoveMirror can use it as a barrier.
 //
-// When the caller knows what changed (damaged: an update's rectangles,
-// possibly none), every attached output's plug-in hears it first —
-// selected or not, so a device selected later repaints exactly what it
-// missed. Otherwise no plug-in is told anything and the targets convert
-// the whole framebuffer.
-func (p *Proxy) present(rects []gfx.Rect, damaged bool) {
+// Every attached output's plug-in hears the update's rectangles (possibly
+// none) first — selected or not, so a device selected later repaints
+// exactly what it missed.
+func (p *Proxy) present(rects []gfx.Rect) {
 	p.presentMu.Lock()
 	defer p.presentMu.Unlock()
 	p.mu.Lock()
 	outputs := p.presentOutputs[:0]
-	if damaged {
-		for _, b := range p.outputs {
-			outputs = append(outputs, b)
-		}
+	for _, b := range p.outputs {
+		outputs = append(outputs, b)
 	}
 	p.presentOutputs = outputs
 	targets := p.presentTargets[:0]

@@ -352,11 +352,11 @@ func TestInjectBypassesChannel(t *testing.T) {
 	if err := proxy.SelectInput("r-1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := proxy.Inject("r-1", core.RawEvent{Kind: core.EvButton, Code: "ok", Down: true}); err != nil {
+	if err := proxy.InjectBatch("r-1", []core.RawEvent{{Kind: core.EvButton, Code: "ok", Down: true}}); err != nil {
 		t.Fatal(err)
 	}
 	waitCond(t, "injected click", func() bool { return clicks() == 1 })
-	if err := proxy.Inject("ghost", core.RawEvent{}); !errors.Is(err, core.ErrUnknownDevice) {
+	if err := proxy.InjectBatch("ghost", []core.RawEvent{{}}); !errors.Is(err, core.ErrUnknownDevice) {
 		t.Errorf("inject unknown = %v", err)
 	}
 }
@@ -430,19 +430,18 @@ func TestOutputMirroring(t *testing.T) {
 	}
 
 	// One display change reaches BOTH devices, each in its own format.
-	display.Update(func() {}) // no-op; force a damage-less tick is not enough
-	proxy.RefreshOutput()
-	tvFrame := waitFrames(t, "tv frame", tv.WaitFrames, 1)
+	display.InvalidateAll()
 	pdaFrame := waitFrames(t, "pda mirror frame", pda.WaitFrames, 1)
+	tvFrame := waitFrames(t, "tv frame", tv.WaitFrames, 1)
 	if tvFrame.W != device.TVWidth || pdaFrame.W != device.PDAWidth {
 		t.Errorf("frame sizes: tv=%d pda=%d", tvFrame.W, pdaFrame.W)
 	}
 
 	// Removing the mirror stops its feed.
 	proxy.RemoveMirror("pda-1")
-	before := pda.FrameCount()
-	proxy.RefreshOutput()
-	waitFrames(t, "tv frame after unmirror", tv.WaitFrames, int64(tvFrame.Seq)+1)
+	before, tvSeen := pda.FrameCount(), tv.FrameCount()
+	display.InvalidateAll()
+	waitFrames(t, "tv frame after unmirror", tv.WaitFrames, tvSeen+1)
 	if pda.FrameCount() != before {
 		t.Error("removed mirror still receiving frames")
 	}
@@ -462,10 +461,11 @@ func TestMirrorOfActiveDeviceNotDuplicated(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFrames(t, "frame", tv.WaitFrames, 1)
-	proxy.RefreshOutput()
-	// Each refresh adds exactly one frame, not two.
+	// Each update adds exactly one frame, not two.
 	c1 := tv.FrameCount()
-	proxy.RefreshOutput()
+	display.InvalidateAll()
+	waitFrames(t, "frame of the update", tv.WaitFrames, c1+1)
+	proxy.RemoveMirror("nobody") // barrier: the update's present has finished
 	if tv.FrameCount() != c1+1 {
 		t.Errorf("primary mirrored twice: %d -> %d", c1, tv.FrameCount())
 	}

@@ -5,6 +5,13 @@ import (
 	"testing"
 )
 
+// glyphColumns returns the 5 column bytes for ch, substituting '?' for
+// characters outside the printable ASCII range.
+func glyphColumns(ch byte) []byte {
+	off := glyphIndex(ch) * 5
+	return font5x7[off : off+5]
+}
+
 // refDrawTextClipped is the pre-span-cache per-pixel implementation, kept
 // as the oracle for the blitting fast path.
 func refDrawTextClipped(f *Framebuffer, x, y int, s string, c Color, clip Rect) int {

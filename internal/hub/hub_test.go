@@ -106,17 +106,34 @@ func TestAdmitOnce(t *testing.T) {
 	}
 }
 
+// pairedIDs returns n home ids (n even), prefix plus a number, that fall
+// two to a shard: each home's copy-on-write publish then races another
+// home's in the same shard as well as the homes in other shards.
+func pairedIDs(prefix string, n int) []string {
+	byShard := map[uint64][]string{}
+	var ids []string
+	for k := 0; len(ids) < n; k++ {
+		id := fmt.Sprintf("%s%d", prefix, k)
+		s := hashID(id) & (shardCount - 1)
+		if byShard[s] = append(byShard[s], id); len(byShard[s]) == 2 {
+			ids = append(ids, byShard[s]...)
+		}
+	}
+	return ids
+}
+
 func TestAdmitConcurrentSingleCreation(t *testing.T) {
 	h, f := newTestHub(t, Options{})
 	const workers, homes = 32, 16
+	ids := pairedIDs("home-", homes)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*homes)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < homes; i++ {
-				if _, err := h.Admit(fmt.Sprintf("home-%03d", i)); err != nil {
+			for _, id := range ids {
+				if _, err := h.Admit(id); err != nil {
 					errs <- err
 				}
 			}
@@ -130,8 +147,7 @@ func TestAdmitConcurrentSingleCreation(t *testing.T) {
 	if h.Homes() != homes {
 		t.Fatalf("Homes() = %d, want %d", h.Homes(), homes)
 	}
-	for i := 0; i < homes; i++ {
-		id := fmt.Sprintf("home-%03d", i)
+	for _, id := range ids {
 		if got := f.creations(id); got != 1 {
 			t.Fatalf("%s created %d times, want 1", id, got)
 		}
@@ -481,6 +497,7 @@ func TestCloseShutsHomesAndRejects(t *testing.T) {
 func TestConcurrentRouteAndEvict(t *testing.T) {
 	h, _ := newTestHub(t, Options{})
 	const homes = 8
+	ids := pairedIDs("h", homes)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Evictor hammers all homes.
@@ -492,8 +509,8 @@ func TestConcurrentRouteAndEvict(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				for i := 0; i < homes; i++ {
-					h.Evict(fmt.Sprintf("h%d", i))
+				for _, id := range ids {
+					h.Evict(id)
 				}
 			}
 		}
@@ -505,7 +522,7 @@ func TestConcurrentRouteAndEvict(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				id := fmt.Sprintf("h%d", (w+i)%homes)
+				id := ids[(w+i)%homes]
 				client, server := net.Pipe()
 				done := make(chan error, 1)
 				go func() { done <- h.Route(id, server) }()

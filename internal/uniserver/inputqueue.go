@@ -191,13 +191,6 @@ func (q *inputQueue) recycle(batch []inputEvent) {
 	q.mu.Unlock()
 }
 
-// depth returns the number of queued events (tests and drain checks).
-func (q *inputQueue) depth() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return len(q.buf)
-}
-
 // dispatchTurn is the dispatch task's turn: it owns input injection for
 // one session, draining the queue into the window system so a stalled
 // widget callback can never block the protocol read loop (the input-side

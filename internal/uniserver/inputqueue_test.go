@@ -10,6 +10,13 @@ import (
 	"uniint/internal/toolkit"
 )
 
+// depth returns the number of queued events.
+func (q *inputQueue) depth() int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return len(q.buf)
+}
+
 func mv(x, y int, buttons uint8) inputEvent {
 	return inputEvent{pointer: true, move: true,
 		ptr: rfb.PointerEvent{Buttons: buttons, X: uint16(x), Y: uint16(y)}}

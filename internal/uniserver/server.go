@@ -489,18 +489,20 @@ func (c *session) writerTurn() {
 		for i := 0; i < empties; i++ {
 			c.sent(c.conn.SendEmptyUpdate())
 		}
+		took := time.Since(t0)
 		if len(rects) > 0 {
-			c.flush(rects, ts)
+			took += c.flush(rects, ts)
 		}
-		c.slowLink = time.Since(t0) > WriteBudget/2
+		c.slowLink = took > WriteBudget/2
 	}
 	ts.rects = rects
 	turnScratchPool.Put(ts)
 }
 
 // flush encodes the coalesced rectangles (adaptive per-rect encoding on
-// pooled scratch) and transmits them as one FramebufferUpdate.
-func (c *session) flush(rects []gfx.Rect, ts *turnScratch) {
+// pooled scratch) and transmits them as one FramebufferUpdate. It returns
+// how long the send took: a stalled widget must not mark a fast link slow.
+func (c *session) flush(rects []gfx.Rect, ts *turnScratch) time.Duration {
 	var (
 		prep *rfb.PreparedUpdate
 		err  error
@@ -536,17 +538,15 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) {
 	if prep == nil && err == nil {
 		// Everything clipped away (display shrunk under the session):
 		// answer with an empty update to keep request/reply pairing.
+		sendT0 := time.Now()
 		c.sent(c.conn.SendEmptyUpdate())
-		return
+		return time.Since(sendT0)
 	}
 	if err != nil {
-		return // encoding failure: drop the update, connection stays up
+		return 0 // encoding failure: drop the update, connection stays up
 	}
 	size := prep.Size()
-	sendT0 := int64(0)
-	if tid != 0 {
-		sendT0 = time.Now().UnixNano()
-	}
+	sendT0 := time.Now()
 	if !c.sent(c.conn.SendPrepared(prep)) {
 		// The pixels were consumed from the dirty set but never reached
 		// the client — put them back, so the state that parks in the
@@ -561,7 +561,7 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) {
 			c.dirty.Add(r)
 		}
 		c.mu.Unlock()
-		return
+		return time.Since(sendT0)
 	}
 	mUpdateBytes.Add(int64(size))
 	if c.fedResync {
@@ -583,23 +583,25 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) {
 		// The flush span completes the interaction (pixels on the wire);
 		// clear the mark only now, so a failed send leaves the trace open
 		// for the retried update that actually ships the damage.
-		trace.Record(tid, trace.StageFlush, sendT0, time.Now().UnixNano())
+		trace.Record(tid, trace.StageFlush, sendT0.UnixNano(), time.Now().UnixNano())
 		c.traceMark.Store(0)
 	}
+	return time.Since(sendT0)
 }
 
 // armWrite bounds this turn's writes to WriteBudget from due, when their
 // work arrived (now when unstamped), so the budget also covers a turn
 // queued behind stalled writers. The deadline is re-armed only once less
-// than half the budget is left, and never after a slow link's turn: a peer
-// whose socket takes each update just before its deadline would otherwise
+// than half the budget is left, and not for work arriving inside the
+// budget of an update the link took slowly: a peer whose socket takes each
+// update just before its deadline and asks again at once would otherwise
 // never park, and would hold a worker for most of every budget.
 func (c *session) armWrite(due int64) {
-	if c.slowLink {
-		return
-	}
 	if due == 0 {
 		due = time.Now().UnixNano()
+	}
+	if c.slowLink && due < c.writeBy {
+		return
 	}
 	if c.writeBy-due < int64(WriteBudget/2) {
 		c.writeBy = due + int64(WriteBudget)

@@ -279,7 +279,7 @@ func TestTricklingReaderParks(t *testing.T) {
 			defer wg.Done()
 			var err error
 			for err == nil && time.Since(start) < limit {
-				if err = askFullRaw(p.c, w, h); err == nil {
+				if err = askRaw(p.c, w, h); err == nil {
 					time.Sleep(p.pause)
 					err = readRawUpdate(p.c)
 				}
@@ -306,8 +306,57 @@ func TestTricklingReaderParks(t *testing.T) {
 	}
 }
 
-// askFullRaw asks for the whole w×h framebuffer in Raw only.
-func askFullRaw(c net.Conn, w, h int) error {
+// TestSlowOnceThenIdleStillServed: a peer that takes one full frame slowly
+// (2.5 s, over half a budget) but reads all of it, then sits idle past what
+// was left of that update's budget, still gets its next small update. Only
+// work that arrives inside a slow update's budget is denied a fresh one.
+func TestSlowOnceThenIdleStillServed(t *testing.T) {
+	const w, h = uniint.DefaultWidth, uniint.DefaultHeight
+	srv := uniserver.New(toolkit.NewDisplay(w, h), "slow-once", nil)
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go srv.Serve(smallSendBuffers{ln})
+	peers, err := workload.IdleFleet(1, func(int) (net.Conn, error) {
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err == nil {
+			err = c.(*net.TCPConn).SetReadBuffer(256 << 10)
+		}
+		return c, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := peers[0]
+	defer c.Close()
+
+	asked := time.Now()
+	if err := askRaw(c, w, h); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(uniserver.WriteBudget * 5 / 8) // 2.5 s: the link takes the frame slowly
+	if err := readRawUpdate(c); err != nil {
+		t.Fatalf("the slow full frame: %v", err)
+	}
+	// Idle until half a second past the budget the slow frame was sent under.
+	time.Sleep(time.Until(asked.Add(uniserver.WriteBudget + 500*time.Millisecond)))
+	if err := askRaw(c, 16, 16); err != nil {
+		t.Fatal(err)
+	}
+	_ = c.SetReadDeadline(time.Now().Add(uniserver.WriteBudget))
+	if err := readRawUpdate(c); err != nil {
+		t.Fatalf("the small update after an idle gap: %v (parked: %d)", err, srv.Parked())
+	}
+	if n, p := srv.Sessions(), srv.Parked(); n != 1 || p != 0 {
+		t.Fatalf("%d sessions live and %d parked, want the peer's one live", n, p)
+	}
+}
+
+// askRaw asks for the w×h rectangle at the origin in Raw only.
+func askRaw(c net.Conn, w, h int) error {
 	_, err := c.Write([]byte{
 		2, 0, 0, 1, 0, 0, 0, byte(rfb.EncRaw), // SetEncodings: Raw
 		3, 0, 0, 0, 0, 0, byte(w >> 8), byte(w), byte(h >> 8), byte(h), // a full request
