@@ -4,7 +4,7 @@ package uniint
 // driving the roam workload (devices hopping across hub-hosted homes)
 // through netsim fault injection — mid-stream link kills, drops inside
 // the handshake window, latency jitter, byte truncation — while the
-// supervisors reconnect and resume. The run asserts the system-level
+// proxies reconnect and resume. The run asserts the system-level
 // invariants that must survive any interleaving: the test completes (no
 // deadlock), every home still serves a clean connection afterwards, the
 // detach lot actually parked and resumed sessions, and the lot
@@ -177,42 +177,42 @@ func soakDevice(h *hub.Hub, seed int64, di int, plan workload.RoamPlan) error {
 		return c, nil
 	}
 
-	sup, err := core.NewSupervisor(dial, core.WithBackoff(time.Millisecond))
+	proxy, err := core.Connect(dial, core.WithBackoff(time.Millisecond))
 	if err != nil {
 		// The injector may kill the very first handshake; retry a few
 		// times like a real device would.
 		for i := 0; i < 20 && err != nil; i++ {
-			sup, err = core.NewSupervisor(dial, core.WithBackoff(time.Millisecond))
+			proxy, err = core.Connect(dial, core.WithBackoff(time.Millisecond))
 		}
 		if err != nil {
 			return fmt.Errorf("initial connect: %w", err)
 		}
 	}
-	defer sup.Close()
+	defer proxy.Close()
 	phone := device.NewPhone(plan.DeviceID)
 	defer phone.Close()
-	if err := sup.AttachInput(phone); err != nil {
+	if err := proxy.AttachInput(phone); err != nil {
 		return err
 	}
-	if err := sup.SelectInput(phone.ID()); err != nil {
+	if err := proxy.SelectInput(phone.ID()); err != nil {
 		return err
 	}
 	// A display output keeps framebuffer traffic flowing (full paint per
 	// join, repaints per interaction) so the byte-budget kills actually
 	// fire mid-visit — that is what drives in-place resumes.
 	tv := device.NewTVDisplay(plan.DeviceID + "-tv")
-	if err := sup.AttachOutput(tv); err != nil {
+	if err := proxy.AttachOutput(tv); err != nil {
 		return err
 	}
-	if err := sup.SelectOutput(tv.ID()); err != nil {
+	if err := proxy.SelectOutput(tv.ID()); err != nil {
 		return err
 	}
 
 	for vi, visit := range plan.Visits {
 		if vi > 0 {
-			// Hop: retarget, kill the live link, let the supervisor
+			// Hop: retarget, kill the live link, let the proxy
 			// re-establish against the new home.
-			before := sup.Reconnects()
+			before := proxy.Reconnects()
 			mu.Lock()
 			target = visit.HomeID
 			l := link
@@ -221,14 +221,14 @@ func soakDevice(h *hub.Hub, seed int64, di int, plan workload.RoamPlan) error {
 				l.DropLink()
 			}
 			deadline := time.Now().Add(10 * time.Second)
-			for sup.Reconnects() == before {
+			for proxy.Reconnects() == before {
 				if time.Now().After(deadline) {
-					return fmt.Errorf("hop %d to %s: reconnect stuck (last error: %v)", vi, visit.HomeID, sup.LastError())
+					return fmt.Errorf("hop %d to %s: reconnect stuck (last error: %v)", vi, visit.HomeID, proxy.LastError())
 				}
 				time.Sleep(time.Millisecond)
 			}
 		}
-		inPlace := sup.Reconnects()
+		inPlace := proxy.Reconnects()
 		for _, step := range visit.Script {
 			phone.PressKey(step.Arg)
 			time.Sleep(2 * time.Millisecond)
@@ -238,7 +238,7 @@ func soakDevice(h *hub.Hub, seed int64, di int, plan workload.RoamPlan) error {
 		// the soak asserts. A visit of the script's length alone (~8 ms)
 		// left that to the host's speed: under CPU contention no link in
 		// a run reached its budget before the next hop killed it.
-		for deadline := time.Now().Add(2 * time.Second); sup.Reconnects() == inPlace && time.Now().Before(deadline); {
+		for deadline := time.Now().Add(2 * time.Second); proxy.Reconnects() == inPlace && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
 		}
 	}

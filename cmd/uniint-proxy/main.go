@@ -8,8 +8,10 @@
 //
 // Console commands:
 //
-//	devices                      list attached devices and the selection
+//	devices                      list attached devices, mirrors and the selection
 //	in <id> | out <id>           select input/output device
+//	mirror <id> | unmirror <id>  feed an output device alongside the selected one
+//	detach <id>                  detach the device (as an input and/or an output)
 //	key <name>                   phone keypad (0-9, *, #, up, down, ok)
 //	say <words...>               voice utterance
 //	press <button>               remote button (up/down/left/right/ok/back)
@@ -21,10 +23,10 @@
 //	session                      resume token, reconnect/resume counters
 //	quit
 //
-// The connection is supervised: when the link drops, the console keeps
-// working while the proxy redials, presents its resume token, and
-// reclaims the parked server-side session (an incremental resync rather
-// than a full repaint). `session` shows how often that happened.
+// When the link drops, the console keeps working while the proxy redials,
+// presents its resume token, and reclaims the parked server-side session
+// (an incremental resync rather than a full repaint); devices, selection
+// and mirrors stay as they were. `session` shows how often that happened.
 package main
 
 import (
@@ -67,14 +69,14 @@ func run(addr, home string) error {
 		}
 		return net.Dial("tcp", addr)
 	}
-	sup, err := core.NewSupervisor(dial, core.WithBackoff(500*time.Millisecond))
+	proxy, err := core.Connect(dial, core.WithBackoff(500*time.Millisecond))
 	if err != nil {
 		return err
 	}
-	defer sup.Close()
+	defer proxy.Close()
 
-	w, h := sup.Proxy().Client().Size()
-	fmt.Printf("connected to %q (%dx%d desktop)\n", sup.Proxy().Client().Name(), w, h)
+	w, h := proxy.Client().Size()
+	fmt.Printf("connected to %q (%dx%d desktop)\n", proxy.Client().Name(), w, h)
 
 	// The standard device set travels with the user.
 	pda := device.NewPDA("pda")
@@ -89,25 +91,25 @@ func run(addr, home string) error {
 	defer remote.Close()
 	defer gesture.Close()
 	for _, in := range []core.InputDevice{pda, phone, voice, remote, gesture} {
-		if err := sup.AttachInput(in); err != nil {
+		if err := proxy.AttachInput(in); err != nil {
 			return err
 		}
 	}
 	for _, out := range []core.OutputDevice{pda, phone, tv} {
-		if err := sup.AttachOutput(out); err != nil {
+		if err := proxy.AttachOutput(out); err != nil {
 			return err
 		}
 	}
-	if err := sup.SelectInput("pda"); err != nil {
+	if err := proxy.SelectInput("pda"); err != nil {
 		return err
 	}
-	if err := sup.SelectOutput("pda"); err != nil {
+	if err := proxy.SelectOutput("pda"); err != nil {
 		return err
 	}
-	engine := situation.NewEngine(sup, situation.DefaultRules())
+	engine := situation.NewEngine(proxy, situation.DefaultRules())
 
 	latest := func() (core.Frame, bool) {
-		switch sup.Proxy().ActiveOutput() {
+		switch proxy.ActiveOutput() {
 		case "pda":
 			return pda.Latest(), true
 		case "phone":
@@ -122,18 +124,14 @@ func run(addr, home string) error {
 	sc := bufio.NewScanner(os.Stdin)
 	lastReconnects := int64(0)
 	for {
-		if n := sup.Reconnects(); n != lastReconnects {
-			fmt.Printf("(link dropped; reconnected ×%d, session resumes ×%d)\n", n, sup.Resumes())
+		if n := proxy.Reconnects(); n != lastReconnects {
+			fmt.Printf("(link dropped; reconnected ×%d, session resumes ×%d)\n", n, proxy.Resumes())
 			lastReconnects = n
 		}
-		fmt.Printf("[in=%s out=%s]> ", sup.Proxy().ActiveInput(), sup.Proxy().ActiveOutput())
+		fmt.Printf("[in=%s out=%s]> ", proxy.ActiveInput(), proxy.ActiveOutput())
 		if !sc.Scan() {
 			return sc.Err()
 		}
-		// Re-resolve after the (blocking) read: the supervisor may have
-		// swapped in a reconnected proxy while the console sat at the
-		// prompt.
-		proxy := sup.Proxy()
 		fields := strings.Fields(sc.Text())
 		if len(fields) == 0 {
 			continue
@@ -143,19 +141,20 @@ func run(addr, home string) error {
 		case "quit", "exit":
 			return nil
 		case "help":
-			fmt.Println("devices | in <id> | out <id> | mirror <id> | unmirror <id> | key <k> |" +
+			fmt.Println("devices | in <id> | out <id> | mirror <id> | unmirror <id> | detach <id> | key <k> |" +
 				" say <...> | press <b> | tap <x> <y> | stroke <s> |" +
 				" situation <loc> <act> [hands] [seated] | show | stats | session | quit")
 		case "devices":
 			fmt.Println("inputs: ", proxy.InputIDs())
 			fmt.Println("outputs:", proxy.OutputIDs())
+			fmt.Println("mirrors:", proxy.Mirrors())
 		case "in":
 			if len(args) == 1 {
-				reportErr(sup.SelectInput(args[0]))
+				reportErr(proxy.SelectInput(args[0]))
 			}
 		case "out":
 			if len(args) == 1 {
-				reportErr(sup.SelectOutput(args[0]))
+				reportErr(proxy.SelectOutput(args[0]))
 			}
 		case "mirror":
 			if len(args) == 1 {
@@ -164,6 +163,10 @@ func run(addr, home string) error {
 		case "unmirror":
 			if len(args) == 1 {
 				proxy.RemoveMirror(args[0])
+			}
+		case "detach":
+			if len(args) == 1 {
+				reportErr(detach(proxy, args[0]))
 			}
 		case "key":
 			for _, k := range args {
@@ -216,11 +219,22 @@ func run(addr, home string) error {
 			fmt.Printf("%+v\n", st)
 		case "session":
 			fmt.Printf("token %s  reconnects %d  resumes %d  resumed-now %v\n",
-				proxy.SessionToken(), sup.Reconnects(), sup.Resumes(), proxy.Resumed())
+				proxy.SessionToken(), proxy.Reconnects(), proxy.Resumes(), proxy.Resumed())
 		default:
 			fmt.Printf("unknown command %q (try 'help')\n", cmd)
 		}
 	}
+}
+
+// detach removes id as an input, as an output and mirror, or both; it
+// fails only when id is neither.
+func detach(proxy *core.Proxy, id string) error {
+	proxy.RemoveMirror(id)
+	errIn, errOut := proxy.DetachInput(id), proxy.DetachOutput(id)
+	if errIn != nil && errOut != nil {
+		return errIn
+	}
+	return nil
 }
 
 func reportErr(err error) {

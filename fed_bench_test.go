@@ -80,18 +80,17 @@ func BenchmarkE2bMigrate(b *testing.B) {
 
 	// Prime: join through the router, full paint, leave an incremental
 	// request parked, park.
-	client, err := rfb.Dial(dial())
+	prime, err := rfb.Dial(dial())
 	if err != nil {
 		b.Fatal(err)
 	}
-	token := client.Token()
 	got := make(chan struct{}, 1)
-	go client.Run(resumeBenchHandler{client, full, got})
-	if err := client.RequestUpdate(false, full); err != nil {
+	go prime.Run(resumeBenchHandler{prime, full, got})
+	if err := prime.RequestUpdate(false, full); err != nil {
 		b.Fatal(err)
 	}
 	<-got
-	client.Close()
+	prime.Close()
 	waitParked()
 
 	bytes0 := reg.Counter("fed_migration_bytes_total").Value()
@@ -110,7 +109,7 @@ func BenchmarkE2bMigrate(b *testing.B) {
 			b.Fatal(err)
 		}
 
-		client, err := rfb.DialResume(dial(), token)
+		client, err := rfb.DialResume(dial(), prime)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -129,8 +129,8 @@ func TestFederationLiveMigrationByteIdentical(t *testing.T) {
 	}
 
 	st.back()
-	waitCond(t, "reconnect", func() bool { return st.sup.Reconnects() == 1 })
-	if got := st.sup.Resumes(); got != 1 {
+	waitCond(t, "reconnect", func() bool { return st.proxy.Reconnects() == 1 })
+	if got := st.proxy.Resumes(); got != 1 {
 		t.Fatalf("Resumes() = %d, want 1", got)
 	}
 	st.awaitTraffic() // the resync for the detach-window damage

@@ -151,12 +151,12 @@ func TestHubRouteUnpinsBeforeReturning(t *testing.T) {
 	conn.Close()
 
 	conn, goneA := route()
-	if a, err = rfb.DialResume(conn, a.Token()); err != nil || !a.Resumed() {
+	if a, err = rfb.DialResume(conn, a); err != nil || !a.Resumed() {
 		t.Fatalf("resume: %v", err)
 	}
 	go a.Run(nil)
 	conn, goneB := route()
-	b, err := rfb.DialResume(conn, a.Token())
+	b, err := rfb.DialResume(conn, a)
 	if err != nil || !b.Resumed() {
 		t.Fatalf("takeover: %v", err)
 	}

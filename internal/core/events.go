@@ -15,6 +15,11 @@
 // chosen independently (characteristic C1) and can be switched dynamically
 // while the session continues (characteristic C2), typically driven by the
 // situation engine in internal/situation.
+//
+// A proxy holds its devices, selection and mirrors for its whole life.
+// Dial gives it one link; Connect gives it a DialFunc, and when a link
+// dies the proxy redials, presents its resume token, and moves the devices
+// onto the next link.
 package core
 
 import "uniint/internal/rfb"

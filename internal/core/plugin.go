@@ -105,7 +105,7 @@ type OutputDevice interface {
 	Class() string
 	// OutputPlugin returns the conversion module the device transmits to
 	// the proxy: a fresh plug-in per call, with no frame yet, so every
-	// attachment (including a supervisor's re-attach after a redial)
+	// attachment (and every new link after a redial)
 	// starts with a whole frame. Every bundled plug-in keeps its frame.
 	OutputPlugin() OutputPlugin
 	// Present delivers a converted frame. Implementations must not block:

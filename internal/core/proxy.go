@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,10 +50,26 @@ var (
 	ErrNilPlugin     = errors.New("core: device supplied no plug-in")
 )
 
-// Proxy is the UniInt proxy: one universal-interaction client connection
-// plus the attached interaction devices and their plug-in modules.
+// Proxy is the UniInt proxy: the attached interaction devices, their
+// plug-in modules, the selection and the mirrors, over a
+// universal-interaction client link. A proxy made by Connect owns all of
+// it for its whole life and swaps only the link beneath: when a link dies
+// it redials, presents the session's resume token, and moves the devices
+// onto the next link. The paper's user roams between home, office and
+// public spaces; one device set across links is the practical face of
+// "control appliances in a uniform way at any places".
 type Proxy struct {
-	client *rfb.ClientConn
+	link atomic.Pointer[link]
+
+	dial    DialFunc // nil: the proxy ends with its link
+	backoff time.Duration
+	stop    chan struct{} // closed by Close
+
+	reconnects atomic.Int64
+	resumes    atomic.Int64
+	lastErr    atomic.Pointer[error]
+	// Bytes the links before the current one carried, so Stats spans links.
+	sentBefore, recvBefore atomic.Int64
 
 	mu        sync.Mutex
 	inputs    map[string]*inputBinding
@@ -74,9 +92,7 @@ type Proxy struct {
 	inMu    sync.Mutex
 	flusher inputFlusher
 
-	running atomic.Bool
-	rearm   chan struct{}
-	wg      sync.WaitGroup
+	wg sync.WaitGroup // the pumps, and the run loop Connect starts
 
 	// presentMu serializes output presentation so mirror/selection
 	// changes can wait out an in-flight presentation (strict "no frames
@@ -92,6 +108,16 @@ type Proxy struct {
 	presentFrames  []Frame
 
 	stats proxyStats
+}
+
+// link is one stretch of the proxy's life: a connection carrying input,
+// or (live false) the outage after it while the proxy redials. client is
+// the newest connection either way. changed closes when the next stretch
+// begins.
+type link struct {
+	client  *rfb.ClientConn
+	live    bool
+	changed chan struct{}
 }
 
 type inputBinding struct {
@@ -134,35 +160,87 @@ type Stats struct {
 	BytesFromServer int64
 }
 
+// DialFunc produces a fresh transport to the UniInt server.
+type DialFunc func() (net.Conn, error)
+
+// Option configures a proxy made by Connect.
+type Option func(*Proxy)
+
+// WithBackoff sets the delay before the 2nd, 3rd, … redial attempt
+// (default 10 ms — in-process transports recover instantly; real
+// deployments pass larger values). The first redial after a link dies is
+// immediate: back-off is for failure, and a dead link is not one yet.
+func WithBackoff(d time.Duration) Option {
+	return func(p *Proxy) { p.backoff = d }
+}
+
 // NewProxy wraps an already-handshaked client connection.
 func NewProxy(client *rfb.ClientConn) *Proxy {
-	return &Proxy{
-		client:  client,
+	p := &Proxy{
 		inputs:  make(map[string]*inputBinding),
 		outputs: make(map[string]*outputBinding),
 		mirrors: make(map[string]bool),
-		rearm:   make(chan struct{}, 1),
+		stop:    make(chan struct{}),
 	}
+	p.link.Store(&link{client: client, live: true, changed: make(chan struct{})})
+	return p
 }
 
-// Dial connects to a UniInt server over conn and returns the proxy.
+// Dial connects to a UniInt server over conn and returns the proxy. It
+// has the one link: Run returns when the link ends.
 func Dial(conn net.Conn) (*Proxy, error) {
-	return DialResume(conn, "")
+	client, err := dialLink(conn, nil)
+	if err != nil {
+		return nil, err
+	}
+	return NewProxy(client), nil
 }
 
-// DialResume is Dial presenting a resume token from a previous session:
-// a server that still holds the parked session reclaims it and ships
-// only the damage accumulated while the link was down. Resumed reports
-// the verdict; SessionToken carries the token for the next reconnect.
-func DialResume(conn net.Conn, token string) (*Proxy, error) {
-	client, err := rfb.DialResume(conn, token)
+// Connect dials the first link, starts the run loop and returns the
+// proxy. Whenever a link dies the proxy redials until a new link carries
+// its devices or Close stops it. Reconnects counts those links, Resumes the
+// ones that reclaimed the parked server-side session (an incremental
+// resync on the frame the proxy already holds, not a full repaint).
+func Connect(dial DialFunc, opts ...Option) (*Proxy, error) {
+	conn, err := dial()
+	if err != nil {
+		return nil, fmt.Errorf("core: dial: %w", err)
+	}
+	p, err := Dial(conn)
+	if err != nil {
+		return nil, err
+	}
+	p.dial, p.backoff = dial, 10*time.Millisecond
+	for _, o := range opts {
+		o(p)
+	}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		p.Run()
+	}()
+	return p, nil
+}
+
+// Supervisor, NewSupervisor and Proxy.Proxy keep the names the frozen
+// cmd/uniload roam driver uses (ROADMAP 6(c)).
+type Supervisor = Proxy
+
+// NewSupervisor is Connect with the default back-off (ROADMAP 6(c)).
+func NewSupervisor(dial DialFunc) (*Supervisor, error) { return Connect(dial) }
+
+// Proxy returns p (ROADMAP 6(c)).
+func (p *Proxy) Proxy() *Proxy { return p }
+
+// dialLink handshakes a link over conn, continuing prev's session when
+// prev is not nil, and advertises the compact encodings the proxy can
+// decode, wire-tier first: tile references/installs and dictionary-zlib
+// save the most bytes, then the content-adaptive set.
+func dialLink(conn net.Conn, prev *rfb.ClientConn) (*rfb.ClientConn, error) {
+	client, err := rfb.DialResume(conn, prev)
 	if err != nil {
 		return nil, fmt.Errorf("core: dial server: %w", err)
 	}
-	c := NewProxy(client)
-	// Advertise the compact encodings the proxy can decode, wire-tier
-	// first: tile references/installs and dictionary-zlib save the most
-	// bytes, then the content-adaptive set.
 	if err := client.SetEncodings([]int32{
 		rfb.EncTileRef, rfb.EncTileInstall, rfb.EncZlibDict,
 		rfb.EncHextile, rfb.EncRRE, rfb.EncZlib, rfb.EncCopyRect, rfb.EncRaw,
@@ -170,60 +248,179 @@ func DialResume(conn net.Conn, token string) (*Proxy, error) {
 		client.Close()
 		return nil, err
 	}
-	return c, nil
+	return client, nil
 }
 
 // SessionToken returns the resume token the server issued for this
-// session ("" when the server issues none). Present it to DialResume
-// after a link failure to reclaim the server-side session.
-func (p *Proxy) SessionToken() string { return p.client.Token() }
+// session ("" when the server issues none); the next link presents it.
+func (p *Proxy) SessionToken() string { return p.Client().Token() }
 
-// Resumed reports whether this connection reclaimed a parked server-side
+// Resumed reports whether the current link reclaimed a parked server-side
 // session.
-func (p *Proxy) Resumed() bool { return p.client.Resumed() }
+func (p *Proxy) Resumed() bool { return p.Client().Resumed() }
 
-// Client exposes the underlying protocol connection (stats, testing).
-func (p *Proxy) Client() *rfb.ClientConn { return p.client }
+// Client exposes the current link's protocol connection (the last one
+// while the proxy redials).
+func (p *Proxy) Client() *rfb.ClientConn { return p.link.Load().client }
 
-// Run drives the protocol read loop until the connection closes. It must
-// be called exactly once, typically on its own goroutine.
+// Reconnects reports how many links have replaced a dead one.
+func (p *Proxy) Reconnects() int64 { return p.reconnects.Load() }
+
+// Resumes reports how many of those links reclaimed the parked
+// server-side session rather than rejoining cold.
+func (p *Proxy) Resumes() int64 { return p.resumes.Load() }
+
+// LastError returns the most recent connection error (nil before any).
+func (p *Proxy) LastError() error {
+	if err := p.lastErr.Load(); err != nil {
+		return *err
+	}
+	return nil
+}
+
+// Run drives the protocol read loop until the link closes; a proxy made
+// by Connect then redials, and Run returns only once Close stops it.
+// It must be called exactly once, typically on its own goroutine (Connect
+// starts it itself).
+func (p *Proxy) Run() error {
+	for {
+		err := p.runLink(p.Client())
+		p.lastErr.Store(&err)
+		if p.dial == nil {
+			return err
+		}
+		p.setLink(p.Client(), false) // device events wait in their channels
+		if !p.redial() {
+			return err
+		}
+	}
+}
+
+// runLink reads c until it closes.
 //
 // Incremental update requests are re-armed by a helper goroutine rather
 // than from the read loop itself, so the read loop never contends on the
 // connection's write path — a requirement for deadlock freedom over fully
 // synchronous transports (net.Pipe).
-func (p *Proxy) Run() error {
-	p.running.Store(true)
-	defer p.running.Store(false)
+func (p *Proxy) runLink(c *rfb.ClientConn) error {
+	rearm := make(chan struct{}, 1)
 	quit := make(chan struct{})
 	done := make(chan struct{})
-	go p.rearmLoop(quit, done)
-	err := p.client.Run(proxyHandler{p})
-	// The read loop is the proxy's heartbeat: once it exits the session is
+	go p.rearmLoop(c, rearm, quit, done)
+	err := c.Run(proxyHandler{p, rearm})
+	// The read loop is the link's heartbeat: once it exits the link is
 	// over, so close the transport to unblock any peer writer.
-	p.client.Close()
+	c.Close()
 	close(quit)
 	<-done
 	return err
 }
 
+// setLink begins the next stretch of the proxy's life. Only the run loop
+// (and relink, which it calls) moves the link.
+func (p *Proxy) setLink(c *rfb.ClientConn, live bool) {
+	old := p.link.Swap(&link{client: c, live: live, changed: make(chan struct{})})
+	close(old.changed)
+}
+
+// redial relinks until a link carries the devices or Close says stop: at
+// once the first time, after the back-off whenever an attempt (dial,
+// handshake or relink) has just failed. It reports whether a link is up.
+func (p *Proxy) redial() bool {
+	select {
+	case <-p.stop:
+		return false
+	default:
+	}
+	for {
+		err := p.relink()
+		if err == nil {
+			return true
+		}
+		p.lastErr.Store(&err)
+		select {
+		case <-p.stop:
+			return false
+		case <-time.After(p.backoff):
+		}
+	}
+}
+
+// relink dials the link that follows the dead one and moves the devices
+// onto it: every device's plug-in is fetched and bound anew, and the
+// output selection is negotiated. On a resumed session the new link
+// starts from the dead one's frame, so the output asks only for the
+// damage accumulated while detached. Relinking is all-or-nothing: until
+// the new link is installed the dead one keeps the frame and the token the
+// next attempt presents. The dead link's read loop has returned, so no
+// presentation runs while the plug-ins change.
+func (p *Proxy) relink() error {
+	conn, err := p.dial()
+	if err != nil {
+		return fmt.Errorf("core: dial: %w", err)
+	}
+	prev := p.Client()
+	next, err := dialLink(conn, prev)
+	if err != nil {
+		return err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.closed {
+		next.Close()
+		return ErrProxyClosed
+	}
+	w, h := next.Size()
+	p.inMu.Lock() // no translation in flight while the plug-ins change
+	for id, b := range p.inputs {
+		if b.plugin = b.dev.InputPlugin(); b.plugin == nil {
+			p.inMu.Unlock()
+			next.Close()
+			return fmt.Errorf("%w: input %s", ErrNilPlugin, id)
+		}
+		b.plugin.Bind(w, h)
+	}
+	p.inMu.Unlock()
+	for id, b := range p.outputs {
+		if b.plugin = b.dev.OutputPlugin(); b.plugin == nil {
+			next.Close()
+			return fmt.Errorf("%w: output %s", ErrNilPlugin, id)
+		}
+	}
+	if b := p.outputs[p.activeOut]; b != nil {
+		if err := negotiate(next, b.plugin.PixelFormat(), next.Resumed()); err != nil {
+			next.Close()
+			return err
+		}
+	}
+	p.sentBefore.Add(prev.BytesSent())
+	p.recvBefore.Add(prev.BytesReceived())
+	p.setLink(next, true)
+	p.reconnects.Add(1)
+	if next.Resumed() {
+		p.resumes.Add(1)
+	}
+	return nil
+}
+
 // rearmLoop issues one incremental FramebufferUpdateRequest per signal.
-func (p *Proxy) rearmLoop(quit, done chan struct{}) {
+func (p *Proxy) rearmLoop(c *rfb.ClientConn, rearm, quit, done chan struct{}) {
 	defer close(done)
-	w, h := p.client.Size()
+	w, h := c.Size()
 	full := gfx.R(0, 0, w, h)
 	for {
 		select {
-		case <-p.rearm:
+		case <-rearm:
 			// Errors mean the connection is going down; Run reports it.
-			_ = p.client.RequestUpdate(true, full)
+			_ = c.RequestUpdate(true, full)
 		case <-quit:
 			return
 		}
 	}
 }
 
-// Close tears down the connection and stops all device pumps.
+// Close tears down the link, stops redialing and stops all device pumps;
+// on a proxy made by Connect it returns once the run loop has.
 func (p *Proxy) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -231,16 +428,18 @@ func (p *Proxy) Close() {
 		return
 	}
 	p.closed = true
+	close(p.stop)
 	for _, b := range p.inputs {
 		close(b.stop)
 	}
 	p.mu.Unlock()
-	p.client.Close()
+	p.Client().Close()
 	p.wg.Wait()
 }
 
-// Stats returns a snapshot of the proxy counters.
+// Stats returns a snapshot of the proxy counters, across all its links.
 func (p *Proxy) Stats() Stats {
+	c := p.Client()
 	return Stats{
 		RawEvents:       p.stats.rawEvents.Load(),
 		DroppedRaw:      p.stats.droppedRaw.Load(),
@@ -251,24 +450,22 @@ func (p *Proxy) Stats() Stats {
 		FramesPresented: p.stats.frames.Load(),
 		InputSwitches:   p.stats.inSwitches.Load(),
 		OutputSwitches:  p.stats.outSwitches.Load(),
-		BytesToServer:   p.client.BytesSent(),
-		BytesFromServer: p.client.BytesReceived(),
+		BytesToServer:   p.sentBefore.Load() + c.BytesSent(),
+		BytesFromServer: p.recvBefore.Load() + c.BytesReceived(),
 	}
 }
 
 // --- device attachment ----------------------------------------------------
 
 // AttachInput registers an input device. The device's plug-in module is
-// received ("transmitted" in the paper's terms) here; a pump goroutine
-// starts draining the device's event stream immediately so that switching
-// to it later is instantaneous.
+// received ("transmitted" in the paper's terms) here and again on every
+// new link; a pump goroutine starts draining the device's event stream
+// immediately so that switching to it later is instantaneous.
 func (p *Proxy) AttachInput(d InputDevice) error {
 	plugin := d.InputPlugin()
 	if plugin == nil {
 		return fmt.Errorf("%w: input %s", ErrNilPlugin, d.ID())
 	}
-	w, h := p.client.Size()
-	plugin.Bind(w, h)
 
 	p.mu.Lock()
 	if p.closed {
@@ -279,11 +476,11 @@ func (p *Proxy) AttachInput(d InputDevice) error {
 		p.mu.Unlock()
 		return fmt.Errorf("%w: input %s", ErrDuplicateID, d.ID())
 	}
+	plugin.Bind(p.Client().Size()) // under mu: a relink either ran before or rebinds it
 	b := &inputBinding{dev: d, plugin: plugin, stop: make(chan struct{})}
 	p.inputs[d.ID()] = b
+	p.wg.Add(1) // under mu, so Close's Wait cannot miss it
 	p.mu.Unlock()
-
-	p.wg.Add(1)
 	go p.pumpInput(b)
 	return nil
 }
@@ -318,7 +515,8 @@ func (p *Proxy) inputBarrier() {
 	p.inMu.Unlock()
 }
 
-// AttachOutput registers an output device and receives its plug-in module.
+// AttachOutput registers an output device and receives its plug-in module
+// (again on every new link).
 func (p *Proxy) AttachOutput(d OutputDevice) error {
 	plugin := d.OutputPlugin()
 	if plugin == nil {
@@ -350,26 +548,18 @@ func (p *Proxy) DetachOutput(id string) error {
 	return nil
 }
 
-// InputIDs lists attached input devices.
+// InputIDs lists attached input devices, sorted.
 func (p *Proxy) InputIDs() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.inputs))
-	for id := range p.inputs {
-		out = append(out, id)
-	}
-	return out
+	return slices.Sorted(maps.Keys(p.inputs))
 }
 
-// OutputIDs lists attached output devices.
+// OutputIDs lists attached output devices, sorted.
 func (p *Proxy) OutputIDs() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.outputs))
-	for id := range p.outputs {
-		out = append(out, id)
-	}
-	return out
+	return slices.Sorted(maps.Keys(p.outputs))
 }
 
 // --- selection and switching (C1, C2) --------------------------------------
@@ -402,6 +592,8 @@ func (p *Proxy) SelectInput(id string) error {
 // SelectOutput makes the named device the session's display. The proxy
 // renegotiates the wire pixel format to the device's preference and
 // demands a full update so the new device starts with a complete frame.
+// While no link is up the choice waits for the next link, which
+// negotiates it.
 func (p *Proxy) SelectOutput(id string) error {
 	p.mu.Lock()
 	b, ok := p.outputs[id]
@@ -409,44 +601,31 @@ func (p *Proxy) SelectOutput(id string) error {
 		p.mu.Unlock()
 		return fmt.Errorf("%w: output %s", ErrUnknownDevice, id)
 	}
-	changed := p.activeOut != id
-	p.activeOut = id
-	p.mu.Unlock()
-
-	if changed {
-		p.stats.outSwitches.Add(1)
-		return p.negotiateOutput(b, false)
+	if p.activeOut == id {
+		p.mu.Unlock()
+		return nil
 	}
-	return nil
+	p.activeOut = id
+	p.stats.outSwitches.Add(1)
+	l := p.link.Load()
+	if !l.live {
+		p.mu.Unlock()
+		return nil
+	}
+	plugin := b.plugin // read under mu: a relink swaps it
+	p.mu.Unlock()
+	return negotiate(l.client, plugin.PixelFormat(), false)
 }
 
-// negotiateOutput renegotiates the wire pixel format for the output
-// binding and demands a repaint — full for a user-visible device switch,
-// incremental on a resumed restore (the server preserved the session and
-// ships only the detach-window damage).
-func (p *Proxy) negotiateOutput(b *outputBinding, incremental bool) error {
-	if err := p.client.SetPixelFormat(b.plugin.PixelFormat()); err != nil {
+// negotiate sets the wire pixel format on c and demands a repaint — full
+// for a user-visible device switch, incremental on a resumed link (the
+// server preserved the session and ships only the detach-window damage).
+func negotiate(c *rfb.ClientConn, pf gfx.PixelFormat, incremental bool) error {
+	if err := c.SetPixelFormat(pf); err != nil {
 		return err
 	}
-	w, h := p.client.Size()
-	return p.client.RequestUpdate(incremental, gfx.R(0, 0, w, h))
-}
-
-// restoreOutput re-applies an output selection on a rebuilt connection
-// (the Supervisor's reconnect path). Unlike SelectOutput it always
-// renegotiates — the new connection has no negotiated state yet — and on
-// a resumed session requests incrementally instead of forcing the full
-// repaint a cold rejoin needs.
-func (p *Proxy) restoreOutput(id string, resumed bool) error {
-	p.mu.Lock()
-	b, ok := p.outputs[id]
-	if !ok {
-		p.mu.Unlock()
-		return fmt.Errorf("%w: output %s", ErrUnknownDevice, id)
-	}
-	p.activeOut = id
-	p.mu.Unlock()
-	return p.negotiateOutput(b, resumed)
+	w, h := c.Size()
+	return c.RequestUpdate(incremental, gfx.R(0, 0, w, h))
 }
 
 // SelectInputByClass selects the first attached input device of the given
@@ -515,15 +694,11 @@ func (p *Proxy) RemoveMirror(id string) {
 	p.presentMu.Unlock()
 }
 
-// Mirrors lists the devices currently mirrored.
+// Mirrors lists the devices currently mirrored, sorted.
 func (p *Proxy) Mirrors() []string {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]string, 0, len(p.mirrors))
-	for id := range p.mirrors {
-		out = append(out, id)
-	}
-	return out
+	return slices.Sorted(maps.Keys(p.mirrors))
 }
 
 // ActiveInput returns the selected input device id ("" when none).
@@ -551,24 +726,38 @@ func (p *Proxy) ActiveOutput() string {
 //
 // Forwarding is batched: an event plus whatever burst queued up behind it
 // is translated into one coalescing batch and shipped with one transport
-// write. A forward failure is fatal for the connection (the buffered
-// writer sticks its error), so the pump counts the loss and stops instead
-// of silently discarding every subsequent event.
+// write. A forward failure is fatal for the link (the buffered writer
+// sticks its error), so the pump counts the loss and, instead of silently
+// discarding every subsequent event, waits for the next link — or stops,
+// on a proxy that cannot redial. While no link is up the pump takes no
+// events: they wait in the device's channel.
 func (p *Proxy) pumpInput(b *inputBinding) {
 	defer p.wg.Done()
 	for {
+		l := p.link.Load()
+		events := b.dev.Events()
+		if !l.live {
+			events = nil
+		}
 		select {
-		case ev, ok := <-b.dev.Events():
+		case ev, ok := <-events:
 			if !ok {
 				return
 			}
 			cont, fatal := p.pumpConsume(b, ev)
-			if !cont {
+			if fatal && p.dial != nil {
+				select {
+				case <-l.changed:
+				case <-b.stop:
+					return
+				}
+			} else if !cont {
 				if fatal {
 					mInputPumpStops.Inc()
 				}
 				return
 			}
+		case <-l.changed:
 		case <-b.stop:
 			return
 		}
@@ -655,7 +844,7 @@ func (p *Proxy) finishFlush(tid uint64, t0 int64) error {
 // forwarded events count as sent, events lost to a write error count as
 // forward errors — never silently dropped.
 func (p *Proxy) flushLocked() error {
-	sent, coalesced, err := p.flusher.flush(p.client)
+	sent, coalesced, err := p.flusher.flush(p.Client())
 	if coalesced > 0 {
 		p.stats.coalesced.Add(coalesced)
 		mInputProxyCoalesce.Add(coalesced)
@@ -726,19 +915,23 @@ func (p *Proxy) InjectBatch(deviceID string, evs []RawEvent) error {
 
 // --- output pipeline ---------------------------------------------------------
 
-// proxyHandler adapts the protocol callbacks onto the proxy.
-type proxyHandler struct{ p *Proxy }
+// proxyHandler adapts one link's protocol callbacks onto the proxy.
+type proxyHandler struct {
+	p     *Proxy
+	rearm chan struct{}
+}
 
 var _ rfb.ClientHandler = proxyHandler{}
 
 // Updated implements rfb.ClientHandler: pass the update's damage to the
 // output plug-ins, convert for the selected output device, present, and
-// keep the demand-driven update loop rolling by signalling the re-arm
-// goroutine (classic thin-client viewer behaviour, off the read path).
+// keep the demand-driven update loop rolling by signalling the link's
+// re-arm goroutine (classic thin-client viewer behaviour, off the read
+// path).
 func (h proxyHandler) Updated(rects []gfx.Rect) {
 	h.p.present(rects)
 	select {
-	case h.p.rearm <- struct{}{}:
+	case h.rearm <- struct{}{}:
 	default: // a re-arm is already pending
 	}
 }
@@ -792,7 +985,7 @@ func (p *Proxy) present(rects []gfx.Rect) {
 		frames = append(frames, Frame{})
 	}
 	p.presentFrames = frames
-	p.client.WithFramebuffer(func(fb *gfx.Framebuffer) {
+	p.Client().WithFramebuffer(func(fb *gfx.Framebuffer) {
 		for i, b := range targets {
 			frames[i] = b.plugin.Convert(fb)
 		}

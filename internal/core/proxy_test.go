@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -511,36 +512,32 @@ func TestDetachOutputAndIDs(t *testing.T) {
 	}
 }
 
-func TestSupervisorOptionsAndClassSelection(t *testing.T) {
-	st := newSupervisedStack(t)
-	buttonPanel(st.display, "x")
-	sup, err := core.NewSupervisor(st.dial, core.WithBackoff(time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
+// TestDeviceListsSorted: the device and mirror lists come back in id
+// order, whatever order the devices were attached in.
+func TestDeviceListsSorted(t *testing.T) {
+	_, proxy := stack(t)
+	ids := []string{"pda-7", "pda-2", "pda-9", "pda-0", "pda-5", "pda-3"}
+	for _, id := range ids {
+		pda := device.NewPDA(id)
+		defer pda.Close()
+		if err := proxy.AttachInput(pda); err != nil {
+			t.Fatal(err)
+		}
+		if err := proxy.AttachOutput(pda); err != nil {
+			t.Fatal(err)
+		}
+		if err := proxy.AddMirror(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer sup.Close()
-	phone := device.NewPhone("ph-1")
-	tv := device.NewTVDisplay("tv-1")
-	defer phone.Close()
-	if err := sup.AttachInput(phone); err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.AttachOutput(tv); err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.SelectInputByClass("phone"); err != nil {
-		t.Fatal(err)
-	}
-	if err := sup.SelectOutputByClass("tv"); err != nil {
-		t.Fatal(err)
-	}
-	if sup.Proxy().ActiveInput() != "ph-1" || sup.Proxy().ActiveOutput() != "tv-1" {
-		t.Error("class selection failed")
-	}
-	// Class selections survive reconnects too.
-	st.dropLink()
-	waitCond(t, "reconnect", func() bool { return sup.Reconnects() == 1 })
-	if sup.Proxy().ActiveInput() != "ph-1" || sup.Proxy().ActiveOutput() != "tv-1" {
-		t.Error("class selection not restored")
+	want := slices.Sorted(slices.Values(ids))
+	for i := 0; i < 20; i++ {
+		for name, got := range map[string][]string{
+			"InputIDs": proxy.InputIDs(), "OutputIDs": proxy.OutputIDs(), "Mirrors": proxy.Mirrors(),
+		} {
+			if !slices.Equal(got, want) {
+				t.Fatalf("call %d: %s = %v, want %v", i, name, got, want)
+			}
+		}
 	}
 }

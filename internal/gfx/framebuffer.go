@@ -1,5 +1,7 @@
 package gfx
 
+import "slices"
+
 // Framebuffer is a rectangular grid of Colors. The toolkit renders widget
 // trees into a Framebuffer; the UniInt server ships rectangles of it over
 // the universal interaction protocol; output plug-ins convert it for the
@@ -180,11 +182,10 @@ func (f *Framebuffer) CopyRect(dx, dy int, sr Rect) {
 	}
 }
 
-// Clone returns a deep copy of the framebuffer.
+// Clone returns a deep copy of the framebuffer. (slices.Clone leaves out
+// the zeroing a make would do before the copy.)
 func (f *Framebuffer) Clone() *Framebuffer {
-	c := NewFramebuffer(f.w, f.h)
-	copy(c.pix, f.pix)
-	return c
+	return &Framebuffer{w: f.w, h: f.h, pix: slices.Clone(f.pix)}
 }
 
 // SubImage copies the rectangle r (clipped) into a fresh framebuffer.

@@ -193,8 +193,8 @@ func DialHome(addr, homeID string) (net.Conn, error) {
 
 // DialHomeToken is DialHome carrying a session resume token (homeID may
 // be TokenHome to route by token alone). The connection is ready for the
-// protocol handshake — pass it to core.DialResume with the same token to
-// reclaim the parked session.
+// protocol handshake — pass it to rfb.DialResume with the link that holds
+// the token to reclaim the parked session.
 func DialHomeToken(addr, homeID, token string) (net.Conn, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

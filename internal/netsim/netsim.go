@@ -6,7 +6,8 @@
 // 1394 bridges); the experiments indexed in bench_test.go use in-process
 // pipes for determinism (E11 alone shapes its link with this package),
 // while the failure-injection tests use it to prove the session-continuity
-// machinery (core.Supervisor and the uniserver detach lot). The Injector
+// machinery (core.Connect's redialing proxy and the uniserver detach
+// lot). The Injector
 // turns the same shaping layer into a deterministic chaos source: seeded
 // mid-stream link drops, drops during the handshake window, latency
 // jitter, and byte truncation on kill.

@@ -51,10 +51,9 @@ type ClientConn struct {
 	rects   []gfx.Rect                // reusable per-update rect list
 	cr      countReader               // reusable byte-counting shim over br
 
-	name      string
-	presented string // resume token offered in ClientInit
-	token     string // session token issued by the server
-	resumed   bool   // the server accepted the presented token
+	name    string
+	token   string // session token issued by the server
+	resumed bool   // the server accepted the presented token
 
 	bytesSent     atomic.Int64
 	bytesReceived atomic.Int64
@@ -64,32 +63,30 @@ type ClientConn struct {
 // Dial performs the client side of the handshake over conn. On return the
 // shadow framebuffer is allocated with the server's geometry.
 func Dial(conn net.Conn) (*ClientConn, error) {
-	return DialResume(conn, "")
+	return DialResume(conn, nil)
 }
 
-// DialResume is Dial presenting a resume token from a previous session:
-// a server with a parked session for the token reclaims it instead of
-// starting cold. Resumed reports the verdict; Token carries the session
-// token to present on the next reconnect. An empty token is a plain Dial.
-func DialResume(conn net.Conn, token string) (*ClientConn, error) {
-	if len(token) > MaxTokenLen {
-		return nil, fmt.Errorf("rfb: resume token of %d bytes: %w", len(token), ErrBadMessage)
-	}
+// DialResume is Dial continuing prev's session: it presents prev's token,
+// and when the server reclaims the parked session (Resumed) the new
+// connection starts from a copy of prev's shadow framebuffer, which the
+// resync's damage brings up to date. prev is left as it was, so a retry
+// after a failed link can continue from it again. A nil prev is a plain
+// Dial.
+func DialResume(conn net.Conn, prev *ClientConn) (*ClientConn, error) {
 	c := &ClientConn{
-		conn:      conn,
-		br:        bufio.NewReaderSize(conn, 64<<10),
-		bw:        bufio.NewWriterSize(conn, 16<<10),
-		pfByGen:   map[uint8]gfx.PixelFormat{0: gfx.PF32()},
-		presented: token,
+		conn:    conn,
+		br:      bufio.NewReaderSize(conn, 64<<10),
+		bw:      bufio.NewWriterSize(conn, 16<<10),
+		pfByGen: map[uint8]gfx.PixelFormat{0: gfx.PF32()},
 	}
-	if err := c.handshake(); err != nil {
+	if err := c.handshake(prev); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-func (c *ClientConn) handshake() error {
+func (c *ClientConn) handshake(prev *ClientConn) error {
 	ver := make([]byte, len(ProtocolVersion))
 	if _, err := io.ReadFull(c.br, ver); err != nil {
 		return fmt.Errorf("read server version: %w", err)
@@ -111,7 +108,11 @@ func (c *ClientConn) handshake() error {
 	}
 	// ClientInit: request shared session, then the resume-token
 	// extension (length-prefixed; zero length for a fresh session).
-	c.bw.Write(append(append(c.bw.AvailableBuffer(), 1, uint8(len(c.presented))), c.presented...))
+	presented := ""
+	if prev != nil {
+		presented = prev.token
+	}
+	c.bw.Write(append(append(c.bw.AvailableBuffer(), 1, uint8(len(presented))), presented...))
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
@@ -155,7 +156,16 @@ func (c *ClientConn) handshake() error {
 			return fmt.Errorf("read session token: %w", err)
 		}
 	}
-	c.fb = gfx.NewFramebuffer(int(w), int(h))
+	if res != 0 && prev != nil {
+		prev.WithFramebuffer(func(fb *gfx.Framebuffer) {
+			if fb.W() == int(w) && fb.H() == int(h) {
+				c.fb = fb.Clone()
+			}
+		})
+	}
+	if c.fb == nil {
+		c.fb = gfx.NewFramebuffer(int(w), int(h))
+	}
 	c.pfByGen[0] = pf
 	c.name = string(name)
 	c.resumed = res != 0
@@ -167,36 +177,15 @@ func (c *ClientConn) handshake() error {
 func (c *ClientConn) Name() string { return c.name }
 
 // Token returns the session token the server issued during the
-// handshake; present it via DialResume on the next reconnect to reclaim
-// the parked session ("" when the server issues no tokens).
+// handshake; DialResume presents it on the next reconnect to reclaim the
+// parked session ("" when the server issues no tokens).
 func (c *ClientConn) Token() string { return c.token }
 
 // Resumed reports whether the server reclaimed a parked session for the
 // presented token. When true, the server retains the pre-disconnect
-// session state and will ship only damage accumulated while detached —
-// the client should keep its shadow framebuffer (AdoptShadow) instead of
-// demanding a full repaint.
+// session state and will ship only damage accumulated while detached, on
+// top of the frame DialResume carried over.
 func (c *ClientConn) Resumed() bool { return c.resumed }
-
-// AdoptShadow takes over the previous connection's shadow framebuffer,
-// re-establishing the pre-disconnect pixels a resumed session builds its
-// incremental resync on. It reports whether the adoption happened
-// (geometries must match). prev must no longer be running: the two
-// connections swap framebuffers, so prev is left with this one's blank.
-func (c *ClientConn) AdoptShadow(prev *ClientConn) bool {
-	if prev == nil || prev == c {
-		return false
-	}
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	prev.fmu.Lock()
-	defer prev.fmu.Unlock()
-	if prev.fb.W() != c.fb.W() || prev.fb.H() != c.fb.H() {
-		return false
-	}
-	c.fb, prev.fb = prev.fb, c.fb
-	return true
-}
 
 // Size returns the server framebuffer geometry.
 func (c *ClientConn) Size() (w, h int) {

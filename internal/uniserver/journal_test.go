@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"uniint/internal/gfx"
+	"uniint/internal/rfb"
 	"uniint/internal/toolkit"
 )
 
@@ -50,22 +51,24 @@ func reference(bounds gfx.Rect, rects []gfx.Rect) []gfx.Rect {
 
 // parkClean parks a painted session and checks it parked with no damage,
 // so the reference starts from an empty set.
-func (h *lotHarness) parkClean(full gfx.Rect) string {
+func (h *lotHarness) parkClean(full gfx.Rect) *rfb.ClientConn {
 	h.t.Helper()
-	tok := h.paintAndPark(full).Token()
+	away := h.paintAndPark(full)
 	h.srv.mu.Lock()
 	defer h.srv.mu.Unlock()
-	if d := h.srv.table[tok].ps.dirty; !d.Empty() {
+	if d := h.srv.table[away.Token()].ps.dirty; !d.Empty() {
 		h.t.Fatalf("session parked with damage %v", d.Peek())
 	}
-	return tok
+	return away
 }
 
-// resumedDirty resumes tok on a client that asks for nothing and returns
-// the damage its live session holds: what the resync will ship.
-func (h *lotHarness) resumedDirty(tok string) []gfx.Rect {
+// resumedDirty resumes away's session on a client that asks for nothing
+// and returns the damage its live session holds: what the resync will
+// ship.
+func (h *lotHarness) resumedDirty(away *rfb.ClientConn) []gfx.Rect {
 	h.t.Helper()
-	back, _ := h.connect(tok)
+	tok := away.Token()
+	back, _ := h.connect(away)
 	h.t.Cleanup(func() { back.Close() })
 	if !back.Resumed() {
 		h.t.Fatal("resume of the parked session missed")
@@ -96,10 +99,10 @@ func TestJournalResyncMatchesInPlaceDamage(t *testing.T) {
 		t.Run(fmt.Sprint(k), func(t *testing.T) {
 			h, full := newJournalHarness(t)
 			rng := rand.New(rand.NewSource(int64(k) + 1))
-			tok := h.parkClean(full)
+			away := h.parkClean(full)
 			rects := journalRects(rng, full, k)
 			offerRenders(h.srv, rng, rects)
-			if got, want := h.resumedDirty(tok), reference(full, rects); !slices.Equal(got, want) {
+			if got, want := h.resumedDirty(away), reference(full, rects); !slices.Equal(got, want) {
 				t.Fatalf("resumed dirty set after %d rects\n got %v\nwant %v", k, got, want)
 			}
 		})
@@ -119,7 +122,7 @@ func TestJournalStampsEachRow(t *testing.T) {
 	offerRenders(h.srv, rng, r1)
 	b := h.parkClean(full)
 	offerRenders(h.srv, rng, r2)
-	rec, ok := h.srv.ExportParked(a)
+	rec, ok := h.srv.ExportParked(a.Token())
 	if !ok {
 		t.Fatal("export of the parked session failed")
 	}
@@ -128,8 +131,8 @@ func TestJournalStampsEachRow(t *testing.T) {
 	}
 
 	// b is claimed, renders land, the claim is refused, more renders land.
-	by := &session{token: b, retired: make(chan struct{})}
-	if !h.srv.claimParked(b, full.W, full.H, by) {
+	by := &session{token: b.Token(), retired: make(chan struct{})}
+	if !h.srv.claimParked(b.Token(), full.W, full.H, by) {
 		t.Fatal("claim of the parked session failed")
 	}
 	offerRenders(h.srv, rng, r3)

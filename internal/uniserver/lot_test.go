@@ -51,13 +51,13 @@ func newLotHarness(t *testing.T) *lotHarness {
 	return h
 }
 
-// connect dials the server presenting token (may be ""), runs the read
-// loop into a fresh recorder, and returns the client.
-func (h *lotHarness) connect(token string) (*rfb.ClientConn, *rectRecorder) {
+// connect dials the server continuing prev's session (nil: a fresh one),
+// runs the read loop into a fresh recorder, and returns the client.
+func (h *lotHarness) connect(prev *rfb.ClientConn) (*rfb.ClientConn, *rectRecorder) {
 	h.t.Helper()
 	sc, cc := net.Pipe()
 	go h.srv.Attach(sc)
-	client, err := rfb.DialResume(cc, token)
+	client, err := rfb.DialResume(cc, prev)
 	if err != nil {
 		h.t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestParkAndResumeShipsOnlyDetachDamage(t *testing.T) {
 	parked0 := counter("session_parked_total")
 	resumed0 := counter("session_resumed_total")
 
-	client, rec := h.connect("")
+	client, rec := h.connect(nil)
 	token := client.Token()
 	if token == "" {
 		t.Fatal("server issued no session token")
@@ -112,7 +112,7 @@ func TestParkAndResumeShipsOnlyDetachDamage(t *testing.T) {
 	// The owner returns. Nothing ships until it has negotiated and asked;
 	// then one update carries the detach damage, in a negotiated encoding.
 	raw0 := counter("rfb_encode_raw_bytes_total")
-	client2, rec2 := h.connect(token)
+	client2, rec2 := h.connect(client)
 	defer client2.Close()
 	if !client2.Resumed() {
 		t.Fatal("reconnect with live token must resume")
@@ -162,12 +162,13 @@ func TestParkAndResumeShipsOnlyDetachDamage(t *testing.T) {
 func TestResumeMissFallsBackToFreshSession(t *testing.T) {
 	h := newLotHarness(t)
 	miss0 := counter("session_resume_miss_total")
-	client, rec := h.connect("no-such-token")
+	stranger, _ := newLotHarness(t).connect(nil) // its token names no session here
+	client, rec := h.connect(stranger)
 	defer client.Close()
 	if client.Resumed() {
 		t.Fatal("unknown token must not resume")
 	}
-	if client.Token() == "" || client.Token() == "no-such-token" {
+	if client.Token() == "" || client.Token() == stranger.Token() {
 		t.Fatalf("fresh token not issued: %q", client.Token())
 	}
 	if d := counter("session_resume_miss_total") - miss0; d != 1 {
@@ -186,7 +187,7 @@ func TestParkTTLExpires(t *testing.T) {
 	h.srv.parkTTL = 30 * time.Millisecond
 	expired0 := counter("session_expired_total")
 
-	client, _ := h.connect("")
+	client, _ := h.connect(nil)
 	token := client.Token()
 	client.Close()
 	waitFor(t, "session parked", func() bool { return h.srv.Parked() == 1 })
@@ -210,7 +211,7 @@ func TestParkTTLExpires(t *testing.T) {
 		t.Fatalf("session_expired_total delta = %d, want 1", d)
 	}
 
-	client2, _ := h.connect(token)
+	client2, _ := h.connect(client)
 	defer client2.Close()
 	if client2.Resumed() {
 		t.Fatal("expired token must not resume")
@@ -226,7 +227,7 @@ func TestParkCapacityEvictsOldest(t *testing.T) {
 
 	var tokens []string
 	for i := 0; i < 3; i++ {
-		client, _ := h.connect("")
+		client, _ := h.connect(nil)
 		tokens = append(tokens, client.Token())
 		client.Close()
 		waitFor(t, "session parked", func() bool { return h.srv.HasParked(tokens[i]) })
@@ -272,8 +273,7 @@ func TestResumeReplaysQueuedInput(t *testing.T) {
 	h.display.SetRoot(root)
 	h.display.Render()
 
-	client, _ := h.connect("")
-	token := client.Token()
+	client, _ := h.connect(nil)
 
 	// First click stalls the dispatcher; the following presses sit in the
 	// queue when the link dies.
@@ -295,7 +295,7 @@ func TestResumeReplaysQueuedInput(t *testing.T) {
 	waitFor(t, "session parked", func() bool { return h.srv.Parked() == 1 })
 
 	// Resume: the parked events must dispatch on the revived session.
-	client2, _ := h.connect(token)
+	client2, _ := h.connect(client)
 	defer client2.Close()
 	if !client2.Resumed() {
 		t.Fatal("resume failed")
@@ -312,13 +312,12 @@ func TestResumeReplaysQueuedInput(t *testing.T) {
 // reconnect joins cold instead of resuming into the wrong geometry.
 func TestGeometryChangeWhileParkedMisses(t *testing.T) {
 	h := newLotHarness(t)
-	client, _ := h.connect("")
-	token := client.Token()
+	client, _ := h.connect(nil)
 	client.Close()
 	waitFor(t, "session parked", func() bool { return h.srv.Parked() == 1 })
 
 	h.display.Resize(200, 150)
-	client2, _ := h.connect(token)
+	client2, _ := h.connect(client)
 	defer client2.Close()
 	if client2.Resumed() {
 		t.Fatal("resume across a geometry change must miss")
@@ -339,7 +338,7 @@ func TestCloseDrainsLot(t *testing.T) {
 	leakcheck.Check(t, 0)
 	h := newLotHarness(t)
 	g0 := gauge("session_parked")
-	client, _ := h.connect("")
+	client, _ := h.connect(nil)
 	client.Close()
 	waitFor(t, "session parked", func() bool { return h.srv.Parked() == 1 })
 	h.srv.mu.Lock()

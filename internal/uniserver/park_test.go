@@ -24,7 +24,7 @@ func heapAfterGC() uint64 {
 // the link, returning the client once its session waits in the lot.
 func (h *lotHarness) paintAndPark(full gfx.Rect) *rfb.ClientConn {
 	h.t.Helper()
-	client, _ := h.connect("")
+	client, _ := h.connect(nil)
 	client.RequestUpdate(false, full)
 	waitFor(h.t, "client painted", func() bool { return shadowMatches(h.display, client) })
 	client.Close()
@@ -32,17 +32,16 @@ func (h *lotHarness) paintAndPark(full gfx.Rect) *rfb.ClientConn {
 	return client
 }
 
-// resume reconnects under away's token, adopts the pixels away's client
+// resume reconnects continuing away's session, on the pixels away's client
 // kept, and asks for what it missed. It returns the resumed client and the
 // area the resync covered once the client shows exactly the display.
 func (h *lotHarness) resume(away *rfb.ClientConn, full gfx.Rect) (*rfb.ClientConn, int) {
 	h.t.Helper()
-	back, rec := h.connect(away.Token())
+	back, rec := h.connect(away)
 	h.t.Cleanup(func() { back.Close() })
 	if !back.Resumed() {
 		h.t.Fatal("resume of the parked session missed")
 	}
-	back.AdoptShadow(away)
 	back.SetEncodings([]int32{rfb.EncCopyRect, rfb.EncHextile, rfb.EncRaw})
 	back.RequestUpdate(true, full)
 	waitFor(h.t, "resumed client shows the display", func() bool { return shadowMatches(h.display, back) })

@@ -44,7 +44,7 @@ func TestImportRefusesHeldToken(t *testing.T) {
 		t.Fatalf("after a duplicate import: Parked() = %d, session_parked delta = %d, want 1 and 1", p, d)
 	}
 
-	client, _ := h.connect("")
+	client, _ := h.connect(nil)
 	defer client.Close()
 	waitFor(t, "session live", func() bool { return stateOf(h.srv, client.Token()) == live })
 	onto := &rfb.MigrationRecord{Token: client.Token(), W: 160, H: 120, RemainingTTL: time.Minute}

@@ -15,11 +15,11 @@ import (
 
 // dialOver connects a full protocol client over one of the transports and
 // runs its read loop; done closes when the loop returns.
-func dialOver(t *testing.T, srv *Server, pipe func(*testing.T) (net.Conn, net.Conn), token string) (*rfb.ClientConn, *recorder, chan struct{}) {
+func dialOver(t *testing.T, srv *Server, pipe func(*testing.T) (net.Conn, net.Conn), prev *rfb.ClientConn) (*rfb.ClientConn, *recorder, chan struct{}) {
 	t.Helper()
 	cc, sc := pipe(t)
 	go srv.Attach(sc)
-	client, err := rfb.DialResume(cc, token)
+	client, err := rfb.DialResume(cc, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +61,13 @@ func TestTakeoverOfLiveSession(t *testing.T) {
 			defer srv.Close()
 			full := gfx.R(0, 0, 160, 120)
 
-			a, _, aDone := dialOver(t, srv, tr.pipe, "")
+			a, _, aDone := dialOver(t, srv, tr.pipe, nil)
 			a.RequestUpdate(false, full)
 			waitFor(t, "A painted", func() bool { return shadowMatches(display, a) })
 			// Damage A never asks for: it rides the takeover to B.
 			display.Update(func() { lbl.SetText("after") })
 
-			b, _, _ := dialOver(t, srv, tr.pipe, a.Token())
+			b, _, _ := dialOver(t, srv, tr.pipe, a)
 			defer b.Close()
 			if !b.Resumed() || b.Token() != a.Token() {
 				t.Fatalf("takeover: resumed=%v token=%q, want A's %q", b.Resumed(), b.Token(), a.Token())
@@ -88,7 +88,6 @@ func TestTakeoverOfLiveSession(t *testing.T) {
 
 			// B builds on A's pixels: only the label's damage crosses.
 			before := b.BytesReceived()
-			b.AdoptShadow(a)
 			b.RequestUpdate(true, full)
 			waitFor(t, "B converged on the display", func() bool { return shadowMatches(display, b) })
 			if got := b.BytesReceived() - before; got >= int64(full.Area()) {
@@ -131,13 +130,13 @@ func TestTakeoverStalledTeardownMissesCleanly(t *testing.T) {
 	h.display.SetRoot(root)
 	h.display.Render()
 
-	a, _ := h.connect("")
+	a, _ := h.connect(nil)
 	bb := btn.Bounds()
 	sendPointer(a, rfb.PointerEvent{Buttons: 1, X: uint16(bb.X + 2), Y: uint16(bb.Y + 2)})
 	sendPointer(a, rfb.PointerEvent{Buttons: 0, X: uint16(bb.X + 2), Y: uint16(bb.Y + 2)})
 	<-entered
 
-	b, _ := h.connect(a.Token())
+	b, _ := h.connect(a)
 	defer b.Close()
 	if b.Resumed() || b.Token() == a.Token() {
 		t.Fatalf("stalled takeover: resumed=%v token=%q, want a fresh session", b.Resumed(), b.Token())

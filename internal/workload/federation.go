@@ -55,7 +55,7 @@ type FederationPlan struct {
 	// Nodes is the initial ring membership.
 	Nodes []string
 	// Plans is the per-device roaming itinerary (home IDs shared with
-	// the Roam workload, so the same supervisors drive both).
+	// the Roam workload, so the same redialing proxies drive both).
 	Plans []RoamPlan
 	// Topology is the event schedule, ordered by AfterHop.
 	Topology []TopologyEvent

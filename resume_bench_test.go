@@ -69,18 +69,17 @@ func BenchmarkResume(b *testing.B) {
 	// Prime: join, full paint, leave an incremental request parked, park.
 	sc, cc := net.Pipe()
 	go srv.Attach(sc)
-	client, err := rfb.Dial(cc)
+	prime, err := rfb.Dial(cc)
 	if err != nil {
 		b.Fatal(err)
 	}
-	token := client.Token()
 	got := make(chan struct{}, 1)
-	go client.Run(resumeBenchHandler{client, full, got})
-	if err := client.RequestUpdate(false, full); err != nil {
+	go prime.Run(resumeBenchHandler{prime, full, got})
+	if err := prime.RequestUpdate(false, full); err != nil {
 		b.Fatal(err)
 	}
 	<-got
-	client.Close()
+	prime.Close()
 	waitParked()
 
 	b.ReportAllocs()
@@ -91,7 +90,7 @@ func BenchmarkResume(b *testing.B) {
 
 		sc, cc := net.Pipe()
 		go srv.Attach(sc)
-		client, err := rfb.DialResume(cc, token)
+		client, err := rfb.DialResume(cc, prime)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +109,7 @@ func BenchmarkResume(b *testing.B) {
 }
 
 // BenchmarkE2bRoam drives the roam workload's hop through the hub: one
-// op retargets the supervisor, kills the live link, and waits for the
+// op retargets the proxy's dial, kills the live link, and waits for the
 // re-established session (the redial is immediate and usually outruns the
 // park; the presented token takes the still-live session over, so the
 // in-place hop reliably resumes). With one home every hop resumes in
@@ -157,16 +156,16 @@ func BenchmarkE2bRoam(b *testing.B) {
 				mu.Unlock()
 				return c, nil
 			}
-			sup, err := core.NewSupervisor(dial, core.WithBackoff(time.Millisecond))
+			proxy, err := core.Connect(dial, core.WithBackoff(time.Millisecond))
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer sup.Close()
+			defer proxy.Close()
 			tv := device.NewTVDisplay("roam-tv")
-			if err := sup.AttachOutput(tv); err != nil {
+			if err := proxy.AttachOutput(tv); err != nil {
 				b.Fatal(err)
 			}
-			if err := sup.SelectOutput(tv.ID()); err != nil {
+			if err := proxy.SelectOutput(tv.ID()); err != nil {
 				b.Fatal(err)
 			}
 			tv.WaitFrames(1) // initial full paint presented
@@ -174,18 +173,18 @@ func BenchmarkE2bRoam(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				before := sup.Reconnects()
+				before := proxy.Reconnects()
 				mu.Lock()
 				target = workload.HomeID((i + 1) % homes)
 				l := link
 				mu.Unlock()
 				l.DropLink()
-				for sup.Reconnects() == before {
+				for proxy.Reconnects() == before {
 					time.Sleep(20 * time.Microsecond)
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(sup.Resumes())/float64(b.N), "resumes/op")
+			b.ReportMetric(float64(proxy.Resumes())/float64(b.N), "resumes/op")
 		})
 	}
 }

@@ -1,7 +1,7 @@
 package uniint
 
 // Session-resilience end-to-end test (ISSUE 5 acceptance): a seeded run
-// drops the link mid-interaction, the supervisor reconnects with the
+// drops the link mid-interaction, the proxy reconnects with the
 // resume token, and the revived session receives only the damage
 // accumulated while detached — finishing byte-identical to an
 // uninterrupted control run, with zero lost (or duplicated) semantic
@@ -26,7 +26,7 @@ import (
 	"uniint/internal/uniserver"
 )
 
-// resumeStack is a droppable supervised session over a control panel
+// resumeStack is a droppable redialing session over a control panel
 // whose state is a deterministic function of the confirmed click count.
 type resumeStack struct {
 	t       *testing.T
@@ -39,7 +39,7 @@ type resumeStack struct {
 	link *netsim.Conn
 	gate chan struct{} // non-nil while the client is away: dials wait on it
 
-	sup   *core.Supervisor
+	proxy *core.Proxy
 	phone *device.Phone
 }
 
@@ -58,7 +58,7 @@ func newResumeStackWrapped(t *testing.T, wrap func(inner func()) func()) *resume
 }
 
 // newResumeDisplay builds the server side of the stack — display,
-// widgets, uniserver — without connecting a supervisor, so tests can
+// widgets, uniserver — without connecting a proxy, so tests can
 // route the connection through something other than a direct dial (the
 // federation e2e fronts it with a hub-of-hubs router).
 func newResumeDisplay(t *testing.T, wrap func(inner func()) func()) *resumeStack {
@@ -84,11 +84,11 @@ func newResumeDisplay(t *testing.T, wrap func(inner func()) func()) *resumeStack
 	return st
 }
 
-// connect attaches a supervised device pair dialing through serve (the
+// connect attaches a redialing device pair dialing through serve (the
 // server side of each connection). A non-empty preamble home-id makes
 // every dial open with the hub routing preamble — the resume token is
 // not the dialer's concern; it rides the protocol handshake. The
-// supervisor redials the moment a link dies; a test that needs the client
+// proxy redials the moment a link dies; a test that needs the client
 // to stay away meanwhile says so (away/back) instead of timing it.
 func (st *resumeStack) connect(serve func(net.Conn), preambleHome string) {
 	t := st.t
@@ -114,30 +114,30 @@ func (st *resumeStack) connect(serve func(net.Conn), preambleHome string) {
 		st.mu.Unlock()
 		return link, nil
 	}
-	sup, err := core.NewSupervisor(dial, core.WithBackoff(time.Millisecond))
+	proxy, err := core.Connect(dial, core.WithBackoff(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(sup.Close)
-	st.sup = sup
+	t.Cleanup(proxy.Close)
+	st.proxy = proxy
 	st.phone = device.NewPhone("phone-1")
 	t.Cleanup(st.phone.Close)
-	if err := sup.AttachInput(st.phone); err != nil {
+	if err := proxy.AttachInput(st.phone); err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.AttachOutput(device.NewTVDisplay("tv-1")); err != nil {
+	if err := proxy.AttachOutput(device.NewTVDisplay("tv-1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.SelectInput("phone-1"); err != nil {
+	if err := proxy.SelectInput("phone-1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sup.SelectOutput("tv-1"); err != nil {
+	if err := proxy.SelectOutput("tv-1"); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // away opens an away-window: from now until back, every dial the
-// supervisor makes waits — the user has walked out of range. Call it
+// proxy makes waits — the user has walked out of range. Call it
 // before dropLink; do the window's work (detach-window damage, waiting
 // for the park, a drain); then call back.
 func (st *resumeStack) away() {
@@ -187,7 +187,7 @@ func (st *resumeStack) settle() {
 	deadline := time.Now().Add(2 * time.Second)
 	prev, stable := int64(-1), 0
 	for stable < 3 {
-		cur := st.sup.Proxy().Client().BytesReceived()
+		cur := st.proxy.Client().BytesReceived()
 		if cur == prev && (st.converged() || time.Now().After(deadline)) {
 			stable++
 		} else {
@@ -219,7 +219,7 @@ func (st *resumeStack) shows(shadow *gfx.Framebuffer) bool {
 // than one that has not started.
 func (st *resumeStack) awaitTraffic() {
 	waitCond(st.t, "update traffic", func() bool {
-		return st.sup.Proxy().Client().UpdatesReceived() >= 1
+		return st.proxy.Client().UpdatesReceived() >= 1
 	})
 }
 
@@ -258,7 +258,7 @@ func labelFor(n int) string {
 }
 
 func (st *resumeStack) shadow() *gfx.Framebuffer {
-	return st.sup.Proxy().Client().Snapshot(gfx.R(0, 0, 320, 240))
+	return st.proxy.Client().Snapshot(gfx.R(0, 0, 320, 240))
 }
 
 func TestResumeShipsOnlyDetachDamageByteIdentical(t *testing.T) {
@@ -300,8 +300,8 @@ func TestResumeShipsOnlyDetachDamageByteIdentical(t *testing.T) {
 	st.awayUntilParked(func() {
 		st.display.Update(func() { st.lbl.SetText("away message") })
 	})
-	waitCond(t, "reconnect", func() bool { return st.sup.Reconnects() == 1 })
-	if got := st.sup.Resumes(); got != 1 {
+	waitCond(t, "reconnect", func() bool { return st.proxy.Reconnects() == 1 })
+	if got := st.proxy.Resumes(); got != 1 {
 		t.Fatalf("Resumes() = %d, want 1", got)
 	}
 	st.awaitTraffic() // the resync for the detach-window damage
@@ -404,8 +404,8 @@ func TestTraceSpansSurviveParkResume(t *testing.T) {
 		close(release)
 	})
 
-	waitCond(t, "reconnect", func() bool { return st.sup.Reconnects() == 1 })
-	if got := st.sup.Resumes(); got != 1 {
+	waitCond(t, "reconnect", func() bool { return st.proxy.Reconnects() == 1 })
+	if got := st.proxy.Resumes(); got != 1 {
 		t.Fatalf("Resumes() = %d, want 1", got)
 	}
 	waitCond(t, "replayed click", func() bool { return st.clicks() == 2 })

@@ -27,16 +27,16 @@ func (nopHandler) Bell()              {}
 func (nopHandler) CutText(string)     {}
 
 // dialRouted connects a protocol client through serve (a router's
-// ServeConn) with preamble p, presenting token, and runs its read loop;
-// done closes when the loop returns.
-func dialRouted(t *testing.T, serve func(net.Conn) error, p hub.Preamble, token string) (*rfb.ClientConn, chan struct{}) {
+// ServeConn) with preamble p, continuing prev's session (nil: a fresh
+// one), and runs its read loop; done closes when the loop returns.
+func dialRouted(t *testing.T, serve func(net.Conn) error, p hub.Preamble, prev *rfb.ClientConn) (*rfb.ClientConn, chan struct{}) {
 	t.Helper()
 	sc, cc := net.Pipe()
 	go serve(sc)
 	if _, err := p.WriteTo(cc); err != nil {
 		t.Fatal(err)
 	}
-	client, err := rfb.DialResume(cc, token)
+	client, err := rfb.DialResume(cc, prev)
 	if err != nil {
 		t.Fatalf("dial %v: %v", p, err)
 	}
@@ -75,7 +75,7 @@ func TestTakeoverThroughRouters(t *testing.T) {
 			}
 
 			// A joins by home name, paints, and never closes its link.
-			a, aDone := dialRouted(t, serve, hub.Preamble{HomeID: homeID}, "")
+			a, aDone := dialRouted(t, serve, hub.Preamble{HomeID: homeID}, nil)
 			if err := a.RequestUpdate(false, full); err != nil {
 				t.Fatal(err)
 			}
@@ -84,7 +84,7 @@ func TestTakeoverThroughRouters(t *testing.T) {
 
 			// B knows only the token: the router must find the session
 			// although no lot holds it yet.
-			b, _ := dialRouted(t, serve, hub.Preamble{HomeID: hub.TokenHome, Token: a.Token()}, a.Token())
+			b, _ := dialRouted(t, serve, hub.Preamble{HomeID: hub.TokenHome, Token: a.Token()}, a)
 			defer b.Close()
 			if !b.Resumed() || b.Token() != a.Token() {
 				t.Fatalf("token route to a live session: resumed=%v token=%q, want A's %q", b.Resumed(), b.Token(), a.Token())
@@ -105,7 +105,6 @@ func TestTakeoverThroughRouters(t *testing.T) {
 
 			// B builds on A's pixels; only the label's damage crosses.
 			before := b.BytesReceived()
-			b.AdoptShadow(a)
 			if err := b.RequestUpdate(true, full); err != nil {
 				t.Fatal(err)
 			}
@@ -137,23 +136,29 @@ func TestResumeHammerZeroDelayRedial(t *testing.T) {
 	misses0 := metrics.Default().Counter("session_resume_miss_total").Value()
 	resumed0 := metrics.Default().Counter("session_resumed_total").Value()
 
-	dial := func(p hub.Preamble) *rfb.ClientConn {
+	// dial joins the home, or with prev routes by prev's token and
+	// continues its session.
+	dial := func(prev *rfb.ClientConn) *rfb.ClientConn {
+		p := hub.Preamble{HomeID: "hammer-home"}
+		if prev != nil {
+			p = hub.Preamble{HomeID: hub.TokenHome, Token: prev.Token()}
+		}
 		conn, err := hub.DialHomeToken(ln.Addr().String(), p.HomeID, p.Token)
 		if err != nil {
 			t.Fatal(err)
 		}
-		client, err := rfb.DialResume(conn, p.Token)
+		client, err := rfb.DialResume(conn, prev)
 		if err != nil {
 			t.Fatalf("dial %v: %v", p, err)
 		}
 		return client
 	}
-	client := dial(hub.Preamble{HomeID: "hammer-home"})
+	client := dial(nil)
 	resumes := 0
 	for i := 0; i < cycles; i++ {
 		token := client.Token()
 		client.Close()
-		client = dial(hub.Preamble{HomeID: hub.TokenHome, Token: token})
+		client = dial(client)
 		if client.Resumed() && client.Token() == token {
 			resumes++
 		}

@@ -26,8 +26,8 @@ func TestDictionaryEncodingAcrossResume(t *testing.T) {
 	st.awayUntilParked(func() {
 		st.display.Update(func() { st.lbl.SetText("while away") })
 	})
-	waitCond(t, "reconnect", func() bool { return st.sup.Reconnects() == 1 })
-	if got := st.sup.Resumes(); got != 1 {
+	waitCond(t, "reconnect", func() bool { return st.proxy.Reconnects() == 1 })
+	if got := st.proxy.Resumes(); got != 1 {
 		t.Fatalf("Resumes() = %d, want 1", got)
 	}
 	st.awaitTraffic()
@@ -37,10 +37,10 @@ func TestDictionaryEncodingAcrossResume(t *testing.T) {
 	// dictionary threshold and too tall for a tile, so it exercises
 	// EncZlibDict against the adopted-but-Reset wire state.
 	dict0 := counters.Counter("rfb_dict_picks_total").Value()
-	before := st.sup.Proxy().Client().BytesReceived()
+	before := st.proxy.Client().BytesReceived()
 	st.display.InvalidateAll()
 	waitCond(t, "repaint traffic", func() bool {
-		return st.sup.Proxy().Client().BytesReceived() > before
+		return st.proxy.Client().BytesReceived() > before
 	})
 	st.settle()
 
