@@ -193,7 +193,17 @@ COVER_MIN ?= 74
 # core.DialResume deleted), cmd/uniint-proxy/main.go +14 (detach, the
 # mirrors in devices, the console help), core/events.go +5 (package doc),
 # gfx/framebuffer.go +1 (Clone skips the zeroing), netsim/netsim.go +1.
-LOC_MAX ?= 19821
+# One lock for the hub's home table lowered it 19 821 -> 19 763 for -58
+# lines: hub/hub.go -68 (shard, snapshot, publish, hashID, shardFor,
+# shardCount, lookup, entry.id, entry.evicted, touch, the resident
+# counter, the flag-then-refcount ordering, Route's retry loop and its
+# livelock error, ServeConn's preamble deadline; one map under mu, admitMu,
+# admit, pin, refuse and unlist added), fed/cluster.go -4 (the preamble
+# deadline and close), cmd/uniint-proxy/main.go -1 (detach's RemoveMirror);
+# hub/preamble.go +9 (ReadPreamble sets and clears the deadline and closes
+# the conn on an error; preambleTimeout moved here), core/proxy.go +6
+# (DetachOutput drops the mirror and waits out a presentation).
+LOC_MAX ?= 19763
 
 .PHONY: all build test vet race race-takeover fuzz-smoke fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc loc-gate examples
 
@@ -283,10 +293,12 @@ race:
 # handshakes taken over and Close mid-claim), and a traced interaction
 # carried across a park window to its post-resume flush, and the proxy
 # swapping the link beneath its devices (every redial test of
-# internal/core) — so a window that opens one run in a hundred still fails
-# the PR. CI runs it in the test job.
+# internal/core), and the hub's home table racing admissions, routes,
+# evictions, resume claims, drain and Close under its one lock — so a
+# window that opens one run in a hundred still fails the PR. CI runs it in
+# the test job.
 race-takeover:
-	$(GO) test -race -count=5 -run 'Takeover|TestResumeHammer|TestColdJoinSharedMemo|TestSessionTableModel|TestTraceSpansSurviveParkResume|TestSupervisor|TestRelink' . ./internal/uniserver ./internal/core
+	$(GO) test -race -count=5 -run 'Takeover|TestResumeHammer|TestColdJoinSharedMemo|TestSessionTableModel|TestTraceSpansSurviveParkResume|TestSupervisor|TestRelink|TestAdmitConcurrentSingleCreation|TestConcurrentRouteAndEvict|TestAdmitRacingCloseLeaksNothing|TestEvictionRacingResumeClaim|TestDrainRacesAdmitAndTokenResume' . ./internal/uniserver ./internal/core ./internal/hub
 
 # fuzz-smoke mutates every peer-facing parser's seeds for 10 s each: the
 # client-message parser, the client's rectangle decoders, the migration

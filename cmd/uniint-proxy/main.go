@@ -229,7 +229,6 @@ func run(addr, home string) error {
 // detach removes id as an input, as an output and mirror, or both; it
 // fails only when id is neither.
 func detach(proxy *core.Proxy, id string) error {
-	proxy.RemoveMirror(id)
 	errIn, errOut := proxy.DetachInput(id), proxy.DetachOutput(id)
 	if errIn != nil && errOut != nil {
 		return errIn

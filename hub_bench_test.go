@@ -5,12 +5,12 @@ package uniint_test
 // internal/hub, which the in-package benchmarks cannot (hub sits beside
 // the facade, not beneath it).
 //
-//	BenchmarkHubRoute    sharded-registry routing lookups, 1/16/64/256 homes
+//	BenchmarkHubRoute    home-table routing lookups, 1/16/64/256 homes
 //	BenchmarkHubAdmit    cold admission cost of a full home stack
 //	BenchmarkHubSession  end-to-end interaction across N live homes
 //
-// The routing path must not flatten as homes grow (lock-free sharded
-// reads); the session path measures one interaction — key press →
+// The routing path must stay flat as homes grow (one lock, one map
+// read); the session path measures one interaction — key press →
 // universal event → home's server → toolkit → middleware → appliance
 // state change — with N complete households resident in the process.
 
@@ -42,8 +42,8 @@ func (stubHome) HandleConn(conn net.Conn) error { conn.Close(); return nil }
 func (stubHome) Close()                         {}
 
 // BenchmarkHubRoute measures the connection-routing lookup (Admit on a
-// resident home): an FNV hash, an atomic shard-map load and a map read —
-// no lock on the path. Flat ns/op across 1→256 homes is the point.
+// resident home): the table lock, a map read and the entry's stamp, at no
+// allocation. Flat ns/op across 1→256 homes is the point.
 func BenchmarkHubRoute(b *testing.B) {
 	for _, homes := range hubHomeCounts {
 		b.Run(fmt.Sprintf("%d-homes", homes), func(b *testing.B) {

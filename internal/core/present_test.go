@@ -453,6 +453,7 @@ func TestPresentFollowsDamage(t *testing.T) {
 					if m.active == id {
 						m.active = ""
 					}
+					delete(m.mirrors, id)
 					m.current[id] = false
 					m.attach(id)
 				default:
@@ -514,6 +515,40 @@ func TestMirrorAddedLaterRepaintsWhatItMissed(t *testing.T) {
 	m.check("mirrored after two missed updates")
 	if _, after := m.outs["tv"].counts(); after-before != area(missed) {
 		t.Errorf("catching up cost %d px, the missed damage is %d px", after-before, area(missed))
+	}
+}
+
+// TestDetachedOutputIsNoMirror: detaching a mirrored output ends the
+// mirror, so re-attaching the device does not quietly resume it.
+func TestDetachedOutputIsNoMirror(t *testing.T) {
+	rig := newPresentRig(t)
+	tv, pda := device.NewTVDisplay("tv"), device.NewPDA("pda")
+	t.Cleanup(pda.Close)
+	for _, d := range []core.OutputDevice{tv, pda} {
+		if err := rig.proxy.AttachOutput(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rig.proxy.SelectOutput("tv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.proxy.AddMirror("pda"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.proxy.DetachOutput("pda"); err != nil {
+		t.Fatal(err)
+	}
+	if err := rig.proxy.AttachOutput(pda); err != nil {
+		t.Fatal(err)
+	}
+	if got := rig.proxy.Mirrors(); len(got) != 0 {
+		t.Errorf("Mirrors() = %v after the mirror was detached and re-attached, want none", got)
+	}
+	rig.send([]gfx.Rect{gfx.R(0, 0, device.TVWidth, device.TVHeight)})
+	waitCond(t, "the TV's frame", func() bool { return tv.Latest().Seq == 1 })
+	rig.proxy.RemoveMirror("nobody") // barrier: the read loop is out of present
+	if seq := pda.Latest().Seq; seq != 0 {
+		t.Errorf("the re-attached PDA got frame %d, want none", seq)
 	}
 }
 

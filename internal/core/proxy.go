@@ -534,17 +534,23 @@ func (p *Proxy) AttachOutput(d OutputDevice) error {
 	return nil
 }
 
-// DetachOutput removes an output device.
+// DetachOutput removes an output device, as the display and as a mirror.
+// Like RemoveMirror, it waits out an in-flight presentation, so no frame
+// reaches the device after it returns.
 func (p *Proxy) DetachOutput(id string) error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	if _, ok := p.outputs[id]; !ok {
+		p.mu.Unlock()
 		return fmt.Errorf("%w: output %s", ErrUnknownDevice, id)
 	}
 	delete(p.outputs, id)
+	delete(p.mirrors, id)
 	if p.activeOut == id {
 		p.activeOut = ""
 	}
+	p.mu.Unlock()
+	p.presentMu.Lock() // barrier: drain any in-flight presentation
+	p.presentMu.Unlock()
 	return nil
 }
 

@@ -262,14 +262,10 @@ func (c *Cluster) migrate(homeID string, from, to *Node) error {
 // connection.
 func (c *Cluster) ServeConn(conn net.Conn) error {
 	t0 := time.Now()
-	_ = conn.SetReadDeadline(t0.Add(hub.PreambleTimeout))
-	p, rc, err := hub.ReadPreamble(conn)
+	p, conn, err := hub.ReadPreamble(conn)
 	if err != nil {
-		conn.Close()
 		return err
 	}
-	_ = conn.SetReadDeadline(time.Time{})
-	conn = rc
 
 	var n *Node
 	home := p.HomeID

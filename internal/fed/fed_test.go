@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"uniint/internal/hub"
+	"uniint/internal/leakcheck"
 	"uniint/internal/metrics"
 	"uniint/internal/rfb"
 )
@@ -133,6 +134,7 @@ func stubHub(t *testing.T, node string, reg *metrics.Registry) *hub.Hub {
 }
 
 func TestClusterRoutesByRing(t *testing.T) {
+	leakcheck.Check(t, 0)
 	mreg := metrics.NewRegistry()
 	c := NewCluster(Options{Metrics: mreg})
 	hubs := map[string]*hub.Hub{}
@@ -179,6 +181,7 @@ func TestClusterRoutesByRing(t *testing.T) {
 // serves the home it found instead of scanning its homes again — and the
 // member still counts the token route.
 func TestTokenRouteProbesEachHomeOnce(t *testing.T) {
+	leakcheck.Check(t, 0)
 	mreg := metrics.NewRegistry()
 	c := NewCluster(Options{Metrics: mreg})
 	for _, n := range []string{"alpha", "beta"} {
@@ -237,6 +240,7 @@ func TestTokenRouteProbesEachHomeOnce(t *testing.T) {
 }
 
 func TestClusterDrainMigratesParked(t *testing.T) {
+	leakcheck.Check(t, 0)
 	mreg := metrics.NewRegistry()
 	c := NewCluster(Options{Metrics: mreg})
 	ha, hb := stubHub(t, "alpha", mreg), stubHub(t, "beta", mreg)
@@ -302,6 +306,7 @@ func TestClusterDrainMigratesParked(t *testing.T) {
 }
 
 func TestClusterRejectsDuplicateAndUnknown(t *testing.T) {
+	leakcheck.Check(t, 0)
 	mreg := metrics.NewRegistry()
 	c := NewCluster(Options{Metrics: mreg})
 	h := stubHub(t, "solo", mreg)

@@ -2,14 +2,16 @@
 // households' universal-interaction stacks behind a single listener.
 //
 // The paper's prototype serves one home to one user; the hub is the layer
-// that hosts thousands of those single-home units. It owns a sharded
-// registry of hub-hosted sessions (power-of-two shard count, per-shard
-// mutex for writes, a lock-free copy-on-write read path for routing),
-// routes inbound proxy connections to the right home by home ID, and
-// manages per-home lifecycle: admission on first use, idle eviction, and
-// graceful drain. Each accepted connection has one goroutine for its life
-// (Serve → ServeConn → Route → Host.Attach, which reads it); when Route
-// returns, the session has retired and the home is unpinned.
+// that hosts thousands of those single-home units. It owns a table of
+// resident homes under one mutex, routes inbound proxy connections to the
+// right home by home ID, and manages per-home lifecycle: admission on
+// first use, idle eviction, and graceful drain. The table is read once
+// per connection, never per interaction, so one lock serves it: a route
+// pins its home in the critical section that finds it, and an eviction
+// checks the pins in the one that unlists it. Each accepted connection
+// has one goroutine for its life (Serve → ServeConn → Route →
+// Host.Attach, which reads it); when Route returns, the session has
+// retired and the home is unpinned.
 //
 // The hub is deliberately ignorant of what a home is — it hosts anything
 // implementing Host (plain connection handlers lift themselves with
@@ -26,9 +28,10 @@ package hub
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"uniint/internal/metrics"
@@ -62,62 +65,32 @@ type Options struct {
 	Metrics *metrics.Registry
 }
 
-// entry is one resident home.
+// entry is one resident home. home never changes once the entry is
+// listed; refs and lastUsed are guarded by Hub.mu.
 type entry struct {
-	id   string
-	home Host
-
-	refs     atomic.Int64 // connections currently routed to the home
-	lastUsed atomic.Int64 // unix nanos of last admission/route/disconnect
-	evicted  atomic.Bool  // set once, under the owning shard's mutex
+	home     Host
+	refs     int       // connections currently routed to the home
+	lastUsed time.Time // last admission, route or disconnect
 }
-
-func (e *entry) touch() { e.lastUsed.Store(time.Now().UnixNano()) }
-
-// shard is one registry partition. Writers (admit, evict) take mu and
-// publish a fresh map; readers load the map pointer atomically and never
-// lock — the routing path is lock-free.
-type shard struct {
-	mu    sync.Mutex
-	homes atomic.Pointer[map[string]*entry]
-}
-
-func (sh *shard) snapshot() map[string]*entry {
-	if m := sh.homes.Load(); m != nil {
-		return *m
-	}
-	return nil
-}
-
-// publish replaces the shard map with a copy that has id set to e
-// (or removed when e is nil). Callers hold sh.mu.
-func (sh *shard) publish(id string, e *entry) {
-	old := sh.snapshot()
-	next := make(map[string]*entry, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	if e == nil {
-		delete(next, id)
-	} else {
-		next[id] = e
-	}
-	sh.homes.Store(&next)
-}
-
-// shardCount is the registry's partition count, a power of two: more
-// shards spread admission contention.
-const shardCount = 64
 
 // Hub hosts many homes in one process.
 type Hub struct {
-	opts   Options
-	shards [shardCount]shard
+	opts Options
 
-	resident atomic.Int64 // homes currently resident (admission control)
-	conns    atomic.Int64 // live routed connections (hub-local; the gauge may be shared)
-	closed   atomic.Bool
-	draining atomic.Bool
+	// mu guards the home table, every entry's pins and the lifecycle
+	// flags. Calls that can block (Factory, and a home's HasParked, Close
+	// and Attach) run outside it; Parked does not block and runs under it,
+	// so an eviction reads the parked count and the pins as one.
+	mu       sync.Mutex
+	homes    map[string]*entry
+	conns    int64 // live routed connections (hub-local; the gauge may be shared)
+	closed   bool
+	draining bool
+
+	// admitMu serialises admissions, so one id gets exactly one Factory
+	// call. The factory runs under it but outside mu: a cold build never
+	// holds up routing to a resident home.
+	admitMu sync.Mutex
 
 	// The eviction janitor: a runtime timer that re-arms itself after
 	// each sweep, so sweeps never overlap. Close stops and clears it under
@@ -149,7 +122,8 @@ func New(opts Options) (*Hub, error) {
 		opts.Metrics = metrics.Default()
 	}
 	h := &Hub{
-		opts: opts,
+		opts:  opts,
+		homes: make(map[string]*entry),
 
 		mHomes:        opts.Metrics.Gauge("hub_homes"),
 		mConns:        opts.Metrics.Gauge("hub_connections"),
@@ -172,143 +146,132 @@ func New(opts Options) (*Hub, error) {
 	return h, nil
 }
 
-// hashID is FNV-1a over the home ID: allocation-free and well mixed for
-// the short string keys homes use.
-func hashID(id string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return h
-}
-
-func (h *Hub) shardFor(id string) *shard { return &h.shards[hashID(id)&(shardCount-1)] }
-
-// lookup is the lock-free read path: an atomic map-pointer load plus a
-// map read. No mutex is ever taken for a resident home.
-func (h *Hub) lookup(id string) *entry {
-	return h.shardFor(id).snapshot()[id]
-}
-
 // Get returns the resident home for id without admitting, or
 // ErrUnknownHome.
 func (h *Hub) Get(id string) (Host, error) {
-	if e := h.lookup(id); e != nil {
-		return e.home, nil
+	h.mu.Lock()
+	e := h.homes[id]
+	h.mu.Unlock()
+	if e == nil {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownHome, id)
 	}
-	return nil, fmt.Errorf("%w: %s", ErrUnknownHome, id)
+	return e.home, nil
 }
 
 // Admit returns the home for id, creating it via the factory on first
 // use. Concurrent admissions of the same ID yield one home.
 func (h *Hub) Admit(id string) (Host, error) {
-	if e := h.lookup(id); e != nil {
+	e, err := h.admit(id, 0)
+	if err != nil {
+		return nil, err
+	}
+	return e.home, nil
+}
+
+// admit returns the entry for id, building its home on first use, and
+// pins it for pins connections in the critical section that finds or
+// lists it.
+func (h *Hub) admit(id string, pins int) (*entry, error) {
+	h.mu.Lock()
+	if e := h.pin(id, pins); e != nil {
+		h.mu.Unlock()
 		h.mRouteHits.Inc()
-		e.touch()
-		return e.home, nil
+		return e, nil
 	}
 	h.mRouteMisses.Inc()
-	if h.closed.Load() {
-		h.mRejects.Inc()
-		return nil, ErrClosed
-	}
-	if h.draining.Load() {
-		h.mRejects.Inc()
-		return nil, ErrDraining
+	err := h.refuse()
+	h.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 
-	sh := h.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	// Re-check lifecycle under the lock: a Close or Drain that ran after
-	// the fast-path check must not have a home published behind it.
-	if h.closed.Load() {
-		h.mRejects.Inc()
-		return nil, ErrClosed
+	h.admitMu.Lock()
+	defer h.admitMu.Unlock()
+	h.mu.Lock()
+	e := h.pin(id, pins) // lost the admission race
+	if e == nil {
+		err = h.refuse()
 	}
-	if h.draining.Load() {
-		h.mRejects.Inc()
-		return nil, ErrDraining
-	}
-	if e := sh.snapshot()[id]; e != nil { // lost the admission race
-		e.touch()
-		return e.home, nil
-	}
-	if h.opts.MaxHomes > 0 && h.resident.Load() >= int64(h.opts.MaxHomes) {
-		h.mRejects.Inc()
-		return nil, fmt.Errorf("%w (%d homes)", ErrFull, h.opts.MaxHomes)
+	h.mu.Unlock()
+	if e != nil || err != nil {
+		return e, err
 	}
 	home, err := h.opts.Factory(id)
 	if err != nil {
 		return nil, fmt.Errorf("hub: admit %s: %w", id, err)
 	}
-	e := &entry{id: id, home: home}
-	e.touch()
-	sh.publish(id, e)
-	h.resident.Add(1)
+	// A Close or Drain that began during the build must not have a home
+	// listed behind it.
+	h.mu.Lock()
+	if err = h.refuse(); err == nil {
+		h.homes[id] = &entry{home: home}
+		e = h.pin(id, pins)
+	}
+	h.mu.Unlock()
+	if err != nil {
+		home.Close()
+		return nil, err
+	}
 	h.mHomes.Inc()
 	h.mAdmissions.Inc()
-	return home, nil
+	return e, nil
+}
+
+// pin finds the entry for id, adds n connections to its pins and stamps
+// it used. The caller holds mu.
+func (h *Hub) pin(id string, n int) *entry {
+	e := h.homes[id]
+	if e != nil {
+		e.refs += n
+		e.lastUsed = time.Now()
+		h.conns += int64(n)
+	}
+	return e
+}
+
+// refuse returns why no new home may be listed now, counting the
+// rejection, or nil. The caller holds mu.
+func (h *Hub) refuse() error {
+	var err error
+	switch {
+	case h.closed:
+		err = ErrClosed
+	case h.draining:
+		err = ErrDraining
+	case h.opts.MaxHomes > 0 && len(h.homes) >= h.opts.MaxHomes:
+		err = fmt.Errorf("%w (%d homes)", ErrFull, h.opts.MaxHomes)
+	default:
+		return nil
+	}
+	h.mRejects.Inc()
+	return err
 }
 
 // Route admits (if needed) the home for id and attaches one connection to
 // it, blocking on the caller's goroutine until the peer has disconnected
 // and the home has retired the session (see Host.Attach). The home is
-// pinned against eviction for exactly that long — unpinned on the way out,
-// so Connections() has dropped by the time Route returns: the refcount is
-// incremented first and the eviction flag checked after, the mirror image
-// of Evict's flag-then-refcount order, so one side always observes the
-// other.
+// pinned against eviction for exactly that long: pinned where it is found
+// or listed, unpinned on the way out, so Connections() has dropped by the
+// time Route returns.
 func (h *Hub) Route(id string, conn net.Conn) error {
 	start := time.Now()
-	for attempt := 0; attempt < 4; attempt++ {
-		if _, err := h.Admit(id); err != nil {
-			conn.Close()
-			return err
-		}
-		e := h.lookup(id)
-		if e == nil { // evicted between Admit and lookup; re-admit
-			continue
-		}
-		// Pin before checking the flags. conns.Add precedes the closed
-		// check, so any pin that observes closed==false is ordered before
-		// Close's store of closed — Close's connection wait (which starts
-		// after that store) cannot read zero while this pin is live. A
-		// plain atomic counter, unlike sync.WaitGroup, tolerates a late
-		// pin racing the wait: it just bounces off the flag check below.
-		e.refs.Add(1)
-		h.conns.Add(1)
-		if e.evicted.Load() || h.closed.Load() {
-			h.conns.Add(-1)
-			e.refs.Add(-1)
-			if h.closed.Load() {
-				conn.Close()
-				return ErrClosed
-			}
-			continue // lost to a concurrent eviction; re-admit
-		}
-		h.mConns.Inc()
-		h.mRouteSeconds.ObserveDuration(time.Since(start))
-		defer func() {
-			e.refs.Add(-1)
-			e.touch()
-			h.mConns.Dec()
-			h.conns.Add(-1)
-		}()
-		return e.home.Attach(conn)
+	e, err := h.admit(id, 1)
+	if err != nil {
+		conn.Close()
+		return err
 	}
-	conn.Close()
-	return fmt.Errorf("%w: %s (admission/eviction livelock)", ErrUnknownHome, id)
+	h.mConns.Inc()
+	h.mRouteSeconds.ObserveDuration(time.Since(start))
+	defer func() {
+		h.mu.Lock()
+		e.refs--
+		e.lastUsed = time.Now()
+		h.conns--
+		h.mu.Unlock()
+		h.mConns.Dec()
+	}()
+	return e.home.Attach(conn)
 }
-
-// PreambleTimeout bounds how long ServeConn waits for the routing
-// preamble, so a silent client cannot park a routing goroutine forever.
-const PreambleTimeout = 10 * time.Second
 
 // ServeConn reads the routing preamble from conn and routes it. It blocks
 // for the life of the connection; Serve runs it per accepted connection.
@@ -316,25 +279,22 @@ const PreambleTimeout = 10 * time.Second
 // resident home whose detach lot holds the session.
 func (h *Hub) ServeConn(conn net.Conn) error {
 	t0 := time.Now()
-	_ = conn.SetReadDeadline(t0.Add(PreambleTimeout))
-	p, rc, err := ReadPreamble(conn)
+	p, conn, err := ReadPreamble(conn)
 	if err != nil {
-		conn.Close()
 		return err
 	}
-	_ = conn.SetReadDeadline(time.Time{})
 	home := p.HomeID
 	if home == TokenHome {
 		owner, ok := h.FindToken(p.Token)
 		if !ok {
 			h.mTokenMisses.Inc()
 			h.mRejects.Inc()
-			rc.Close()
+			conn.Close()
 			return fmt.Errorf("%w: no home holds session token", ErrUnknownHome)
 		}
 		home = owner
 	}
-	return h.ServePreamble(p, home, rc, t0)
+	return h.ServePreamble(p, home, conn, t0)
 }
 
 // ServePreamble routes a connection whose preamble ServeConn or a front
@@ -360,12 +320,15 @@ func (h *Hub) ServePreamble(p Preamble, home string, conn net.Conn, t0 time.Time
 // token. O(resident homes), but only on the roam-back path — a
 // reconnecting device that knows its home ID never gets here. The
 // federation router uses it to locate a parked session across nodes.
+// The probes run outside the table lock: HasParked may wait out a
+// takeover.
 func (h *Hub) FindToken(token string) (string, bool) {
-	for i := range h.shards {
-		for id, e := range h.shards[i].snapshot() {
-			if e.home.HasParked(token) {
-				return id, true
-			}
+	h.mu.Lock()
+	homes := maps.Clone(h.homes)
+	h.mu.Unlock()
+	for id, e := range homes {
+		if e.home.HasParked(token) {
+			return id, true
 		}
 	}
 	return "", false
@@ -386,57 +349,21 @@ func (h *Hub) Serve(ln net.Listener) error {
 
 // Evict removes the home when it is resident, has no live connections
 // and parks no disconnected sessions. It reports whether an eviction
-// happened. The home's Close runs outside the shard lock.
+// happened. The home's Close runs outside the table lock.
 //
 // The parked check is race-free against a resume claim. The parked count
 // drops at TTL expiry, capacity eviction and export, which leave nothing
 // here to resume, and when a resume goes live: inside a routed handshake
 // that Route pinned first, the claimed session counting as parked until
-// then. So an eviction observing refs == 0 sees every completed park, and
-// any in-flight resume shows up as either a pin or a parked session.
+// then. Evict reads the pins and the parked count in one critical
+// section, so it sees every completed park, and any in-flight resume
+// shows up as either a pin or a parked session.
 func (h *Hub) Evict(id string) bool {
-	sh := h.shardFor(id)
-	sh.mu.Lock()
-	e := sh.snapshot()[id]
-	if e == nil {
-		sh.mu.Unlock()
+	home := h.unlist(id, true)
+	if home == nil {
 		return false
 	}
-	// refused reports a home that must stay: pinned by a connection, or
-	// (park-aware) holding a detached session that waits for its roaming
-	// owner — the lot's TTL empties it eventually, after which eviction
-	// proceeds.
-	refused := func() bool {
-		if e.refs.Load() > 0 {
-			return true
-		}
-		if e.home.Parked() > 0 {
-			h.mParkSkips.Inc()
-			return true
-		}
-		return false
-	}
-	// Refuse a busy home without raising the flag: a Route that pinned
-	// while a doomed eviction held it up would bounce, and burn one of its
-	// attempts, for an eviction that never happens.
-	if refused() {
-		sh.mu.Unlock()
-		return false
-	}
-	// Flag first, then check the pin count (Route pins then checks the
-	// flag): whichever side runs second sees the other and backs off.
-	e.evicted.Store(true)
-	if refused() {
-		e.evicted.Store(false)
-		sh.mu.Unlock()
-		return false
-	}
-	sh.publish(id, nil)
-	h.resident.Add(-1)
-	sh.mu.Unlock()
-
-	e.home.Close()
-	h.mHomes.Dec()
+	home.Close()
 	h.mEvictions.Inc()
 	return true
 }
@@ -450,33 +377,32 @@ func (h *Hub) Evict(id string) bool {
 // sessions — the caller is expected to have exported them. Returns the
 // host and true on success.
 func (h *Hub) Release(id string) (Host, bool) {
-	sh := h.shardFor(id)
-	sh.mu.Lock()
-	e := sh.snapshot()[id]
-	if e == nil {
-		sh.mu.Unlock()
+	home := h.unlist(id, false)
+	if home == nil {
 		return nil, false
 	}
-	// Same protocol as Evict: refuse a pinned home without raising the
-	// flag, then flag-then-refcount so whichever of Release/Route runs
-	// second sees the other and backs off.
-	if e.refs.Load() > 0 {
-		sh.mu.Unlock()
-		return nil, false
-	}
-	e.evicted.Store(true)
-	if e.refs.Load() > 0 {
-		e.evicted.Store(false)
-		sh.mu.Unlock()
-		return nil, false
-	}
-	sh.publish(id, nil)
-	h.resident.Add(-1)
-	sh.mu.Unlock()
-
-	h.mHomes.Dec()
 	h.mReleases.Inc()
-	return e.home, true
+	return home, true
+}
+
+// unlist removes the home for id from the table and returns it, unless it
+// is absent, pinned by a connection or, when parkAware, holding a detached
+// session that waits for its roaming owner (the lot's TTL empties it
+// eventually). The caller owns the returned home.
+func (h *Hub) unlist(id string, parkAware bool) Host {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	e := h.homes[id]
+	if e == nil || e.refs > 0 {
+		return nil
+	}
+	if parkAware && e.home.Parked() > 0 {
+		h.mParkSkips.Inc()
+		return nil
+	}
+	delete(h.homes, id)
+	h.mHomes.Dec()
+	return e.home
 }
 
 // sweepEvery is the eviction janitor's period.
@@ -496,32 +422,40 @@ func (h *Hub) janitorFire() {
 
 // sweep evicts every home idle beyond IdleTimeout with no connections.
 func (h *Hub) sweep() {
-	cutoff := time.Now().Add(-h.opts.IdleTimeout).UnixNano()
-	for i := range h.shards {
-		for id, e := range h.shards[i].snapshot() {
-			if e.refs.Load() == 0 && e.lastUsed.Load() < cutoff {
-				h.Evict(id)
-			}
+	cutoff := time.Now().Add(-h.opts.IdleTimeout)
+	var idle []string
+	h.mu.Lock()
+	for id, e := range h.homes {
+		if e.refs == 0 && e.lastUsed.Before(cutoff) {
+			idle = append(idle, id)
 		}
+	}
+	h.mu.Unlock()
+	for _, id := range idle {
+		h.Evict(id)
 	}
 }
 
 // Homes returns the number of resident homes.
-func (h *Hub) Homes() int { return int(h.resident.Load()) }
+func (h *Hub) Homes() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.homes)
+}
 
 // Connections returns the number of live routed connections on this hub
-// (hub-local state — independent of registry sharing across hubs).
-func (h *Hub) Connections() int64 { return h.conns.Load() }
+// (hub-local state, whoever else shares its metrics registry).
+func (h *Hub) Connections() int64 {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.conns
+}
 
-// HomeIDs lists resident home IDs (order unspecified).
+// HomeIDs lists resident home IDs, sorted.
 func (h *Hub) HomeIDs() []string {
-	var out []string
-	for i := range h.shards {
-		for id := range h.shards[i].snapshot() {
-			out = append(out, id)
-		}
-	}
-	return out
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return slices.Sorted(maps.Keys(h.homes))
 }
 
 // Drain stops new admissions and waits up to timeout for live
@@ -529,7 +463,9 @@ func (h *Hub) HomeIDs() []string {
 // quiet, or an error with the number of connections still open. Either
 // way the hub still needs Close to release homes.
 func (h *Hub) Drain(timeout time.Duration) error {
-	h.draining.Store(true)
+	h.mu.Lock()
+	h.draining = true
+	h.mu.Unlock()
 	deadline := time.Now().Add(timeout)
 	for {
 		if h.Connections() == 0 {
@@ -545,36 +481,32 @@ func (h *Hub) Drain(timeout time.Duration) error {
 // Close stops the janitor, closes every home (which disconnects their
 // sessions), and waits for routed connections to unwind.
 func (h *Hub) Close() {
-	if h.closed.Swap(true) {
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
 		return
 	}
+	h.closed = true
+	homes := h.homes
+	h.homes = make(map[string]*entry)
+	h.mu.Unlock()
 	h.janitorMu.Lock() // waits out a sweep in flight
 	if h.janitor != nil {
 		h.janitor.Stop()
 		h.janitor = nil
 	}
 	h.janitorMu.Unlock()
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.Lock()
-		entries := sh.snapshot()
-		for _, e := range entries {
-			// Same protocol as Evict: flag first so an in-flight Route
-			// that pinned a stale snapshot entry bounces off it.
-			e.evicted.Store(true)
-		}
-		empty := map[string]*entry{}
-		sh.homes.Store(&empty)
-		sh.mu.Unlock()
-		for _, e := range entries {
-			e.home.Close()
-			h.resident.Add(-1)
-			h.mHomes.Dec()
-		}
+	// Wait out an admission in flight: it finds the hub closed and closes
+	// the home it built.
+	h.admitMu.Lock()
+	h.admitMu.Unlock()
+	for _, e := range homes {
+		e.home.Close()
+		h.mHomes.Dec()
 	}
 	// Wait for routed connections to unwind (closing the homes above
 	// disconnects their sessions, so each retires and unpins promptly).
-	for h.conns.Load() > 0 {
+	for h.Connections() > 0 {
 		time.Sleep(time.Millisecond)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -106,26 +107,20 @@ func TestAdmitOnce(t *testing.T) {
 	}
 }
 
-// pairedIDs returns n home ids (n even), prefix plus a number, that fall
-// two to a shard: each home's copy-on-write publish then races another
-// home's in the same shard as well as the homes in other shards.
-func pairedIDs(prefix string, n int) []string {
-	byShard := map[uint64][]string{}
-	var ids []string
-	for k := 0; len(ids) < n; k++ {
-		id := fmt.Sprintf("%s%d", prefix, k)
-		s := hashID(id) & (shardCount - 1)
-		if byShard[s] = append(byShard[s], id); len(byShard[s]) == 2 {
-			ids = append(ids, byShard[s]...)
-		}
+// numberedIDs returns n home ids, prefix plus a number.
+func numberedIDs(prefix string, n int) []string {
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("%s%d", prefix, i)
 	}
 	return ids
 }
 
 func TestAdmitConcurrentSingleCreation(t *testing.T) {
+	leakcheck.Check(t, 0)
 	h, f := newTestHub(t, Options{})
 	const workers, homes = 32, 16
-	ids := pairedIDs("home-", homes)
+	ids := numberedIDs("home-", homes)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers*homes)
 	for w := 0; w < workers; w++ {
@@ -154,6 +149,73 @@ func TestAdmitConcurrentSingleCreation(t *testing.T) {
 	}
 	if got := len(h.HomeIDs()); got != homes {
 		t.Fatalf("HomeIDs() has %d entries, want %d", got, homes)
+	}
+}
+
+// TestColdBuildDoesNotBlockRouting: while the factory builds one home, a
+// connection to a home already resident is routed and served.
+func TestColdBuildDoesNotBlockRouting(t *testing.T) {
+	leakcheck.Check(t, 0)
+	f := newStubFactory()
+	building, gate := make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	h, _ := newTestHub(t, Options{Factory: func(id string) (Host, error) {
+		if id == "slow" {
+			close(building)
+			<-gate
+		}
+		return f.factory(id)
+	}})
+	t.Cleanup(release) // before the hub's Close, which waits out the build
+	if _, err := h.Admit("resident"); err != nil {
+		t.Fatal(err)
+	}
+	admitted := make(chan error, 1)
+	go func() {
+		_, err := h.Admit("slow")
+		admitted <- err
+	}()
+	<-building
+
+	client, server := net.Pipe()
+	defer client.Close()
+	done := make(chan error, 1)
+	go func() { done <- h.Route("resident", server) }()
+	_ = client.SetDeadline(time.Now().Add(time.Second))
+	buf := []byte{3}
+	if _, err := client.Write(buf); err != nil {
+		t.Fatalf("route to a resident home during a cold build: %v", err)
+	}
+	if _, err := client.Read(buf); err != nil || buf[0] != 3 {
+		t.Fatalf("echo from a resident home during a cold build: %v %x", err, buf)
+	}
+	client.Close()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+
+	release()
+	if err := <-admitted; err != nil {
+		t.Fatal(err)
+	}
+	h.Close()
+}
+
+// TestHomeIDsSorted: HomeIDs lists the resident homes in order, whatever
+// order they were admitted in.
+func TestHomeIDsSorted(t *testing.T) {
+	h, _ := newTestHub(t, Options{})
+	admitted := []string{"home-7", "attic", "home-2", "zeta", "home-10", "cellar", "home-0", "kitchen"}
+	for _, id := range admitted {
+		if _, err := h.Admit(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := slices.Sorted(slices.Values(admitted))
+	for i := 0; i < 20; i++ {
+		if got := h.HomeIDs(); !slices.Equal(got, want) {
+			t.Fatalf("call %d: HomeIDs() = %v, want %v", i, got, want)
+		}
 	}
 }
 
@@ -495,9 +557,10 @@ func TestCloseShutsHomesAndRejects(t *testing.T) {
 }
 
 func TestConcurrentRouteAndEvict(t *testing.T) {
+	leakcheck.Check(t, 0)
 	h, _ := newTestHub(t, Options{})
 	const homes = 8
-	ids := pairedIDs("h", homes)
+	ids := numberedIDs("h", homes)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Evictor hammers all homes.
@@ -570,6 +633,7 @@ func TestHubMetrics(t *testing.T) {
 }
 
 func TestAdmitRacingCloseLeaksNothing(t *testing.T) {
+	leakcheck.Check(t, 0)
 	// Homes admitted concurrently with Close must either fail admission
 	// or end up closed — never resident in a closed hub.
 	for round := 0; round < 20; round++ {
@@ -703,6 +767,7 @@ func TestEvictSkipsParkedHome(t *testing.T) {
 // parked or its claimant is being served — the claim either lands on the
 // resident home or the connection routes to a re-admitted one.
 func TestEvictionRacingResumeClaim(t *testing.T) {
+	leakcheck.Check(t, 0)
 	for round := 0; round < 50; round++ {
 		reg := metrics.NewRegistry()
 		var mu sync.Mutex
@@ -771,6 +836,7 @@ func TestEvictionRacingResumeClaim(t *testing.T) {
 // for a parked session still lands — a deploy must not strand the
 // clients it is waiting for.
 func TestDrainRacesAdmitAndTokenResume(t *testing.T) {
+	leakcheck.Check(t, 0)
 	reg := metrics.NewRegistry()
 	var mu sync.Mutex
 	homes := map[string]*parkingHome{}

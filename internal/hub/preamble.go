@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"strings"
+	"time"
 )
 
 // The routing preamble is the one hub-specific wire addition: before the
@@ -99,18 +100,26 @@ func ParsePreamble(r io.Reader) (Preamble, error) {
 	return p, err
 }
 
+// preambleTimeout bounds how long ReadPreamble waits for the routing
+// line, so a silent client cannot park a routing goroutine forever.
+const preambleTimeout = 10 * time.Second
+
 // ReadPreamble consumes the routing line from conn, reading up to
 // MaxPreambleLen bytes at a time until the newline, and returns the
 // connection the protocol continues on: conn itself, or, when the peer's
 // writes carried bytes past the newline, conn behind a reader that yields
 // those bytes first. It accepts and refuses exactly what ParsePreamble
-// does.
+// does. The read is bounded by preambleTimeout; on an error ReadPreamble
+// closes conn.
 func ReadPreamble(conn net.Conn) (Preamble, net.Conn, error) {
+	_ = conn.SetReadDeadline(time.Now().Add(preambleTimeout))
 	p, rest, err := readPreamble(conn, MaxPreambleLen)
-	switch {
-	case err != nil:
+	if err != nil {
+		conn.Close()
 		return Preamble{}, nil, err
-	case len(rest) > 0:
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	if len(rest) > 0 {
 		return p, &replayConn{Conn: conn, rest: rest}, nil
 	}
 	return p, conn, nil

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzParsePreamble is the safety net for the first line a hub reads from
@@ -98,10 +99,14 @@ func checkReadPreamble(t *testing.T, data []byte) {
 }
 
 // segmentConn is a connection whose reads return segs one at a time.
+// Deadlines and Close are no-ops.
 type segmentConn struct {
 	net.Conn
 	segs [][]byte
 }
+
+func (c *segmentConn) SetReadDeadline(time.Time) error { return nil }
+func (c *segmentConn) Close() error                    { return nil }
 
 func (c *segmentConn) Read(p []byte) (int, error) {
 	if len(c.segs) == 0 {
