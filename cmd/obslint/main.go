@@ -34,10 +34,12 @@
 // internal/netsim) a naked `go` statement is an error — per-session
 // concurrency belongs on pool turns and runtime timers (time.AfterFunc),
 // where worker count is a process budget instead of scaling with sessions.
-// A deliberate spawn (e.g. the one-goroutine-per-connection legacy Serve
-// path) is annotated with a `goroutine-ok:` comment naming its reason, on
-// the go statement's line or the line above. time.NewTicker and time.Tick
-// are refused there, with no annotation to excuse them.
+// A deliberate spawn (e.g. the one-goroutine-per-connection Serve path)
+// is annotated, on its line or the line above, with a `goroutine-ok:`
+// comment naming its reason and joiner ("joined by Hub.Close", or "joined
+// by: none (<reason>)"). time.NewTicker and time.Tick are refused there,
+// as is time.Sleep in the root package and under internal/ but netsim
+// and leakcheck: a sleep polls for an event the code can wait on.
 //
 // Outside internal/gfx and internal/rfb's decode functions, a non-test
 // `copy(<x>.Pix(), …)` or `<x>.Pix()[…] = …` is an error: such a write
@@ -152,7 +154,7 @@ func lintTree(root string, bad *int) error {
 		if strings.HasSuffix(path, "_test.go") {
 			reads = append(reads, defaultRegistryReads(path)...)
 		} else {
-			*bad += lintFile(path, pkgDocs, registered)
+			*bad += lintFile(root, path, pkgDocs, registered)
 		}
 		return nil
 	})
@@ -181,7 +183,7 @@ func lintTree(root string, bad *int) error {
 // literal name is checked against the contract and recorded in registered.
 // With -doclint it also records whether the file carries the package doc
 // and checks exported constant documentation.
-func lintFile(path string, pkgDocs, registered map[string]bool) int {
+func lintFile(root, path string, pkgDocs, registered map[string]bool) int {
 	fset := token.NewFileSet()
 	mode := parser.Mode(0)
 	sessionPath := isSessionPath(path)
@@ -194,9 +196,17 @@ func lintFile(path string, pkgDocs, registered map[string]bool) int {
 		return 1
 	}
 	bad := lintPixWrites(fset, f, path)
+	refused := map[string]string{} // time.<name> → why not
 	if sessionPath {
-		bad += lintGoStmts(fset, f, path) + lintTickers(fset, f, path)
+		bad += lintGoStmts(fset, f, path)
+		refused["NewTicker"] = "in session-path package %s (a ticker needs a goroutine to drain it; re-arm a time.AfterFunc instead)"
+		refused["Tick"] = refused["NewTicker"]
 	}
+	if rel, err := filepath.Rel(root, filepath.Dir(path)); err == nil && (rel == "." || strings.HasPrefix(filepath.ToSlash(rel), "internal/") &&
+		!inDir(path, "internal/netsim") && !inDir(path, "internal/leakcheck")) {
+		refused["Sleep"] = "in %s (a sleep polls: wait on the event)"
+	}
+	bad += lintTimeCalls(fset, f, path, refused)
 	if *docLint {
 		dir := filepath.Dir(path)
 		if _, seen := pkgDocs[dir]; !seen {
@@ -337,23 +347,23 @@ func inDir(path, d string) bool {
 }
 
 // goroutineOK marks a deliberate goroutine spawn in a session-path
-// package; the comment must name the reason.
+// package; the comment must name the reason, and its joiner (joinedBy).
 const goroutineOK = "goroutine-ok:"
+
+var joinedBy = regexp.MustCompile(`joined by:?\s+(none\s+\(|[A-Z]\w*\.[A-Z]\w*)`)
 
 // lintGoStmts flags naked `go` statements in session-path packages. A
 // spawn annotated with a goroutine-ok: comment (same line or the line
-// above) passes; everything else is a budget leak — it scales goroutines
-// with sessions instead of riding the shared pool or a runtime timer.
+// above) naming its joiner passes; everything else is a budget leak — it
+// scales goroutines with sessions instead of riding the shared pool or a
+// runtime timer — or a goroutine nothing is known to join.
 func lintGoStmts(fset *token.FileSet, f *ast.File, path string) int {
-	allowed := map[int]bool{}
+	vouched := map[int]string{} // line → the goroutine-ok: comment group vouching for it
 	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			if strings.Contains(c.Text, goroutineOK) {
-				// The whole comment group vouches for the statement that
-				// follows it (and an inline marker for its own line).
-				allowed[fset.Position(c.Pos()).Line] = true
-				allowed[fset.Position(cg.End()).Line] = true
-			}
+		if text := cg.Text(); strings.Contains(text, goroutineOK) {
+			// For the statement after the group, and an inline one.
+			vouched[fset.Position(cg.Pos()).Line] = text
+			vouched[fset.Position(cg.End()).Line] = text
 		}
 	}
 	bad := 0
@@ -363,27 +373,29 @@ func lintGoStmts(fset *token.FileSet, f *ast.File, path string) int {
 			return true
 		}
 		line := fset.Position(gs.Pos()).Line
-		if allowed[line] || allowed[line-1] {
-			return true
+		if text := vouched[line] + vouched[line-1]; !joinedBy.MatchString(text) {
+			what := "naked go statement"
+			if text != "" {
+				what = "goroutine-ok: spawn naming no joiner"
+			}
+			fmt.Fprintf(stderr, "%s: %s in session-path package %s (run it as a pool turn or time.AfterFunc, or annotate '// goroutine-ok: <reason>; joined by <Type>.Close', or 'joined by: none (<reason>)')\n",
+				fset.Position(gs.Pos()), what, filepath.Dir(path))
+			bad++
 		}
-		fmt.Fprintf(stderr, "%s: naked go statement in session-path package %s (run it as a pool turn or time.AfterFunc, or annotate '// goroutine-ok: <reason>')\n",
-			fset.Position(gs.Pos()), filepath.Dir(path))
-		bad++
 		return true
 	})
 	return bad
 }
 
-// lintTickers flags time.NewTicker and time.Tick in session-path packages:
-// a ticker needs a goroutine to drain its channel, where a time.AfterFunc
-// that re-arms itself holds none while armed.
-func lintTickers(fset *token.FileSet, f *ast.File, path string) int {
+// lintTimeCalls flags every time.<name> in refused, whose value formats
+// the package and why: tickers in session-path packages (a time.AfterFunc
+// that re-arms itself holds no goroutine while armed) and time.Sleep.
+func lintTimeCalls(fset *token.FileSet, f *ast.File, path string, refused map[string]string) int {
 	bad := 0
 	ast.Inspect(f, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "NewTicker" || sel.Sel.Name == "Tick") {
+		if sel, ok := n.(*ast.SelectorExpr); ok && refused[sel.Sel.Name] != "" {
 			if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" {
-				fmt.Fprintf(stderr, "%s: time.%s in session-path package %s (a ticker needs a goroutine to drain it; re-arm a time.AfterFunc instead)\n",
-					fset.Position(sel.Pos()), sel.Sel.Name, filepath.Dir(path))
+				fmt.Fprintf(stderr, "%s: time.%s "+refused[sel.Sel.Name]+"\n", fset.Position(sel.Pos()), sel.Sel.Name, filepath.Dir(path))
 				bad++
 			}
 		}

@@ -26,7 +26,7 @@ func lint(t *testing.T, tree string, doc, md, only bool) (int, string) {
 
 // TestGoodTreePasses is the negative case of every rule at once: snake_case
 // metrics with their suffixes, a test reading a metric the tree registers,
-// an annotated go statement, package and
+// an annotated go statement naming its joiner, package and
 // constant docs, resolving links and paths — and under -testonly a method
 // reached only through an embedded type's interface, an identifier only
 // examples/ calls, a whole-package and a single-identifier allow entry, a
@@ -47,6 +47,8 @@ func TestBadTreeFindings(t *testing.T) {
 		`naked go statement in session-path package testdata/bad/internal/uniserver`,
 		`naked go statement in session-path package testdata/bad/internal/havi`,
 		`time.NewTicker in session-path package testdata/bad/internal/havi`,
+		`time.Sleep in testdata/bad/internal/havi`,
+		`goroutine-ok: spawn naming no joiner in session-path package testdata/bad/internal/havi`,
 		`write through out.Pix() outside internal/gfx`,
 		`write through panel.Pix()[i] outside internal/gfx`,
 		`write through frame.Pix()[:n] outside internal/gfx`,

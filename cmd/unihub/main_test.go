@@ -42,5 +42,7 @@ func TestHomesShareTheWorkerBudget(t *testing.T) {
 	}
 	at16 := runtime.NumGoroutine()
 	admit(16, 64)
+	// A goroutine budget, not a leak check: Assert counts what 48 more
+	// resident homes cost, which must be nothing.
 	leakcheck.Assert(t, at16, "64 homes resident, as many goroutines as at 16")
 }

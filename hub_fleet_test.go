@@ -45,8 +45,9 @@ func TestHubThousandIdleSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go h.Serve(ln)
+	served := make(chan error, 1)
+	go func() { served <- h.Serve(ln) }()
+	defer func() { ln.Close(); <-served }()
 
 	// Build the households first: homes own legitimate goroutines
 	// (middleware delivery, appliance simulators), and those must not be
@@ -79,6 +80,8 @@ func TestHubThousandIdleSessions(t *testing.T) {
 	if n := runtime.NumGoroutine(); n < base+sessions {
 		t.Errorf("%d goroutines with %d sessions connected, want a parked reader each (base %d)", n, sessions, base)
 	}
+	// A goroutine budget, not a leak check: Assert counts, and the fleet is
+	// meant to be alive here.
 	leakcheck.Assert(t, base+sessions+8, "1k idle hub sessions")
 
 	// Disconnect the fleet; every route must unpin so hub accounting
@@ -94,6 +97,8 @@ func TestHubThousandIdleSessions(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	// The budget again, with the homes still resident: the stack check at
+	// cleanup proves the teardown joined everything.
 	leakcheck.Assert(t, base+8, "1k idle hub sessions closed")
 }
 

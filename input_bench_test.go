@@ -39,6 +39,18 @@ func (discardHandler) CutText(string)                  {}
 // all traffic.
 func discardServerClient(b *testing.B) *rfb.ClientConn {
 	b.Helper()
+	client, err := rfb.Dial(discardServerConn(b))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { client.Close() })
+	return client
+}
+
+// discardServerConn returns the client end of a pipe whose server end a
+// protocol server that discards every client message serves.
+func discardServerConn(b *testing.B) net.Conn {
+	b.Helper()
 	sc, cc := net.Pipe()
 	go func() {
 		s, err := rfb.NewEdgeServerConn(sc, 640, 480, "discard", nil)
@@ -47,12 +59,7 @@ func discardServerClient(b *testing.B) *rfb.ClientConn {
 		}
 		_ = s.Serve(discardHandler{})
 	}()
-	client, err := rfb.Dial(cc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { client.Close() })
-	return client
+	return cc
 }
 
 // BenchmarkInputBatch isolates the client write path: one transport
@@ -128,8 +135,10 @@ func (d *stormDevice) Events() <-chan core.RawEvent  { return d.ch }
 // burst collapses to 3 wire events and one transport write; steady state
 // allocates nothing.
 func BenchmarkInputCoalesce(b *testing.B) {
-	client := discardServerClient(b)
-	proxy := core.NewProxy(client)
+	proxy, err := core.Dial(discardServerConn(b))
+	if err != nil {
+		b.Fatal(err)
+	}
 	dev := &stormDevice{id: "storm-1", pl: &stormPlugin{}, ch: make(chan core.RawEvent)}
 	if err := proxy.AttachInput(dev); err != nil {
 		b.Fatal(err)

@@ -41,6 +41,7 @@ type Home struct {
 	tickMu    sync.Mutex
 	tickRun   sync.Mutex // held across each timer-fired advance; StopTicker's barrier
 	tickTimer *time.Timer
+	ticks     sync.WaitGroup // fires armed or running; StopTicker waits them out
 }
 
 // NewHome creates a household with a fresh middleware network.
@@ -120,33 +121,39 @@ func (h *Home) StartTicker(interval time.Duration) {
 		return // already running
 	}
 	h.tickRun.Lock() // tickTimer is read under tickRun by tickOnce
+	h.ticks.Add(1)
 	h.tickTimer = time.AfterFunc(interval, func() { h.tickOnce(interval) })
 	h.tickRun.Unlock()
 }
 
 func (h *Home) tickOnce(interval time.Duration) {
+	defer h.ticks.Done()
 	h.tickRun.Lock()
+	defer h.tickRun.Unlock()
 	// Re-check under tickRun: a fire dispatched just as StopTicker ran
-	// must neither advance nor re-arm after StopTicker returned.
+	// must neither advance nor re-arm.
 	if h.tickTimer != nil {
 		h.Advance(1)
+		h.ticks.Add(1)
 		h.tickTimer.Reset(interval)
 	}
-	h.tickRun.Unlock()
 }
 
-// StopTicker halts the real-time simulation; an in-flight advance is
-// waited out, so no Tick runs after StopTicker returns.
+// StopTicker halts the real-time simulation; it waits out an advance in
+// flight or a fire too late to stop, so nothing of the ticker outlives it.
 func (h *Home) StopTicker() {
 	h.tickMu.Lock()
 	defer h.tickMu.Unlock()
 	if h.tickTimer == nil {
 		return
 	}
-	h.tickTimer.Stop()
 	h.tickRun.Lock() // barrier: wait out an advance already running
+	if h.tickTimer.Stop() {
+		h.ticks.Done() // the fire it cancelled
+	}
 	h.tickTimer = nil
 	h.tickRun.Unlock()
+	h.ticks.Wait() // and one that fired before it took tickRun
 }
 
 // Close stops the ticker and shuts the middleware down.

@@ -1,14 +1,18 @@
 package appliance
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
 	"uniint/internal/havi"
 	"uniint/internal/havi/fcm"
+	"uniint/internal/leakcheck"
 )
 
 func TestStandardHome(t *testing.T) {
+	leakcheck.Check(t, 0)
 	h, err := StandardHome()
 	if err != nil {
 		t.Fatal(err)
@@ -31,6 +35,7 @@ func TestStandardHome(t *testing.T) {
 }
 
 func TestHomeRemoveAndReadd(t *testing.T) {
+	leakcheck.Check(t, 0)
 	h := NewHome()
 	defer h.Close()
 	lamp := NewLamp("L1")
@@ -58,6 +63,7 @@ func TestHomeRemoveAndReadd(t *testing.T) {
 }
 
 func TestAdvanceDrivesMechanics(t *testing.T) {
+	leakcheck.Check(t, 0)
 	h := NewHome()
 	defer h.Close()
 	vcr := NewVCR("V")
@@ -88,6 +94,7 @@ func TestAdvanceDrivesMechanics(t *testing.T) {
 }
 
 func TestTickerLifecycle(t *testing.T) {
+	leakcheck.Check(t, 0)
 	h := NewHome()
 	defer h.Close()
 	vcr := NewVCR("V")
@@ -120,7 +127,27 @@ func TestTickerLifecycle(t *testing.T) {
 	}
 }
 
+// TestStopTickerRacingFire stops a 1 ms ticker 200 times just as it
+// fires, and reads the stacks after each StopTicker: a fire that began
+// too late to be stopped has returned by then too, whether it found the
+// ticker stopped or ran its advance first.
+func TestStopTickerRacingFire(t *testing.T) {
+	h := NewHome()
+	defer h.Close()
+	for i := 0; i < 200; i++ {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			leakcheck.Check(t, 0)
+			h.StartTicker(time.Millisecond)
+			for armed := time.Now(); time.Since(armed) < time.Millisecond; {
+				runtime.Gosched()
+			}
+			h.StopTicker()
+		})
+	}
+}
+
 func TestApplianceClassesAndFCMKinds(t *testing.T) {
+	leakcheck.Check(t, 0)
 	tests := []struct {
 		a     Appliance
 		class string
@@ -150,6 +177,7 @@ func TestApplianceClassesAndFCMKinds(t *testing.T) {
 }
 
 func TestControlThroughMiddleware(t *testing.T) {
+	leakcheck.Check(t, 0)
 	// End-to-end: discover the lamp via registry, flip power via message.
 	h := NewHome()
 	defer h.Close()

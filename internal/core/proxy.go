@@ -174,18 +174,6 @@ func WithBackoff(d time.Duration) Option {
 	return func(p *Proxy) { p.backoff = d }
 }
 
-// NewProxy wraps an already-handshaked client connection.
-func NewProxy(client *rfb.ClientConn) *Proxy {
-	p := &Proxy{
-		inputs:  make(map[string]*inputBinding),
-		outputs: make(map[string]*outputBinding),
-		mirrors: make(map[string]bool),
-		stop:    make(chan struct{}),
-	}
-	p.link.Store(&link{client: client, live: true, changed: make(chan struct{})})
-	return p
-}
-
 // Dial connects to a UniInt server over conn and returns the proxy. It
 // has the one link: Run returns when the link ends.
 func Dial(conn net.Conn) (*Proxy, error) {
@@ -193,7 +181,14 @@ func Dial(conn net.Conn) (*Proxy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewProxy(client), nil
+	p := &Proxy{
+		inputs:  make(map[string]*inputBinding),
+		outputs: make(map[string]*outputBinding),
+		mirrors: make(map[string]bool),
+		stop:    make(chan struct{}),
+	}
+	p.link.Store(&link{client: client, live: true, changed: make(chan struct{})})
+	return p, nil
 }
 
 // Connect dials the first link, starts the run loop and returns the
@@ -396,10 +391,10 @@ func (p *Proxy) relink() error {
 	p.sentBefore.Add(prev.BytesSent())
 	p.recvBefore.Add(prev.BytesReceived())
 	p.setLink(next, true)
-	p.reconnects.Add(1)
 	if next.Resumed() {
-		p.resumes.Add(1)
+		p.resumes.Add(1) // first: whoever sees the reconnect sees its resume
 	}
+	p.reconnects.Add(1)
 	return nil
 }
 

@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"strings"
@@ -15,6 +17,7 @@ import (
 	"uniint/internal/device"
 	"uniint/internal/leakcheck"
 	"uniint/internal/netsim"
+	"uniint/internal/rfb"
 	"uniint/internal/toolkit"
 	"uniint/internal/uniserver"
 )
@@ -545,5 +548,39 @@ func TestRelinkKeepsDevicesSelectionAndMirrors(t *testing.T) {
 	waitCond(t, "click from the device attached between links", func() bool { return clicked() > before })
 	if st := proxy.Stats(); st.ForwardErrors != 0 {
 		t.Errorf("ForwardErrors = %d across an idle hop, want 0", st.ForwardErrors)
+	}
+}
+
+// TestCloseJoinsTheRunLoop: a Connect proxy's Close returns only once its
+// run loop has. The stacks are read as Close returns, with nothing else
+// to tear down in between (the server side is a handshake already done),
+// a hundred times over.
+func TestCloseJoinsTheRunLoop(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			leakcheck.Check(t, 0)
+			sc, cc := net.Pipe()
+			defer sc.Close()
+			served := make(chan error, 1)
+			go func() {
+				_, err := rfb.NewEdgeServerConn(sc, 64, 48, "join", nil)
+				hdr := make([]byte, 4) // the proxy's SetEncodings: type, pad, count
+				if err == nil {
+					_, err = io.ReadFull(sc, hdr)
+				}
+				if err == nil {
+					_, err = io.ReadFull(sc, make([]byte, 4*binary.BigEndian.Uint16(hdr[2:])))
+				}
+				served <- err
+			}()
+			proxy, err := core.Connect(func() (net.Conn, error) { return cc, nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := <-served; err != nil {
+				t.Fatal(err)
+			}
+			proxy.Close()
+		})
 	}
 }

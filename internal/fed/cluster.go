@@ -3,7 +3,9 @@ package fed
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -22,7 +24,8 @@ var (
 )
 
 // detachTimeout bounds how long a migration waits for a home's live
-// sessions to force-park before giving up on the move.
+// sessions to force-park, and then for its connections to unpin, before
+// giving up on the move.
 const detachTimeout = 5 * time.Second
 
 // Node is one federation member: a named hub process (in this repo's
@@ -107,22 +110,16 @@ func (c *Cluster) AddNode(name string, h *hub.Hub) error {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrDuplicate, name)
 	}
+	others := slices.Collect(maps.Values(c.nodes))
 	c.nodes[name] = n
 	c.ring = c.ring.With(name)
 	ring := c.ring
-	others := make([]*Node, 0, len(c.nodes)-1)
-	for _, o := range c.nodes {
-		if o != n {
-			others = append(others, o)
-		}
-	}
 	c.mu.Unlock()
 
 	var firstErr error
 	for _, from := range others {
 		for _, homeID := range from.Hub.HomeIDs() {
-			owner, _ := ring.Owner(homeID)
-			if owner != name {
+			if owner, _ := ring.Owner(homeID); owner != name {
 				continue
 			}
 			if err := c.migrate(homeID, from, n); err != nil && firstErr == nil {
@@ -227,24 +224,13 @@ func (c *Cluster) migrate(homeID string, from, to *Node) error {
 			return fmt.Errorf("fed: migrate %s: import on %s: %w", homeID, to.Name, err)
 		}
 	}
-	// Release the source's registry entry. A straggler connection pinning
-	// the entry (racing the detach) blocks release; it unwinds promptly
-	// because its transport was just closed, so retry briefly.
-	released := false
-	var src hub.Host
-	for deadline := time.Now().Add(detachTimeout); ; {
-		if src, released = from.Hub.Release(homeID); released {
-			break
-		}
-		if _, err := from.Hub.Get(homeID); err != nil {
-			break // someone else (eviction) removed it; nothing to close
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w: %s on %s", ErrNotEvacuated, homeID, from.Name)
-		}
-		time.Sleep(time.Millisecond)
+	// Release the source's registry entry, once a straggler connection
+	// racing the detach has unpinned it.
+	src, err := from.Hub.Release(homeID, detachTimeout)
+	if err != nil {
+		return fmt.Errorf("%w: %s on %s: %v", ErrNotEvacuated, homeID, from.Name, err)
 	}
-	if released && src != dst {
+	if src != nil && src != dst {
 		src.Close()
 	}
 	c.mMigrations.Inc()
@@ -318,8 +304,9 @@ func (c *Cluster) Serve(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		// goroutine-ok: Serve is the accept loop; routed conns are read on
-		// this goroutine by the member home's Attach.
+		// goroutine-ok: one per accepted conn, read by its member home's
+		// Attach once routed. joined by: none (process lifetime): there is
+		// no Cluster.Close; routed, it is joined by its member's Hub.Close.
 		go func() { _ = c.ServeConn(conn) }()
 	}
 }

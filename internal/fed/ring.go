@@ -1,18 +1,18 @@
 // Package fed is the hub-of-hubs federation tier: a front router
 // spreading home-ids across N member hub nodes by rendezvous hashing, and
-// live migration of parked sessions between nodes — the detach lot (internal/uniserver) made a parked
-// session a small serializable object, and this package ships that
-// object so topology change (deploys, rebalances, node loss) is
-// invisible to a reconnecting client: it redials through the router,
-// lands on whichever node now owns its home, and resumes with the same
-// incremental resync an in-place reconnect gets.
+// live migration of parked sessions between nodes — the detach lot
+// (internal/uniserver) made a parked session a small serializable object,
+// and this package ships that object so topology change (deploys,
+// rebalances, node loss) is invisible to a reconnecting client: it redials
+// through the router, lands on whichever node now owns its home, and
+// resumes with the same incremental resync an in-place reconnect gets. As
+// in the paper, the per-home stacks and the protocol stay unmodified:
+// routing and migration live entirely in front of them.
 //
-// The paper's prototype binds one home to one server process; the
-// ROADMAP's north star is millions of users, where many hub processes
-// and continuous topology change are the normal case. Federation keeps
-// the paper's claim intact one level up: the per-home stacks (and the
-// protocol) stay unmodified — routing and migration live entirely in
-// front of them.
+// A Cluster has no Close. A connection it routes is joined by its member
+// hub's Close (ServePreamble → Route); a migration waits on the source
+// hub's pins through Hub.Release. Only the goroutines Serve starts are
+// joined by nothing while they read their preamble.
 package fed
 
 import "sort"

@@ -12,41 +12,27 @@ import (
 // federation layer above it) ever asks of a resident home. With one
 // interface there is nothing for the hub to type-assert, so a home cannot
 // accidentally opt out of a capability by a method signature typo.
-//
-// Exactly when the hub calls each method:
-//
-//   - Attach: once per routed connection (Hub.Route / Hub.ServeConn),
-//     with the home's entry already pinned. The home handshakes and
-//     serves conn on the calling goroutine and returns once the session
-//     has retired (or the handshake failed and none started); the hub
-//     unpins the entry when it does.
-//   - Parked: on every eviction attempt (idle sweep, explicit Evict) —
-//     a home with sessions waiting in its detach lot is not idle.
-//   - HasParked: on token routing (TokenHome preambles) while the hub
-//     scans resident homes for the one parking a session token. True
-//     means parked now: a home still serving the token's session on a
-//     stale link ends that link and answers once the session has parked.
-//   - ParkedTokens / ExportParked / ImportParked: only on the federation
-//     migration path — enumerate the detach lot, extract one parked
-//     session as a portable record, install a shipped record. A home
-//     without a lot returns nil / (nil, false) / an error.
-//   - DetachSessions: on federation drain — force-disconnect every live
-//     session so it parks, then wait (bounded by timeout) until the
-//     home has no live sessions.
-//   - Close: once, on eviction or hub shutdown; after it returns the
-//     hub drops its reference.
-//
 // uniint.HubSession is the production implementation; plain
 // connection-serving homes wrap themselves with AdaptConnHandler.
 type Host interface {
-	// Attach handshakes and serves one proxy connection, returning after
-	// the session has retired or the handshake failed.
+	// Attach handshakes and serves one proxy connection on the calling
+	// goroutine, and returns once the session has retired (or the
+	// handshake failed and none started). The hub calls it once per routed
+	// connection (Route, ServeConn) with the home's entry pinned, and
+	// unpins the entry when it returns.
 	Attach(conn net.Conn) error
-	// Parked returns the number of sessions waiting in the detach lot.
+	// Parked returns the number of sessions waiting in the detach lot. Every
+	// eviction attempt asks: a home with parked sessions is not idle.
 	Parked() int
-	// HasParked reports whether the lot holds a live session for token.
+	// HasParked reports whether the lot holds a live session for token; the
+	// hub asks resident homes in turn on token routing (TokenHome
+	// preambles). A home still serving the token's session on a stale link
+	// ends that link and answers once the session has parked.
 	HasParked(token string) bool
-	// ParkedTokens lists the lot's resume tokens (order unspecified).
+	// ParkedTokens, ExportParked and ImportParked serve federation
+	// migration only; a home without a lot returns nil, (nil, false) and
+	// ErrNoLot. ParkedTokens lists the lot's resume tokens (order
+	// unspecified).
 	ParkedTokens() []string
 	// ExportParked removes the parked session for token from the lot and
 	// returns it as a portable migration record, or (nil, false) when the
@@ -55,11 +41,13 @@ type Host interface {
 	// ImportParked installs a migration record into the lot, making the
 	// session resumable here.
 	ImportParked(rec *rfb.MigrationRecord) error
-	// DetachSessions disconnects every live session (each parks itself
-	// under its resume token) and waits up to timeout for the home to
-	// quiesce.
+	// DetachSessions, on federation drain, disconnects every live session
+	// (each parks itself under its resume token) and waits up to timeout
+	// for the home to quiesce.
 	DetachSessions(timeout time.Duration) error
-	// Close tears the home's stack down.
+	// Close tears the home's stack down, once, on eviction or hub
+	// shutdown, and returns only when every goroutine and timer callback
+	// the home started has returned; the hub then drops its reference.
 	Close()
 }
 

@@ -11,18 +11,14 @@
 // checks the pins in the one that unlists it. Each accepted connection
 // has one goroutine for its life (Serve → ServeConn → Route →
 // Host.Attach, which reads it); when Route returns, the session has
-// retired and the home is unpinned.
+// retired and the home is unpinned. Drain, Release and Close wait on a pin
+// count dropping to zero, and Close returns once all the hub started has.
 //
 // The hub is deliberately ignorant of what a home is — it hosts anything
 // implementing Host (plain connection handlers lift themselves with
 // AdaptConnHandler). The root uniint package provides the production
-// implementation (uniint.NewSessionForHub); tests substitute stubs.
-//
-// Homes hosted by one hub typically share a single content-addressed tile
-// cache (uniint.Options.Tiles), so the Nth identical control panel encodes
-// once and later sessions ship cache references. The cache is keyed by
-// content hash, not by home, so it survives idle eviction of the homes
-// that populated it.
+// implementation (uniint.NewSessionForHub, whose homes share one tile
+// cache: see uniint.TileCache); tests substitute stubs.
 package hub
 
 import (
@@ -86,6 +82,9 @@ type Hub struct {
 	conns    int64 // live routed connections (hub-local; the gauge may be shared)
 	closed   bool
 	draining bool
+	unpinned chan struct{}     // closed when a pin count next drops to 0; made by a waiter
+	reading  map[net.Conn]bool // Serve's conns reading their preamble; Close closes them
+	joins    sync.WaitGroup    // Serve's goroutines and the janitor's fire; Close waits
 
 	// admitMu serialises admissions, so one id gets exactly one Factory
 	// call. The factory runs under it but outside mu: a cold build never
@@ -93,10 +92,9 @@ type Hub struct {
 	admitMu sync.Mutex
 
 	// The eviction janitor: a runtime timer that re-arms itself after
-	// each sweep, so sweeps never overlap. Close stops and clears it under
-	// janitorMu, which each fire holds across its sweep.
-	janitorMu sync.Mutex
-	janitor   *time.Timer
+	// each sweep, under mu and unless the hub has closed, so sweeps never
+	// overlap. joins counts its fire while armed or running.
+	janitor *time.Timer
 
 	// Pre-resolved instruments (hot path: no registry lookups).
 	mHomes        *metrics.Gauge
@@ -122,8 +120,9 @@ func New(opts Options) (*Hub, error) {
 		opts.Metrics = metrics.Default()
 	}
 	h := &Hub{
-		opts:  opts,
-		homes: make(map[string]*entry),
+		opts:    opts,
+		homes:   make(map[string]*entry),
+		reading: make(map[net.Conn]bool),
 
 		mHomes:        opts.Metrics.Gauge("hub_homes"),
 		mConns:        opts.Metrics.Gauge("hub_connections"),
@@ -139,9 +138,10 @@ func New(opts Options) (*Hub, error) {
 		mRouteSeconds: opts.Metrics.Histogram("hub_route_seconds", metrics.LatencyBuckets()),
 	}
 	if opts.IdleTimeout > 0 {
-		h.janitorMu.Lock()
+		h.mu.Lock()
+		h.joins.Add(1)
 		h.janitor = time.AfterFunc(h.sweepEvery(), h.janitorFire)
-		h.janitorMu.Unlock()
+		h.mu.Unlock()
 	}
 	return h, nil
 }
@@ -263,14 +263,41 @@ func (h *Hub) Route(id string, conn net.Conn) error {
 	h.mConns.Inc()
 	h.mRouteSeconds.ObserveDuration(time.Since(start))
 	defer func() {
+		h.mConns.Dec()
 		h.mu.Lock()
 		e.refs--
 		e.lastUsed = time.Now()
 		h.conns--
+		var unpinned chan struct{}
+		if e.refs == 0 {
+			unpinned, h.unpinned = h.unpinned, nil
+		}
 		h.mu.Unlock()
-		h.mConns.Dec()
+		if unpinned != nil {
+			close(unpinned) // last: Close may be waiting to join this route
+		}
 	}()
 	return e.home.Attach(conn)
+}
+
+// await waits, with mu held, until done holds or expired fires (nil:
+// never), reading done again each time a pin count drops to zero.
+func (h *Hub) await(expired <-chan time.Time, done func() bool) bool {
+	for !done() {
+		if h.unpinned == nil {
+			h.unpinned = make(chan struct{})
+		}
+		unpinned := h.unpinned
+		h.mu.Unlock()
+		select {
+		case <-unpinned:
+			h.mu.Lock()
+		case <-expired:
+			h.mu.Lock()
+			return done()
+		}
+	}
+	return true
 }
 
 // ServeConn reads the routing preamble from conn and routes it. It blocks
@@ -279,7 +306,10 @@ func (h *Hub) Route(id string, conn net.Conn) error {
 // resident home whose detach lot holds the session.
 func (h *Hub) ServeConn(conn net.Conn) error {
 	t0 := time.Now()
-	p, conn, err := ReadPreamble(conn)
+	p, rc, err := ReadPreamble(conn)
+	h.mu.Lock()
+	delete(h.reading, conn)
+	h.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -289,12 +319,12 @@ func (h *Hub) ServeConn(conn net.Conn) error {
 		if !ok {
 			h.mTokenMisses.Inc()
 			h.mRejects.Inc()
-			conn.Close()
+			rc.Close()
 			return fmt.Errorf("%w: no home holds session token", ErrUnknownHome)
 		}
 		home = owner
 	}
-	return h.ServePreamble(p, home, conn, t0)
+	return h.ServePreamble(p, home, rc, t0)
 }
 
 // ServePreamble routes a connection whose preamble ServeConn or a front
@@ -341,9 +371,21 @@ func (h *Hub) Serve(ln net.Listener) error {
 		if err != nil {
 			return err
 		}
-		// goroutine-ok: Serve is the accept loop; a routed conn's Attach reads
-		// it on this goroutine for the conn's life.
-		go func() { _ = h.ServeConn(conn) }()
+		h.mu.Lock()
+		if h.closed {
+			h.mu.Unlock()
+			conn.Close()
+			continue
+		}
+		h.joins.Add(1) // under mu, so Close's Wait cannot miss it
+		h.reading[conn] = true
+		h.mu.Unlock()
+		// goroutine-ok: one per accepted conn, which its home's Attach reads
+		// for the conn's life; joined by Hub.Close.
+		go func() {
+			defer h.joins.Done()
+			_ = h.ServeConn(conn)
+		}()
 	}
 }
 
@@ -359,11 +401,20 @@ func (h *Hub) Serve(ln net.Listener) error {
 // section, so it sees every completed park, and any in-flight resume
 // shows up as either a pin or a parked session.
 func (h *Hub) Evict(id string) bool {
-	home := h.unlist(id, true)
-	if home == nil {
+	h.mu.Lock()
+	e := h.homes[id]
+	if e != nil && e.refs == 0 && e.home.Parked() > 0 {
+		h.mParkSkips.Inc()
+		e = nil
+	}
+	if e == nil || e.refs > 0 {
+		h.mu.Unlock()
 		return false
 	}
-	home.Close()
+	delete(h.homes, id)
+	h.mHomes.Dec()
+	h.mu.Unlock()
+	e.home.Close()
 	h.mEvictions.Inc()
 	return true
 }
@@ -372,52 +423,39 @@ func (h *Hub) Evict(id string) bool {
 // transferring ownership to the caller: the federation layer evacuates a
 // node by exporting the home's parked sessions, releasing the entry here
 // and deciding itself whether the underlying host (which may be shared
-// infrastructure living outside the hub process) should close. Like
-// Evict it refuses while connections are pinned, but it ignores parked
-// sessions — the caller is expected to have exported them. Returns the
-// host and true on success.
-func (h *Hub) Release(id string) (Host, bool) {
-	home := h.unlist(id, false)
-	if home == nil {
-		return nil, false
-	}
-	h.mReleases.Inc()
-	return home, true
-}
-
-// unlist removes the home for id from the table and returns it, unless it
-// is absent, pinned by a connection or, when parkAware, holding a detached
-// session that waits for its roaming owner (the lot's TTL empties it
-// eventually). The caller owns the returned home.
-func (h *Hub) unlist(id string, parkAware bool) Host {
+// infrastructure living outside the hub process) should close. It ignores
+// parked sessions, which the caller has exported, and waits up to timeout
+// for pinned connections (a straggler racing the caller's detach) to
+// unwind. A home that is not resident releases as nil and no error.
+func (h *Hub) Release(id string, timeout time.Duration) (Host, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	e := h.homes[id]
-	if e == nil || e.refs > 0 {
-		return nil
+	var e *entry
+	if !h.await(time.After(timeout), func() bool { e = h.homes[id]; return e == nil || e.refs == 0 }) {
+		return nil, fmt.Errorf("hub: release %s: %d connections still pinned after %v", id, e.refs, timeout)
 	}
-	if parkAware && e.home.Parked() > 0 {
-		h.mParkSkips.Inc()
-		return nil
+	if e == nil {
+		return nil, nil
 	}
 	delete(h.homes, id)
 	h.mHomes.Dec()
-	return e.home
+	h.mReleases.Inc()
+	return e.home, nil
 }
 
 // sweepEvery is the eviction janitor's period.
 func (h *Hub) sweepEvery() time.Duration { return max(h.opts.IdleTimeout/4, time.Second) }
 
-// janitorFire sweeps and re-arms, unless it lost the race with Close
-// and finds the janitor cleared.
+// janitorFire sweeps and re-arms, unless the hub has closed.
 func (h *Hub) janitorFire() {
-	h.janitorMu.Lock()
-	defer h.janitorMu.Unlock()
-	if h.janitor == nil {
-		return
-	}
+	defer h.joins.Done()
 	h.sweep()
-	h.janitor.Reset(h.sweepEvery())
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.closed {
+		h.joins.Add(1)
+		h.janitor.Reset(h.sweepEvery())
+	}
 }
 
 // sweep evicts every home idle beyond IdleTimeout with no connections.
@@ -464,22 +502,17 @@ func (h *Hub) HomeIDs() []string {
 // way the hub still needs Close to release homes.
 func (h *Hub) Drain(timeout time.Duration) error {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.draining = true
-	h.mu.Unlock()
-	deadline := time.Now().Add(timeout)
-	for {
-		if h.Connections() == 0 {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("hub: drain timeout with %d connections open", h.Connections())
-		}
-		time.Sleep(5 * time.Millisecond)
+	if !h.await(time.After(timeout), func() bool { return h.conns == 0 }) {
+		return fmt.Errorf("hub: drain timeout with %d connections open", h.conns)
 	}
+	return nil
 }
 
-// Close stops the janitor, closes every home (which disconnects their
-// sessions), and waits for routed connections to unwind.
+// Close closes the conns still reading their preamble, stops the janitor
+// and closes every home (which disconnects their sessions), and returns
+// once every route has unpinned and everything in joins has returned.
 func (h *Hub) Close() {
 	h.mu.Lock()
 	if h.closed {
@@ -489,13 +522,13 @@ func (h *Hub) Close() {
 	h.closed = true
 	homes := h.homes
 	h.homes = make(map[string]*entry)
-	h.mu.Unlock()
-	h.janitorMu.Lock() // waits out a sweep in flight
-	if h.janitor != nil {
-		h.janitor.Stop()
-		h.janitor = nil
+	for conn := range h.reading {
+		conn.Close()
 	}
-	h.janitorMu.Unlock()
+	h.mu.Unlock()
+	if h.janitor != nil && h.janitor.Stop() {
+		h.joins.Done() // the fire it cancelled; one in flight re-arms nothing now
+	}
 	// Wait out an admission in flight: it finds the hub closed and closes
 	// the home it built.
 	h.admitMu.Lock()
@@ -504,9 +537,9 @@ func (h *Hub) Close() {
 		e.home.Close()
 		h.mHomes.Dec()
 	}
-	// Wait for routed connections to unwind (closing the homes above
-	// disconnects their sessions, so each retires and unpins promptly).
-	for h.Connections() > 0 {
-		time.Sleep(time.Millisecond)
-	}
+	// The homes' sessions are disconnected, so each route unpins promptly.
+	h.mu.Lock()
+	h.await(nil, func() bool { return h.conns == 0 })
+	h.mu.Unlock()
+	h.joins.Wait()
 }

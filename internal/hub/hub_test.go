@@ -3,6 +3,7 @@ package hub
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"slices"
 	"strings"
@@ -486,9 +487,9 @@ func TestJanitorEvictsWithoutManualSweep(t *testing.T) {
 		}
 	}
 
-	h.janitorMu.Lock()
+	h.mu.Lock()
 	timer := h.janitor
-	h.janitorMu.Unlock()
+	h.mu.Unlock()
 	if _, err := h.Admit("gated"); err != nil {
 		t.Fatal(err)
 	}
@@ -992,5 +993,154 @@ func TestTokenRoutingFindsParkingHome(t *testing.T) {
 	client2.Close()
 	if got := reg.Counter("hub_token_route_misses_total").Value(); got != 1 {
 		t.Fatalf("hub_token_route_misses_total = %d, want 1", got)
+	}
+}
+
+// acceptTap signals each connection its listener hands to Serve.
+type acceptTap struct {
+	net.Listener
+	accepted chan struct{}
+}
+
+func (l acceptTap) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+	}
+	return conn, err
+}
+
+// TestCloseMidPreamble: a client that connects and sends nothing is still
+// in its preamble read when the hub closes. Close closes that connection
+// and returns within a second, with the goroutine Serve started for it
+// gone, instead of leaving it to the 10 s preamble timeout.
+func TestCloseMidPreamble(t *testing.T) {
+	leakcheck.Check(t, 0)
+	h, _ := newTestHub(t, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := acceptTap{ln, make(chan struct{}, 1)}
+	served := make(chan error, 1)
+	go func() { served <- h.Serve(tap) }()
+	defer func() { ln.Close(); <-served }()
+	silent, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	<-tap.accepted
+
+	start := time.Now()
+	h.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with a client mid-preamble", d)
+	}
+	_ = silent.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := silent.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("silent client read %v after Close, want EOF", err)
+	}
+}
+
+// heldHome's connections say when they are attached, and keep their pin
+// until the peer closes.
+type heldHome struct{ attached chan struct{} }
+
+func (hh heldHome) HandleConn(conn net.Conn) error {
+	hh.attached <- struct{}{}
+	_, err := conn.Read(make([]byte, 1))
+	return err
+}
+
+func (heldHome) Close() {}
+
+// TestReleaseWaitsOutPins: Release refuses a home whose connection still
+// pins it at the timeout and leaves it listed; given time, it hands the
+// home over as soon as that connection unwinds; and a home that is not
+// resident releases as nothing, without an error.
+func TestReleaseWaitsOutPins(t *testing.T) {
+	leakcheck.Check(t, 0)
+	held := heldHome{attached: make(chan struct{}, 1)}
+	h, _ := newTestHub(t, Options{Factory: func(string) (Host, error) { return AdaptConnHandler(held), nil }})
+	client, server := net.Pipe()
+	routed := make(chan error, 1)
+	go func() { routed <- h.Route("moving", server) }()
+	<-held.attached
+
+	if home, err := h.Release("moving", 10*time.Millisecond); err == nil || home != nil {
+		t.Fatalf("Release of a pinned home = %v, %v; want a refusal", home, err)
+	}
+	if _, err := h.Get("moving"); err != nil {
+		t.Fatalf("a refused Release unlisted the home: %v", err)
+	}
+	released := make(chan error, 1)
+	go func() {
+		home, err := h.Release("moving", 5*time.Second)
+		if err == nil && home == nil {
+			err = errors.New("released nothing")
+		}
+		released <- err
+	}()
+	client.Close()
+	if err := <-released; err != nil {
+		t.Fatalf("Release once the connection unwound: %v", err)
+	}
+	<-routed
+	if _, err := h.Get("moving"); !errors.Is(err, ErrUnknownHome) {
+		t.Fatalf("released home still listed: %v", err)
+	}
+	if home, err := h.Release("moving", time.Second); home != nil || err != nil {
+		t.Fatalf("Release of an absent home = %v, %v; want nil, nil", home, err)
+	}
+}
+
+// closingHome holds each connection until the home closes, as a real
+// home's server does.
+type closingHome struct{ attached, closed chan struct{} }
+
+func (c closingHome) HandleConn(conn net.Conn) error {
+	c.attached <- struct{}{}
+	<-c.closed
+	return conn.Close()
+}
+
+func (c closingHome) Close() { close(c.closed) }
+
+// TestCloseJoinsItsConnections: with a connection held until its home
+// closes, routed through Serve on even rounds and through Route on odd
+// ones, the stacks are read the moment Close returns, a hundred times
+// over. Close returns only once the connection has unpinned and Serve's
+// goroutine has returned.
+func TestCloseJoinsItsConnections(t *testing.T) {
+	for i := 0; i < 100; i++ {
+		t.Run(fmt.Sprint(i), func(t *testing.T) {
+			leakcheck.Check(t, 0)
+			home := closingHome{attached: make(chan struct{}, 1), closed: make(chan struct{})}
+			h, _ := newTestHub(t, Options{Factory: func(string) (Host, error) { return AdaptConnHandler(home), nil }})
+			if i%2 == 1 {
+				client, server := net.Pipe()
+				defer client.Close()
+				go func() { _ = h.Route("home", server) }()
+				<-home.attached
+				h.Close()
+				return
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() { served <- h.Serve(ln) }()
+			c, err := DialHome(ln.Addr().String(), "home")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			<-home.attached
+			ln.Close()
+			<-served
+			h.Close()
+		})
 	}
 }

@@ -1,88 +1,105 @@
 // Package leakcheck is a dependency-free goroutine-leak assertion for
-// tests: snapshot the goroutine count at the start, verify at cleanup
-// that it settled back. The budgeted event runtime's core claim — worker
-// count is a process budget, session count is free — is only credible if
-// teardown provably returns to baseline, so the runtime's tests register
-// this on every server/hub lifecycle.
+// tests. Close means joined: a Close returns once the goroutines and timer
+// callbacks its owner started have, and Check reads stacks to prove it,
+// with no settle window. A goroutine started during the test fails it if
+// it runs, or was created by, a non-test file of the module, unless it is
+// an idle sched pool worker or the test's own. A fired timer callback that
+// would only find its owner closed counts: nothing orders that tail before
+// the owner's next use. A goroutine past its join signal may still be
+// returning, so when no leak is busy, Check yields once and reads again.
+// Assert counts goroutines: a budget, not a leak.
 package leakcheck
 
 import (
-	"fmt"
+	"maps"
+	"path/filepath"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
 
-// settleTimeout bounds how long the cleanup waits for goroutines that are
-// legitimately mid-exit (pool workers joining, a timer callback returning)
-// before declaring a leak.
-const settleTimeout = 5 * time.Second
+// moduleRoot prefixes every file of this module as stack traces print it:
+// an absolute directory, or the module path under -trimpath.
+var moduleRoot = func() string {
+	_, file, _, _ := runtime.Caller(0) // <root>/internal/leakcheck/leakcheck.go
+	return filepath.Dir(filepath.Dir(filepath.Dir(file))) + "/"
+}()
 
-// Check records the current goroutine count and registers a cleanup that
-// fails the test if the count has not returned to that baseline (within
-// slack) by the end. Call it before constructing the system under test.
-//
-// slack absorbs goroutines the test legitimately leaves behind. Pass 0 for
-// strict checks — the process pool (sched.SharedPool) starts at package
-// init, so its workers are already in the baseline.
+// idleWorker is the frame every idle sched pool worker waits in.
+const idleWorker = "uniint/internal/sched.(*Pool).pop("
+
+// Check records the goroutines alive now. Its cleanup, last when Check is
+// called first, fails the test if more than slack started since are owned.
 func Check(t testing.TB, slack int) {
 	t.Helper()
-	base := settledCount()
+	base := dump()
 	t.Cleanup(func() {
-		deadline := time.Now().Add(settleTimeout)
-		var n int
-		for {
-			n = runtime.NumGoroutine()
-			if n <= base+slack {
-				return
-			}
-			if time.Now().After(deadline) {
-				break
-			}
-			time.Sleep(2 * time.Millisecond)
+		leaked := dump()
+		maps.DeleteFunc(leaked, func(id, g string) bool { return base[id] != "" || !owned(g) })
+		if len(leaked) > 0 && !slices.ContainsFunc(slices.Collect(maps.Values(leaked)), busy) {
+			runtime.Gosched()
+			now := dump()
+			maps.DeleteFunc(leaked, func(id, _ string) bool { return now[id] == "" })
 		}
-		t.Errorf("goroutine leak: %d at cleanup, baseline %d (slack %d)\n%s",
-			n, base, slack, stacks())
+		if len(leaked) > slack {
+			t.Errorf("goroutine leak: %d goroutines started during the test run its code after cleanup (slack %d)\n%s",
+				len(leaked), slack, strings.Join(slices.Collect(maps.Values(leaked)), "\n\n"))
+		}
 	})
 }
 
-// Assert verifies, mid-test, that the current goroutine count is at most
-// limit — the "goroutines independent of session count" check. It retries
-// briefly so a just-finished turn's worker handoff does not flake it.
-func Assert(t testing.TB, limit int, what string) {
-	t.Helper()
-	deadline := time.Now().Add(settleTimeout)
-	var n int
-	for {
-		n = runtime.NumGoroutine()
-		if n <= limit {
-			return
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+// owned reports whether goroutine g has a frame, or its creator, in a
+// non-test file of the module ("\t<file>:<line>"), and is no idle worker.
+func owned(g string) bool {
+	if strings.Contains(g, idleWorker) {
+		return false
 	}
-	t.Errorf("%s: %d goroutines, want <= %d\n%s", what, n, limit, stacks())
+	for _, line := range strings.Split(g, "\n") {
+		file, ok := strings.CutPrefix(line, "\t")
+		if ok && strings.HasPrefix(file, moduleRoot) && !strings.Contains(file, "_test.go:") {
+			return true
+		}
+	}
+	return false
 }
 
-// settledCount samples the goroutine count after letting transient
-// goroutines from earlier tests finish exiting.
-func settledCount() int {
-	prev := runtime.NumGoroutine()
-	for i := 0; i < 50; i++ {
-		time.Sleep(2 * time.Millisecond)
-		n := runtime.NumGoroutine()
-		if n >= prev {
-			return n
-		}
-		prev = n
-	}
-	return prev
+// busy reports whether goroutine g does more than return after its join
+// signal: it waits ("goroutine 7 [chan receive]:"), or its innermost call
+// is neither owned (non-test module code) nor its wg.Done, close or exit.
+func busy(g string) bool {
+	state, lines := strings.Fields(g)[2], strings.SplitN(g, "\n", 4)
+	returning := owned(strings.Join(lines[:3], "\n")) || strings.HasPrefix(lines[1], "runtime.goexit") ||
+		strings.Contains(g, "sync.(*WaitGroup).Done(") || strings.Contains(g, "runtime.closechan(")
+	return !returning || !strings.HasPrefix(state, "[running") && !strings.HasPrefix(state, "[runnable")
 }
 
-func stacks() string {
+// dump returns every goroutine's stack, by id.
+func dump() map[string]string {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)
-	return fmt.Sprintf("--- all stacks ---\n%s", buf[:n])
+	for ; n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	gs := map[string]string{}
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		gs[strings.Fields(g)[1]] = g
+	}
+	return gs
+}
+
+// Assert verifies, mid-test, that at most limit goroutines run — a budget,
+// not a leak — retrying for up to 5 s past a just-finished turn's handoff.
+func Assert(t testing.TB, limit int, what string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for ; n > limit && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n > limit {
+		t.Errorf("%s: %d goroutines, want <= %d\n--- all stacks ---\n%s",
+			what, n, limit, strings.Join(slices.Collect(maps.Values(dump())), "\n\n"))
+	}
 }

@@ -87,13 +87,6 @@ func SharedPool() *Pool { return sharedPool }
 // Workers returns the pool's worker count.
 func (p *Pool) Workers() int { return p.workers }
 
-// Queued returns the current run-queue depth (tasks waiting for a worker).
-func (p *Pool) Queued() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.q) - p.head
-}
-
 // NewTask binds fn as a task's turn. fn is executed by pool workers, one
 // turn at a time (never concurrently with itself), each time the task is
 // kicked. Turns should do a bounded batch of work and return; work arriving

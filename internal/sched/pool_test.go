@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"uniint/internal/leakcheck"
 )
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -18,7 +20,15 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// queued returns the run-queue depth: tasks waiting for a worker.
+func queued(p *Pool) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.q) - p.head
+}
+
 func TestPoolRunsKickedTask(t *testing.T) {
+	leakcheck.Check(t, 0)
 	p := NewPool(2)
 	defer p.Close()
 	var ran atomic.Int32
@@ -28,6 +38,7 @@ func TestPoolRunsKickedTask(t *testing.T) {
 }
 
 func TestTaskNeverRunsConcurrently(t *testing.T) {
+	leakcheck.Check(t, 0)
 	p := NewPool(8)
 	defer p.Close()
 	var inTurn, maxInTurn, turns atomic.Int32
@@ -51,7 +62,7 @@ func TestTaskNeverRunsConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	waitFor(t, "queue to drain", func() bool { return p.Queued() == 0 })
+	waitFor(t, "queue to drain", func() bool { return queued(p) == 0 })
 	task.Stop()
 	if got := maxInTurn.Load(); got != 1 {
 		t.Fatalf("turn ran concurrently with itself: max in-turn = %d", got)
@@ -62,6 +73,7 @@ func TestTaskNeverRunsConcurrently(t *testing.T) {
 }
 
 func TestKicksCoalesceWhileQueued(t *testing.T) {
+	leakcheck.Check(t, 0)
 	p := NewPool(1)
 	defer p.Close()
 	gate := make(chan struct{})
@@ -75,7 +87,7 @@ func TestKicksCoalesceWhileQueued(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		task.Kick()
 	}
-	if got := p.Queued(); got != 1 {
+	if got := queued(p); got != 1 {
 		t.Fatalf("100 kicks queued the task %d times, want 1", got)
 	}
 	close(gate)
@@ -87,6 +99,7 @@ func TestKicksCoalesceWhileQueued(t *testing.T) {
 }
 
 func TestKickDuringTurnReruns(t *testing.T) {
+	leakcheck.Check(t, 0)
 	p := NewPool(2)
 	defer p.Close()
 	entered := make(chan struct{}, 8)
@@ -112,6 +125,7 @@ func TestKickDuringTurnReruns(t *testing.T) {
 }
 
 func TestStopWaitsForInFlightTurn(t *testing.T) {
+	leakcheck.Check(t, 0)
 	p := NewPool(2)
 	defer p.Close()
 	entered := make(chan struct{})
@@ -134,13 +148,14 @@ func TestStopWaitsForInFlightTurn(t *testing.T) {
 	}
 	task.Kick() // must be a no-op after Stop
 	time.Sleep(5 * time.Millisecond)
-	if p.Queued() != 0 {
+	if queued(p) != 0 {
 		t.Fatal("kick after Stop enqueued the task")
 	}
 }
 
 // TestPoolGoRunsEachOnce: one-shot tasks, each kicked once, each run once.
 func TestPoolGoRunsEachOnce(t *testing.T) {
+	leakcheck.Check(t, 0)
 	p := NewPool(4)
 	defer p.Close()
 	var ran atomic.Int32
@@ -151,6 +166,7 @@ func TestPoolGoRunsEachOnce(t *testing.T) {
 }
 
 func TestPoolCloseDrainsQueue(t *testing.T) {
+	leakcheck.Check(t, 0)
 	p := NewPool(2)
 	var ran atomic.Int32
 	for i := 0; i < 32; i++ {
@@ -164,6 +180,7 @@ func TestPoolCloseDrainsQueue(t *testing.T) {
 }
 
 func TestDefaultWorkersFloor(t *testing.T) {
+	leakcheck.Check(t, 0)
 	if DefaultWorkers() < 4 {
 		t.Fatalf("DefaultWorkers() = %d, want >= 4", DefaultWorkers())
 	}

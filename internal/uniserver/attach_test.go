@@ -250,8 +250,9 @@ func TestThousandIdleEdgeSessionsBoundedGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go srv.Serve(ln)
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	defer func() { ln.Close(); <-served }()
 
 	base := runtime.NumGoroutine()
 	clients, err := workload.IdleFleet(sessions, func(int) (net.Conn, error) {
@@ -268,11 +269,15 @@ func TestThousandIdleEdgeSessionsBoundedGoroutines(t *testing.T) {
 	if n := runtime.NumGoroutine(); n < base+sessions {
 		t.Errorf("%d goroutines with %d sessions connected, want a parked reader each (base %d)", n, sessions, base)
 	}
+	// A goroutine budget, not a leak check: Assert counts, and the fleet is
+	// meant to be alive here.
 	leakcheck.Assert(t, base+sessions+8, "1k idle sessions")
 
 	for _, c := range clients {
 		c.Close()
 	}
 	waitFor(t, "fleet retired", func() bool { return srv.Sessions() == 0 })
+	// The budget again, with the server still open: the stack check at
+	// cleanup proves Close joined everything.
 	leakcheck.Assert(t, base+8, "1k idle sessions closed")
 }

@@ -458,23 +458,21 @@ func (c *session) adopt(ps *parkedSession) {
 	c.inq.preload(ps.events)
 }
 
-// scheduleSweepLocked arms the lot janitor for the given deadline if no
-// earlier sweep is already scheduled. s.mu must be held: the janitor
-// reads lotTimer under it.
+// scheduleSweepLocked arms the lot janitor for deadline unless an earlier
+// sweep is due. s.mu must be held: the janitor reads lotTimer under it. A
+// fire that has begun re-arms for the earliest deadline, this one too.
 func (s *Server) scheduleSweepLocked(deadline time.Time) {
-	d := time.Until(deadline) + time.Millisecond
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	if s.lotTimer == nil {
+	d := max(time.Until(deadline)+time.Millisecond, time.Millisecond)
+	switch {
+	case s.lotTimer == nil:
+		s.wg.Add(1)
 		s.lotTimer = time.AfterFunc(d, s.sweepLot)
-		s.lotSweepAt = deadline
+	case !deadline.Before(s.lotSweepAt) || !s.lotTimer.Stop():
 		return
-	}
-	if deadline.Before(s.lotSweepAt) {
+	default:
 		s.lotTimer.Reset(d)
-		s.lotSweepAt = deadline
 	}
+	s.lotSweepAt = deadline
 }
 
 // sweepLot is the lot janitor: it expires every parked session past its
@@ -482,6 +480,7 @@ func (s *Server) scheduleSweepLocked(deadline time.Time) {
 // Claimed entries are skipped — a resume handshake is mid-flight and will
 // move them on (refuse re-arms the janitor if it puts one back).
 func (s *Server) sweepLot() {
+	defer s.wg.Done()
 	now := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -502,6 +501,7 @@ func (s *Server) sweepLot() {
 		s.lotTimer = nil
 	} else {
 		s.lotSweepAt = next
+		s.wg.Add(1)
 		s.lotTimer.Reset(time.Until(next) + time.Millisecond)
 	}
 }
@@ -513,10 +513,10 @@ func (s *Server) sweepLot() {
 func (s *Server) drainLot() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.lotTimer != nil {
-		s.lotTimer.Stop()
-		s.lotTimer = nil
+	if s.lotTimer != nil && s.lotTimer.Stop() {
+		s.wg.Done()
 	}
+	s.lotTimer = nil
 	for tok, e := range s.table {
 		if e.state >= parked {
 			s.transition(tok, e.state, expired, nil, nil)

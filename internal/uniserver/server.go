@@ -46,7 +46,8 @@ type Server struct {
 
 	// mu guards the session table (lot.go), one row per token moved only
 	// by transition, and what moves with it: closed, counts, the live
-	// rows' sessions (in no order), the janitor.
+	// rows' sessions (in no order), the janitor. wg counts what Close
+	// joins: live sessions, Serve's handlers and the janitor's fire.
 	mu       sync.Mutex
 	table    map[string]*entry
 	count    [claimed + 1]int              // rows per state (gone ones unused)
@@ -170,10 +171,14 @@ func (s *Server) Attach(conn net.Conn) error {
 	// its claim releases and the parked session stays reclaimable —
 	// unbounded, a half-open link would hold the claim forever (the lot
 	// janitor skips claimed entries). The bound is a runtime timer, not a
-	// conn deadline, so transports without deadline support work too.
-	hsTimer := time.AfterFunc(HandshakeTimeout, func() { conn.Close() })
+	// conn deadline, so transports without one work too; a fired bound is
+	// waited out.
+	fired := make(chan struct{})
+	hsTimer := time.AfterFunc(HandshakeTimeout, func() { defer close(fired); conn.Close() })
 	rc, err := rfb.NewEdgeServerConn(conn, w, h, s.name, ex)
-	hsTimer.Stop()
+	if !hsTimer.Stop() {
+		<-fired
+	}
 	if err != nil {
 		s.refuse(sess, from)
 		return err
@@ -232,7 +237,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.wg.Add(1)
 		// goroutine-ok: one parked reader per accepted conn is Attach's
-		// documented cost.
+		// documented cost; joined by Server.Close.
 		go func() {
 			defer s.wg.Done()
 			_ = s.Attach(conn)
@@ -240,7 +245,7 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close disconnects every session and waits for handlers started by Serve.
+// Close disconnects every session and joins everything wg counts.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
@@ -248,8 +253,8 @@ func (s *Server) Close() {
 	for _, sess := range s.liveSessions() {
 		sess.conn.Close()
 	}
-	s.wg.Wait()
 	s.drainLot()
+	s.wg.Wait()
 }
 
 // liveSessions snapshots the live rows' sessions.

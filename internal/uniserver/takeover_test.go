@@ -14,7 +14,8 @@ import (
 )
 
 // dialOver connects a full protocol client over one of the transports and
-// runs its read loop; done closes when the loop returns.
+// runs its read loop; done closes when the loop returns, which the test's
+// cleanup waits for, closing the client first.
 func dialOver(t *testing.T, srv *Server, pipe func(*testing.T) (net.Conn, net.Conn), prev *rfb.ClientConn) (*rfb.ClientConn, *recorder, chan struct{}) {
 	t.Helper()
 	cc, sc := pipe(t)
@@ -25,6 +26,7 @@ func dialOver(t *testing.T, srv *Server, pipe func(*testing.T) (net.Conn, net.Co
 	}
 	rec, done := newRecorder(), make(chan struct{})
 	go func() { client.Run(rec); close(done) }()
+	t.Cleanup(func() { client.Close(); <-done })
 	return client, rec, done
 }
 

@@ -82,8 +82,9 @@ func TestStalledReadersCostOnlyThemselves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-	go h.Serve(smallSendBuffers{ln})
+	served := make(chan error, 1)
+	go func() { served <- h.Serve(smallSendBuffers{ln}) }()
+	defer func() { ln.Close(); <-served }()
 	for _, id := range []string{"before", "after", "stalled"} {
 		if _, err := h.Admit(id); err != nil {
 			t.Fatal(err)

@@ -69,28 +69,25 @@ type Options struct {
 	Tiles *TileCache
 }
 
-// Session is a fully wired universal-interaction stack.
+// Session is a fully wired universal-interaction stack: the hosted home
+// production runs (HubSession) and the production client, a core.Connect
+// proxy, whose every link is an in-process pipe attached to the home's
+// server. A link that drops resumes its parked session, as a roaming
+// device's would.
 type Session struct {
-	// Home is the appliance household (HAVi network + simulators).
-	Home *appliance.Home
-	// Display is the window-system session the application renders into.
-	Display *toolkit.Display
-	// App is the home appliance application (composed control panels).
-	App *homeapp.App
-	// Server is the UniInt server exporting Display.
-	Server *uniserver.Server
+	*HubSession
 	// Proxy is the UniInt proxy (the paper's contribution).
 	Proxy *core.Proxy
 
-	closeOnce sync.Once
-	serverErr chan error
-	proxyErr  chan error
+	attached sync.WaitGroup // the server side of every link; Close joins it
 }
 
-// assemble builds the server side of the stack shared by NewSession and
-// NewSessionForHub: appliances on a fresh middleware network, the
-// composed-GUI application and the exporting server.
-func assemble(opts Options) (*appliance.Home, *toolkit.Display, *homeapp.App, *uniserver.Server, error) {
+// NewSessionForHub assembles the server side of the stack for hub
+// hosting: appliances on a fresh middleware network, the composed-GUI
+// application and the exporting server, without a proxy. Proxies connect
+// through the hub's routing path (Attach); any number may share the
+// home's display session concurrently.
+func NewSessionForHub(opts Options) (*HubSession, error) {
 	if opts.Width <= 0 {
 		opts.Width = DefaultWidth
 	}
@@ -105,78 +102,59 @@ func assemble(opts Options) (*appliance.Home, *toolkit.Display, *homeapp.App, *u
 	for _, a := range opts.Appliances {
 		if _, err := home.Add(a); err != nil {
 			home.Close()
-			return nil, nil, nil, nil, fmt.Errorf("uniint: attach %s: %w", a.Name(), err)
+			return nil, fmt.Errorf("uniint: attach %s: %w", a.Name(), err)
 		}
 	}
 	home.Network().WaitIdle()
-
 	display := toolkit.NewDisplay(opts.Width, opts.Height)
-	app := homeapp.New(home.Network(), display)
-	server := uniserver.New(display, opts.Name, opts.Tiles)
-	return home, display, app, server, nil
-}
-
-// NewSession assembles and starts the full stack. The proxy is connected
-// to the server over an in-process pipe; attach interaction devices with
-// Session.Proxy.AttachInput/AttachOutput and select them to begin.
-func NewSession(opts Options) (*Session, error) {
-	home, display, app, server, err := assemble(opts)
-	if err != nil {
-		return nil, err
-	}
-
-	sc, cc := net.Pipe()
-	serverErr := make(chan error, 1)
-	go func() { serverErr <- server.Attach(sc) }()
-
-	proxy, err := core.Dial(cc)
-	if err != nil {
-		app.Close()
-		server.Close()
-		home.Close()
-		return nil, fmt.Errorf("uniint: connect proxy: %w", err)
-	}
-	proxyErr := make(chan error, 1)
-	go func() { proxyErr <- proxy.Run() }()
-
-	return &Session{
-		Home:      home,
-		Display:   display,
-		App:       app,
-		Server:    server,
-		Proxy:     proxy,
-		serverErr: serverErr,
-		proxyErr:  proxyErr,
+	return &HubSession{
+		Home:    home,
+		Display: display,
+		App:     homeapp.New(home.Network(), display),
+		Server:  uniserver.New(display, opts.Name, opts.Tiles),
 	}, nil
 }
 
-// Close tears the whole stack down in dependency order and waits for the
-// connection goroutines to exit.
-func (s *Session) Close() {
-	s.closeOnce.Do(func() {
-		s.Proxy.Close()
-		s.Server.Close()
-		<-s.proxyErr
-		<-s.serverErr
-		s.App.Close()
-		s.Home.Close()
+// NewSession assembles and starts the full stack and connects its proxy;
+// attach interaction devices with Session.Proxy.AttachInput/AttachOutput
+// and select them to begin.
+func NewSession(opts Options) (*Session, error) {
+	hs, err := NewSessionForHub(opts)
+	if err != nil {
+		return nil, err
+	}
+	s := &Session{HubSession: hs}
+	s.Proxy, err = core.Connect(func() (net.Conn, error) {
+		sc, cc := net.Pipe() // the home's server attaches the far end
+		s.attached.Add(1)
+		go func() {
+			defer s.attached.Done()
+			_ = s.Attach(sc)
+		}()
+		return cc, nil
 	})
+	if err != nil {
+		s.attached.Wait() // the failed handshake closed the pipe
+		hs.Close()
+		return nil, fmt.Errorf("uniint: connect proxy: %w", err)
+	}
+	return s, nil
 }
 
-// WaitIdle blocks until the middleware has delivered all queued events
-// (appliance → GUI propagation). Protocol traffic is asynchronous; use
-// the devices' WaitFrames helpers for display-side synchronization.
-func (s *Session) WaitIdle() { s.Home.Network().WaitIdle() }
+// Close tears the whole stack down in dependency order: the proxy (and its
+// redialing) first, then every link's server side, then the home. It
+// returns once everything the session started has returned.
+func (s *Session) Close() {
+	s.Proxy.Close()
+	s.attached.Wait()
+	s.HubSession.Close()
+}
 
-// HubSession is the hub-hosted variant of Session: the same appliances →
-// middleware → application → server stack, but without the in-process
-// proxy pipe — connections arrive from outside, routed by the multi-home
-// hub (internal/hub), which hosts many HubSessions in one process. It
-// implements the full hub.Host contract through the embedded server:
-// connection serving (Attach), park-aware idle state (Parked/HasParked),
-// session migration (ParkedTokens/ExportParked/ImportParked) and
-// federation drain (DetachSessions) are the server's own methods; only
-// teardown (Close) is widened here to take the whole stack down.
+// HubSession is the server side of a Session: the appliances →
+// middleware → application → server stack, which the multi-home hub
+// (internal/hub) hosts many of in one process. The embedded server's own
+// methods implement hub.Host; only Close is widened, to take the whole
+// stack down.
 type HubSession struct {
 	// Home is the appliance household (HAVi network + simulators).
 	Home *appliance.Home
@@ -186,36 +164,16 @@ type HubSession struct {
 	App *homeapp.App
 	// Server is the UniInt server exporting Display to routed proxies.
 	*uniserver.Server
-
-	closeOnce sync.Once
 }
 
-// NewSessionForHub assembles the server side of the stack for hub
-// hosting: everything NewSession builds except the proxy and its pipe.
-// Proxies connect through the hub's routing path (Attach); any number
-// may share the home's display session concurrently.
-func NewSessionForHub(opts Options) (*HubSession, error) {
-	home, display, app, server, err := assemble(opts)
-	if err != nil {
-		return nil, err
-	}
-	return &HubSession{
-		Home:    home,
-		Display: display,
-		App:     app,
-		Server:  server,
-	}, nil
-}
-
-// Close tears the stack down in dependency order. Live connections are
-// disconnected by the server shutdown.
+// Close tears the stack down in dependency order (the server's shutdown
+// disconnects live connections); like each part's Close, it is idempotent.
 func (s *HubSession) Close() {
-	s.closeOnce.Do(func() {
-		s.Server.Close()
-		s.App.Close()
-		s.Home.Close()
-	})
+	s.Server.Close()
+	s.App.Close()
+	s.Home.Close()
 }
 
-// WaitIdle blocks until the middleware has delivered all queued events.
+// WaitIdle blocks until the middleware has delivered all queued events
+// (appliance → GUI propagation); frames wait on the devices' WaitFrames.
 func (s *HubSession) WaitIdle() { s.Home.Network().WaitIdle() }

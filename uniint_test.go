@@ -7,7 +7,9 @@ import (
 	"uniint/internal/appliance"
 	"uniint/internal/core"
 	"uniint/internal/device"
+	"uniint/internal/gfx"
 	"uniint/internal/havi/fcm"
+	"uniint/internal/leakcheck"
 	"uniint/internal/situation"
 )
 
@@ -244,4 +246,35 @@ func TestSessionCloseIdempotent(t *testing.T) {
 	s, _ := newLampSession(t)
 	s.Close()
 	s.Close()
+}
+
+// TestSessionResumesACutPipe: a Session's proxy is the production client,
+// so when the pipe under it is cut it redials, resumes the parked session
+// instead of ending, and keeps a frame byte-identical to the server's —
+// also for what the display draws after the resume.
+func TestSessionResumesACutPipe(t *testing.T) {
+	leakcheck.Check(t, 0)
+	s, lamp := newLampSession(t)
+	tv := device.NewTVDisplay("tv-out")
+	if err := s.Proxy.AttachOutput(tv); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Proxy.SelectOutput("tv-out"); err != nil {
+		t.Fatal(err)
+	}
+	waitFrame(t, tv.WaitFrames, 1, "first frame")
+
+	s.Proxy.Client().Close()
+	waitCond(t, "redial", func() bool { return s.Proxy.Reconnects() == 1 })
+	if got := s.Proxy.Resumes(); got != 1 {
+		t.Fatalf("Resumes() = %d after a cut pipe, want 1", got)
+	}
+	lamp.Bulb().Set(fcm.CtlPower, 1) // a repaint after the resume
+	waitPower(t, lamp, 1, "lamp on")
+	s.WaitIdle()
+	w, h := s.Display.Size()
+	full := gfx.R(0, 0, w, h)
+	waitCond(t, "proxy frame byte-identical to the server's", func() bool {
+		return s.Proxy.Client().Snapshot(full).Equal(s.Display.Snapshot(full))
+	})
 }
