@@ -220,7 +220,16 @@ COVER_MIN ?= 74
 # waits out a fire it could not stop), uniserver/server.go +5 (Attach
 # waits out a fired handshake bound; Close joins the lot janitor's fire),
 # obslint fixtures +4.
-LOC_MAX ?= 19762
+# One way a session learns of damage lowered it 19 762 -> 19 710 for -52
+# lines: uniserver/server.go -81 (addDirty, enqueue, processRequest,
+# drainDirtyLocked, takeDirtyLocked, recycleDirty, the pump's session
+# snapshot and its empty-lot rule, the writer's second lock on its
+# request slices; answer, incremental, gather and render added, and
+# Close closing every connection Attach serves), uniserver/lot.go +28
+# (the cursor type, its take and the catch-up count; retire's outbox
+# fold-back and the pumpMu holds in register and retire deleted),
+# uniserver/migrate.go +1.
+LOC_MAX ?= 19710
 
 .PHONY: all build test vet race race-takeover fuzz-smoke fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc loc-gate examples
 
@@ -314,10 +323,13 @@ race:
 # evictions, resume claims, drain and Close under its one lock, and the
 # joins Close makes: a hub closed under a client mid-preamble, Release
 # waiting out a pin, a federation drain's migration, and a Session's pipe
-# cut and resumed — so a window that opens one run in a hundred still
-# fails the PR. CI runs it in the test job.
+# cut and resumed, and the writer turn's ownership of a session's damage
+# (the journal's live and parked readers, pipelined requests coalescing
+# under backpressure) and a server closed under a client mid-handshake —
+# so a window that opens one run in a hundred still fails the PR. CI runs
+# it in the test job.
 race-takeover:
-	$(GO) test -race -count=5 -run 'Takeover|TestResumeHammer|TestColdJoinSharedMemo|TestSessionTableModel|TestTraceSpansSurviveParkResume|TestSupervisor|TestRelink|TestAdmitConcurrentSingleCreation|TestConcurrentRouteAndEvict|TestAdmitRacingCloseLeaksNothing|TestEvictionRacingResumeClaim|TestDrainRacesAdmitAndTokenResume|TestCloseMidPreamble|TestReleaseWaitsOutPins|TestClusterDrainMigratesParked|TestSessionResumesACutPipe' . ./internal/uniserver ./internal/core ./internal/hub ./internal/fed
+	$(GO) test -race -count=5 -run 'Takeover|TestResumeHammer|TestColdJoinSharedMemo|TestSessionTableModel|TestTraceSpansSurviveParkResume|TestSupervisor|TestRelink|TestAdmitConcurrentSingleCreation|TestConcurrentRouteAndEvict|TestAdmitRacingCloseLeaksNothing|TestEvictionRacingResumeClaim|TestDrainRacesAdmitAndTokenResume|TestCloseMidPreamble|TestReleaseWaitsOutPins|TestClusterDrainMigratesParked|TestSessionResumesACutPipe|TestJournal|TestBackpressureCoalescesUpdates|TestCloseMidHandshake' . ./internal/uniserver ./internal/core ./internal/hub ./internal/fed
 
 # fuzz-smoke mutates every peer-facing parser's seeds for 10 s each: the
 # client-message parser, the client's rectangle decoders, the migration

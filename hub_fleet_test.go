@@ -159,13 +159,15 @@ func TestHubRouteUnpinsBeforeReturning(t *testing.T) {
 	if a, err = rfb.DialResume(conn, a); err != nil || !a.Resumed() {
 		t.Fatalf("resume: %v", err)
 	}
-	go a.Run(nil)
+	ranA := make(chan struct{})
+	go func() { a.Run(nil); close(ranA) }()
 	conn, goneB := route()
 	b, err := rfb.DialResume(conn, a)
 	if err != nil || !b.Resumed() {
 		t.Fatalf("takeover: %v", err)
 	}
 	left("takeover", goneA, 1) // B's pin
+	<-ranA                     // the takeover closed A's link
 	b.Close()
 	left("peer close after takeover", goneB, 0)
 }

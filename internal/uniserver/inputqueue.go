@@ -45,7 +45,7 @@ const inputQueueHardCap = 4096
 // inputEvent is one universal input event parked between the protocol
 // read loop and the dispatch task.
 type inputEvent struct {
-	enq     int64  // time.Now().UnixNano() at enqueue
+	enq     int64  // time.Now().UnixNano() when put
 	trace   uint64 // sampled interaction id (0: untraced)
 	key     rfb.KeyEvent
 	ptr     rfb.PointerEvent
@@ -64,7 +64,7 @@ type inputQueue struct {
 	spare []inputEvent // recycled dispatch storage (ping-pong)
 }
 
-// put enqueues one event. A pure pointer move lands in one of three ways:
+// put queues one event. A pure pointer move lands in one of three ways:
 // replacing a pure-move tail with the same mask (the common backpressure
 // coalesce), appending, or — at the bound — evicting the oldest pure move
 // in the queue (dropping an intermediate position is semantically the
@@ -76,13 +76,13 @@ func (q *inputQueue) put(ev inputEvent) {
 	q.mu.Lock()
 	if q.buf == nil {
 		// Reclaim recycled storage left by a previous take/recycle pair so
-		// the steady-state enqueue path stops allocating.
+		// the steady-state put path stops allocating.
 		q.buf = q.spare[:0]
 		q.spare = nil
 	}
 	if ev.move && len(q.buf) > 0 {
 		if t := &q.buf[len(q.buf)-1]; t.pointer && t.move && t.ptr.Buttons == ev.ptr.Buttons {
-			// Keep the tail's enqueue time: the coalesced entry stands in
+			// Keep the tail's put time: the coalesced entry stands in
 			// for the whole run, and latency is measured from its start.
 			// A traced position folding into an untraced tail hands its
 			// id over, so the surviving entry carries the trace.
@@ -195,7 +195,7 @@ func (q *inputQueue) recycle(batch []inputEvent) {
 // one session, draining the queue into the window system so a stalled
 // widget callback can never block the protocol read loop (the input-side
 // sibling of writerTurn). One turn dispatches one drained batch; events
-// enqueued mid-turn kick the task again and dispatch on the next turn.
+// queued mid-turn kick the task again and dispatch on the next turn.
 func (c *session) dispatchTurn() {
 	// Events still queued when the session dies are drained by teardown
 	// after the task is stopped (reads are over by then, so no put races
@@ -214,7 +214,7 @@ func (c *session) dispatchTurn() {
 		t0 := int64(0)
 		if ev.trace != 0 {
 			t0 = time.Now().UnixNano()
-			// The queue span: read-loop enqueue to dispatcher pickup.
+			// The queue span: read-loop put to dispatcher pickup.
 			// For an event replayed across a park window it straddles
 			// the detach (the park span explains it).
 			trace.Record(ev.trace, trace.StageQueue, ev.enq, t0)

@@ -204,7 +204,7 @@ func TestTeardownZeroesQueueDepth(t *testing.T) {
 }
 
 // TestInputQueueSteadyStateAllocFree pins the alloc-free drain contract:
-// once warmed, enqueue/take/recycle cycles allocate nothing.
+// once warmed, put/take/recycle cycles allocate nothing.
 func TestInputQueueSteadyStateAllocFree(t *testing.T) {
 	var q inputQueue
 	cycle := func() {
@@ -218,7 +218,7 @@ func TestInputQueueSteadyStateAllocFree(t *testing.T) {
 	}
 	cycle() // warm the ping-pong storage
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Errorf("allocs per enqueue/dispatch cycle = %v, want 0", allocs)
+		t.Errorf("allocs per put/dispatch cycle = %v, want 0", allocs)
 	}
 }
 

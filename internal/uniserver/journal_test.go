@@ -3,6 +3,7 @@ package uniserver
 import (
 	"fmt"
 	"math/rand"
+	"net"
 	"slices"
 	"testing"
 	"time"
@@ -56,15 +57,15 @@ func (h *lotHarness) parkClean(full gfx.Rect) *rfb.ClientConn {
 	away := h.paintAndPark(full)
 	h.srv.mu.Lock()
 	defer h.srv.mu.Unlock()
-	if d := h.srv.table[away.Token()].ps.dirty; !d.Empty() {
+	if d := h.srv.table[away.Token()].ps.cur.dirty; !d.Empty() {
 		h.t.Fatalf("session parked with damage %v", d.Peek())
 	}
 	return away
 }
 
 // resumedDirty resumes away's session on a client that asks for nothing
-// and returns the damage its live session holds: what the resync will
-// ship.
+// and returns the damage its live session holds once its cursor has caught
+// up: what the next writer turn reads, and the resync ships.
 func (h *lotHarness) resumedDirty(away *rfb.ClientConn) []gfx.Rect {
 	h.t.Helper()
 	tok := away.Token()
@@ -74,14 +75,44 @@ func (h *lotHarness) resumedDirty(away *rfb.ClientConn) []gfx.Rect {
 		h.t.Fatal("resume of the parked session missed")
 	}
 	waitFor(h.t, "resumed session live", func() bool { return stateOf(h.srv, tok) == live })
-	h.srv.pumpMu.Lock() // register adopts the parked damage under pumpMu
+	h.srv.pumpMu.Lock() // a writer turn catches its cursor up under pumpMu
 	defer h.srv.pumpMu.Unlock()
 	h.srv.mu.Lock()
 	sess := h.srv.table[tok].sess
 	h.srv.mu.Unlock()
-	sess.mu.Lock()
-	defer sess.mu.Unlock()
-	return sess.dirty.Peek()
+	h.srv.catchUp(&sess.cur)
+	return sess.cur.dirty.Peek()
+}
+
+// liveReply connects a client, syncs it with a full update and then holds
+// its next request back while rects render, and returns the rects of the
+// one update that request draws — nil when no damage lands in the frame,
+// after checking that the request parked and drew no update.
+func (h *lotHarness) liveReply(full gfx.Rect, rng *rand.Rand, rects []gfx.Rect) []gfx.Rect {
+	h.t.Helper()
+	client, rec := h.connect(nil)
+	h.t.Cleanup(func() { client.Close() })
+	client.RequestUpdate(false, full)
+	waitFor(h.t, "client synced", func() bool { u, _ := rec.snapshot(); return u == 1 })
+	_, synced := rec.snapshot()
+	offerRenders(h.srv, rng, rects)
+	client.RequestUpdate(true, full)
+	if len(reference(full, rects)) == 0 {
+		waitFor(h.t, "request parked", func() bool {
+			h.srv.pumpMu.Lock()
+			defer h.srv.pumpMu.Unlock()
+			h.srv.mu.Lock()
+			defer h.srv.mu.Unlock()
+			return h.srv.table[client.Token()].sess.waiting
+		})
+		if u, _ := rec.snapshot(); u != 1 {
+			h.t.Fatalf("%d updates with no damage, want the request parked", u-1)
+		}
+		return nil
+	}
+	waitFor(h.t, "reply", func() bool { u, _ := rec.snapshot(); return u == 2 })
+	_, got := rec.snapshot()
+	return got[len(synced):]
 }
 
 func newJournalHarness(t *testing.T) (*lotHarness, gfx.Rect) {
@@ -90,10 +121,11 @@ func newJournalHarness(t *testing.T) (*lotHarness, gfx.Rect) {
 	return h, gfx.R(0, 0, 160, 120)
 }
 
-// TestJournalResyncMatchesInPlaceDamage: a session parks and K rects are
-// rendered while it waits. For K up to journalCap its resumed dirty set is
-// exactly the damage set that took each render in place; past it, the
-// whole frame.
+// TestJournalResyncMatchesInPlaceDamage: K rects are rendered while a
+// session waits — parked, or live with its client holding its request
+// back. For K up to journalCap the parked session's resumed dirty set, and
+// the live session's next reply, is exactly the damage set that took each
+// render in place; past it, the whole frame.
 func TestJournalResyncMatchesInPlaceDamage(t *testing.T) {
 	for _, k := range []int{0, 1, 40, journalCap, journalCap + 1, 3 * journalCap} {
 		t.Run(fmt.Sprint(k), func(t *testing.T) {
@@ -106,18 +138,30 @@ func TestJournalResyncMatchesInPlaceDamage(t *testing.T) {
 				t.Fatalf("resumed dirty set after %d rects\n got %v\nwant %v", k, got, want)
 			}
 		})
+		t.Run(fmt.Sprint("live-", k), func(t *testing.T) {
+			h, full := newJournalHarness(t)
+			rng := rand.New(rand.NewSource(int64(k) + 1))
+			rects := journalRects(rng, full, k)
+			if got, want := h.liveReply(full, rng, rects), reference(full, rects); !slices.Equal(got, want) {
+				t.Fatalf("live reply after %d rects\n got %v\nwant %v", k, got, want)
+			}
+		})
 	}
 }
 
-// TestJournalStampsEachRow: rows parked at different times replay from
-// their own positions, ExportParked's record carries the replayed damage,
-// a claim refused mid-journal resumes later with every render, and a lot
-// that emptied journals nothing until the next park.
+// TestJournalStampsEachRow: a server no session has read journals nothing,
+// rows parked at different times replay from their own positions,
+// ExportParked's record carries the replayed damage, and a claim refused
+// mid-journal resumes later with every render.
 func TestJournalStampsEachRow(t *testing.T) {
 	h, full := newJournalHarness(t)
 	rng := rand.New(rand.NewSource(7))
 	r1, r2, r3 := journalRects(rng, full, 30), journalRects(rng, full, 30), journalRects(rng, full, 30)
 
+	offerRenders(h.srv, rng, r3)
+	if h.srv.journal != nil || h.srv.jseq != 0 {
+		t.Fatalf("a server no session has read journaled %d rects", h.srv.jseq)
+	}
 	a := h.parkClean(full)
 	offerRenders(h.srv, rng, r1)
 	b := h.parkClean(full)
@@ -143,12 +187,7 @@ func TestJournalStampsEachRow(t *testing.T) {
 		t.Fatalf("resume after a refused claim\n got %v\nwant %v", got, want)
 	}
 
-	// The lot is empty: nothing is journaled until c parks.
-	seq := h.srv.jseq
-	offerRenders(h.srv, rng, r2)
-	if h.srv.jseq != seq {
-		t.Fatalf("an empty lot journaled %d rects", h.srv.jseq-seq)
-	}
+	// A row parked after the lot emptied replays from its own position.
 	c := h.parkClean(full)
 	offerRenders(h.srv, rng, r3)
 	if got, want := h.resumedDirty(c), reference(full, r3); !slices.Equal(got, want) {
@@ -156,9 +195,12 @@ func TestJournalStampsEachRow(t *testing.T) {
 	}
 }
 
-// pumpScene builds a 640×480 display of toggles under a server with n
-// parked rows, and returns a flip that damages one toggle.
-func pumpScene(tb testing.TB, n int) func() {
+// pumpScene builds a 640×480 display of toggles under a server with
+// nParked parked rows and nLive live sessions, each with an incremental
+// request parked on a strip no toggle covers, and returns a flip that
+// damages one toggle. Every flip kicks each live session's writer, whose
+// turn reads the flip from the journal and parks the request again.
+func pumpScene(tb testing.TB, nParked, nLive int) func() {
 	display := toolkit.NewDisplay(640, 480)
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	toggles := make([]*toolkit.Toggle, 8)
@@ -172,8 +214,9 @@ func pumpScene(tb testing.TB, n int) func() {
 	now := time.Now()
 	srv.pumpMu.Lock()
 	srv.mu.Lock()
-	for i := 0; i < n; i++ {
-		ps := &parkedSession{w: 640, h: 480, dirty: gfx.NewDamage(gfx.R(0, 0, 640, 480), 16), parkedAt: now, deadline: now.Add(time.Hour)}
+	for i := 0; i < nParked; i++ {
+		ps := &parkedSession{w: 640, h: 480, cur: cursor{dirty: gfx.NewDamage(gfx.R(0, 0, 640, 480), 16)}, parkedAt: now, deadline: now.Add(time.Hour)}
+		srv.stamp(&ps.cur)
 		if srv.transition(fmt.Sprintf("parked-%d", i), gone, parked, nil, ps) == nil {
 			tb.Fatal("planting a parked row refused")
 		}
@@ -181,6 +224,36 @@ func pumpScene(tb testing.TB, n int) func() {
 	srv.mu.Unlock()
 	srv.pumpMu.Unlock()
 	display.Render()
+	strip := gfx.R(0, 470, 640, 10)
+	if toggles[len(toggles)-1].Bounds().Overlaps(strip) {
+		tb.Fatal("the parked requests' strip overlaps a toggle")
+	}
+	for i := 0; i < nLive; i++ {
+		sc, cc := net.Pipe()
+		attached := make(chan error, 1)
+		go func() { attached <- srv.Attach(sc) }()
+		client, err := rfb.Dial(cc)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		ran := make(chan struct{})
+		go func() { client.Run(&rectRecorder{}); close(ran) }()
+		tb.Cleanup(func() { client.Close(); <-ran; <-attached })
+		client.RequestUpdate(true, strip)
+	}
+	waitFor(tb, "every live session's request parked", func() bool {
+		srv.pumpMu.Lock()
+		defer srv.pumpMu.Unlock()
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		n := 0
+		for _, sess := range srv.liveSess {
+			if sess.waiting {
+				n++
+			}
+		}
+		return n == nLive
+	})
 	i := 0
 	return func() {
 		tg := toggles[i%len(toggles)]
@@ -190,12 +263,17 @@ func pumpScene(tb testing.TB, n int) func() {
 }
 
 // BenchmarkPump is one toggle flip rendered and offered by the server's
-// pump, with no parked rows and with a full lot: the two must cost the
-// same, with no allocation.
+// pump, with no parked rows, with a full lot and with live sessions whose
+// writers each have a request parked: the parked rows must cost nothing,
+// and none of the three allocates.
 func BenchmarkPump(b *testing.B) {
-	for _, n := range []int{0, DefaultParkCapacity} {
-		b.Run(fmt.Sprintf("parked-%d", n), func(b *testing.B) {
-			flip := pumpScene(b, n)
+	for _, c := range []struct{ parked, live int }{{0, 0}, {DefaultParkCapacity, 0}, {0, 8}} {
+		name := fmt.Sprintf("parked-%d", c.parked)
+		if c.live > 0 {
+			name = fmt.Sprintf("live-%d", c.live)
+		}
+		b.Run(name, func(b *testing.B) {
+			flip := pumpScene(b, c.parked, c.live)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -206,11 +284,12 @@ func BenchmarkPump(b *testing.B) {
 }
 
 // TestPumpWithFullLotAllocatesNothing: the journal is made at the first
-// park, so a pump over a full lot allocates nothing.
+// stamp, so a pump over a full lot and eight live sessions with requests
+// parked allocates nothing — nor do the writer turns it kicks.
 func TestPumpWithFullLotAllocatesNothing(t *testing.T) {
-	flip := pumpScene(t, DefaultParkCapacity)
+	flip := pumpScene(t, DefaultParkCapacity, 8)
 	flip()
 	if allocs := testing.AllocsPerRun(100, flip); allocs != 0 {
-		t.Fatalf("pump over a full lot = %.1f allocs/op, want 0", allocs)
+		t.Fatalf("pump over a full lot and 8 live sessions = %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -21,11 +21,14 @@ import (
 // parked state and its first request collects an incremental resync (only
 // the damage accumulated while detached); a token that never returns
 // expires after the park TTL.
-// A parked row keeps the damage it parked with and a position in the
-// server's journal, the ring of every rectangle rendered while the lot
-// held a row; its readers (a resume's register, ExportParked) replay the
-// journal from that position in render order, or mark the whole frame
-// once the ring has moved more than journalCap rects past it.
+// Every session, live or parked, learns of damage one way: from the
+// server's journal, the ring of the last journalCap rectangles rendered.
+// Its cursor holds the damage read and not yet shipped and a position in
+// the journal; a live session's writer turn, or ExportParked for a parked
+// row, replays the journal from that position in render order, or marks
+// the whole frame once the ring has moved more than journalCap rects past
+// it. Parking and resuming move the cursor, so a row in the lot costs the
+// pump nothing.
 // The lot is bounded: at capacity the oldest parked session (of those
 // holding no undispatched input, while there are any) is expired to make
 // room. The lot is the parked and claimed rows of the session table.
@@ -61,9 +64,9 @@ const (
 	DefaultParkCapacity = 64
 )
 
-// journalCap is how many rendered rects the lot's journal keeps: a row
-// that falls further behind resyncs with full bounds, which ships as
-// memoised bands.
+// journalCap is how many rendered rects the journal keeps: a cursor that
+// falls further behind resyncs with full bounds, which ships as memoised
+// bands.
 const journalCap = 256
 
 // takeoverWait bounds a takeover's wait for the live session to park. A
@@ -83,7 +86,7 @@ const (
 	expired           // by TTL, capacity, geometry or shutdown
 	exported          // to another server's lot
 	handshaking       // the handshake issued the token; not yet served
-	live              // served, offered every pump's damage
+	live              // served; its writer reads the journal
 	parked            // in the lot (this and above), waiting for its owner
 	claimed           // parked, with a resume handshake in flight
 )
@@ -120,8 +123,7 @@ type entry struct {
 // nothing moved — when tok is not in from, or when a closing server would
 // gain a live or parked session. sess is the session the row names after
 // the change (nil when none). An edge into the lot from outside it carries
-// the parked state ps, first makes room at capacity, and stamps ps with the
-// journal's position, so its caller also holds s.pumpMu. s.mu must be held.
+// the parked state ps and first makes room at capacity. s.mu must be held.
 func (s *Server) transition(tok string, from, to state, sess *session, ps *parkedSession) *entry {
 	if !lifecycle[edge{from, to}] {
 		panic("uniserver: illegal session transition")
@@ -138,7 +140,6 @@ func (s *Server) transition(tok string, from, to state, sess *session, ps *parke
 	}
 	if to == parked && from != claimed {
 		s.makeRoomLocked()
-		s.stamp(ps)
 	}
 	s.taken[from][to]++
 	s.count[from]--
@@ -207,11 +208,7 @@ func (s *Server) unlist(sess *session) {
 type parkedSession struct {
 	w, h int // session geometry at detach; must still match to resume
 
-	// dirty is the damage accumulated before detach and during it up to
-	// journal position seq (catchUp brings it to the present).
-	dirty       *gfx.Damage
-	seq         uint64
-	dirtySpare  []gfx.Rect
+	cur         cursor       // the session's damage and journal position
 	events      []inputEvent // undispatched input at detach, replayed on resume
 	lastPtrMask uint8
 
@@ -306,12 +303,14 @@ func (s *Server) refuse(sess *session, from state) {
 }
 
 // register moves a freshly handshaked session to live and, for a resume,
-// swaps the claimed lot entry's state into it. It reports false when the
-// server is closing. The swap runs under s.pumpMu, so no render pump can
-// fire between "entry leaves the lot" and "session receives damage".
+// hands the claimed lot entry's state to it. It reports false when the
+// server is closing. A fresh session reads the journal from here on.
 func (s *Server) register(sess *session, from state) bool {
-	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
+	if from == handshaking {
+		s.pumpMu.Lock()
+		s.stamp(&sess.cur)
+		s.pumpMu.Unlock()
+	}
 	s.mu.Lock()
 	e := s.transition(sess.token, from, live, sess, nil)
 	if e == nil {
@@ -322,10 +321,11 @@ func (s *Server) register(sess *session, from state) bool {
 	s.wg.Add(1)
 	ps := e.ps
 	e.ps = nil
+	if ps != nil {
+		sess.adopt(ps)
+	}
 	s.mu.Unlock()
 	if ps != nil {
-		s.catchUp(ps)
-		sess.adopt(ps)
 		// A resume is itself a traceable session-lifecycle interaction:
 		// its span covers the whole detach window, under a fresh id.
 		if tid := trace.Start(); tid != 0 {
@@ -337,35 +337,23 @@ func (s *Server) register(sess *session, from state) bool {
 }
 
 // retire moves a dead connection's session out of live: it parks its
-// state and events (the input left undispatched) in the lot or, the server
-// closing, ends it with that input abandoned. It runs under pumpMu: a pump
-// offers its damage to the still-live session or to the lot entry, and no
-// rect falls between the two.
+// cursor, events (the input left undispatched) and pointer mask in the lot
+// or, the server closing, ends it with that input abandoned. The writer
+// task is stopped, so the cursor is whole: what it has not read waits in
+// the journal.
 func (s *Server) retire(sess *session, events []inputEvent) {
-	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
-	// The outbox holds damage a request already claimed but the writer
-	// never shipped (or shipped into a dying transport): fold it back into
-	// the dirty set so the resync re-covers it.
-	sess.mu.Lock()
-	for _, r := range sess.outbox.TakeInto(nil) {
-		sess.dirty.Add(r)
-	}
 	now := time.Now()
 	ps := &parkedSession{
 		w:           sess.bounds.W,
 		h:           sess.bounds.H,
-		dirty:       sess.dirty,
-		dirtySpare:  sess.dirtySpare,
 		events:      events,
 		lastPtrMask: sess.lastPtrMask,
 		parkedAt:    now,
 		deadline:    now.Add(s.parkTTL),
 	}
-	sess.dirty, sess.dirtySpare = nil, nil // state moved; the session object is dead
-	sess.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	ps.cur, sess.cur = sess.cur, cursor{} // state moved; the session object is dead
 	if s.transition(sess.token, live, parked, nil, ps) == nil {
 		if len(events) > 0 {
 			mInputAbandoned.Add(int64(len(events)))
@@ -374,36 +362,77 @@ func (s *Server) retire(sess *session, events []inputEvent) {
 	}
 }
 
-// stamp gives a row entering the lot the journal's present position,
-// making the journal on the first park. s.pumpMu and s.mu must be held.
-func (s *Server) stamp(ps *parkedSession) {
+// cursor is one session's read of the journal: the damage it has read and
+// not yet shipped, storage recycled through take, and the journal position
+// it has read up to. A live session's writer turn owns it; parking and
+// resuming move it.
+type cursor struct {
+	dirty *gfx.Damage
+	spare []gfx.Rect
+	seq   uint64
+}
+
+// take drains the damage inside region, clipped to it, into recycled
+// storage valid until the next take; damage outside region stays.
+func (c *cursor) take(region gfx.Rect) []gfx.Rect {
+	taken := c.dirty.TakeInto(c.spare)
+	out := taken[:0]
+	var tmp [4]gfx.Rect
+	for _, r := range taken {
+		in := r.Intersect(region)
+		if in != r { // some of r lies outside the requested region
+			for _, rest := range r.SubtractInto(tmp[:0], region) {
+				c.dirty.Add(rest)
+			}
+		}
+		if !in.Empty() {
+			out = append(out, in)
+		}
+	}
+	c.spare = out
+	return out
+}
+
+// stamp gives c the journal's present position, making the journal on the
+// first stamp. s.pumpMu must be held.
+func (s *Server) stamp(c *cursor) {
 	if s.journal == nil {
 		s.journal = new([journalCap]gfx.Rect)
 	}
-	ps.seq = s.jseq
+	c.seq = s.jseq
 }
 
-// record appends a render's rects to the journal. s.pumpMu must be held.
+// record appends a render's rects to the journal once a cursor has been
+// stamped. s.pumpMu must be held.
 func (s *Server) record(rects []gfx.Rect) {
+	if s.journal == nil {
+		return
+	}
 	for _, r := range rects {
 		s.journal[s.jseq%journalCap] = r
 		s.jseq++
 	}
 }
 
-// catchUp adds to ps.dirty the journal's rects since its position, in
-// render order: the same adds a pump once made to every row in the lot,
-// so the resync ships the same rects. A row more than journalCap rects
-// behind takes its full bounds. s.pumpMu must be held.
-func (s *Server) catchUp(ps *parkedSession) {
-	if s.jseq-ps.seq > journalCap {
-		ps.dirty.AddAll()
+// catchUp adds to c.dirty the journal's rects since its position, in
+// render order, so the damage is the set that took each render in place.
+// A cursor more than journalCap rects behind takes its full bounds. It returns how many of the rects landed on damage
+// already held: all of them, or all but the first when none was.
+// s.pumpMu must be held.
+func (s *Server) catchUp(c *cursor) (onto int) {
+	n := s.jseq - c.seq
+	if onto = int(n); onto > 0 && c.dirty.Empty() {
+		onto--
+	}
+	if n > journalCap {
+		c.dirty.AddAll()
 	} else {
-		for i := ps.seq; i < s.jseq; i++ {
-			ps.dirty.Add(s.journal[i%journalCap])
+		for i := c.seq; i < s.jseq; i++ {
+			c.dirty.Add(s.journal[i%journalCap])
 		}
 	}
-	ps.seq = s.jseq
+	c.seq = s.jseq
+	return onto
 }
 
 // evictsBefore orders capacity victims: no undispatched input first, then
@@ -437,16 +466,15 @@ func (s *Server) makeRoomLocked() {
 	}
 }
 
-// adopt seeds a fresh session with reclaimed parked state. It runs before
-// the session's writer and dispatcher start.
+// adopt seeds a fresh session with reclaimed parked state, its cursor
+// first. It runs before the session's writer and dispatcher start.
 func (c *session) adopt(ps *parkedSession) {
-	c.dirty = ps.dirty
-	c.dirtySpare = ps.dirtySpare
+	c.cur = ps.cur
 	c.lastPtrMask = ps.lastPtrMask
 	c.fedResync = ps.migrated
 	// Traced events that sat out the detach window get a park span —
 	// detach to reclaim — under their own id, so the gap between their
-	// queue enqueue and eventual dispatch is explained in the export.
+	// queueing and eventual dispatch is explained in the export.
 	if trace.Enabled() {
 		p0, now := ps.parkedAt.UnixNano(), time.Now().UnixNano()
 		for i := range ps.events {
@@ -506,11 +534,11 @@ func (s *Server) sweepLot() {
 	}
 }
 
-// drainLot expires everything parked or claimed (server shutdown). Close
+// expireLot expires everything parked or claimed (server shutdown). Close
 // set closed first, so nothing enters the lot after the drain: a retire
 // ends its session instead, and a claim whose handshake is still in flight
 // finds its row gone and moves nothing.
-func (s *Server) drainLot() {
+func (s *Server) expireLot() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.lotTimer != nil && s.lotTimer.Stop() {

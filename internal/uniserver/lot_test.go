@@ -480,10 +480,13 @@ func TestCapacityEvictionSparesUndispatchedInput(t *testing.T) {
 	plant := func(token string, age time.Duration, events int) {
 		ps := &parkedSession{
 			w: 16, h: 16,
-			dirty:    gfx.NewDamage(gfx.R(0, 0, 16, 16), 16),
+			cur:      cursor{dirty: gfx.NewDamage(gfx.R(0, 0, 16, 16), 16)},
 			events:   make([]inputEvent, events),
 			parkedAt: now.Add(-age), deadline: now.Add(time.Minute),
 		}
+		srv.pumpMu.Lock()
+		srv.stamp(&ps.cur)
+		srv.pumpMu.Unlock()
 		srv.mu.Lock()
 		defer srv.mu.Unlock()
 		if srv.transition(token, gone, parked, nil, ps) == nil {

@@ -50,8 +50,6 @@ func (s *Server) ParkedTokens() []string {
 // would have.
 func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 	now := time.Now()
-	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
 	s.mu.Lock()
 	if e := s.table[token]; e != nil && e.state == parked && now.After(e.ps.deadline) {
 		s.transition(token, parked, expired, nil, nil)
@@ -65,11 +63,13 @@ func (s *Server) ExportParked(token string) (*rfb.MigrationRecord, bool) {
 	// The lot holds no pixels, so the record carries none: the importing
 	// node resumes onto a distrusted model exactly as this one would have.
 	ps := e.ps
-	s.catchUp(ps)
+	s.pumpMu.Lock()
+	s.catchUp(&ps.cur)
+	s.pumpMu.Unlock()
 	rec := &rfb.MigrationRecord{
 		Token: token,
 		W:     ps.w, H: ps.h,
-		Dirty:        ps.dirty.TakeInto(nil),
+		Dirty:        ps.cur.dirty.TakeInto(nil),
 		LastPtrMask:  ps.lastPtrMask,
 		RemainingTTL: ps.deadline.Sub(now),
 		DetachedFor:  now.Sub(ps.parkedAt),
@@ -103,14 +103,14 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 	}
 	ps := &parkedSession{
 		w: rec.W, h: rec.H,
-		dirty:       gfx.NewDamage(gfx.R(0, 0, rec.W, rec.H), 16),
+		cur:         cursor{dirty: gfx.NewDamage(gfx.R(0, 0, rec.W, rec.H), 16)},
 		lastPtrMask: rec.LastPtrMask,
 		migrated:    true,
 		parkedAt:    now.Add(-rec.DetachedFor),
 		deadline:    now.Add(ttl),
 	}
 	for _, r := range rec.Dirty {
-		ps.dirty.Add(r)
+		ps.cur.dirty.Add(r)
 	}
 	enq := now.UnixNano()
 	for _, ev := range rec.Events {
@@ -120,7 +120,8 @@ func (s *Server) ImportParked(rec *rfb.MigrationRecord) error {
 	}
 
 	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
+	s.stamp(&ps.cur)
+	s.pumpMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.transition(rec.Token, gone, parked, nil, ps) == nil {

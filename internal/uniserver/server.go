@@ -46,26 +46,27 @@ type Server struct {
 
 	// mu guards the session table (lot.go), one row per token moved only
 	// by transition, and what moves with it: closed, counts, the live
-	// rows' sessions (in no order), the janitor. wg counts what Close
-	// joins: live sessions, Serve's handlers and the janitor's fire.
+	// rows' sessions (in no order), the janitor; and attached, every
+	// session Attach is serving, handshake included, whose links Close
+	// closes. wg counts what Close joins: live sessions, Serve's handlers
+	// and the janitor's fire.
 	mu       sync.Mutex
 	table    map[string]*entry
 	count    [claimed + 1]int              // rows per state (gone ones unused)
 	taken    [claimed + 1][claimed + 1]int // transitions taken, by edge
 	liveSess []*session
+	attached map[*session]struct{}
 	closed   bool
 	wg       sync.WaitGroup
 
-	// pumpMu serializes render pumps and orders register, retire and the
-	// lot's migration edges against them; pumpBuf/pumpSess recycle the rect
-	// and session-snapshot storage so the damage→render→distribute path
-	// allocates nothing in steady state. journal and jseq are the lot's
-	// damage (lot.go), also under pumpMu.
-	pumpMu   sync.Mutex
-	pumpBuf  []gfx.Rect
-	pumpSess []*session
-	journal  *[journalCap]gfx.Rect
-	jseq     uint64
+	// pumpMu serializes render pumps and guards the render journal every
+	// session reads its damage from (journal, jseq: lot.go) and each live
+	// session's waiting flag; pumpBuf recycles the rect storage so the
+	// damage→render→journal path allocates nothing in steady state.
+	pumpMu  sync.Mutex
+	pumpBuf []gfx.Rect
+	journal *[journalCap]gfx.Rect
+	jseq    uint64
 
 	// tiles is the shared content-addressed tile store the wire tier
 	// publishes encoded tile bodies to (nil: no cross-session sharing;
@@ -106,12 +107,13 @@ const WriteBudget = 4 * time.Second
 // Disconnected sessions park under DefaultParkTTL and DefaultParkCapacity.
 func New(display *toolkit.Display, name string, tiles *rfb.TileCache) *Server {
 	s := &Server{
-		display: display,
-		name:    name,
-		table:   make(map[string]*entry),
-		tiles:   tiles,
-		parkTTL: DefaultParkTTL,
-		parkCap: DefaultParkCapacity,
+		display:  display,
+		name:     name,
+		table:    make(map[string]*entry),
+		attached: make(map[*session]struct{}),
+		tiles:    tiles,
+		parkTTL:  DefaultParkTTL,
+		parkCap:  DefaultParkCapacity,
 	}
 	display.OnDamage(s.pump)
 	return s
@@ -132,7 +134,8 @@ func New(display *toolkit.Display, name string, tiles *rfb.TileCache) *Server {
 // so the resync ships only what changed while the link was down. A token
 // whose session is still connected takes it over: the stale link is closed
 // and parks first (lot.go, takeover). On disconnect the session parks in
-// the detach lot (unless the server is closing).
+// the detach lot (unless the server is closing). From its first byte to its
+// return the connection is one Close closes; a closed server refuses it.
 func (s *Server) Attach(conn net.Conn) error {
 	w, h := s.display.Size()
 	// A hub-routed connection carries its routing span (preamble read +
@@ -149,6 +152,19 @@ func (s *Server) Attach(conn net.Conn) error {
 		routeEnd:   routeEnd,
 		bounds:     gfx.R(0, 0, w, h),
 	}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		conn.Close()
+		return errClosed
+	}
+	s.attached[sess] = struct{}{}
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.attached, sess)
+		s.mu.Unlock()
+	}()
 	from := handshaking // the row register moves to live: claimed for a resume
 	ex := func(presented string) (string, bool) {
 		if presented != "" && s.claimParked(presented, w, h, sess) {
@@ -184,22 +200,20 @@ func (s *Server) Attach(conn net.Conn) error {
 		return err
 	}
 	sess.conn = rc
-	sess.dirty = gfx.NewDamage(sess.bounds, 16)
+	sess.cur.dirty = gfx.NewDamage(sess.bounds, 16)
 	sess.outbox = gfx.NewDamage(sess.bounds, 16)
 	sess.ws = rfb.NewWireState(s.tiles, w, h) // synced to no frame, also on a resume
 	// The tasks exist before the session is visible to the pump, so a
 	// damage kick arriving mid-register always has a target.
 	sess.writeTask = sched.SharedPool().NewTask(sess.writerTurn)
 	sess.dispatchTask = sched.SharedPool().NewTask(sess.dispatchTurn)
-	// register moves the session to live — for a resume, atomically with
-	// the claimed lot entry's state (under the pump mutex, so no damage
-	// falls between the lot and the session). It also joins the session to
-	// the server's wait group, so Close blocks until teardown has fully
-	// retired it.
+	// register moves the session to live — for a resume, with the claimed
+	// lot entry's state. It also joins the session to the server's wait
+	// group, so Close blocks until teardown has fully retired it.
 	if !s.register(sess, from) {
 		rc.Close()
 		s.refuse(sess, from)
-		return errors.New("uniserver: server closed")
+		return errClosed
 	}
 	if from == claimed {
 		// Input that sat out the detach window dispatches now. The damage
@@ -217,8 +231,8 @@ func (s *Server) Attach(conn net.Conn) error {
 // and dispatch tasks, drain the input queue, and retire — one atomic step
 // that moves the session out of live and parks the remaining state for a
 // reconnect (or settles the accounting when the server is closing).
-// Damage pumped until that step still lands on the session and carries
-// into the lot with it.
+// Damage rendered meanwhile waits in the journal past the session's
+// cursor, which carries into the lot.
 func (c *session) teardown() {
 	c.conn.Close()
 	c.writeTask.Stop()
@@ -245,15 +259,19 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// Close disconnects every session and joins everything wg counts.
+// errClosed is Attach's error on a closed server.
+var errClosed = errors.New("uniserver: server closed")
+
+// Close disconnects every connection, mid-handshake too, and joins
+// everything wg counts.
 func (s *Server) Close() {
 	s.mu.Lock()
 	s.closed = true
-	s.mu.Unlock()
-	for _, sess := range s.liveSessions() {
-		sess.conn.Close()
+	for sess := range s.attached {
+		sess.link.Close()
 	}
-	s.drainLot()
+	s.mu.Unlock()
+	s.expireLot()
 	s.wg.Wait()
 }
 
@@ -271,47 +289,48 @@ func (s *Server) Sessions() int {
 	return s.count[live]
 }
 
-// pump runs after the display accumulated new damage: render once, then
-// offer the fresh rectangles to every live session. Pumps are serialized so
-// the recycled rect buffer is never handed out twice concurrently.
+// pump runs after the display accumulated new damage: render once and
+// offer the fresh rectangles. Pumps are serialized so the recycled rect
+// buffer is never handed out twice concurrently.
 func (s *Server) pump() {
 	s.pumpMu.Lock()
 	defer s.pumpMu.Unlock()
+	s.render()
+}
+
+// render renders the display's pending damage and offers it. s.pumpMu must
+// be held.
+func (s *Server) render() {
 	rects, tid := s.display.RenderTraceInto(s.pumpBuf)
 	s.pumpBuf = rects
 	s.offer(rects, tid)
 }
 
-// offer hands one render's rects, traced as tid, to every live session and
-// to the lot. s.pumpMu must be held.
+// offer journals one render's rects, traced as tid, and kicks every live
+// session whose writer has an incremental request parked: the writer reads
+// the rects from the journal. s.pumpMu must be held.
 func (s *Server) offer(rects []gfx.Rect, tid uint64) {
 	if len(rects) == 0 {
 		return
 	}
-	// Live sessions are snapshotted so s.mu is not held across their
-	// coalescing work. The lot's rows take this render from the journal
-	// when they are next read, so a parked row costs the pump nothing.
+	s.record(rects)
 	s.mu.Lock()
-	sessions := append(s.pumpSess[:0], s.liveSess...)
-	inLot := s.count[parked]+s.count[claimed] > 0
-	s.mu.Unlock()
-	if inLot {
-		s.record(rects)
-	}
-	for _, sess := range sessions {
-		sess.addDirty(rects)
+	for _, sess := range s.liveSess {
 		if tid != 0 {
 			// This render carries a traced interaction's damage: mark the
 			// session so the flush that ships it closes the trace. First
 			// trace wins until a flush clears the mark (inputMark pattern).
 			sess.traceMark.CompareAndSwap(0, tid)
 		}
+		if sess.waiting {
+			sess.wake()
+		}
 	}
-	s.pumpSess = sessions
+	s.mu.Unlock()
 }
 
-// session is one proxy connection: per-client dirty tracking plus the
-// demand-driven update state machine of the protocol.
+// session is one proxy connection: its place in the server's render
+// journal plus the demand-driven update state machine of the protocol.
 //
 // Updates are transmitted by the session's writer task — turns on the
 // process worker pool, never the read loop. This keeps the read loop
@@ -320,13 +339,12 @@ func (s *Server) offer(rects []gfx.Rect, tid uint64) {
 // cycle: the read loop blocks writing an update, the peer blocks writing
 // a request, and neither side drains the other.
 //
-// The writer drains an outbox damage set rather than a queue of encoded
-// updates: while a write is in flight on a slow transport, every newly
-// requested rectangle merges into the pending gfx.Damage and the next
-// flush ships the coalesced region as ONE FramebufferUpdate. Backpressure
-// therefore reduces update count instead of growing a queue, and pixels
-// are encoded at most once per flush no matter how many damage events
-// landed on them.
+// A writer turn answers every request queued since the last one into one
+// outbox damage set, so while a write is in flight on a slow transport the
+// requests arriving behind it merge and the next turn ships the coalesced
+// region as ONE FramebufferUpdate. Backpressure therefore reduces update
+// count instead of growing a queue, and pixels are encoded at most once
+// per flush no matter how many damage events landed on them.
 type session struct {
 	srv     *Server
 	conn    *rfb.ServerConn
@@ -355,7 +373,7 @@ type session struct {
 	// stalling inside a widget callback — a synchronous HAVi round trip —
 	// can no longer stop the read loop from draining framebuffer
 	// requests. lastPtrMask is read-loop-only state marking pure moves;
-	// inputMark carries the oldest undispatched input's enqueue time into
+	// inputMark carries the oldest undispatched input's queueing time into
 	// the writer for the input→damage→update latency histogram.
 	inq         inputQueue
 	lastPtrMask uint8
@@ -368,23 +386,23 @@ type session struct {
 	routeStart, routeEnd int64
 	traceMark            atomic.Uint64
 
-	// reqs parks protocol update requests for the writer, which pumps
-	// the renderer and runs the request state machine in arrival order.
-	// Requests used to be processed synchronously on the read loop, which
-	// took the display widget lock there — so a dispatch stalled inside a
-	// widget callback blocked framebuffer-request reads, exactly the
-	// coupling the input queue exists to remove. reqs/reqSpare are
-	// guarded by mu and ping-pong so the steady state allocates nothing.
+	// reqs queues protocol update requests for the writer, so the read
+	// loop never takes the display widget lock: a dispatch stalled inside
+	// a widget callback cannot block framebuffer-request reads. mu guards
+	// reqs and nothing else; the writer ping-pongs it with reqSpare.
+	mu       sync.Mutex
 	reqs     []rfb.UpdateRequest
 	reqSpare []rfb.UpdateRequest
 
-	mu         sync.Mutex
-	dirty      *gfx.Damage       // damage with no outstanding request yet
-	dirtySpare []gfx.Rect        // recycled storage ping-ponged through dirty.TakeInto
-	pending    rfb.UpdateRequest // parked incremental request
-	hasPending bool
-	outbox     *gfx.Damage // requested damage awaiting the writer
-	owedEmpty  int         // zero-rect replies owed (empty-region requests)
+	// The rest is the writer turn's: cur is the damage read from the
+	// journal and not yet shipped; pending is the incremental request
+	// parked until damage lands in its region, and waiting (also under
+	// srv.pumpMu, where the pump reads it) says one is; outbox gathers one
+	// turn's reply, so it is empty whenever the task is stopped.
+	cur     cursor
+	pending rfb.UpdateRequest
+	waiting bool
+	outbox  *gfx.Damage
 
 	// fedResync marks a session resumed from a MIGRATED lot entry: the
 	// first update it ships is the cross-node resync, counted into
@@ -420,29 +438,6 @@ type turnScratch struct {
 
 var turnScratchPool = sync.Pool{New: func() any { return new(turnScratch) }}
 
-// enqueue merges requested rectangles into the outbox and wakes the
-// writer. Rectangles landing while the outbox is non-empty are coalescing
-// with an update the writer has not shipped yet — the backpressure path.
-func (c *session) enqueue(rects []gfx.Rect) {
-	c.mu.Lock()
-	coalescing := !c.outbox.Empty()
-	n := 0
-	for _, r := range rects {
-		if !r.Empty() {
-			c.outbox.Add(r)
-			n++
-		}
-	}
-	c.mu.Unlock()
-	if n == 0 {
-		return
-	}
-	if coalescing {
-		mRectsCoalesced.Add(int64(n))
-	}
-	c.wake()
-}
-
 func (c *session) wake() {
 	if c.dueAt.Load() == 0 {
 		c.dueAt.CompareAndSwap(0, time.Now().UnixNano())
@@ -451,43 +446,22 @@ func (c *session) wake() {
 }
 
 // writerTurn is the writer task's turn: it owns all update transmission
-// for the session. One turn processes the parked protocol requests, drains
-// the outbox (and owed empty replies), encodes under the display lock with
-// pooled scratch, and ships one FramebufferUpdate. Work arriving mid-turn
+// for the session. One turn takes the queued protocol requests, answers
+// them and any parked one from the session's damage (answer), encodes
+// under the display lock with pooled scratch, and ships one
+// FramebufferUpdate plus the empty replies owed. Work arriving mid-turn
 // kicks the task again, so the pool re-queues it — nothing is lost and
 // nothing busy-waits.
 func (c *session) writerTurn() {
 	due := c.dueAt.Swap(0)
 	ts := turnScratchPool.Get().(*turnScratch)
-	// Process parked protocol requests first: render pending damage on
-	// the writer's time, never the read loop's — the pump takes the
-	// display widget lock, and a stalled widget callback must only delay
-	// updates, not request reads. The resulting rects land in the outbox
-	// before it drains below, so they ship within this same turn.
 	c.mu.Lock()
 	reqs := c.reqs
-	if c.reqSpare != nil {
-		c.reqs = c.reqSpare[:0]
-		c.reqSpare = nil
-	} else {
-		c.reqs = nil
-	}
+	c.reqs = c.reqSpare[:0]
 	c.mu.Unlock()
-	if len(reqs) > 0 {
-		// Ensure damage from before these requests is rendered.
-		c.srv.pump()
-		for _, req := range reqs {
-			c.processRequest(req)
-		}
-	}
-	c.mu.Lock()
-	if c.reqSpare == nil {
-		c.reqSpare = reqs[:0]
-	}
+	empties := c.answer(reqs)
+	c.reqSpare = reqs[:0]
 	rects := c.outbox.TakeInto(ts.rects[:0])
-	empties := c.owedEmpty
-	c.owedEmpty = 0
-	c.mu.Unlock()
 	if empties > 0 || len(rects) > 0 {
 		c.armWrite(due)
 		t0 := time.Now()
@@ -502,6 +476,71 @@ func (c *session) writerTurn() {
 	}
 	ts.rects = rects
 	turnScratchPool.Put(ts)
+}
+
+// answer runs the request state machine for one writer turn under
+// srv.pumpMu and returns the empty replies owed. With requests queued it
+// first renders pending damage, on the writer's time. It catches the
+// cursor up, then answers the parked request and reqs, in arrival order,
+// into the outbox. A non-incremental request gets its whole region (which
+// supersedes the damage inside it and any parked request), or one empty
+// reply when the region clips to nothing; an incremental one gets the
+// damage inside its region, or parks. Damage outside a region stays.
+func (c *session) answer(reqs []rfb.UpdateRequest) (empties int) {
+	s := c.srv
+	s.pumpMu.Lock()
+	defer s.pumpMu.Unlock()
+	parked := c.waiting
+	c.waiting = false // answered or parked again below: the render need not kick this writer
+	if len(reqs) > 0 {
+		s.render()
+	}
+	onto := s.catchUp(&c.cur)
+	if parked {
+		c.incremental(c.pending)
+	} else if onto > 0 {
+		// No request was waiting, so the client lags the screen: rects
+		// caught up onto damage already held merge with it and ship
+		// together — coalesced — on a later reply.
+		mRectsCoalesced.Add(int64(onto))
+	}
+	for _, req := range reqs {
+		if req.Incremental {
+			c.incremental(req)
+			continue
+		}
+		region := req.Region.Intersect(c.bounds)
+		c.cur.take(region) // superseded by the region's resend
+		c.waiting = false
+		if region.Empty() {
+			empties++ // every non-incremental request gets exactly one reply
+		} else {
+			c.gather(region)
+		}
+	}
+	return empties
+}
+
+// incremental answers an incremental request with the damage inside its
+// region, or parks it (writer turn, srv.pumpMu held).
+func (c *session) incremental(req rfb.UpdateRequest) {
+	rects := c.cur.take(req.Region)
+	if len(rects) == 0 {
+		c.pending, c.waiting = req, true
+	}
+	c.gather(rects...)
+}
+
+// gather adds rects to this turn's reply. Rects landing on a reply that
+// already holds some coalesce with it — the backpressure path.
+func (c *session) gather(rects ...gfx.Rect) {
+	coalescing := !c.outbox.Empty()
+	for _, r := range rects {
+		c.outbox.Add(r)
+	}
+	if coalescing && len(rects) > 0 {
+		mRectsCoalesced.Add(int64(len(rects)))
+	}
 }
 
 // flush encodes the coalesced rectangles (adaptive per-rect encoding on
@@ -553,19 +592,17 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) time.Duration {
 	size := prep.Size()
 	sendT0 := time.Now()
 	if !c.sent(c.conn.SendPrepared(prep)) {
-		// The pixels were consumed from the dirty set but never reached
-		// the client — put them back, so the state that parks in the
-		// detach lot is complete and the resync after a resume re-covers
-		// them instead of leaving the client stale. The wire model
-		// assumed the client applied this update (the synced frame and
-		// tile window were committed during prepare); the client's true
-		// state is now unknown, so distrust the model.
+		// The pixels were taken from the session's damage but never
+		// reached the client — put them back, so the state that parks in
+		// the detach lot is complete and the resync after a resume
+		// re-covers them instead of leaving the client stale. The wire
+		// model assumed the client applied this update (the synced frame
+		// and tile window were committed during prepare); the client's
+		// true state is now unknown, so distrust the model.
 		c.ws.Reset()
-		c.mu.Lock()
 		for _, r := range rects {
-			c.dirty.Add(r)
+			c.cur.dirty.Add(r)
 		}
-		c.mu.Unlock()
 		return time.Since(sendT0)
 	}
 	mUpdateBytes.Add(int64(size))
@@ -630,7 +667,7 @@ func (c *session) sent(err error) bool {
 var _ rfb.ServerHandler = (*session)(nil)
 
 // KeyEvent implements rfb.ServerHandler: universal input → input queue →
-// window system. The read loop only enqueues; dispatchTurn injects.
+// window system. The read loop only queues; dispatchTurn injects.
 func (c *session) KeyEvent(ev rfb.KeyEvent) {
 	mKeyEvents.Inc()
 	now := time.Now().UnixNano()
@@ -678,131 +715,13 @@ func (c *session) wakeDispatch() { c.dispatchTask.Kick() }
 // CutText implements rfb.ServerHandler (ignored; appliances do not paste).
 func (c *session) CutText(string) {}
 
-// UpdateRequest implements rfb.ServerHandler: park the request for the
+// UpdateRequest implements rfb.ServerHandler: queue the request for the
 // writer and return. The read loop neither blocks on the transport nor
 // takes the display widget lock — both the render pump and the request
-// state machine run on the writer's turn (processRequest).
+// state machine run on the writer's turn (answer).
 func (c *session) UpdateRequest(req rfb.UpdateRequest) {
 	c.mu.Lock()
 	c.reqs = append(c.reqs, req)
 	c.mu.Unlock()
 	c.wake()
-}
-
-// processRequest runs the request state machine (writer turn).
-// Non-incremental requests are answered with the full region; incremental
-// requests are answered when damage exists, otherwise parked until damage
-// arrives. All replies flow through the writer's coalescing outbox.
-func (c *session) processRequest(req rfb.UpdateRequest) {
-	if !req.Incremental {
-		region := req.Region.Intersect(c.bounds)
-		c.mu.Lock()
-		// The full-region resend supersedes pending damage inside it;
-		// damage outside the requested region stays collectable by a
-		// later request instead of being dropped.
-		drained := c.drainDirtyLocked(region)
-		c.hasPending = false
-		if region.Empty() {
-			// Every non-incremental request gets exactly one reply, even
-			// when the region clips to nothing.
-			c.owedEmpty++
-			c.mu.Unlock()
-			c.recycleDirty(drained)
-			c.wake()
-			return
-		}
-		c.mu.Unlock()
-		c.recycleDirty(drained) // contents unused: region covers them
-		c.enqueue([]gfx.Rect{region})
-		return
-	}
-	c.mu.Lock()
-	rects := c.drainDirtyLocked(req.Region)
-	if len(rects) == 0 {
-		// No damage inside the requested region (pending damage outside
-		// it, if any, went back to the dirty set): park the request.
-		c.pending = req
-		c.hasPending = true
-		c.mu.Unlock()
-		c.recycleDirty(rects)
-		return
-	}
-	c.mu.Unlock()
-	c.enqueue(rects)
-	c.recycleDirty(rects)
-}
-
-// drainDirtyLocked drains the dirty set for a request covering region:
-// parts inside region are returned clipped (in recycled storage), parts
-// outside are re-added to the dirty set so a later request still collects
-// them. c.mu must be held; hand the storage back via recycleDirty once the
-// rectangles are consumed.
-func (c *session) drainDirtyLocked(region gfx.Rect) []gfx.Rect {
-	taken := c.takeDirtyLocked()
-	out := taken[:0]
-	var tmp [4]gfx.Rect
-	for _, r := range taken {
-		in := r.Intersect(region)
-		if in != r { // some of r lies outside the requested region
-			for _, rest := range r.SubtractInto(tmp[:0], region) {
-				c.dirty.Add(rest)
-			}
-		}
-		if !in.Empty() {
-			out = append(out, in)
-		}
-	}
-	return out
-}
-
-// takeDirtyLocked drains the dirty set into recycled storage (c.mu held).
-// Once the returned rectangles are consumed, hand the storage back with
-// recycleDirty so the steady-state request path stops allocating.
-func (c *session) takeDirtyLocked() []gfx.Rect {
-	spare := c.dirtySpare
-	c.dirtySpare = nil
-	return c.dirty.TakeInto(spare)
-}
-
-func (c *session) recycleDirty(rects []gfx.Rect) {
-	c.mu.Lock()
-	if c.dirtySpare == nil {
-		c.dirtySpare = rects
-	}
-	c.mu.Unlock()
-}
-
-// addDirty accumulates fresh damage and satisfies a parked request.
-func (c *session) addDirty(rects []gfx.Rect) {
-	c.mu.Lock()
-	hadDirty := !c.dirty.Empty()
-	for _, r := range rects {
-		c.dirty.Add(r)
-	}
-	if !c.hasPending || c.dirty.Empty() {
-		coalesced := !c.hasPending && hadDirty && len(rects) > 0
-		c.mu.Unlock()
-		if coalesced {
-			// No request is waiting and damage was already pending: the
-			// client is lagging the screen, so these rects merge into
-			// the accumulated set and will ship together — coalesced —
-			// on the next request. (A single rect landing on a clean
-			// session is just normal demand-driven flow and is not
-			// counted.)
-			mRectsCoalesced.Add(int64(len(rects)))
-		}
-		return
-	}
-	out := c.drainDirtyLocked(c.pending.Region)
-	if len(out) == 0 {
-		// The new damage lies entirely outside the parked request's
-		// region: it stays in the dirty set, the request stays parked.
-		c.mu.Unlock()
-		c.recycleDirty(out)
-		return
-	}
-	c.hasPending = false
-	c.mu.Unlock()
-	c.enqueue(out)
-	c.recycleDirty(out)
 }

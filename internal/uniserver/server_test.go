@@ -76,7 +76,7 @@ func sendPointer(c *rfb.ClientConn, ev rfb.PointerEvent) error {
 	return c.WriteEvents([]rfb.InputEvent{{IsPointer: true, Pointer: ev}})
 }
 
-func waitFor(t *testing.T, what string, cond func() bool) {
+func waitFor(t testing.TB, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
 	for !cond() {

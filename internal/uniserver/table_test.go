@@ -115,15 +115,15 @@ func (m *modelServer) tokens(st state) []string {
 	return out
 }
 
-// inLot counts the model's parked and claimed tokens.
-func (m *modelServer) inLot() int {
+// lotCount counts the model's parked and claimed tokens.
+func (m *modelServer) lotCount() int {
 	return len(m.tokens(parked)) + len(m.tokens(claimed))
 }
 
 // makeRoom applies the capacity rule to the model before a token enters
 // the lot: the oldest parked token goes (the model sessions hold no input).
 func (m *modelServer) makeRoom() {
-	if m.inLot() < modelLotCap {
+	if m.lotCount() < modelLotCap {
 		return
 	}
 	victim := ""
@@ -206,7 +206,7 @@ func checkModel(t *testing.T, step string, servers []*modelServer, base metrics.
 		if fmt.Sprint(got) != fmt.Sprint(m.state) {
 			t.Fatalf("%s: server %d table %v, model %v", step, i, got, m.state)
 		}
-		l, p := len(m.tokens(live)), m.inLot()
+		l, p := len(m.tokens(live)), m.lotCount()
 		if m.srv.Sessions() != l || m.srv.Parked() != p {
 			t.Fatalf("%s: server %d Sessions() = %d, Parked() = %d; model %d, %d",
 				step, i, m.srv.Sessions(), m.srv.Parked(), l, p)
@@ -394,7 +394,7 @@ func TestSessionTableModel(t *testing.T) {
 				spent = append(spent, tok)
 			case op == 8: // capacity overflow: park until the lot evicts
 				what = "overflow"
-				for n := m.inLot(); n <= modelLotCap; n++ {
+				for n := m.lotCount(); n <= modelLotCap; n++ {
 					c, _, issued := m.dial(t, "")
 					m.state[issued] = live
 					waitFor(t, "overflow session live", func() bool { return stateOf(m.srv, issued) == live })

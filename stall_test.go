@@ -2,6 +2,7 @@ package uniint_test
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -386,4 +387,49 @@ func readRawUpdate(c net.Conn) error {
 		}
 	}
 	return nil
+}
+
+// TestCloseMidHandshake: a client that routes into a home, reads the
+// server's protocol version and then says nothing pins its home from
+// inside the server's handshake. Hub.Close closes that connection and
+// returns within a second, leaving nothing behind, instead of waiting out
+// uniserver.HandshakeTimeout.
+func TestCloseMidHandshake(t *testing.T) {
+	leakcheck.Check(t, 0)
+	h, err := hub.New(hub.Options{
+		Factory: func(id string) (hub.Host, error) { return uniint.NewSessionForHub(uniint.Options{Name: id}) },
+		Metrics: metrics.NewRegistry(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if _, err := h.Admit("quiet"); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- h.Serve(ln) }()
+	defer func() { ln.Close(); <-served }()
+	quiet, err := hub.DialHome(ln.Addr().String(), "quiet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer quiet.Close()
+	if _, err := io.ReadFull(quiet, make([]byte, len(rfb.ProtocolVersion))); err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	h.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v with a client mid-handshake", d)
+	}
+	_ = quiet.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := quiet.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("quiet client read %v after Close, want EOF", err)
+	}
 }
