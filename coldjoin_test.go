@@ -21,7 +21,9 @@ package uniint
 // the join's content keys read, and fails when that exceeds the rows the
 // Tab damaged: a join keys only what changed since the last one.
 // TestColdJoinSharedMemo is the race-detector check that concurrent joins
-// over one cache paint exactly what an uncached session paints.
+// over one shared cache paint exactly what a server with its own cache
+// paints, and TestColdJoinOwnMemo that a server given no cache, as
+// uniintd's and NewSession's are, memoises its own joins' bands.
 
 import (
 	"net"
@@ -162,8 +164,8 @@ func TestColdJoinSharedMemo(t *testing.T) {
 	full := gfx.R(0, 0, coldJoinW, coldJoinH)
 	want := d.Snapshot(full)
 
-	plain := uniserver.New(d, "uncached", nil)
-	t.Cleanup(plain.Close)
+	own := uniserver.New(d, "own cache", nil)
+	t.Cleanup(own.Close)
 	memo := uniserver.New(d, "memo", rfb.NewTileCache(0))
 	t.Cleanup(memo.Close)
 
@@ -186,13 +188,13 @@ func TestColdJoinSharedMemo(t *testing.T) {
 		return func() bool { return c.Snapshot(full).Equal(fb) }
 	}
 
-	ref, err := join(plain)
+	ref, err := join(own)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ref.Close() })
-	waitCond(t, "the uncached session to show the home", shows(ref, want))
-	uncached := ref.Snapshot(full)
+	waitCond(t, "the own-cache session to show the home", shows(ref, want))
+	owned := ref.Snapshot(full)
 
 	// Two waves of concurrent joins: the first races misses and Puts on
 	// the one cache, the second finds the body memoised.
@@ -214,10 +216,74 @@ func TestColdJoinSharedMemo(t *testing.T) {
 				t.Fatalf("wave %d join %d: %v", wave, i, errs[i])
 			}
 			t.Cleanup(func() { c.Close() })
-			waitCond(t, "a memoised join to match the uncached session", shows(c, uncached))
+			waitCond(t, "a memoised join to match the own-cache session", shows(c, owned))
 		}
 	}
 	if d := metrics.Default().Counter("rfb_dict_memo_hits_total").Value() - hits0; d < joins {
 		t.Fatalf("%d memo hits over %d joins, want at least %d (the second wave)", d, 2*joins, joins)
+	}
+}
+
+// rectCounts reports the rectangle count of every update a client applies.
+type rectCounts chan int
+
+func (c rectCounts) Updated(rects []gfx.Rect) { c <- len(rects) }
+func (rectCounts) Bell()                      {}
+func (rectCounts) CutText(string)             {}
+
+// TestColdJoinOwnMemo: a server built with no tile store, the way uniintd
+// and NewSession build one, has its own. A client that decodes dictionary
+// zlib gets a cold join as bands, the server's memo answers every band of
+// the second join at the same display state, and both decode to exactly
+// the display. A client that does not decode it gets one rectangle.
+func TestColdJoinOwnMemo(t *testing.T) {
+	d := standardHomeDisplay(t)
+	full := gfx.R(0, 0, coldJoinW, coldJoinH)
+	want := d.Snapshot(full)
+	srv := uniserver.New(d, "own memo", nil)
+	t.Cleanup(srv.Close)
+	hits := metrics.Default().Counter("rfb_dict_memo_hits_total")
+
+	// join connects a client advertising encs, asks for the full frame and
+	// returns how many rectangles it came in, once it has painted.
+	join := func(encs []int32) int {
+		t.Helper()
+		sc, cc := net.Pipe()
+		attached := make(chan struct{})
+		go func() { defer close(attached); srv.Attach(sc) }()
+		c, err := rfb.Dial(cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts := make(rectCounts, 1)
+		ran := make(chan struct{})
+		go func() { defer close(ran); c.Run(counts) }()
+		defer func() { c.Close(); <-ran; <-attached }()
+		if err := c.SetEncodings(encs); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.RequestUpdate(false, full); err != nil {
+			t.Fatal(err)
+		}
+		n := <-counts
+		if !c.Snapshot(full).Equal(want) {
+			t.Fatalf("a join advertising %v decoded a frame other than the display's", encs)
+		}
+		return n
+	}
+
+	bands := (coldJoinH + 63) / 64
+	for i := 0; i < 2; i++ {
+		h0 := hits.Value()
+		if n := join(wireBenchEncodings); n != bands {
+			t.Fatalf("join %d came in %d rectangles, want %d bands", i, n, bands)
+		}
+		if got, want := hits.Value()-h0, int64(i*bands); got != want {
+			t.Fatalf("join %d took %d bands from the memo, want %d", i, got, want)
+		}
+	}
+	noDict := []int32{rfb.EncTileRef, rfb.EncTileInstall, rfb.EncHextile, rfb.EncRRE, rfb.EncZlib, rfb.EncCopyRect, rfb.EncRaw}
+	if n := join(noDict); n != 1 {
+		t.Fatalf("a client without dictionary zlib got %d rectangles, want 1", n)
 	}
 }

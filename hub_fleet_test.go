@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,10 +76,16 @@ func TestHubThousandIdleSessions(t *testing.T) {
 	}
 
 	// The claim under test: an idle session costs its parked reader and
-	// nothing else — base + sessions goroutines, give or take transient
-	// pool turns.
-	if n := runtime.NumGoroutine(); n < base+sessions {
-		t.Errorf("%d goroutines with %d sessions connected, want a parked reader each (base %d)", n, sessions, base)
+	// nothing else. Each session's reader is in its read loop once its
+	// handshake has registered it, a moment after the client read
+	// ServerInit.
+	deadline := time.Now().Add(10 * time.Second)
+	n := servingReaders()
+	for ; n != sessions && time.Now().Before(deadline); n = servingReaders() {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n != sessions {
+		t.Errorf("%d goroutines in a session read loop with %d sessions connected, want one each", n, sessions)
 	}
 	// A goroutine budget, not a leak check: Assert counts, and the fleet is
 	// meant to be alive here.
@@ -90,7 +97,7 @@ func TestHubThousandIdleSessions(t *testing.T) {
 	for _, c := range clients {
 		c.Close()
 	}
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for h.Connections() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("Conns() = %d after fleet close", h.Connections())
@@ -100,6 +107,17 @@ func TestHubThousandIdleSessions(t *testing.T) {
 	// The budget again, with the homes still resident: the stack check at
 	// cleanup proves the teardown joined everything.
 	leakcheck.Assert(t, base+8, "1k idle hub sessions closed")
+}
+
+// servingReaders counts the goroutines in a session's read loop,
+// (*rfb.ServerConn).Serve, from a dump of every goroutine's stack.
+func servingReaders() int {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	for ; n == len(buf); n = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	return strings.Count(string(buf[:n]), "uniint/internal/rfb.(*ServerConn).Serve(")
 }
 
 // TestHubRouteUnpinsBeforeReturning: Route holds its pin for exactly as

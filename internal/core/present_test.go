@@ -25,6 +25,7 @@ type presentRig struct {
 	t       *testing.T
 	display *toolkit.Display
 	srv     *rfb.ServerConn
+	tiles   *rfb.TileCache
 	proxy   *core.Proxy
 	toggles []*toolkit.Toggle
 	label   *toolkit.Label
@@ -41,7 +42,11 @@ func (scriptedServer) CutText(string)                  {}
 
 func newPresentRig(t *testing.T) *presentRig {
 	t.Helper()
-	r := &presentRig{t: t, display: toolkit.NewDisplay(device.TVWidth, device.TVHeight)}
+	r := &presentRig{
+		t:       t,
+		display: toolkit.NewDisplay(device.TVWidth, device.TVHeight),
+		tiles:   rfb.NewTileCache(0),
+	}
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 4, Padding: 6})
 	r.label = toolkit.NewLabel("step 0")
 	root.Add(r.label)
@@ -106,7 +111,9 @@ func (r *presentRig) send(rects []gfx.Rect) {
 	var prep *rfb.PreparedUpdate
 	var err error
 	r.display.WithFramebuffer(func(fb *gfx.Framebuffer) {
-		prep, err = r.srv.PrepareUpdateWire(fb, urs, nil)
+		// A fresh wire model assumes nothing the proxy holds, so every
+		// rectangle ships its pixels: none is a self-copy.
+		prep, err = r.srv.PrepareUpdateWire(fb, urs, rfb.NewWireState(r.tiles, device.TVWidth, device.TVHeight))
 	})
 	if err == nil {
 		err = r.srv.SendPrepared(prep)

@@ -117,7 +117,7 @@ func probeDistinct(fb *gfx.Framebuffer, r gfx.Rect, sc *encodeScratch) int {
 // leaves no room to adapt.
 func chooseEncoding(fb *gfx.Framebuffer, r gfx.Rect, mask uint8, fallback int32, sc *encodeScratch) int32 {
 	adaptable := mask & (encBitRaw | encBitRRE | encBitHextile)
-	if fb == nil || adaptable == 0 || adaptable&(adaptable-1) == 0 {
+	if adaptable == 0 || adaptable&(adaptable-1) == 0 {
 		// Zero or one usable encoding: nothing to adapt between.
 		return fallback
 	}

@@ -84,10 +84,6 @@ func TestChooseEncodingRespectsClientMask(t *testing.T) {
 	if enc := chooseEncoding(noise, noise.Bounds(), encBitRRE|encBitHextile, EncRRE, sc); enc != EncHextile {
 		t.Errorf("no-raw mask on noise: %s", EncodingName(enc))
 	}
-	// nil framebuffer (copyrect-only updates): fallback.
-	if enc := chooseEncoding(nil, gfx.R(0, 0, 8, 8), encBitRaw|encBitRRE|encBitHextile, EncZlib, sc); enc != EncZlib {
-		t.Errorf("nil fb: %s", EncodingName(enc))
-	}
 }
 
 // TestAdaptiveProbeBounded: the probe samples a bounded pixel count even

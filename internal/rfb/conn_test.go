@@ -131,7 +131,7 @@ func pipePair(t *testing.T, w, h int) (*ServerConn, *ClientConn, *testServerHand
 }
 
 // sendUpdate ships the given rectangles of fb (clipped to it, adaptively
-// encoded, no wire tier) as one FramebufferUpdate.
+// encoded) as one FramebufferUpdate.
 func sendUpdate(s *ServerConn, fb *gfx.Framebuffer, rects ...gfx.Rect) error {
 	var urs []UpdateRect
 	for _, r := range rects {
@@ -149,8 +149,10 @@ func preferredEncoding(s *ServerConn) int32 {
 	return s.preferredLocked()
 }
 
+// sendRects ships urs of fb as one FramebufferUpdate, against a fresh wire
+// model: one that assumes nothing of what the client holds.
 func sendRects(s *ServerConn, fb *gfx.Framebuffer, urs []UpdateRect) error {
-	prep, err := s.PrepareUpdateWire(fb, urs, nil)
+	prep, err := s.PrepareUpdateWire(fb, urs, NewWireState(NewTileCache(0), fb.W(), fb.H()))
 	if err != nil {
 		return err
 	}
@@ -182,8 +184,13 @@ func TestSendPreparedAllocatesNothing(t *testing.T) {
 		{Rect: gfx.R(0, 0, 64, 16), Encoding: EncRaw},
 		{Rect: gfx.R(8, 8, 16, 16), Encoding: EncRaw},
 	}
+	ws := NewWireState(NewTileCache(0), 64, 48)
 	send := func() {
-		if err := sendRects(s, fb, urs); err != nil {
+		prep, err := s.PrepareUpdateWire(fb, urs, ws)
+		if err == nil {
+			err = s.SendPrepared(prep)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := s.SendEmptyUpdate(); err != nil {
@@ -331,7 +338,7 @@ func TestCopyRectMessage(t *testing.T) {
 	}
 	waitSig(t, ch.gotUpd, "initial update")
 	// Move the red square to (16,16) via CopyRect only.
-	if err := sendRects(server, nil, []UpdateRect{{
+	if err := sendRects(server, fb, []UpdateRect{{
 		Rect: gfx.R(16, 16, 8, 8), Encoding: EncCopyRect, CopySrcX: 0, CopySrcY: 0,
 	}}); err != nil {
 		t.Fatal(err)
@@ -366,7 +373,7 @@ func TestSelfCopyIsNotDamage(t *testing.T) {
 	moved := UpdateRect{Rect: gfx.R(16, 16, 8, 8), Encoding: EncCopyRect}
 	var gens []uint64
 	for _, urs := range [][]UpdateRect{{full}, {full, moved, part}} {
-		if err := sendRects(server, nil, urs); err != nil {
+		if err := sendRects(server, fb, urs); err != nil {
 			t.Fatal(err)
 		}
 		waitSig(t, ch.gotUpd, "copyrect update")

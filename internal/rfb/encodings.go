@@ -33,8 +33,8 @@ func encodeRect(dst []byte, enc int32, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.P
 }
 
 // decodeRect reads one rectangle body from rd and paints it into fb at r.
-// dsc provides the reusable decode buffers (rows, zlib staging); pass a
-// connection-owned scratch on streaming paths.
+// dsc provides the reusable decode buffers (rows, zlib staging) and the
+// tile window; a connection keeps one for its life.
 func decodeRect(rd io.Reader, enc int32, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat, dsc *decodeScratch) error {
 	switch enc {
 	case EncRaw:
@@ -90,13 +90,8 @@ func encodeRaw(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat) 
 
 func decodeRaw(rd io.Reader, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat, dsc *decodeScratch) error {
 	bpp := pf.BytesPerPixel()
-	var buf []byte
-	if dsc != nil {
-		dsc.row = grow(dsc.row, r.W*bpp)
-		buf = dsc.row
-	} else {
-		buf = make([]byte, r.W*bpp)
-	}
+	dsc.row = grow(dsc.row, r.W*bpp)
+	buf := dsc.row
 	// The row path keeps Framebuffer.Set's out-of-bounds behaviour: rows
 	// and columns outside fb are read off the wire and not written.
 	rows := pf == gfx.PF32()
@@ -408,9 +403,6 @@ func decodeZlibBody(rd io.Reader, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelF
 	if n > maxZlibRect {
 		return fmt.Errorf("rfb: zlib rect of %d bytes: %w", n, ErrBadMessage)
 	}
-	if dsc == nil {
-		dsc = &decodeScratch{}
-	}
 	dsc.comp = grow(dsc.comp, int(n))
 	if _, err := io.ReadFull(rd, dsc.comp); err != nil {
 		return err
@@ -476,6 +468,14 @@ func decodeZlibDict(rd io.Reader, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelF
 // Both ends run the same fixed-capacity LRU over the install/ref stream
 // (tilecache.go), so a ref only ever names a tile still remembered.
 
+// clientTile is the client's payload in its tile window: a remembered
+// tile's geometry and decoded pixels, the buffer reused when its slot is
+// evicted.
+type clientTile struct {
+	w, h int
+	pix  []gfx.Color
+}
+
 func decodeTileInstall(rd io.Reader, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat, dsc *decodeScratch) error {
 	id, err := readU64(rd)
 	if err != nil {
@@ -497,8 +497,18 @@ func decodeTileInstall(rd io.Reader, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.Pix
 	if err := decodeRect(rd, inner, fb, r, pf, dsc); err != nil {
 		return err
 	}
-	if dsc != nil {
-		dsc.tiles.install(id, fb, r)
+	// Remember the painted pixels under id. Re-installing a held id
+	// overwrites them (the server re-installs after its window was reset,
+	// or when the id is now another content's).
+	t := dsc.tiles.put(id)
+	t.w, t.h = r.W, r.H
+	if cap(t.pix) < r.Area() {
+		t.pix = make([]gfx.Color, r.Area())
+	}
+	t.pix = t.pix[:r.Area()]
+	w, pix := fb.W(), fb.Pix()
+	for y := 0; y < r.H; y++ {
+		copy(t.pix[y*r.W:(y+1)*r.W], pix[(r.Y+y)*w+r.X:(r.Y+y)*w+r.MaxX()])
 	}
 	return nil
 }
@@ -511,8 +521,14 @@ func decodeTileRef(rd io.Reader, fb *gfx.Framebuffer, r gfx.Rect, dsc *decodeScr
 	if !rectInside(r, fb) {
 		return fmt.Errorf("rfb: tile ref outside framebuffer: %w", ErrBadMessage)
 	}
-	if dsc == nil || !dsc.tiles.replay(id, fb, r) {
+	// An unknown id or other geometry is a protocol violation by the server.
+	t := dsc.tiles.get(id)
+	if t == nil || t.w != r.W || t.h != r.H {
 		return fmt.Errorf("rfb: tile ref to unknown tile %016x: %w", id, ErrBadMessage)
+	}
+	w, pix := fb.W(), fb.Pix()
+	for y := 0; y < r.H; y++ {
+		copy(pix[(r.Y+y)*w+r.X:(r.Y+y)*w+r.MaxX()], t.pix[y*r.W:(y+1)*r.W])
 	}
 	return nil
 }

@@ -86,7 +86,7 @@ func TestEncodingRoundTrip(t *testing.T) {
 						t.Fatalf("%s/%s/%s: encode: %v", fname, pfname, EncodingName(enc), err)
 					}
 					dst := gfx.NewFramebuffer(frame.W(), frame.H())
-					if err := decodeRect(bytes.NewReader(body), enc, dst, r, pf, nil); err != nil {
+					if err := decodeRect(bytes.NewReader(body), enc, dst, r, pf, &decodeScratch{}); err != nil {
 						t.Fatalf("%s/%s/%s %v: decode: %v", fname, pfname, EncodingName(enc), r, err)
 					}
 					for y := r.Y; y < r.MaxY(); y++ {
@@ -114,7 +114,7 @@ func TestEncodingDoesNotTouchOutside(t *testing.T) {
 		}
 		dst := gfx.NewFramebuffer(64, 64)
 		dst.Clear(gfx.Red)
-		if err := decodeRect(bytes.NewReader(body), enc, dst, r, gfx.PF32(), nil); err != nil {
+		if err := decodeRect(bytes.NewReader(body), enc, dst, r, gfx.PF32(), &decodeScratch{}); err != nil {
 			t.Fatal(err)
 		}
 		for y := 0; y < 64; y++ {
@@ -169,7 +169,7 @@ func TestDecodeRREBadCount(t *testing.T) {
 	// A subrect count far beyond the rect area must be rejected.
 	buf := bytes.NewReader(be.AppendUint32(nil, 1<<30))
 	dst := gfx.NewFramebuffer(8, 8)
-	err := decodeRect(buf, EncRRE, dst, gfx.R(0, 0, 8, 8), gfx.PF32(), nil)
+	err := decodeRect(buf, EncRRE, dst, gfx.R(0, 0, 8, 8), gfx.PF32(), &decodeScratch{})
 	if err == nil {
 		t.Fatal("expected error on absurd RRE subrect count")
 	}
@@ -179,7 +179,7 @@ func TestUnknownEncoding(t *testing.T) {
 	if _, err := EncodeRectInto(nil, 999, gfx.NewFramebuffer(4, 4), gfx.R(0, 0, 4, 4), gfx.PF32()); err == nil {
 		t.Error("encode with unknown encoding should fail")
 	}
-	if err := decodeRect(bytes.NewReader(nil), 999, gfx.NewFramebuffer(4, 4), gfx.R(0, 0, 4, 4), gfx.PF32(), nil); err == nil {
+	if err := decodeRect(bytes.NewReader(nil), 999, gfx.NewFramebuffer(4, 4), gfx.R(0, 0, 4, 4), gfx.PF32(), &decodeScratch{}); err == nil {
 		t.Error("decode with unknown encoding should fail")
 	}
 }
@@ -253,7 +253,7 @@ func TestRawPF32RowPathMatchesGeneric(t *testing.T) {
 		if err := decodeRaw(bytes.NewReader(body), got, r, gfx.PF32(), &decodeScratch{}); err != nil {
 			t.Fatalf("decodeRaw %v: %v", r, err)
 		}
-		if err := decodeRaw(bytes.NewReader(body), want, r, generic, nil); err != nil {
+		if err := decodeRaw(bytes.NewReader(body), want, r, generic, &decodeScratch{}); err != nil {
 			t.Fatalf("decodeRaw %v (per-pixel): %v", r, err)
 		}
 		if !got.Equal(want) {

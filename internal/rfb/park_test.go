@@ -20,7 +20,7 @@ func syncedTo(w, h int, seed uint32) (*WireState, *gfx.Framebuffer) {
 		x ^= x << 5
 		pix[i] = gfx.Color(x)
 	}
-	ws := NewWireState(nil, w, h)
+	ws := NewWireState(NewTileCache(0), w, h)
 	ws.commit(fb, &UpdateRect{Rect: fb.Bounds(), Encoding: EncRaw})
 	return ws, fb
 }
@@ -33,7 +33,7 @@ func TestPackNeedsASyncedFrame(t *testing.T) {
 	if _, err := ws.Pack(); err == nil {
 		t.Fatal("a Reset model packed")
 	}
-	if _, err := NewWireState(nil, 32, 32).Pack(); err == nil {
+	if _, err := NewWireState(NewTileCache(0), 32, 32).Pack(); err == nil {
 		t.Fatal("a fresh model packed")
 	}
 	ws, _ = syncedTo(32, 32, 3)
@@ -94,7 +94,7 @@ func TestPackCompressionRatio(t *testing.T) {
 			fb.Set(x, y, gfx.Black)
 		}
 	}
-	ws := NewWireState(nil, 160, 120)
+	ws := NewWireState(NewTileCache(0), 160, 120)
 	ws.commit(fb, &UpdateRect{Rect: fb.Bounds(), Encoding: EncRaw})
 	p, err := ws.Pack()
 	if err != nil {

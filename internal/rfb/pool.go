@@ -204,7 +204,7 @@ type decodeScratch struct {
 	zr   zlibResetter  // zlib: reusable decompressor
 	zrr  *bytes.Reader // zlib: reusable source reader
 
-	tiles clientTiles // tile encodings: the connection's tile memory
+	tiles tileLRU[clientTile] // tile encodings: the connection's tile memory
 }
 
 // zlibResetter is the stdlib's resettable zlib reader (zlib.NewReader

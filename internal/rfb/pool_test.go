@@ -65,7 +65,7 @@ func TestPooledEncodeRoundTripProperty(t *testing.T) {
 				dst := gfx.NewFramebuffer(w, h)
 				for i, r := range rects {
 					body := buf[spans[i][0]:spans[i][1]]
-					if err := decodeRect(bytes.NewReader(body), enc, dst, r, pf, nil); err != nil {
+					if err := decodeRect(bytes.NewReader(body), enc, dst, r, pf, &decodeScratch{}); err != nil {
 						return false
 					}
 				}

@@ -61,7 +61,7 @@ func TestEncodingRoundTripProperty(t *testing.T) {
 					return false
 				}
 				dst := gfx.NewFramebuffer(w, h)
-				if err := decodeRect(bytes.NewReader(body), enc, dst, r, pf, nil); err != nil {
+				if err := decodeRect(bytes.NewReader(body), enc, dst, r, pf, &decodeScratch{}); err != nil {
 					return false
 				}
 				for y := r.Y; y < r.MaxY(); y++ {

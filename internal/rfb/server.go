@@ -337,23 +337,20 @@ func (p *PreparedUpdate) Release() {
 	putScratch(p.sc)
 }
 
-// PrepareUpdateWire encodes the given rectangles against fb using the
-// client's current pixel format, resolving EncAdaptive per rectangle from
-// its content. fb may be nil when every rectangle is a CopyRect. The
-// returned update is backed by pooled scratch; pass it to SendPrepared or
-// Release it.
-//
-// A non-nil ws adds the wire-efficiency tier: it tracks what this
-// session's client already holds, letting EncAdaptive rectangles resolve
-// to CopyRect moves, tile references/installs and dictionary-zlib in
-// addition to the content-adaptive encodings — always restricted to what
-// the client advertised. When ws has a shared TileCache, a full-bounds
-// EncAdaptive rectangle that is not a self-copy ships as bandRows-row
-// bands, so the cache's dictionary memo answers per band. Every encoded
-// rectangle is committed into ws (the bands as the one full-bounds
-// rectangle they cover), so prepared updates must be sent to the client
-// in preparation order; call ws.Reset after a failed send or prepare. An
-// update of more rectangles than the wire's u16 count holds is refused.
+// PrepareUpdateWire encodes the given rectangles of fb using the client's
+// current pixel format, against ws, the session's wire model, which
+// tracks what this session's client already holds. An EncAdaptive
+// rectangle resolves to the cheapest form the client advertised: a
+// CopyRect self-copy, a tile reference or install, dictionary zlib, or a
+// content-adaptive encoding. A full-bounds EncAdaptive rectangle that is
+// not a self-copy ships to a client that decodes dictionary zlib as
+// bandRows-row bands, so the tile cache's dictionary memo answers per
+// band. Every encoded rectangle is committed into ws (the bands as the one
+// full-bounds rectangle they cover), so prepared updates must be sent to
+// the client in preparation order; a failed prepare resets ws, and the
+// caller resets it after a failed send. An update of more rectangles than
+// the wire's u16 count holds is refused. The returned update is backed by
+// pooled scratch; pass it to SendPrepared or Release it.
 func (s *ServerConn) PrepareUpdateWire(fb *gfx.Framebuffer, rects []UpdateRect, ws *WireState) (*PreparedUpdate, error) {
 	pf, gen := s.pixelFormatGen()
 	s.smu.Lock()
@@ -368,9 +365,15 @@ func (s *ServerConn) PrepareUpdateWire(fb *gfx.Framebuffer, rects []UpdateRect, 
 	prep.rects = append(prep.rects[:0], rects...)
 	prep.spans = prep.spans[:0]
 	prep.buf = prep.buf[:0]
+	fail := func(err error) (*PreparedUpdate, error) {
+		prep.Release()
+		ws.Reset() // the model committed rectangles that never ship
+		return nil, err
+	}
 	for i := 0; i < len(prep.rects); i++ {
 		ur := &prep.rects[i]
 		start := len(prep.buf)
+		var err error
 		switch {
 		case ur.Encoding == EncCopyRect:
 			var b [4]byte
@@ -381,49 +384,26 @@ func (s *ServerConn) PrepareUpdateWire(fb *gfx.Framebuffer, rects []UpdateRect, 
 		case ur.Encoding == EncAdaptive && ws.banded(fb, ur.Rect, mask):
 			n, err := prep.encodeBands(i, fb, ws, pf, mask, fallback, sc)
 			if err != nil {
-				prep.Release()
-				ws.Reset()
-				return nil, err
+				return fail(err)
 			}
 			i += n - 1
 			continue
 
-		case ur.Encoding == EncAdaptive && ws != nil && fb != nil:
-			buf, enc, err := ws.selectAndEncode(prep.buf, fb, ur, pf, mask, fallback, sc)
-			if err != nil {
-				prep.Release()
-				ws.Reset()
-				return nil, err
-			}
-			prep.buf = buf
-			ur.Encoding = enc
+		case ur.Encoding == EncAdaptive:
+			prep.buf, ur.Encoding, err = ws.selectAndEncode(prep.buf, fb, ur, pf, mask, fallback, sc)
 
 		default:
-			if ur.Encoding == EncAdaptive {
-				ur.Encoding = chooseEncoding(fb, ur.Rect, mask, fallback, sc)
-			}
-			buf, err := encodeRect(prep.buf, ur.Encoding, fb, ur.Rect, pf, sc)
-			if err != nil {
-				prep.Release()
-				if ws != nil {
-					ws.Reset()
-				}
-				return nil, err
-			}
-			prep.buf = buf
+			prep.buf, err = encodeRect(prep.buf, ur.Encoding, fb, ur.Rect, pf, sc)
+		}
+		if err != nil {
+			return fail(err)
 		}
 		prep.spans = append(prep.spans, [2]int{start, len(prep.buf)})
 		countEncodedBytes(ur.Encoding, len(prep.buf)-start)
-		if ws != nil {
-			ws.commit(fb, ur)
-		}
+		ws.commit(fb, ur)
 	}
 	if len(prep.rects) > maxUpdateRects {
-		prep.Release()
-		if ws != nil {
-			ws.Reset() // the model committed rectangles that never ship
-		}
-		return nil, fmt.Errorf("rfb: update of %d rectangles exceeds the wire's %d", len(prep.rects), maxUpdateRects)
+		return fail(fmt.Errorf("rfb: update of %d rectangles exceeds the wire's %d", len(prep.rects), maxUpdateRects))
 	}
 	return prep, nil
 }

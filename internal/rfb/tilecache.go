@@ -16,22 +16,23 @@ import (
 // Two structures cooperate, both addressed by gfx.Framebuffer.Key, the
 // 128-bit content key:
 //
-//   - TileCache (process-wide, shared across sessions): content key →
-//     encoded tile body, so the Nth session emitting an EncTileInstall for
-//     a tile some other session already encoded reuses the bytes without
-//     re-running the encoder. Dictionary-zlib bodies of larger rectangles
+//   - TileCache (one per server, or one a hub shares across its homes):
+//     content key → encoded tile body, so the Nth session emitting an
+//     EncTileInstall for a tile some other session already encoded reuses
+//     the bytes without re-running the encoder. Dictionary-zlib bodies of larger rectangles
 //     (a cold join's full frame) share it under their own key kind.
 //     Bounded by a byte budget with LRU eviction.
 //
-//   - tileWindow (per session, inside WireState) mirrored by clientTiles
-//     (per connection, inside decodeScratch): a bounded LRU over u64 tile
-//     ids, taken from the keys, that both ends maintain with identical
-//     operations driven by the in-order update stream. The server emits
-//     EncTileRef only for an id its window holds under the same full key;
-//     because the client applies the same insert/touch/evict sequence,
-//     such an id is guaranteed to still be in the client's memory, holding
-//     those pixels. The capacity is therefore a protocol constant:
-//     changing it is a wire-protocol change.
+//   - tileLRU (the tile window): a bounded LRU over u64 tile ids, taken
+//     from the keys, that both ends run, one type with a payload per slot
+//     — the full content key in the server's WireState, the decoded pixels
+//     in the client's decodeScratch — driven by the in-order update
+//     stream. The server emits EncTileRef only for an id its window holds
+//     under the same full key; because the client applies the same
+//     put/get/evict sequence to the same type, such an id is guaranteed to
+//     still be in the client's memory, holding those pixels. The capacity
+//     is therefore a protocol constant: changing it is a wire-protocol
+//     change.
 
 // tileWindowCap is the mirrored per-session tile LRU capacity (in tiles).
 // Protocol constant — see docs/WIRE.md. Sized above the distinct-tile
@@ -86,10 +87,10 @@ type tileEntry struct {
 	prev, next *tileEntry
 }
 
-// TileCache is the process-wide content-addressed store of encoded tile
-// bodies, safe for concurrent use by every session of a hub. Bodies are
-// immutable, so Get may return the slice itself without copying; Put
-// copies its input.
+// TileCache is a content-addressed store of encoded tile bodies, safe for
+// concurrent use by every session that shares it: a server's, or every
+// home's of a hub. Bodies are immutable, so Get may return the slice
+// itself without copying; Put copies its input.
 type TileCache struct {
 	mu      sync.Mutex
 	entries map[tileKey]*tileEntry
@@ -207,216 +208,113 @@ var tileIDMask = ^uint64(0)
 
 func tileID(k gfx.Key) uint64 { return k[0] & tileIDMask }
 
-// --- Server-side session window (keys only) -----------------------------
+// --- The tile window ----------------------------------------------------
 
-// twSlot is one node of the server window's intrusive LRU (index-linked,
-// so the window is two allocations that grow with it).
-type twSlot struct {
-	key        gfx.Key
+// tileLRU is the tile window both ends run: an LRU of at most
+// tileWindowCap tiles keyed by u64 wire id, with a payload per slot. The
+// server's WireState holds one over full content keys, the model of the
+// client's tile memory; the client's decodeScratch holds one over decoded
+// pixels. Both are mutated only by the install/ref stream, in the same
+// order, so they evict alike: a ref the server emits for an id it holds
+// names an id the client holds, with those pixels. Index-linked, so a
+// window is two allocations that grow with it. The zero value is an empty
+// window.
+type tileLRU[P any] struct {
+	slots []lruSlot[P]     // appended by put up to tileWindowCap
+	index map[uint64]int32 // wire id → slot
+	head  int32            // most recently used; -1 when empty, unset until index is made
+	tail  int32            // least recently used; likewise
+}
+
+type lruSlot[P any] struct {
+	id         uint64
+	val        P
 	prev, next int32 // slot indices; -1 terminates
 }
 
-// tileWindow is the server's model of the client's tile memory: an LRU of
-// at most tileWindowCap tiles, mutated only by operations that are also
-// encoded on the wire (install, ref) so both ends stay in lockstep. It
-// indexes tiles by wire id and keeps each one's full content key, so an id
-// held for other content is never referenced, only re-installed.
-type tileWindow struct {
-	slots []twSlot         // appended by install up to tileWindowCap
-	index map[uint64]int32 // wire id → slot
-	head  int32
-	tail  int32
-}
-
-// init empties the window, keeping its storage. A window nothing was
-// installed in since the last init costs nothing to re-init, so neither a
-// new session nor a device switch that ships no tiles allocates.
-func (w *tileWindow) init() {
-	w.head, w.tail = -1, -1
-	if len(w.slots) > 0 {
-		clear(w.index)
-		w.slots = w.slots[:0]
+// init empties the window, keeping its storage. A window nothing was put
+// in since the last init costs nothing to re-init, so a device switch that
+// ships no tiles allocates nothing.
+func (l *tileLRU[P]) init() {
+	l.head, l.tail = -1, -1
+	if len(l.slots) > 0 {
+		clear(l.index)
+		l.slots = l.slots[:0]
 	}
 }
 
-// touch reports whether the tile keyed k is in the window, marking it most
-// recently used. A true return licenses an EncTileRef of its id: the id is
-// held under this very key, not merely under the same id.
-func (w *tileWindow) touch(k gfx.Key) bool {
-	i, ok := w.index[tileID(k)]
-	if !ok || w.slots[i].key != k {
-		return false
+// get returns the payload held under id, marking it most recently used, or
+// nil. A caller that finds the payload is not the one it wants either puts
+// id at once (the server re-installs) or fails the stream (the client), so
+// the touch never makes the two ends differ.
+func (l *tileLRU[P]) get(id uint64) *P {
+	i, ok := l.index[id]
+	if !ok {
+		return nil
 	}
-	w.moveToFront(i)
-	return true
+	l.moveToFront(i)
+	return &l.slots[i].val
 }
 
-// install records the tile keyed k as most recently used, evicting the
-// least recently used tile when the window is full. An id already held is
-// overwritten in place and moved to the front. Mirrors the client's
-// handling of EncTileInstall.
-func (w *tileWindow) install(k gfx.Key) {
-	id := tileID(k)
-	i, ok := w.index[id]
+// put returns the payload slot for id as most recently used: the one
+// already held under id, a new one, or, in a full window, the least
+// recently used one's, whose payload stays for the caller to overwrite
+// (the client reuses its pixel buffer).
+func (l *tileLRU[P]) put(id uint64) *P {
+	i, ok := l.index[id]
 	switch {
 	case ok:
-		w.slots[i].key = k
-		w.moveToFront(i)
-		return
-	case len(w.slots) < tileWindowCap:
-		if w.index == nil {
-			w.index = map[uint64]int32{}
+		l.moveToFront(i)
+		return &l.slots[i].val
+	case len(l.slots) < tileWindowCap:
+		if l.index == nil {
+			l.index = map[uint64]int32{}
+			l.head, l.tail = -1, -1
 		}
-		i = int32(len(w.slots))
-		w.slots = append(w.slots, twSlot{})
+		i = int32(len(l.slots))
+		l.slots = append(l.slots, lruSlot[P]{})
 	default:
-		i = w.tail
-		w.unlink(i)
-		delete(w.index, tileID(w.slots[i].key))
+		i = l.tail
+		l.unlink(i)
+		delete(l.index, l.slots[i].id)
 	}
-	w.slots[i].key = k
-	w.index[id] = i
-	w.pushFront(i)
+	l.slots[i].id = id
+	l.index[id] = i
+	l.pushFront(i)
+	return &l.slots[i].val
 }
 
-func (w *tileWindow) pushFront(i int32) {
-	s := &w.slots[i]
-	s.prev, s.next = -1, w.head
-	if w.head >= 0 {
-		w.slots[w.head].prev = i
+func (l *tileLRU[P]) pushFront(i int32) {
+	s := &l.slots[i]
+	s.prev, s.next = -1, l.head
+	if l.head >= 0 {
+		l.slots[l.head].prev = i
 	}
-	w.head = i
-	if w.tail < 0 {
-		w.tail = i
+	l.head = i
+	if l.tail < 0 {
+		l.tail = i
 	}
 }
 
-func (w *tileWindow) unlink(i int32) {
-	s := &w.slots[i]
+func (l *tileLRU[P]) unlink(i int32) {
+	s := &l.slots[i]
 	if s.prev >= 0 {
-		w.slots[s.prev].next = s.next
+		l.slots[s.prev].next = s.next
 	} else {
-		w.head = s.next
+		l.head = s.next
 	}
 	if s.next >= 0 {
-		w.slots[s.next].prev = s.prev
+		l.slots[s.next].prev = s.prev
 	} else {
-		w.tail = s.prev
+		l.tail = s.prev
 	}
 	s.prev, s.next = -1, -1
 }
 
-func (w *tileWindow) moveToFront(i int32) {
-	if w.head == i {
+func (l *tileLRU[P]) moveToFront(i int32) {
+	if l.head == i {
 		return
 	}
-	w.unlink(i)
-	w.pushFront(i)
-}
-
-// --- Client-side tile memory (decoded pixels) ---------------------------
-
-// ctEntry is one remembered tile: the decoded pixels plus geometry.
-type ctEntry struct {
-	id         uint64
-	w, h       int
-	pix        []gfx.Color // reused across evictions via grow-style resize
-	prev, next *ctEntry
-}
-
-// clientTiles is the client's tile memory, the mirror of the server's
-// tileWindow: same capacity, same LRU discipline, mutated by the decoded
-// EncTileInstall/EncTileRef stream in the same order the server mutated
-// its window, so every EncTileRef the server emits resolves here.
-type clientTiles struct {
-	entries map[uint64]*ctEntry
-	head    *ctEntry
-	tail    *ctEntry
-}
-
-// install remembers the pixels of fb inside r under id. Re-installing an
-// existing id overwrites the remembered pixels and moves it to the front
-// (the server re-installs after its window state was reset, or when the id
-// is now another content's).
-func (ct *clientTiles) install(id uint64, fb *gfx.Framebuffer, r gfx.Rect) {
-	if ct.entries == nil {
-		ct.entries = make(map[uint64]*ctEntry, tileWindowCap)
-	}
-	e := ct.entries[id]
-	if e == nil {
-		if len(ct.entries) >= tileWindowCap {
-			// Evict LRU, reusing its node and pixel buffer.
-			e = ct.tail
-			ct.unlink(e)
-			delete(ct.entries, e.id)
-		} else {
-			e = &ctEntry{}
-		}
-		e.id = id
-		ct.entries[id] = e
-		ct.pushFront(e)
-	} else {
-		ct.moveToFront(e)
-	}
-	e.w, e.h = r.W, r.H
-	need := r.W * r.H
-	if cap(e.pix) < need {
-		e.pix = make([]gfx.Color, need)
-	}
-	e.pix = e.pix[:need]
-	w := fb.W()
-	pix := fb.Pix()
-	for y := 0; y < r.H; y++ {
-		copy(e.pix[y*r.W:(y+1)*r.W], pix[(r.Y+y)*w+r.X:(r.Y+y)*w+r.MaxX()])
-	}
-}
-
-// replay paints the remembered tile for id into fb at r, marking it
-// recently used. False means the id is unknown or the geometry differs —
-// a protocol violation by the server.
-func (ct *clientTiles) replay(id uint64, fb *gfx.Framebuffer, r gfx.Rect) bool {
-	e := ct.entries[id]
-	if e == nil || e.w != r.W || e.h != r.H {
-		return false
-	}
-	ct.moveToFront(e)
-	w := fb.W()
-	pix := fb.Pix()
-	for y := 0; y < r.H; y++ {
-		copy(pix[(r.Y+y)*w+r.X:(r.Y+y)*w+r.MaxX()], e.pix[y*r.W:(y+1)*r.W])
-	}
-	return true
-}
-
-func (ct *clientTiles) pushFront(e *ctEntry) {
-	e.prev, e.next = nil, ct.head
-	if ct.head != nil {
-		ct.head.prev = e
-	}
-	ct.head = e
-	if ct.tail == nil {
-		ct.tail = e
-	}
-}
-
-func (ct *clientTiles) unlink(e *ctEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		ct.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		ct.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (ct *clientTiles) moveToFront(e *ctEntry) {
-	if ct.head == e {
-		return
-	}
-	ct.unlink(e)
-	ct.pushFront(e)
+	l.unlink(i)
+	l.pushFront(i)
 }

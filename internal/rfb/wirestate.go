@@ -28,21 +28,19 @@ type WireState struct {
 	// rectangle of it is a self-copy.
 	synced  *gfx.Framebuffer
 	syncGen uint64
-	win     tileWindow
-	cache   *TileCache // shared across sessions; may be nil
+	win     tileLRU[gfx.Key] // the client's tile memory, by full content key
+	cache   *TileCache       // the server's, or shared by a hub's homes
 	pf      gfx.PixelFormat
 	pfSet   bool
 }
 
 // NewWireState creates the wire model for a session whose client
-// framebuffer is w×h. cache is the hub-wide shared tile store (nil for a
-// standalone session: tile encodings still work, bodies are just never
-// shared across sessions). The model starts synced to no frame, so no
+// framebuffer is w×h. cache is the tile store its encoded bodies are
+// shared through, and must not be nil: its server's own, or the one a hub
+// shares across its homes. The model starts synced to no frame, so no
 // CopyRect ships before the first full-bounds rectangle.
 func NewWireState(cache *TileCache, w, h int) *WireState {
-	ws := &WireState{w: w, h: h, cache: cache}
-	ws.win.init()
-	return ws
+	return &WireState{w: w, h: h, cache: cache}
 }
 
 // Reset discards every assumption about the client: the tile window is
@@ -107,7 +105,9 @@ func (ws *WireState) selectAndEncode(dst []byte, fb *gfx.Framebuffer, ur *Update
 	if mask&tileBits == tileBits && inside &&
 		r.Area() <= tileMaxArea && r.H <= tileMaxHeight {
 		k := fb.Key(r)
-		if ws.win.touch(k) {
+		// A held id is referenced only while it holds this very content:
+		// an id held for another content is re-installed.
+		if held := ws.win.get(tileID(k)); held != nil && *held == k {
 			var b [8]byte
 			be.PutUint64(b[:], tileID(k))
 			mTileRefsSent.Inc()
@@ -117,14 +117,14 @@ func (ws *WireState) selectAndEncode(dst []byte, fb *gfx.Framebuffer, ur *Update
 		if err != nil {
 			return nil, 0, err
 		}
-		ws.win.install(k)
+		*ws.win.put(tileID(k)) = k
 		mTileInstallsSent.Inc()
 		return dst, EncTileInstall, nil
 	}
 
 	dictable := mask&encBitZlibDict != 0 && r.Area() >= zlibDictMinArea
 	var key tileKey
-	if dictable && ws.cache != nil && fb != nil && r.X == 0 && r.W == fb.W() {
+	if dictable && r.X == 0 && r.W == fb.W() {
 		// A full-width band is keyed from the frame's row memo, far cheaper
 		// than the probe, so the memo is asked first; a narrower rectangle
 		// is keyed only once the probe picked the dictionary.
@@ -174,9 +174,6 @@ func (ws *WireState) memo(key tileKey) ([]byte, bool) {
 // body is byte-identical to a fresh encode. key is r's memo key when
 // selectAndEncode already asked the memo (and missed), zero otherwise.
 func (ws *WireState) encodeDict(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, pf gfx.PixelFormat, key tileKey, mask uint8, fallback int32, sc *encodeScratch) ([]byte, error) {
-	if ws.cache == nil {
-		return encodeZlibDict(dst, fb, r, pf, sc)
-	}
 	if key.kind == 0 {
 		key = dictKey(fb, r, pf, mask, fallback)
 		if body, ok := ws.memo(key); ok {
@@ -199,11 +196,9 @@ func (ws *WireState) encodeInstall(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, 
 	var hdr [12]byte // tile id, inner encoding id
 	be.PutUint64(hdr[:], tileID(k))
 	key := tileKey{key: k, pf: pf, kind: EncTileInstall}
-	if ws.cache != nil {
-		if enc, body, ok := ws.cache.Get(key); ok {
-			be.PutUint32(hdr[8:], uint32(enc))
-			return append(append(dst, hdr[:]...), body...), nil
-		}
+	if enc, body, ok := ws.cache.Get(key); ok {
+		be.PutUint32(hdr[8:], uint32(enc))
+		return append(append(dst, hdr[:]...), body...), nil
 	}
 	// Inner bodies stick to the unconditionally-decodable encodings so a
 	// cached body never depends on optional capabilities; advertising
@@ -221,9 +216,7 @@ func (ws *WireState) encodeInstall(dst []byte, fb *gfx.Framebuffer, r gfx.Rect, 
 	if err != nil {
 		return nil, err
 	}
-	if ws.cache != nil {
-		ws.cache.Put(key, inner, dst[bodyStart:])
-	}
+	ws.cache.Put(key, inner, dst[bodyStart:])
 	return dst, nil
 }
 
@@ -242,10 +235,11 @@ const bandRows = 64
 
 // banded reports whether the EncAdaptive rectangle r of fb ships as
 // bandRows-row bands (PreparedUpdate.encodeBands): a full-bounds repaint
-// taller than one band that is not a self-copy, on a session with a
-// shared memo. Without the memo bands gain nothing. Safe on a nil ws.
+// taller than one band that is not a self-copy, to a client that decodes
+// dictionary zlib. The memo holds only dictionary-zlib bodies, so for any
+// other client bands gain nothing.
 func (ws *WireState) banded(fb *gfx.Framebuffer, r gfx.Rect, mask uint8) bool {
-	return ws != nil && fb != nil && ws.cache != nil && r.H > bandRows && ws.full(r) &&
+	return mask&encBitZlibDict != 0 && r.H > bandRows && ws.full(r) &&
 		!(mask&encBitCopyRect != 0 && ws.unchanged(fb))
 }
 
@@ -266,7 +260,7 @@ func (ws *WireState) commit(fb *gfx.Framebuffer, ur *UpdateRect) {
 		if ur.CopySrcX != r.X || ur.CopySrcY != r.Y {
 			ws.synced = nil
 		}
-	case fb != nil && ws.full(r):
+	case ws.full(r):
 		ws.synced, ws.syncGen = fb, fb.Gen()
 	case fb != ws.synced:
 		ws.synced = nil

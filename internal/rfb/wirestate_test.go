@@ -33,7 +33,7 @@ func TestWireStateResetForcesReinstall(t *testing.T) {
 	const w, h = 64, 64
 	pf := gfx.PF32()
 	fb := gradientFrame(w, h)
-	ws := NewWireState(nil, w, h)
+	ws := NewWireState(NewTileCache(0), w, h)
 	sc := getScratch()
 	defer putScratch(sc)
 
@@ -142,23 +142,26 @@ func TestTileCacheEvictionUnderPressure(t *testing.T) {
 }
 
 // TestTileWindowClientLockstep: drive a random install/ref stream through
-// the server's key window and the client's pixel memory, past eviction
-// churn several times the window capacity. The protocol invariants under
-// test: every id the server window still holds (every EncTileRef it would
-// emit) is replayable from the client memory, and both ends hold the same
-// ids in the same LRU order. The window allocates nothing until a tile is
-// installed, and never grows past its capacity.
+// the server's key window and, as wire bodies, through the client's
+// decode, past eviction churn several times the window capacity. The
+// protocol invariants under test: every id the server window still holds
+// (every EncTileRef it would emit) decodes from the client's tile memory,
+// and both ends hold the same ids in the same LRU order. The window
+// allocates nothing until a tile is installed, and never grows past its
+// capacity.
 func TestTileWindowClientLockstep(t *testing.T) {
 	const w, h = 16, 16
+	pf := gfx.PF32()
 	fb := gradientFrame(w, h)
+	got := gfx.NewFramebuffer(w, h)
 	r := gfx.R(0, 0, 8, 8)
 
-	var win tileWindow
+	var win tileLRU[gfx.Key]
 	win.init()
 	if win.slots != nil || win.index != nil {
 		t.Fatal("an empty window allocated")
 	}
-	var ct clientTiles
+	dsc := &decodeScratch{}
 
 	rng := rand.New(rand.NewSource(11))
 	keys := make([]gfx.Key, 3*tileWindowCap)
@@ -168,14 +171,16 @@ func TestTileWindowClientLockstep(t *testing.T) {
 	refs := 0
 	for i := 0; i < 8*tileWindowCap; i++ {
 		k := keys[rng.Intn(len(keys))]
-		if win.touch(k) {
+		id := tileID(k)
+		enc, body := EncTileRef, be.AppendUint64(nil, id)
+		if held := win.get(id); held != nil && *held == k {
 			refs++
-			if !ct.replay(tileID(k), fb, r) {
-				t.Fatalf("op %d: server window holds %x but client memory does not", i, k)
-			}
 		} else {
-			win.install(k)
-			ct.install(tileID(k), fb, r)
+			*win.put(id) = k
+			enc, body = EncTileInstall, encodeRaw(be.AppendUint32(body, uint32(EncRaw)), fb, r, pf)
+		}
+		if err := decodeRect(bytes.NewReader(body), enc, got, r, pf, dsc); err != nil {
+			t.Fatalf("op %d: %s of %x: %v", i, EncodingName(enc), k, err)
 		}
 	}
 	if refs == 0 {
@@ -183,10 +188,10 @@ func TestTileWindowClientLockstep(t *testing.T) {
 	}
 	var server, client []uint64
 	for i := win.head; i >= 0; i = win.slots[i].next {
-		server = append(server, tileID(win.slots[i].key))
+		server = append(server, win.slots[i].id)
 	}
-	for e := ct.head; e != nil; e = e.next {
-		client = append(client, e.id)
+	for i := dsc.tiles.head; i >= 0; i = dsc.tiles.slots[i].next {
+		client = append(client, dsc.tiles.slots[i].id)
 	}
 	if len(win.slots) != tileWindowCap || !slices.Equal(server, client) {
 		t.Fatalf("server window holds %d of %d slots in an LRU order the client's %d entries do not match",
@@ -262,7 +267,7 @@ func TestWireEncodingsDecodeIdenticalToRaw(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := decodeRect(bytes.NewReader(raw), EncRaw, want, r, pf, nil); err != nil {
+			if err := decodeRect(bytes.NewReader(raw), EncRaw, want, r, pf, &decodeScratch{}); err != nil {
 				t.Fatal(err)
 			}
 
@@ -291,7 +296,7 @@ func TestWireEncodingsDecodeIdenticalToRaw(t *testing.T) {
 
 			// Tile install, then a ref replaying it elsewhere-in-time: decode
 			// both against one connection scratch (shared tile memory).
-			ws := NewWireState(nil, w, h)
+			ws := NewWireState(NewTileCache(0), w, h)
 			sc := getScratch()
 			ur := &UpdateRect{Rect: r, Encoding: EncAdaptive}
 			inst, enc, err := ws.selectAndEncode(nil, frame, ur, pf, allEncBits, EncRaw, sc)
@@ -423,7 +428,7 @@ var bandTestHeights = []int{480, 240, 100, 40}
 // the probe, so a hit must ship what the probe would have picked. For every
 // client choice of raw, RRE and hextile, with either fallback, a session
 // whose memo was first filled by every other choice ships exactly what a
-// session without a memo ships, on GUI content and on a flat frame, and so
+// session with an empty memo ships, on GUI content and on a flat frame, and so
 // does its second join, which the memo answers.
 func TestDictMemoAnswersOnlyItsChoice(t *testing.T) {
 	sc := getScratch()
@@ -457,7 +462,7 @@ func TestDictMemoAnswersOnlyItsChoice(t *testing.T) {
 					ship(cache, other)
 				}
 			}
-			want, wantEnc := ship(nil, c)
+			want, wantEnc := ship(NewTileCache(0), c)
 			for join := 0; join < 2; join++ { // the second join can hit its own body
 				got, enc := ship(cache, c)
 				if enc != wantEnc || !bytes.Equal(got, want) {
@@ -523,8 +528,8 @@ func TestBandedRepaintDecodesToFrame(t *testing.T) {
 // TestBandedRepaintKeepsSwitchContract: the bands of a full repaint commit
 // as the one full-bounds rectangle they cover, so a repaint of the
 // unchanged frame, a device switch's, still prepares one 4-byte
-// self-copy. A pixel write or a Reset ships bands again. A session with
-// no shared memo ships one rectangle.
+// self-copy. A pixel write or a Reset ships bands again. A client that
+// does not decode dictionary zlib gets one rectangle.
 func TestBandedRepaintKeepsSwitchContract(t *testing.T) {
 	const w, h = 640, 480
 	fb := panelFrame(w, h)
@@ -559,8 +564,9 @@ func TestBandedRepaintKeepsSwitchContract(t *testing.T) {
 				step.name, len(rects), EncodingName(rects[0].Encoding), body)
 		}
 	}
-	if rects, _ := prepare(NewWireState(nil, w, h)); len(rects) != 1 {
-		t.Fatalf("a session with no shared memo shipped %d rectangles, want 1", len(rects))
+	s.encMask = allEncBits &^ encBitZlibDict
+	if rects, _ := prepare(NewWireState(NewTileCache(0), w, h)); len(rects) != 1 {
+		t.Fatalf("a client without dictionary zlib got %d rectangles, want 1", len(rects))
 	}
 }
 
@@ -572,7 +578,7 @@ func TestPrepareRefusesUncountableUpdate(t *testing.T) {
 	const w, h = 64, 64
 	fb := panelFrame(w, h)
 	s := &ServerConn{pf: gfx.PF32(), encMask: allEncBits}
-	ws := NewWireState(nil, w, h)
+	ws := NewWireState(NewTileCache(0), w, h)
 	rects := make([]UpdateRect, 1<<16)
 	for i := range rects {
 		r := gfx.R(i%w, 0, 1, 1)
@@ -654,7 +660,7 @@ func TestUnchangedFrameSelfCopiesByGeneration(t *testing.T) {
 	const w, h = 96, 64
 	pf := gfx.PF32()
 	fb := gradientFrame(w, h)
-	ws := NewWireState(nil, w, h)
+	ws := NewWireState(NewTileCache(0), w, h)
 	sc := getScratch()
 	defer putScratch(sc)
 	full := fb.Bounds()
@@ -746,7 +752,7 @@ func TestGenerationShortcutMatchesCompare(t *testing.T) {
 			return gfx.R(rng.Intn(w-rw+1), rng.Intn(h-rh+1), rw, rh)
 		}
 		fb := randomFrame(rng, w, h)
-		ws := NewWireState(nil, w, h)
+		ws := NewWireState(NewTileCache(0), w, h)
 		client := gfx.NewFramebuffer(w, h)
 		dsc := &decodeScratch{}
 		pf := formats[0]

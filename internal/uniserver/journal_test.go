@@ -35,19 +35,24 @@ func offerRenders(srv *Server, rng *rand.Rand, rects []gfx.Rect) {
 	}
 }
 
-// reference is the damage a parked row held when every render was added to
-// it in place: the rects in order, or the whole of bounds when there are
-// more than the journal keeps.
-func reference(bounds gfx.Rect, rects []gfx.Rect) []gfx.Rect {
+// inPlace is the damage set that took every render in place: the rects
+// added in order.
+func inPlace(bounds gfx.Rect, rects []gfx.Rect) []gfx.Rect {
 	d := gfx.NewDamage(bounds, 16)
-	if len(rects) > journalCap {
-		d.AddAll()
-		return d.Peek()
-	}
 	for _, r := range rects {
 		d.Add(r)
 	}
 	return d.Peek()
+}
+
+// reference is the damage a parked row holds after rects rendered: the
+// in-place set, or the whole of bounds when there are more than the
+// journal keeps.
+func reference(bounds gfx.Rect, rects []gfx.Rect) []gfx.Rect {
+	if len(rects) > journalCap {
+		return []gfx.Rect{bounds}
+	}
+	return inPlace(bounds, rects)
 }
 
 // parkClean parks a painted session and checks it parked with no damage,
@@ -97,7 +102,7 @@ func (h *lotHarness) liveReply(full gfx.Rect, rng *rand.Rand, rects []gfx.Rect) 
 	_, synced := rec.snapshot()
 	offerRenders(h.srv, rng, rects)
 	client.RequestUpdate(true, full)
-	if len(reference(full, rects)) == 0 {
+	if len(inPlace(full, rects)) == 0 {
 		waitFor(h.t, "request parked", func() bool {
 			h.srv.pumpMu.Lock()
 			defer h.srv.pumpMu.Unlock()
@@ -123,9 +128,10 @@ func newJournalHarness(t *testing.T) (*lotHarness, gfx.Rect) {
 
 // TestJournalResyncMatchesInPlaceDamage: K rects are rendered while a
 // session waits — parked, or live with its client holding its request
-// back. For K up to journalCap the parked session's resumed dirty set, and
-// the live session's next reply, is exactly the damage set that took each
-// render in place; past it, the whole frame.
+// back. For K up to journalCap the parked session's resumed dirty set is
+// exactly the damage set that took each render in place; past it, the
+// whole frame. The live session's next reply is the in-place set for every
+// K: the pump catches a lagging live cursor up before the ring laps it.
 func TestJournalResyncMatchesInPlaceDamage(t *testing.T) {
 	for _, k := range []int{0, 1, 40, journalCap, journalCap + 1, 3 * journalCap} {
 		t.Run(fmt.Sprint(k), func(t *testing.T) {
@@ -142,7 +148,9 @@ func TestJournalResyncMatchesInPlaceDamage(t *testing.T) {
 			h, full := newJournalHarness(t)
 			rng := rand.New(rand.NewSource(int64(k) + 1))
 			rects := journalRects(rng, full, k)
-			if got, want := h.liveReply(full, rng, rects), reference(full, rects); !slices.Equal(got, want) {
+			// The writer gathers the taken set into its outbox, a damage set
+			// of its own, which merges what now tiles exactly.
+			if got, want := h.liveReply(full, rng, rects), inPlace(full, inPlace(full, rects)); !slices.Equal(got, want) {
 				t.Fatalf("live reply after %d rects\n got %v\nwant %v", k, got, want)
 			}
 		})
@@ -197,10 +205,11 @@ func TestJournalStampsEachRow(t *testing.T) {
 
 // pumpScene builds a 640×480 display of toggles under a server with
 // nParked parked rows and nLive live sessions, each with an incremental
-// request parked on a strip no toggle covers, and returns a flip that
-// damages one toggle. Every flip kicks each live session's writer, whose
-// turn reads the flip from the journal and parks the request again.
-func pumpScene(tb testing.TB, nParked, nLive int) func() {
+// request parked on a strip no toggle covers, and returns the server and a
+// flip that damages one toggle. Every flip kicks each live session's
+// writer, whose turn reads the flip from the journal and parks the request
+// again.
+func pumpScene(tb testing.TB, nParked, nLive int) (*Server, func()) {
 	display := toolkit.NewDisplay(640, 480)
 	root := toolkit.NewPanel(toolkit.VBox{Gap: 2, Padding: 2})
 	toggles := make([]*toolkit.Toggle, 8)
@@ -255,7 +264,7 @@ func pumpScene(tb testing.TB, nParked, nLive int) func() {
 		return n == nLive
 	})
 	i := 0
-	return func() {
+	return srv, func() {
 		tg := toggles[i%len(toggles)]
 		i++
 		display.Update(func() { tg.SetOn(!tg.On()) })
@@ -273,7 +282,7 @@ func BenchmarkPump(b *testing.B) {
 			name = fmt.Sprintf("live-%d", c.live)
 		}
 		b.Run(name, func(b *testing.B) {
-			flip := pumpScene(b, c.parked, c.live)
+			_, flip := pumpScene(b, c.parked, c.live)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -287,9 +296,37 @@ func BenchmarkPump(b *testing.B) {
 // stamp, so a pump over a full lot and eight live sessions with requests
 // parked allocates nothing — nor do the writer turns it kicks.
 func TestPumpWithFullLotAllocatesNothing(t *testing.T) {
-	flip := pumpScene(t, DefaultParkCapacity, 8)
+	_, flip := pumpScene(t, DefaultParkCapacity, 8)
 	flip()
 	if allocs := testing.AllocsPerRun(100, flip); allocs != 0 {
 		t.Fatalf("pump over a full lot and 8 live sessions = %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestPumpKeepsLiveCursorsInPlace: back-to-back flips outrun eight live
+// writers, each with a request parked on a strip no flip touches. The pump
+// catches a lagging live cursor up in place, so no writer falls past the
+// ring into a full-bounds resync, which would answer its request: no
+// update ships, and every request parks again.
+func TestPumpKeepsLiveCursorsInPlace(t *testing.T) {
+	srv, flip := pumpScene(t, 0, 8)
+	u0 := mUpdatesSent.Value()
+	for i := 0; i < 64*journalCap; i++ {
+		flip()
+	}
+	waitFor(t, "every writer caught up with its request parked", func() bool {
+		srv.pumpMu.Lock()
+		defer srv.pumpMu.Unlock()
+		srv.mu.Lock()
+		defer srv.mu.Unlock()
+		for _, sess := range srv.liveSess {
+			if !sess.waiting || sess.cur.seq != srv.jseq {
+				return false
+			}
+		}
+		return true
+	})
+	if n := mUpdatesSent.Value() - u0; n != 0 {
+		t.Fatalf("%d updates shipped to requests no flip touched", n)
 	}
 }

@@ -27,8 +27,9 @@ import (
 // the journal; a live session's writer turn, or ExportParked for a parked
 // row, replays the journal from that position in render order, or marks
 // the whole frame once the ring has moved more than journalCap rects past
-// it. Parking and resuming move the cursor, so a row in the lot costs the
-// pump nothing.
+// it. Only a parked row gets that far: the pump replays a live cursor in
+// place once it is journalCap/2 behind. Parking and resuming move the
+// cursor, so a row in the lot costs the pump nothing.
 // The lot is bounded: at capacity the oldest parked session (of those
 // holding no undispatched input, while there are any) is expired to make
 // room. The lot is the parked and claimed rows of the session table.
@@ -64,9 +65,9 @@ const (
 	DefaultParkCapacity = 64
 )
 
-// journalCap is how many rendered rects the journal keeps: a cursor that
-// falls further behind resyncs with full bounds, which ships as memoised
-// bands.
+// journalCap is how many rendered rects the journal keeps: a parked
+// cursor that falls further behind resyncs with full bounds, which ships
+// as memoised bands. The pump keeps live cursors within journalCap/2.
 const journalCap = 256
 
 // takeoverWait bounds a takeover's wait for the live session to park. A
@@ -416,9 +417,9 @@ func (s *Server) record(rects []gfx.Rect) {
 
 // catchUp adds to c.dirty the journal's rects since its position, in
 // render order, so the damage is the set that took each render in place.
-// A cursor more than journalCap rects behind takes its full bounds. It returns how many of the rects landed on damage
-// already held: all of them, or all but the first when none was.
-// s.pumpMu must be held.
+// A cursor more than journalCap rects behind takes its full bounds. It
+// returns how many of the rects landed on damage already held: all of
+// them, or all but the first when none was. s.pumpMu must be held.
 func (s *Server) catchUp(c *cursor) (onto int) {
 	n := s.jseq - c.seq
 	if onto = int(n); onto > 0 && c.dirty.Empty() {

@@ -68,9 +68,10 @@ type Server struct {
 	journal *[journalCap]gfx.Rect
 	jseq    uint64
 
-	// tiles is the shared content-addressed tile store the wire tier
-	// publishes encoded tile bodies to (nil: no cross-session sharing;
-	// each session still runs its own tile window).
+	// tiles is the content-addressed tile store every session's wire model
+	// shares encoded bodies through: tile installs and the dictionary memo
+	// that answers a cold join's bands. Never nil: the server's own, or the
+	// one a hub shares across its homes.
 	tiles *rfb.TileCache
 
 	// The detach lot's policy (DefaultParkTTL and DefaultParkCapacity,
@@ -101,11 +102,15 @@ const HandshakeTimeout = 10 * time.Second
 const WriteBudget = 4 * time.Second
 
 // New creates a server for the given display. name is announced to
-// clients during the handshake. tiles, when non-nil, is a tile store
-// shared with other servers (the hub passes one to every home, whose
-// control panels look alike); nil keeps tile reuse within each session.
-// Disconnected sessions park under DefaultParkTTL and DefaultParkCapacity.
+// clients during the handshake. tiles is a tile store shared with other
+// servers (the hub passes one to every home, whose control panels look
+// alike); nil gives the server its own, rfb.NewTileCache(0), shared by its
+// sessions. Disconnected sessions park under DefaultParkTTL and
+// DefaultParkCapacity.
 func New(display *toolkit.Display, name string, tiles *rfb.TileCache) *Server {
+	if tiles == nil {
+		tiles = rfb.NewTileCache(0)
+	}
 	s := &Server{
 		display:  display,
 		name:     name,
@@ -308,7 +313,10 @@ func (s *Server) render() {
 
 // offer journals one render's rects, traced as tid, and kicks every live
 // session whose writer has an incremental request parked: the writer reads
-// the rects from the journal. s.pumpMu must be held.
+// the rects from the journal. A live cursor journalCap/2 behind is caught
+// up in place, so a client that lags a burst of renders gets the damage
+// they took, never the full bounds the ring's lapping would cost. s.pumpMu
+// must be held.
 func (s *Server) offer(rects []gfx.Rect, tid uint64) {
 	if len(rects) == 0 {
 		return
@@ -321,6 +329,11 @@ func (s *Server) offer(rects []gfx.Rect, tid uint64) {
 			// session so the flush that ships it closes the trace. First
 			// trace wins until a flush clears the mark (inputMark pattern).
 			sess.traceMark.CompareAndSwap(0, tid)
+		}
+		if s.jseq-sess.cur.seq >= journalCap/2 {
+			if onto := s.catchUp(&sess.cur); !sess.waiting {
+				mRectsCoalesced.Add(int64(onto)) // as answer counts a lagging client's
+			}
 		}
 		if sess.waiting {
 			sess.wake()
@@ -395,7 +408,8 @@ type session struct {
 	reqSpare []rfb.UpdateRequest
 
 	// The rest is the writer turn's: cur is the damage read from the
-	// journal and not yet shipped; pending is the incremental request
+	// journal and not yet shipped (under srv.pumpMu, where the pump also
+	// catches a lagging cursor up); pending is the incremental request
 	// parked until damage lands in its region, and waiting (also under
 	// srv.pumpMu, where the pump reads it) says one is; outbox gathers one
 	// turn's reply, so it is empty whenever the task is stopped.
@@ -600,9 +614,11 @@ func (c *session) flush(rects []gfx.Rect, ts *turnScratch) time.Duration {
 		// and tile window were committed during prepare); the client's
 		// true state is now unknown, so distrust the model.
 		c.ws.Reset()
+		c.srv.pumpMu.Lock()
 		for _, r := range rects {
 			c.cur.dirty.Add(r)
 		}
+		c.srv.pumpMu.Unlock()
 		return time.Since(sendT0)
 	}
 	mUpdateBytes.Add(int64(size))

@@ -91,12 +91,16 @@ func BenchmarkPresent(b *testing.B) {
 			if err := proxy.SelectOutput("out"); err != nil {
 				b.Fatal(err)
 			}
+			// CopyRects read no pixels; the frame and the wire model are
+			// what every prepare takes.
+			fb := gfx.NewFramebuffer(device.TVWidth, device.TVHeight)
+			ws := rfb.NewWireState(rfb.NewTileCache(0), device.TVWidth, device.TVHeight)
 			update := func(r gfx.Rect, damaged bool) {
 				urs := [1]rfb.UpdateRect{{Rect: r, Encoding: rfb.EncCopyRect, CopySrcX: r.X, CopySrcY: r.Y}}
 				if damaged {
 					urs[0].CopySrcY++
 				}
-				prep, err := srv.PrepareUpdateWire(nil, urs[:], nil)
+				prep, err := srv.PrepareUpdateWire(fb, urs[:], ws)
 				if err == nil {
 					err = srv.SendPrepared(prep)
 				}

@@ -63,9 +63,10 @@ type Options struct {
 	// Appliances are attached to the home network before the GUI is
 	// first generated. More can be added later via Session.Home.
 	Appliances []appliance.Appliance
-	// Tiles, when non-nil, is the shared tile store this session's server
-	// publishes encoded tiles to (see TileCache). Nil keeps tile reuse
-	// within each connection.
+	// Tiles is the tile store this session's server publishes encoded
+	// tiles and memoised full-frame bands to (see TileCache), shared with
+	// other sessions that are passed the same one. Nil gives the server a
+	// store of its own, shared only by its own connections.
 	Tiles *TileCache
 }
 

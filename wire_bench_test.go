@@ -3,10 +3,11 @@ package uniint
 // Wire-efficiency benchmarks gating the bytes-on-wire tier (self-copy
 // CopyRect, dictionary zlib, shared tile cache — internal/rfb WireState):
 //
-//	BenchmarkE2bWire/adaptive  UI churn across 16 homes, content-adaptive
-//	                           encodings only (the pre-tier cost model)
-//	BenchmarkE2bWire/wire      the same churn through PrepareUpdateWire
-//	                           with the full capability mask
+//	BenchmarkE2bWire/adaptive  UI churn across 16 homes to a client that
+//	                           advertises the content-adaptive encodings
+//	                           only (the pre-tier cost model)
+//	BenchmarkE2bWire/wire      the same churn to a client that advertises
+//	                           the full capability mask
 //
 // Both report wirebytes/op — the FramebufferUpdate size that would hit the
 // network per widget flip. The committed baseline pins both values (see
@@ -55,12 +56,12 @@ var wireBenchAdaptiveEncodings = []int32{
 
 // wireBenchHome is one hub-hosted home reduced to the pieces the output
 // path touches: a rendered control panel and a handshaken server
-// connection (plus its wire model when the tier is on).
+// connection with its wire model.
 type wireBenchHome struct {
 	d     *toolkit.Display
 	scene *workload.UIScene
 	conn  *rfb.ServerConn
-	ws    *rfb.WireState // nil in the adaptive variant
+	ws    *rfb.WireState
 }
 
 // wireBenchSignal is the ServerHandler used to synchronize with the Serve
@@ -79,7 +80,7 @@ func (h *wireBenchSignal) UpdateRequest(rfb.UpdateRequest) {
 }
 
 // newWireBenchHomes builds n rendered homes, each behind a real handshake
-// with the given advertised encodings. All homes share tiles (may be nil).
+// with the given advertised encodings. All homes share tiles.
 func newWireBenchHomes(tb testing.TB, n int, encs []int32, tiles *rfb.TileCache) []*wireBenchHome {
 	tb.Helper()
 	hs := make([]*wireBenchHome, n)
@@ -88,12 +89,10 @@ func newWireBenchHomes(tb testing.TB, n int, encs []int32, tiles *rfb.TileCache)
 			d:     toolkit.NewDisplay(wireBenchW, wireBenchH),
 			scene: workload.NewUIScene(wireBenchWidgets),
 			conn:  wireServerConn(tb, wireBenchW, wireBenchH, encs),
+			ws:    rfb.NewWireState(tiles, wireBenchW, wireBenchH),
 		}
 		h.d.SetRoot(h.scene.Root)
 		h.d.Render()
-		if tiles != nil {
-			h.ws = rfb.NewWireState(tiles, wireBenchW, wireBenchH)
-		}
 		hs[i] = h
 	}
 	return hs
@@ -172,15 +171,7 @@ func wireBenchRun(tb testing.TB, hs []*wireBenchHome, steps []workload.UIStep) f
 		for _, r := range damage {
 			urs = append(urs, rfb.UpdateRect{Rect: r, Encoding: rfb.EncAdaptive})
 		}
-		var (
-			prep *rfb.PreparedUpdate
-			err  error
-		)
-		if cur.ws != nil {
-			prep, err = cur.conn.PrepareUpdateWire(fb, urs, cur.ws)
-		} else {
-			prep, err = cur.conn.PrepareUpdateWire(fb, urs, nil)
-		}
+		prep, err := cur.conn.PrepareUpdateWire(fb, urs, cur.ws)
 		if err != nil {
 			failed = err
 			return
@@ -218,11 +209,7 @@ func wireBenchPrime(tb testing.TB, hs []*wireBenchHome, run func(int) int) {
 			err  error
 		)
 		h.d.WithFramebuffer(func(fb *gfx.Framebuffer) {
-			if h.ws != nil {
-				prep, err = h.conn.PrepareUpdateWire(fb, full, h.ws)
-			} else {
-				prep, err = h.conn.PrepareUpdateWire(fb, full, nil)
-			}
+			prep, err = h.conn.PrepareUpdateWire(fb, full, h.ws)
 		})
 		if err != nil {
 			tb.Fatalf("cold-join paint: %v", err)
@@ -242,20 +229,15 @@ func wireBenchPrime(tb testing.TB, hs []*wireBenchHome, run func(int) int) {
 func BenchmarkE2bWire(b *testing.B) {
 	steps := wireBenchSteps(wireBenchCycle)
 	variants := []struct {
-		name  string
-		encs  []int32
-		tiles bool
+		name string
+		encs []int32
 	}{
-		{"adaptive", wireBenchAdaptiveEncodings, false},
-		{"wire", wireBenchEncodings, true},
+		{"adaptive", wireBenchAdaptiveEncodings},
+		{"wire", wireBenchEncodings},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
-			var tiles *rfb.TileCache
-			if v.tiles {
-				tiles = rfb.NewTileCache(0)
-			}
-			hs := newWireBenchHomes(b, wireBenchHomes, v.encs, tiles)
+			hs := newWireBenchHomes(b, wireBenchHomes, v.encs, rfb.NewTileCache(0))
 			run := wireBenchRun(b, hs, steps)
 			wireBenchPrime(b, hs, run)
 			var bytes int64
@@ -275,8 +257,8 @@ func BenchmarkE2bWire(b *testing.B) {
 // than content-adaptive encoding of the identical damage stream.
 func TestWireReduction(t *testing.T) {
 	steps := wireBenchSteps(wireBenchCycle)
-	measure := func(encs []int32, tiles *rfb.TileCache) int64 {
-		hs := newWireBenchHomes(t, wireBenchHomes, encs, tiles)
+	measure := func(encs []int32) int64 {
+		hs := newWireBenchHomes(t, wireBenchHomes, encs, rfb.NewTileCache(0))
 		run := wireBenchRun(t, hs, steps)
 		wireBenchPrime(t, hs, run)
 		var total int64
@@ -285,8 +267,8 @@ func TestWireReduction(t *testing.T) {
 		}
 		return total
 	}
-	adaptive := measure(wireBenchAdaptiveEncodings, nil)
-	wire := measure(wireBenchEncodings, rfb.NewTileCache(0))
+	adaptive := measure(wireBenchAdaptiveEncodings)
+	wire := measure(wireBenchEncodings)
 	if adaptive == 0 || wire == 0 {
 		t.Fatalf("degenerate byte counts: adaptive=%d wire=%d", adaptive, wire)
 	}
