@@ -51,7 +51,7 @@ COVER_MIN ?= 74
 # hold outside the frozen cmd/uniload. Raising it is a reviewed change,
 # like COVER_MIN; a PR that shrinks the tree lowers it to its own count.
 # CHANGES.md records each change of it and the lines behind it.
-LOC_MAX ?= 19616
+LOC_MAX ?= 19601
 
 .PHONY: all build test vet race race-takeover fuzz-smoke fmt-check cover cover-gate soak bench bench-out bench-gate bench-baseline profile obslint docs-check trace-demo loc loc-gate examples
 

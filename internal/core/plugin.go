@@ -13,8 +13,9 @@ type InputPlugin interface {
 	// Name identifies the plug-in module.
 	Name() string
 	// Bind tells the plug-in the server desktop geometry so positional
-	// device events can be mapped into desktop coordinates. Called once
-	// when the device attaches, before any Translate.
+	// device events can be mapped into desktop coordinates. The proxy
+	// fetches a fresh plug-in and binds it when the device attaches and
+	// again on every new link, before any Translate.
 	Bind(serverW, serverH int)
 	// Translate converts one device event into zero or more universal
 	// events, in order.
@@ -54,8 +55,11 @@ type Frame struct {
 // previous Convert carries no damage information and converts the whole
 // framebuffer, so a caller that knows nothing about the damage (a forced
 // refresh, a benchmark loop) needs only Convert. A plug-in is stateful and
-// belongs to one attachment: OutputDevice.OutputPlugin returns a fresh one
-// each time, whose first frame is whole.
+// belongs to one attachment, across every link the proxy has:
+// OutputDevice.OutputPlugin returns a fresh one each time, whose first
+// frame is whole, and the proxy fetches it once, at AttachOutput. Across
+// links it hears every rectangle painted into the shadow frame (a cold
+// join's full repaint covers all of it), so it converts only what changed.
 type OutputPlugin interface {
 	// Name identifies the plug-in module.
 	Name() string
@@ -105,8 +109,8 @@ type OutputDevice interface {
 	Class() string
 	// OutputPlugin returns the conversion module the device transmits to
 	// the proxy: a fresh plug-in per call, with no frame yet, so every
-	// attachment (and every new link after a redial)
-	// starts with a whole frame. Every bundled plug-in keeps its frame.
+	// attachment starts with a whole frame. The proxy calls it once per
+	// attachment, not per link. Every bundled plug-in keeps its frame.
 	OutputPlugin() OutputPlugin
 	// Present delivers a converted frame. Implementations must not block:
 	// slow devices drop to latest-wins. The frame's pixels are the

@@ -342,13 +342,14 @@ func (p *Proxy) redial() bool {
 }
 
 // relink dials the link that follows the dead one and moves the devices
-// onto it: every device's plug-in is fetched and bound anew, and the
-// output selection is negotiated. On a resumed session the new link
-// starts from the dead one's frame, so the output asks only for the
-// damage accumulated while detached. Relinking is all-or-nothing: until
-// the new link is installed the dead one keeps the frame and the token the
-// next attempt presents. The dead link's read loop has returned, so no
-// presentation runs while the plug-ins change.
+// onto it: every input device's plug-in is fetched and bound to the new
+// desktop, and the output selection is negotiated. The output plug-ins
+// stay: each keeps its device frame and hears, through the new link's
+// updates, what changed on the shadow frame. On a resumed session the new
+// link adopts the dead one's frame, so the output asks only for the
+// damage accumulated while detached; a cold join asks for all of it.
+// Relinking is all-or-nothing: until the new link is installed the dead
+// one keeps the frame and the token the next attempt presents.
 func (p *Proxy) relink() error {
 	conn, err := p.dial()
 	if err != nil {
@@ -376,12 +377,6 @@ func (p *Proxy) relink() error {
 		b.plugin.Bind(w, h)
 	}
 	p.inMu.Unlock()
-	for id, b := range p.outputs {
-		if b.plugin = b.dev.OutputPlugin(); b.plugin == nil {
-			next.Close()
-			return fmt.Errorf("%w: output %s", ErrNilPlugin, id)
-		}
-	}
 	if b := p.outputs[p.activeOut]; b != nil {
 		if err := negotiate(next, b.plugin.PixelFormat(), next.Resumed()); err != nil {
 			next.Close()
@@ -510,8 +505,8 @@ func (p *Proxy) inputBarrier() {
 	p.inMu.Unlock()
 }
 
-// AttachOutput registers an output device and receives its plug-in module
-// (again on every new link).
+// AttachOutput registers an output device and receives its plug-in
+// module, which serves the attachment across every link the proxy has.
 func (p *Proxy) AttachOutput(d OutputDevice) error {
 	plugin := d.OutputPlugin()
 	if plugin == nil {
@@ -613,9 +608,8 @@ func (p *Proxy) SelectOutput(id string) error {
 		p.mu.Unlock()
 		return nil
 	}
-	plugin := b.plugin // read under mu: a relink swaps it
 	p.mu.Unlock()
-	return negotiate(l.client, plugin.PixelFormat(), false)
+	return negotiate(l.client, b.plugin.PixelFormat(), false)
 }
 
 // negotiate sets the wire pixel format on c and demands a repaint — full

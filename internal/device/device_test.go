@@ -166,6 +166,44 @@ func TestTVPluginConvertsWhatWasDamaged(t *testing.T) {
 	}
 }
 
+// TestTVPluginRescalesOddDesktopInPlace: an odd-sized desktop is rescaled
+// into the plug-in's one frame, allocating nothing per Convert, and the way
+// back to the native size copies the whole frame even when told of a small
+// change: native → odd → native ends byte-identical to a fresh plug-in's
+// conversion.
+func TestTVPluginRescalesOddDesktopInPlace(t *testing.T) {
+	pl := NewTVDisplay("tv-1").OutputPlugin()
+	native := gfx.NewFramebuffer(TVWidth, TVHeight)
+	native.Fill(gfx.R(40, 60, 120, 24), gfx.Green)
+	pl.Convert(native)
+
+	odd := gfx.NewFramebuffer(160, 120)
+	lamp := []gfx.Rect{gfx.R(10, 10, 30, 20)}
+	odd.Fill(lamp[0], gfx.Red)
+	pl.Damaged(lamp)
+	f := pl.Convert(odd)
+	want := gfx.NewFramebuffer(TVWidth, TVHeight)
+	gfx.ScaleNearestInto(want, odd)
+	if f.Damage != nil || !f.RGB.Equal(want) {
+		t.Errorf("odd-sized desktop: damage %v, frame is its rescale = %v", f.Damage, f.RGB.Equal(want))
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		pl.Damaged(lamp)
+		pl.Convert(odd)
+	}); n != 0 {
+		t.Errorf("an odd-sized Convert allocates %.1f times, want 0", n)
+	}
+
+	knob := []gfx.Rect{gfx.R(300, 300, 10, 10)}
+	native.Fill(knob[0], gfx.Red)
+	pl.Damaged(knob)
+	f = pl.Convert(native)
+	fresh := NewTVDisplay("tv-2").OutputPlugin().Convert(native)
+	if f.Damage != nil || !f.RGB.Equal(fresh.RGB) {
+		t.Errorf("back at the native size: damage %v, frame equals a fresh plug-in's = %v", f.Damage, f.RGB.Equal(fresh.RGB))
+	}
+}
+
 func TestScreenKeepsItsOwnPanel(t *testing.T) {
 	s := newScreen()
 	frame := gfx.NewFramebuffer(8, 8) // the plug-in's frame, reused

@@ -56,9 +56,11 @@ const tvDamageLimit = 8
 // server desktop at full 32-bit color, so the plug-in keeps one device
 // frame (the proxy's shadow buffer cannot be retained) and copies into it
 // only the rectangles the proxy reported damaged — the cost of a frame is
-// proportional to what changed, and nothing is allocated per frame.
+// proportional to what changed, and nothing is allocated per frame. An
+// odd-sized desktop is rescaled whole into the same frame.
 type tvOutputPlugin struct {
-	frame   *gfx.Framebuffer // the one device frame; nil until a native-size Convert
+	frame   *gfx.Framebuffer // the one device frame; nil until the first Convert
+	stale   bool             // frame is new or a rescale: copy it whole at native size
 	pending *gfx.Damage      // reported by Damaged since the last Convert
 	told    bool             // Damaged ran since the last Convert
 	rects   []gfx.Rect       // the last frame's Damage; swaps storage with pending
@@ -90,20 +92,23 @@ func (p *tvOutputPlugin) Convert(fb *gfx.Framebuffer) core.Frame {
 	told := p.told
 	p.told = false
 	p.rects = p.pending.TakeInto(p.rects)
-	if fb.W() != TVWidth || fb.H() != TVHeight {
+	if p.frame == nil {
+		p.frame, p.stale = gfx.NewFramebuffer(TVWidth, TVHeight), true
+	}
+	f := core.Frame{W: TVWidth, H: TVHeight, RGB: p.frame}
+	switch {
+	case fb.W() != TVWidth || fb.H() != TVHeight:
 		// An odd-sized desktop is rescaled whole, like the PDA and phone.
-		p.frame = nil
-		return core.Frame{W: TVWidth, H: TVHeight, RGB: gfx.ScaleNearest(fb, TVWidth, TVHeight)}
-	}
-	if p.frame == nil || !told {
-		if p.frame == nil {
-			p.frame = gfx.NewFramebuffer(TVWidth, TVHeight)
-		}
+		gfx.ScaleNearestInto(p.frame, fb)
+		p.stale = true
+	case p.stale || !told:
 		p.frame.Blit(0, 0, fb, fb.Bounds())
-		return core.Frame{W: TVWidth, H: TVHeight, RGB: p.frame}
+		p.stale = false
+	default:
+		for _, r := range p.rects {
+			p.frame.Blit(r.X, r.Y, fb, r)
+		}
+		f.Damage = p.rects
 	}
-	for _, r := range p.rects {
-		p.frame.Blit(r.X, r.Y, fb, r)
-	}
-	return core.Frame{W: TVWidth, H: TVHeight, RGB: p.frame, Damage: p.rects}
+	return f
 }

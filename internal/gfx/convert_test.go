@@ -130,13 +130,14 @@ func TestFloydSteinbergPreservesAverage(t *testing.T) {
 
 func TestScaleNearestGeometry(t *testing.T) {
 	src := gradient(100, 50)
-	dst := ScaleNearest(src, 50, 25)
-	if dst.W() != 50 || dst.H() != 25 {
-		t.Fatalf("geometry %dx%d", dst.W(), dst.H())
-	}
+	dst := NewFramebuffer(50, 25)
+	ScaleNearestInto(dst, src)
 	// Corner pixels map to corner pixels.
 	if dst.At(0, 0) != src.At(0, 0) {
 		t.Error("top-left corner mismatch")
+	}
+	if dst.At(49, 24) != src.At(98, 48) {
+		t.Error("bottom-right corner mismatch")
 	}
 }
 

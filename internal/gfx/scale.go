@@ -1,19 +1,16 @@
 package gfx
 
-// ScaleNearest resizes src to w×h using nearest-neighbour sampling. It is
+// ScaleNearestInto resizes src onto dst's own size using nearest-neighbour
+// sampling, overwriting every pixel of dst and allocating nothing. It is
 // the cheap path used when upscaling or when the output device asked for
 // speed over quality.
-func ScaleNearest(src *Framebuffer, w, h int) *Framebuffer {
-	dst := NewFramebuffer(w, h)
-	if src.w != 0 && src.h != 0 {
-		scaleNearestInto(dst, src)
-	}
-	return dst
-}
-
-// scaleNearestInto fills dst from a non-empty src.
-func scaleNearestInto(dst, src *Framebuffer) {
+func ScaleNearestInto(dst, src *Framebuffer) {
 	w, h := dst.w, dst.h
+	dst.wrote(0, h)
+	if src.w == 0 || src.h == 0 {
+		clear(dst.pix)
+		return
+	}
 	for y := 0; y < h; y++ {
 		sy := y * src.h / h
 		srow := src.pix[sy*src.w : (sy+1)*src.w]
@@ -38,16 +35,12 @@ func ScaleBox(src *Framebuffer, w, h int) *Framebuffer {
 // dst and allocating nothing: an output plug-in keeps one panel.
 func ScaleBoxInto(dst, src *Framebuffer) {
 	w, h := dst.w, dst.h
+	if src.w == 0 || src.h == 0 || (w >= src.w && h >= src.h) {
+		// Upscale (or nothing to sample): box degenerates to nearest.
+		ScaleNearestInto(dst, src)
+		return
+	}
 	dst.wrote(0, h)
-	if src.w == 0 || src.h == 0 {
-		clear(dst.pix)
-		return
-	}
-	if w >= src.w && h >= src.h {
-		// Upscale: box degenerates to nearest.
-		scaleNearestInto(dst, src)
-		return
-	}
 	for y := 0; y < h; y++ {
 		sy0 := y * src.h / h
 		sy1 := (y + 1) * src.h / h

@@ -18,9 +18,11 @@ import (
 type ClientHandler interface {
 	// Updated is called after rects have been painted into the shadow
 	// framebuffer; a self-CopyRect paints nothing and is not among them.
-	// Use ClientConn.WithFramebuffer to read pixels. The rects slice is
-	// reused for the next update; handlers that need the rectangles past
-	// the call must copy them.
+	// On a connection that adopted its predecessor's frame (DialResume),
+	// the first update's rects also cover what a torn update painted there
+	// unreported. Use ClientConn.WithFramebuffer to read pixels. The rects
+	// slice is reused for the next update; handlers that need the
+	// rectangles past the call must copy them.
 	Updated(rects []gfx.Rect)
 	// Bell is called when the server rings the bell.
 	Bell()
@@ -43,8 +45,7 @@ type ClientConn struct {
 
 	rs [16]byte // read-path scratch (Run goroutine only), same rationale
 
-	fmu     sync.Mutex // guards fb, the format table and the decode scratch
-	fb      *gfx.Framebuffer
+	sh      *shadow                   // sh.mu also guards the fields below
 	pfGen   uint8                     // generation of the last requested format
 	pfByGen map[uint8]gfx.PixelFormat // decode formats by generation tag
 	dsc     decodeScratch             // reusable decode buffers
@@ -60,6 +61,18 @@ type ClientConn struct {
 	updatesRecv   atomic.Int64
 }
 
+// shadow is the frame a connection paints and the lock that guards it. A
+// resumed connection shares its predecessor's, lock and all, so a reader
+// still holding the dead ClientConn reads the frame the new one paints.
+type shadow struct {
+	mu sync.Mutex
+	fb *gfx.Framebuffer
+	// torn bounds what an update painted into fb before its connection
+	// died partway through it: painted, never reported to a handler. The
+	// next update of whichever connection shares fb reports it.
+	torn gfx.Rect
+}
+
 // Dial performs the client side of the handshake over conn. On return the
 // shadow framebuffer is allocated with the server's geometry.
 func Dial(conn net.Conn) (*ClientConn, error) {
@@ -67,11 +80,12 @@ func Dial(conn net.Conn) (*ClientConn, error) {
 }
 
 // DialResume is Dial continuing prev's session: it presents prev's token,
-// and when the server reclaims the parked session (Resumed) the new
-// connection starts from a copy of prev's shadow framebuffer, which the
-// resync's damage brings up to date. prev is left as it was, so a retry
-// after a failed link can continue from it again. A nil prev is a plain
-// Dial.
+// and when the server reclaims the parked session (Resumed) at prev's
+// geometry the new connection adopts prev's shadow framebuffer, without a
+// copy, and the resync's damage brings it up to date. Nothing is painted
+// into the shared frame until the new connection runs, so a retry after a
+// link that failed before it ran can continue from prev again. A nil prev
+// is a plain Dial.
 func DialResume(conn net.Conn, prev *ClientConn) (*ClientConn, error) {
 	c := &ClientConn{
 		conn:    conn,
@@ -116,58 +130,33 @@ func (c *ClientConn) handshake(prev *ClientConn) error {
 	if err := c.bw.Flush(); err != nil {
 		return err
 	}
-	w, err := readU16(c.br)
-	if err != nil {
-		return err
+	// ServerInit: the geometry, the pixel format and the desktop name's
+	// length.
+	si := make([]byte, 24)
+	if _, err := io.ReadFull(c.br, si); err != nil {
+		return fmt.Errorf("read server init: %w", err)
 	}
-	h, err := readU16(c.br)
-	if err != nil {
-		return err
-	}
-	pf, err := readPixelFormat(c.br)
-	if err != nil {
-		return err
-	}
-	nameLen, err := readU32(c.br)
-	if err != nil {
-		return err
-	}
+	w, h, nameLen := int(be.Uint16(si)), int(be.Uint16(si[2:])), be.Uint32(si[20:])
 	if nameLen > 1<<16 {
 		return fmt.Errorf("rfb: desktop name of %d bytes: %w", nameLen, ErrBadMessage)
 	}
-	name := make([]byte, nameLen)
+	// The name, then the resume extension: the resumed verdict and the
+	// issued session token.
+	name := make([]byte, nameLen+2)
 	if _, err := io.ReadFull(c.br, name); err != nil {
 		return err
 	}
-	// ServerInit resume extension: the resumed verdict and the issued
-	// session token.
-	res, err := readU8(c.br)
-	if err != nil {
-		return fmt.Errorf("read resume verdict: %w", err)
-	}
-	tlen, err := readU8(c.br)
-	if err != nil {
+	res, token := name[nameLen], make([]byte, name[nameLen+1])
+	if _, err := io.ReadFull(c.br, token); err != nil {
 		return fmt.Errorf("read session token: %w", err)
 	}
-	var token []byte
-	if tlen > 0 {
-		token = make([]byte, tlen)
-		if _, err := io.ReadFull(c.br, token); err != nil {
-			return fmt.Errorf("read session token: %w", err)
-		}
+	if res != 0 && prev != nil && prev.sh.fb.Bounds() == gfx.R(0, 0, w, h) {
+		c.sh = prev.sh
+	} else {
+		c.sh = &shadow{fb: gfx.NewFramebuffer(w, h)}
 	}
-	if res != 0 && prev != nil {
-		prev.WithFramebuffer(func(fb *gfx.Framebuffer) {
-			if fb.W() == int(w) && fb.H() == int(h) {
-				c.fb = fb.Clone()
-			}
-		})
-	}
-	if c.fb == nil {
-		c.fb = gfx.NewFramebuffer(int(w), int(h))
-	}
-	c.pfByGen[0] = pf
-	c.name = string(name)
+	c.pfByGen[0] = pixelFormatFrom(si[4:20])
+	c.name = string(name[:nameLen])
 	c.resumed = res != 0
 	c.token = string(token)
 	return nil
@@ -184,29 +173,26 @@ func (c *ClientConn) Token() string { return c.token }
 // Resumed reports whether the server reclaimed a parked session for the
 // presented token. When true, the server retains the pre-disconnect
 // session state and will ship only damage accumulated while detached, on
-// top of the frame DialResume carried over.
+// top of the frame DialResume adopted.
 func (c *ClientConn) Resumed() bool { return c.resumed }
 
-// Size returns the server framebuffer geometry.
-func (c *ClientConn) Size() (w, h int) {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	return c.fb.W(), c.fb.H()
-}
+// Size returns the server framebuffer geometry, fixed for the
+// connection's life.
+func (c *ClientConn) Size() (w, h int) { return c.sh.fb.W(), c.sh.fb.H() }
 
 // WithFramebuffer runs fn with the shadow framebuffer locked. fn must not
 // retain the pointer or call back into the connection.
 func (c *ClientConn) WithFramebuffer(fn func(fb *gfx.Framebuffer)) {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	fn(c.fb)
+	c.sh.mu.Lock()
+	defer c.sh.mu.Unlock()
+	fn(c.sh.fb)
 }
 
 // Snapshot returns a copy of the region r of the shadow framebuffer.
 func (c *ClientConn) Snapshot(r gfx.Rect) *gfx.Framebuffer {
-	c.fmu.Lock()
-	defer c.fmu.Unlock()
-	return c.fb.SubImage(r)
+	c.sh.mu.Lock()
+	defer c.sh.mu.Unlock()
+	return c.sh.fb.SubImage(r)
 }
 
 // BytesSent returns the total bytes written to the server.
@@ -231,7 +217,7 @@ func (c *ClientConn) SetPixelFormat(pf gfx.PixelFormat) error {
 	}
 	// Register the next generation before the message can possibly be
 	// answered.
-	c.fmu.Lock()
+	c.sh.mu.Lock()
 	c.pfGen++
 	c.pfByGen[c.pfGen] = pf
 	// Prune stale generations; only a handful can be in flight at once.
@@ -241,7 +227,7 @@ func (c *ClientConn) SetPixelFormat(pf gfx.PixelFormat) error {
 			delete(c.pfByGen, g)
 		}
 	}
-	c.fmu.Unlock()
+	c.sh.mu.Unlock()
 
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -254,7 +240,7 @@ func (c *ClientConn) SetPixelFormat(pf gfx.PixelFormat) error {
 }
 
 // formatFor resolves the decode format for an update's generation tag,
-// falling back to the most recently requested format. Caller holds fmu.
+// falling back to the most recently requested format. Caller holds sh.mu.
 func (c *ClientConn) formatFor(gen uint8) gfx.PixelFormat {
 	if pf, ok := c.pfByGen[gen]; ok {
 		return pf
@@ -404,45 +390,10 @@ func (c *ClientConn) Run(h ClientHandler) error {
 			gen := c.rs[0] // format generation in the pad byte
 			n := be.Uint16(c.rs[1:3])
 			c.bytesReceived.Add(3)
-			c.fmu.Lock()
-			rects := c.rects[:0]
-			pf := c.formatFor(gen)
-			for i := 0; i < int(n); i++ {
-				hdr := c.rs[:12]
-				if _, err := io.ReadFull(c.br, hdr); err != nil {
-					c.fmu.Unlock()
-					return err
-				}
-				r := gfx.R(
-					int(be.Uint16(hdr[0:])), int(be.Uint16(hdr[2:])),
-					int(be.Uint16(hdr[4:])), int(be.Uint16(hdr[6:])),
-				)
-				enc := int32(be.Uint32(hdr[8:]))
-				c.bytesReceived.Add(12)
-				if enc == EncCopyRect {
-					src := c.rs[12:16]
-					if _, err := io.ReadFull(c.br, src); err != nil {
-						c.fmu.Unlock()
-						return err
-					}
-					c.bytesReceived.Add(4)
-					sx, sy := int(be.Uint16(src[0:])), int(be.Uint16(src[2:]))
-					if sx == r.X && sy == r.Y {
-						continue // a self-copy changes nothing: not applied, not reported
-					}
-					c.fb.CopyRect(r.X, r.Y, gfx.R(sx, sy, r.W, r.H))
-				} else {
-					c.cr.r, c.cr.n = c.br, 0
-					if err := decodeRect(&c.cr, enc, c.fb, r, pf, &c.dsc); err != nil {
-						c.fmu.Unlock()
-						return err
-					}
-					c.bytesReceived.Add(c.cr.n)
-				}
-				rects = append(rects, r)
+			rects, err := c.applyUpdate(gen, int(n))
+			if err != nil {
+				return err
 			}
-			c.rects = rects
-			c.fmu.Unlock()
 			c.updatesRecv.Add(1)
 			if h != nil {
 				// rects is reused for the next update; the ClientHandler
@@ -479,6 +430,60 @@ func (c *ClientConn) Run(h ClientHandler) error {
 			return fmt.Errorf("rfb: unknown server message %d: %w", t, ErrBadMessage)
 		}
 	}
+}
+
+// applyUpdate paints an update's n rectangles into the shadow frame and
+// returns them, led by any torn update's bounds the frame still holds.
+// When the stream fails partway, what the update painted joins the
+// shadow's torn bounds instead.
+func (c *ClientConn) applyUpdate(gen uint8, n int) ([]gfx.Rect, error) {
+	sh := c.sh
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	rects := c.rects[:0]
+	if !sh.torn.Empty() {
+		rects = append(rects, sh.torn)
+		sh.torn = gfx.Rect{}
+	}
+	pf := c.formatFor(gen)
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		hdr := c.rs[:12]
+		if _, err = io.ReadFull(c.br, hdr); err != nil {
+			break
+		}
+		r := gfx.R(
+			int(be.Uint16(hdr[0:])), int(be.Uint16(hdr[2:])),
+			int(be.Uint16(hdr[4:])), int(be.Uint16(hdr[6:])),
+		)
+		enc := int32(be.Uint32(hdr[8:]))
+		c.bytesReceived.Add(12)
+		if enc == EncCopyRect {
+			src := c.rs[12:16]
+			if _, err = io.ReadFull(c.br, src); err != nil {
+				break
+			}
+			c.bytesReceived.Add(4)
+			sx, sy := int(be.Uint16(src[0:])), int(be.Uint16(src[2:]))
+			if sx == r.X && sy == r.Y {
+				continue // a self-copy changes nothing: not applied, not reported
+			}
+			sh.fb.CopyRect(r.X, r.Y, gfx.R(sx, sy, r.W, r.H))
+		} else {
+			c.cr.r, c.cr.n = c.br, 0
+			err = decodeRect(&c.cr, enc, sh.fb, r, pf, &c.dsc)
+			c.bytesReceived.Add(c.cr.n)
+		}
+		rects = append(rects, r) // a rectangle whose decode failed may be painted in part
+	}
+	c.rects = rects
+	if err != nil {
+		for _, r := range rects {
+			sh.torn = sh.torn.Union(r.Intersect(sh.fb.Bounds()))
+		}
+		return nil, err
+	}
+	return rects, nil
 }
 
 // countReader counts bytes flowing through it.

@@ -160,14 +160,6 @@ func readU8(r io.Reader) (uint8, error) {
 	return b[0], nil
 }
 
-func readU16(r io.Reader) (uint16, error) {
-	var b [2]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return be.Uint16(b[:]), nil
-}
-
 func readU32(r io.Reader) (uint32, error) {
 	var b [4]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
@@ -200,14 +192,6 @@ func appendPixelFormat(b []byte, pf gfx.PixelFormat) []byte {
 	b = append(b, pf.BitsPerPixel, pf.Depth, big, trueColor)
 	b = be.AppendUint16(be.AppendUint16(be.AppendUint16(b, pf.RedMax), pf.GreenMax), pf.BlueMax)
 	return append(b, pf.RedShift, pf.GreenShift, pf.BlueShift, 0, 0, 0) // 3 bytes padding
-}
-
-func readPixelFormat(r io.Reader) (gfx.PixelFormat, error) {
-	b := make([]byte, 16)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return gfx.PixelFormat{}, err
-	}
-	return pixelFormatFrom(b), nil
 }
 
 // pixelFormatFrom decodes the 16-byte wire pixel format from b.

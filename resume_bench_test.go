@@ -112,10 +112,10 @@ func BenchmarkResume(b *testing.B) {
 // op retargets the proxy's dial, kills the live link, and waits for the
 // re-established session (the redial is immediate and usually outruns the
 // park; the presented token takes the still-live session over, so the
-// in-place hop reliably resumes). With one home every hop resumes in
-// place; with
-// 16 homes every hop leaves a parked session behind and joins the next
-// home cold (the parked one waits out its TTL or its owner's return).
+// in-place hop reliably resumes) and, after a cold join, for its first
+// frame on the TV. With one home every hop resumes in place; with 16
+// homes every hop leaves a parked session behind and joins the next home
+// cold (the parked one waits out its TTL or its owner's return).
 func BenchmarkE2bRoam(b *testing.B) {
 	for _, homes := range []int{1, 16} {
 		name := "1-home"
@@ -173,13 +173,18 @@ func BenchmarkE2bRoam(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				before := proxy.Reconnects()
+				before, frames := proxy.Reconnects(), tv.FrameCount()
 				mu.Lock()
 				target = workload.HomeID((i + 1) % homes)
 				l := link
 				mu.Unlock()
 				l.DropLink()
 				for proxy.Reconnects() == before {
+					time.Sleep(20 * time.Microsecond)
+				}
+				// A cold join is done when its full repaint is presented;
+				// FrameCount, unlike WaitFrames, copies no panel.
+				for !proxy.Resumed() && tv.FrameCount() == frames {
 					time.Sleep(20 * time.Microsecond)
 				}
 			}
